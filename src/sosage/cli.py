@@ -10,7 +10,7 @@ from dataclasses import replace
 from typing import Optional, Sequence
 
 from . import harness
-from .errors import DigestMismatch, ParseError, SosageError, ValidationError
+from .errors import SosageError
 
 EXIT_OK = 0
 EXIT_UNSOLVED = 1
@@ -133,13 +133,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         return int(e.code or 0)
     try:
         return _COMMANDS[args.command](args)
-    except (ParseError, ValidationError, DigestMismatch) as e:
-        print(f"error: {e}", file=sys.stderr)
-        return EXIT_USAGE
-    except SosageError as e:
-        print(f"error: {e}", file=sys.stderr)
-        return EXIT_USAGE
-    except OSError as e:
+    except (SosageError, OSError) as e:
         print(f"error: {e}", file=sys.stderr)
         return EXIT_USAGE
 

@@ -2,19 +2,33 @@
 
 Each environment is a stateless transition function over an immutable episode
 state: reset picks the initial state for an episode index, step maps
-(state, action) to (next state, reinforcement, terminal). Returns are
-undiscounted sums of per-step reinforcements. Episode cycling on xor is
-deterministic so fitness is exact, not sampled.
+(state, action) to (next state, reinforcement, terminal). rollout plays one
+episode under a policy (observation -> action) and reports its undiscounted
+return, the sum of the per-step reinforcements, and whether it succeeded.
+Episode cycling on xor is deterministic so fitness is exact, not sampled.
+
+A gridnav rollout stops at the first repeated (x, y, subgoal visited) state
+and books the rest of the episode without stepping it. This is exact for a
+policy that is a pure function of the observation: the observation depends
+only on (x, y), and the next state only on (x, y, subgoal visited, action),
+so once a state repeats the episode cycles until the step counter ends it.
+Every step of that cycle pays exactly -step_penalty: a subgoal visit would
+set the flag, so the state could not repeat; a visit to the armed goal ends
+the episode; a visit to the unarmed goal pays nothing. The episode then runs
+out at max_steps without reaching the goal.
 """
 
 from __future__ import annotations
 
+import sys
 from dataclasses import dataclass
-from typing import Mapping, Sequence
+from typing import Callable, Mapping, Sequence
 
 from .errors import InvalidAction, ValidationError
 
 ENV_NAMES = ("xor", "gridnav", "gridnav-compositional")
+
+Policy = Callable[[tuple[float, ...]], int]
 
 
 @dataclass(frozen=True)
@@ -24,21 +38,6 @@ class EnvSpec:
     output_dim: int
     max_steps: int
     params: dict
-
-
-@dataclass(frozen=True)
-class Episode:
-    """One rollout: (observation, action, reinforcement) triples and the
-    undiscounted return."""
-
-    steps: tuple[tuple[tuple[float, ...], int, float], ...]
-    terminal: bool
-    return_value: float
-
-
-def episodic_return(episode: Episode) -> float:
-    """Exact undiscounted sum of the episode's step reinforcements."""
-    return sum(r for _, _, r in episode.steps)
 
 
 class XorEnv:
@@ -74,8 +73,11 @@ class XorEnv:
         target = 1 if (state[0] > 0.0) != (state[1] > 0.0) else 0
         return state, (1.0 if action == target else 0.0), True
 
-    def succeeded(self, episode: Episode) -> bool:
-        return bool(episode.steps) and episode.steps[-1][2] == 1.0
+    def rollout(self, episode_index: int, policy: Policy) -> tuple[float, bool]:
+        """One step; success is the right class."""
+        state = self.reset(episode_index)
+        _, reward, _ = self.step(state, policy(self.observation(state)))
+        return reward, reward == 1.0
 
 
 class GridNavEnv:
@@ -101,10 +103,14 @@ class GridNavEnv:
         step_penalty: float = 0.01,
         goal_reward: float = 1.0,
         subgoal_reward: float = 0.5,
-        max_steps: int = 50,
+        max_steps: int | None = None,
     ) -> None:
         if size < 2:
             raise ValidationError("env.params.size", "grid size must be >= 2")
+        if max_steps is None:
+            max_steps = min(50, 4 * size * size)
+        if max_steps < 1:
+            raise ValidationError("env.params.max_steps", "must be >= 1")
         if max_steps > 4 * size * size:
             raise ValidationError(
                 "env.params.max_steps", f"must be <= 4*size^2 = {4 * size * size}"
@@ -172,32 +178,60 @@ class GridNavEnv:
             terminal = True
         return (nx, ny, steps, subgoal_done), reward, terminal
 
-    def succeeded(self, episode: Episode) -> bool:
-        if not episode.terminal or not episode.steps:
-            return False
-        final_reward = episode.steps[-1][2]
-        return final_reward >= self.goal_reward - self.step_penalty - 1e-12
+    def rollout(self, episode_index: int, policy: Policy) -> tuple[float, bool]:
+        """Play one episode; success is ending on the armed goal. Stops at
+        the first repeated (x, y, subgoal visited) state, which is exact for
+        a policy that is a pure function of the observation (module
+        docstring)."""
+        state = self.reset(episode_index)
+        rewards: list[float] = []
+        seen: set[tuple[int, int, bool]] = set()
+        terminal = False
+        while not terminal:
+            x, y, steps, subgoal_done = state
+            key = (x, y, subgoal_done)
+            if key in seen:
+                # sum() over the full list keeps the float total bit-identical
+                rewards += [-self.step_penalty] * (self.max_steps - steps)
+                return sum(rewards), False
+            seen.add(key)
+            state, reward, terminal = self.step(state, policy(self.observation(state)))
+            rewards.append(reward)
+        x, y, _, subgoal_done = state
+        armed = subgoal_done or self.subgoal is None
+        return sum(rewards), armed and (x, y) == self.goal
 
 
 def make_env(name: str, params: Mapping[str, object] | None = None):
-    """Build an environment from its config-facing name and flat params map."""
+    """Build an environment from its config-facing name and flat params map.
+    Grid params must be integers and reward params finite numbers; nothing
+    is coerced."""
     params = dict(params or {})
     if name == "xor":
         if params:
             raise ValidationError("env.params", f"xor takes no params, got {sorted(params)}")
         return XorEnv()
     if name in ("gridnav", "gridnav-compositional"):
-        size = int(params.pop("size", 5))
-        goal = (int(params.pop("goal_x", size - 1)), int(params.pop("goal_y", size - 1)))
+        for key in ("size", "goal_x", "goal_y", "subgoal_x", "subgoal_y", "max_steps"):
+            raw = params.get(key, 0)
+            if isinstance(raw, bool) or not isinstance(raw, int):
+                raise ValidationError(f"env.params.{key}", "must be an integer")
+        size = params.pop("size", 5)
+        goal = (params.pop("goal_x", size - 1), params.pop("goal_y", size - 1))
         subgoal = None
         if name == "gridnav-compositional":
-            subgoal = (int(params.pop("subgoal_x", 0)), int(params.pop("subgoal_y", size - 1)))
+            subgoal = (params.pop("subgoal_x", 0), params.pop("subgoal_y", size - 1))
         kwargs = {}
         for key in ("step_penalty", "goal_reward", "subgoal_reward"):
             if key in params:
-                kwargs[key] = float(params.pop(key))
+                raw = params.pop(key)
+                # the bound check is exact for big ints and false for nan
+                if isinstance(raw, bool) or not isinstance(raw, (int, float)) \
+                        or not abs(raw) <= sys.float_info.max:
+                    raise ValidationError(f"env.params.{key}", "must be a finite number")
+                kwargs[key] = float(raw)
         if "max_steps" in params:
-            kwargs["max_steps"] = int(params.pop("max_steps"))
+            kwargs["max_steps"] = params.pop("max_steps")
         if params:
             raise ValidationError("env.params", f"unknown keys {sorted(params)}")
         return GridNavEnv(size=size, goal=goal, subgoal=subgoal, **kwargs)

@@ -315,15 +315,26 @@ def save_checkpoint(path: str | Path, ckpt: Checkpoint) -> None:
 
 
 def checkpoint_from_json_dict(doc: Mapping[str, Any]) -> Checkpoint:
-    if doc.get("format") != CHECKPOINT_FORMAT:
+    """Rebuild a checkpoint; a document with missing keys or values of the
+    wrong type raises ParseError."""
+    if not isinstance(doc, Mapping) or doc.get("format") != CHECKPOINT_FORMAT:
         raise ParseError(f"not a {CHECKPOINT_FORMAT} document")
+    try:
+        return _checkpoint_from_doc(doc)
+    except (LookupError, TypeError, ValueError, AttributeError, ArithmeticError) as e:
+        raise ParseError(f"malformed checkpoint: {type(e).__name__}: {e}") from e
+
+
+def _checkpoint_from_doc(doc: Mapping[str, Any]) -> Checkpoint:
     config = config_from_dict(doc["config"])
     stored = doc.get("config_digest", "")
     if config_digest(config) != stored:
         raise DigestMismatch("embedded config does not match its stored digest")
     if seed_from_hex(doc["rng_state"]) != config.evolution.seed:
         raise DigestMismatch("rng state does not match the config seed")
-    universe = Universe.from_json_dict(doc["universe"], payload_decoder=decode_payload)
+    universe = Universe.from_json_dict(
+        doc["universe"], max_order=config.max_order, payload_decoder=decode_payload
+    )
     pop = Population.from_json_dict(doc["population"])
     ledger = FitnessLedger.from_json_dict(doc["ledger"])
     loop = doc["loop"]

@@ -269,6 +269,8 @@ class Universe:
         def visit(i: StructureId) -> bool:
             color[i] = 1
             for c in self.structures[i].constituents:
+                if c not in self.structures:
+                    continue  # verify reports unknown constituents under construction-order
                 st = color.get(c, 0)
                 if st == 1 or (st == 0 and not visit(c)):
                     return False
@@ -309,12 +311,15 @@ class Universe:
         dec = payload_decoder or (lambda p: p)
         u = cls(max_order=max_order)
         for row in doc["structures"]:
+            tag = row.get("tag", "")
+            if not isinstance(tag, str):
+                raise TypeError(f"structure tag must be a string, got {tag!r}")
             s = Structure(
                 id=int(row["id"]),
                 order=int(row["order"]),
                 constituents=frozenset(int(c) for c in row["constituents"]),
                 payload=dec(row["payload"]) if "payload" in row else None,
-                tag=row.get("tag", ""),
+                tag=tag,
             )
             u.structures[s.id] = s
         u._next_id = 1 + max(u.structures, default=-1)

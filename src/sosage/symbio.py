@@ -18,7 +18,6 @@ from typing import Any, Callable, Mapping, Optional, Sequence
 
 import numpy as np
 
-from .envs import Episode
 from .errors import (
     DimensionMismatch,
     LimitExceeded,
@@ -162,7 +161,6 @@ class Assembly:
     wiring: tuple[NeuronGene, ...]
     fitness: Optional[float] = None
     solved: bool = False
-    episodes: tuple[Episode, ...] = ()
 
 
 def flatten_to_genes(universe: Universe, participants: Sequence[StructureId]) -> tuple[NeuronGene, ...]:
@@ -212,6 +210,8 @@ class FitnessLedger:
     equal-order dependency observations."""
 
     def __init__(self, top_m: int) -> None:
+        if top_m < 1:
+            raise ValueError("top_m must be >= 1")
         self.top_m = top_m
         self.per_member: dict[StructureId, _MemberStats] = {}
         self.cooccur: dict[tuple[StructureId, StructureId], _CooccurCell] = {}
@@ -386,11 +386,10 @@ def assemble(
     return assemblies
 
 
-def evaluate(
-    assembly: Assembly, env, episodes: int, rng: np.random.Generator
-) -> float:
+def evaluate(assembly: Assembly, env, episodes: int) -> float:
     """Roll out the assembly's network and record its fitness: the summed
-    episodic return over the evaluation batch."""
+    episodic return over the evaluation batch. The assembly is solved when
+    every episode succeeds."""
     for gene in assembly.wiring:
         if len(gene.in_weights) != env.input_dim + 1:
             raise DimensionMismatch(
@@ -399,23 +398,19 @@ def evaluate(
         for slot, _ in gene.out_targets:
             if not 0 <= slot < env.output_dim:
                 raise DimensionMismatch(f"output slot {slot} outside env outputs {env.output_dim}")
-    runs: list[Episode] = []
+    wiring, output_dim = assembly.wiring, env.output_dim
+
+    def policy(obs: tuple[float, ...]) -> int:
+        return env.select_action(net_forward(wiring, obs, output_dim))
+
     total = 0.0
+    solved = episodes > 0
     for ep_idx in range(episodes):
-        state = env.reset(ep_idx)
-        steps: list[tuple[tuple[float, ...], int, float]] = []
-        terminal = False
-        while not terminal and len(steps) < env.max_steps:
-            obs = env.observation(state)
-            action = env.select_action(net_forward(assembly.wiring, obs, env.output_dim))
-            state, reward, terminal = env.step(state, action)
-            steps.append((obs, action, reward))
-        ep = Episode(steps=tuple(steps), terminal=terminal, return_value=sum(r for _, _, r in steps))
-        runs.append(ep)
-        total += ep.return_value
-    assembly.episodes = tuple(runs)
+        episode_return, succeeded = env.rollout(ep_idx, policy)
+        total += episode_return
+        solved = solved and succeeded
     assembly.fitness = total
-    assembly.solved = bool(runs) and all(env.succeeded(ep) for ep in runs)
+    assembly.solved = solved
     return total
 
 
@@ -628,8 +623,8 @@ def run_symbiosis(
             on_checkpoint(generation, state)
 
         assemblies = assemble(universe, pop, config, substream(config.seed, "assemble", generation))
-        for idx, assembly in enumerate(assemblies):
-            evaluate(assembly, env, env.eval_episodes, substream(config.seed, "evaluate", generation, idx))
+        for assembly in assemblies:
+            evaluate(assembly, env, env.eval_episodes)
         top = pop.top_order
         cohort = [m for m in pop.members if universe.structural_order(m) == top]
         distribute_fitness(ledger, assemblies, cohort)

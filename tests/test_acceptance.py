@@ -278,7 +278,7 @@ def test_criterion_5_dependency_oracle(verdict):
         assemblies = []
         for combo in itertools.combinations(members, k):
             asm = Assembly(tuple(combo), flatten_to_genes(u, combo))
-            evaluate(asm, env, env.eval_episodes, np.random.default_rng(0))
+            evaluate(asm, env, env.eval_episodes)
             assemblies.append(asm)
             history.append((set(combo), asm.fitness))
         distribute_fitness(ledger, assemblies, cohort=members)

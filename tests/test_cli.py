@@ -123,6 +123,14 @@ class TestVerifyCommand:
         assert code == EXIT_VERIFY_FAILED
         assert any(line.startswith("FAIL  roster-membership") for line in out.splitlines())
 
+    @pytest.mark.parametrize("command", ["verify", "inspect", "resume"])
+    def test_malformed_checkpoint_is_usage_error(self, capsys, tmp_path, command):
+        path = tmp_path / "bare.json"
+        path.write_text(json.dumps({"format": "sosage-checkpoint-v1"}))
+        code, out, err = run_cli(capsys, command, str(path))
+        assert code == EXIT_USAGE
+        assert out == "" and err.startswith("error: malformed checkpoint")
+
 
 class TestSweepCommand:
     def test_sweep_prints_summary_path(self, config_path, capsys, tmp_path):

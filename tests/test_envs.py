@@ -2,31 +2,57 @@
 
 from __future__ import annotations
 
+import dataclasses
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from sosage.envs import Episode, GridNavEnv, XorEnv, episodic_return, make_env
+from sosage.envs import GridNavEnv, XorEnv, make_env
 from sosage.errors import InvalidAction, ValidationError
+from sosage.symbio import net_forward, random_genome
 
 from support import grid_shortest_steps
 
 PROPERTY_SETTINGS = settings(max_examples=120, deadline=None)
 
 
-def rollout(env, policy, episode_index=0):
-    """Drive env.step with a per-observation policy, mirroring the evaluator."""
+def walk(env, policy, episode_index=0):
+    """Step-by-step oracle: drive env.step until the episode ends, with no
+    cut-off. The policy sees the observation and the state. Returns the
+    per-step rewards, the terminal flag and the final state."""
     state = env.reset(episode_index)
-    steps = []
+    rewards = []
     terminal = False
-    while not terminal and len(steps) < env.max_steps:
-        obs = env.observation(state)
-        action = policy(obs, state)
-        state, reward, terminal = env.step(state, action)
-        steps.append((obs, action, reward))
-    ep = Episode(steps=tuple(steps), terminal=terminal, return_value=sum(r for _, _, r in steps))
-    return ep, state
+    while not terminal and len(rewards) < env.max_steps:
+        state, reward, terminal = env.step(state, policy(env.observation(state), state))
+        rewards.append(reward)
+    return rewards, terminal, state
+
+
+def walk_outcome(env, policy):
+    """(return, succeeded) of a full walk: success is ending on the goal
+    with the subgoal, if there is one, visited."""
+    rewards, _, (x, y, _, subgoal_done) = walk(env, lambda obs, _state: policy(obs))
+    reached = (x, y) == env.goal and (subgoal_done or env.subgoal is None)
+    return sum(rewards), reached
+
+
+def counting(policy):
+    """Wrap a policy so calls[0] counts the steps actually played."""
+    calls = [0]
+
+    def wrapped(obs):
+        calls[0] += 1
+        return policy(obs)
+
+    return wrapped, calls
+
+
+def cell(env, obs):
+    """Grid cell of an observation (inverse of the position map)."""
+    return tuple(round((v + 1.0) * (env.size - 1) / 2.0) for v in obs[:2])
 
 
 class TestXor:
@@ -58,10 +84,12 @@ class TestXor:
 
     def test_succeeded_reads_final_reward(self):
         env = XorEnv()
-        won = Episode(steps=(((-1.0, 1.0), 1, 1.0),), terminal=True, return_value=1.0)
-        lost = Episode(steps=(((-1.0, 1.0), 0, 0.0),), terminal=True, return_value=0.0)
-        assert env.succeeded(won) and not env.succeeded(lost)
-        assert not env.succeeded(Episode(steps=(), terminal=False, return_value=0.0))
+        for k, (a, b) in enumerate(XorEnv.PATTERNS):
+            target = 1 if (a > 0) != (b > 0) else 0
+            right, calls = counting(lambda obs: target)
+            assert env.rollout(k, right) == (1.0, True)
+            assert calls[0] == 1
+            assert env.rollout(k, lambda obs: 1 - target) == (0.0, False)
 
 
 class TestGridKinematics:
@@ -82,10 +110,36 @@ class TestGridKinematics:
 
     def test_max_steps_terminates_without_goal(self):
         env = GridNavEnv(size=5, goal=(4, 4), max_steps=3)
-        ep, _ = rollout(env, lambda obs, s: 2)  # walk south into the wall
-        assert ep.terminal and len(ep.steps) == 3
-        assert not env.succeeded(ep)
-        assert ep.return_value == pytest.approx(-0.03)
+        rewards, terminal, _ = walk(env, lambda obs, s: 2)  # walk south into the wall
+        assert terminal and len(rewards) == 3
+        episode_return, succeeded = env.rollout(0, lambda obs: 2)
+        assert not succeeded
+        assert episode_return == sum(rewards) == pytest.approx(-0.03)
+
+    def test_rollout_stops_stepping_at_first_repeated_state(self):
+        env = GridNavEnv(size=5, goal=(4, 4), max_steps=50)
+        # north from row 0, south from row 1: a two-cell loop from the start
+        bounce, calls = counting(lambda obs: 0 if obs[1] == -1.0 else 2)
+        episode_return, succeeded = env.rollout(0, bounce)
+        assert calls[0] == 2
+        assert not succeeded
+        assert episode_return == sum([-0.01] * 50)
+        assert (episode_return, succeeded) == walk_outcome(env, bounce)
+
+    def test_unarmed_goal_can_sit_on_the_loop(self):
+        env = GridNavEnv(size=2, goal=(0, 1), subgoal=(1, 1), max_steps=16)
+        bounce = lambda obs: 0 if obs[1] == -1.0 else 2  # (0,0) <-> (0,1)
+        assert env.rollout(0, bounce) == walk_outcome(env, bounce)
+        assert env.rollout(0, bounce) == (sum([-0.01] * 16), False)
+
+    def test_revisited_cell_with_the_subgoal_flag_set_is_no_repeat(self):
+        # a clockwise lap past the unarmed goal (1,0), through the subgoal
+        # (1,1), back to the start and onto the now-armed goal
+        env = GridNavEnv(size=2, goal=(1, 0), subgoal=(1, 1), max_steps=16)
+        lap = {(0, 0): 1, (1, 0): 0, (1, 1): 3, (0, 1): 2}
+        episode_return, succeeded = env.rollout(0, lambda obs: lap[cell(env, obs)])
+        assert succeeded
+        assert episode_return == sum([-0.01, 0.49, -0.01, -0.01, 0.99])
 
     def test_goal_step_pays_and_terminates(self):
         env = GridNavEnv(size=5, goal=(0, 1))
@@ -146,32 +200,67 @@ class TestCompositionalGating:
         env = GridNavEnv(size=5, goal=(4, 4), subgoal=(0, 4))
         shortest = grid_shortest_steps(5, (0, 0), [(0, 4), (4, 4)])
         assert shortest == 8
-        plan = iter([0, 0, 0, 0, 1, 1, 1, 1])  # N x4 then E x4
-        ep, _ = rollout(env, lambda obs, s: next(plan))
-        assert env.succeeded(ep)
-        assert len(ep.steps) == shortest
+        # N up the west edge, then E along the north edge
+        route, calls = counting(lambda obs: 0 if obs[0] == -1.0 and obs[1] < 1.0 else 1)
+        episode_return, succeeded = env.rollout(0, route)
+        assert succeeded
+        assert calls[0] == shortest
         expected = 0.5 + 1.0 - 0.01 * shortest
-        assert ep.return_value == pytest.approx(expected, abs=1e-12)
+        assert episode_return == pytest.approx(expected, abs=1e-12)
 
     @PROPERTY_SETTINGS
     @given(seed=st.integers(0, 2**32 - 1))
     def test_success_implies_subgoal_before_goal(self, seed):
         rng = np.random.default_rng(seed)
         env = GridNavEnv(size=4, goal=(3, 3), subgoal=(0, 3), max_steps=40)
-        visited_subgoal_first = []
+        # a random per-cell policy that mostly keeps to the route above
+        table = {(x, y): int(rng.integers(4)) for x in range(4) for y in range(4)}
+        for c, action in (((0, 0), 0), ((0, 1), 0), ((0, 2), 0), ((0, 3), 1), ((1, 3), 1), ((2, 3), 1)):
+            if rng.random() < 0.8:
+                table[c] = action
 
-        def policy(obs, state):
-            visited_subgoal_first.append(state[3])
-            return int(rng.integers(4))
+        def policy(obs):
+            return table[cell(env, obs)]
 
-        ep, final = rollout(env, policy)
-        if env.succeeded(ep):
+        episode_return, succeeded = env.rollout(0, policy)
+        rewards, _, final = walk(env, lambda obs, _state: policy(obs))
+        if succeeded:
             assert final[3]  # subgoal flag set on the goal step
-            assert ep.return_value == pytest.approx(
-                0.5 + 1.0 - 0.01 * len(ep.steps), abs=1e-12
-            )
+            assert episode_return == pytest.approx(0.5 + 1.0 - 0.01 * len(rewards), abs=1e-12)
         else:
-            assert ep.return_value < 1.0
+            assert episode_return < 1.0
+
+    @settings(max_examples=300, deadline=None)
+    @given(data=st.data())
+    def test_rollout_matches_step_by_step_oracle(self, data):
+        size = data.draw(st.integers(2, 5), label="size")
+        cells = st.tuples(st.integers(0, size - 1), st.integers(0, size - 1))
+        env = GridNavEnv(
+            size=size,
+            goal=data.draw(cells, label="goal"),
+            subgoal=data.draw(st.none() | cells, label="subgoal"),
+            max_steps=data.draw(st.integers(1, 4 * size * size), label="max_steps"),
+        )
+        rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1), label="seed"))
+        if data.draw(st.booleans(), label="network"):
+            wiring = tuple(
+                dataclasses.replace(
+                    random_genome(k, env.input_dim, env.output_dim, rng),
+                    activation=data.draw(st.sampled_from(("tanh", "step")), label="activation"),
+                )
+                for k in range(data.draw(st.integers(1, 4), label="neurons"))
+            )
+
+            def policy(obs):
+                return env.select_action(net_forward(wiring, obs, env.output_dim))
+        else:
+            # an arbitrary per-cell policy: long loops through goal and subgoal
+            table = rng.integers(4, size=(size, size))
+
+            def policy(obs):
+                return int(table[cell(env, obs)])
+
+        assert env.rollout(0, policy) == walk_outcome(env, policy)
 
 
 class TestMakeEnv:
@@ -203,11 +292,34 @@ class TestMakeEnv:
             make_env("gridnav", {"size": 3, "max_steps": 100})
         with pytest.raises(ValidationError):
             make_env("gridnav-compositional", {"subgoal_x": 9})
+        # an episode always takes at least one step
+        with pytest.raises(ValidationError, match="max_steps"):
+            make_env("gridnav", {"max_steps": 0})
+
+    @pytest.mark.parametrize("key", ["size", "goal_x", "goal_y", "subgoal_x", "subgoal_y", "max_steps"])
+    @pytest.mark.parametrize("value", ["5", 2.9, 3.0, True, None, [3]])
+    def test_grid_params_must_be_integers(self, key, value):
+        with pytest.raises(ValidationError, match=f"env.params.{key}: must be an integer"):
+            make_env("gridnav-compositional", {key: value})
+
+    @pytest.mark.parametrize("key", ["step_penalty", "goal_reward", "subgoal_reward"])
+    def test_reward_params_take_ints_or_floats(self, key):
+        env = make_env("gridnav-compositional", {key: 2})
+        assert getattr(env, key) == 2.0 and isinstance(env.spec.params[key], float)
+        assert getattr(make_env("gridnav-compositional", {key: 0.25}), key) == 0.25
+        for bad in ("1", True, None, float("nan"), float("inf"), 10**400):
+            with pytest.raises(ValidationError, match=f"env.params.{key}: must be a finite number"):
+                make_env("gridnav-compositional", {key: bad})
+
+    @pytest.mark.parametrize("size,max_steps", [(2, 16), (3, 36), (4, 50), (5, 50), (7, 50)])
+    def test_default_max_steps_fits_the_grid(self, size, max_steps):
+        assert make_env("gridnav-compositional", {"size": size}).max_steps == max_steps
 
     def test_episodic_return_sums_steps(self):
-        ep = Episode(
-            steps=(((0.0,), 0, -0.01), ((0.0,), 1, 0.49), ((0.0,), 0, 0.99)),
-            terminal=True,
-            return_value=1.47,
-        )
-        assert episodic_return(ep) == pytest.approx(1.47)
+        env = GridNavEnv(size=3, goal=(1, 2), subgoal=(1, 1))
+        route = lambda obs: 1 if obs[0] == -1.0 else 0  # E, then N, N
+        rewards, terminal, _ = walk(env, lambda obs, _state: route(obs))
+        assert terminal and rewards == [-0.01, -0.01 + 0.5, -0.01 + 1.0]
+        episode_return, succeeded = env.rollout(0, route)
+        assert succeeded
+        assert episode_return == sum(rewards) == pytest.approx(1.47)

@@ -4,19 +4,27 @@ the structural verifier."""
 from __future__ import annotations
 
 import dataclasses
+import functools
 import io
 import json
+import re
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from sosage.errors import DigestMismatch, ParseError, ValidationError
+from sosage.envs import make_env
+from sosage.errors import DigestMismatch, ParseError, SosageError, ValidationError
 from sosage.harness import (
     CHECKPOINT_FORMAT,
     METRICS_HEADER,
     OUTPUT_DIR_ENV,
     SWEEP_HEADER,
     Checkpoint,
+    build_state,
+    checkpoint_from_json_dict,
+    checkpoint_to_json_dict,
     config_digest,
     config_from_dict,
     config_to_json_dict,
@@ -36,7 +44,9 @@ from sosage.harness import (
 )
 from sosage.population import BreakEvent
 from sosage.rng import seed_to_hex
-from sosage.symbio import EvolutionConfig, NeuronGene
+from sosage.symbio import EvolutionConfig, NeuronGene, run_symbiosis
+
+CONFIG_DIR = Path(__file__).resolve().parent.parent / "configs"
 
 INVARIANT_NAMES = [
     "construction-order",
@@ -393,3 +403,186 @@ class TestInspect:
         assert "order 1: 4 members" in text
         assert "(none)" in text
         assert text.endswith("solved_at: -\n")
+
+
+class TestMaxOrder:
+    @pytest.mark.parametrize("max_order", [1, 3])
+    def test_checkpoint_round_trip_keeps_the_cap(self, tmp_path, max_order):
+        config = config_from_dict(base_doc(tmp_path, max_order=max_order))
+        report = run(config)
+        ckpt = load_checkpoint(report.checkpoint_path)
+        assert ckpt.config.max_order == max_order
+        assert ckpt.state.universe.max_order == max_order
+        copy_path = tmp_path / "copy.json"
+        save_checkpoint(copy_path, ckpt)
+        assert load_checkpoint(copy_path).state.universe.max_order == max_order
+
+    def test_resumed_run_keeps_the_cap(self, tmp_path):
+        # capped at order 1 this run never breaks; a resume that fell back to
+        # the default cap of 8 would break once and diverge
+        base = load_config(CONFIG_DIR / "gridnav_comp.json")
+        evolution = dataclasses.replace(base.evolution, break_warmup=0, max_generations=30)
+        config = dataclasses.replace(
+            base, evolution=evolution, max_order=1, checkpoint_every=5, output_dir=str(tmp_path)
+        )
+        full = run(config)
+        assert full.break_events == 0 and full.final_pop_order == 1
+        ckpt = load_checkpoint(tmp_path / "checkpoint-0-gen5.json")
+        assert ckpt.state.universe.max_order == 1
+        resumed = resume(ckpt)
+        assert read_rows(resumed.metrics_path) == read_rows(full.metrics_path)[5:]
+        assert (resumed.break_events, resumed.final_pop_order) == (0, 1)
+        assert verify(load_checkpoint(resumed.checkpoint_path)).passed
+
+
+@functools.lru_cache(maxsize=None)
+def _checkpoint_text() -> str:
+    """A small gridnav checkpoint just after a break at generation 5: it holds
+    a composite, a break log, pending levels and co-occurrence cells."""
+    base = with_seed(load_config(CONFIG_DIR / "gridnav_comp.json"), 5)
+    evolution = dataclasses.replace(
+        base.evolution, break_warmup=0, max_generations=6, assemblies_per_generation=8
+    )
+    config = dataclasses.replace(base, evolution=evolution, roster_size=4, population_limit=8)
+    state = build_state(config)
+    outcome = run_symbiosis(make_env(config.env.name, config.env.params), config.evolution, state)
+    assert state.pop.break_log
+    ckpt = Checkpoint(config=config, generation=outcome.next_generation, state=state)
+    return json.dumps(checkpoint_to_json_dict(ckpt))
+
+
+def valid_checkpoint_doc() -> dict:
+    return json.loads(_checkpoint_text())
+
+
+JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=6),
+    lambda inner: st.lists(inner, max_size=4) | st.dictionaries(st.text(max_size=6), inner, max_size=4),
+    max_leaves=12,
+)
+
+
+ANY = "*"  # a list index, or a key of a dict keyed by ids ("12", "3,4")
+
+
+def schema_paths(node, prefix=()) -> set:
+    """Every path into the document with list indices and id keys written
+    as ANY, so each field of the format is one path however many rows
+    the document has."""
+    if isinstance(node, dict):
+        by_id = bool(node) and all(re.fullmatch(r"[\d,]+", k) for k in node)
+        children = [(ANY if by_id else k, v) for k, v in node.items()]
+    elif isinstance(node, list):
+        children = [(ANY, v) for v in node]
+    else:
+        return set()
+    out = set()
+    for key, child in children:
+        out.add(prefix + (key,))
+        out |= schema_paths(child, prefix + (key,))
+    return out
+
+
+@functools.lru_cache(maxsize=None)
+def checkpoint_schema() -> list:
+    """The state fields, plus the config as a whole: an edit inside the
+    config only ever meets the digest check."""
+    paths = schema_paths(valid_checkpoint_doc())
+    return sorted((p for p in paths if p[0] != "config" or len(p) == 1), key=repr)
+
+
+def draw_path(data, doc) -> tuple:
+    """A concrete path for a random field of the format: every field is
+    equally likely, and rows are picked at random. Stops early where an
+    earlier edit removed the way."""
+    path: tuple = ()
+    node = doc
+    for step in data.draw(st.sampled_from(checkpoint_schema()), label="field"):
+        if isinstance(node, (dict, list)) and node and step == ANY:
+            keys = sorted(node) if isinstance(node, dict) else range(len(node))
+            step = data.draw(st.sampled_from(keys), label="row")
+        elif not isinstance(node, dict) or step not in node:
+            break
+        path += (step,)
+        node = node[step]
+    return path
+
+
+def load_or_sosage_error(doc) -> None:
+    """The property every checkpoint document must have: it loads, and then
+    verifies and summarizes, or it fails as a SosageError."""
+    try:
+        ckpt = checkpoint_from_json_dict(doc)
+    except SosageError:
+        return
+    try:
+        verify(ckpt)
+        format_summary_text(summarize_checkpoint(ckpt))
+    except SosageError:
+        pass
+
+
+class TestMalformedCheckpoints:
+    def test_valid_document_loads(self):
+        ckpt = checkpoint_from_json_dict(valid_checkpoint_doc())
+        assert verify(ckpt).passed
+
+    def test_bare_format_marker_is_a_parse_error(self):
+        with pytest.raises(ParseError, match="malformed checkpoint"):
+            checkpoint_from_json_dict({"format": CHECKPOINT_FORMAT})
+
+    def test_non_object_documents_are_parse_errors(self):
+        for doc in ([], "sosage-checkpoint-v1", 3, None):
+            with pytest.raises(ParseError):
+                checkpoint_from_json_dict(doc)
+
+    @pytest.mark.parametrize(
+        "path,value",
+        [
+            (("loop",), KeyError),
+            (("generation",), "ten"),
+            (("rng_state",), 5),
+            (("population", "members"), 5),
+            (("population", "break_log", 0, "composite"), None),
+            (("universe", "structures", 0, "tag"), 3),
+            (("universe", "structures", 0, "payload", "in_weights"), ["x"]),
+            (("universe", "depends"), {"abc": 1}),
+            (("ledger", "cooccur"), [1, 2]),
+            (("ledger", "pending"), {"1,2,3": [1]}),
+            (("ledger", "top_m"), False),
+            (("loop", "reverse_counters"), {"a": 1}),
+            (("loop", "stall_history"), [[]]),
+            (("loop", "solved_at"), 1e400),
+        ],
+    )
+    def test_missing_keys_and_wrong_types_are_parse_errors(self, path, value):
+        doc = valid_checkpoint_doc()
+        parent = functools.reduce(lambda node, key: node[key], path[:-1], doc)
+        if value is KeyError:
+            del parent[path[-1]]
+        else:
+            parent[path[-1]] = value
+        with pytest.raises(ParseError, match="malformed checkpoint"):
+            checkpoint_from_json_dict(doc)
+
+    @settings(max_examples=100, deadline=None)
+    @given(doc=st.dictionaries(st.text(max_size=8), JSON_VALUES, max_size=6), marked=st.booleans())
+    def test_any_json_object_loads_or_fails_as_sosage_error(self, doc, marked):
+        if marked:
+            doc["format"] = CHECKPOINT_FORMAT
+        load_or_sosage_error(doc)
+
+    @settings(max_examples=300, deadline=None)
+    @given(data=st.data())
+    def test_damaged_checkpoints_load_or_fail_as_sosage_error(self, data):
+        doc = valid_checkpoint_doc()
+        for _ in range(data.draw(st.integers(1, 3), label="edits")):
+            path = draw_path(data, doc)
+            if not path:
+                break
+            parent = functools.reduce(lambda node, key: node[key], path[:-1], doc)
+            if data.draw(st.booleans(), label="delete"):
+                del parent[path[-1]]
+            else:
+                parent[path[-1]] = data.draw(JSON_VALUES, label="value")
+        load_or_sosage_error(doc)

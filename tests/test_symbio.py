@@ -221,36 +221,36 @@ class TestEvaluate:
         ids = [universe.add_primitive(g) for g in genes]
         return Assembly(tuple(ids), flatten_to_genes(universe, ids))
 
-    def test_hand_solver_scores_perfect_xor(self, universe, rng):
+    def test_hand_solver_scores_perfect_xor(self, universe):
         assembly = self.wire(universe, xor_solver_genes())
         env = XorEnv()
-        fitness = evaluate(assembly, env, env.eval_episodes, rng)
-        assert fitness == 4.0
+        fitness = evaluate(assembly, env, env.eval_episodes)
+        assert env.eval_episodes == 4
+        assert fitness == 4.0  # one point per episode: all four ran and won
         assert assembly.solved
-        assert len(assembly.episodes) == 4
 
-    def test_constant_net_scores_half(self, universe, rng):
+    def test_constant_net_scores_half(self, universe):
         assembly = self.wire(universe, (constant_one_gene(),))
-        fitness = evaluate(assembly, XorEnv(), 4, rng)
+        fitness = evaluate(assembly, XorEnv(), 4)
         assert fitness == 2.0
         assert not assembly.solved
 
-    def test_fitness_sums_over_episode_batch(self, universe, rng):
+    def test_fitness_sums_over_episode_batch(self, universe):
         assembly = self.wire(universe, (constant_one_gene(),))
-        assert evaluate(assembly, XorEnv(), 8, rng) == 4.0
+        assert evaluate(assembly, XorEnv(), 8) == 4.0
 
-    def test_input_width_mismatch_rejected(self, universe, rng):
+    def test_input_width_mismatch_rejected(self, universe):
         assembly = self.wire(universe, xor_solver_genes())
         with pytest.raises(DimensionMismatch):
-            evaluate(assembly, GridNavEnv(), 1, rng)
+            evaluate(assembly, GridNavEnv(), 1)
 
-    def test_output_slot_mismatch_rejected(self, universe, rng):
+    def test_output_slot_mismatch_rejected(self, universe):
         bad = NeuronGene(0, (0.0, 0.0, 1.0), ((3, 5.0),), activation="step")
         assembly = self.wire(universe, (bad,))
         with pytest.raises(DimensionMismatch):
-            evaluate(assembly, XorEnv(), 4, rng)
+            evaluate(assembly, XorEnv(), 4)
 
-    def test_distribute_requires_evaluated_assemblies(self, universe, rng):
+    def test_distribute_requires_evaluated_assemblies(self, universe):
         assembly = self.wire(universe, (constant_one_gene(),))
         with pytest.raises(UnevaluatedAssembly):
             distribute_fitness(FitnessLedger(top_m=3), [assembly])
