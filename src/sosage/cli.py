@@ -74,8 +74,22 @@ def _cmd_run(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
+def _print_results(results, file=None) -> None:
+    for result in results:
+        mark = "pass" if result.passed else "FAIL"
+        line = f"{mark}  {result.name}"
+        if result.detail:
+            line += f"  ({result.detail})"
+        print(line, file=file)
+
+
 def _cmd_resume(args: argparse.Namespace) -> int:
     ckpt = harness.load_checkpoint(args.checkpoint)
+    # a checkpoint that fails verify would run on broken state, or crash
+    failures = harness.verify(ckpt).failures()
+    if failures:
+        _print_results(failures, file=sys.stderr)
+        return EXIT_VERIFY_FAILED
     report = harness.resume(ckpt, progress=_progress)
     print(report.metrics_path)
     print(report.checkpoint_path)
@@ -97,12 +111,7 @@ def _cmd_inspect(args: argparse.Namespace) -> int:
 def _cmd_verify(args: argparse.Namespace) -> int:
     ckpt = harness.load_checkpoint(args.checkpoint)
     report = harness.verify(ckpt)
-    for result in report.results:
-        mark = "pass" if result.passed else "FAIL"
-        line = f"{mark}  {result.name}"
-        if result.detail:
-            line += f"  ({result.detail})"
-        print(line)
+    _print_results(report.results)
     return EXIT_OK if report.passed else EXIT_VERIFY_FAILED
 
 

@@ -202,6 +202,16 @@ class GridNavEnv:
         return sum(rewards), armed and (x, y) == self.goal
 
 
+def finite_float(raw: object, field: str) -> float:
+    """A config number as a float. Bools, non-numbers, infinities, nan and
+    ints beyond the float range raise ValidationError naming `field`."""
+    # the bound check is exact for big ints and false for nan
+    if isinstance(raw, bool) or not isinstance(raw, (int, float)) \
+            or not abs(raw) <= sys.float_info.max:
+        raise ValidationError(field, "must be a finite number")
+    return float(raw)
+
+
 def make_env(name: str, params: Mapping[str, object] | None = None):
     """Build an environment from its config-facing name and flat params map.
     Grid params must be integers and reward params finite numbers; nothing
@@ -224,12 +234,7 @@ def make_env(name: str, params: Mapping[str, object] | None = None):
         kwargs = {}
         for key in ("step_penalty", "goal_reward", "subgoal_reward"):
             if key in params:
-                raw = params.pop(key)
-                # the bound check is exact for big ints and false for nan
-                if isinstance(raw, bool) or not isinstance(raw, (int, float)) \
-                        or not abs(raw) <= sys.float_info.max:
-                    raise ValidationError(f"env.params.{key}", "must be a finite number")
-                kwargs[key] = float(raw)
+                kwargs[key] = finite_float(params.pop(key), f"env.params.{key}")
         if "max_steps" in params:
             kwargs["max_steps"] = params.pop("max_steps")
         if params:

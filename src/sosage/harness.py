@@ -11,15 +11,14 @@ import hashlib
 import json
 import os
 import re
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, fields, replace
 from pathlib import Path
 from typing import Any, Callable, Mapping, Optional, TextIO
 
-from .envs import EnvSpec, make_env
+from .envs import EnvSpec, finite_float, make_env
 from .errors import DigestMismatch, ParseError, ValidationError
 from .hyperstruct import Universe
 from .population import Population, ProblemSpec, StallDetector
-from .rng import seed_from_hex, seed_to_hex
 from .symbio import (
     SAMPLE_RING_FACTOR,
     EvolutionConfig,
@@ -29,12 +28,13 @@ from .symbio import (
     decode_payload,
     encode_payload,
     fmt_weight,
+    live_structures,
     new_loop_state,
     run_symbiosis,
 )
 
 METRICS_HEADER = "generation,best_fitness,mean_fitness,pop_order,roster_size,breaks_so_far"
-CHECKPOINT_FORMAT = "sosage-checkpoint-v1"
+CHECKPOINT_FORMAT = "sosage-checkpoint-v2"
 OUTPUT_DIR_ENV = "SOSAGE_OUTPUT_DIR"
 
 
@@ -76,13 +76,8 @@ _TOP_KEYS = {
 }
 _ENV_KEYS = {"name", "params"}
 _PROBLEM_KEYS = {"problem_order_x", "base_solver_order_r"}
-# seed is configured at the top level only
-_EVOLUTION_KEYS = {
-    "network_size", "assemblies_per_generation", "elite_fraction", "mutation_rate",
-    "mutation_sigma", "crossover_rate", "top_m", "dependency_delta",
-    "min_cooccur_samples", "window_G", "min_improvement", "break_warmup",
-    "max_generations", "w_max",
-}
+# field name -> annotation ("int" or "float"); seed is configured at the top level only
+_EVOLUTION_FIELDS = {f.name: f.type for f in fields(EvolutionConfig) if f.name != "seed"}
 
 
 def _reject_unknown(doc: Mapping[str, Any], allowed: set[str], where: str) -> None:
@@ -103,12 +98,6 @@ def _as_int(raw: Any, field: str) -> int:
     if isinstance(raw, bool) or not isinstance(raw, int):
         raise ValidationError(field, "must be an integer")
     return raw
-
-
-def _as_float(raw: Any, field: str) -> float:
-    if isinstance(raw, bool) or not isinstance(raw, (int, float)):
-        raise ValidationError(field, "must be a number")
-    return float(raw)
 
 
 def _as_bool(raw: Any, field: str) -> bool:
@@ -148,19 +137,13 @@ def config_from_dict(doc: Mapping[str, Any]) -> RunConfig:
         raise ValidationError("problem.base_solver_order_r", "must be >= 1")
 
     evo_doc = _section(doc, "evolution")
-    _reject_unknown(evo_doc, _EVOLUTION_KEYS, "evolution")
-    defaults = EvolutionConfig()
-    kwargs: dict[str, Any] = {}
-    for name in ("network_size", "assemblies_per_generation", "top_m", "min_cooccur_samples",
-                 "window_G", "break_warmup", "max_generations"):
-        if name in evo_doc:
-            kwargs[name] = _as_int(evo_doc[name], f"evolution.{name}")
-    for name in ("elite_fraction", "mutation_rate", "mutation_sigma", "crossover_rate",
-                 "dependency_delta", "min_improvement", "w_max"):
-        if name in evo_doc:
-            kwargs[name] = _as_float(evo_doc[name], f"evolution.{name}")
+    _reject_unknown(evo_doc, set(_EVOLUTION_FIELDS), "evolution")
+    parse = {"int": _as_int, "float": finite_float}
+    kwargs: dict[str, Any] = {
+        name: parse[_EVOLUTION_FIELDS[name]](raw, f"evolution.{name}") for name, raw in evo_doc.items()
+    }
     kwargs["seed"] = _as_int(doc.get("seed", 0), "seed")
-    evolution = replace(defaults, **kwargs)
+    evolution = EvolutionConfig(**kwargs)
     evolution.validate()
 
     roster_size = _as_int(doc.get("roster_size", 24), "roster_size")
@@ -200,22 +183,28 @@ def config_from_dict(doc: Mapping[str, Any]) -> RunConfig:
     )
 
 
-def load_config(path: str | Path) -> RunConfig:
-    """Read and validate a JSON config file, defaults filled."""
+def _read_json(path: str | Path, what: str) -> Any:
+    """Parse a JSON file; every way it can fail is a ParseError."""
     try:
         text = Path(path).read_text(encoding="utf-8")
-    except OSError as e:
-        raise ParseError(f"cannot read config {path}: {e}") from e
+    except (OSError, UnicodeDecodeError) as e:
+        raise ParseError(f"cannot read {what} {path}: {e}") from e
     try:
-        doc = json.loads(text)
+        return json.loads(text)
     except json.JSONDecodeError as e:
         raise ParseError(f"{path}: line {e.lineno} column {e.colno}: {e.msg}") from e
-    return config_from_dict(doc)
+    except RecursionError as e:
+        raise ParseError(f"{path}: nested too deeply") from e
+
+
+def load_config(path: str | Path) -> RunConfig:
+    """Read and validate a JSON config file, defaults filled."""
+    return config_from_dict(_read_json(path, "config"))
 
 
 def config_to_json_dict(config: RunConfig) -> dict:
     """The fully defaulted config, echoed in file schema form."""
-    evo = {name: getattr(config.evolution, name) for name in sorted(_EVOLUTION_KEYS)}
+    evo = {name: getattr(config.evolution, name) for name in sorted(_EVOLUTION_FIELDS)}
     return {
         "seed": config.evolution.seed,
         "env": {"name": config.env.name, "params": dict(config.env.params)},
@@ -303,15 +292,26 @@ def checkpoint_to_json_dict(ckpt: Checkpoint) -> dict:
         "config": config_to_json_dict(ckpt.config),
         "config_digest": config_digest(ckpt.config),
         "generation": ckpt.generation,
-        "rng_state": seed_to_hex(ckpt.config.evolution.seed),
     }
     doc.update(_state_to_json_dict(ckpt.state))
     return doc
 
 
 def save_checkpoint(path: str | Path, ckpt: Checkpoint) -> None:
-    text = json.dumps(checkpoint_to_json_dict(ckpt), sort_keys=True, indent=1)
-    Path(path).write_text(text + "\n", encoding="utf-8", newline="\n")
+    """Write atomically: encode into a temp file beside `path`, then rename it
+    over `path`. A failed save leaves the previous file as it was and removes
+    the temp file. The temp name starts with a dot and ends in .tmp, so it
+    never matches checkpoint-*.json."""
+    path = Path(path)
+    tmp = path.with_name(f".{path.name}.tmp")
+    try:
+        with open(tmp, "w", encoding="utf-8", newline="\n") as sink:
+            json.dump(checkpoint_to_json_dict(ckpt), sink, sort_keys=True, indent=1)
+            sink.write("\n")
+        os.replace(tmp, path)
+    except BaseException:
+        tmp.unlink(missing_ok=True)
+        raise
 
 
 def checkpoint_from_json_dict(doc: Mapping[str, Any]) -> Checkpoint:
@@ -330,8 +330,6 @@ def _checkpoint_from_doc(doc: Mapping[str, Any]) -> Checkpoint:
     stored = doc.get("config_digest", "")
     if config_digest(config) != stored:
         raise DigestMismatch("embedded config does not match its stored digest")
-    if seed_from_hex(doc["rng_state"]) != config.evolution.seed:
-        raise DigestMismatch("rng state does not match the config seed")
     universe = Universe.from_json_dict(
         doc["universe"], max_order=config.max_order, payload_decoder=decode_payload
     )
@@ -356,15 +354,7 @@ def _checkpoint_from_doc(doc: Mapping[str, Any]) -> Checkpoint:
 
 
 def load_checkpoint(path: str | Path) -> Checkpoint:
-    try:
-        text = Path(path).read_text(encoding="utf-8")
-    except OSError as e:
-        raise ParseError(f"cannot read checkpoint {path}: {e}") from e
-    try:
-        doc = json.loads(text)
-    except json.JSONDecodeError as e:
-        raise ParseError(f"{path}: line {e.lineno} column {e.colno}: {e.msg}") from e
-    return checkpoint_from_json_dict(doc)
+    return checkpoint_from_json_dict(_read_json(path, "checkpoint"))
 
 
 # ---------------------------------------------------------------------------
@@ -711,6 +701,18 @@ def verify(ckpt: Checkpoint) -> VerifyReport:
             if orig in u and u.get(orig).order != s.order:
                 bad.append(f"clone {i} (order {s.order}) from original {orig} of other order")
     record("lineage-strata", bad)
+
+    # every checkpoint follows a compaction, or a solving generation that
+    # adds nothing outside the live set
+    live = live_structures(u, pop)
+    bad = [f"structure {i} is not live" for i in sorted(u.structures) if i not in live]
+    bad += [f"ledger member {m} is not live" for m in sorted(ledger.per_member) if m not in live]
+    for table, label in ((ledger.cooccur, "cooccurrence"), (ledger.pending, "pending")):
+        bad += [
+            f"{label} pair ({x},{y}) is not live"
+            for x, y in sorted(table) if x not in live or y not in live
+        ]
+    record("state-compact", bad)
 
     return VerifyReport(results)
 

@@ -119,6 +119,17 @@ class InteractionGraph:
             (d, e, lv) for (d, e), levels in self._depends.items() for lv in levels
         )
 
+    def retain(self, keep: set[StructureId]) -> None:
+        """Drop every edge with an end outside `keep`."""
+        def kept(edges):
+            return {(a, b): lv for (a, b), lv in edges.items() if a in keep and b in keep}
+
+        self._interacts = kept(self._interacts)
+        self._depends = kept(self._depends)
+        self._dependees = {
+            d: left for d, es in self._dependees.items() if d in keep and (left := es & keep)
+        }
+
 
 @dataclass
 class Universe:
@@ -126,7 +137,7 @@ class Universe:
 
     Mutation is single-writer; queries are pure. Structure ids are assigned
     sequentially and never reused, even after a structure leaves every active
-    roster.
+    roster or is dropped by `retain`.
     """
 
     max_order: int = DEFAULT_MAX_ORDER
@@ -154,6 +165,13 @@ class Universe:
     def peek_next_id(self) -> StructureId:
         """The id the next created structure will receive."""
         return self._next_id
+
+    def retain(self, keep: set[StructureId]) -> None:
+        """Drop every structure outside `keep` and every edge with an end
+        outside it. `keep` must be closed under constituents; the id counter
+        is untouched, so dropped ids are never handed out again."""
+        self.structures = {i: s for i, s in self.structures.items() if i in keep}
+        self.graph.retain(keep)
 
     # --- construction ---
 
@@ -299,6 +317,7 @@ class Universe:
             "structures": structures,
             "interacts": [list(e) for e in self.graph.interaction_edges()],
             "depends": [list(e) for e in self.graph.dependency_edges()],
+            "next_id": self._next_id,
         }
 
     @classmethod
@@ -322,7 +341,10 @@ class Universe:
                 tag=tag,
             )
             u.structures[s.id] = s
-        u._next_id = 1 + max(u.structures, default=-1)
+        # stored, not derived: the highest ids may have been dropped by retain
+        u._next_id = int(doc["next_id"])
+        if u._next_id <= max(u.structures, default=-1):
+            raise ValueError(f"next_id {u._next_id} does not exceed every structure id")
         for a, b, level in doc.get("interacts", ()):
             u.graph.add_interaction(int(a), int(b), int(level))
         for d, e, level in doc.get("depends", ()):

@@ -19,11 +19,3 @@ def substream(seed: int, phase: str, generation: int = 0, index: int = 0) -> np.
     """Generator for one (phase, generation, index) cell of the run."""
     key = [seed & MASK64, zlib.crc32(phase.encode("utf-8")), generation & MASK64, index & MASK64]
     return np.random.Generator(np.random.Philox(np.random.SeedSequence(key)))
-
-
-def seed_to_hex(seed: int) -> str:
-    return format(seed & MASK64, "016x")
-
-
-def seed_from_hex(text: str) -> int:
-    return int(text, 16)

@@ -260,6 +260,15 @@ class FitnessLedger:
     def pending_levels(self, dependent: StructureId, dependee: StructureId) -> frozenset[int]:
         return frozenset(self.pending.get((dependent, dependee), ()))
 
+    def retain(self, keep: set[StructureId]) -> None:
+        """Drop every member and every pair with an end outside `keep`."""
+        def kept(pairs):
+            return {(x, y): v for (x, y), v in pairs.items() if x in keep and y in keep}
+
+        self.per_member = {m: stats for m, stats in self.per_member.items() if m in keep}
+        self.cooccur = kept(self.cooccur)
+        self.pending = kept(self.pending)
+
     # --- serialization ---
 
     def to_json_dict(self) -> dict:
@@ -594,6 +603,38 @@ def new_loop_state(
     return LoopState(universe=universe, problem=problem, pop=pop, ledger=ledger, detector=detector)
 
 
+def live_structures(universe: Universe, pop: Population) -> set[StructureId]:
+    """The structures the loop can still read: the roster members and every
+    break-log event's composite, dependent and dependee, closed under
+    constituents. Ids missing from the universe are skipped."""
+    stack = list(pop.members)
+    for event in pop.break_log:
+        stack += (event.composite, event.dependent, event.dependee)
+    live: set[StructureId] = set()
+    while stack:
+        i = stack.pop()
+        if i in live or i not in universe:
+            continue
+        live.add(i)
+        stack.extend(universe.structures[i].constituents)
+    return live
+
+
+def compact(state: LoopState) -> None:
+    """Drop every structure and ledger entry outside the live set.
+
+    Exact: a structure re-enters the roster only through a reverse break,
+    which restores the direct constituents of a break-log composite (every
+    other entry gets a fresh id), and every read the loop makes (scores of
+    roster members, co-occurrence cells and pending levels of roster pairs,
+    the descendants of roster composites) stays inside the live set, as do
+    the break-log structures, edges and pending levels that verify checks.
+    """
+    live = live_structures(state.universe, state.pop)
+    state.universe.retain(live)
+    state.ledger.retain(live)
+
+
 def run_symbiosis(
     env,
     config: EvolutionConfig,
@@ -609,7 +650,9 @@ def run_symbiosis(
 
     Each generation: assemble, evaluate, distribute fitness, then (stall
     permitting) detect dependencies and apply at most one break, then the
-    reverse-break safeguard, then stratified evolution. The checkpoint hook
+    reverse-break safeguard, then stratified evolution and compaction. A
+    solving generation stops before evolution; it only credits roster
+    members and their cells, so its state is as compact. The checkpoint hook
     fires at the start of a generation so a resumed run replays it exactly.
     """
     universe, pop, ledger, detector = state.universe, state.pop, state.ledger, state.detector
@@ -674,6 +717,8 @@ def run_symbiosis(
         if done:
             break
         evolve_generation(universe, pop, ledger, config, substream(config.seed, "evolve", row.generation), row.generation)
+        # in the loop, not at save time, so a resumed run holds the same state
+        compact(state)
 
     return LoopOutcome(
         solved=state.solved_at is not None,

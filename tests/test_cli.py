@@ -8,7 +8,7 @@ from pathlib import Path
 import pytest
 
 from sosage.cli import EXIT_OK, EXIT_UNSOLVED, EXIT_USAGE, EXIT_VERIFY_FAILED, main
-from sosage.harness import OUTPUT_DIR_ENV, load_checkpoint, save_checkpoint
+from sosage.harness import CHECKPOINT_FORMAT, OUTPUT_DIR_ENV, load_checkpoint, save_checkpoint
 
 
 @pytest.fixture(autouse=True)
@@ -91,6 +91,23 @@ class TestResumeCommand:
         assert code == EXIT_USAGE
         assert "digest" in err.lower() or "match" in err.lower()
 
+    def test_resume_refuses_a_checkpoint_that_fails_verify(self, config_path, capsys, tmp_path):
+        run_cli(capsys, "run", str(config_path))
+        out = tmp_path / "runs"
+        path = out / "checkpoint-0-gen2.json"
+        doc = json.loads(path.read_text())
+        member = doc["population"]["members"][0]
+        row = next(r for r in doc["universe"]["structures"] if r["id"] == member)
+        row["payload"] = "x"
+        path.write_text(json.dumps(doc))
+        before = sorted(p.name for p in out.iterdir())
+        code, stdout, err = run_cli(capsys, "resume", str(path))
+        assert code == EXIT_VERIFY_FAILED
+        assert stdout == ""
+        assert "FAIL  genome-shape" in err.splitlines()[0]
+        assert all(line.startswith("FAIL") for line in err.splitlines())
+        assert sorted(p.name for p in out.iterdir()) == before
+
 
 class TestInspectCommand:
     def test_text_and_json_formats(self, config_path, capsys, tmp_path):
@@ -110,7 +127,7 @@ class TestVerifyCommand:
         code, out, _ = run_cli(capsys, "verify", ckpt)
         assert code == EXIT_OK
         lines = out.splitlines()
-        assert len(lines) == 12
+        assert len(lines) == 13
         assert all(line.startswith("pass") for line in lines)
 
     def test_corrupted_checkpoint_fails(self, config_path, capsys, tmp_path):
@@ -126,10 +143,22 @@ class TestVerifyCommand:
     @pytest.mark.parametrize("command", ["verify", "inspect", "resume"])
     def test_malformed_checkpoint_is_usage_error(self, capsys, tmp_path, command):
         path = tmp_path / "bare.json"
-        path.write_text(json.dumps({"format": "sosage-checkpoint-v1"}))
+        path.write_text(json.dumps({"format": CHECKPOINT_FORMAT}))
         code, out, err = run_cli(capsys, command, str(path))
         assert code == EXIT_USAGE
         assert out == "" and err.startswith("error: malformed checkpoint")
+
+    @pytest.mark.parametrize("command", ["verify", "inspect", "resume"])
+    def test_version_1_checkpoint_is_usage_error(self, config_path, capsys, tmp_path, command):
+        run_cli(capsys, "run", str(config_path))
+        path = tmp_path / "runs" / "checkpoint-0-final.json"
+        doc = json.loads(path.read_text())
+        doc["format"] = "sosage-checkpoint-v1"
+        doc["rng_state"] = "0000000000000000"
+        path.write_text(json.dumps(doc))
+        code, out, err = run_cli(capsys, command, str(path))
+        assert code == EXIT_USAGE
+        assert out == "" and err == "error: not a sosage-checkpoint-v2 document\n"
 
 
 class TestSweepCommand:

@@ -14,7 +14,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from sosage.envs import make_env
+from sosage import harness
+from sosage.envs import ENV_NAMES, make_env
 from sosage.errors import DigestMismatch, ParseError, SosageError, ValidationError
 from sosage.harness import (
     CHECKPOINT_FORMAT,
@@ -43,8 +44,7 @@ from sosage.harness import (
     write_metrics_row,
 )
 from sosage.population import BreakEvent
-from sosage.rng import seed_to_hex
-from sosage.symbio import EvolutionConfig, NeuronGene, run_symbiosis
+from sosage.symbio import EvolutionConfig, NeuronGene, _CooccurCell, run_symbiosis
 
 CONFIG_DIR = Path(__file__).resolve().parent.parent / "configs"
 
@@ -61,6 +61,7 @@ INVARIANT_NAMES = [
     "ledger-references",
     "genome-shape",
     "lineage-strata",
+    "state-compact",
 ]
 
 
@@ -192,6 +193,76 @@ class TestConfigParsing:
         with pytest.raises(ParseError):
             load_config(tmp_path / "missing.json")
 
+    @pytest.mark.parametrize("name", ["mutation_sigma", "dependency_delta", "w_max", "min_improvement"])
+    @pytest.mark.parametrize("value", [float("inf"), float("-inf"), float("nan"), 10**400, -10**400])
+    def test_non_finite_numbers_rejected(self, name, value):
+        with pytest.raises(ValidationError, match=f"evolution.{name}: must be a finite number"):
+            config_from_dict({"env": {"name": "xor"}, "evolution": {name: value}})
+
+    def test_infinity_literal_rejected_from_file(self, tmp_path):
+        path = tmp_path / "inf.json"
+        path.write_text('{"env": {"name": "xor"}, "evolution": {"w_max": Infinity}}')
+        with pytest.raises(ValidationError, match="evolution.w_max"):
+            load_config(path)
+
+    @pytest.mark.parametrize("loader", [load_config, load_checkpoint])
+    def test_unreadable_text_is_a_parse_error(self, tmp_path, loader):
+        deep = tmp_path / "deep.json"
+        deep.write_text("[" * 200_000)
+        with pytest.raises(ParseError, match="nested too deeply"):
+            loader(deep)
+        binary = tmp_path / "binary.json"
+        binary.write_bytes(b"{\xff}")
+        with pytest.raises(ParseError, match="cannot read"):
+            loader(binary)
+
+
+NUMBERS = st.integers() | st.floats() | st.sampled_from([10**400, -(2**64), 2**64])
+ANY_VALUE = NUMBERS | st.booleans() | st.none() | st.text(max_size=4) | st.lists(NUMBERS, max_size=2)
+
+
+def mostly(likely, other):
+    """`likely` three times in four, else `other`: a fair share of the
+    configs then load, so the round trip is exercised too."""
+    return st.integers(0, 3).flatmap(lambda k: likely if k else other)
+
+
+CONFIG_VALUES = mostly(st.integers(1, 30) | st.floats(0.05, 0.95), ANY_VALUE)
+
+
+def config_section(keys):
+    keys = st.sampled_from(sorted(keys)) | st.just("bogus")
+    return mostly(st.dictionaries(keys, CONFIG_VALUES, max_size=3), ANY_VALUE)
+
+
+DEFAULT_ECHO = config_to_json_dict(config_from_dict({"env": {"name": "xor"}}))
+GRID_PARAMS = config_to_json_dict(
+    config_from_dict({"env": {"name": "gridnav-compositional"}})
+)["env"]["params"]
+CONFIG_DOCS = st.fixed_dictionaries(
+    {"env": mostly(st.fixed_dictionaries(
+        {"name": mostly(st.sampled_from(ENV_NAMES), ANY_VALUE)},
+        optional={"params": config_section(GRID_PARAMS)},
+    ), ANY_VALUE)},
+    optional={
+        **{key: CONFIG_VALUES for key in DEFAULT_ECHO if key not in ("env", "problem", "evolution")},
+        "problem": config_section(DEFAULT_ECHO["problem"]),
+        "evolution": config_section(DEFAULT_ECHO["evolution"]),
+    },
+)
+
+
+class TestConfigProperty:
+    @settings(max_examples=400, deadline=None)
+    @given(doc=CONFIG_DOCS)
+    def test_any_config_loads_or_fails_as_sosage_error(self, doc):
+        try:
+            config = config_from_dict(doc)
+        except SosageError:
+            return
+        echoed = config_to_json_dict(config)
+        assert config_from_dict(json.loads(json.dumps(echoed))) == config
+
 
 class TestDigest:
     def test_digest_ignores_key_order(self, tmp_path):
@@ -244,6 +315,30 @@ class TestRunArtifacts:
         save_checkpoint(copy, ckpt)
         assert copy.read_bytes() == Path(report.checkpoint_path).read_bytes()
 
+    def test_no_temp_file_left_by_a_run(self, finished_run):
+        _, _, out = finished_run
+        assert all(p.name.startswith(("metrics-", "checkpoint-")) for p in out.iterdir())
+
+    def test_failed_save_leaves_the_previous_file(self, finished_run, monkeypatch):
+        _, report, out = finished_run
+        path = Path(report.checkpoint_path)
+        before = path.read_bytes()
+        names = sorted(p.name for p in out.iterdir())
+        ckpt = load_checkpoint(path)
+        ckpt.generation += 1
+        encode = harness.checkpoint_to_json_dict
+
+        def fails_late(c):
+            doc = encode(c)
+            doc["zz"] = object()  # sorts last, so the encoder raises after writing the rest
+            return doc
+
+        monkeypatch.setattr(harness, "checkpoint_to_json_dict", fails_late)
+        with pytest.raises(TypeError):
+            save_checkpoint(path, ckpt)
+        assert path.read_bytes() == before
+        assert sorted(p.name for p in out.iterdir()) == names
+
     def test_tampered_config_rejected(self, finished_run, tmp_path):
         _, report, _ = finished_run
         doc = json.loads(Path(report.checkpoint_path).read_text())
@@ -253,10 +348,10 @@ class TestRunArtifacts:
         with pytest.raises(DigestMismatch):
             load_checkpoint(tampered)
 
-    def test_tampered_rng_state_rejected(self, finished_run, tmp_path):
+    def test_tampered_seed_rejected(self, finished_run, tmp_path):
         _, report, _ = finished_run
         doc = json.loads(Path(report.checkpoint_path).read_text())
-        doc["rng_state"] = seed_to_hex(5)
+        doc["config"]["seed"] = 5
         tampered = tmp_path / "tampered.json"
         tampered.write_text(json.dumps(doc))
         with pytest.raises(DigestMismatch):
@@ -375,6 +470,21 @@ class TestVerify:
             c.state.ledger.credit(4242, 1.0)
         result = self.corrupt(finished_run, mutate)
         assert "ledger-references" in {r.name for r in result.failures()}
+
+    def test_orphan_primitive_detected(self, finished_run):
+        def mutate(c):
+            u = c.state.universe
+            u.add_primitive(u.get(c.state.pop.members[0]).payload, tag="orphan")
+        result = self.corrupt(finished_run, mutate)
+        assert [r.name for r in result.failures()] == ["state-compact"]
+
+    def test_ledger_cell_naming_a_dropped_id_detected(self, finished_run):
+        def mutate(c):
+            u = c.state.universe
+            dropped = next(i for i in range(u.peek_next_id()) if i not in u)
+            c.state.ledger.cooccur[(c.state.pop.members[0], dropped)] = _CooccurCell()
+        result = self.corrupt(finished_run, mutate)
+        assert "state-compact" in {r.name for r in result.failures()}
 
     def test_fabricated_break_event_detected(self, finished_run):
         def mutate(c):
@@ -541,7 +651,8 @@ class TestMalformedCheckpoints:
         [
             (("loop",), KeyError),
             (("generation",), "ten"),
-            (("rng_state",), 5),
+            (("universe", "next_id"), KeyError),
+            (("universe", "next_id"), 0),
             (("population", "members"), 5),
             (("population", "break_log", 0, "composite"), None),
             (("universe", "structures", 0, "tag"), 3),

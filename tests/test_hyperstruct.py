@@ -290,6 +290,23 @@ class TestSerialization:
         assert back.to_json_dict() == doc
         assert back.peek_next_id() == universe.peek_next_id()
 
+    def test_next_id_survives_dropping_the_highest_id(self, universe):
+        build_layered(universe, 1)
+        top = max(universe.structures)
+        universe.retain(set(universe.structures) - {top})
+        back = Universe.from_json_dict(universe.to_json_dict())
+        assert top not in back
+        assert back.add_primitive("new") == top + 1
+
+    def test_next_id_is_required_and_above_every_id(self, universe):
+        build_layered(universe, 1)
+        doc = universe.to_json_dict()
+        with pytest.raises(ValueError, match="next_id"):
+            Universe.from_json_dict({**doc, "next_id": max(universe.structures)})
+        del doc["next_id"]
+        with pytest.raises(KeyError):
+            Universe.from_json_dict(doc)
+
     def test_payload_codec_hooks(self, universe):
         universe.add_primitive(payload={"w": 1.5})
         doc = universe.to_json_dict(payload_encoder=lambda p: {"wrapped": p})
