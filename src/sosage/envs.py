@@ -34,9 +34,6 @@ Policy = Callable[[tuple[float, ...]], int]
 @dataclass(frozen=True)
 class EnvSpec:
     name: str
-    input_dim: int
-    output_dim: int
-    max_steps: int
     params: dict
 
 
@@ -56,7 +53,7 @@ class XorEnv:
     eval_episodes = 4
 
     def __init__(self) -> None:
-        self.spec = EnvSpec("xor", self.input_dim, self.output_dim, self.max_steps, {})
+        self.spec = EnvSpec("xor", {})
 
     def reset(self, episode_index: int):
         return self.PATTERNS[episode_index % 4]
@@ -138,7 +135,7 @@ class GridNavEnv:
         }
         if subgoal:
             params.update(subgoal_x=subgoal[0], subgoal_y=subgoal[1], subgoal_reward=subgoal_reward)
-        self.spec = EnvSpec(name, self.input_dim, self.output_dim, max_steps, params)
+        self.spec = EnvSpec(name, params)
 
     def reset(self, episode_index: int):
         # (x, y, steps taken, subgoal visited)

@@ -17,12 +17,13 @@ from typing import Any, Callable, Mapping, Optional, TextIO
 
 from .envs import EnvSpec, finite_float, make_env
 from .errors import DigestMismatch, ParseError, ValidationError
-from .hyperstruct import Universe
+from .hyperstruct import Universe, cycle_root
 from .population import Population, ProblemSpec, StallDetector
 from .symbio import (
     SAMPLE_RING_FACTOR,
     EvolutionConfig,
     FitnessLedger,
+    GenerationRow,
     LoopState,
     NeuronGene,
     decode_payload,
@@ -33,8 +34,10 @@ from .symbio import (
     run_symbiosis,
 )
 
-METRICS_HEADER = "generation,best_fitness,mean_fitness,pop_order,roster_size,breaks_so_far"
-CHECKPOINT_FORMAT = "sosage-checkpoint-v2"
+METRICS_HEADER = ",".join(f.name for f in fields(GenerationRow))
+# field name -> format spec of its column; floats keep six decimals
+_ROW_FORMATS = {f.name: ".6f" if f.type == "float" else "" for f in fields(GenerationRow)}
+CHECKPOINT_FORMAT = "sosage-checkpoint-v3"
 OUTPUT_DIR_ENV = "SOSAGE_OUTPUT_DIR"
 
 
@@ -70,10 +73,7 @@ class RunReport:
     break_events: int
 
 
-_TOP_KEYS = {
-    "seed", "env", "problem", "evolution", "roster_size", "population_limit",
-    "max_order", "breaks_enabled", "reverse_enabled", "output_dir", "checkpoint_every",
-}
+_TOP_KEYS = {f.name for f in fields(RunConfig)} | {"seed"}
 _ENV_KEYS = {"name", "params"}
 _PROBLEM_KEYS = {"problem_order_x", "base_solver_order_r"}
 # field name -> annotation ("int" or "float"); seed is configured at the top level only
@@ -246,19 +246,9 @@ def write_metrics_header(sink: TextIO) -> None:
     sink.write(METRICS_HEADER + "\n")
     sink.flush()
 
-def write_metrics_row(
-    sink: TextIO,
-    generation: int,
-    best_fitness: float,
-    mean_fitness: float,
-    pop_order: int,
-    roster_size: int,
-    breaks_so_far: int,
-) -> None:
-    sink.write(
-        f"{generation},{best_fitness:.6f},{mean_fitness:.6f},"
-        f"{pop_order},{roster_size},{breaks_so_far}\n"
-    )
+def write_metrics_row(sink: TextIO, row: GenerationRow) -> None:
+    cells = (format(getattr(row, name), spec) for name, spec in _ROW_FORMATS.items())
+    sink.write(",".join(cells) + "\n")
     sink.flush()
 
 
@@ -333,8 +323,13 @@ def _checkpoint_from_doc(doc: Mapping[str, Any]) -> Checkpoint:
     universe = Universe.from_json_dict(
         doc["universe"], max_order=config.max_order, payload_decoder=decode_payload
     )
-    pop = Population.from_json_dict(doc["population"])
-    ledger = FitnessLedger.from_json_dict(doc["ledger"])
+    # settings come from the digested config only
+    pop = Population.from_json_dict(
+        doc["population"],
+        base_order_r=config.problem.base_solver_order_r,
+        population_limit=config.population_limit,
+    )
+    ledger = FitnessLedger.from_json_dict(doc["ledger"], top_m=config.evolution.top_m)
     loop = doc["loop"]
     detector = StallDetector(
         window_G=config.evolution.window_G,
@@ -388,10 +383,7 @@ def _drive(
     final_path = out_dir / final_name
 
     def on_row(row) -> None:
-        write_metrics_row(
-            sink, row.generation, row.best_fitness, row.mean_fitness,
-            row.pop_order, row.roster_size, row.breaks_so_far,
-        )
+        write_metrics_row(sink, row)
         if progress is not None:
             progress(
                 f"gen {row.generation}: best {row.best_fitness:.4f} "
@@ -575,21 +567,9 @@ def verify(ckpt: Checkpoint) -> VerifyReport:
     adjacency: dict[int, list[int]] = {}
     for d, e, _ in u.graph.dependency_edges():
         adjacency.setdefault(d, []).append(e)
-    color: dict[int, int] = {}
-
-    def dep_dfs(i: int) -> bool:
-        color[i] = 1
-        for nxt in adjacency.get(i, ()):
-            c = color.get(nxt, 0)
-            if c == 1 or (c == 0 and not dep_dfs(nxt)):
-                return False
-        color[i] = 2
-        return True
-
-    for i in adjacency:
-        if color.get(i, 0) == 0 and not dep_dfs(i):
-            bad.append(f"dependency cycle through {i}")
-            break
+    root = cycle_root(adjacency, lambda i: adjacency.get(i, ()))
+    if root is not None:
+        bad.append(f"dependency cycle through {root}")
     record("dependency-acyclic", bad)
 
     bad = []
@@ -650,13 +630,11 @@ def verify(ckpt: Checkpoint) -> VerifyReport:
 
     bad = []
     cap = SAMPLE_RING_FACTOR * ledger.top_m
-    for m, stats in ledger.per_member.items():
+    for m, samples in ledger.per_member.items():
         if m not in u:
             bad.append(f"ledger member {m} unknown")
-        if len(stats.samples) > cap:
-            bad.append(f"ledger member {m} holds {len(stats.samples)} samples, cap {cap}")
-        if stats.participation_count < len(stats.samples):
-            bad.append(f"ledger member {m} participation below sample count")
+        if len(samples) > cap:
+            bad.append(f"ledger member {m} holds {len(samples)} samples, cap {cap}")
     for (x, y) in ledger.cooccur:
         if x == y:
             bad.append(f"cooccurrence pair ({x},{y}) is reflexive")
@@ -725,19 +703,15 @@ def summarize_checkpoint(ckpt: Checkpoint) -> dict:
     """The inspect payload: population order, strata, break table, top scores."""
     u = ckpt.state.universe
     pop = ckpt.state.pop
-    ledger = ckpt.state.ledger
     strata = pop.strata(u)
-    scored = [
-        (m, ledger.score(m)) for m in pop.members if ledger.score(m) is not None
-    ]
-    scored.sort(key=lambda pair: (-pair[1], pair[0]))
+    scored = [[m, s] for m, s in ckpt.state.ledger.ranked(pop.members) if s is not None]
     return {
         "generation": ckpt.generation,
         "pop_order": pop.pop_order_n,
         "roster_size": len(pop.members),
         "strata": {str(order): sorted(members) for order, members in sorted(strata.items())},
         "breaks": [e.to_json_dict() for e in pop.break_log],
-        "top_scores": [[m, s] for m, s in scored[:5]],
+        "top_scores": scored[:5],
         "solved_at": ckpt.state.solved_at,
     }
 

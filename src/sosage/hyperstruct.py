@@ -14,7 +14,7 @@ of its constituents.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Any, Callable, Iterable, Mapping
+from typing import Any, Callable, Iterable, Mapping, Optional
 
 from .errors import (
     EmptyConstituents,
@@ -27,6 +27,33 @@ from .errors import (
 StructureId = int
 
 DEFAULT_MAX_ORDER = 8
+
+
+def cycle_root(
+    roots: Iterable[StructureId], successors: Callable[[StructureId], Iterable[StructureId]]
+) -> Optional[StructureId]:
+    """The first root whose depth-first search meets a node still on its
+    path, or None when nothing reachable from the roots lies on a cycle.
+    Three-colour search on an explicit stack, so a chain of any length fits."""
+    state: dict[StructureId, bool] = {}  # False while on the path, True once finished
+    for root in roots:
+        if root in state:
+            continue
+        state[root] = False
+        stack = [(root, iter(successors(root)))]
+        while stack:
+            node, pending = stack[-1]
+            for nxt in pending:
+                if nxt not in state:
+                    state[nxt] = False
+                    stack.append((nxt, iter(successors(nxt))))
+                    break
+                if not state[nxt]:
+                    return root
+            else:
+                state[node] = True
+                stack.pop()
+    return None
 
 
 @dataclass(frozen=True)
@@ -162,10 +189,6 @@ class Universe:
         self._next_id += 1
         return i
 
-    def peek_next_id(self) -> StructureId:
-        """The id the next created structure will receive."""
-        return self._next_id
-
     def retain(self, keep: set[StructureId]) -> None:
         """Drop every structure outside `keep` and every edge with an end
         outside it. `keep` must be closed under constituents; the id counter
@@ -281,21 +304,13 @@ class Universe:
 
     def check_acyclic(self) -> bool:
         """Verify the constituent relation holds no cycle (it cannot, by
-        construction; kept as an explicit check for the verification suite)."""
-        color: dict[StructureId, int] = {}
-
-        def visit(i: StructureId) -> bool:
-            color[i] = 1
-            for c in self.structures[i].constituents:
-                if c not in self.structures:
-                    continue  # verify reports unknown constituents under construction-order
-                st = color.get(c, 0)
-                if st == 1 or (st == 0 and not visit(c)):
-                    return False
-            color[i] = 2
-            return True
-
-        return all(visit(i) for i in self.structures if color.get(i, 0) == 0)
+        construction; kept as an explicit check for the verification suite).
+        Unknown constituents are skipped; verify reports them under
+        construction-order."""
+        structures = self.structures
+        return cycle_root(
+            structures, lambda i: [c for c in structures[i].constituents if c in structures]
+        ) is None
 
     # --- serialization ---
 

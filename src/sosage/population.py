@@ -102,21 +102,23 @@ class Population:
         return out
 
     def to_json_dict(self) -> dict:
+        """Everything but base_order_r and population_limit, which are
+        settings of the run config."""
         return {
             "members": list(self.members),
-            "base_order_r": self.base_order_r,
             "pop_order_n": self.pop_order_n,
-            "population_limit": self.population_limit,
             "break_log": [e.to_json_dict() for e in self.break_log],
         }
 
     @classmethod
-    def from_json_dict(cls, doc: Mapping[str, Any]) -> "Population":
+    def from_json_dict(
+        cls, doc: Mapping[str, Any], base_order_r: int, population_limit: int
+    ) -> "Population":
         return cls(
             members=[int(m) for m in doc["members"]],
-            base_order_r=int(doc["base_order_r"]),
+            base_order_r=base_order_r,
             pop_order_n=int(doc["pop_order_n"]),
-            population_limit=int(doc["population_limit"]),
+            population_limit=population_limit,
             break_log=[BreakEvent.from_json_dict(e) for e in doc["break_log"]],
         )
 

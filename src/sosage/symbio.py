@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field, replace
-from typing import Any, Callable, Mapping, Optional, Sequence
+from typing import Any, Callable, Iterable, Mapping, Optional, Sequence
 
 import numpy as np
 
@@ -59,14 +59,12 @@ def fmt_weight(x: float) -> str:
 class NeuronGene:
     """One hidden neuron: input weights (bias last) and output connections."""
 
-    unit_id: int
     in_weights: tuple[float, ...]
     out_targets: tuple[tuple[int, float], ...]
     activation: str = "tanh"  # "tanh" | "step"
 
     def to_json_dict(self) -> dict:
         return {
-            "unit_id": self.unit_id,
             "in_weights": [fmt_weight(w) for w in self.in_weights],
             "out_targets": [[slot, fmt_weight(w)] for slot, w in self.out_targets],
             "activation": self.activation,
@@ -75,7 +73,6 @@ class NeuronGene:
     @classmethod
     def from_json_dict(cls, row: Mapping[str, Any]) -> "NeuronGene":
         return cls(
-            unit_id=int(row["unit_id"]),
             in_weights=tuple(float(w) for w in row["in_weights"]),
             out_targets=tuple((int(slot), float(w)) for slot, w in row["out_targets"]),
             activation=str(row["activation"]),
@@ -87,17 +84,15 @@ def encode_payload(payload: Any) -> Any:
 
 
 def decode_payload(raw: Any) -> Any:
-    if isinstance(raw, dict) and {"unit_id", "in_weights", "out_targets"} <= raw.keys():
+    if isinstance(raw, dict) and {"in_weights", "out_targets"} <= raw.keys():
         return NeuronGene.from_json_dict(raw)
     return raw
 
 
-def random_genome(
-    unit_id: int, input_dim: int, output_dim: int, rng: np.random.Generator
-) -> NeuronGene:
+def random_genome(input_dim: int, output_dim: int, rng: np.random.Generator) -> NeuronGene:
     in_weights = tuple(float(w) for w in rng.uniform(-1.0, 1.0, size=input_dim + 1))
     out_targets = tuple((k, float(rng.uniform(-1.0, 1.0))) for k in range(output_dim))
-    return NeuronGene(unit_id=unit_id, in_weights=in_weights, out_targets=out_targets)
+    return NeuronGene(in_weights=in_weights, out_targets=out_targets)
 
 
 def _clamp(w: float, w_max: float) -> float:
@@ -192,12 +187,6 @@ def flatten_to_genes(universe: Universe, participants: Sequence[StructureId]) ->
 # ---------------------------------------------------------------------------
 
 @dataclass
-class _MemberStats:
-    samples: list[float] = field(default_factory=list)
-    participation_count: int = 0
-
-
-@dataclass
 class _CooccurCell:
     both_count: int = 0
     both_total: float = 0.0
@@ -213,26 +202,32 @@ class FitnessLedger:
         if top_m < 1:
             raise ValueError("top_m must be >= 1")
         self.top_m = top_m
-        self.per_member: dict[StructureId, _MemberStats] = {}
+        # each member's most recent fitness samples, oldest first
+        self.per_member: dict[StructureId, list[float]] = {}
         self.cooccur: dict[tuple[StructureId, StructureId], _CooccurCell] = {}
         self.pending: dict[tuple[StructureId, StructureId], set[int]] = {}
 
     # --- member credit ---
 
     def credit(self, member: StructureId, fitness: float) -> None:
-        stats = self.per_member.setdefault(member, _MemberStats())
-        stats.samples.append(fitness)
-        cap = SAMPLE_RING_FACTOR * self.top_m
-        if len(stats.samples) > cap:
-            del stats.samples[0]
-        stats.participation_count += 1
+        samples = self.per_member.setdefault(member, [])
+        samples.append(fitness)
+        if len(samples) > SAMPLE_RING_FACTOR * self.top_m:
+            del samples[0]
 
     def score(self, member: StructureId) -> Optional[float]:
-        stats = self.per_member.get(member)
-        if stats is None or not stats.samples:
+        samples = self.per_member.get(member)
+        if not samples:
             return None
-        best = sorted(stats.samples, reverse=True)[: self.top_m]
+        best = sorted(samples, reverse=True)[: self.top_m]
         return sum(best) / len(best)
+
+    def ranked(self, members: Iterable[StructureId]) -> list[tuple[StructureId, Optional[float]]]:
+        """(member, score) pairs, best score first, unscored members last,
+        ties to the lowest id. Each member is scored once."""
+        scored = [(m, self.score(m)) for m in members]
+        scored.sort(key=lambda pair: (-(NEG_INF if pair[1] is None else pair[1]), pair[0]))
+        return scored
 
     # --- co-occurrence ---
 
@@ -265,21 +260,18 @@ class FitnessLedger:
         def kept(pairs):
             return {(x, y): v for (x, y), v in pairs.items() if x in keep and y in keep}
 
-        self.per_member = {m: stats for m, stats in self.per_member.items() if m in keep}
+        self.per_member = {m: samples for m, samples in self.per_member.items() if m in keep}
         self.cooccur = kept(self.cooccur)
         self.pending = kept(self.pending)
 
     # --- serialization ---
 
     def to_json_dict(self) -> dict:
+        """Everything but top_m, which is a setting of the run config."""
         return {
-            "top_m": self.top_m,
             "per_member": {
-                str(m): {
-                    "fitness_samples": [fmt_weight(s) for s in stats.samples],
-                    "participation_count": stats.participation_count,
-                }
-                for m, stats in sorted(self.per_member.items())
+                str(m): [fmt_weight(s) for s in samples]
+                for m, samples in sorted(self.per_member.items())
             },
             "cooccur": {
                 f"{x},{y}": {
@@ -294,14 +286,10 @@ class FitnessLedger:
         }
 
     @classmethod
-    def from_json_dict(cls, doc: Mapping[str, Any]) -> "FitnessLedger":
-        ledger = cls(top_m=int(doc["top_m"]))
-        for key, row in doc["per_member"].items():
-            stats = _MemberStats(
-                samples=[float(s) for s in row["fitness_samples"]],
-                participation_count=int(row["participation_count"]),
-            )
-            ledger.per_member[int(key)] = stats
+    def from_json_dict(cls, doc: Mapping[str, Any], top_m: int) -> "FitnessLedger":
+        ledger = cls(top_m)
+        for key, samples in doc["per_member"].items():
+            ledger.per_member[int(key)] = [float(s) for s in samples]
         for key, row in doc["cooccur"].items():
             x, y = (int(p) for p in key.split(","))
             bc, bt = row["with_both"]
@@ -481,9 +469,7 @@ def _clone_composite(
     s = universe.get(original)
     tag = f"c{generation}:{original}"
     if s.order == 1:
-        gene = mutate(s.payload)
-        gene = replace(gene, unit_id=universe.peek_next_id())
-        return universe.add_primitive(gene, tag=tag)
+        return universe.add_primitive(mutate(s.payload), tag=tag)
     clones = {c: _clone_composite(universe, c, mutate, generation) for c in sorted(s.constituents)}
     new_id = universe.construct(set(clones.values()), tag=tag)
     for c, c_clone in clones.items():
@@ -508,20 +494,17 @@ def evolve_generation(
     with outsiders. Offspring take over the replaced roster slots under fresh
     ids; member counts and orders per stratum are preserved.
     """
-    scores = {m: ledger.score(m) for m in pop.members}
-    if all(s is None for s in scores.values()):
+    ranking = ledger.ranked(pop.members)
+    if all(s is None for _, s in ranking):
         raise NoScores("no roster member has a fitness score; distribute fitness first")
-
-    def rank_key(m: StructureId):
-        s = scores[m]
-        return (-(s if s is not None else NEG_INF), m)
-
-    strata = pop.strata(universe)
+    # a stratum's ranking is the roster ranking restricted to it
+    strata: dict[int, list[StructureId]] = {}
+    for m, _ in ranking:
+        strata.setdefault(universe.structural_order(m), []).append(m)
     slot_of = {m: i for i, m in enumerate(pop.members)}
     for order in sorted(strata):
-        members = strata[order]
-        ranked = sorted(members, key=rank_key)
-        n_elite = max(1, int(config.elite_fraction * len(members)))
+        ranked = strata[order]
+        n_elite = max(1, int(config.elite_fraction * len(ranked)))
         elites = ranked[:n_elite]
         for m in ranked[n_elite:]:
             if order == 1:
@@ -534,7 +517,6 @@ def evolve_generation(
                     child = universe.get(pa).payload
                     tag = f"o{generation}:{pa}"
                 child = mutate_genome(child, rng, config.mutation_rate, config.mutation_sigma, config.w_max)
-                child = replace(child, unit_id=universe.peek_next_id())
                 new_id = universe.add_primitive(child, tag=tag)
             else:
                 pa = elites[int(rng.integers(len(elites)))]
@@ -580,7 +562,6 @@ class LoopOutcome:
     generations_to_solve: Optional[int]
     final_pop_order: int
     next_generation: int
-    rows: list[GenerationRow]
 
 
 def new_loop_state(
@@ -594,9 +575,7 @@ def new_loop_state(
     """Fresh universe + homogeneous initial population of random genomes."""
     universe = Universe(max_order=max_order)
     rng = substream(config.seed, "init")
-    genomes = [
-        random_genome(k, env.input_dim, env.output_dim, rng) for k in range(roster_size)
-    ]
+    genomes = [random_genome(env.input_dim, env.output_dim, rng) for _ in range(roster_size)]
     pop = init_population(universe, problem, genomes, population_limit)
     ledger = FitnessLedger(top_m=config.top_m)
     detector = StallDetector(window_G=config.window_G, min_improvement=config.min_improvement)
@@ -656,7 +635,6 @@ def run_symbiosis(
     fires at the start of a generation so a resumed run replays it exactly.
     """
     universe, pop, ledger, detector = state.universe, state.pop, state.ledger, state.detector
-    rows: list[GenerationRow] = []
     generation = start_generation
     while generation < config.max_generations:
         if state.solved_at is not None:
@@ -710,7 +688,6 @@ def run_symbiosis(
             roster_size=len(pop.members),
             breaks_so_far=len(pop.break_log),
         )
-        rows.append(row)
         if on_row is not None:
             on_row(row)
         generation += 1
@@ -725,7 +702,6 @@ def run_symbiosis(
         generations_to_solve=state.solved_at,
         final_pop_order=pop.pop_order_n,
         next_generation=generation,
-        rows=rows,
     )
 
 
@@ -748,11 +724,7 @@ def _maybe_reverse(state: LoopState, config: EvolutionConfig, generation: int) -
         del counters[stale]
     size = len(pop.members)
     threshold = -(-3 * size // 4)  # ceil(3s/4); ranks below it are safe
-    ranked = sorted(
-        pop.members,
-        key=lambda m: (-(ledger.score(m) if ledger.score(m) is not None else NEG_INF), m),
-    )
-    for rank, m in enumerate(ranked):
+    for rank, (m, _) in enumerate(ledger.ranked(pop.members)):
         if m not in live:
             continue
         if rank >= threshold:

@@ -118,11 +118,11 @@ def xor_solver_genes() -> tuple[NeuronGene, ...]:
     """Hand-built exact XOR net: two difference detectors and a bias unit,
     step activations, output positive exactly when the inputs differ."""
     return (
-        NeuronGene(unit_id=0, in_weights=(1.0, -1.0, -1.0),
+        NeuronGene(in_weights=(1.0, -1.0, -1.0),
                    out_targets=((0, 5.0),), activation="step"),
-        NeuronGene(unit_id=1, in_weights=(-1.0, 1.0, -1.0),
+        NeuronGene(in_weights=(-1.0, 1.0, -1.0),
                    out_targets=((0, 5.0),), activation="step"),
-        NeuronGene(unit_id=2, in_weights=(0.0, 0.0, 1.0),
+        NeuronGene(in_weights=(0.0, 0.0, 1.0),
                    out_targets=((0, 5.0),), activation="step"),
     )
 
@@ -130,7 +130,7 @@ def xor_solver_genes() -> tuple[NeuronGene, ...]:
 def constant_one_gene() -> NeuronGene:
     """Pushes the XOR output positive regardless of input: two of the four
     patterns right."""
-    return NeuronGene(unit_id=0, in_weights=(0.0, 0.0, 1.0),
+    return NeuronGene(in_weights=(0.0, 0.0, 1.0),
                       out_targets=((0, 5.0),), activation="step")
 
 

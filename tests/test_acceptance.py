@@ -270,7 +270,7 @@ def test_criterion_5_dependency_oracle(verdict):
         n = int(rng.integers(4, 7))      # roster <= 6
         k = int(rng.integers(2, 4))      # network_size <= 3
         u = Universe(max_order=8)
-        genomes = [random_genome(i, env.input_dim, env.output_dim, rng) for i in range(n)]
+        genomes = [random_genome(env.input_dim, env.output_dim, rng) for _ in range(n)]
         pop = init_population(u, ProblemSpec(1, 1), genomes, 2 * n)
         members = list(pop.members)
         ledger = FitnessLedger(top_m=64)

@@ -149,16 +149,18 @@ class TestVerifyCommand:
         assert out == "" and err.startswith("error: malformed checkpoint")
 
     @pytest.mark.parametrize("command", ["verify", "inspect", "resume"])
-    def test_version_1_checkpoint_is_usage_error(self, config_path, capsys, tmp_path, command):
+    def test_version_2_checkpoint_is_usage_error(self, config_path, capsys, tmp_path, command):
         run_cli(capsys, "run", str(config_path))
         path = tmp_path / "runs" / "checkpoint-0-final.json"
         doc = json.loads(path.read_text())
-        doc["format"] = "sosage-checkpoint-v1"
-        doc["rng_state"] = "0000000000000000"
+        # a v2 file also carried the settings that v3 reads from the config
+        doc["format"] = "sosage-checkpoint-v2"
+        doc["ledger"]["top_m"] = doc["config"]["evolution"]["top_m"]
+        doc["population"]["population_limit"] = doc["config"]["population_limit"]
         path.write_text(json.dumps(doc))
         code, out, err = run_cli(capsys, command, str(path))
         assert code == EXIT_USAGE
-        assert out == "" and err == "error: not a sosage-checkpoint-v2 document\n"
+        assert out == "" and err == "error: not a sosage-checkpoint-v3 document\n"
 
 
 class TestSweepCommand:

@@ -245,10 +245,10 @@ class TestCompositionalGating:
         if data.draw(st.booleans(), label="network"):
             wiring = tuple(
                 dataclasses.replace(
-                    random_genome(k, env.input_dim, env.output_dim, rng),
+                    random_genome(env.input_dim, env.output_dim, rng),
                     activation=data.draw(st.sampled_from(("tanh", "step")), label="activation"),
                 )
-                for k in range(data.draw(st.integers(1, 4), label="neurons"))
+                for _ in range(data.draw(st.integers(1, 4), label="neurons"))
             )
 
             def policy(obs):

@@ -44,7 +44,7 @@ from sosage.harness import (
     write_metrics_row,
 )
 from sosage.population import BreakEvent
-from sosage.symbio import EvolutionConfig, NeuronGene, _CooccurCell, run_symbiosis
+from sosage.symbio import EvolutionConfig, GenerationRow, NeuronGene, _CooccurCell, run_symbiosis
 
 CONFIG_DIR = Path(__file__).resolve().parent.parent / "configs"
 
@@ -284,7 +284,7 @@ class TestMetricsFormat:
     def test_header_and_row_format(self):
         sink = io.StringIO()
         write_metrics_header(sink)
-        write_metrics_row(sink, 3, 1.42, 0.2567891, 2, 10, 1)
+        write_metrics_row(sink, GenerationRow(3, 1.42, 0.2567891, 2, 10, 1))
         lines = sink.getvalue().splitlines()
         assert lines[0] == METRICS_HEADER
         assert lines[1] == "3,1.420000,0.256789,2,10,1"
@@ -481,10 +481,42 @@ class TestVerify:
     def test_ledger_cell_naming_a_dropped_id_detected(self, finished_run):
         def mutate(c):
             u = c.state.universe
-            dropped = next(i for i in range(u.peek_next_id()) if i not in u)
+            dropped = next(i for i in range(max(u.structures)) if i not in u)
             c.state.ledger.cooccur[(c.state.pop.members[0], dropped)] = _CooccurCell()
         result = self.corrupt(finished_run, mutate)
         assert "state-compact" in {r.name for r in result.failures()}
+
+    def test_dependency_cycle_detected(self, finished_run):
+        a, b = 0, 0
+
+        def mutate(c):
+            nonlocal a, b
+            a, b = sorted(c.state.pop.members[:2])
+            c.state.universe.graph.add_dependency(b, a, 1)
+            c.state.universe.graph.add_dependency(a, b, 1)
+        result = self.corrupt(finished_run, mutate)
+        failures = {r.name: r.detail for r in result.failures()}
+        assert failures["dependency-acyclic"] == f"dependency cycle through {a}"
+
+    def test_constituent_chain_deeper_than_the_recursion_limit(self, finished_run):
+        # 3,000 composites, each the constituent and the dependee of the one
+        # before it, ending on a roster primitive
+        _, report, _ = finished_run
+        doc = json.loads(Path(report.checkpoint_path).read_text())
+        universe = doc["universe"]
+        start, links = universe["next_id"], 3000
+        ids = list(range(start, start + links)) + [doc["population"]["members"][0]]
+        for i, nxt in zip(ids, ids[1:]):
+            universe["structures"].append(
+                {"id": i, "order": 2, "constituents": [nxt], "tag": "chain"}
+            )
+            universe["depends"].append([i, nxt, 1])
+        universe["next_id"] = start + links
+        result = verify(checkpoint_from_json_dict(doc))
+        assert [r.name for r in result.results] == INVARIANT_NAMES
+        names = {r.name for r in result.failures()}
+        assert {"construction-order", "state-compact"} <= names
+        assert "dependency-acyclic" not in names
 
     def test_fabricated_break_event_detected(self, finished_run):
         def mutate(c):
@@ -632,6 +664,38 @@ def load_or_sosage_error(doc) -> None:
         pass
 
 
+class TestSettingsLiveInTheConfig:
+    def test_saved_state_holds_no_setting_or_unread_field(self):
+        doc = valid_checkpoint_doc()
+
+        def keys(node):
+            if isinstance(node, dict):
+                for k, v in node.items():
+                    yield k
+                    yield from keys(v)
+            elif isinstance(node, list):
+                for v in node:
+                    yield from keys(v)
+
+        state = {k: v for k, v in doc.items() if k != "config"}
+        assert not {"unit_id", "participation_count", "top_m"} & set(keys(state))
+        assert not {"population_limit", "base_order_r"} & set(doc["population"])
+
+    def test_loader_takes_settings_from_the_digested_config(self):
+        doc = valid_checkpoint_doc()
+        cfg = doc["config"]
+        cfg["evolution"]["top_m"] += 2
+        cfg["population_limit"] += 1
+        cfg["problem"]["base_solver_order_r"] += 1
+        doc["config_digest"] = config_digest(config_from_dict(cfg))
+        ckpt = checkpoint_from_json_dict(doc)
+        assert ckpt.state.ledger.top_m == cfg["evolution"]["top_m"]
+        assert ckpt.state.pop.population_limit == cfg["population_limit"]
+        assert ckpt.state.pop.base_order_r == cfg["problem"]["base_solver_order_r"]
+        # the roster was bred at base order 1, so the edited config no longer fits it
+        assert "population-order" in {r.name for r in verify(ckpt).failures()}
+
+
 class TestMalformedCheckpoints:
     def test_valid_document_loads(self):
         ckpt = checkpoint_from_json_dict(valid_checkpoint_doc())
@@ -660,7 +724,7 @@ class TestMalformedCheckpoints:
             (("universe", "depends"), {"abc": 1}),
             (("ledger", "cooccur"), [1, 2]),
             (("ledger", "pending"), {"1,2,3": [1]}),
-            (("ledger", "top_m"), False),
+            (("ledger", "per_member"), {"1": ["x"]}),
             (("loop", "reverse_counters"), {"a": 1}),
             (("loop", "stall_history"), [[]]),
             (("loop", "solved_at"), 1e400),

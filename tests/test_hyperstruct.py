@@ -14,7 +14,7 @@ from sosage.errors import (
     OrderGapViolation,
     UnknownStructure,
 )
-from sosage.hyperstruct import ObsRecord, Universe
+from sosage.hyperstruct import ObsRecord, Universe, cycle_root
 
 from support import (
     build_layered,
@@ -72,9 +72,9 @@ class TestConstruction:
     def test_ids_are_sequential_and_never_reused(self, universe):
         ids = [universe.add_primitive(k) for k in range(3)]
         assert ids == [0, 1, 2]
-        assert universe.peek_next_id() == 3
-        universe.construct(set(ids))
-        assert universe.peek_next_id() == 4
+        assert universe.construct(set(ids)) == 3
+        universe.retain(set(ids))
+        assert universe.add_primitive("new") == 4
 
     @pytest.mark.parametrize("r", [1, 2, 3])
     def test_layered_fixture_reaches_two_plus_r(self, universe, r):
@@ -278,6 +278,26 @@ class TestIntegrity:
         u = random_universe(np.random.default_rng(seed))
         assert u.check_acyclic()
 
+    def test_cycle_root_names_the_root_whose_search_meets_a_cycle(self):
+        edges = {0: [1], 1: [], 2: [3], 3: [4], 4: [2]}
+        assert cycle_root([0, 1, 2, 3, 4], edges.__getitem__) == 2
+        assert cycle_root([0, 1], edges.__getitem__) is None
+        assert cycle_root([5], {5: [5]}.__getitem__) == 5
+
+    def test_cycle_root_accepts_shared_descendants(self):
+        diamond = {0: [1, 2], 1: [3], 2: [3], 3: []}
+        assert cycle_root(diamond, diamond.__getitem__) is None
+
+    def test_chains_deeper_than_the_recursion_limit(self):
+        universe = Universe(max_order=5001)
+        top = universe.add_primitive("leaf")
+        for _ in range(5000):
+            top = universe.construct({top})
+        assert universe.check_acyclic()
+        chain = {i: [i + 1] for i in range(5000)}
+        chain[5000] = [0]
+        assert cycle_root(chain, chain.__getitem__) == 0
+
 
 class TestSerialization:
     def test_round_trip_preserves_structures_and_edges(self, universe):
@@ -288,7 +308,7 @@ class TestSerialization:
         doc = universe.to_json_dict()
         back = Universe.from_json_dict(doc, max_order=universe.max_order)
         assert back.to_json_dict() == doc
-        assert back.peek_next_id() == universe.peek_next_id()
+        assert back.add_primitive("new") == universe.add_primitive("new")
 
     def test_next_id_survives_dropping_the_highest_id(self, universe):
         build_layered(universe, 1)

@@ -323,7 +323,10 @@ class TestCodecs:
         a, b = pop.members[0], pop.members[1]
         apply_break(universe, pop, a, b, generation=2)
         doc = pop.to_json_dict()
-        back = Population.from_json_dict(doc)
+        back = Population.from_json_dict(
+            doc, base_order_r=pop.base_order_r, population_limit=pop.population_limit
+        )
         assert back.to_json_dict() == doc
+        assert (back.base_order_r, back.population_limit) == (pop.base_order_r, pop.population_limit)
         assert back.members == pop.members
         assert back.top_order == pop.top_order

@@ -57,8 +57,8 @@ def genome_pop(universe, genomes, limit=None):
     return init_population(universe, problem, list(genomes), limit or 2 * len(genomes))
 
 
-def fresh_gene(rng, input_dim=2, output_dim=1, unit_id=0):
-    return random_genome(unit_id, input_dim, output_dim, rng)
+def fresh_gene(rng, input_dim=2, output_dim=1):
+    return random_genome(input_dim, output_dim, rng)
 
 
 class TestGenomeCodec:
@@ -68,7 +68,6 @@ class TestGenomeCodec:
 
     def test_gene_round_trip(self):
         gene = NeuronGene(
-            unit_id=3,
             in_weights=AWKWARD[:3],
             out_targets=((0, AWKWARD[3]), (2, AWKWARD[4])),
             activation="step",
@@ -77,7 +76,7 @@ class TestGenomeCodec:
         assert back == gene
 
     def test_payload_codec_distinguishes_genes(self):
-        gene = NeuronGene(unit_id=0, in_weights=(0.5,), out_targets=((0, 1.0),))
+        gene = NeuronGene(in_weights=(0.5,), out_targets=((0, 1.0),))
         assert decode_payload(encode_payload(gene)) == gene
         assert encode_payload("tagline") == "tagline"
         assert decode_payload({"note": 1}) == {"note": 1}
@@ -85,8 +84,7 @@ class TestGenomeCodec:
 
 class TestGenomeOps:
     def test_random_genome_shape_and_bounds(self, rng):
-        gene = random_genome(9, input_dim=4, output_dim=3, rng=rng)
-        assert gene.unit_id == 9
+        gene = random_genome(input_dim=4, output_dim=3, rng=rng)
         assert len(gene.in_weights) == 5
         assert [slot for slot, _ in gene.out_targets] == [0, 1, 2]
         weights = list(gene.in_weights) + [w for _, w in gene.out_targets]
@@ -94,8 +92,8 @@ class TestGenomeOps:
         assert gene.activation == "tanh"
 
     def test_random_genome_deterministic(self):
-        a = random_genome(0, 3, 2, np.random.default_rng(42))
-        b = random_genome(0, 3, 2, np.random.default_rng(42))
+        a = random_genome(3, 2, np.random.default_rng(42))
+        b = random_genome(3, 2, np.random.default_rng(42))
         assert a == b
 
     def test_mutate_rate_zero_is_identity(self, rng):
@@ -123,14 +121,14 @@ class TestGenomeOps:
         assert a == b
 
     def test_crossover_picks_each_position_from_a_parent(self):
-        a = NeuronGene(0, (1.0, 2.0, 3.0), ((0, 4.0),))
-        b = NeuronGene(1, (-1.0, -2.0, -3.0), ((0, -4.0),))
+        a = NeuronGene((1.0, 2.0, 3.0), ((0, 4.0),), activation="step")
+        b = NeuronGene((-1.0, -2.0, -3.0), ((0, -4.0),))
         child = crossover_genomes(a, b, np.random.default_rng(5))
         for k, w in enumerate(child.in_weights):
             assert w in (a.in_weights[k], b.in_weights[k])
         assert child.out_targets[0][1] in (4.0, -4.0)
         assert child.out_targets[0][0] == 0
-        assert child.unit_id == a.unit_id
+        assert child.activation == a.activation
 
     def test_crossover_of_identical_parents_is_identity(self, rng):
         a = fresh_gene(np.random.default_rng(1))
@@ -139,21 +137,21 @@ class TestGenomeOps:
 
 class TestForward:
     def test_single_tanh_neuron_exact(self):
-        gene = NeuronGene(0, (1.0, -1.0, 0.5), ((0, 2.0), (1, -1.0)))
+        gene = NeuronGene((1.0, -1.0, 0.5), ((0, 2.0), (1, -1.0)))
         out = net_forward([gene], (2.0, 3.0), output_dim=3)
         h = math.tanh(0.5 + 2.0 - 3.0)
         assert out == pytest.approx([2.0 * h, -1.0 * h, 0.0])
 
     def test_step_activation_signs(self):
-        gene = NeuronGene(0, (1.0, 0.0), ((0, 1.0),), activation="step")
+        gene = NeuronGene((1.0, 0.0), ((0, 1.0),), activation="step")
         assert net_forward([gene], (0.5,), 1) == [1.0]
         assert net_forward([gene], (-0.5,), 1) == [-1.0]
 
     def test_outputs_accumulate_across_neurons(self):
         shared = ((0, 1.0),)
         genes = [
-            NeuronGene(0, (0.0, 1.0), shared, activation="step"),
-            NeuronGene(1, (0.0, 1.0), shared, activation="step"),
+            NeuronGene((0.0, 1.0), shared, activation="step"),
+            NeuronGene((0.0, 1.0), shared, activation="step"),
         ]
         assert net_forward(genes, (0.0,), 1) == [2.0]
 
@@ -165,7 +163,7 @@ class TestFlatten:
         assert flatten_to_genes(universe, [a, a]) == (g,)
 
     def test_composites_flatten_in_sorted_id_order(self, universe, rng):
-        g1, g2, g3 = (fresh_gene(rng, unit_id=k) for k in range(3))
+        g1, g2, g3 = (fresh_gene(rng) for _ in range(3))
         a = universe.add_primitive(g1)
         b = universe.add_primitive(g2)
         c = universe.add_primitive(g3)
@@ -183,7 +181,7 @@ class TestAssemble:
     def make(self, n, k, apg, seed=0):
         universe = Universe(max_order=8)
         rng = np.random.default_rng(1)
-        pop = genome_pop(universe, [fresh_gene(rng, unit_id=i) for i in range(n)])
+        pop = genome_pop(universe, [fresh_gene(rng) for _ in range(n)])
         config = EvolutionConfig(network_size=k, assemblies_per_generation=apg)
         return universe, pop, config, np.random.default_rng(seed)
 
@@ -245,7 +243,7 @@ class TestEvaluate:
             evaluate(assembly, GridNavEnv(), 1)
 
     def test_output_slot_mismatch_rejected(self, universe):
-        bad = NeuronGene(0, (0.0, 0.0, 1.0), ((3, 5.0),), activation="step")
+        bad = NeuronGene((0.0, 0.0, 1.0), ((3, 5.0),), activation="step")
         assembly = self.wire(universe, (bad,))
         with pytest.raises(DimensionMismatch):
             evaluate(assembly, XorEnv(), 4)
@@ -274,9 +272,7 @@ class TestLedger:
         cap = SAMPLE_RING_FACTOR * 2
         for f in range(cap + 2):
             ledger.credit(1, float(f))
-        stats = ledger.per_member[1]
-        assert stats.samples == [float(v) for v in range(2, cap + 2)]
-        assert stats.participation_count == cap + 2
+        assert ledger.per_member[1] == [float(v) for v in range(2, cap + 2)]
         assert ledger.score(1) == pytest.approx((cap + 1 + cap) / 2)
 
     def test_cooccurrence_cells_split_by_partner_presence(self):
@@ -305,10 +301,23 @@ class TestLedger:
         ledger.tally_cooccurrence({1, 2}, 1.5, (1, 2))
         ledger.record_pending(1, 2, 1)
         doc = ledger.to_json_dict()
-        back = FitnessLedger.from_json_dict(doc)
+        back = FitnessLedger.from_json_dict(doc, top_m=2)
         assert back.to_json_dict() == doc
+        assert back.top_m == 2
         assert back.score(1) == ledger.score(1)
         assert back.pending_levels(1, 2) == frozenset({1})
+
+
+    def test_ranked_orders_by_score_then_id_and_scores_each_member_once(self, monkeypatch):
+        ledger = FitnessLedger(top_m=2)
+        for member, fitness in ((5, 1.0), (3, 2.0), (4, 1.0), (9, -1.0)):
+            ledger.credit(member, fitness)
+        calls = []
+        score = ledger.score
+        monkeypatch.setattr(ledger, "score", lambda m: calls.append(m) or score(m))
+        ranking = ledger.ranked([9, 7, 5, 4, 3])
+        assert ranking == [(3, 2.0), (4, 1.0), (5, 1.0), (9, -1.0), (7, None)]
+        assert sorted(calls) == [3, 4, 5, 7, 9]
 
 
 class TestDetection:
@@ -387,7 +396,7 @@ class TestEvolve:
     def scored_pop(self, n, scores, seed=1):
         universe = Universe(max_order=8)
         rng = np.random.default_rng(seed)
-        pop = genome_pop(universe, [fresh_gene(rng, unit_id=i) for i in range(n)])
+        pop = genome_pop(universe, [fresh_gene(rng) for _ in range(n)])
         ledger = FitnessLedger(top_m=3)
         for m, s in zip(pop.members, scores):
             if s is not None:
@@ -454,7 +463,7 @@ class TestCloneComposite:
     def build_composite(self):
         universe = Universe(max_order=8)
         rng = np.random.default_rng(2)
-        pop = genome_pop(universe, [fresh_gene(rng, unit_id=i) for i in range(4)])
+        pop = genome_pop(universe, [fresh_gene(rng) for _ in range(4)])
         a, b = pop.members[0], pop.members[1]
         apply_break(universe, pop, a, b, generation=0)
         return universe, pop, pop.members[-1], (a, b)
@@ -469,14 +478,14 @@ class TestCloneComposite:
         assert all(k not in (a, b) for k in kids)
         for k in kids:
             assert universe.graph.dependency_levels(clone, k) == {2}
-            payload = universe.get(k).payload
-            assert isinstance(payload, NeuronGene)
-            assert payload.unit_id == k  # leaf unit ids renumbered to structure ids
+        # an identity mutation copies each leaf genome unchanged
+        leaves = {universe.get(k).payload for k in kids}
+        assert leaves == {universe.get(a).payload, universe.get(b).payload}
 
     def test_evolve_replaces_weak_composite_with_clone_of_strong(self):
         universe = Universe(max_order=8)
         rng = np.random.default_rng(3)
-        genomes = [fresh_gene(rng, unit_id=i) for i in range(4)]
+        genomes = [fresh_gene(rng) for _ in range(4)]
         pop = genome_pop(universe, genomes)
         a, b, c, d = pop.members
         apply_break(universe, pop, a, b, generation=0)
@@ -509,16 +518,18 @@ class TestLoop:
 
     def test_zero_budget_returns_empty_outcome(self):
         config = EvolutionConfig(max_generations=0, network_size=3, assemblies_per_generation=2)
-        outcome = run_symbiosis(XorEnv(), config, self.solver_state(config))
-        assert (outcome.solved, outcome.rows, outcome.next_generation) == (False, [], 0)
+        rows = []
+        outcome = run_symbiosis(XorEnv(), config, self.solver_state(config), on_row=rows.append)
+        assert (outcome.solved, rows, outcome.next_generation) == (False, [], 0)
 
     def test_planted_solver_finishes_at_generation_zero(self):
         config = EvolutionConfig(max_generations=5, network_size=3, assemblies_per_generation=2)
         state = self.solver_state(config)
-        outcome = run_symbiosis(XorEnv(), config, state)
+        rows = []
+        outcome = run_symbiosis(XorEnv(), config, state, on_row=rows.append)
         assert outcome.solved and outcome.generations_to_solve == 0
-        assert len(outcome.rows) == 1
-        assert outcome.rows[0].best_fitness == 4.0
+        assert len(rows) == 1
+        assert rows[0].best_fitness == 4.0
         assert state.solved_at == 0
 
     def test_unsolved_run_fills_the_budget(self):
@@ -545,7 +556,9 @@ class TestLoop:
         runs = []
         for _ in range(2):
             state = new_loop_state(problem, XorEnv(), config, 5, 10, 8)
-            runs.append(run_symbiosis(XorEnv(), config, state).rows)
+            rows = []
+            run_symbiosis(XorEnv(), config, state, on_row=rows.append)
+            runs.append(rows)
         assert runs[0] == runs[1]
 
     def test_checkpoint_hook_fires_on_schedule(self):
