@@ -6,6 +6,9 @@ state: reset picks the initial state for an episode index, step maps
 episode under a policy (observation -> action) and reports its undiscounted
 return, the sum of the per-step reinforcements, and whether it succeeded.
 Episode cycling on xor is deterministic so fitness is exact, not sampled.
+Float totals here and in symbio are plain left-to-right folds, never the
+builtin sum(), which compensates its rounding from Python 3.12 on and so
+would give different bytes on different interpreters.
 
 A gridnav rollout stops at the first repeated (x, y, subgoal visited) state
 and books the rest of the episode without stepping it. This is exact for a
@@ -22,6 +25,9 @@ from __future__ import annotations
 
 import sys
 from dataclasses import dataclass
+from functools import reduce
+from itertools import repeat
+from operator import add
 from typing import Callable, Mapping, Sequence
 
 from .errors import InvalidAction, ValidationError
@@ -181,22 +187,21 @@ class GridNavEnv:
         a policy that is a pure function of the observation (module
         docstring)."""
         state = self.reset(episode_index)
-        rewards: list[float] = []
+        total = 0.0
         seen: set[tuple[int, int, bool]] = set()
         terminal = False
         while not terminal:
             x, y, steps, subgoal_done = state
             key = (x, y, subgoal_done)
             if key in seen:
-                # sum() over the full list keeps the float total bit-identical
-                rewards += [-self.step_penalty] * (self.max_steps - steps)
-                return sum(rewards), False
+                # the cycle's penalties are added one at a time, as its steps would be
+                return reduce(add, repeat(-self.step_penalty, self.max_steps - steps), total), False
             seen.add(key)
             state, reward, terminal = self.step(state, policy(self.observation(state)))
-            rewards.append(reward)
+            total += reward
         x, y, _, subgoal_done = state
         armed = subgoal_done or self.subgoal is None
-        return sum(rewards), armed and (x, y) == self.goal
+        return total, armed and (x, y) == self.goal
 
 
 def finite_float(raw: object, field: str) -> float:

@@ -17,7 +17,7 @@ from typing import Any, Callable, Mapping, Optional, TextIO
 
 from .envs import EnvSpec, finite_float, make_env
 from .errors import DigestMismatch, ParseError, ValidationError
-from .hyperstruct import Universe, cycle_root
+from .hyperstruct import Universe, cycle_root, json_list
 from .population import Population, ProblemSpec, StallDetector
 from .symbio import (
     SAMPLE_RING_FACTOR,
@@ -288,16 +288,17 @@ def checkpoint_to_json_dict(ckpt: Checkpoint) -> dict:
 
 
 def save_checkpoint(path: str | Path, ckpt: Checkpoint) -> None:
-    """Write atomically: encode into a temp file beside `path`, then rename it
-    over `path`. A failed save leaves the previous file as it was and removes
-    the temp file. The temp name starts with a dot and ends in .tmp, so it
-    never matches checkpoint-*.json."""
+    """Write one line of compact JSON atomically: encode the whole document
+    in one call, write it into a temp file beside `path` in one write, then
+    rename it over `path`. A failed save leaves the previous file as it was
+    and removes the temp file. The temp name starts with a dot and ends in
+    .tmp, so it never matches checkpoint-*.json."""
     path = Path(path)
+    text = json.dumps(checkpoint_to_json_dict(ckpt), sort_keys=True, separators=(",", ":")) + "\n"
     tmp = path.with_name(f".{path.name}.tmp")
     try:
         with open(tmp, "w", encoding="utf-8", newline="\n") as sink:
-            json.dump(checkpoint_to_json_dict(ckpt), sink, sort_keys=True, indent=1)
-            sink.write("\n")
+            sink.write(text)
         os.replace(tmp, path)
     except BaseException:
         tmp.unlink(missing_ok=True)
@@ -334,7 +335,7 @@ def _checkpoint_from_doc(doc: Mapping[str, Any]) -> Checkpoint:
     detector = StallDetector(
         window_G=config.evolution.window_G,
         min_improvement=config.evolution.min_improvement,
-        history=[float(v) for v in loop["stall_history"]],
+        history=[float(v) for v in json_list(loop["stall_history"], "stall_history")],
     )
     state = LoopState(
         universe=universe,

@@ -29,6 +29,15 @@ StructureId = int
 DEFAULT_MAX_ORDER = 8
 
 
+def json_list(raw: Any, what: str) -> list:
+    """`raw` when it is a JSON array. Anything else raises TypeError, so a
+    loader never takes a string apart into characters where it iterates a
+    list."""
+    if not isinstance(raw, list):
+        raise TypeError(f"{what} must be a list, got {type(raw).__name__}")
+    return raw
+
+
 def cycle_root(
     roots: Iterable[StructureId], successors: Callable[[StructureId], Iterable[StructureId]]
 ) -> Optional[StructureId]:
@@ -344,14 +353,14 @@ class Universe:
     ) -> "Universe":
         dec = payload_decoder or (lambda p: p)
         u = cls(max_order=max_order)
-        for row in doc["structures"]:
+        for row in json_list(doc["structures"], "structures"):
             tag = row.get("tag", "")
             if not isinstance(tag, str):
                 raise TypeError(f"structure tag must be a string, got {tag!r}")
             s = Structure(
                 id=int(row["id"]),
                 order=int(row["order"]),
-                constituents=frozenset(int(c) for c in row["constituents"]),
+                constituents=frozenset(int(c) for c in json_list(row["constituents"], "constituents")),
                 payload=dec(row["payload"]) if "payload" in row else None,
                 tag=tag,
             )
@@ -360,8 +369,10 @@ class Universe:
         u._next_id = int(doc["next_id"])
         if u._next_id <= max(u.structures, default=-1):
             raise ValueError(f"next_id {u._next_id} does not exceed every structure id")
-        for a, b, level in doc.get("interacts", ()):
+        for row in json_list(doc.get("interacts", []), "interacts"):
+            a, b, level = json_list(row, "an interaction edge")
             u.graph.add_interaction(int(a), int(b), int(level))
-        for d, e, level in doc.get("depends", ()):
+        for row in json_list(doc.get("depends", []), "depends"):
+            d, e, level = json_list(row, "a dependency edge")
             u.graph.add_dependency(int(d), int(e), int(level))
         return u

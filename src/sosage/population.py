@@ -21,7 +21,7 @@ from .errors import (
     NotAComposite,
     PreconditionViolated,
 )
-from .hyperstruct import StructureId, Universe
+from .hyperstruct import StructureId, Universe, json_list
 
 
 @dataclass(frozen=True)
@@ -115,11 +115,11 @@ class Population:
         cls, doc: Mapping[str, Any], base_order_r: int, population_limit: int
     ) -> "Population":
         return cls(
-            members=[int(m) for m in doc["members"]],
+            members=[int(m) for m in json_list(doc["members"], "members")],
             base_order_r=base_order_r,
             pop_order_n=int(doc["pop_order_n"]),
             population_limit=population_limit,
-            break_log=[BreakEvent.from_json_dict(e) for e in doc["break_log"]],
+            break_log=[BreakEvent.from_json_dict(e) for e in json_list(doc["break_log"], "break_log")],
         )
 
 

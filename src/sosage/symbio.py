@@ -14,6 +14,8 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field, replace
+from functools import reduce
+from operator import add
 from typing import Any, Callable, Iterable, Mapping, Optional, Sequence
 
 import numpy as np
@@ -26,7 +28,7 @@ from .errors import (
     UnevaluatedAssembly,
     ValidationError,
 )
-from .hyperstruct import StructureId, Universe
+from .hyperstruct import StructureId, Universe, json_list
 from .population import (
     PendingDependency,
     Population,
@@ -48,7 +50,7 @@ NEG_INF = float("-inf")
 
 def fmt_weight(x: float) -> str:
     """Decimal string with 17 significant digits; round-trips float64 exactly."""
-    return format(float(x), ".17g")
+    return "%.17g" % x
 
 
 # ---------------------------------------------------------------------------
@@ -72,9 +74,10 @@ class NeuronGene:
 
     @classmethod
     def from_json_dict(cls, row: Mapping[str, Any]) -> "NeuronGene":
+        targets = [json_list(t, "an output target") for t in json_list(row["out_targets"], "out_targets")]
         return cls(
-            in_weights=tuple(float(w) for w in row["in_weights"]),
-            out_targets=tuple((int(slot), float(w)) for slot, w in row["out_targets"]),
+            in_weights=tuple(float(w) for w in json_list(row["in_weights"], "in_weights")),
+            out_targets=tuple((int(slot), float(w)) for slot, w in targets),
             activation=str(row["activation"]),
         )
 
@@ -160,13 +163,17 @@ class Assembly:
 
 def flatten_to_genes(universe: Universe, participants: Sequence[StructureId]) -> tuple[NeuronGene, ...]:
     """All order-1 descendants of the participants, each wired once, in
-    first-encounter depth-first order."""
+    first-encounter depth-first order. The search runs on an explicit stack,
+    so a constituent chain of any depth fits: popping the lowest pending id
+    first and skipping ids already seen visits nodes in the order a
+    recursive search would."""
     seen: set[StructureId] = set()
     genes: list[NeuronGene] = []
-
-    def visit(i: StructureId) -> None:
+    stack = list(reversed(participants))
+    while stack:
+        i = stack.pop()
         if i in seen:
-            return
+            continue
         seen.add(i)
         s = universe.get(i)
         if s.order == 1:
@@ -174,11 +181,7 @@ def flatten_to_genes(universe: Universe, participants: Sequence[StructureId]) ->
                 raise TypeError(f"structure {i} payload is not a neuron genome")
             genes.append(s.payload)
         else:
-            for c in sorted(s.constituents):
-                visit(c)
-
-    for p in participants:
-        visit(p)
+            stack += sorted(s.constituents, reverse=True)
     return tuple(genes)
 
 
@@ -220,7 +223,7 @@ class FitnessLedger:
         if not samples:
             return None
         best = sorted(samples, reverse=True)[: self.top_m]
-        return sum(best) / len(best)
+        return reduce(add, best, 0.0) / len(best)
 
     def ranked(self, members: Iterable[StructureId]) -> list[tuple[StructureId, Optional[float]]]:
         """(member, score) pairs, best score first, unscored members last,
@@ -289,15 +292,15 @@ class FitnessLedger:
     def from_json_dict(cls, doc: Mapping[str, Any], top_m: int) -> "FitnessLedger":
         ledger = cls(top_m)
         for key, samples in doc["per_member"].items():
-            ledger.per_member[int(key)] = [float(s) for s in samples]
+            ledger.per_member[int(key)] = [float(s) for s in json_list(samples, "per_member samples")]
         for key, row in doc["cooccur"].items():
             x, y = (int(p) for p in key.split(","))
-            bc, bt = row["with_both"]
-            sc, st = row["with_x_only"]
+            bc, bt = json_list(row["with_both"], "with_both")
+            sc, st = json_list(row["with_x_only"], "with_x_only")
             ledger.cooccur[(x, y)] = _CooccurCell(int(bc), float(bt), int(sc), float(st))
         for key, levels in doc["pending"].items():
             x, y = (int(p) for p in key.split(","))
-            ledger.pending[(x, y)] = {int(lv) for lv in levels}
+            ledger.pending[(x, y)] = {int(lv) for lv in json_list(levels, "pending levels")}
         return ledger
 
 
@@ -465,16 +468,37 @@ def _clone_composite(
     """Deep-copy a composite with mutated leaf genomes and fresh ids at every
     level; internal dependency edges are copied at their recorded levels.
     Every cloned node is tagged with its own original so lineage stays
-    auditable per stratum."""
-    s = universe.get(original)
-    tag = f"c{generation}:{original}"
-    if s.order == 1:
-        return universe.add_primitive(mutate(s.payload), tag=tag)
-    clones = {c: _clone_composite(universe, c, mutate, generation) for c in sorted(s.constituents)}
-    new_id = universe.construct(set(clones.values()), tag=tag)
-    for c, c_clone in clones.items():
-        for level in universe.graph.dependency_levels(original, c):
-            universe.declare_dependency(new_id, c_clone, level)
+    auditable per stratum. A constituent reached along two paths is cloned
+    twice. Ids are handed out in post-order and leaves mutated in visit
+    order, as a recursive copy would; the explicit stack lets a constituent
+    chain of any depth fit."""
+
+    def enter(i: StructureId) -> tuple[Optional[StructureId], Optional[tuple]]:
+        """A leaf's clone id, or the stack frame of a composite to copy."""
+        s = universe.get(i)
+        if s.order == 1:
+            return universe.add_primitive(mutate(s.payload), tag=f"c{generation}:{i}"), None
+        return None, (i, iter(sorted(s.constituents)), {})
+
+    new_id, frame = enter(original)
+    # frames: (original id, constituents left to copy, constituent -> clone id)
+    stack = [frame] if frame is not None else []
+    while stack:
+        i, pending, clones = stack[-1]
+        for c in pending:
+            new_id, frame = enter(c)
+            if frame is not None:
+                stack.append(frame)
+                break
+            clones[c] = new_id
+        else:
+            stack.pop()
+            new_id = universe.construct(set(clones.values()), tag=f"c{generation}:{i}")
+            for c, c_clone in clones.items():
+                for level in universe.graph.dependency_levels(i, c):
+                    universe.declare_dependency(new_id, c_clone, level)
+            if stack:
+                stack[-1][2][i] = new_id
     return new_id
 
 
@@ -652,7 +676,7 @@ def run_symbiosis(
 
         fitnesses = [a.fitness for a in assemblies]
         best = max(fitnesses)
-        mean = sum(fitnesses) / len(fitnesses)
+        mean = reduce(add, fitnesses, 0.0) / len(fitnesses)
         # the detector watches the running best so sampling noise in a single
         # generation's best cannot mask a stall; resets restart the reference
         prior = detector.history[-1] if detector.history else NEG_INF

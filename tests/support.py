@@ -7,10 +7,19 @@ traversal, and the XOR nets are written out by hand.
 
 from __future__ import annotations
 
+from functools import reduce
+from operator import add
+
 import numpy as np
 
 from sosage.hyperstruct import ObsRecord, Universe
 from sosage.symbio import NeuronGene
+
+
+def fold(values) -> float:
+    """Left-to-right float total, the way sosage adds. The builtin sum()
+    compensates its rounding from Python 3.12 on, so it is no oracle."""
+    return reduce(add, values, 0.0)
 
 
 def random_universe(rng: np.random.Generator, max_structures: int = 12) -> Universe:

@@ -54,6 +54,7 @@ from sosage.symbio import (
 from support import (
     build_layered,
     emergence_oracle,
+    fold,
     random_universe,
     reachability_oracle,
     table_observers,
@@ -296,7 +297,7 @@ def test_criterion_5_dependency_oracle(verdict):
                     solo = [f for team, f in history if x in team and y not in team]
                     if not both or not solo:
                         continue
-                    gain = sum(both) / len(both) - sum(solo) / len(solo)
+                    gain = fold(both) / len(both) - fold(solo) / len(solo)
                     if gain >= delta:
                         expected.append((x, y))
             cases += 1

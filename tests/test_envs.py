@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import dataclasses
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -13,7 +14,7 @@ from sosage.envs import GridNavEnv, XorEnv, make_env
 from sosage.errors import InvalidAction, ValidationError
 from sosage.symbio import net_forward, random_genome
 
-from support import grid_shortest_steps
+from support import fold, grid_shortest_steps
 
 PROPERTY_SETTINGS = settings(max_examples=120, deadline=None)
 
@@ -36,7 +37,7 @@ def walk_outcome(env, policy):
     with the subgoal, if there is one, visited."""
     rewards, _, (x, y, _, subgoal_done) = walk(env, lambda obs, _state: policy(obs))
     reached = (x, y) == env.goal and (subgoal_done or env.subgoal is None)
-    return sum(rewards), reached
+    return fold(rewards), reached
 
 
 def counting(policy):
@@ -114,7 +115,7 @@ class TestGridKinematics:
         assert terminal and len(rewards) == 3
         episode_return, succeeded = env.rollout(0, lambda obs: 2)
         assert not succeeded
-        assert episode_return == sum(rewards) == pytest.approx(-0.03)
+        assert episode_return == fold(rewards) == pytest.approx(-0.03)
 
     def test_rollout_stops_stepping_at_first_repeated_state(self):
         env = GridNavEnv(size=5, goal=(4, 4), max_steps=50)
@@ -123,14 +124,28 @@ class TestGridKinematics:
         episode_return, succeeded = env.rollout(0, bounce)
         assert calls[0] == 2
         assert not succeeded
-        assert episode_return == sum([-0.01] * 50)
+        assert episode_return == fold([-0.01] * 50)
         assert (episode_return, succeeded) == walk_outcome(env, bounce)
+
+    def test_cycle_penalties_are_added_without_a_list(self):
+        # south from the start stays put, so the state repeats after one step;
+        # the other 39,999 penalties are added one at a time, as steps would be
+        env = GridNavEnv(size=100, goal=(99, 99), max_steps=40_000)
+        tracemalloc.start()
+        try:
+            episode_return, succeeded = env.rollout(0, lambda obs: 2)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert not succeeded
+        assert episode_return == fold([-0.01] * 40_000)
+        assert peak < 64_000  # a list of the penalties alone takes 320 KB
 
     def test_unarmed_goal_can_sit_on_the_loop(self):
         env = GridNavEnv(size=2, goal=(0, 1), subgoal=(1, 1), max_steps=16)
         bounce = lambda obs: 0 if obs[1] == -1.0 else 2  # (0,0) <-> (0,1)
         assert env.rollout(0, bounce) == walk_outcome(env, bounce)
-        assert env.rollout(0, bounce) == (sum([-0.01] * 16), False)
+        assert env.rollout(0, bounce) == (fold([-0.01] * 16), False)
 
     def test_revisited_cell_with_the_subgoal_flag_set_is_no_repeat(self):
         # a clockwise lap past the unarmed goal (1,0), through the subgoal
@@ -139,7 +154,7 @@ class TestGridKinematics:
         lap = {(0, 0): 1, (1, 0): 0, (1, 1): 3, (0, 1): 2}
         episode_return, succeeded = env.rollout(0, lambda obs: lap[cell(env, obs)])
         assert succeeded
-        assert episode_return == sum([-0.01, 0.49, -0.01, -0.01, 0.99])
+        assert episode_return == fold([-0.01, 0.49, -0.01, -0.01, 0.99])
 
     def test_goal_step_pays_and_terminates(self):
         env = GridNavEnv(size=5, goal=(0, 1))
@@ -322,4 +337,4 @@ class TestMakeEnv:
         assert terminal and rewards == [-0.01, -0.01 + 0.5, -0.01 + 1.0]
         episode_return, succeeded = env.rollout(0, route)
         assert succeeded
-        assert episode_return == sum(rewards) == pytest.approx(1.47)
+        assert episode_return == fold(rewards) == pytest.approx(1.47)

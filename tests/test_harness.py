@@ -319,7 +319,8 @@ class TestRunArtifacts:
         _, _, out = finished_run
         assert all(p.name.startswith(("metrics-", "checkpoint-")) for p in out.iterdir())
 
-    def test_failed_save_leaves_the_previous_file(self, finished_run, monkeypatch):
+    @pytest.mark.parametrize("stage", ["encode", "write", "rename"])
+    def test_failed_save_leaves_the_previous_file(self, finished_run, monkeypatch, stage):
         _, report, out = finished_run
         path = Path(report.checkpoint_path)
         before = path.read_bytes()
@@ -328,16 +329,40 @@ class TestRunArtifacts:
         ckpt.generation += 1
         encode = harness.checkpoint_to_json_dict
 
-        def fails_late(c):
+        def not_json(c):
             doc = encode(c)
-            doc["zz"] = object()  # sorts last, so the encoder raises after writing the rest
+            doc["zz"] = object()  # encoding fails before the temp file is opened
             return doc
 
-        monkeypatch.setattr(harness, "checkpoint_to_json_dict", fails_late)
-        with pytest.raises(TypeError):
+        class HalfWrite(io.TextIOWrapper):
+            def write(self, text):
+                super().write(text[: len(text) // 2])
+                self.flush()
+                raise OSError(28, "No space left on device")
+
+        def half_open(file, mode, **kwargs):
+            return HalfWrite(open(file, mode + "b"), **kwargs)
+
+        def no_rename(src, dst):
+            raise OSError(18, "Invalid cross-device link")
+
+        if stage == "encode":
+            monkeypatch.setattr(harness, "checkpoint_to_json_dict", not_json)
+        elif stage == "write":
+            monkeypatch.setattr(harness, "open", half_open, raising=False)
+        else:
+            monkeypatch.setattr(harness.os, "replace", no_rename)
+        with pytest.raises(TypeError if stage == "encode" else OSError):
             save_checkpoint(path, ckpt)
         assert path.read_bytes() == before
         assert sorted(p.name for p in out.iterdir()) == names
+
+    def test_saved_file_is_one_line_of_compact_json(self, finished_run):
+        _, report, _ = finished_run
+        text = Path(report.checkpoint_path).read_text(encoding="utf-8")
+        doc = checkpoint_to_json_dict(load_checkpoint(report.checkpoint_path))
+        assert text == json.dumps(doc, sort_keys=True, separators=(",", ":")) + "\n"
+        assert text.count("\n") == 1
 
     def test_tampered_config_rejected(self, finished_run, tmp_path):
         _, report, _ = finished_run
@@ -387,6 +412,54 @@ class TestResume:
         final_full = json.loads(Path(report.checkpoint_path).read_text())
         final_resumed = json.loads(Path(resumed.checkpoint_path).read_text())
         assert final_resumed == final_full
+
+    def test_indented_file_from_earlier_builds_resumes_the_same(self, finished_run):
+        # v3 files were once written with indent=1; only whitespace differs
+        _, report, out = finished_run
+        compact = out / "checkpoint-0-gen2.json"
+        doc = json.loads(compact.read_text())
+        indented = out / "indented" / "checkpoint-0-gen2.json"
+        indented.parent.mkdir()
+        indented.write_text(json.dumps(doc, sort_keys=True, indent=1) + "\n", encoding="utf-8")
+        assert indented.read_text().count("\n") > 100
+        ckpt = load_checkpoint(indented)
+        assert checkpoint_to_json_dict(ckpt) == doc
+        assert verify(ckpt).passed
+        outcomes = []
+        for source in (indented, compact):
+            resumed = resume(load_checkpoint(source))
+            outcomes.append(
+                (read_rows(resumed.metrics_path), Path(resumed.checkpoint_path).read_bytes())
+            )
+        assert outcomes[0] == outcomes[1]
+        assert outcomes[0][0] == read_rows(report.metrics_path)[2:]
+        assert outcomes[0][1] == Path(report.checkpoint_path).read_bytes()
+
+    def test_composite_chains_deeper_than_the_recursion_limit(self, tmp_path):
+        # two roster members each top a 3,000-link chain, so each generation
+        # flattens both and clones the weaker one whole
+        config = config_from_dict(base_doc(tmp_path, max_order=5000))
+        full = run(config)
+        doc = json.loads((tmp_path / "runs" / "checkpoint-0-gen2.json").read_text())
+        universe, pop = doc["universe"], doc["population"]
+        links = 3000
+        for slot in (0, 1):
+            below = pop["members"][slot]
+            for order in range(2, links + 2):
+                universe["structures"].append(
+                    {"id": universe["next_id"], "order": order, "constituents": [below], "tag": "chain"}
+                )
+                below = universe["next_id"]
+                universe["next_id"] += 1
+            pop["members"][slot] = below
+        pop["pop_order_n"] = links + 1
+        ckpt = checkpoint_from_json_dict(doc)
+        assert verify(ckpt).passed
+        resumed = resume(ckpt)
+        assert len(read_rows(resumed.metrics_path)) == len(read_rows(full.metrics_path)) - 2
+        final = load_checkpoint(resumed.checkpoint_path)
+        assert verify(final).passed
+        assert max(s.order for s in final.state.universe.structures.values()) == links + 1
 
     def test_resume_of_finished_run_adds_nothing(self, finished_run):
         _, report, _ = finished_run
@@ -633,6 +706,10 @@ def checkpoint_schema() -> list:
     return sorted((p for p in paths if p[0] != "config" or len(p) == 1), key=repr)
 
 
+def resolve(doc, path):
+    return functools.reduce(lambda node, key: node[key], path, doc)
+
+
 def draw_path(data, doc) -> tuple:
     """A concrete path for a random field of the format: every field is
     equally likely, and rows are picked at random. Stops early where an
@@ -728,15 +805,30 @@ class TestMalformedCheckpoints:
             (("loop", "reverse_counters"), {"a": 1}),
             (("loop", "stall_history"), [[]]),
             (("loop", "solved_at"), 1e400),
+            # a string where a list is iterated is refused, never read
+            # character by character
+            (("universe", "structures", 0, "payload", "in_weights"), "12345"),
+            (("universe", "structures", 0, "payload", "out_targets", 0), "12"),
+            (("universe", "structures", 0, "constituents"), "12"),
+            (("universe", "interacts", 0), "123"),
+            (("universe", "depends", 0), "123"),
+            (("ledger", "per_member", ANY), "12"),
+            (("ledger", "cooccur", ANY, "with_both"), "12"),
+            (("ledger", "pending", ANY), "1"),
+            (("population", "members"), "12"),
+            (("loop", "stall_history"), "12"),
         ],
     )
     def test_missing_keys_and_wrong_types_are_parse_errors(self, path, value):
         doc = valid_checkpoint_doc()
-        parent = functools.reduce(lambda node, key: node[key], path[:-1], doc)
+        concrete = ()
+        for key in path:  # ANY picks the row with the lowest key
+            concrete += (min(resolve(doc, concrete)) if key == ANY else key,)
+        parent = resolve(doc, concrete[:-1])
         if value is KeyError:
-            del parent[path[-1]]
+            del parent[concrete[-1]]
         else:
-            parent[path[-1]] = value
+            parent[concrete[-1]] = value
         with pytest.raises(ParseError, match="malformed checkpoint"):
             checkpoint_from_json_dict(doc)
 
@@ -755,7 +847,7 @@ class TestMalformedCheckpoints:
             path = draw_path(data, doc)
             if not path:
                 break
-            parent = functools.reduce(lambda node, key: node[key], path[:-1], doc)
+            parent = resolve(doc, path[:-1])
             if data.draw(st.booleans(), label="delete"):
                 del parent[path[-1]]
             else:

@@ -45,7 +45,7 @@ from sosage.symbio import (
     run_symbiosis,
 )
 
-from support import constant_one_gene, xor_solver_genes
+from support import constant_one_gene, fold, xor_solver_genes
 
 PROPERTY_SETTINGS = settings(max_examples=120, deadline=None)
 
@@ -386,7 +386,7 @@ class TestDetection:
                 solo = [f for team, f in history if x in team and y not in team]
                 if len(both) < min_samples or len(solo) < min_samples:
                     continue
-                gain = sum(both) / len(both) - sum(solo) / len(solo)
+                gain = fold(both) / len(both) - fold(solo) / len(solo)
                 if gain >= delta:
                     expected.append((x, y))
         assert detect_dependency(universe, ledger, pop, config) == sorted(expected)
@@ -505,6 +505,132 @@ class TestCloneComposite:
         assert replacement not in (z1, z2)
         assert universe.structural_order(replacement) == 2
         assert universe.get(replacement).tag == f"c7:{z1}"
+
+
+def recursive_flatten(universe, participants):
+    """The recursive search that flatten_to_genes replaced; the oracle for
+    its visit order."""
+    seen = set()
+    genes = []
+
+    def visit(i):
+        if i in seen:
+            return
+        seen.add(i)
+        s = universe.get(i)
+        if s.order == 1:
+            genes.append(s.payload)
+        else:
+            for c in sorted(s.constituents):
+                visit(c)
+
+    for p in participants:
+        visit(p)
+    return tuple(genes)
+
+
+def recursive_clone(universe, original, mutate, generation):
+    """The recursive copy that _clone_composite replaced; the oracle for its
+    id assignment and the order of its mutate calls."""
+    s = universe.get(original)
+    tag = f"c{generation}:{original}"
+    if s.order == 1:
+        return universe.add_primitive(mutate(s.payload), tag=tag)
+    clones = {c: recursive_clone(universe, c, mutate, generation) for c in sorted(s.constituents)}
+    new_id = universe.construct(set(clones.values()), tag=tag)
+    for c, c_clone in clones.items():
+        for level in universe.graph.dependency_levels(original, c):
+            universe.declare_dependency(new_id, c_clone, level)
+    return new_id
+
+
+@st.composite
+def shared_composites(draw):
+    """A recipe for a universe whose composites share constituents freely:
+    primitive count, each composite's constituents (any earlier ids),
+    dependency edge candidates, and one id to start from."""
+    n_prim = draw(st.integers(1, 5))
+    groups = []
+    for j in range(draw(st.integers(0, 8))):
+        groups.append(draw(st.sets(st.integers(0, n_prim + j - 1), min_size=1, max_size=3)))
+    n = n_prim + len(groups)
+    deps = draw(st.lists(st.tuples(st.integers(0, n - 1), st.integers(0, n - 1), st.integers(1, 3)), max_size=12))
+    participants = draw(st.lists(st.integers(0, n - 1), min_size=1, max_size=4))
+    return n_prim, groups, deps, participants
+
+
+def build_shared(recipe):
+    n_prim, groups, deps, _ = recipe
+    u = Universe(max_order=64)
+    for k in range(n_prim):
+        u.add_primitive(NeuronGene(in_weights=(float(k), 0.0), out_targets=((0, 1.0),)), tag=f"p{k}")
+    for members in groups:
+        u.construct(members)
+    for d, e, level in deps:
+        if u.get(d).order - u.get(e).order == 1:
+            u.declare_dependency(d, e, level)
+    return u
+
+
+def recording_mutation():
+    """A mutation that logs which leaf it was called on and stamps the copy
+    with its call number."""
+    calls = []
+
+    def mutate(gene):
+        calls.append(gene.in_weights[0])
+        return dataclasses.replace(gene, in_weights=(gene.in_weights[0], float(len(calls))))
+
+    return mutate, calls
+
+
+class TestTraversalsMatchTheRecursiveOracles:
+    @PROPERTY_SETTINGS
+    @given(recipe=shared_composites())
+    def test_flatten_visits_in_recursive_order(self, recipe):
+        u = build_shared(recipe)
+        participants = recipe[3]
+        got = flatten_to_genes(u, participants)
+        want = recursive_flatten(u, participants)
+        assert len(got) == len(want) and all(a is b for a, b in zip(got, want))
+
+    @PROPERTY_SETTINGS
+    @given(recipe=shared_composites())
+    def test_clone_assigns_ids_and_mutates_in_recursive_order(self, recipe):
+        original = max(recipe[3])
+        mine, theirs = build_shared(recipe), build_shared(recipe)
+        mutate, calls = recording_mutation()
+        oracle_mutate, oracle_calls = recording_mutation()
+        got = _clone_composite(mine, original, mutate, generation=3)
+        want = recursive_clone(theirs, original, oracle_mutate, generation=3)
+        assert got == want
+        assert calls == oracle_calls
+        assert mine.to_json_dict(encode_payload) == theirs.to_json_dict(encode_payload)
+
+    def chain(self, depth):
+        """A primitive under `depth` single-constituent composites, each
+        depending on the next one down."""
+        u = Universe(max_order=depth + 1)
+        top = u.add_primitive(NeuronGene(in_weights=(0.5, 0.0), out_targets=((0, 1.0),)))
+        for _ in range(depth):
+            below, top = top, u.construct({top})
+            u.declare_dependency(top, below, 1)
+        return u, top
+
+    def test_chains_deeper_than_the_recursion_limit(self):
+        u, top = self.chain(3000)
+        assert flatten_to_genes(u, [top]) == (u.get(0).payload,)
+        mutate, calls = recording_mutation()
+        clone = _clone_composite(u, top, mutate, generation=1)
+        assert calls == [0.5]
+        assert u.structural_order(clone) == 3001
+        assert len(u.structures) == 2 * 3001
+        node = clone
+        for _ in range(3000):
+            (below,) = u.get(node).constituents
+            assert u.graph.dependency_levels(node, below) == {1}
+            node = below
+        assert u.get(node).payload.in_weights == (0.5, 1.0)
 
 
 class TestLoop:
