@@ -9,26 +9,25 @@ from __future__ import annotations
 
 import hashlib
 import json
+import math
 import os
 import re
-from dataclasses import dataclass, fields, replace
+from dataclasses import asdict, dataclass, fields, replace
 from pathlib import Path
 from typing import Any, Callable, Mapping, Optional, TextIO
 
 from .envs import EnvSpec, finite_float, make_env
 from .errors import DigestMismatch, ParseError, ValidationError
-from .hyperstruct import Universe, cycle_root, json_list
-from .population import Population, ProblemSpec, StallDetector
+from .hyperstruct import Structure, Universe, cycle_root
+from .population import BreakEvent, Population, ProblemSpec, StallDetector
 from .symbio import (
     SAMPLE_RING_FACTOR,
+    CooccurCell,
     EvolutionConfig,
     FitnessLedger,
     GenerationRow,
     LoopState,
     NeuronGene,
-    decode_payload,
-    encode_payload,
-    fmt_weight,
     live_structures,
     new_loop_state,
     run_symbiosis,
@@ -100,6 +99,13 @@ def _as_int(raw: Any, field: str) -> int:
     return raw
 
 
+def _as_seed(raw: Any) -> int:
+    seed = _as_int(raw, "seed")
+    if not 0 <= seed < 2 ** 64:
+        raise ValidationError("seed", "must be an unsigned 64-bit integer")
+    return seed
+
+
 def _as_bool(raw: Any, field: str) -> bool:
     if not isinstance(raw, bool):
         raise ValidationError(field, "must be true or false")
@@ -142,7 +148,7 @@ def config_from_dict(doc: Mapping[str, Any]) -> RunConfig:
     kwargs: dict[str, Any] = {
         name: parse[_EVOLUTION_FIELDS[name]](raw, f"evolution.{name}") for name, raw in evo_doc.items()
     }
-    kwargs["seed"] = _as_int(doc.get("seed", 0), "seed")
+    kwargs["seed"] = _as_seed(doc.get("seed", 0))
     evolution = EvolutionConfig(**kwargs)
     evolution.validate()
 
@@ -229,7 +235,8 @@ def config_digest(config: RunConfig) -> str:
 
 
 def with_seed(config: RunConfig, seed: int) -> RunConfig:
-    return replace(config, evolution=replace(config.evolution, seed=seed))
+    """The config with its seed replaced; a seed outside 64 bits is refused."""
+    return replace(config, evolution=replace(config.evolution, seed=_as_seed(seed)))
 
 
 def resolve_output_dir(config: RunConfig) -> Path:
@@ -263,28 +270,65 @@ class Checkpoint:
     state: LoopState
 
 
-def _state_to_json_dict(state: LoopState) -> dict:
-    return {
-        "universe": state.universe.to_json_dict(payload_encoder=encode_payload),
-        "population": state.pop.to_json_dict(),
-        "ledger": state.ledger.to_json_dict(),
-        "loop": {
-            "stall_history": [fmt_weight(v) for v in state.detector.history],
-            "reverse_counters": {str(k): v for k, v in sorted(state.reverse_counters.items())},
-            "solved_at": state.solved_at,
-        },
-    }
+def _fmt_weight(x: float) -> str:
+    """Decimal string with 17 significant digits; round-trips float64 exactly."""
+    return "%.17g" % x
 
 
 def checkpoint_to_json_dict(ckpt: Checkpoint) -> dict:
-    doc = {
+    """The whole v3 document. Floats are `"%.17g"` strings; settings live
+    only in the embedded config; save_checkpoint sorts every object's keys."""
+    u, pop, ledger = ckpt.state.universe, ckpt.state.pop, ckpt.state.ledger
+    structures = []
+    for i in sorted(u.structures):
+        s = u.structures[i]
+        row: dict[str, Any] = {
+            "id": s.id, "order": s.order, "constituents": sorted(s.constituents), "tag": s.tag,
+        }
+        if s.order == 1:  # a payload that is no genome is written as it is, for verify to report
+            g = s.payload
+            row["payload"] = g if not isinstance(g, NeuronGene) else {
+                "in_weights": [_fmt_weight(w) for w in g.in_weights],
+                "out_targets": [[slot, _fmt_weight(w)] for slot, w in g.out_targets],
+                "activation": g.activation,
+            }
+        structures.append(row)
+    return {
         "format": CHECKPOINT_FORMAT,
         "config": config_to_json_dict(ckpt.config),
         "config_digest": config_digest(ckpt.config),
         "generation": ckpt.generation,
+        "universe": {
+            "structures": structures,
+            "interacts": [list(e) for e in u.graph.interaction_edges()],
+            "depends": [list(e) for e in u.graph.dependency_edges()],
+            "next_id": u.next_id,
+        },
+        "population": {
+            "members": list(pop.members),
+            "pop_order_n": pop.pop_order_n,
+            "break_log": [asdict(e) for e in pop.break_log],
+        },
+        "ledger": {
+            "per_member": {
+                str(m): [_fmt_weight(v) for v in samples]
+                for m, samples in ledger.per_member.items()
+            },
+            "cooccur": {
+                f"{x},{y}": {
+                    "with_both": [cell.both_count, _fmt_weight(cell.both_total)],
+                    "with_x_only": [cell.solo_count, _fmt_weight(cell.solo_total)],
+                }
+                for (x, y), cell in ledger.cooccur.items()
+            },
+            "pending": {f"{x},{y}": sorted(levels) for (x, y), levels in ledger.pending.items()},
+        },
+        "loop": {
+            "stall_history": [_fmt_weight(v) for v in ckpt.state.detector.history],
+            "reverse_counters": {str(k): v for k, v in ckpt.state.reverse_counters.items()},
+            "solved_at": ckpt.state.solved_at,
+        },
     }
-    doc.update(_state_to_json_dict(ckpt.state))
-    return doc
 
 
 def save_checkpoint(path: str | Path, ckpt: Checkpoint) -> None:
@@ -316,37 +360,163 @@ def checkpoint_from_json_dict(doc: Mapping[str, Any]) -> Checkpoint:
         raise ParseError(f"malformed checkpoint: {type(e).__name__}: {e}") from e
 
 
+# The readers below take each value only in the form the writer gives it:
+# no string is taken apart into characters, no "7" or true passes for 7, no
+# non-finite float gets in. They raise TypeError or ValueError, which
+# checkpoint_from_json_dict turns into a ParseError.
+
+def _of(kind: type, raw: Any, what: str) -> Any:
+    """`raw` when its type is exactly `kind`, so a bool is no int."""
+    if type(raw) is not kind:
+        raise TypeError(f"{what} must be {kind.__name__}, got {type(raw).__name__}")
+    return raw
+
+
+def _list(raw: Any, what: str, of: Optional[type] = None) -> list:
+    """`raw` when it is a list, and when `of` is given, one whose items all
+    have exactly that type (checked whole, to keep loading cheap)."""
+    if type(raw) is not list or not (of is None or {of}.issuperset(map(type, raw))):
+        raise TypeError(f"{what} must be a list" + (f" of {of.__name__}" if of else ""))
+    return raw
+
+
+def _floats(raw: Any, what: str) -> list[float]:
+    """Finite floats, each written as a decimal string."""
+    values = list(map(float, _list(raw, what, str)))
+    if not all(map(math.isfinite, values)):
+        raise ValueError(f"{what} must hold finite numbers only")
+    return values
+
+
+def _float(raw: Any, what: str) -> float:
+    """One finite float, written as a decimal string."""
+    if type(raw) is not str:
+        raise TypeError(f"{what} must be a decimal string, got {type(raw).__name__}")
+    value = float(raw)
+    if not math.isfinite(value):
+        raise ValueError(f"{what} must be finite, got {raw!r}")
+    return value
+
+
+_ID = "(0|[1-9][0-9]*)"  # an id in canonical decimal
+_ID_KEY, _PAIR_KEY = re.compile(_ID), re.compile(f"{_ID},{_ID}")
+
+
+def _id_key(key: str, what: str) -> int:
+    if not _ID_KEY.fullmatch(key):
+        raise ValueError(f"{what} key {key!r} is not an id in canonical decimal")
+    return int(key)
+
+
+def _pair_key(key: str, what: str) -> tuple[int, int]:
+    m = _PAIR_KEY.fullmatch(key)
+    if m is None:
+        raise ValueError(f"{what} key {key!r} is not two ids in canonical decimal")
+    return int(m[1]), int(m[2])
+
+
+def _payload_from_json(raw: Any) -> Any:
+    """A genome from its object; any other payload stays as it is, for
+    verify's genome-shape check to report."""
+    if not (isinstance(raw, dict) and {"in_weights", "out_targets"} <= raw.keys()):
+        return raw
+    return NeuronGene(
+        in_weights=tuple(_floats(raw["in_weights"], "in_weights")),
+        out_targets=tuple(
+            (_of(int, slot, "an output slot"), _float(w, "an output weight"))
+            for slot, w in _list(raw["out_targets"], "out_targets", list)
+        ),
+        activation=_of(str, raw["activation"], "activation"),
+    )
+
+
+def _universe_from_json(doc: Mapping[str, Any], max_order: int) -> Universe:
+    u = Universe(max_order=max_order)
+    for row in _list(doc["structures"], "structures"):
+        s = Structure(
+            id=_of(int, row["id"], "a structure id"),
+            order=_of(int, row["order"], "a structure order"),
+            constituents=frozenset(_list(row["constituents"], "constituents", int)),
+            payload=_payload_from_json(row["payload"]) if "payload" in row else None,
+            tag=_of(str, row["tag"], "a structure tag"),
+        )
+        if s.id in u.structures:
+            raise ValueError(f"structure {s.id} is listed twice")
+        u.structures[s.id] = s
+    # stored, not derived: the highest ids may have been dropped by retain
+    u.next_id = _of(int, doc["next_id"], "next_id")
+    if u.next_id <= max(u.structures, default=-1):
+        raise ValueError(f"next_id {u.next_id} does not exceed every structure id")
+    for key, add_edge in (("interacts", u.graph.add_interaction), ("depends", u.graph.add_dependency)):
+        edges = _list(doc[key], key, list)
+        _list([v for edge in edges for v in edge], key, int)
+        for a, b, level in edges:
+            if key == "interacts" and a > b:  # the writer puts the lower id first
+                raise ValueError(f"interaction ({a},{b}) is not written low id first")
+            add_edge(a, b, level)
+    return u
+
+
+def _population_from_json(doc: Mapping[str, Any], base_order_r: int, population_limit: int) -> Population:
+    def event(row: Mapping[str, Any]) -> BreakEvent:
+        # every field is required; reversed_at is null until a reverse
+        return BreakEvent(**{
+            f.name: _of(int, row[f.name], f.name) for f in fields(BreakEvent)
+            if f.name != "reversed_at" or row[f.name] is not None
+        })
+
+    return Population(
+        members=list(_list(doc["members"], "members", int)),
+        base_order_r=base_order_r,
+        pop_order_n=_of(int, doc["pop_order_n"], "pop_order_n"),
+        population_limit=population_limit,
+        break_log=[event(row) for row in _list(doc["break_log"], "break_log")],
+    )
+
+
+def _ledger_from_json(doc: Mapping[str, Any], top_m: int) -> FitnessLedger:
+    ledger = FitnessLedger(top_m)
+    for key, samples in doc["per_member"].items():
+        ledger.per_member[_id_key(key, "per_member")] = _floats(samples, "per_member samples")
+    for key, row in doc["cooccur"].items():
+        bc, bt = _list(row["with_both"], "with_both")
+        sc, st = _list(row["with_x_only"], "with_x_only")
+        ledger.cooccur[_pair_key(key, "cooccur")] = CooccurCell(
+            _of(int, bc, "a count"), _float(bt, "a total"), _of(int, sc, "a count"), _float(st, "a total")
+        )
+    for key, levels in doc["pending"].items():
+        ledger.pending[_pair_key(key, "pending")] = set(_list(levels, "pending levels", int))
+    return ledger
+
+
 def _checkpoint_from_doc(doc: Mapping[str, Any]) -> Checkpoint:
     config = config_from_dict(doc["config"])
     stored = doc.get("config_digest", "")
     if config_digest(config) != stored:
         raise DigestMismatch("embedded config does not match its stored digest")
-    universe = Universe.from_json_dict(
-        doc["universe"], max_order=config.max_order, payload_decoder=decode_payload
-    )
     # settings come from the digested config only
-    pop = Population.from_json_dict(
-        doc["population"],
-        base_order_r=config.problem.base_solver_order_r,
-        population_limit=config.population_limit,
-    )
-    ledger = FitnessLedger.from_json_dict(doc["ledger"], top_m=config.evolution.top_m)
+    evo = config.evolution
     loop = doc["loop"]
-    detector = StallDetector(
-        window_G=config.evolution.window_G,
-        min_improvement=config.evolution.min_improvement,
-        history=[float(v) for v in json_list(loop["stall_history"], "stall_history")],
-    )
+    solved_at = loop["solved_at"]
     state = LoopState(
-        universe=universe,
+        universe=_universe_from_json(doc["universe"], config.max_order),
         problem=config.problem,
-        pop=pop,
-        ledger=ledger,
-        detector=detector,
-        reverse_counters={int(k): int(v) for k, v in loop["reverse_counters"].items()},
-        solved_at=None if loop.get("solved_at") is None else int(loop["solved_at"]),
+        pop=_population_from_json(
+            doc["population"], config.problem.base_solver_order_r, config.population_limit
+        ),
+        ledger=_ledger_from_json(doc["ledger"], evo.top_m),
+        detector=StallDetector(
+            window_G=evo.window_G,
+            min_improvement=evo.min_improvement,
+            history=_floats(loop["stall_history"], "stall_history"),
+        ),
+        reverse_counters={
+            _id_key(k, "reverse_counters"): _of(int, v, "a reverse counter")
+            for k, v in loop["reverse_counters"].items()
+        },
+        solved_at=None if solved_at is None else _of(int, solved_at, "solved_at"),
     )
-    return Checkpoint(config=config, generation=int(doc["generation"]), state=state)
+    return Checkpoint(config=config, generation=_of(int, doc["generation"], "generation"), state=state)
 
 
 def load_checkpoint(path: str | Path) -> Checkpoint:
@@ -458,8 +628,9 @@ def sweep(
     one-row-per-seed summary CSV."""
     if n_seeds < 1:
         raise ValidationError("seeds", "must be >= 1")
-    out_dir = resolve_output_dir(config)
     base = config.evolution.seed
+    with_seed(config, base + n_seeds - 1)  # the largest seed, refused before any file is written
+    out_dir = resolve_output_dir(config)
     reports: list[RunReport] = []
     summary_path = out_dir / "sweep-summary.csv"
     with open(summary_path, "w", encoding="utf-8", newline="") as sink:
@@ -661,7 +832,7 @@ def verify(ckpt: Checkpoint) -> VerifyReport:
         if g.activation not in ("tanh", "step"):
             bad.append(f"genome {i} activation {g.activation!r}")
         weights = list(g.in_weights) + [w for _, w in g.out_targets]
-        if any(abs(w) > w_max for w in weights):
+        if any(not abs(w) <= w_max for w in weights):  # NaN fails too
             bad.append(f"genome {i} weight exceeds {w_max}")
     record("genome-shape", bad)
 
@@ -711,7 +882,7 @@ def summarize_checkpoint(ckpt: Checkpoint) -> dict:
         "pop_order": pop.pop_order_n,
         "roster_size": len(pop.members),
         "strata": {str(order): sorted(members) for order, members in sorted(strata.items())},
-        "breaks": [e.to_json_dict() for e in pop.break_log],
+        "breaks": [asdict(e) for e in pop.break_log],
         "top_scores": scored[:5],
         "solved_at": ckpt.state.solved_at,
     }

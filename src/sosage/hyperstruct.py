@@ -14,7 +14,7 @@ of its constituents.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Any, Callable, Iterable, Mapping, Optional
+from typing import Any, Callable, Iterable, Optional
 
 from .errors import (
     EmptyConstituents,
@@ -27,15 +27,6 @@ from .errors import (
 StructureId = int
 
 DEFAULT_MAX_ORDER = 8
-
-
-def json_list(raw: Any, what: str) -> list:
-    """`raw` when it is a JSON array. Anything else raises TypeError, so a
-    loader never takes a string apart into characters where it iterates a
-    list."""
-    if not isinstance(raw, list):
-        raise TypeError(f"{what} must be a list, got {type(raw).__name__}")
-    return raw
 
 
 def cycle_root(
@@ -180,7 +171,7 @@ class Universe:
     structures: dict[StructureId, Structure] = field(default_factory=dict)
     graph: InteractionGraph = field(default_factory=InteractionGraph)
     observers: ObserverRegistry = field(default_factory=ObserverRegistry)
-    _next_id: StructureId = 0
+    next_id: StructureId = 0  # the id the next structure gets; checkpoints store it
 
     # --- store primitives ---
 
@@ -194,8 +185,8 @@ class Universe:
             raise UnknownStructure(structure_id) from None
 
     def _fresh_id(self) -> StructureId:
-        i = self._next_id
-        self._next_id += 1
+        i = self.next_id
+        self.next_id += 1
         return i
 
     def retain(self, keep: set[StructureId]) -> None:
@@ -320,59 +311,3 @@ class Universe:
         return cycle_root(
             structures, lambda i: [c for c in structures[i].constituents if c in structures]
         ) is None
-
-    # --- serialization ---
-
-    def to_json_dict(self, payload_encoder: Callable[[Any], Any] | None = None) -> dict:
-        enc = payload_encoder or (lambda p: p)
-        structures = []
-        for i in sorted(self.structures):
-            s = self.structures[i]
-            row: dict[str, Any] = {
-                "id": s.id,
-                "order": s.order,
-                "constituents": sorted(s.constituents),
-                "tag": s.tag,
-            }
-            if s.order == 1:
-                row["payload"] = enc(s.payload)
-            structures.append(row)
-        return {
-            "structures": structures,
-            "interacts": [list(e) for e in self.graph.interaction_edges()],
-            "depends": [list(e) for e in self.graph.dependency_edges()],
-            "next_id": self._next_id,
-        }
-
-    @classmethod
-    def from_json_dict(
-        cls,
-        doc: Mapping[str, Any],
-        max_order: int = DEFAULT_MAX_ORDER,
-        payload_decoder: Callable[[Any], Any] | None = None,
-    ) -> "Universe":
-        dec = payload_decoder or (lambda p: p)
-        u = cls(max_order=max_order)
-        for row in json_list(doc["structures"], "structures"):
-            tag = row.get("tag", "")
-            if not isinstance(tag, str):
-                raise TypeError(f"structure tag must be a string, got {tag!r}")
-            s = Structure(
-                id=int(row["id"]),
-                order=int(row["order"]),
-                constituents=frozenset(int(c) for c in json_list(row["constituents"], "constituents")),
-                payload=dec(row["payload"]) if "payload" in row else None,
-                tag=tag,
-            )
-            u.structures[s.id] = s
-        # stored, not derived: the highest ids may have been dropped by retain
-        u._next_id = int(doc["next_id"])
-        if u._next_id <= max(u.structures, default=-1):
-            raise ValueError(f"next_id {u._next_id} does not exceed every structure id")
-        for row in json_list(doc.get("interacts", []), "interacts"):
-            a, b, level = json_list(row, "an interaction edge")
-            u.graph.add_interaction(int(a), int(b), int(level))
-        for row in json_list(doc.get("depends", []), "depends"):
-            d, e, level = json_list(row, "a dependency edge")
-            u.graph.add_dependency(int(d), int(e), int(level))
-        return u

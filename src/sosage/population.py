@@ -12,7 +12,7 @@ until a break re-houses it as two legal direct edges from the new composite.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Any, Iterable, Mapping, Optional, Sequence
+from typing import Any, Iterable, Optional, Sequence
 
 from .errors import (
     AlreadyReversed,
@@ -21,7 +21,7 @@ from .errors import (
     NotAComposite,
     PreconditionViolated,
 )
-from .hyperstruct import StructureId, Universe, json_list
+from .hyperstruct import StructureId, Universe
 
 
 @dataclass(frozen=True)
@@ -44,27 +44,6 @@ class BreakEvent:
     composite: StructureId
     level_observed: int
     reversed_at: Optional[int] = None
-
-    def to_json_dict(self) -> dict:
-        return {
-            "generation": self.generation,
-            "dependent": self.dependent,
-            "dependee": self.dependee,
-            "composite": self.composite,
-            "level_observed": self.level_observed,
-            "reversed_at": self.reversed_at,
-        }
-
-    @classmethod
-    def from_json_dict(cls, row: Mapping[str, Any]) -> "BreakEvent":
-        return cls(
-            generation=int(row["generation"]),
-            dependent=int(row["dependent"]),
-            dependee=int(row["dependee"]),
-            composite=int(row["composite"]),
-            level_observed=int(row["level_observed"]),
-            reversed_at=None if row.get("reversed_at") is None else int(row["reversed_at"]),
-        )
 
 
 @dataclass(frozen=True)
@@ -100,27 +79,6 @@ class Population:
         for m in self.members:
             out.setdefault(universe.structural_order(m), []).append(m)
         return out
-
-    def to_json_dict(self) -> dict:
-        """Everything but base_order_r and population_limit, which are
-        settings of the run config."""
-        return {
-            "members": list(self.members),
-            "pop_order_n": self.pop_order_n,
-            "break_log": [e.to_json_dict() for e in self.break_log],
-        }
-
-    @classmethod
-    def from_json_dict(
-        cls, doc: Mapping[str, Any], base_order_r: int, population_limit: int
-    ) -> "Population":
-        return cls(
-            members=[int(m) for m in json_list(doc["members"], "members")],
-            base_order_r=base_order_r,
-            pop_order_n=int(doc["pop_order_n"]),
-            population_limit=population_limit,
-            break_log=[BreakEvent.from_json_dict(e) for e in json_list(doc["break_log"], "break_log")],
-        )
 
 
 @dataclass

@@ -16,7 +16,7 @@ import math
 from dataclasses import dataclass, field, replace
 from functools import reduce
 from operator import add
-from typing import Any, Callable, Iterable, Mapping, Optional, Sequence
+from typing import Callable, Iterable, Optional, Sequence
 
 import numpy as np
 
@@ -28,7 +28,7 @@ from .errors import (
     UnevaluatedAssembly,
     ValidationError,
 )
-from .hyperstruct import StructureId, Universe, json_list
+from .hyperstruct import StructureId, Universe
 from .population import (
     PendingDependency,
     Population,
@@ -48,11 +48,6 @@ SAMPLE_RING_FACTOR = 4
 NEG_INF = float("-inf")
 
 
-def fmt_weight(x: float) -> str:
-    """Decimal string with 17 significant digits; round-trips float64 exactly."""
-    return "%.17g" % x
-
-
 # ---------------------------------------------------------------------------
 # genomes and networks
 # ---------------------------------------------------------------------------
@@ -64,32 +59,6 @@ class NeuronGene:
     in_weights: tuple[float, ...]
     out_targets: tuple[tuple[int, float], ...]
     activation: str = "tanh"  # "tanh" | "step"
-
-    def to_json_dict(self) -> dict:
-        return {
-            "in_weights": [fmt_weight(w) for w in self.in_weights],
-            "out_targets": [[slot, fmt_weight(w)] for slot, w in self.out_targets],
-            "activation": self.activation,
-        }
-
-    @classmethod
-    def from_json_dict(cls, row: Mapping[str, Any]) -> "NeuronGene":
-        targets = [json_list(t, "an output target") for t in json_list(row["out_targets"], "out_targets")]
-        return cls(
-            in_weights=tuple(float(w) for w in json_list(row["in_weights"], "in_weights")),
-            out_targets=tuple((int(slot), float(w)) for slot, w in targets),
-            activation=str(row["activation"]),
-        )
-
-
-def encode_payload(payload: Any) -> Any:
-    return payload.to_json_dict() if isinstance(payload, NeuronGene) else payload
-
-
-def decode_payload(raw: Any) -> Any:
-    if isinstance(raw, dict) and {"in_weights", "out_targets"} <= raw.keys():
-        return NeuronGene.from_json_dict(raw)
-    return raw
 
 
 def random_genome(input_dim: int, output_dim: int, rng: np.random.Generator) -> NeuronGene:
@@ -190,7 +159,7 @@ def flatten_to_genes(universe: Universe, participants: Sequence[StructureId]) ->
 # ---------------------------------------------------------------------------
 
 @dataclass
-class _CooccurCell:
+class CooccurCell:
     both_count: int = 0
     both_total: float = 0.0
     solo_count: int = 0
@@ -207,7 +176,7 @@ class FitnessLedger:
         self.top_m = top_m
         # each member's most recent fitness samples, oldest first
         self.per_member: dict[StructureId, list[float]] = {}
-        self.cooccur: dict[tuple[StructureId, StructureId], _CooccurCell] = {}
+        self.cooccur: dict[tuple[StructureId, StructureId], CooccurCell] = {}
         self.pending: dict[tuple[StructureId, StructureId], set[int]] = {}
 
     # --- member credit ---
@@ -242,7 +211,7 @@ class FitnessLedger:
             for y in cohort:
                 if y == x:
                     continue
-                cell = self.cooccur.setdefault((x, y), _CooccurCell())
+                cell = self.cooccur.setdefault((x, y), CooccurCell())
                 if y in participants:
                     cell.both_count += 1
                     cell.both_total += fitness
@@ -266,42 +235,6 @@ class FitnessLedger:
         self.per_member = {m: samples for m, samples in self.per_member.items() if m in keep}
         self.cooccur = kept(self.cooccur)
         self.pending = kept(self.pending)
-
-    # --- serialization ---
-
-    def to_json_dict(self) -> dict:
-        """Everything but top_m, which is a setting of the run config."""
-        return {
-            "per_member": {
-                str(m): [fmt_weight(s) for s in samples]
-                for m, samples in sorted(self.per_member.items())
-            },
-            "cooccur": {
-                f"{x},{y}": {
-                    "with_both": [cell.both_count, fmt_weight(cell.both_total)],
-                    "with_x_only": [cell.solo_count, fmt_weight(cell.solo_total)],
-                }
-                for (x, y), cell in sorted(self.cooccur.items())
-            },
-            "pending": {
-                f"{x},{y}": sorted(levels) for (x, y), levels in sorted(self.pending.items())
-            },
-        }
-
-    @classmethod
-    def from_json_dict(cls, doc: Mapping[str, Any], top_m: int) -> "FitnessLedger":
-        ledger = cls(top_m)
-        for key, samples in doc["per_member"].items():
-            ledger.per_member[int(key)] = [float(s) for s in json_list(samples, "per_member samples")]
-        for key, row in doc["cooccur"].items():
-            x, y = (int(p) for p in key.split(","))
-            bc, bt = json_list(row["with_both"], "with_both")
-            sc, st = json_list(row["with_x_only"], "with_x_only")
-            ledger.cooccur[(x, y)] = _CooccurCell(int(bc), float(bt), int(sc), float(st))
-        for key, levels in doc["pending"].items():
-            x, y = (int(p) for p in key.split(","))
-            ledger.pending[(x, y)] = {int(lv) for lv in json_list(levels, "pending levels")}
-        return ledger
 
 
 # ---------------------------------------------------------------------------
@@ -344,7 +277,6 @@ class EvolutionConfig:
         check(self.min_improvement >= 0.0, "min_improvement", "must be >= 0")
         check(self.break_warmup >= 0, "break_warmup", "must be >= 0")
         check(self.max_generations >= 0, "max_generations", "must be >= 0")
-        check(0 <= self.seed < 2 ** 64, "seed", "must be an unsigned 64-bit integer")
         check(self.w_max > 0.0, "w_max", "must be > 0")
 
 

@@ -56,6 +56,13 @@ class TestRunCommand:
         assert code == EXIT_OK
         assert "metrics-9.csv" in out.splitlines()[0]
 
+    @pytest.mark.parametrize("seed", ["-1", str(2 ** 64)])
+    def test_seed_override_outside_64_bits_writes_nothing(self, config_path, capsys, tmp_path, seed):
+        code, out, err = run_cli(capsys, "run", str(config_path), "--seed", seed)
+        assert code == EXIT_USAGE
+        assert out == "" and err == "error: seed: must be an unsigned 64-bit integer\n"
+        assert not (tmp_path / "runs").exists()
+
     def test_missing_config_is_usage_error(self, capsys, tmp_path):
         code, _, err = run_cli(capsys, "run", str(tmp_path / "nope.json"))
         assert code == EXIT_USAGE
@@ -149,6 +156,47 @@ class TestVerifyCommand:
         assert out == "" and err.startswith("error: malformed checkpoint")
 
     @pytest.mark.parametrize("command", ["verify", "inspect", "resume"])
+    def test_checkpoint_with_a_loose_scalar_is_usage_error(self, config_path, capsys, tmp_path, command):
+        # each of these once loaded and passed every invariant
+        def first_weight(doc, value):
+            row = next(r for r in doc["universe"]["structures"] if "payload" in r)
+            row["payload"]["in_weights"][0] = value
+
+        def first_sample(doc, value):
+            doc["ledger"]["per_member"][min(doc["ledger"]["per_member"])][0] = value
+
+        def set_key(*path):
+            def edit(doc, value):
+                for key in path[:-1]:
+                    doc = doc[key]
+                doc[path[-1]] = value
+            return edit
+
+        edits = [
+            (first_weight, "nan"),
+            (first_sample, "inf"),
+            (set_key("loop", "stall_history"), ["1e999"]),
+            (set_key("generation"), "7"),
+            (set_key("generation"), 7.9),
+            (set_key("generation"), True),
+            (set_key("population", "pop_order_n"), 1.5),
+            (set_key("population", "members", 0), "21"),
+        ]
+        run_cli(capsys, "run", str(config_path))
+        out_dir = tmp_path / "runs"
+        source = json.loads((out_dir / "checkpoint-0-gen2.json").read_text())
+        path = tmp_path / "edited.json"
+        for edit, value in edits:
+            doc = json.loads(json.dumps(source))
+            edit(doc, value)
+            path.write_text(json.dumps(doc))
+            before = sorted(p.name for p in out_dir.iterdir())
+            code, out, err = run_cli(capsys, command, str(path))
+            assert code == EXIT_USAGE, (edit, value)
+            assert out == "" and err.startswith("error: malformed checkpoint")
+            assert sorted(p.name for p in out_dir.iterdir()) == before
+
+    @pytest.mark.parametrize("command", ["verify", "inspect", "resume"])
     def test_version_2_checkpoint_is_usage_error(self, config_path, capsys, tmp_path, command):
         run_cli(capsys, "run", str(config_path))
         path = tmp_path / "runs" / "checkpoint-0-final.json"
@@ -170,6 +218,15 @@ class TestSweepCommand:
         summary = Path(out.strip().splitlines()[-1])
         assert summary.name == "sweep-summary.csv"
         assert len(summary.read_text().splitlines()) == 3
+
+    def test_sweep_crossing_64_bits_writes_nothing(self, config_path, capsys, tmp_path):
+        doc = json.loads(config_path.read_text())
+        doc["seed"] = 2 ** 64 - 2
+        config_path.write_text(json.dumps(doc))
+        code, out, err = run_cli(capsys, "sweep", str(config_path), "--seeds", "3")
+        assert code == EXIT_USAGE
+        assert out == "" and err == "error: seed: must be an unsigned 64-bit integer\n"
+        assert not (tmp_path / "runs").exists()
 
     def test_sweep_require_solve(self, config_path, capsys):
         code, _, _ = run_cli(capsys, "sweep", str(config_path), "--seeds", "2", "--require-solve")

@@ -5,6 +5,12 @@ evaluation fast path (rollouts cut at the first repeated state) existed, so
 any change to evaluation, rng use or bookkeeping that moves a single byte of
 these files fails here. Seeds 1, 2 and 4 never break, so their two arms
 share a digest.
+
+The final checkpoints of three runs are pinned the same way: the XOR
+reference run, an unsolved gridnav_comp run, and an XOR run whose loose
+break settings make it break and reverse. Their configs keep
+`output_dir: "runs"`, since the embedded config is part of the bytes; the
+files go to a temporary directory through SOSAGE_OUTPUT_DIR instead.
 """
 
 from __future__ import annotations
@@ -36,6 +42,17 @@ GRIDNAV_COMP = {
 }
 
 
+# (config, seed, evolution changes) -> final checkpoint digest
+REVERSING = {"dependency_delta": 0.05, "window_G": 2, "min_cooccur_samples": 2, "break_warmup": 0}
+CHECKPOINTS = [
+    ("xor.json", 7, {}, "f2e7745b0df3d8866b33331059736149f00bd8e9fbd4b0ecb7194f3fbfc9030d"),
+    ("gridnav_comp.json", 9, {"max_generations": 150},
+     "219c76a0edda4661f503e440bb02be2b5986611c3b518233ff4322ef6b37c31c"),
+    ("xor.json", 1, {**REVERSING, "max_generations": 120},
+     "4edc185b2029d32e1b74bea2bb5d7327f8b257e6ec0c78060426536416d3cafe"),
+]
+
+
 @pytest.fixture(autouse=True)
 def isolated_output(monkeypatch):
     monkeypatch.delenv(OUTPUT_DIR_ENV, raising=False)
@@ -57,3 +74,16 @@ def test_gridnav_compositional_runs(tmp_path, seed, breaks):
     base = load_config(CONFIG_DIR / "gridnav_comp.json")
     config = replace(with_seed(base, seed), output_dir=str(tmp_path), breaks_enabled=breaks)
     assert metrics_digest(config) == GRIDNAV_COMP[(seed, breaks)]
+
+
+@pytest.mark.parametrize(
+    "name,seed,changes,digest", CHECKPOINTS, ids=["xor-7", "gridnav_comp-9", "xor-1-reversing"]
+)
+def test_final_checkpoints(tmp_path, monkeypatch, name, seed, changes, digest):
+    base = with_seed(load_config(CONFIG_DIR / name), seed)
+    config = replace(base, evolution=replace(base.evolution, **changes))
+    assert config.output_dir == "runs"
+    monkeypatch.setenv(OUTPUT_DIR_ENV, str(tmp_path))
+    report = run(config)
+    assert Path(report.checkpoint_path).parent == tmp_path
+    assert hashlib.sha256(Path(report.checkpoint_path).read_bytes()).hexdigest() == digest

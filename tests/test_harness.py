@@ -7,11 +7,13 @@ import dataclasses
 import functools
 import io
 import json
+import math
 import re
+import tempfile
 from pathlib import Path
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import event, given, settings
 from hypothesis import strategies as st
 
 from sosage import harness
@@ -44,7 +46,7 @@ from sosage.harness import (
     write_metrics_row,
 )
 from sosage.population import BreakEvent
-from sosage.symbio import EvolutionConfig, GenerationRow, NeuronGene, _CooccurCell, run_symbiosis
+from sosage.symbio import CooccurCell, EvolutionConfig, GenerationRow, NeuronGene, run_symbiosis
 
 CONFIG_DIR = Path(__file__).resolve().parent.parent / "configs"
 
@@ -469,6 +471,64 @@ class TestResume:
         assert resumed.solved is False
 
 
+@st.composite
+def valid_run_docs(draw):
+    """A small valid config for any env. Most draws leave room to break (a
+    roster below its limit, networks smaller than the roster, an order cap
+    above the base order) and set loose break settings, so many runs break
+    and some reverse."""
+    env = draw(st.sampled_from(ENV_NAMES))
+    params = {}
+    if env != "xor":
+        size = draw(st.integers(2, 5))
+        params = {"size": size, "max_steps": draw(st.integers(1, min(50, 4 * size * size)))}
+    r = draw(st.integers(1, 3))
+    room = draw(st.integers(0, 3).map(bool))
+    roster = draw(st.integers(2 + room, 6))
+    return {
+        "seed": draw(st.integers(0, 2 ** 64 - 1)),
+        "env": {"name": env, "params": params},
+        "problem": {"problem_order_x": draw(st.integers(1, r + 1)), "base_solver_order_r": r},
+        "evolution": {
+            "network_size": draw(st.integers(1 + room, min(3, roster - room))),
+            "assemblies_per_generation": draw(st.integers(3, 10)),
+            "dependency_delta": draw(st.sampled_from([0.001, 0.01, 0.05])),
+            "min_cooccur_samples": draw(st.integers(1, 3 - room)),
+            "window_G": draw(st.integers(1, 3 - room)),
+            "break_warmup": draw(st.integers(0, 2)),
+            "max_generations": draw(st.integers(2, 16)),
+        },
+        "roster_size": roster,
+        "population_limit": draw(st.integers(roster + room, 2 * roster)),
+        "max_order": draw(st.integers(r + room, r + 3)),
+        "breaks_enabled": draw(st.integers(0, 3).map(bool)),
+        "reverse_enabled": draw(st.booleans()),
+        "checkpoint_every": draw(st.integers(1, 3)),
+    }
+
+
+class TestValidConfigsEndToEnd:
+    @settings(max_examples=40, deadline=None)
+    @given(doc=valid_run_docs(), data=st.data())
+    def test_every_checkpoint_verifies_and_a_resume_replays_exactly(self, doc, data):
+        with tempfile.TemporaryDirectory() as out:
+            doc["output_dir"] = out
+            report = run(config_from_dict(doc))
+            final = Path(report.checkpoint_path)
+            event(f"breaks: {min(report.break_events, 2)}")
+            reversed_ = sum(e.reversed_at is not None for e in load_checkpoint(final).state.pop.break_log)
+            event(f"reversals: {min(reversed_, 1)}")
+            periodic = sorted(Path(out).glob(f"checkpoint-{doc['seed']}-gen*.json"))
+            for path in periodic + [final]:
+                assert verify(load_checkpoint(path)).passed, path.name
+            if not periodic:
+                return
+            ckpt = load_checkpoint(data.draw(st.sampled_from(periodic), label="resume from"))
+            resumed = resume(ckpt)
+            assert read_rows(resumed.metrics_path) == read_rows(report.metrics_path)[ckpt.generation:]
+            assert Path(resumed.checkpoint_path).read_bytes() == final.read_bytes()
+
+
 class TestSweep:
     def test_summary_covers_consecutive_seeds(self, tmp_path):
         config = config_from_dict(
@@ -493,6 +553,21 @@ class TestSweep:
         config = config_from_dict(base_doc(tmp_path))
         with pytest.raises(ValidationError):
             sweep(config, 0)
+
+
+class TestSeed:
+    @pytest.mark.parametrize("seed", [-1, 2 ** 64])
+    def test_seed_outside_64_bits_names_the_top_level_key(self, tmp_path, seed):
+        with pytest.raises(ValidationError, match="^seed: must be an unsigned 64-bit integer"):
+            config_from_dict(base_doc(tmp_path, seed=seed))
+        config = config_from_dict(base_doc(tmp_path))
+        with pytest.raises(ValidationError, match="^seed: must be an unsigned 64-bit integer"):
+            with_seed(config, seed)
+
+    def test_largest_seed_round_trips(self, tmp_path):
+        config = with_seed(config_from_dict(base_doc(tmp_path)), 2 ** 64 - 1)
+        report = run(config)
+        assert load_checkpoint(report.checkpoint_path).config == config
 
 
 class TestVerify:
@@ -528,12 +603,13 @@ class TestVerify:
         result = self.corrupt(finished_run, mutate)
         assert "construction-order" in {r.name for r in result.failures()}
 
-    def test_oversized_weight_detected(self, finished_run):
+    @pytest.mark.parametrize("weight", [99.0, math.nan])
+    def test_oversized_weight_detected(self, finished_run, weight):
         def mutate(c):
             u = c.state.universe
             first = min(u.structures)
             s = u.structures[first]
-            gene = dataclasses.replace(s.payload, in_weights=(99.0, 0.0, 0.0))
+            gene = dataclasses.replace(s.payload, in_weights=(weight, 0.0, 0.0))
             u.structures[first] = dataclasses.replace(s, payload=gene)
         result = self.corrupt(finished_run, mutate)
         assert "genome-shape" in {r.name for r in result.failures()}
@@ -555,7 +631,7 @@ class TestVerify:
         def mutate(c):
             u = c.state.universe
             dropped = next(i for i in range(max(u.structures)) if i not in u)
-            c.state.ledger.cooccur[(c.state.pop.members[0], dropped)] = _CooccurCell()
+            c.state.ledger.cooccur[(c.state.pop.members[0], dropped)] = CooccurCell()
         result = self.corrupt(finished_run, mutate)
         assert "state-compact" in {r.name for r in result.failures()}
 
@@ -773,6 +849,80 @@ class TestSettingsLiveInTheConfig:
         assert "population-order" in {r.name for r in verify(ckpt).failures()}
 
 
+AWKWARD = (0.1 + 0.2, 1e-17, -0.0, 2.0 / 3.0, -1.2345678901234567, 5.0, -1e300, 5e-324)
+
+
+def round_trip(ckpt: Checkpoint) -> Checkpoint:
+    """Through the file format and back, as a save and a load would go."""
+    return checkpoint_from_json_dict(json.loads(json.dumps(checkpoint_to_json_dict(ckpt))))
+
+
+class TestCheckpointCodec:
+    def test_awkward_floats_round_trip_exactly(self):
+        ckpt = checkpoint_from_json_dict(valid_checkpoint_doc())
+        u, ledger = ckpt.state.universe, ckpt.state.ledger
+        first = min(u.structures)
+        gene = NeuronGene(
+            in_weights=AWKWARD[:5], out_targets=((0, AWKWARD[5]), (2, AWKWARD[6])), activation="step"
+        )
+        u.structures[first] = dataclasses.replace(u.structures[first], payload=gene)
+        member = min(ledger.per_member)
+        ledger.per_member[member] = list(AWKWARD)
+        pair = min(ledger.cooccur)
+        ledger.cooccur[pair] = CooccurCell(3, AWKWARD[0], 4, AWKWARD[7])
+        ckpt.state.detector.history[:] = AWKWARD[1:4]
+        back = round_trip(ckpt)
+        assert back.state.universe.get(first).payload == gene
+        assert [math.copysign(1.0, w) for w in back.state.universe.get(first).payload.in_weights] \
+            == [math.copysign(1.0, w) for w in AWKWARD[:5]]
+        assert back.state.ledger.per_member[member] == list(AWKWARD)
+        assert back.state.ledger.cooccur[pair] == CooccurCell(3, AWKWARD[0], 4, AWKWARD[7])
+        assert back.state.detector.history == list(AWKWARD[1:4])
+
+    def test_next_id_survives_dropping_the_highest_id(self):
+        ckpt = checkpoint_from_json_dict(valid_checkpoint_doc())
+        u = ckpt.state.universe
+        top = u.add_primitive(u.get(ckpt.state.pop.members[0]).payload, tag="dropped")
+        u.retain(set(u.structures) - {top})
+        back = round_trip(ckpt).state.universe
+        assert top not in back and back.next_id == top + 1
+        assert back.add_primitive(None) == top + 1
+
+    def test_next_id_is_required_and_above_every_id(self):
+        doc = valid_checkpoint_doc()
+        doc["universe"]["next_id"] = max(row["id"] for row in doc["universe"]["structures"])
+        with pytest.raises(ParseError, match="next_id"):
+            checkpoint_from_json_dict(doc)
+        del doc["universe"]["next_id"]
+        with pytest.raises(ParseError, match="KeyError: 'next_id'"):
+            checkpoint_from_json_dict(doc)
+
+    def test_only_primitives_carry_a_payload(self):
+        rows = valid_checkpoint_doc()["universe"]["structures"]
+        assert {row["order"] > 1 for row in rows} == {True, False}
+        for row in rows:
+            assert ("payload" in row) == (row["order"] == 1)
+
+    def test_ledger_cells_round_trip(self):
+        ckpt = checkpoint_from_json_dict(valid_checkpoint_doc())
+        ledger = ckpt.state.ledger
+        assert ledger.cooccur and ledger.pending
+        back = round_trip(ckpt).state.ledger
+        assert back.top_m == ledger.top_m
+        assert back.per_member == ledger.per_member
+        assert back.cooccur == ledger.cooccur
+        assert back.pending == ledger.pending
+
+    @pytest.mark.parametrize("reversed_at", [None, 11])
+    def test_break_events_round_trip(self, reversed_at):
+        ckpt = checkpoint_from_json_dict(valid_checkpoint_doc())
+        log = ckpt.state.pop.break_log
+        assert log
+        log[0].reversed_at = reversed_at
+        assert round_trip(ckpt).state.pop.break_log == log
+        assert summarize_checkpoint(ckpt)["breaks"][0]["reversed_at"] == reversed_at
+
+
 class TestMalformedCheckpoints:
     def test_valid_document_loads(self):
         ckpt = checkpoint_from_json_dict(valid_checkpoint_doc())
@@ -817,6 +967,24 @@ class TestMalformedCheckpoints:
             (("ledger", "pending", ANY), "1"),
             (("population", "members"), "12"),
             (("loop", "stall_history"), "12"),
+            # a scalar is read only in the form the writer gives it
+            (("universe", "structures", 0, "payload", "in_weights", 0), "nan"),
+            (("ledger", "per_member", ANY, 0), "inf"),
+            (("loop", "stall_history"), ["1e999"]),
+            (("generation",), "7"),
+            (("generation",), 7.9),
+            (("generation",), True),
+            (("population", "pop_order_n"), 1.5),
+            (("population", "members", 0), "21"),
+            (("population", "break_log", 0, "reversed_at"), 2.5),
+            (("ledger", "per_member"), {"+3": ["1.5"]}),
+            (("ledger", "per_member"), {"03": ["1.5"]}),
+            # every key the writer writes is required
+            (("loop", "solved_at"), KeyError),
+            (("population", "break_log", 0, "reversed_at"), KeyError),
+            (("universe", "structures", 0, "tag"), KeyError),
+            (("universe", "interacts"), KeyError),
+            (("universe", "interacts", 0), [19, 8, 2]),  # the first edge, high id first
         ],
     )
     def test_missing_keys_and_wrong_types_are_parse_errors(self, path, value):
@@ -830,6 +998,13 @@ class TestMalformedCheckpoints:
         else:
             parent[concrete[-1]] = value
         with pytest.raises(ParseError, match="malformed checkpoint"):
+            checkpoint_from_json_dict(doc)
+
+    def test_structure_listed_twice_is_a_parse_error(self):
+        doc = valid_checkpoint_doc()
+        rows = doc["universe"]["structures"]
+        rows.append({**rows[0], "tag": "impostor"})
+        with pytest.raises(ParseError, match=f"structure {rows[0]['id']} is listed twice"):
             checkpoint_from_json_dict(doc)
 
     @settings(max_examples=100, deadline=None)

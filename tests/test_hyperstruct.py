@@ -297,46 +297,3 @@ class TestIntegrity:
         chain = {i: [i + 1] for i in range(5000)}
         chain[5000] = [0]
         assert cycle_root(chain, chain.__getitem__) == 0
-
-
-class TestSerialization:
-    def test_round_trip_preserves_structures_and_edges(self, universe):
-        build_layered(universe, 2)
-        a = sorted(universe.structures)[0]
-        top = sorted(universe.structures)[-1]
-        universe.declare_interaction(a, top, level=2)
-        doc = universe.to_json_dict()
-        back = Universe.from_json_dict(doc, max_order=universe.max_order)
-        assert back.to_json_dict() == doc
-        assert back.add_primitive("new") == universe.add_primitive("new")
-
-    def test_next_id_survives_dropping_the_highest_id(self, universe):
-        build_layered(universe, 1)
-        top = max(universe.structures)
-        universe.retain(set(universe.structures) - {top})
-        back = Universe.from_json_dict(universe.to_json_dict())
-        assert top not in back
-        assert back.add_primitive("new") == top + 1
-
-    def test_next_id_is_required_and_above_every_id(self, universe):
-        build_layered(universe, 1)
-        doc = universe.to_json_dict()
-        with pytest.raises(ValueError, match="next_id"):
-            Universe.from_json_dict({**doc, "next_id": max(universe.structures)})
-        del doc["next_id"]
-        with pytest.raises(KeyError):
-            Universe.from_json_dict(doc)
-
-    def test_payload_codec_hooks(self, universe):
-        universe.add_primitive(payload={"w": 1.5})
-        doc = universe.to_json_dict(payload_encoder=lambda p: {"wrapped": p})
-        assert doc["structures"][0]["payload"] == {"wrapped": {"w": 1.5}}
-        back = Universe.from_json_dict(doc, payload_decoder=lambda p: p["wrapped"])
-        assert back.get(0).payload == {"w": 1.5}
-
-    def test_composites_serialize_without_payload_key(self, universe):
-        a = universe.add_primitive("a")
-        universe.construct({a})
-        rows = universe.to_json_dict()["structures"]
-        assert "payload" in rows[0]
-        assert "payload" not in rows[1]

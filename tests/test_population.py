@@ -16,9 +16,7 @@ from sosage.errors import (
 )
 from sosage.hyperstruct import Universe
 from sosage.population import (
-    BreakEvent,
     PendingDependency,
-    Population,
     ProblemSpec,
     StallDetector,
     apply_break,
@@ -309,24 +307,3 @@ class TestScriptedSequences:
         for ev in pop.break_log:
             if ev.reversed_at is None:
                 assert ev.composite in pop.members
-
-
-class TestCodecs:
-    def test_break_event_round_trip(self):
-        ev = BreakEvent(generation=3, dependent=1, dependee=2, composite=9, level_observed=1)
-        assert BreakEvent.from_json_dict(ev.to_json_dict()) == ev
-        ev.reversed_at = 11
-        assert BreakEvent.from_json_dict(ev.to_json_dict()).reversed_at == 11
-
-    def test_population_round_trip(self, universe):
-        pop = make_pop(universe)
-        a, b = pop.members[0], pop.members[1]
-        apply_break(universe, pop, a, b, generation=2)
-        doc = pop.to_json_dict()
-        back = Population.from_json_dict(
-            doc, base_order_r=pop.base_order_r, population_limit=pop.population_limit
-        )
-        assert back.to_json_dict() == doc
-        assert (back.base_order_r, back.population_limit) == (pop.base_order_r, pop.population_limit)
-        assert back.members == pop.members
-        assert back.top_order == pop.top_order
