@@ -711,8 +711,6 @@ def verify(ckpt: Checkpoint) -> VerifyReport:
             bad.append(f"interaction ({a},{b}) references unknown structure")
         if level < 1:
             bad.append(f"interaction ({a},{b}) at level {level} < 1")
-        if a > b:
-            bad.append(f"interaction ({a},{b}) stored unnormalized")
     for i in u.structures:
         if not u.graph.interacts(i, i):
             bad.append(f"reflexivity fails at {i}")

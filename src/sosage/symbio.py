@@ -16,7 +16,7 @@ import math
 from dataclasses import dataclass, field, replace
 from functools import reduce
 from operator import add
-from typing import Callable, Iterable, Optional, Sequence
+from typing import Callable, Collection, Iterable, Optional, Sequence
 
 import numpy as np
 
@@ -204,20 +204,56 @@ class FitnessLedger:
     # --- co-occurrence ---
 
     def tally_cooccurrence(
-        self, participants: set[StructureId], fitness: float, cohort: Sequence[StructureId]
+        self,
+        outcomes: Sequence[tuple[Collection[StructureId], float]],
+        cohort: Sequence[StructureId],
     ) -> None:
-        present = [m for m in cohort if m in participants]
-        for x in present:
+        """Tally a generation's assemblies, given as (participants, fitness)
+        pairs in assembly order. For every cohort member x that took part and
+        every other cohort member y, cell (x, y) adds each of x's fitnesses to
+        its both half when y shared that assembly and to its solo half when
+        it did not.
+
+        The tally runs row by row. x's assemblies are gathered once; a partner
+        that shared none of them takes them all on its solo half, so a new
+        cell starts at their count and left-to-right fold and an existing one
+        folds them onto its own total. Only partners that shared one walk the
+        list. Every cell receives its additions one at a time in assembly
+        order, as tallying assembly by assembly would.
+        """
+        in_cohort = set(cohort)
+        rows: dict[StructureId, list[tuple[set[StructureId], float]]] = {}
+        for participants, fitness in outcomes:
+            team = set(participants)
+            for x in team & in_cohort:
+                rows.setdefault(x, []).append((team, fitness))
+        cooccur = self.cooccur
+        for x in cohort:
+            row = rows.get(x)
+            if row is None:
+                continue
+            fitnesses = [f for _, f in row]
+            n, total = len(fitnesses), reduce(add, fitnesses, 0.0)
+            partners = {m for team, _ in row for m in team}
             for y in cohort:
                 if y == x:
                     continue
-                cell = self.cooccur.setdefault((x, y), CooccurCell())
-                if y in participants:
-                    cell.both_count += 1
-                    cell.both_total += fitness
+                cell = cooccur.get((x, y))
+                if y in partners:
+                    if cell is None:
+                        cell = cooccur[x, y] = CooccurCell()
+                    for team, f in row:
+                        if y in team:
+                            cell.both_count += 1
+                            cell.both_total += f
+                        else:
+                            cell.solo_count += 1
+                            cell.solo_total += f
+                elif cell is None:
+                    cooccur[x, y] = CooccurCell(0, 0.0, n, total)
                 else:
-                    cell.solo_count += 1
-                    cell.solo_total += fitness
+                    cell.solo_count += n
+                    cell.solo_total = reduce(add, fitnesses, cell.solo_total)
 
     # --- pending dependency observations ---
 
@@ -361,11 +397,9 @@ def distribute_fitness(
         if assembly.fitness is None:
             raise UnevaluatedAssembly(f"assembly {assembly.participants} has no fitness")
     for assembly in assemblies:
-        present = set(assembly.participants)
         for member in assembly.participants:
             ledger.credit(member, assembly.fitness)
-        if cohort:
-            ledger.tally_cooccurrence(present, assembly.fitness, cohort)
+    ledger.tally_cooccurrence([(a.participants, a.fitness) for a in assemblies], cohort)
 
 
 def detect_dependency(

@@ -63,7 +63,7 @@ class TestRetain:
         ledger = FitnessLedger(top_m=2)
         for m in (1, 2, 3):
             ledger.credit(m, float(m))
-        ledger.tally_cooccurrence({1, 2}, 1.0, [1, 2, 3])
+        ledger.tally_cooccurrence([({1, 2}, 1.0)], [1, 2, 3])
         ledger.record_pending(1, 2, 1)
         ledger.record_pending(1, 3, 1)
         ledger.retain({1, 2})

@@ -6,11 +6,17 @@ any change to evaluation, rng use or bookkeeping that moves a single byte of
 these files fails here. Seeds 1, 2 and 4 never break, so their two arms
 share a digest.
 
-The final checkpoints of three runs are pinned the same way: the XOR
-reference run, an unsolved gridnav_comp run, and an XOR run whose loose
-break settings make it break and reverse. Their configs keep
+The final checkpoints of four runs are pinned the same way: the XOR
+reference run, an unsolved gridnav_comp run, an XOR run whose loose break
+settings make it break and reverse, and XOR seed 13. Their configs keep
 `output_dir: "runs"`, since the embedded config is part of the bytes; the
 files go to a temporary directory through SOSAGE_OUTPUT_DIR instead.
+
+XOR seed 13 solves at generation 1 at order 1, so nothing compacts its
+ledger after the second whole-roster tally: its final checkpoint holds all
+552 cells of the 24-member cohort, 390 of them never paired, which is where
+a wrong starting value for a new co-occurrence cell would show. Its metrics
+CSV is pinned too.
 """
 
 from __future__ import annotations
@@ -26,6 +32,7 @@ from sosage.harness import OUTPUT_DIR_ENV, load_config, run, with_seed
 CONFIG_DIR = Path(__file__).resolve().parent.parent / "configs"
 
 XOR_SEED_7 = "bfbafdea895be3c769cdebc1fe47df112c49b2d73cbe606c680be22dc8b1c588"
+XOR_SEED_13 = "2b7bc40016f2264fcd3d710501fb6fefa9561204e27701f25319ea343be8df6b"
 
 # (seed, breaks_enabled) -> metrics CSV digest, configs/gridnav_comp.json
 GRIDNAV_COMP = {
@@ -50,6 +57,7 @@ CHECKPOINTS = [
      "219c76a0edda4661f503e440bb02be2b5986611c3b518233ff4322ef6b37c31c"),
     ("xor.json", 1, {**REVERSING, "max_generations": 120},
      "4edc185b2029d32e1b74bea2bb5d7327f8b257e6ec0c78060426536416d3cafe"),
+    ("xor.json", 13, {}, "832788d1f027547a4adf659cbbe25e7b87c4885c240804bb2646817137d1ae12"),
 ]
 
 
@@ -69,6 +77,11 @@ def test_xor_reference_run(tmp_path):
     assert metrics_digest(config) == XOR_SEED_7
 
 
+def test_xor_seed_13_run(tmp_path):
+    config = replace(with_seed(load_config(CONFIG_DIR / "xor.json"), 13), output_dir=str(tmp_path))
+    assert metrics_digest(config) == XOR_SEED_13
+
+
 @pytest.mark.parametrize("seed,breaks", sorted(GRIDNAV_COMP), ids=lambda v: str(v).lower())
 def test_gridnav_compositional_runs(tmp_path, seed, breaks):
     base = load_config(CONFIG_DIR / "gridnav_comp.json")
@@ -77,7 +90,7 @@ def test_gridnav_compositional_runs(tmp_path, seed, breaks):
 
 
 @pytest.mark.parametrize(
-    "name,seed,changes,digest", CHECKPOINTS, ids=["xor-7", "gridnav_comp-9", "xor-1-reversing"]
+    "name,seed,changes,digest", CHECKPOINTS, ids=["xor-7", "gridnav_comp-9", "xor-1-reversing", "xor-13"]
 )
 def test_final_checkpoints(tmp_path, monkeypatch, name, seed, changes, digest):
     base = with_seed(load_config(CONFIG_DIR / name), seed)

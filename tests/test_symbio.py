@@ -23,6 +23,7 @@ from sosage.population import ProblemSpec, StallDetector, apply_break, init_popu
 from sosage.symbio import (
     SAMPLE_RING_FACTOR,
     Assembly,
+    CooccurCell,
     EvolutionConfig,
     FitnessLedger,
     LoopState,
@@ -249,17 +250,33 @@ class TestLedger:
         assert ledger.per_member[1] == [float(v) for v in range(2, cap + 2)]
         assert ledger.score(1) == pytest.approx((cap + 1 + cap) / 2)
 
-    def test_cooccurrence_cells_split_by_partner_presence(self):
+    @pytest.mark.parametrize(
+        "generations",
+        [[[({1, 2}, 1.0)], [({1}, 0.25)]], [[((1, 2), 1.0), ((1,), 0.25)]]],
+        ids=["two-generations", "one-generation"],
+    )
+    def test_cooccurrence_cells_split_by_partner_presence(self, generations):
         ledger = FitnessLedger(top_m=3)
         cohort = (1, 2, 3)
-        ledger.tally_cooccurrence({1, 2}, 1.0, cohort)
-        ledger.tally_cooccurrence({1}, 0.25, cohort)
+        for outcomes in generations:
+            ledger.tally_cooccurrence(outcomes, cohort)
         both = ledger.cooccur[(1, 2)]
         assert (both.both_count, both.both_total) == (1, 1.0)
         assert (both.solo_count, both.solo_total) == (1, 0.25)
         away = ledger.cooccur[(1, 3)]
         assert (away.both_count, away.solo_count) == (0, 2)
         assert (2, 3) in ledger.cooccur and (3, 1) not in ledger.cooccur
+
+    def test_unpaired_cells_fold_onto_their_own_totals(self):
+        ledger = FitnessLedger(top_m=3)
+        ledger.tally_cooccurrence([((1, 2), 1e16), ((1, 3), 1.0)], (1, 2, 3))
+        assert ledger.cooccur[(1, 2)] == CooccurCell(1, 1e16, 1, 1.0)
+        assert ledger.cooccur[(2, 3)] == CooccurCell(0, 0.0, 1, 1e16)
+        # 1e16 + 1.0 + 1.0 rounds each step back to 1e16; 1e16 + 2.0 would not
+        ledger.tally_cooccurrence([((2, 9), 1.0), ((2,), 1.0)], (1, 2, 3))
+        assert ledger.cooccur[(2, 3)] == CooccurCell(0, 0.0, 3, 1e16)
+        assert ledger.cooccur[(2, 1)] == CooccurCell(1, 1e16, 2, 2.0)
+        assert (3, 2) in ledger.cooccur and (9, 2) not in ledger.cooccur and (2, 9) not in ledger.cooccur
 
     def test_pending_levels_accumulate(self):
         ledger = FitnessLedger(top_m=3)
@@ -293,16 +310,14 @@ class TestDetection:
         ledger = FitnessLedger(top_m=3)
         cohort = tuple(pop.members)
         for _ in range(2):
-            ledger.tally_cooccurrence({a, b}, 1.0, cohort)  # a with b: fitness 1.0
-            ledger.tally_cooccurrence({a, c}, 0.2, cohort)  # a without b: 0.2
+            # a with b: fitness 1.0; a without b: 0.2
+            ledger.tally_cooccurrence([({a, b}, 1.0), ({a, c}, 0.2)], cohort)
         got = detect_dependency(universe, ledger, pop, config)
         assert (a, b) in got
         assert (a, c) not in got  # gain is negative for c
         # one sample short on the solo side blocks the pair
         thin = FitnessLedger(top_m=3)
-        thin.tally_cooccurrence({a, b}, 1.0, cohort)
-        thin.tally_cooccurrence({a, b}, 1.0, cohort)
-        thin.tally_cooccurrence({a, c}, 0.2, cohort)
+        thin.tally_cooccurrence([({a, b}, 1.0), ({a, b}, 1.0), ({a, c}, 0.2)], cohort)
         assert detect_dependency(universe, thin, pop, config) == []
 
     def test_only_top_stratum_pairs_reported(self):
@@ -311,8 +326,7 @@ class TestDetection:
         config = EvolutionConfig(dependency_delta=0.1, min_cooccur_samples=1)
         ledger = FitnessLedger(top_m=3)
         cohort = tuple(pop.members)
-        ledger.tally_cooccurrence({a, b}, 1.0, cohort)
-        ledger.tally_cooccurrence({a, c}, 0.0, cohort)
+        ledger.tally_cooccurrence([({a, b}, 1.0), ({a, c}, 0.0)], cohort)
         apply_break(universe, pop, c, d, generation=0)  # top order becomes 2
         assert detect_dependency(universe, ledger, pop, config) == []
 
@@ -336,7 +350,10 @@ class TestDetection:
             team = {members[int(i)] for i in picks}
             fitness = float(rng.choice((0.0, 0.5, 1.0, 1.42)))
             history.append((team, fitness))
-            ledger.tally_cooccurrence(team, fitness, tuple(members))
+        # the history, cut into generations of one or more assemblies each
+        cuts = [0, *sorted({int(c) for c in rng.integers(1, len(history), size=3)}), len(history)]
+        for start, stop in zip(cuts, cuts[1:]):
+            ledger.tally_cooccurrence(history[start:stop], tuple(members))
         expected = []
         for x in members:
             for y in members:
@@ -593,6 +610,73 @@ class TestTraversalsMatchTheRecursiveOracles:
             assert u.graph.dependency_levels(node, below) == {1}
             node = below
         assert u.get(node).payload.in_weights == (0.5, 1.0)
+
+
+def per_assembly_tally(ledger, participants, fitness, cohort):
+    """The per-assembly tally that FitnessLedger.tally_cooccurrence replaced;
+    the oracle for its cells."""
+    present = [m for m in cohort if m in participants]
+    for x in present:
+        for y in cohort:
+            if y == x:
+                continue
+            cell = ledger.cooccur.setdefault((x, y), CooccurCell())
+            if y in participants:
+                cell.both_count += 1
+                cell.both_total += fitness
+            else:
+                cell.solo_count += 1
+                cell.solo_total += fitness
+
+
+AWKWARD_FITNESS = (0.1, 1e16, -0.0, 5e-324, 1.0, -3.5, 0.0)
+
+
+@st.composite
+def tally_generations(draw):
+    """Generations of (cohort, [(team, fitness), ...]). Cohorts of 1-8 are
+    drawn from ids 0-11 and change between generations; teams draw from ids
+    0-15, so some hold non-cohort members and some cohort members sit out."""
+    fitness = st.one_of(st.sampled_from(AWKWARD_FITNESS), st.floats(-1e3, 1e3))
+    generation = st.tuples(
+        st.lists(st.integers(0, 11), min_size=1, max_size=8, unique=True),
+        st.lists(st.tuples(st.lists(st.integers(0, 15), min_size=1, max_size=4, unique=True), fitness),
+                 max_size=10),
+    )
+    return draw(st.lists(generation, min_size=1, max_size=5))
+
+
+def cell_bits(ledger):
+    return {
+        key: (c.both_count, c.both_total.hex(), c.solo_count, c.solo_total.hex())
+        for key, c in ledger.cooccur.items()
+    }
+
+
+class TestTallyMatchesThePerAssemblyOracle:
+    @PROPERTY_SETTINGS
+    @given(generations=tally_generations())
+    def test_cells_are_bit_identical_after_every_generation(self, generations):
+        ledger, oracle = FitnessLedger(top_m=3), FitnessLedger(top_m=3)
+        for cohort, outcomes in generations:
+            ledger.tally_cooccurrence([(tuple(team), f) for team, f in outcomes], cohort)
+            for team, f in outcomes:
+                per_assembly_tally(oracle, set(team), f, cohort)
+            assert ledger.cooccur.keys() == oracle.cooccur.keys()
+            assert cell_bits(ledger) == cell_bits(oracle)
+
+    def test_a_whole_roster_generation(self):
+        rng = np.random.default_rng(5)
+        cohort = [int(m) for m in rng.permutation(24)]
+        ledger, oracle = FitnessLedger(top_m=3), FitnessLedger(top_m=3)
+        for _ in range(3):
+            teams = [tuple(int(m) for m in rng.choice(24, size=3, replace=False)) for _ in range(30)]
+            outcomes = [(team, float(rng.choice(AWKWARD_FITNESS))) for team in teams]
+            ledger.tally_cooccurrence(outcomes, cohort)
+            for team, f in outcomes:
+                per_assembly_tally(oracle, set(team), f, cohort)
+        assert len(ledger.cooccur) == 24 * 23
+        assert cell_bits(ledger) == cell_bits(oracle)
 
 
 class TestLoop:
