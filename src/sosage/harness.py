@@ -18,7 +18,7 @@ from typing import Any, Callable, Mapping, Optional, TextIO
 
 from .envs import EnvSpec, finite_float, make_env
 from .errors import DigestMismatch, ParseError, ValidationError
-from .hyperstruct import Structure, Universe, cycle_root
+from .hyperstruct import DEFAULT_MAX_ORDER, Structure, Universe, cycle_root
 from .population import BreakEvent, Population, ProblemSpec, StallDetector
 from .symbio import (
     SAMPLE_RING_FACTOR,
@@ -44,18 +44,18 @@ OUTPUT_DIR_ENV = "SOSAGE_OUTPUT_DIR"
 # configuration
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, kw_only=True)
 class RunConfig:
     problem: ProblemSpec
     env: EnvSpec
     evolution: EvolutionConfig
-    roster_size: int
-    population_limit: int
-    max_order: int
-    breaks_enabled: bool
-    reverse_enabled: bool
-    output_dir: str
-    checkpoint_every: int
+    roster_size: int = 24
+    population_limit: int  # twice roster_size when the config leaves it out
+    max_order: int = DEFAULT_MAX_ORDER
+    breaks_enabled: bool = True
+    reverse_enabled: bool = True
+    output_dir: str = "runs"
+    checkpoint_every: int = 0
 
     @property
     def seed(self) -> int:
@@ -72,18 +72,15 @@ class RunReport:
     break_events: int
 
 
-_TOP_KEYS = {f.name for f in fields(RunConfig)} | {"seed"}
-_ENV_KEYS = {"name", "params"}
-_PROBLEM_KEYS = {"problem_order_x", "base_solver_order_r"}
-# field name -> annotation ("int" or "float"); seed is configured at the top level only
-_EVOLUTION_FIELDS = {f.name: f.type for f in fields(EvolutionConfig) if f.name != "seed"}
+def _names(cls: type) -> set[str]:
+    return {f.name for f in fields(cls)}
 
 
-def _reject_unknown(doc: Mapping[str, Any], allowed: set[str], where: str) -> None:
-    unknown = sorted(set(doc) - allowed)
-    if unknown:
-        label = f"{where}.{unknown[0]}" if where else unknown[0]
-        raise ValidationError(label, "unknown key")
+def _reject_unknown(doc: Mapping[str, Any], allowed: set[str], where: str,
+                    error: Callable[[str, str], Exception] = ValidationError) -> None:
+    if not doc.keys() <= allowed:
+        first = min(doc.keys() - allowed)
+        raise error(f"{where}.{first}" if where else first, "unknown key")
 
 
 def _section(doc: Mapping[str, Any], key: str) -> Mapping[str, Any]:
@@ -112,81 +109,73 @@ def _as_bool(raw: Any, field: str) -> bool:
     return raw
 
 
+def _as_text(raw: Any, field: str) -> str:
+    if not isinstance(raw, str) or not raw:
+        raise ValidationError(field, "must be a non-empty string")
+    return raw
+
+
+# annotation -> reader of a config value of that type
+_READERS = {"int": _as_int, "float": finite_float, "bool": _as_bool, "str": _as_text}
+
+
+def _read_fields(cls: type, doc: Mapping[str, Any], prefix: str) -> dict[str, Any]:
+    """The scalar fields of `cls` that `doc` sets, each read by its annotation."""
+    return {
+        f.name: _READERS[f.type](doc[f.name], prefix + f.name)
+        for f in fields(cls) if f.type in _READERS and f.name in doc
+    }
+
+
 def config_from_dict(doc: Mapping[str, Any]) -> RunConfig:
-    """Validate a raw config mapping and fill every default."""
+    """Validate a raw config mapping and fill every default. The dataclasses
+    are the schema: a key that names no field of theirs is refused."""
     if not isinstance(doc, Mapping):
         raise ValidationError("config", "top level must be an object")
-    _reject_unknown(doc, _TOP_KEYS, "")
+    _reject_unknown(doc, _names(RunConfig) | {"seed"}, "")
 
     env_doc = _section(doc, "env")
-    _reject_unknown(env_doc, _ENV_KEYS, "env")
+    _reject_unknown(env_doc, _names(EnvSpec), "env")
     if "name" not in env_doc:
         raise ValidationError("env.name", "is required")
-    env_name = env_doc["name"]
     env_params = env_doc.get("params", {})
     if not isinstance(env_params, Mapping):
         raise ValidationError("env.params", "must be an object")
     # building the env validates name and params and fills param defaults
-    env = make_env(env_name, env_params)
+    env = make_env(env_doc["name"], env_params)
 
     problem_doc = _section(doc, "problem")
-    _reject_unknown(problem_doc, _PROBLEM_KEYS, "problem")
-    problem = ProblemSpec(
-        problem_order_x=_as_int(problem_doc.get("problem_order_x", 1), "problem.problem_order_x"),
-        base_solver_order_r=_as_int(
-            problem_doc.get("base_solver_order_r", 1), "problem.base_solver_order_r"
-        ),
-    )
+    _reject_unknown(problem_doc, _names(ProblemSpec), "problem")
+    problem = ProblemSpec(**_read_fields(ProblemSpec, problem_doc, "problem."))
     if problem.problem_order_x < 1:
         raise ValidationError("problem.problem_order_x", "must be >= 1")
     if problem.base_solver_order_r < 1:
         raise ValidationError("problem.base_solver_order_r", "must be >= 1")
 
     evo_doc = _section(doc, "evolution")
-    _reject_unknown(evo_doc, set(_EVOLUTION_FIELDS), "evolution")
-    parse = {"int": _as_int, "float": finite_float}
-    kwargs: dict[str, Any] = {
-        name: parse[_EVOLUTION_FIELDS[name]](raw, f"evolution.{name}") for name, raw in evo_doc.items()
-    }
-    kwargs["seed"] = _as_seed(doc.get("seed", 0))
-    evolution = EvolutionConfig(**kwargs)
+    # seed is configured at the top level only
+    _reject_unknown(evo_doc, _names(EvolutionConfig) - {"seed"}, "evolution")
+    evolution = EvolutionConfig(**_read_fields(EvolutionConfig, evo_doc, "evolution."),
+                                seed=_as_seed(doc.get("seed", EvolutionConfig.seed)))
     evolution.validate()
 
-    roster_size = _as_int(doc.get("roster_size", 24), "roster_size")
-    population_limit = _as_int(doc.get("population_limit", 2 * roster_size), "population_limit")
-    max_order = _as_int(doc.get("max_order", 8), "max_order")
-    breaks_enabled = _as_bool(doc.get("breaks_enabled", True), "breaks_enabled")
-    reverse_enabled = _as_bool(doc.get("reverse_enabled", True), "reverse_enabled")
-    output_dir = doc.get("output_dir", "runs")
-    if not isinstance(output_dir, str) or not output_dir:
-        raise ValidationError("output_dir", "must be a non-empty string")
-    checkpoint_every = _as_int(doc.get("checkpoint_every", 0), "checkpoint_every")
+    settings = _read_fields(RunConfig, doc, "")
+    settings.setdefault("population_limit", 2 * settings.get("roster_size", RunConfig.roster_size))
+    config = RunConfig(problem=problem, env=env.spec, evolution=evolution, **settings)
 
-    if roster_size < 1:
+    if config.roster_size < 1:
         raise ValidationError("roster_size", "must be >= 1")
-    if roster_size > population_limit:
+    if config.roster_size > config.population_limit:
         raise ValidationError("roster_size", "must not exceed population_limit")
-    if evolution.network_size > roster_size:
+    if evolution.network_size > config.roster_size:
         raise ValidationError("evolution.network_size", "must not exceed roster_size")
-    if evolution.network_size > population_limit:
+    if evolution.network_size > config.population_limit:
         raise ValidationError("evolution.network_size", "must not exceed population_limit")
-    if max_order < problem.base_solver_order_r:
+    if config.max_order < problem.base_solver_order_r:
         raise ValidationError("max_order", "must be >= problem.base_solver_order_r")
-    if checkpoint_every < 0:
+    if config.checkpoint_every < 0:
         raise ValidationError("checkpoint_every", "must be >= 0")
-
-    return RunConfig(
-        problem=problem,
-        env=env.spec,
-        evolution=evolution,
-        roster_size=roster_size,
-        population_limit=population_limit,
-        max_order=max_order,
-        breaks_enabled=breaks_enabled,
-        reverse_enabled=reverse_enabled,
-        output_dir=output_dir,
-        checkpoint_every=checkpoint_every,
-    )
+    return config
 
 
 def _read_json(path: str | Path, what: str) -> Any:
@@ -208,25 +197,21 @@ def load_config(path: str | Path) -> RunConfig:
     return config_from_dict(_read_json(path, "config"))
 
 
+def _echo(value: Any) -> Any:
+    """A config dataclass as a dict of its fields, recursively, each dict copied.
+    Its instance dict holds just its fields: fields() costs 3x, asdict() 10x."""
+    if isinstance(value, (int, float, str)):
+        return value
+    if isinstance(value, dict):
+        return dict(value)
+    return {name: _echo(field) for name, field in vars(value).items()}
+
+
 def config_to_json_dict(config: RunConfig) -> dict:
-    """The fully defaulted config, echoed in file schema form."""
-    evo = {name: getattr(config.evolution, name) for name in sorted(_EVOLUTION_FIELDS)}
-    return {
-        "seed": config.evolution.seed,
-        "env": {"name": config.env.name, "params": dict(config.env.params)},
-        "problem": {
-            "problem_order_x": config.problem.problem_order_x,
-            "base_solver_order_r": config.problem.base_solver_order_r,
-        },
-        "evolution": evo,
-        "roster_size": config.roster_size,
-        "population_limit": config.population_limit,
-        "max_order": config.max_order,
-        "breaks_enabled": config.breaks_enabled,
-        "reverse_enabled": config.reverse_enabled,
-        "output_dir": config.output_dir,
-        "checkpoint_every": config.checkpoint_every,
-    }
+    """Every field of the config in file schema form, seed at the top level."""
+    doc = _echo(config)
+    doc["seed"] = doc["evolution"].pop("seed")
+    return doc
 
 
 def config_digest(config: RunConfig) -> str:
@@ -362,8 +347,8 @@ def checkpoint_from_json_dict(doc: Mapping[str, Any]) -> Checkpoint:
 
 # The readers below take each value only in the form the writer gives it:
 # no string is taken apart into characters, no "7" or true passes for 7, no
-# non-finite float gets in. They raise TypeError or ValueError, which
-# checkpoint_from_json_dict turns into a ParseError.
+# non-finite float or unwritten key gets in. They raise TypeError, ValueError
+# or KeyError, which checkpoint_from_json_dict turns into a ParseError.
 
 def _of(kind: type, raw: Any, what: str) -> Any:
     """`raw` when its type is exactly `kind`, so a bool is no int."""
@@ -398,6 +383,10 @@ def _float(raw: Any, what: str) -> float:
     return value
 
 
+def _malformed(label: str, rule: str) -> ValueError:
+    return ValueError(f"{label}: {rule}")
+
+
 _ID = "(0|[1-9][0-9]*)"  # an id in canonical decimal
 _ID_KEY, _PAIR_KEY = re.compile(_ID), re.compile(f"{_ID},{_ID}")
 
@@ -420,6 +409,7 @@ def _payload_from_json(raw: Any) -> Any:
     verify's genome-shape check to report."""
     if not (isinstance(raw, dict) and {"in_weights", "out_targets"} <= raw.keys()):
         return raw
+    _reject_unknown(raw, {"in_weights", "out_targets", "activation"}, "payload", _malformed)
     return NeuronGene(
         in_weights=tuple(_floats(raw["in_weights"], "in_weights")),
         out_targets=tuple(
@@ -432,14 +422,18 @@ def _payload_from_json(raw: Any) -> Any:
 
 def _universe_from_json(doc: Mapping[str, Any], max_order: int) -> Universe:
     u = Universe(max_order=max_order)
+    _reject_unknown(doc, {"structures", "interacts", "depends", "next_id"}, "universe", _malformed)
     for row in _list(doc["structures"], "structures"):
         s = Structure(
             id=_of(int, row["id"], "a structure id"),
             order=_of(int, row["order"], "a structure order"),
             constituents=frozenset(_list(row["constituents"], "constituents", int)),
-            payload=_payload_from_json(row["payload"]) if "payload" in row else None,
+            payload=_payload_from_json(row["payload"]) if row["order"] == 1 else None,
             tag=_of(str, row["tag"], "a structure tag"),
         )
+        # only a primitive carries a payload, and it always does
+        keys = {"id", "order", "constituents", "tag"} | ({"payload"} if s.order == 1 else set())
+        _reject_unknown(row, keys, "structures", _malformed)
         if s.id in u.structures:
             raise ValueError(f"structure {s.id} is listed twice")
         u.structures[s.id] = s
@@ -459,12 +453,14 @@ def _universe_from_json(doc: Mapping[str, Any], max_order: int) -> Universe:
 
 def _population_from_json(doc: Mapping[str, Any], base_order_r: int, population_limit: int) -> Population:
     def event(row: Mapping[str, Any]) -> BreakEvent:
+        _reject_unknown(row, _names(BreakEvent), "break_log", _malformed)
         # every field is required; reversed_at is null until a reverse
         return BreakEvent(**{
             f.name: _of(int, row[f.name], f.name) for f in fields(BreakEvent)
             if f.name != "reversed_at" or row[f.name] is not None
         })
 
+    _reject_unknown(doc, {"members", "pop_order_n", "break_log"}, "population", _malformed)
     return Population(
         members=list(_list(doc["members"], "members", int)),
         base_order_r=base_order_r,
@@ -476,9 +472,11 @@ def _population_from_json(doc: Mapping[str, Any], base_order_r: int, population_
 
 def _ledger_from_json(doc: Mapping[str, Any], top_m: int) -> FitnessLedger:
     ledger = FitnessLedger(top_m)
+    _reject_unknown(doc, {"per_member", "cooccur", "pending"}, "ledger", _malformed)
     for key, samples in doc["per_member"].items():
         ledger.per_member[_id_key(key, "per_member")] = _floats(samples, "per_member samples")
     for key, row in doc["cooccur"].items():
+        _reject_unknown(row, {"with_both", "with_x_only"}, "cooccur", _malformed)
         bc, bt = _list(row["with_both"], "with_both")
         sc, st = _list(row["with_x_only"], "with_x_only")
         ledger.cooccur[_pair_key(key, "cooccur")] = CooccurCell(
@@ -490,6 +488,8 @@ def _ledger_from_json(doc: Mapping[str, Any], top_m: int) -> FitnessLedger:
 
 
 def _checkpoint_from_doc(doc: Mapping[str, Any]) -> Checkpoint:
+    keys = {"format", "config", "config_digest", "generation", "universe", "population", "ledger", "loop"}
+    _reject_unknown(doc, keys, "checkpoint", _malformed)
     config = config_from_dict(doc["config"])
     stored = doc.get("config_digest", "")
     if config_digest(config) != stored:
@@ -497,6 +497,7 @@ def _checkpoint_from_doc(doc: Mapping[str, Any]) -> Checkpoint:
     # settings come from the digested config only
     evo = config.evolution
     loop = doc["loop"]
+    _reject_unknown(loop, {"stall_history", "reverse_counters", "solved_at"}, "loop", _malformed)
     solved_at = loop["solved_at"]
     state = LoopState(
         universe=_universe_from_json(doc["universe"], config.max_order),
@@ -711,9 +712,6 @@ def verify(ckpt: Checkpoint) -> VerifyReport:
             bad.append(f"interaction ({a},{b}) references unknown structure")
         if level < 1:
             bad.append(f"interaction ({a},{b}) at level {level} < 1")
-    for i in u.structures:
-        if not u.graph.interacts(i, i):
-            bad.append(f"reflexivity fails at {i}")
     record("interaction-symmetry", bad)
 
     interactions = {(a, b, lv) for a, b, lv in u.graph.interaction_edges()}

@@ -295,10 +295,10 @@ class EvolutionConfig:
     seed: int = 0
     w_max: float = 5.0
 
-    def validate(self, prefix: str = "evolution") -> None:
+    def validate(self) -> None:
         def check(cond: bool, name: str, rule: str) -> None:
             if not cond:
-                raise ValidationError(f"{prefix}.{name}", rule)
+                raise ValidationError(f"evolution.{name}", rule)
 
         check(self.network_size >= 1, "network_size", "must be >= 1")
         check(self.assemblies_per_generation >= 1, "assemblies_per_generation", "must be >= 1")

@@ -210,6 +210,22 @@ class TestVerifyCommand:
         assert code == EXIT_USAGE
         assert out == "" and err == "error: not a sosage-checkpoint-v3 document\n"
 
+    @pytest.mark.parametrize("command", ["verify", "inspect", "resume"])
+    def test_settings_beside_the_config_are_usage_error(self, config_path, capsys, tmp_path, command):
+        # the v2 settings in a v3 file: once ignored, so verify and resume exited 0
+        run_cli(capsys, "run", str(config_path))
+        out_dir = tmp_path / "runs"
+        doc = json.loads((out_dir / "checkpoint-0-gen2.json").read_text())
+        doc["ledger"]["top_m"] = 1
+        doc["population"]["population_limit"] = 3
+        path = tmp_path / "edited.json"
+        path.write_text(json.dumps(doc))
+        before = sorted(p.name for p in out_dir.iterdir())
+        code, out, err = run_cli(capsys, command, str(path))
+        assert code == EXIT_USAGE
+        assert out == "" and err.startswith("error: malformed checkpoint") and "unknown key" in err
+        assert sorted(p.name for p in out_dir.iterdir()) == before
+
 
 class TestSweepCommand:
     def test_sweep_prints_summary_path(self, config_path, capsys, tmp_path):

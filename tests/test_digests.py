@@ -17,17 +17,33 @@ ledger after the second whole-roster tally: its final checkpoint holds all
 552 cells of the 24-member cohort, 390 of them never paired, which is where
 a wrong starting value for a new co-occurrence cell would show. Its metrics
 CSV is pinned too.
+
+Both shipped configs leave most settings at their defaults, so one more
+pin covers the echo itself: the config digest of a document that sets
+every setting to a value other than its default.
 """
 
 from __future__ import annotations
 
 import hashlib
-from dataclasses import replace
+from dataclasses import fields, replace
 from pathlib import Path
 
 import pytest
 
-from sosage.harness import OUTPUT_DIR_ENV, load_config, run, with_seed
+from sosage.envs import EnvSpec
+from sosage.harness import (
+    OUTPUT_DIR_ENV,
+    RunConfig,
+    config_digest,
+    config_from_dict,
+    config_to_json_dict,
+    load_config,
+    run,
+    with_seed,
+)
+from sosage.population import ProblemSpec
+from sosage.symbio import EvolutionConfig
 
 CONFIG_DIR = Path(__file__).resolve().parent.parent / "configs"
 
@@ -100,3 +116,50 @@ def test_final_checkpoints(tmp_path, monkeypatch, name, seed, changes, digest):
     report = run(config)
     assert Path(report.checkpoint_path).parent == tmp_path
     assert hashlib.sha256(Path(report.checkpoint_path).read_bytes()).hexdigest() == digest
+
+
+# every setting off its default; mutation_rate is a float field given as an int
+EVERY_SETTING = {
+    "seed": 11,
+    "env": {"name": "gridnav-compositional", "params": {
+        "size": 6, "goal_x": 5, "goal_y": 3, "subgoal_x": 1, "subgoal_y": 2, "max_steps": 60,
+        "step_penalty": 0.02, "goal_reward": 2.0, "subgoal_reward": 0.25,
+    }},
+    "problem": {"problem_order_x": 3, "base_solver_order_r": 2},
+    "evolution": {
+        "network_size": 2, "assemblies_per_generation": 12, "elite_fraction": 0.3,
+        "mutation_rate": 1, "mutation_sigma": 0.4, "crossover_rate": 0.6, "top_m": 4,
+        "dependency_delta": 0.2, "min_cooccur_samples": 5, "window_G": 6, "min_improvement": 0.02,
+        "break_warmup": 3, "max_generations": 40, "w_max": 4.5,
+    },
+    "roster_size": 8,
+    "population_limit": 12,
+    "max_order": 5,
+    "breaks_enabled": False,
+    "reverse_enabled": False,
+    "output_dir": "elsewhere",
+    "checkpoint_every": 4,
+}
+EVERY_SETTING_DIGEST = "5393eb41183f05d0cb5ffaaa52e11d23a8bf5f6d1d9e53c8b2308ebcb26196c1"
+
+
+def names(cls) -> set:
+    return {f.name for f in fields(cls)}
+
+
+def test_every_setting_reaches_the_echo_and_digest():
+    config = config_from_dict(EVERY_SETTING)
+    assert config_digest(config) == EVERY_SETTING_DIGEST
+    echo = config_to_json_dict(config)
+    assert set(echo) == names(RunConfig) | {"seed"}
+    assert set(echo["env"]) == names(EnvSpec)
+    assert set(echo["problem"]) == names(ProblemSpec)
+    assert set(echo["evolution"]) == names(EvolutionConfig) - {"seed"}
+    assert repr(echo["evolution"]["mutation_rate"]) == "1.0"
+    # the document really moves every setting: no echoed value is its default
+    default = config_to_json_dict(config_from_dict({"env": {"name": EVERY_SETTING["env"]["name"]}}))
+    for section in ("problem", "evolution"):
+        assert all(echo[section][k] != v for k, v in default[section].items()), section
+    assert set(echo["env"]["params"]) == set(default["env"]["params"])
+    assert all(echo["env"]["params"][k] != v for k, v in default["env"]["params"].items())
+    assert all(echo[k] != v for k, v in default.items() if k not in ("env", "problem", "evolution"))

@@ -985,6 +985,19 @@ class TestMalformedCheckpoints:
             (("universe", "structures", 0, "tag"), KeyError),
             (("universe", "interacts"), KeyError),
             (("universe", "interacts", 0), [19, 8, 2]),  # the first edge, high id first
+            # no key the writer does not write: not the settings a v2 file
+            # held, not an extra key on any object
+            (("ledger", "top_m"), 1),
+            (("population", "population_limit"), 3),
+            (("universe", "structures", 0, "extra"), 1),
+            (("universe", "structures", 0, "payload", "extra"), 1),
+            (("ledger", "cooccur", ANY, "extra"), 1),
+            (("population", "break_log", 0, "extra"), 1),
+            (("universe", "extra"), 1),
+            (("loop", "extra"), 1),
+            (("extra",), 1),
+            (("universe", "structures", 2, "payload"), None),  # row 2 is the break composite
+            (("universe", "structures", 0, "payload"), KeyError),  # a primitive always has one
         ],
     )
     def test_missing_keys_and_wrong_types_are_parse_errors(self, path, value):
