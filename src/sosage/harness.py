@@ -13,8 +13,9 @@ import math
 import os
 import re
 from dataclasses import asdict, dataclass, fields, replace
+from functools import cache
 from pathlib import Path
-from typing import Any, Callable, Mapping, Optional, TextIO
+from typing import AbstractSet, Any, Callable, Mapping, Optional, TextIO
 
 from .envs import EnvSpec, finite_float, make_env
 from .errors import DigestMismatch, ParseError, ValidationError
@@ -72,11 +73,12 @@ class RunReport:
     break_events: int
 
 
-def _names(cls: type) -> set[str]:
-    return {f.name for f in fields(cls)}
+@cache
+def _names(cls: type) -> frozenset[str]:
+    return frozenset(f.name for f in fields(cls))
 
 
-def _reject_unknown(doc: Mapping[str, Any], allowed: set[str], where: str,
+def _reject_unknown(doc: Mapping[str, Any], allowed: AbstractSet[str], where: str,
                     error: Callable[[str, str], Exception] = ValidationError) -> None:
     if not doc.keys() <= allowed:
         first = min(doc.keys() - allowed)
@@ -169,8 +171,6 @@ def config_from_dict(doc: Mapping[str, Any]) -> RunConfig:
         raise ValidationError("roster_size", "must not exceed population_limit")
     if evolution.network_size > config.roster_size:
         raise ValidationError("evolution.network_size", "must not exceed roster_size")
-    if evolution.network_size > config.population_limit:
-        raise ValidationError("evolution.network_size", "must not exceed population_limit")
     if config.max_order < problem.base_solver_order_r:
         raise ValidationError("max_order", "must be >= problem.base_solver_order_r")
     if config.checkpoint_every < 0:

@@ -13,7 +13,7 @@ Evolution is stratified: genomes only ever cross within their own order.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from functools import reduce
 from operator import add
 from typing import Callable, Collection, Iterable, Optional, Sequence
@@ -40,7 +40,7 @@ from .population import (
     goal_reached,
     init_population,
 )
-from .rng import substream
+from .rng import samples_without_replacement, substream
 
 # ring capacity for per-member fitness samples, in units of top_m
 SAMPLE_RING_FACTOR = 4
@@ -79,23 +79,25 @@ def mutate_genome(
             return _clamp(w + float(rng.normal(0.0, sigma)), w_max)
         return w
 
-    return replace(
-        gene,
-        in_weights=tuple(jiggle(w) for w in gene.in_weights),
-        out_targets=tuple((slot, jiggle(w)) for slot, w in gene.out_targets),
+    return NeuronGene(
+        tuple(jiggle(w) for w in gene.in_weights),
+        tuple((slot, jiggle(w)) for slot, w in gene.out_targets),
+        gene.activation,
     )
 
 
 def crossover_genomes(a: NeuronGene, b: NeuronGene, rng: np.random.Generator) -> NeuronGene:
-    """Uniform crossover position-by-position; topology slots are shared."""
-    in_weights = tuple(
-        aw if rng.random() < 0.5 else bw for aw, bw in zip(a.in_weights, b.in_weights)
-    )
+    """Uniform crossover position-by-position; topology slots are shared.
+    One coin per position, input weights first, all from one draw call."""
+    weights = list(zip(a.in_weights, b.in_weights))
+    targets = list(zip(a.out_targets, b.out_targets))
+    heads = (rng.random(len(weights) + len(targets)) < 0.5).tolist()
+    in_weights = tuple(aw if head else bw for (aw, bw), head in zip(weights, heads))
     out_targets = tuple(
-        (sa, wa if rng.random() < 0.5 else wb)
-        for (sa, wa), (_, wb) in zip(a.out_targets, b.out_targets)
+        (sa, wa if head else wb)
+        for ((sa, wa), (_, wb)), head in zip(targets, heads[len(weights):])
     )
-    return replace(a, in_weights=in_weights, out_targets=out_targets)
+    return NeuronGene(in_weights, out_targets, a.activation)
 
 
 def _activate(kind: str, x: float) -> float:
@@ -338,20 +340,18 @@ def assemble(
     if len(roster) < k:
         raise RosterTooSmall(f"roster of {len(roster)} cannot fill networks of size {k}")
     order = [roster[i] for i in rng.permutation(len(roster))]
-    assemblies: list[Assembly] = []
-    cover = -(-len(roster) // k)  # ceil
-    for a in range(min(cover, config.assemblies_per_generation)):
-        chunk = order[a * k: (a + 1) * k]
-        if len(chunk) < k:
-            pool = [m for m in roster if m not in chunk]
-            extra = rng.choice(len(pool), size=k - len(chunk), replace=False)
-            chunk = chunk + [pool[int(i)] for i in extra]
-        assemblies.append(Assembly(tuple(chunk), flatten_to_genes(universe, chunk)))
-    while len(assemblies) < config.assemblies_per_generation:
-        picks = rng.choice(len(roster), size=k, replace=False)
-        chunk = [roster[int(i)] for i in picks]
-        assemblies.append(Assembly(tuple(chunk), flatten_to_genes(universe, chunk)))
-    return assemblies
+    cover = min(-(-len(roster) // k), config.assemblies_per_generation)  # ceil
+    chunks = [order[a * k: (a + 1) * k] for a in range(cover)]
+    # only the last cover chunk can fall short; other members fill it up
+    short = k - len(chunks[-1])
+    shapes = [(len(roster) - len(chunks[-1]), short)] if short else []
+    shapes += [(len(roster), k)] * (config.assemblies_per_generation - cover)
+    samples = iter(samples_without_replacement(rng, shapes))
+    if short:
+        pool = [m for m in roster if m not in chunks[-1]]
+        chunks[-1] += [pool[i] for i in next(samples)]
+    chunks += ([roster[i] for i in picks] for picks in samples)
+    return [Assembly(tuple(chunk), flatten_to_genes(universe, chunk)) for chunk in chunks]
 
 
 def evaluate(assembly: Assembly, env, episodes: int) -> float:
@@ -499,7 +499,7 @@ def evolve_generation(
         for m in ranked[n_elite:]:
             if order == 1:
                 if rng.random() < config.crossover_rate and len(elites) >= 2:
-                    pa, pb = (elites[int(i)] for i in rng.choice(len(elites), size=2, replace=False))
+                    pa, pb = (elites[i] for i in samples_without_replacement(rng, [(len(elites), 2)])[0])
                     child = crossover_genomes(universe.get(pa).payload, universe.get(pb).payload, rng)
                     tag = f"o{generation}:{pa}x{pb}"
                 else:
@@ -712,6 +712,8 @@ def _maybe_reverse(state: LoopState, config: EvolutionConfig, generation: int) -
     in_roster = set(pop.members)
     for stale in [c for c in counters if c not in in_roster or c not in live]:
         del counters[stale]
+    if live.isdisjoint(in_roster):
+        return  # nothing to rank or count, and no counter is left
     size = len(pop.members)
     threshold = -(-3 * size // 4)  # ceil(3s/4); ranks below it are safe
     for rank, (m, _) in enumerate(ledger.ranked(pop.members)):

@@ -174,6 +174,23 @@ class TestConfigParsing:
         with pytest.raises(ValidationError, match=label):
             config_from_dict(doc)
 
+    @pytest.mark.parametrize(
+        "roster,limit,message",
+        [
+            (4, 4, "evolution.network_size: must not exceed roster_size"),
+            (6, 4, "roster_size: must not exceed population_limit"),
+        ],
+    )
+    def test_network_above_population_limit_fails_on_the_roster_rules(
+        self, tmp_path, roster, limit, message
+    ):
+        """network_size <= roster_size <= population_limit already bounds
+        network_size by population_limit; one of those two rules fires."""
+        doc = base_doc(tmp_path, roster_size=roster, population_limit=limit,
+                       evolution={"network_size": 5})
+        with pytest.raises(ValidationError, match=f"^{re.escape(message)}$"):
+            config_from_dict(doc)
+
     def test_echo_round_trips_exactly(self, tmp_path):
         doc = base_doc(tmp_path, env={"name": "gridnav-compositional", "params": {"size": 6}})
         config = config_from_dict(doc)
@@ -223,31 +240,54 @@ NUMBERS = st.integers() | st.floats() | st.sampled_from([10**400, -(2**64), 2**6
 ANY_VALUE = NUMBERS | st.booleans() | st.none() | st.text(max_size=4) | st.lists(NUMBERS, max_size=2)
 
 
-def mostly(likely, other):
-    """`likely` three times in four, else `other`: a fair share of the
-    configs then load, so the round trip is exercised too."""
-    return st.integers(0, 3).flatmap(lambda k: likely if k else other)
+def mostly(likely, other, odds=15):
+    """`likely` `odds` times for each time `other` is drawn. With the default
+    odds most configs load, so the round trip is exercised too, and each kind
+    of fault still turns up many times a run."""
+    return st.integers(0, odds).flatmap(lambda k: likely if k else other)
 
 
-CONFIG_VALUES = mostly(st.integers(1, 30) | st.floats(0.05, 0.95), ANY_VALUE)
+def field_values(default):
+    """Mostly values of the default's type that its field's own rule
+    accepts, now and then any value."""
+    if isinstance(default, bool):
+        typed = st.booleans()
+    elif isinstance(default, int):
+        typed = st.integers(-(-default // 2), default)
+    elif isinstance(default, float):
+        typed = st.floats(default / 2, default)
+    else:
+        typed = st.text(min_size=1, max_size=4)
+    return mostly(typed, ANY_VALUE)
 
 
-def config_section(keys):
-    keys = st.sampled_from(sorted(keys)) | st.just("bogus")
-    return mostly(st.dictionaries(keys, CONFIG_VALUES, max_size=3), ANY_VALUE)
+def config_section(defaults):
+    """Some of a section's fields, or now and then a non-object or a section
+    with an unknown key."""
+    fields = st.fixed_dictionaries(
+        {}, optional={key: field_values(value) for key, value in defaults.items()}
+    )
+    return mostly(fields, mostly(fields.map(lambda doc: {**doc, "bogus": 1}), ANY_VALUE, odds=1))
 
 
 DEFAULT_ECHO = config_to_json_dict(config_from_dict({"env": {"name": "xor"}}))
-GRID_PARAMS = config_to_json_dict(
-    config_from_dict({"env": {"name": "gridnav-compositional"}})
-)["env"]["params"]
+ENV_PARAMS = {
+    name: config_to_json_dict(config_from_dict({"env": {"name": name}}))["env"]["params"]
+    for name in ENV_NAMES
+}
+
+
+def env_section(name, params):
+    return st.fixed_dictionaries({"name": name}, optional={"params": config_section(params)})
+
+
+ENV_SECTIONS = st.sampled_from(ENV_NAMES).flatmap(lambda name: env_section(st.just(name), ENV_PARAMS[name]))
 CONFIG_DOCS = st.fixed_dictionaries(
-    {"env": mostly(st.fixed_dictionaries(
-        {"name": mostly(st.sampled_from(ENV_NAMES), ANY_VALUE)},
-        optional={"params": config_section(GRID_PARAMS)},
-    ), ANY_VALUE)},
+    {"env": mostly(ENV_SECTIONS, mostly(
+        env_section(ANY_VALUE, ENV_PARAMS["gridnav-compositional"]), ANY_VALUE, odds=1))},
     optional={
-        **{key: CONFIG_VALUES for key in DEFAULT_ECHO if key not in ("env", "problem", "evolution")},
+        **{key: field_values(value) for key, value in DEFAULT_ECHO.items()
+           if key not in ("env", "problem", "evolution")},
         "problem": config_section(DEFAULT_ECHO["problem"]),
         "evolution": config_section(DEFAULT_ECHO["evolution"]),
     },

@@ -152,7 +152,59 @@ class TestFlatten:
             flatten_to_genes(universe, [s])
 
 
+def per_weight_crossover(a, b, rng):
+    """The crossover that drew one coin per call, before crossover_genomes
+    took its coins from one draw; the oracle for its children."""
+    in_weights = tuple(aw if rng.random() < 0.5 else bw for aw, bw in zip(a.in_weights, b.in_weights))
+    out_targets = tuple(
+        (sa, wa if rng.random() < 0.5 else wb) for (sa, wa), (_, wb) in zip(a.out_targets, b.out_targets)
+    )
+    return dataclasses.replace(a, in_weights=in_weights, out_targets=out_targets)
+
+
+class TestCrossoverMatchesThePerWeightOracle:
+    @PROPERTY_SETTINGS
+    @given(seed=st.integers(0, 2 ** 32 - 1), input_dim=st.integers(0, 6), output_dim=st.integers(1, 4),
+           activation=st.sampled_from(["tanh", "step"]))
+    def test_children_and_later_draws_are_equal(self, seed, input_dim, output_dim, activation):
+        genes = np.random.default_rng(seed)
+        a = dataclasses.replace(fresh_gene(genes, input_dim, output_dim), activation=activation)
+        b = fresh_gene(genes, input_dim, output_dim)
+        ours, oracle = np.random.default_rng(seed + 1), np.random.default_rng(seed + 1)
+        assert crossover_genomes(a, b, ours) == per_weight_crossover(a, b, oracle)
+        assert ours.random() == oracle.random()
+
+
+def per_call_assemble(universe, pop, config, rng):
+    """The assembly sampler that made one Generator.choice call per sample;
+    the oracle for assemble."""
+    roster = list(pop.members)
+    k = config.network_size
+    order = [roster[i] for i in rng.permutation(len(roster))]
+    chunks = []
+    for a in range(min(-(-len(roster) // k), config.assemblies_per_generation)):
+        chunk = order[a * k: (a + 1) * k]
+        if len(chunk) < k:
+            pool = [m for m in roster if m not in chunk]
+            chunk = chunk + [pool[int(i)] for i in rng.choice(len(pool), size=k - len(chunk), replace=False)]
+        chunks.append(tuple(chunk))
+    while len(chunks) < config.assemblies_per_generation:
+        chunks.append(tuple(roster[int(i)] for i in rng.choice(len(roster), size=k, replace=False)))
+    return chunks
+
+
 class TestAssemble:
+    @PROPERTY_SETTINGS
+    @given(seed=st.integers(0, 2 ** 32 - 1), n=st.integers(1, 30), data=st.data())
+    def test_matches_the_per_call_oracle(self, seed, n, data):
+        k = data.draw(st.integers(1, n), label="network_size")
+        apg = data.draw(st.integers(1, 40), label="assemblies_per_generation")
+        universe, pop, config, _ = self.make(n, k, apg)
+        ours, oracle = np.random.default_rng(seed), np.random.default_rng(seed)
+        got = assemble(universe, pop, config, ours)
+        assert [a.participants for a in got] == per_call_assemble(universe, pop, config, oracle)
+        assert ours.random() == oracle.random()
+
     def make(self, n, k, apg, seed=0):
         universe = Universe(max_order=8)
         rng = np.random.default_rng(1)
