@@ -25,7 +25,7 @@ from __future__ import annotations
 
 import sys
 from dataclasses import dataclass
-from functools import reduce
+from functools import cached_property, reduce
 from itertools import repeat
 from operator import add
 from typing import Callable, Mapping, Sequence
@@ -41,6 +41,21 @@ Policy = Callable[[tuple[float, ...]], int]
 class EnvSpec:
     name: str
     params: dict
+
+
+class _CellTable(dict):
+    """A table filled entry by entry: a missing key is computed as
+    `fill(*key)` at its first lookup and kept."""
+
+    __slots__ = ("fill",)
+
+    def __init__(self, fill: Callable[..., object]) -> None:
+        super().__init__()
+        self.fill = fill
+
+    def __missing__(self, key: tuple):
+        value = self[key] = self.fill(*key)
+        return value
 
 
 class XorEnv:
@@ -78,7 +93,7 @@ class XorEnv:
 
     def rollout(self, episode_index: int, policy: Policy) -> tuple[float, bool]:
         """One step; success is the right class."""
-        state = self.reset(episode_index)
+        state = self.PATTERNS[episode_index % 4]
         _, reward, _ = self.step(state, policy(self.observation(state)))
         return reward, reward == 1.0
 
@@ -150,42 +165,74 @@ class GridNavEnv:
     def _norm(self, v: float) -> float:
         return 2.0 * v / (self.size - 1) - 1.0
 
-    def observation(self, state) -> tuple[float, ...]:
-        x, y, _, _ = state
+    # The tables are made at the first step and filled cell by cell as
+    # episodes reach them: a whole table takes O(size^2) memory (95 KB at
+    # size 9, 11.6 MB at size 100), and an env is also made to read or verify
+    # a checkpoint, where it never steps.
+
+    @cached_property
+    def _observations(self) -> _CellTable:
+        return _CellTable(self._cell_observation)
+
+    @cached_property
+    def _moves(self) -> _CellTable:
+        return _CellTable(self._cell_moves)
+
+    def _cell_observation(self, x: int, y: int) -> tuple[float, ...]:
         tx, ty = self.goal
         return (self._norm(x), self._norm(y), self._norm(tx - x), self._norm(ty - y))
 
+    def _cell_moves(self, x: int, y: int, subgoal_done: bool) -> tuple:
+        """What each action does from (x, y): the next cell, whether the
+        subgoal is now visited, the step's reward and whether the step ends
+        on the armed goal."""
+        def outcome(dx: int, dy: int):
+            nx = min(self.size - 1, max(0, x + dx))
+            ny = min(self.size - 1, max(0, y + dy))
+            reward = -self.step_penalty
+            done = subgoal_done
+            if self.subgoal is not None and not done and (nx, ny) == self.subgoal:
+                done = True
+                reward += self.subgoal_reward
+            goal_armed = done or self.subgoal is None
+            on_goal = goal_armed and (nx, ny) == self.goal
+            if on_goal:
+                reward += self.goal_reward
+            return nx, ny, done, reward, on_goal
+
+        return tuple(outcome(dx, dy) for dx, dy in self.MOVES)
+
+    def observation(self, state) -> tuple[float, ...]:
+        x, y, _, _ = state
+        return self._observations[x, y]
+
     def select_action(self, outputs: Sequence[float]) -> int:
-        best = 0
-        for k in range(1, 4):
-            if outputs[k] > outputs[best]:
-                best = k
+        """The index of the largest of the first four outputs; a tie or a
+        nan goes to the lowest index."""
+        best, top = 0, outputs[0]
+        if outputs[1] > top:
+            best, top = 1, outputs[1]
+        if outputs[2] > top:
+            best, top = 2, outputs[2]
+        if outputs[3] > top:
+            best = 3
         return best
 
     def step(self, state, action: int):
+        """One move, read from the move table."""
         if not 0 <= action < 4:
             raise InvalidAction(f"gridnav action must be in 0..3, got {action}")
         x, y, steps, subgoal_done = state
-        dx, dy = self.MOVES[action]
-        nx = min(self.size - 1, max(0, x + dx))
-        ny = min(self.size - 1, max(0, y + dy))
+        nx, ny, subgoal_done, reward, on_goal = self._moves[x, y, subgoal_done][action]
         steps += 1
-        reward = -self.step_penalty
-        terminal = steps >= self.max_steps
-        if self.subgoal is not None and not subgoal_done and (nx, ny) == self.subgoal:
-            subgoal_done = True
-            reward += self.subgoal_reward
-        goal_armed = subgoal_done or self.subgoal is None
-        if goal_armed and (nx, ny) == self.goal:
-            reward += self.goal_reward
-            terminal = True
-        return (nx, ny, steps, subgoal_done), reward, terminal
+        return (nx, ny, steps, subgoal_done), reward, on_goal or steps >= self.max_steps
 
     def rollout(self, episode_index: int, policy: Policy) -> tuple[float, bool]:
         """Play one episode; success is ending on the armed goal. Stops at
         the first repeated (x, y, subgoal visited) state, which is exact for
         a policy that is a pure function of the observation (module
         docstring)."""
+        step, observation = self.step, self.observation
         state = self.reset(episode_index)
         total = 0.0
         seen: set[tuple[int, int, bool]] = set()
@@ -197,7 +244,7 @@ class GridNavEnv:
                 # the cycle's penalties are added one at a time, as its steps would be
                 return reduce(add, repeat(-self.step_penalty, self.max_steps - steps), total), False
             seen.add(key)
-            state, reward, terminal = self.step(state, policy(self.observation(state)))
+            state, reward, terminal = step(state, policy(observation(state)))
             total += reward
         x, y, _, subgoal_done = state
         armed = subgoal_done or self.subgoal is None

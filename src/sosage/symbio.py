@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from functools import reduce
+from functools import lru_cache, reduce
 from operator import add
 from typing import Callable, Collection, Iterable, Optional, Sequence
 
@@ -100,22 +100,77 @@ def crossover_genomes(a: NeuronGene, b: NeuronGene, rng: np.random.Generator) ->
     return NeuronGene(in_weights, out_targets, a.activation)
 
 
-def _activate(kind: str, x: float) -> float:
-    if kind == "tanh":
-        return math.tanh(x)
-    return 1.0 if x >= 0.0 else -1.0  # "step"
+def _forward_neuron(gene: NeuronGene, obs: Sequence[float], out: list[float]) -> None:
+    """Add one hidden neuron's output to `out` through the general loops:
+    the bias is the last weight, zip pairs the others with the observation
+    and drops what is left of the longer one, and "step" is any activation
+    other than "tanh"."""
+    pre = gene.in_weights[-1]
+    for w, v in zip(gene.in_weights, obs):
+        pre += w * v
+    h = math.tanh(pre) if gene.activation == "tanh" else (1.0 if pre >= 0.0 else -1.0)
+    for slot, w in gene.out_targets:
+        out[slot] += w * h
+
+
+def _general_forward(wiring: Sequence[NeuronGene], obs: Sequence[float], output_dim: int) -> list[float]:
+    out = [0.0] * output_dim
+    for gene in wiring:
+        _forward_neuron(gene, obs, out)
+    return out
+
+
+# widest observation or output a forward kernel is generated for
+FORWARD_KERNEL_CAP = 16
+
+
+def _kernel_source(n_in: int, n_out: int) -> str:
+    """A forward pass unrolled for `n_in` observations and `n_out` outputs.
+    A neuron of that shape makes the general loops' float operations in
+    their order: `b + w0 * o0 + w1 * o1 + ...` is the same left-to-right
+    fold as `pre += w * v`, and the targets are added one by one. Any other
+    neuron goes through `_forward_neuron`."""
+    obs = [f"o{i}" for i in range(n_in)]
+    targets = [f"(s{k}, u{k})" for k in range(n_out)]
+    lines = ["def forward(wiring, obs, output_dim):"]
+    if obs:
+        lines.append(f"    {', '.join(obs)}, = obs")
+    lines += [
+        f"    out = [{', '.join(['0.0'] * n_out)}]",
+        "    for gene in wiring:",
+        "        ins, outs = gene.in_weights, gene.out_targets",
+        f"        if len(ins) != {n_in + 1} or len(outs) != {n_out}:",
+        "            forward_neuron(gene, obs, out)",
+        "            continue",
+        f"        {''.join(f'w{i}, ' for i in range(n_in))}b, = ins",
+        f"        pre = b{''.join(f' + w{i} * o{i}' for i in range(n_in))}",
+        '        h = tanh(pre) if gene.activation == "tanh" else (1.0 if pre >= 0.0 else -1.0)',
+    ]
+    if targets:
+        lines.append(f"        {', '.join(targets)}, = outs")
+    lines += [f"        out[s{k}] += u{k} * h" for k in range(n_out)]
+    lines.append("    return out")
+    return "\n".join(lines) + "\n"
+
+
+@lru_cache(maxsize=64, typed=True)
+def _forward_kernel(n_in: int, output_dim: int) -> Callable[..., list[float]]:
+    """The forward function for one shape: a generated kernel up to
+    FORWARD_KERNEL_CAP, the general loops beyond it or for an output_dim
+    that is not a plain non-negative int (typed, so 4.0 and True are their
+    own keys and keep the general loops' result or error)."""
+    if type(output_dim) is not int or not (0 <= output_dim <= FORWARD_KERNEL_CAP) \
+            or n_in > FORWARD_KERNEL_CAP:
+        return _general_forward
+    namespace = {"tanh": math.tanh, "forward_neuron": _forward_neuron}
+    exec(compile(_kernel_source(n_in, output_dim), f"<forward {n_in}x{output_dim}>", "exec"), namespace)
+    return namespace["forward"]
 
 
 def net_forward(wiring: Sequence[NeuronGene], obs: Sequence[float], output_dim: int) -> list[float]:
-    out = [0.0] * output_dim
-    for gene in wiring:
-        pre = gene.in_weights[-1]
-        for w, v in zip(gene.in_weights, obs):
-            pre += w * v
-        h = _activate(gene.activation, pre)
-        for slot, w in gene.out_targets:
-            out[slot] += w * h
-    return out
+    """The outputs of the network wired from `wiring` on one observation.
+    Runs the kernel of this shape, which is generated at its first use."""
+    return _forward_kernel(len(obs), output_dim)(wiring, obs, output_dim)
 
 
 # ---------------------------------------------------------------------------
@@ -367,14 +422,16 @@ def evaluate(assembly: Assembly, env, episodes: int) -> float:
             if not 0 <= slot < env.output_dim:
                 raise DimensionMismatch(f"output slot {slot} outside env outputs {env.output_dim}")
     wiring, output_dim = assembly.wiring, env.output_dim
+    # bound once per assembly, at call time, so a rebound name is still used
+    forward, select_action, rollout = net_forward, env.select_action, env.rollout
 
     def policy(obs: tuple[float, ...]) -> int:
-        return env.select_action(net_forward(wiring, obs, output_dim))
+        return select_action(forward(wiring, obs, output_dim))
 
     total = 0.0
     solved = episodes > 0
     for ep_idx in range(episodes):
-        episode_return, succeeded = env.rollout(ep_idx, policy)
+        episode_return, succeeded = rollout(ep_idx, policy)
         total += episode_return
         solved = solved and succeeded
     assembly.fitness = total

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import dataclasses
+import math
 import tracemalloc
 
 import numpy as np
@@ -276,6 +277,96 @@ class TestCompositionalGating:
                 return int(table[cell(env, obs)])
 
         assert env.rollout(0, policy) == walk_outcome(env, policy)
+
+
+def formula_observation(env, state):
+    """GridNavEnv.observation before its table: the oracle."""
+    x, y, _, _ = state
+    tx, ty = env.goal
+    return (env._norm(x), env._norm(y), env._norm(tx - x), env._norm(ty - y))
+
+
+def formula_step(env, state, action):
+    """GridNavEnv.step before its table, clamping each move: the oracle."""
+    if not 0 <= action < 4:
+        raise InvalidAction(f"gridnav action must be in 0..3, got {action}")
+    x, y, steps, subgoal_done = state
+    dx, dy = env.MOVES[action]
+    nx = min(env.size - 1, max(0, x + dx))
+    ny = min(env.size - 1, max(0, y + dy))
+    steps += 1
+    reward = -env.step_penalty
+    terminal = steps >= env.max_steps
+    if env.subgoal is not None and not subgoal_done and (nx, ny) == env.subgoal:
+        subgoal_done = True
+        reward += env.subgoal_reward
+    goal_armed = subgoal_done or env.subgoal is None
+    if goal_armed and (nx, ny) == env.goal:
+        reward += env.goal_reward
+        terminal = True
+    return (nx, ny, steps, subgoal_done), reward, terminal
+
+
+def loop_select_action(outputs):
+    """GridNavEnv.select_action before it was unrolled: the oracle."""
+    best = 0
+    for k in range(1, 4):
+        if outputs[k] > outputs[best]:
+            best = k
+    return best
+
+
+def exact(value):
+    """A step's result or an observation with every float as hex, so that
+    -0.0 and 0.0 differ, and every other value with its type."""
+    if isinstance(value, tuple):
+        return tuple(exact(v) for v in value)
+    return value.hex() if isinstance(value, float) else (type(value), value)
+
+
+REWARDS = st.sampled_from([0.0, -0.0, 0.01, 0.5, 1.0, 5e-324, 1e16]) | st.floats(-2.0, 2.0)
+
+
+class TestGridTablesMatchTheFormulas:
+    @settings(max_examples=80, deadline=None)
+    @given(data=st.data(), size=st.integers(2, 9))
+    def test_observation_and_step_on_every_cell(self, data, size):
+        cells = st.tuples(st.integers(0, size - 1), st.integers(0, size - 1))
+        env = GridNavEnv(
+            size=size,
+            goal=data.draw(cells, label="goal"),
+            subgoal=data.draw(st.none() | cells, label="subgoal"),
+            step_penalty=data.draw(REWARDS, label="step_penalty"),
+            goal_reward=data.draw(REWARDS, label="goal_reward"),
+            subgoal_reward=data.draw(REWARDS, label="subgoal_reward"),
+            max_steps=data.draw(st.integers(1, 4 * size * size), label="max_steps"),
+        )
+        # both sides of max_steps, and one more step count anywhere
+        step_counts = {0, env.max_steps - 1, env.max_steps, env.max_steps + 1,
+                       data.draw(st.integers(0, env.max_steps + 1), label="steps")}
+        for x in range(size):
+            for y in range(size):
+                for steps in step_counts:
+                    for subgoal_done in (False, True):
+                        state = (x, y, steps, subgoal_done)
+                        assert exact(env.observation(state)) == exact(formula_observation(env, state))
+                        for action in range(4):
+                            assert exact(env.step(state, action)) == exact(formula_step(env, state, action))
+
+    @pytest.mark.parametrize("action", [-1, 4, 1.5])
+    def test_an_invalid_action_fails_as_before(self, action):
+        env, state = GridNavEnv(), (0, 0, 0, False)
+        with pytest.raises(Exception) as ours:
+            env.step(state, action)
+        with pytest.raises(Exception) as oracle:
+            formula_step(env, state, action)
+        assert (type(ours.value), str(ours.value)) == (type(oracle.value), str(oracle.value))
+
+    @PROPERTY_SETTINGS
+    @given(outputs=st.lists(st.sampled_from([0.0, -0.0, 1.0, -1.0, 2.0, math.nan, math.inf, -math.inf]),
+                            min_size=4, max_size=6))
+    def test_select_action_equals_the_loop(self, outputs):
+        assert GridNavEnv().select_action(outputs) == loop_select_action(outputs)
 
 
 class TestMakeEnv:

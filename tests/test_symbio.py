@@ -5,6 +5,7 @@ from __future__ import annotations
 
 import dataclasses
 import math
+import random
 
 import numpy as np
 import pytest
@@ -21,6 +22,7 @@ from sosage.errors import (
 from sosage.hyperstruct import Universe
 from sosage.population import ProblemSpec, StallDetector, apply_break, init_population
 from sosage.symbio import (
+    FORWARD_KERNEL_CAP,
     SAMPLE_RING_FACTOR,
     Assembly,
     CooccurCell,
@@ -29,6 +31,8 @@ from sosage.symbio import (
     LoopState,
     NeuronGene,
     _clone_composite,
+    _forward_kernel,
+    _general_forward,
     assemble,
     crossover_genomes,
     detect_dependency,
@@ -110,12 +114,111 @@ class TestGenomeOps:
         assert crossover_genomes(a, a, rng) == a
 
 
+def loop_forward(wiring, obs, output_dim):
+    """net_forward as the general loops wrote it before the shape kernels;
+    the oracle for every shape."""
+    def activate(kind, x):
+        if kind == "tanh":
+            return math.tanh(x)
+        return 1.0 if x >= 0.0 else -1.0  # "step"
+
+    out = [0.0] * output_dim
+    for gene in wiring:
+        pre = gene.in_weights[-1]
+        for w, v in zip(gene.in_weights, obs):
+            pre += w * v
+        h = activate(gene.activation, pre)
+        for slot, w in gene.out_targets:
+            out[slot] += w * h
+    return out
+
+
+def outcome(fn, *args):
+    """The result as hex floats, bit for bit, or the error's type and message."""
+    try:
+        return [v.hex() for v in fn(*args)]
+    except Exception as e:  # the oracle's error is the expected one
+        return type(e), str(e)
+
+
+# floats that use every mantissa bit, so that another order of the same
+# additions rounds differently, and awkward ones: signed zeros, the smallest
+# subnormal, a size that swamps 1.0 in a sum, and infinities
+FULL_MANTISSA = st.integers(0, 2 ** 32 - 1).map(lambda seed: random.Random(seed).uniform(-1.0, 1.0))
+AWKWARD = st.sampled_from([0.0, -0.0, 5e-324, -5e-324, 1e16, -1e16, 1.0, -1.0, math.inf, -math.inf])
+
+
+@st.composite
+def forward_cases(draw):
+    """(wiring, obs, output_dim): shapes of 0-6 inputs and outputs and one
+    above the kernel cap; most neurons fit the shape, others have another
+    weight or target count, duplicate, out-of-order or out-of-range slots."""
+    widths = st.sampled_from([*range(7), FORWARD_KERNEL_CAP + 1])
+    n_in, output_dim = draw(widths, label="inputs"), draw(widths, label="outputs")
+    # an awkward value saturates tanh, so half the cases have none
+    floats = draw(st.sampled_from([FULL_MANTISSA, FULL_MANTISSA | AWKWARD]), label="floats")
+    obs = tuple(draw(st.lists(floats, min_size=n_in, max_size=n_in), label="obs"))
+    slots = st.integers(0, output_dim - 1) if output_dim else st.nothing()
+
+    def count(fit, low, high, label):
+        """`fit` three times in four, else any count in [low, high]."""
+        return fit if draw(st.integers(0, 3), label=label) else draw(st.integers(low, high), label=label)
+
+    wiring = []
+    for _ in range(draw(st.integers(0, 5), label="neurons")):
+        n_weights = count(n_in + 1, 0, n_in + 3, "weights")
+        n_targets = count(output_dim, 0, output_dim + 2, "targets")
+        if draw(st.integers(0, 19), label="bad slot") == 0:
+            slots_here = slots | st.sampled_from([-1, output_dim, output_dim + 1])
+        else:
+            slots_here = slots if output_dim else st.sampled_from([-1, 0])
+        wiring.append(NeuronGene(
+            tuple(draw(st.lists(floats, min_size=n_weights, max_size=n_weights))),
+            tuple((draw(slots_here), draw(floats)) for _ in range(n_targets)),
+            draw(st.sampled_from(["tanh", "tanh", "step", "relu"]), label="activation"),
+        ))
+    return tuple(wiring), obs, output_dim
+
+
 class TestForward:
     def test_single_tanh_neuron_exact(self):
         gene = NeuronGene((1.0, -1.0, 0.5), ((0, 2.0), (1, -1.0)))
         out = net_forward([gene], (2.0, 3.0), output_dim=3)
-        h = math.tanh(0.5 + 2.0 - 3.0)
-        assert out == pytest.approx([2.0 * h, -1.0 * h, 0.0])
+        pre = 0.5
+        pre += 1.0 * 2.0
+        pre += -1.0 * 3.0
+        h = math.tanh(pre)
+        assert out == [0.0 + 2.0 * h, 0.0 + -1.0 * h, 0.0]
+
+    def test_additions_keep_their_order(self):
+        # 1e16 + 1.0 rounds to 1e16, so another order of these sums differs
+        weights = NeuronGene((1e16, -1e16, 1.0, 1.0), ((0, 1.0),))
+        pre = ((1.0 + 1e16) + -1e16) + 1.0
+        assert pre == 1.0
+        assert net_forward([weights], (1.0, 1.0, 1.0), 1) == [0.0 + 1.0 * math.tanh(pre)]
+        targets = NeuronGene((1.0, 1.0, 1.0, 1.0), ((0, 1.0), (0, 1e16), (0, -1e16)), activation="step")
+        assert net_forward([targets], (1.0, 1.0, 1.0), 3) == [((0.0 + 1.0) + 1e16) + -1e16, 0.0, 0.0] \
+            == [0.0, 0.0, 0.0]
+
+    @settings(max_examples=300, deadline=None)
+    @given(case=forward_cases())
+    def test_kernels_equal_the_general_loops(self, case):
+        wiring, obs, output_dim = case
+        assert outcome(net_forward, wiring, obs, output_dim) == outcome(loop_forward, wiring, obs, output_dim)
+
+    @pytest.mark.parametrize("n_in, output_dim", [(0, 0), (0, 3), (2, 0), (4, 4), (FORWARD_KERNEL_CAP, 1)])
+    def test_shapes_up_to_the_cap_get_a_kernel(self, n_in, output_dim):
+        assert _forward_kernel(n_in, output_dim) is not _general_forward
+        gene = NeuronGene((0.5,) * (n_in + 1), tuple((k, 2.0) for k in range(output_dim)))
+        assert net_forward([gene], (1.0,) * n_in, output_dim) == loop_forward([gene], (1.0,) * n_in, output_dim)
+
+    @pytest.mark.parametrize("n_in, output_dim", [(FORWARD_KERNEL_CAP + 1, 1), (2, FORWARD_KERNEL_CAP + 1),
+                                                  (2, -1), (2, True), (2, 4.0)])
+    def test_other_shapes_take_the_general_loops(self, n_in, output_dim):
+        assert _forward_kernel(n_in, output_dim) is _general_forward
+        gene = NeuronGene((0.5,) * (n_in + 1), ((0, 2.0),))
+        obs = (1.0,) * n_in
+        assert outcome(net_forward, [gene], obs, output_dim) == outcome(loop_forward, [gene], obs, output_dim)
 
     def test_step_activation_signs(self):
         gene = NeuronGene((1.0, 0.0), ((0, 1.0),), activation="step")

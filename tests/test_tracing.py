@@ -44,3 +44,16 @@ def test_traced_xor_reference_run(tmp_path, tracing):
     assert tracer.calls["symbio.run_symbiosis"] == 1
     assert tracer.calls["harness.save_checkpoint"] == 1
     assert tracer.metrics()["symbio.net_forward.calls"] > 0
+    # every rollout step goes through the traced forward pass and env methods
+    assert tracer.calls["symbio.net_forward"] == tracer.calls["envs.observation"] \
+        == tracer.calls["envs.step"] > 0
+
+
+def test_traced_gridnav_steps_reach_every_layer(tmp_path, tracing):
+    config = load_config(ROOT / "configs" / "gridnav_comp.json")
+    config = replace(config, output_dir=str(tmp_path),
+                     evolution=replace(config.evolution, max_generations=3))
+    with tracing.traced(tracing.Tracer()) as tracer:
+        run(config)
+    assert tracer.calls["symbio.net_forward"] == tracer.calls["envs.observation"] \
+        == tracer.calls["envs.step"] > tracer.calls["symbio.evaluate"] > 0
