@@ -14,7 +14,7 @@ of its constituents.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Any, Callable, Iterable, Optional
+from typing import Any, Callable, Iterable
 
 from .errors import (
     EmptyConstituents,
@@ -27,33 +27,6 @@ from .errors import (
 StructureId = int
 
 DEFAULT_MAX_ORDER = 8
-
-
-def cycle_root(
-    roots: Iterable[StructureId], successors: Callable[[StructureId], Iterable[StructureId]]
-) -> Optional[StructureId]:
-    """The first root whose depth-first search meets a node still on its
-    path, or None when nothing reachable from the roots lies on a cycle.
-    Three-colour search on an explicit stack, so a chain of any length fits."""
-    state: dict[StructureId, bool] = {}  # False while on the path, True once finished
-    for root in roots:
-        if root in state:
-            continue
-        state[root] = False
-        stack = [(root, iter(successors(root)))]
-        while stack:
-            node, pending = stack[-1]
-            for nxt in pending:
-                if nxt not in state:
-                    state[nxt] = False
-                    stack.append((nxt, iter(successors(nxt))))
-                    break
-                if not state[nxt]:
-                    return root
-            else:
-                state[node] = True
-                stack.pop()
-    return None
 
 
 @dataclass(frozen=True)
@@ -111,7 +84,6 @@ class InteractionGraph:
     def __init__(self) -> None:
         self._interacts: dict[tuple[StructureId, StructureId], set[int]] = {}
         self._depends: dict[tuple[StructureId, StructureId], set[int]] = {}
-        self._dependees: dict[StructureId, set[StructureId]] = {}
 
     @staticmethod
     def _norm(a: StructureId, b: StructureId) -> tuple[StructureId, StructureId]:
@@ -122,7 +94,6 @@ class InteractionGraph:
 
     def add_dependency(self, dependent: StructureId, dependee: StructureId, level: int) -> None:
         self._depends.setdefault((dependent, dependee), set()).add(level)
-        self._dependees.setdefault(dependent, set()).add(dependee)
         self.add_interaction(dependent, dependee, level)
 
     def interacts(self, a: StructureId, b: StructureId) -> bool:
@@ -131,7 +102,7 @@ class InteractionGraph:
         return self._norm(a, b) in self._interacts
 
     def direct_dependees(self, dependent: StructureId) -> frozenset[StructureId]:
-        return frozenset(self._dependees.get(dependent, ()))
+        return frozenset(e for d, e in self._depends if d == dependent)
 
     def dependency_levels(self, dependent: StructureId, dependee: StructureId) -> frozenset[int]:
         return frozenset(self._depends.get((dependent, dependee), ()))
@@ -153,9 +124,6 @@ class InteractionGraph:
 
         self._interacts = kept(self._interacts)
         self._depends = kept(self._depends)
-        self._dependees = {
-            d: left for d, es in self._dependees.items() if d in keep and (left := es & keep)
-        }
 
 
 @dataclass
@@ -299,15 +267,3 @@ class Universe:
             if property_name in {r.property for r in self.observe(c, below)}:
                 return False
         return True
-
-    # --- integrity ---
-
-    def check_acyclic(self) -> bool:
-        """Verify the constituent relation holds no cycle (it cannot, by
-        construction; kept as an explicit check for the verification suite).
-        Unknown constituents are skipped; verify reports them under
-        construction-order."""
-        structures = self.structures
-        return cycle_root(
-            structures, lambda i: [c for c in structures[i].constituents if c in structures]
-        ) is None

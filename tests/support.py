@@ -8,7 +8,9 @@ traversal, and the XOR nets are written out by hand.
 from __future__ import annotations
 
 from functools import reduce
+from graphlib import CycleError, TopologicalSorter
 from operator import add
+from typing import Iterable, Mapping
 
 import numpy as np
 
@@ -73,6 +75,28 @@ def reachability_oracle(universe: Universe) -> set[tuple[int, int]]:
                     frontier.append(nxt)
         closure.update((start, t) for t in seen)
     return closure
+
+
+def has_cycle(successors: Mapping[int, Iterable[int]]) -> bool:
+    """Whether a directed graph, given as each node's successors, holds a
+    cycle (a self-loop included); the stdlib topological sorter decides."""
+    try:
+        TopologicalSorter(successors).prepare()
+    except CycleError:
+        return True
+    return False
+
+
+def constituent_graph(universe: Universe) -> dict[int, frozenset[int]]:
+    return {i: s.constituents for i, s in universe.structures.items()}
+
+
+def edge_graph(edges: Iterable[tuple[int, int, int]]) -> dict[int, set[int]]:
+    """Each node's successors over level-tagged (from, to, level) edges."""
+    graph: dict[int, set[int]] = {}
+    for a, b, _level in edges:
+        graph.setdefault(a, set()).add(b)
+    return graph
 
 
 def traversal_order_oracle(universe: Universe, structure_id: int) -> int:

@@ -134,7 +134,7 @@ class TestVerifyCommand:
         code, out, _ = run_cli(capsys, "verify", ckpt)
         assert code == EXIT_OK
         lines = out.splitlines()
-        assert len(lines) == 13
+        assert len(lines) == 11
         assert all(line.startswith("pass") for line in lines)
 
     def test_corrupted_checkpoint_fails(self, config_path, capsys, tmp_path):
@@ -146,6 +146,20 @@ class TestVerifyCommand:
         code, out, _ = run_cli(capsys, "verify", str(path))
         assert code == EXIT_VERIFY_FAILED
         assert any(line.startswith("FAIL  roster-membership") for line in out.splitlines())
+
+    @pytest.mark.parametrize("command", ["verify", "resume"])
+    def test_dependency_on_an_unknown_id_fails_verify(self, config_path, capsys, tmp_path, command):
+        run_cli(capsys, "run", str(config_path))
+        path = tmp_path / "runs" / "checkpoint-0-gen2.json"
+        doc = json.loads(path.read_text())
+        member = doc["population"]["members"][0]
+        doc["universe"]["depends"].append([99999, member, 1])
+        path.write_text(json.dumps(doc))
+        code, out, err = run_cli(capsys, command, str(path))
+        assert code == EXIT_VERIFY_FAILED
+        lines = (out if command == "verify" else err).splitlines()
+        assert f"FAIL  dependency-order-gap  (dependency (99999,{member}) references unknown structure)" in lines
+        assert "error" not in err
 
     @pytest.mark.parametrize("command", ["verify", "inspect", "resume"])
     def test_malformed_checkpoint_is_usage_error(self, capsys, tmp_path, command):

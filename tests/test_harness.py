@@ -48,14 +48,14 @@ from sosage.harness import (
 from sosage.population import BreakEvent
 from sosage.symbio import CooccurCell, EvolutionConfig, GenerationRow, NeuronGene, run_symbiosis
 
+from support import edge_graph, has_cycle
+
 CONFIG_DIR = Path(__file__).resolve().parent.parent / "configs"
 
 INVARIANT_NAMES = [
     "construction-order",
     "interaction-symmetry",
-    "dependency-implies-interaction",
     "dependency-order-gap",
-    "dependency-acyclic",
     "roster-membership",
     "population-order",
     "break-log",
@@ -658,7 +658,8 @@ class TestVerify:
         def mutate(c):
             c.state.ledger.credit(4242, 1.0)
         result = self.corrupt(finished_run, mutate)
-        assert "ledger-references" in {r.name for r in result.failures()}
+        failures = {r.name: r.detail for r in result.failures()}
+        assert failures == {"state-compact": "ledger member 4242 is not live"}
 
     def test_orphan_primitive_detected(self, finished_run):
         def mutate(c):
@@ -685,11 +686,23 @@ class TestVerify:
             c.state.universe.graph.add_dependency(a, b, 1)
         result = self.corrupt(finished_run, mutate)
         failures = {r.name: r.detail for r in result.failures()}
-        assert failures["dependency-acyclic"] == f"dependency cycle through {a}"
+        assert failures == {
+            "dependency-order-gap":
+                f"dependency ({a},{b}) spans order gap 0; dependency ({b},{a}) spans order gap 0"
+        }
+
+    def test_dependency_on_an_unknown_id_is_reported_not_raised(self, finished_run):
+        _, report, _ = finished_run
+        doc = json.loads(Path(report.checkpoint_path).read_text())
+        member = doc["population"]["members"][0]
+        doc["universe"]["depends"].append([99999, member, 1])
+        failures = {r.name: r.detail for r in verify(checkpoint_from_json_dict(doc)).failures()}
+        assert failures["dependency-order-gap"] == f"dependency (99999,{member}) references unknown structure"
 
     def test_constituent_chain_deeper_than_the_recursion_limit(self, finished_run):
         # 3,000 composites, each the constituent and the dependee of the one
-        # before it, ending on a roster primitive
+        # before it, ending on a roster primitive; the head joins the roster,
+        # so the live-set walk follows every link
         _, report, _ = finished_run
         doc = json.loads(Path(report.checkpoint_path).read_text())
         universe = doc["universe"]
@@ -701,11 +714,11 @@ class TestVerify:
             )
             universe["depends"].append([i, nxt, 1])
         universe["next_id"] = start + links
+        doc["population"]["members"].append(start)
         result = verify(checkpoint_from_json_dict(doc))
         assert [r.name for r in result.results] == INVARIANT_NAMES
         names = {r.name for r in result.failures()}
-        assert {"construction-order", "state-compact"} <= names
-        assert "dependency-acyclic" not in names
+        assert {"construction-order", "dependency-order-gap", "population-order"} == names
 
     def test_fabricated_break_event_detected(self, finished_run):
         def mutate(c):
@@ -844,14 +857,14 @@ def draw_path(data, doc) -> tuple:
 
 
 def load_or_sosage_error(doc) -> None:
-    """The property every checkpoint document must have: it loads, and then
-    verifies and summarizes, or it fails as a SosageError."""
+    """The property every checkpoint document must have: it fails to load as
+    a SosageError, or it verifies and then summarizes or fails as one."""
     try:
         ckpt = checkpoint_from_json_dict(doc)
     except SosageError:
         return
+    verify(ckpt)  # reports every fault, never raises
     try:
-        verify(ckpt)
         format_summary_text(summarize_checkpoint(ckpt))
     except SosageError:
         pass
@@ -1081,3 +1094,74 @@ class TestMalformedCheckpoints:
             else:
                 parent[path[-1]] = data.draw(JSON_VALUES, label="value")
         load_or_sosage_error(doc)
+
+
+@st.composite
+def corrupted_checkpoint_docs(draw):
+    """A real gridnav_comp checkpoint with 1-4 corruptions: edges to unknown
+    or dropped ids, cycles in either relation, extra constituents, ghost
+    members and ledger keys, and wrong orders."""
+    doc = valid_checkpoint_doc()
+    universe, ledger = doc["universe"], doc["ledger"]
+    rows = {row["id"]: row for row in universe["structures"]}
+    known = st.sampled_from(sorted(rows))
+    dropped = [i for i in range(universe["next_id"]) if i not in rows]
+    any_id = st.sampled_from(sorted(rows) + dropped + [universe["next_id"], 99999])
+    level = st.integers(0, 3)
+    payload = next(row["payload"] for row in rows.values() if row["order"] == 1)
+    for _ in range(draw(st.integers(1, 4), label="corruptions")):
+        kind = draw(st.sampled_from([
+            "depends", "interacts", "dependency cycle", "constituent cycle",
+            "constituent", "member", "ledger key", "order",
+        ]), label="kind")
+        if kind == "depends":
+            universe["depends"].append([draw(any_id), draw(any_id), draw(level)])
+        elif kind == "interacts":
+            universe["interacts"].append(sorted((draw(any_id), draw(any_id))) + [draw(level)])
+        elif kind in ("dependency cycle", "constituent cycle"):
+            ring = draw(st.lists(known, min_size=1, max_size=3), label="ring")
+            for a, b in zip(ring, ring[1:] + ring[:1]):
+                if kind == "dependency cycle":
+                    universe["depends"].append([a, b, draw(level)])
+                else:
+                    rows[a]["constituents"].append(b)
+        elif kind == "constituent":
+            rows[draw(known)]["constituents"].append(draw(any_id))
+        elif kind == "member":
+            doc["population"]["members"].append(draw(any_id))
+        elif kind == "ledger key":
+            x, y = draw(any_id), draw(any_id)
+            table = draw(st.sampled_from(["per_member", "cooccur", "pending"]))
+            if table == "per_member":
+                ledger["per_member"][str(x)] = ["1.0"]
+            elif table == "cooccur":
+                ledger["cooccur"][f"{x},{y}"] = {"with_both": [1, "1.0"], "with_x_only": [0, "0"]}
+            else:
+                ledger["pending"][f"{x},{y}"] = [draw(level)]
+        else:
+            # the row keeps the shape the reader wants: a payload on order 1 only
+            row = rows[draw(known)]
+            row["order"] = draw(st.integers(0, doc["config"]["max_order"] + 1), label="order")
+            if row["order"] == 1:
+                row.setdefault("payload", payload)
+            else:
+                row.pop("payload", None)
+    return doc
+
+
+class TestCorruptedCheckpoints:
+    @settings(max_examples=300, deadline=None)
+    @given(doc=corrupted_checkpoint_docs())
+    def test_verify_reports_every_cycle_and_never_raises(self, doc):
+        try:
+            ckpt = checkpoint_from_json_dict(doc)
+        except SosageError:
+            event("refused on load")
+            return
+        report = verify(ckpt)
+        universe = doc["universe"]
+        constituents = {row["id"]: row["constituents"] for row in universe["structures"]}
+        cyclic = has_cycle(constituents) or has_cycle(edge_graph(universe["depends"]))
+        event(f"loaded, cycle={cyclic}, passed={report.passed}")
+        if cyclic:
+            assert not report.passed

@@ -14,11 +14,14 @@ from sosage.errors import (
     OrderGapViolation,
     UnknownStructure,
 )
-from sosage.hyperstruct import ObsRecord, Universe, cycle_root
+from sosage.hyperstruct import ObsRecord, Universe
 
 from support import (
     build_layered,
+    constituent_graph,
+    edge_graph,
     emergence_oracle,
+    has_cycle,
     random_universe,
     reachability_oracle,
     table_observers,
@@ -262,7 +265,7 @@ class TestEmergence:
 class TestIntegrity:
     def test_constructed_universes_are_acyclic(self, universe):
         build_layered(universe, 2)
-        assert universe.check_acyclic()
+        assert not has_cycle(constituent_graph(universe))
 
     def test_hand_corrupted_cycle_detected(self, universe):
         from dataclasses import replace
@@ -270,30 +273,22 @@ class TestIntegrity:
         ab = universe.construct({a})
         corrupt = replace(universe.get(a), constituents=frozenset({ab}))
         universe.structures[a] = corrupt
-        assert not universe.check_acyclic()
+        assert has_cycle(constituent_graph(universe))
 
     @PROPERTY_SETTINGS
     @given(seed=st.integers(0, 2**32 - 1))
     def test_random_universes_are_acyclic(self, seed):
         u = random_universe(np.random.default_rng(seed))
-        assert u.check_acyclic()
-
-    def test_cycle_root_names_the_root_whose_search_meets_a_cycle(self):
-        edges = {0: [1], 1: [], 2: [3], 3: [4], 4: [2]}
-        assert cycle_root([0, 1, 2, 3, 4], edges.__getitem__) == 2
-        assert cycle_root([0, 1], edges.__getitem__) is None
-        assert cycle_root([5], {5: [5]}.__getitem__) == 5
-
-    def test_cycle_root_accepts_shared_descendants(self):
-        diamond = {0: [1, 2], 1: [3], 2: [3], 3: []}
-        assert cycle_root(diamond, diamond.__getitem__) is None
+        assert not has_cycle(constituent_graph(u))
+        assert not has_cycle(edge_graph(u.graph.dependency_edges()))
+        # orders fall strictly along both relations, which is why they hold no cycle
+        assert all(u.structures[c].order < s.order for s in u.structures.values() for c in s.constituents)
+        assert all(u.structures[d].order > u.structures[e].order for d, e, _ in u.graph.dependency_edges())
 
     def test_chains_deeper_than_the_recursion_limit(self):
         universe = Universe(max_order=5001)
         top = universe.add_primitive("leaf")
         for _ in range(5000):
             top = universe.construct({top})
-        assert universe.check_acyclic()
-        chain = {i: [i + 1] for i in range(5000)}
-        chain[5000] = [0]
-        assert cycle_root(chain, chain.__getitem__) == 0
+        assert not has_cycle(constituent_graph(universe))
+        assert universe.structural_order(top) == 5001
