@@ -83,12 +83,20 @@ def _print_results(results, file=None) -> None:
         print(line, file=file)
 
 
-def _cmd_resume(args: argparse.Namespace) -> int:
-    ckpt = harness.load_checkpoint(args.checkpoint)
-    # a checkpoint that fails verify would run on broken state, or crash
+def _load_verified(path: str) -> Optional[harness.Checkpoint]:
+    """The checkpoint at `path`, or None once its verify failures are on
+    stderr: broken state would make what reads it crash or mislead."""
+    ckpt = harness.load_checkpoint(path)
     failures = harness.verify(ckpt).failures()
     if failures:
         _print_results(failures, file=sys.stderr)
+        return None
+    return ckpt
+
+
+def _cmd_resume(args: argparse.Namespace) -> int:
+    ckpt = _load_verified(args.checkpoint)
+    if ckpt is None:
         return EXIT_VERIFY_FAILED
     report = harness.resume(ckpt, progress=_progress)
     print(report.metrics_path)
@@ -99,7 +107,9 @@ def _cmd_resume(args: argparse.Namespace) -> int:
 
 
 def _cmd_inspect(args: argparse.Namespace) -> int:
-    ckpt = harness.load_checkpoint(args.checkpoint)
+    ckpt = _load_verified(args.checkpoint)
+    if ckpt is None:
+        return EXIT_VERIFY_FAILED
     summary = harness.summarize_checkpoint(ckpt)
     if args.format == "json":
         print(json.dumps(summary, indent=2, sort_keys=True))

@@ -18,8 +18,6 @@ from functools import lru_cache, reduce
 from operator import add
 from typing import Callable, Collection, Iterable, Optional, Sequence
 
-import numpy as np
-
 from .errors import (
     DimensionMismatch,
     LimitExceeded,
@@ -40,7 +38,7 @@ from .population import (
     goal_reached,
     init_population,
 )
-from .rng import samples_without_replacement, substream
+from .rng import Stream, samples_without_replacement, substream
 
 # ring capacity for per-member fitness samples, in units of top_m
 SAMPLE_RING_FACTOR = 4
@@ -61,9 +59,9 @@ class NeuronGene:
     activation: str = "tanh"  # "tanh" | "step"
 
 
-def random_genome(input_dim: int, output_dim: int, rng: np.random.Generator) -> NeuronGene:
-    in_weights = tuple(float(w) for w in rng.uniform(-1.0, 1.0, size=input_dim + 1))
-    out_targets = tuple((k, float(rng.uniform(-1.0, 1.0))) for k in range(output_dim))
+def random_genome(input_dim: int, output_dim: int, rng: Stream) -> NeuronGene:
+    in_weights = tuple(rng.uniform(-1.0, 1.0) for _ in range(input_dim + 1))
+    out_targets = tuple((k, rng.uniform(-1.0, 1.0)) for k in range(output_dim))
     return NeuronGene(in_weights=in_weights, out_targets=out_targets)
 
 
@@ -72,11 +70,11 @@ def _clamp(w: float, w_max: float) -> float:
 
 
 def mutate_genome(
-    gene: NeuronGene, rng: np.random.Generator, rate: float, sigma: float, w_max: float
+    gene: NeuronGene, rng: Stream, rate: float, sigma: float, w_max: float
 ) -> NeuronGene:
     def jiggle(w: float) -> float:
         if rng.random() < rate:
-            return _clamp(w + float(rng.normal(0.0, sigma)), w_max)
+            return _clamp(w + rng.normal(0.0, sigma), w_max)
         return w
 
     return NeuronGene(
@@ -86,12 +84,12 @@ def mutate_genome(
     )
 
 
-def crossover_genomes(a: NeuronGene, b: NeuronGene, rng: np.random.Generator) -> NeuronGene:
+def crossover_genomes(a: NeuronGene, b: NeuronGene, rng: Stream) -> NeuronGene:
     """Uniform crossover position-by-position; topology slots are shared.
-    One coin per position, input weights first, all from one draw call."""
+    One coin per position, input weights first."""
     weights = list(zip(a.in_weights, b.in_weights))
     targets = list(zip(a.out_targets, b.out_targets))
-    heads = (rng.random(len(weights) + len(targets)) < 0.5).tolist()
+    heads = [rng.random() < 0.5 for _ in range(len(weights) + len(targets))]
     in_weights = tuple(aw if head else bw for (aw, bw), head in zip(weights, heads))
     out_targets = tuple(
         (sa, wa if head else wb)
@@ -381,7 +379,7 @@ def assemble(
     universe: Universe,
     pop: Population,
     config: EvolutionConfig,
-    rng: np.random.Generator,
+    rng: Stream,
 ) -> list[Assembly]:
     """Sample the generation's assemblies.
 
@@ -530,7 +528,7 @@ def evolve_generation(
     pop: Population,
     ledger: FitnessLedger,
     config: EvolutionConfig,
-    rng: np.random.Generator,
+    rng: Stream,
     generation: int = 0,
 ) -> None:
     """Replace each stratum's non-elites with offspring of its elites.
@@ -560,13 +558,13 @@ def evolve_generation(
                     child = crossover_genomes(universe.get(pa).payload, universe.get(pb).payload, rng)
                     tag = f"o{generation}:{pa}x{pb}"
                 else:
-                    pa = elites[int(rng.integers(len(elites)))]
+                    pa = elites[rng.integers(len(elites))]
                     child = universe.get(pa).payload
                     tag = f"o{generation}:{pa}"
                 child = mutate_genome(child, rng, config.mutation_rate, config.mutation_sigma, config.w_max)
                 new_id = universe.add_primitive(child, tag=tag)
             else:
-                pa = elites[int(rng.integers(len(elites)))]
+                pa = elites[rng.integers(len(elites))]
                 new_id = _clone_composite(
                     universe,
                     pa,

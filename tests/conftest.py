@@ -2,10 +2,12 @@
 
 from __future__ import annotations
 
-import numpy as np
 import pytest
 
 from sosage.hyperstruct import Universe
+from sosage.rng import Stream
+
+from support import stream
 
 
 @pytest.fixture
@@ -14,5 +16,5 @@ def universe() -> Universe:
 
 
 @pytest.fixture
-def rng() -> np.random.Generator:
-    return np.random.default_rng(0)
+def rng() -> Stream:
+    return stream(0)

@@ -15,7 +15,13 @@ from typing import Iterable, Mapping
 import numpy as np
 
 from sosage.hyperstruct import ObsRecord, Universe
+from sosage.rng import Stream
 from sosage.symbio import NeuronGene
+
+
+def stream(seed: int) -> Stream:
+    """A Stream that draws exactly as np.random.default_rng(seed) does."""
+    return Stream(np.random.PCG64(seed))
 
 
 def fold(values) -> float:

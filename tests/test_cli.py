@@ -127,6 +127,22 @@ class TestInspectCommand:
         assert json.loads(out)["generation"] == 4
 
 
+    @pytest.mark.parametrize("command", ["verify", "inspect", "resume"])
+    def test_a_ghost_roster_member_fails_verify(self, config_path, capsys, tmp_path, command):
+        run_cli(capsys, "run", str(config_path))
+        path = tmp_path / "runs" / "checkpoint-0-final.json"
+        doc = json.loads(path.read_text())
+        doc["population"]["members"].append(99999)
+        path.write_text(json.dumps(doc))
+        code, out, err = run_cli(capsys, command, str(path))
+        assert code == EXIT_VERIFY_FAILED
+        lines = (out if command == "verify" else err).splitlines()
+        assert "FAIL  roster-membership  (member 99999 not in universe)" in lines
+        if command != "verify":
+            assert out == ""
+            assert all(line.startswith("FAIL") for line in lines)
+
+
 class TestVerifyCommand:
     def test_healthy_checkpoint_passes(self, config_path, capsys, tmp_path):
         run_cli(capsys, "run", str(config_path))
@@ -147,7 +163,7 @@ class TestVerifyCommand:
         assert code == EXIT_VERIFY_FAILED
         assert any(line.startswith("FAIL  roster-membership") for line in out.splitlines())
 
-    @pytest.mark.parametrize("command", ["verify", "resume"])
+    @pytest.mark.parametrize("command", ["verify", "inspect", "resume"])
     def test_dependency_on_an_unknown_id_fails_verify(self, config_path, capsys, tmp_path, command):
         run_cli(capsys, "run", str(config_path))
         path = tmp_path / "runs" / "checkpoint-0-gen2.json"

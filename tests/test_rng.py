@@ -1,4 +1,4 @@
-"""The without-replacement sampler against numpy's own Generator.choice."""
+"""Stream's draws against numpy's own Generator on the same bit generator."""
 
 from __future__ import annotations
 
@@ -7,63 +7,143 @@ import pytest
 from hypothesis import event, given, settings
 from hypothesis import strategies as st
 
-from sosage.rng import SCALAR_DRAWS, _all_bounds, samples_without_replacement, substream
+from sosage.rng import Stream, samples_without_replacement, substream
 
 
-def generator(kind, key):
-    if kind == "philox":
-        return substream(key, "assemble", key % 97, key % 5)
-    return np.random.default_rng(key)
+def pair(kind, key):
+    """A Stream and a numpy Generator, each on its own copy of one bit generator."""
+    bits = np.random.Philox if kind == "philox" else np.random.PCG64
+    return Stream(bits(key)), np.random.Generator(bits(key))
 
 
-def play(rng, draws):
-    """Make the named draws in order and return what they gave."""
-    out = []
-    for name, size in draws:
-        if name == "random":
-            out.append(rng.random())
-        elif name == "integers":
-            out.append(int(rng.integers(size)))
-        else:
-            out.append(rng.permutation(size).tolist())
-    return out
-
-
-DRAWS = st.lists(
-    st.tuples(st.sampled_from(["random", "integers", "permutation"]), st.integers(1, 40)),
-    max_size=3,
+# 2**31 + 1 rejects about half its draws; 1 takes no draw; 2**32 takes a
+# 32-bit draw as it is
+HIGHS = st.one_of(
+    st.sampled_from([1, 2, 3, 2 ** 31 + 1, 2 ** 32 - 1, 2 ** 32]),
+    st.integers(1, 2 ** 32),
 )
+# masks up to 17 bits; the long ones are drawn rarely, for time
+SHORT = st.integers(0, 40)
+PERMUTATIONS = st.one_of(SHORT, SHORT, SHORT, SHORT, st.sampled_from([65536, 65537, 70000]))
 # Floyd's algorithm below 10001; numpy shuffles the tail of range(n) once
 # n > 10000 and k > n // 50, and 10000 / 10001 straddle that boundary
 FLOYD = st.integers(0, 60).flatmap(lambda n: st.tuples(st.just(n), st.integers(0, n)))
 LARGE = st.sampled_from([10000, 10001, 10500]).flatmap(
     lambda n: st.tuples(st.just(n), st.sampled_from([1, n // 50, n // 50 + 1, 3 * n // 4, n]))
 )
-SHAPES = st.lists(st.one_of(FLOYD, FLOYD, FLOYD, LARGE), max_size=5)
+SHAPES = st.lists(st.one_of(FLOYD, FLOYD, FLOYD, LARGE), max_size=4)
+FLOATS = st.floats(-1e6, 1e6)
+DRAWS = st.lists(
+    st.one_of(
+        st.tuples(st.just("random")),
+        st.tuples(st.just("uniform"), FLOATS, FLOATS).map(lambda d: (d[0], min(d[1:]), max(d[1:]))),
+        st.tuples(st.just("normal"), FLOATS, st.floats(0.0, 1e3)),
+        st.tuples(st.just("integers"), HIGHS),
+        st.tuples(st.just("permutation"), PERMUTATIONS),
+        st.tuples(st.just("samples"), SHAPES),
+    ),
+    max_size=8,
+)
+
+
+def draw_ours(stream, name, *args):
+    if name == "samples":
+        return samples_without_replacement(stream, *args)
+    return getattr(stream, name)(*args)
+
+
+def draw_numpys(gen, name, *args):
+    if name == "samples":
+        return [gen.choice(n, k, replace=False).tolist() for n, k in args[0]]
+    if name == "permutation":
+        return gen.permutation(*args).tolist()
+    if name == "integers":
+        return int(gen.integers(*args))
+    return getattr(gen, name)(*args)
+
+
+class TestStreamEqualsGenerator:
+    @settings(max_examples=200, deadline=None)
+    @given(kind=st.sampled_from(["philox", "pcg64"]), key=st.integers(0, 2 ** 64 - 1), draws=DRAWS)
+    def test_any_interleaving_of_draws(self, kind, key, draws):
+        ours, numpys = pair(kind, key)
+        for name, *args in draws:
+            assert draw_ours(ours, name, *args) == draw_numpys(numpys, name, *args), name
+            event(name)
+        # the 32-bit half-word and the word buffer end where numpy's do
+        assert ours.integers(2 ** 31 + 1) == numpys.integers(2 ** 31 + 1)
+        assert ours.random() == numpys.random()
+
+    def test_a_long_run_crosses_many_word_blocks(self):
+        ours, numpys = pair("philox", 5)
+        assert [ours.random() for _ in range(1000)] == numpys.random(1000).tolist()
+        assert ours.permutation(5000) == numpys.permutation(5000).tolist()
+
+    def test_every_ziggurat_layer_and_both_slow_paths(self):
+        """Every normal draw equals numpy's. `normal` takes each attempt's
+        word from `_word` and the slow paths' uniforms from `random`, so a
+        recording subclass sees which layer and path each attempt took."""
+
+        class Recording(Stream):
+            __slots__ = ("layers", "layer", "tail", "wedge")
+
+            def _word(self):
+                word = super()._word()
+                self.layer = word & 0xFF
+                self.layers.add(self.layer)
+                return word
+
+            def random(self):
+                if self.layer == 0:
+                    self.tail += 1
+                else:
+                    self.wedge += 1
+                return super().random()
+
+        ours = Recording(np.random.Philox(20))
+        ours.layers, ours.layer, ours.tail, ours.wedge = set(), None, 0, 0
+        numpys = np.random.Generator(np.random.Philox(20))
+        n = 50_000
+        assert [ours.normal(0.25, 2.0) for _ in range(n)] == numpys.normal(0.25, 2.0, size=n).tolist()
+        assert ours.layers == set(range(256))
+        assert ours.tail >= 2 and ours.wedge >= 2
+
+    def test_a_zero_range_takes_no_draw(self):
+        ours, untouched = substream(1, "edge"), substream(1, "edge")
+        assert ours.integers(1) == 0
+        assert ours.random() == untouched.random()
+
+    @pytest.mark.parametrize("high", [0, -1, 2 ** 32 + 1])
+    def test_a_high_outside_32_bits_is_refused(self, high):
+        with pytest.raises(ValueError):
+            substream(1, "edge").integers(high)
+
+
+class TestPinnedSubstreams:
+    """Draws written out, so no numpy Generator is needed to check them."""
+
+    def test_evolve_45_of_seed_7(self):
+        s = substream(7, "evolve", 45)
+        assert [s.random() for _ in range(3)] == [0.9078456068438318, 0.29640233838436647, 0.4664988989177019]
+        assert s.integers(6) == 1
+        assert s.normal(0.0, 0.5) == -0.26515477404568627
+        assert s.integers(6) == 3
+        assert s.random() == 0.12328340436984153
+
+    def test_assemble_3_of_seed_0(self):
+        s = substream(0, "assemble", 3)
+        assert s.permutation(24) == [
+            22, 11, 4, 5, 15, 7, 8, 1, 18, 0, 23, 17, 10, 20, 3, 14, 21, 2, 13, 9, 19, 12, 6, 16
+        ]
+        assert samples_without_replacement(s, [(24, 3), (24, 3)]) == [[12, 9, 4], [21, 23, 8]]
+        assert s.random() == 0.05215928936491765
 
 
 class TestSamplesWithoutReplacement:
-    @settings(max_examples=300, deadline=None)
-    @given(
-        kind=st.sampled_from(["philox", "pcg64"]),
-        key=st.integers(0, 2 ** 64 - 1),
-        shapes=SHAPES,
-        before=DRAWS,
-        after=DRAWS,
-    )
-    def test_equals_successive_choice_calls(self, kind, key, shapes, before, after):
-        ours, numpys = generator(kind, key), generator(kind, key)
-        assert play(ours, before) == play(numpys, before)
-        want = [numpys.choice(n, k, replace=False).tolist() for n, k in shapes]
-        assert samples_without_replacement(ours, shapes) == want
-        assert play(ours, after) == play(numpys, after)
-        event("tail shuffle" if any(n > 10000 and k > n // 50 for n, k in shapes) else "floyd only")
-        event("scalar draws" if len(_all_bounds(tuple(shapes))) < SCALAR_DRAWS else "one integers call")
-
     @pytest.mark.parametrize("n", [10000, 10001])
     @pytest.mark.parametrize("k", [1, 200, 201, 202, 9999, 10000])
     def test_the_branch_boundary(self, n, k):
-        ours, numpys = substream(3, "edge"), substream(3, "edge")
+        ours, numpys = pair("philox", 3)
         want = [numpys.choice(n, k, replace=False).tolist() for _ in range(2)]
         assert samples_without_replacement(ours, [(n, k)] * 2) == want
         assert ours.random() == numpys.random()
@@ -75,5 +155,10 @@ class TestSamplesWithoutReplacement:
         assert ours.random() == untouched.random()
 
     def test_a_larger_sample_than_the_population_is_refused(self):
+        for shape in [(2, 3), (0, 1)]:
+            with pytest.raises(ValueError):
+                samples_without_replacement(substream(1, "edge"), [shape])
+
+    def test_a_population_beyond_32_bits_is_refused(self):
         with pytest.raises(ValueError):
-            samples_without_replacement(substream(1, "edge"), [(2, 3)])
+            samples_without_replacement(substream(1, "edge"), [(2 ** 32 + 1, 1)])

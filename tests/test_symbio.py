@@ -47,7 +47,7 @@ from sosage.symbio import (
     run_symbiosis,
 )
 
-from support import constant_one_gene, fold, xor_solver_genes
+from support import constant_one_gene, fold, stream, xor_solver_genes
 
 PROPERTY_SETTINGS = settings(max_examples=120, deadline=None)
 
@@ -71,38 +71,38 @@ class TestGenomeOps:
         assert gene.activation == "tanh"
 
     def test_random_genome_deterministic(self):
-        a = random_genome(3, 2, np.random.default_rng(42))
-        b = random_genome(3, 2, np.random.default_rng(42))
+        a = random_genome(3, 2, stream(42))
+        b = random_genome(3, 2, stream(42))
         assert a == b
 
     def test_mutate_rate_zero_is_identity(self, rng):
-        gene = fresh_gene(np.random.default_rng(1))
+        gene = fresh_gene(stream(1))
         assert mutate_genome(gene, rng, rate=0.0, sigma=1.0, w_max=5.0) == gene
 
     def test_mutate_rate_one_touches_every_weight(self):
-        gene = fresh_gene(np.random.default_rng(1), input_dim=3, output_dim=2)
-        out = mutate_genome(gene, np.random.default_rng(2), rate=1.0, sigma=0.5, w_max=5.0)
+        gene = fresh_gene(stream(1), input_dim=3, output_dim=2)
+        out = mutate_genome(gene, stream(2), rate=1.0, sigma=0.5, w_max=5.0)
         assert all(a != b for a, b in zip(gene.in_weights, out.in_weights))
         assert all(wa != wb for (_, wa), (_, wb) in zip(gene.out_targets, out.out_targets))
         assert [s for s, _ in out.out_targets] == [s for s, _ in gene.out_targets]
 
     def test_mutate_clamps_to_w_max(self):
-        gene = fresh_gene(np.random.default_rng(1))
-        out = mutate_genome(gene, np.random.default_rng(3), rate=1.0, sigma=50.0, w_max=5.0)
+        gene = fresh_gene(stream(1))
+        out = mutate_genome(gene, stream(3), rate=1.0, sigma=50.0, w_max=5.0)
         weights = list(out.in_weights) + [w for _, w in out.out_targets]
         assert all(-5.0 <= w <= 5.0 for w in weights)
         assert any(abs(w) == 5.0 for w in weights)  # sigma 50 saturates something
 
     def test_mutate_deterministic(self):
-        gene = fresh_gene(np.random.default_rng(1))
-        a = mutate_genome(gene, np.random.default_rng(7), 0.5, 0.5, 5.0)
-        b = mutate_genome(gene, np.random.default_rng(7), 0.5, 0.5, 5.0)
+        gene = fresh_gene(stream(1))
+        a = mutate_genome(gene, stream(7), 0.5, 0.5, 5.0)
+        b = mutate_genome(gene, stream(7), 0.5, 0.5, 5.0)
         assert a == b
 
     def test_crossover_picks_each_position_from_a_parent(self):
         a = NeuronGene((1.0, 2.0, 3.0), ((0, 4.0),), activation="step")
         b = NeuronGene((-1.0, -2.0, -3.0), ((0, -4.0),))
-        child = crossover_genomes(a, b, np.random.default_rng(5))
+        child = crossover_genomes(a, b, stream(5))
         for k, w in enumerate(child.in_weights):
             assert w in (a.in_weights[k], b.in_weights[k])
         assert child.out_targets[0][1] in (4.0, -4.0)
@@ -110,7 +110,7 @@ class TestGenomeOps:
         assert child.activation == a.activation
 
     def test_crossover_of_identical_parents_is_identity(self, rng):
-        a = fresh_gene(np.random.default_rng(1))
+        a = fresh_gene(stream(1))
         assert crossover_genomes(a, a, rng) == a
 
 
@@ -256,8 +256,8 @@ class TestFlatten:
 
 
 def per_weight_crossover(a, b, rng):
-    """The crossover that drew one coin per call, before crossover_genomes
-    took its coins from one draw; the oracle for its children."""
+    """One coin per weight from a numpy Generator: the oracle for
+    crossover_genomes' children and for where it leaves the stream."""
     in_weights = tuple(aw if rng.random() < 0.5 else bw for aw, bw in zip(a.in_weights, b.in_weights))
     out_targets = tuple(
         (sa, wa if rng.random() < 0.5 else wb) for (sa, wa), (_, wb) in zip(a.out_targets, b.out_targets)
@@ -270,10 +270,10 @@ class TestCrossoverMatchesThePerWeightOracle:
     @given(seed=st.integers(0, 2 ** 32 - 1), input_dim=st.integers(0, 6), output_dim=st.integers(1, 4),
            activation=st.sampled_from(["tanh", "step"]))
     def test_children_and_later_draws_are_equal(self, seed, input_dim, output_dim, activation):
-        genes = np.random.default_rng(seed)
+        genes = stream(seed)
         a = dataclasses.replace(fresh_gene(genes, input_dim, output_dim), activation=activation)
         b = fresh_gene(genes, input_dim, output_dim)
-        ours, oracle = np.random.default_rng(seed + 1), np.random.default_rng(seed + 1)
+        ours, oracle = stream(seed + 1), np.random.default_rng(seed + 1)
         assert crossover_genomes(a, b, ours) == per_weight_crossover(a, b, oracle)
         assert ours.random() == oracle.random()
 
@@ -303,17 +303,17 @@ class TestAssemble:
         k = data.draw(st.integers(1, n), label="network_size")
         apg = data.draw(st.integers(1, 40), label="assemblies_per_generation")
         universe, pop, config, _ = self.make(n, k, apg)
-        ours, oracle = np.random.default_rng(seed), np.random.default_rng(seed)
+        ours, oracle = stream(seed), np.random.default_rng(seed)
         got = assemble(universe, pop, config, ours)
         assert [a.participants for a in got] == per_call_assemble(universe, pop, config, oracle)
         assert ours.random() == oracle.random()
 
     def make(self, n, k, apg, seed=0):
         universe = Universe(max_order=8)
-        rng = np.random.default_rng(1)
+        rng = stream(1)
         pop = genome_pop(universe, [fresh_gene(rng) for _ in range(n)])
         config = EvolutionConfig(network_size=k, assemblies_per_generation=apg)
-        return universe, pop, config, np.random.default_rng(seed)
+        return universe, pop, config, stream(seed)
 
     def test_every_member_appears_each_generation(self):
         universe, pop, config, rng = self.make(n=7, k=3, apg=6)
@@ -334,8 +334,8 @@ class TestAssemble:
 
     def test_deterministic_given_rng(self):
         universe, pop, config, _ = self.make(n=6, k=3, apg=8)
-        one = assemble(universe, pop, config, np.random.default_rng(11))
-        two = assemble(universe, pop, config, np.random.default_rng(11))
+        one = assemble(universe, pop, config, stream(11))
+        two = assemble(universe, pop, config, stream(11))
         assert [a.participants for a in one] == [a.participants for a in two]
 
     def test_small_roster_rejected(self):
@@ -527,7 +527,7 @@ class TestDetection:
 class TestEvolve:
     def scored_pop(self, n, scores, seed=1):
         universe = Universe(max_order=8)
-        rng = np.random.default_rng(seed)
+        rng = stream(seed)
         pop = genome_pop(universe, [fresh_gene(rng) for _ in range(n)])
         ledger = FitnessLedger(top_m=3)
         for m, s in zip(pop.members, scores):
@@ -540,7 +540,7 @@ class TestEvolve:
         elites = pop.members[:2]  # int(0.25 * 8) = 2, highest scores first two
         before = list(pop.members)
         config = EvolutionConfig(elite_fraction=0.25)
-        evolve_generation(universe, pop, ledger, config, np.random.default_rng(0), generation=4)
+        evolve_generation(universe, pop, ledger, config, stream(0), generation=4)
         assert pop.members[:2] == elites
         assert all(m not in before for m in pop.members[2:])
         assert len(pop.members) == 8
@@ -550,14 +550,14 @@ class TestEvolve:
     def test_elite_floor_is_one(self):
         universe, pop, ledger = self.scored_pop(3, [3.0, 2.0, 1.0])
         config = EvolutionConfig(elite_fraction=0.25)
-        evolve_generation(universe, pop, ledger, config, np.random.default_rng(0))
+        evolve_generation(universe, pop, ledger, config, stream(0))
         assert pop.members[0] == 0 and len(pop.members) == 3
 
     def test_offspring_parents_are_elites(self):
         universe, pop, ledger = self.scored_pop(8, [float(8 - i) for i in range(8)])
         elites = set(pop.members[:2])
         config = EvolutionConfig(elite_fraction=0.25)
-        evolve_generation(universe, pop, ledger, config, np.random.default_rng(0), generation=1)
+        evolve_generation(universe, pop, ledger, config, stream(0), generation=1)
         for m in pop.members[2:]:
             tag = universe.get(m).tag
             parents = tag.split(":", 1)[1].split("x")
@@ -566,27 +566,27 @@ class TestEvolve:
     def test_clone_only_when_crossover_disabled(self):
         universe, pop, ledger = self.scored_pop(4, [4.0, 3.0, 2.0, 1.0])
         config = EvolutionConfig(elite_fraction=0.25, crossover_rate=0.0)
-        evolve_generation(universe, pop, ledger, config, np.random.default_rng(0), generation=2)
+        evolve_generation(universe, pop, ledger, config, stream(0), generation=2)
         for m in pop.members[1:]:
             assert "x" not in universe.get(m).tag
 
     def test_unscored_members_rank_last(self):
         universe, pop, ledger = self.scored_pop(4, [None, 1.0, None, 2.0])
         config = EvolutionConfig(elite_fraction=0.25)
-        evolve_generation(universe, pop, ledger, config, np.random.default_rng(0))
+        evolve_generation(universe, pop, ledger, config, stream(0))
         assert pop.members[3] == 3  # only the top scorer survives
 
     def test_no_scores_at_all_rejected(self):
         universe, pop, ledger = self.scored_pop(4, [None] * 4)
         with pytest.raises(NoScores):
-            evolve_generation(universe, pop, ledger, EvolutionConfig(), np.random.default_rng(0))
+            evolve_generation(universe, pop, ledger, EvolutionConfig(), stream(0))
 
     def test_deterministic(self):
         rosters = []
         for _ in range(2):
             universe, pop, ledger = self.scored_pop(6, [6.0, 5.0, 4.0, 3.0, 2.0, 1.0])
             config = EvolutionConfig(elite_fraction=0.3)
-            evolve_generation(universe, pop, ledger, config, np.random.default_rng(9), generation=3)
+            evolve_generation(universe, pop, ledger, config, stream(9), generation=3)
             rosters.append([universe.get(m).payload for m in pop.members])
         assert rosters[0] == rosters[1]
 
@@ -594,7 +594,7 @@ class TestEvolve:
 class TestCloneComposite:
     def build_composite(self):
         universe = Universe(max_order=8)
-        rng = np.random.default_rng(2)
+        rng = stream(2)
         pop = genome_pop(universe, [fresh_gene(rng) for _ in range(4)])
         a, b = pop.members[0], pop.members[1]
         apply_break(universe, pop, a, b, generation=0)
@@ -616,7 +616,7 @@ class TestCloneComposite:
 
     def test_evolve_replaces_weak_composite_with_clone_of_strong(self):
         universe = Universe(max_order=8)
-        rng = np.random.default_rng(3)
+        rng = stream(3)
         genomes = [fresh_gene(rng) for _ in range(4)]
         pop = genome_pop(universe, genomes)
         a, b, c, d = pop.members
@@ -631,7 +631,7 @@ class TestCloneComposite:
         ledger.credit(z1, 2.0)
         ledger.credit(z2, 0.5)
         config = EvolutionConfig(elite_fraction=0.25)
-        evolve_generation(universe, pop, ledger, config, np.random.default_rng(0), generation=7)
+        evolve_generation(universe, pop, ledger, config, stream(0), generation=7)
         assert pop.members[0] == z1
         replacement = pop.members[1]
         assert replacement not in (z1, z2)
