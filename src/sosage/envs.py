@@ -123,8 +123,9 @@ class GridNavEnv:
         subgoal_reward: float = 0.5,
         max_steps: int | None = None,
     ) -> None:
-        if size < 2:
-            raise ValidationError("env.params.size", "grid size must be >= 2")
+        # up to 2**53 every cell coordinate and goal delta is exact in float64
+        if not 2 <= size <= 2 ** 53:
+            raise ValidationError("env.params.size", "grid size must be in 2..2**53")
         if max_steps is None:
             max_steps = min(50, 4 * size * size)
         if max_steps < 1:
@@ -278,10 +279,12 @@ def make_env(name: str, params: Mapping[str, object] | None = None):
         size = params.pop("size", 5)
         goal = (params.pop("goal_x", size - 1), params.pop("goal_y", size - 1))
         subgoal = None
+        rewards = ["step_penalty", "goal_reward"]
         if name == "gridnav-compositional":
             subgoal = (params.pop("subgoal_x", 0), params.pop("subgoal_y", size - 1))
+            rewards.append("subgoal_reward")
         kwargs = {}
-        for key in ("step_penalty", "goal_reward", "subgoal_reward"):
+        for key in rewards:
             if key in params:
                 kwargs[key] = finite_float(params.pop(key), f"env.params.{key}")
         if "max_steps" in params:

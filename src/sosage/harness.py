@@ -114,6 +114,9 @@ def _as_bool(raw: Any, field: str) -> bool:
 def _as_text(raw: Any, field: str) -> str:
     if not isinstance(raw, str) or not raw:
         raise ValidationError(field, "must be a non-empty string")
+    # no path can hold either; a surrogate left in a str has no partner
+    if "\0" in raw or any("\ud800" <= c <= "\udfff" for c in raw):
+        raise ValidationError(field, "must not contain NUL or a lone surrogate")
     return raw
 
 
@@ -188,6 +191,8 @@ def _read_json(path: str | Path, what: str) -> Any:
         return json.loads(text)
     except json.JSONDecodeError as e:
         raise ParseError(f"{path}: line {e.lineno} column {e.colno}: {e.msg}") from e
+    except ValueError as e:  # an integer literal beyond the int-digit limit
+        raise ParseError(f"{path}: {e}") from e
     except RecursionError as e:
         raise ParseError(f"{path}: nested too deeply") from e
 

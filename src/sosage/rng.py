@@ -1,7 +1,7 @@
 """Deterministic substreams, and the draws sosage makes from them.
 
 Every random draw in a run comes from a counter-based generator keyed by
-(master seed, phase tag, generation, index). Streams are independent and
+(master seed, phase tag, generation). Streams are independent and
 stateless across generations, so resuming a run at any generation derives
 exactly the streams the uninterrupted run would have used.
 
@@ -17,7 +17,7 @@ import math
 import struct
 import zlib
 from binascii import a2b_base64
-from typing import Optional, Sequence
+from typing import Optional
 
 import numpy as np
 
@@ -44,16 +44,10 @@ class Stream:
         self._words: list[int] = []  # the words not yet drawn, the next one last
         self._half: Optional[int] = None
 
-    def _refill(self) -> int:
-        """Fetch the next block of words and draw the first."""
-        self._words = self._raw(BLOCK)[::-1].tolist()
-        return self._words.pop()
-
     def _word(self) -> int:
-        try:
-            return self._words.pop()
-        except IndexError:
-            return self._refill()
+        if not self._words:
+            self._words = self._raw(BLOCK)[::-1].tolist()
+        return self._words.pop()
 
     def _uint32(self) -> int:
         half = self._half
@@ -66,22 +60,11 @@ class Stream:
 
     def _bounded(self, top: int) -> int:
         """An int in [0, top] for top below 2**32, by Lemire's method on
-        32-bit draws, as numpy bounds it; top 0 takes no draw. The first
-        draw is `_uint32` written out, for speed."""
+        32-bit draws, as numpy bounds it; top 0 takes no draw."""
         if top == 0:
             return 0
         span = top + 1
-        half = self._half
-        if half is None:
-            try:
-                word = self._words.pop()
-            except IndexError:
-                word = self._refill()
-            self._half = word >> 32
-            m = (word & MASK32) * span
-        else:
-            self._half = None
-            m = half * span
+        m = self._uint32() * span
         if m & MASK32 < span:
             threshold = (1 << 32) % span
             while m & MASK32 < threshold:
@@ -89,13 +72,8 @@ class Stream:
         return m >> 32
 
     def random(self) -> float:
-        """A float in [0, 1) from the top 53 bits of a word (`_word`
-        written out, for speed)."""
-        try:
-            word = self._words.pop()
-        except IndexError:
-            word = self._refill()
-        return (word >> 11) * 2.0 ** -53
+        """A float in [0, 1) from the top 53 bits of a word."""
+        return (self._word() >> 11) * 2.0 ** -53
 
     def uniform(self, low: float, high: float) -> float:
         return low + (high - low) * self.random()
@@ -122,6 +100,35 @@ class Stream:
             pool[i], pool[j] = pool[j], pool[i]
         return pool
 
+    def sample(self, n: int, k: int) -> list[int]:
+        """k distinct ints from range(n), as numpy's `choice(n, k,
+        replace=False)` draws them, for n up to 2**32."""
+        if not 0 <= k <= n <= 1 << 32:
+            raise ValueError(f"cannot take {k} distinct items from {n}")
+        bounded = self._bounded
+        if n > 10000 and k > n // 50:
+            # numpy shuffles the tail of range(n) for a large sample of a
+            # large population
+            pool = list(range(n))
+            for i in range(n - 1, max(n - k, 1) - 1, -1):
+                j = bounded(i)
+                pool[i], pool[j] = pool[j], pool[i]
+            return pool[n - k:]
+        # Floyd's algorithm: a repeated draw takes the bound j, which no
+        # earlier step can have taken; then the sample is shuffled
+        sample: list[int] = []
+        taken: set[int] = set()
+        for j in range(n - k, n):
+            val = bounded(j)
+            if val in taken:
+                val = j
+            taken.add(val)
+            sample.append(val)
+        for i in range(k - 1, 0, -1):
+            j = bounded(i)
+            sample[i], sample[j] = sample[j], sample[i]
+        return sample
+
     def normal(self, loc: float, scale: float) -> float:
         """loc + scale * z, with z from numpy's 256-layer ziggurat, whose
         tables end this module."""
@@ -146,46 +153,12 @@ class Stream:
                 return loc + scale * x
 
 
-def substream(seed: int, phase: str, generation: int = 0, index: int = 0) -> Stream:
-    """The stream of one (phase, generation, index) cell of the run."""
-    key = [seed & MASK64, zlib.crc32(phase.encode("utf-8")), generation & MASK64, index & MASK64]
+def substream(seed: int, phase: str, generation: int = 0) -> Stream:
+    """The stream of one (phase, generation) cell of the run."""
+    # the fourth key word is fixed at 0: the pinned streams are keyed with
+    # four words, and a shorter key would change every one of them
+    key = [seed & MASK64, zlib.crc32(phase.encode("utf-8")), generation & MASK64, 0]
     return Stream(np.random.Philox(np.random.SeedSequence(key)))
-
-
-def _sample(stream: Stream, n: int, k: int) -> list[int]:
-    """One sample of numpy's `choice(n, k, replace=False)`, for n up to 2**32."""
-    if not 0 <= k <= n <= 1 << 32:
-        raise ValueError(f"cannot take {k} distinct items from {n}")
-    bounded = stream._bounded
-    if n > 10000 and k > n // 50:
-        # numpy shuffles the tail of range(n) for a large sample of a large
-        # population
-        pool = list(range(n))
-        for i in range(n - 1, max(n - k, 1) - 1, -1):
-            j = bounded(i)
-            pool[i], pool[j] = pool[j], pool[i]
-        return pool[n - k:]
-    # Floyd's algorithm: a repeated draw takes the bound j, which no earlier
-    # step can have taken; then the sample is shuffled
-    sample: list[int] = []
-    taken: set[int] = set()
-    for j in range(n - k, n):
-        val = bounded(j)
-        if val in taken:
-            val = j
-        taken.add(val)
-        sample.append(val)
-    for i in range(k - 1, 0, -1):
-        j = bounded(i)
-        sample[i], sample[j] = sample[j], sample[i]
-    return sample
-
-
-def samples_without_replacement(stream: Stream, shapes: Sequence[tuple[int, int]]) -> list[list[int]]:
-    """One sample of k distinct indices from range(n) per (n, k) in `shapes`,
-    equal to one numpy `choice(n, k, replace=False)` call per shape, in
-    order, and leaving the stream where those calls would."""
-    return [_sample(stream, n, k) for n, k in shapes]
 
 
 # ---------------------------------------------------------------------------

@@ -38,7 +38,7 @@ from .population import (
     goal_reached,
     init_population,
 )
-from .rng import Stream, samples_without_replacement, substream
+from .rng import Stream, substream
 
 # ring capacity for per-member fitness samples, in units of top_m
 SAMPLE_RING_FACTOR = 4
@@ -87,13 +87,9 @@ def mutate_genome(
 def crossover_genomes(a: NeuronGene, b: NeuronGene, rng: Stream) -> NeuronGene:
     """Uniform crossover position-by-position; topology slots are shared.
     One coin per position, input weights first."""
-    weights = list(zip(a.in_weights, b.in_weights))
-    targets = list(zip(a.out_targets, b.out_targets))
-    heads = [rng.random() < 0.5 for _ in range(len(weights) + len(targets))]
-    in_weights = tuple(aw if head else bw for (aw, bw), head in zip(weights, heads))
+    in_weights = tuple(aw if rng.random() < 0.5 else bw for aw, bw in zip(a.in_weights, b.in_weights))
     out_targets = tuple(
-        (sa, wa if head else wb)
-        for ((sa, wa), (_, wb)), head in zip(targets, heads[len(weights):])
+        (sa, wa if rng.random() < 0.5 else wb) for (sa, wa), (_, wb) in zip(a.out_targets, b.out_targets)
     )
     return NeuronGene(in_weights, out_targets, a.activation)
 
@@ -396,14 +392,11 @@ def assemble(
     cover = min(-(-len(roster) // k), config.assemblies_per_generation)  # ceil
     chunks = [order[a * k: (a + 1) * k] for a in range(cover)]
     # only the last cover chunk can fall short; other members fill it up
-    short = k - len(chunks[-1])
-    shapes = [(len(roster) - len(chunks[-1]), short)] if short else []
-    shapes += [(len(roster), k)] * (config.assemblies_per_generation - cover)
-    samples = iter(samples_without_replacement(rng, shapes))
-    if short:
+    if len(chunks[-1]) < k:
         pool = [m for m in roster if m not in chunks[-1]]
-        chunks[-1] += [pool[i] for i in next(samples)]
-    chunks += ([roster[i] for i in picks] for picks in samples)
+        chunks[-1] += [pool[i] for i in rng.sample(len(pool), k - len(chunks[-1]))]
+    for _ in range(config.assemblies_per_generation - cover):
+        chunks.append([roster[i] for i in rng.sample(len(roster), k)])
     return [Assembly(tuple(chunk), flatten_to_genes(universe, chunk)) for chunk in chunks]
 
 
@@ -554,7 +547,7 @@ def evolve_generation(
         for m in ranked[n_elite:]:
             if order == 1:
                 if rng.random() < config.crossover_rate and len(elites) >= 2:
-                    pa, pb = (elites[i] for i in samples_without_replacement(rng, [(len(elites), 2)])[0])
+                    pa, pb = (elites[i] for i in rng.sample(len(elites), 2))
                     child = crossover_genomes(universe.get(pa).payload, universe.get(pb).payload, rng)
                     tag = f"o{generation}:{pa}x{pb}"
                 else:

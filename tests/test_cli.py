@@ -2,7 +2,9 @@
 
 from __future__ import annotations
 
+import hashlib
 import json
+import re
 from pathlib import Path
 
 import pytest
@@ -74,6 +76,23 @@ class TestRunCommand:
         code, _, err = run_cli(capsys, "run", str(bad))
         assert code == EXIT_USAGE
         assert "turbo" in err
+
+    @pytest.mark.parametrize("text", [
+        '{"env": {"name": "xor"}, "seed": ' + "1" * 5000 + "}",
+        json.dumps({"env": {"name": "xor"}, "output_dir": "a\0b"}),
+        json.dumps({"env": {"name": "xor"}, "output_dir": "\ud800x"}),
+        json.dumps({"env": {"name": "gridnav", "params": {"size": 10 ** 400}}}),
+        json.dumps({"env": {"name": "gridnav", "params": {"subgoal_reward": 0.9}}}),
+    ], ids=["long-seed", "nul-dir", "surrogate-dir", "huge-grid", "plain-subgoal-reward"])
+    def test_a_config_no_run_can_use_is_usage_error(self, capsys, tmp_path, monkeypatch, text):
+        # each of these once loaded, or escaped as a traceback with exit 1
+        monkeypatch.chdir(tmp_path)  # where the default output_dir would be made
+        path = tmp_path / "bad.json"
+        path.write_text(text)
+        code, out, err = run_cli(capsys, "run", str(path))
+        assert code == EXIT_USAGE
+        assert out == "" and err.startswith("error: ") and len(err.splitlines()) == 1
+        assert [p.name for p in tmp_path.iterdir()] == ["bad.json"]
 
     def test_usage_error_without_command(self, capsys):
         assert main([]) == EXIT_USAGE
@@ -254,6 +273,42 @@ class TestVerifyCommand:
         code, out, err = run_cli(capsys, command, str(path))
         assert code == EXIT_USAGE
         assert out == "" and err.startswith("error: malformed checkpoint") and "unknown key" in err
+        assert sorted(p.name for p in out_dir.iterdir()) == before
+
+
+    @pytest.mark.parametrize("command", ["verify", "inspect", "resume"])
+    def test_a_generation_beyond_the_digit_limit_is_usage_error(self, config_path, capsys, tmp_path, command):
+        run_cli(capsys, "run", str(config_path))
+        out_dir = tmp_path / "runs"
+        text, edits = re.subn(r'"generation":\d+', '"generation":' + "9" * 5000,
+                              (out_dir / "checkpoint-0-gen2.json").read_text())
+        assert edits == 1
+        path = tmp_path / "edited.json"
+        path.write_text(text)
+        before = sorted(p.name for p in out_dir.iterdir())
+        code, out, err = run_cli(capsys, command, str(path))
+        assert code == EXIT_USAGE
+        assert out == "" and err.startswith(f"error: {path}: ") and len(err.splitlines()) == 1
+        assert sorted(p.name for p in out_dir.iterdir()) == before
+
+    @pytest.mark.parametrize("command", ["verify", "inspect", "resume"])
+    @pytest.mark.parametrize("output_dir", ["a\0b", "\ud800x"])
+    def test_an_embedded_output_dir_no_path_can_hold_is_usage_error(
+        self, config_path, capsys, tmp_path, command, output_dir
+    ):
+        run_cli(capsys, "run", str(config_path))
+        out_dir = tmp_path / "runs"
+        doc = json.loads((out_dir / "checkpoint-0-gen2.json").read_text())
+        doc["config"]["output_dir"] = output_dir
+        # the digest matches, so only the output_dir rule can refuse the file
+        canonical = json.dumps(doc["config"], sort_keys=True, separators=(",", ":"))
+        doc["config_digest"] = hashlib.sha256(canonical.encode("utf-8")).hexdigest()
+        path = tmp_path / "edited.json"
+        path.write_text(json.dumps(doc))
+        before = sorted(p.name for p in out_dir.iterdir())
+        code, out, err = run_cli(capsys, command, str(path))
+        assert code == EXIT_USAGE
+        assert out == "" and err == "error: output_dir: must not contain NUL or a lone surrogate\n"
         assert sorted(p.name for p in out_dir.iterdir()) == before
 
 

@@ -402,6 +402,19 @@ class TestMakeEnv:
         with pytest.raises(ValidationError, match="max_steps"):
             make_env("gridnav", {"max_steps": 0})
 
+    def test_a_size_beyond_exact_floats_is_refused(self):
+        # up to 2**53 every coordinate and goal delta is exact in float64
+        env = make_env("gridnav", {"size": 2 ** 53})
+        assert env.observation(env.reset(0)) == (-1.0, -1.0, 1.0, 1.0)
+        for size in (2 ** 53 + 1, 10 ** 400):
+            with pytest.raises(ValidationError, match=r"^env.params.size: grid size must be in 2..2\*\*53$"):
+                make_env("gridnav", {"size": size})
+
+    def test_plain_gridnav_refuses_subgoal_reward(self):
+        # it has no subgoal, and its echo, which the config digest covers, leaves the reward out
+        with pytest.raises(ValidationError, match=r"unknown keys \['subgoal_reward'\]"):
+            make_env("gridnav", {"subgoal_reward": 0.9})
+
     @pytest.mark.parametrize("key", ["size", "goal_x", "goal_y", "subgoal_x", "subgoal_y", "max_steps"])
     @pytest.mark.parametrize("value", ["5", 2.9, 3.0, True, None, [3]])
     def test_grid_params_must_be_integers(self, key, value):

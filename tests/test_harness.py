@@ -235,6 +235,19 @@ class TestConfigParsing:
         with pytest.raises(ParseError, match="cannot read"):
             loader(binary)
 
+    @pytest.mark.parametrize("loader", [load_config, load_checkpoint])
+    def test_an_integer_beyond_the_digit_limit_is_a_parse_error(self, tmp_path, loader):
+        # json.loads refuses it with a plain ValueError, not a JSONDecodeError
+        path = tmp_path / "long.json"
+        path.write_text('{"seed": ' + "1" * 5000 + "}")
+        with pytest.raises(ParseError, match="digits"):
+            loader(path)
+
+    @pytest.mark.parametrize("output_dir", ["a\0b", "\ud800x", "runs/\udfff"])
+    def test_an_output_dir_no_path_can_hold_is_refused(self, output_dir):
+        with pytest.raises(ValidationError, match="^output_dir: must not contain NUL or a lone surrogate$"):
+            config_from_dict({"env": {"name": "xor"}, "output_dir": output_dir})
+
 
 NUMBERS = st.integers() | st.floats() | st.sampled_from([10**400, -(2**64), 2**64])
 ANY_VALUE = NUMBERS | st.booleans() | st.none() | st.text(max_size=4) | st.lists(NUMBERS, max_size=2)
@@ -257,7 +270,10 @@ def field_values(default):
     elif isinstance(default, float):
         typed = st.floats(default / 2, default)
     else:
-        typed = st.text(min_size=1, max_size=4)
+        # now and then a NUL or a lone surrogate, which no path can hold
+        typed = st.text(min_size=1, max_size=4) | st.text(
+            st.sampled_from("a/\0\ud800\udfff"), min_size=1, max_size=4
+        )
     return mostly(typed, ANY_VALUE)
 
 
@@ -304,6 +320,12 @@ class TestConfigProperty:
             return
         echoed = config_to_json_dict(config)
         assert config_from_dict(json.loads(json.dumps(echoed))) == config
+        # a config that loads can make its output directory: each name in
+        # the path is made side by side, so none leaves the temporary directory
+        with tempfile.TemporaryDirectory() as tmp:
+            for name in config.output_dir.split("/"):
+                if name not in ("", ".", ".."):
+                    (Path(tmp) / name).mkdir(exist_ok=True)
 
 
 class TestDigest:

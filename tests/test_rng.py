@@ -7,7 +7,7 @@ import pytest
 from hypothesis import event, given, settings
 from hypothesis import strategies as st
 
-from sosage.rng import Stream, samples_without_replacement, substream
+from sosage.rng import Stream, substream
 
 
 def pair(kind, key):
@@ -31,7 +31,6 @@ FLOYD = st.integers(0, 60).flatmap(lambda n: st.tuples(st.just(n), st.integers(0
 LARGE = st.sampled_from([10000, 10001, 10500]).flatmap(
     lambda n: st.tuples(st.just(n), st.sampled_from([1, n // 50, n // 50 + 1, 3 * n // 4, n]))
 )
-SHAPES = st.lists(st.one_of(FLOYD, FLOYD, FLOYD, LARGE), max_size=4)
 FLOATS = st.floats(-1e6, 1e6)
 DRAWS = st.lists(
     st.one_of(
@@ -40,21 +39,15 @@ DRAWS = st.lists(
         st.tuples(st.just("normal"), FLOATS, st.floats(0.0, 1e3)),
         st.tuples(st.just("integers"), HIGHS),
         st.tuples(st.just("permutation"), PERMUTATIONS),
-        st.tuples(st.just("samples"), SHAPES),
+        st.one_of(FLOYD, FLOYD, FLOYD, LARGE).map(lambda shape: ("sample", *shape)),
     ),
     max_size=8,
 )
 
 
-def draw_ours(stream, name, *args):
-    if name == "samples":
-        return samples_without_replacement(stream, *args)
-    return getattr(stream, name)(*args)
-
-
 def draw_numpys(gen, name, *args):
-    if name == "samples":
-        return [gen.choice(n, k, replace=False).tolist() for n, k in args[0]]
+    if name == "sample":
+        return gen.choice(*args, replace=False).tolist()
     if name == "permutation":
         return gen.permutation(*args).tolist()
     if name == "integers":
@@ -68,7 +61,7 @@ class TestStreamEqualsGenerator:
     def test_any_interleaving_of_draws(self, kind, key, draws):
         ours, numpys = pair(kind, key)
         for name, *args in draws:
-            assert draw_ours(ours, name, *args) == draw_numpys(numpys, name, *args), name
+            assert getattr(ours, name)(*args) == draw_numpys(numpys, name, *args), name
             event(name)
         # the 32-bit half-word and the word buffer end where numpy's do
         assert ours.integers(2 ** 31 + 1) == numpys.integers(2 ** 31 + 1)
@@ -81,16 +74,18 @@ class TestStreamEqualsGenerator:
 
     def test_every_ziggurat_layer_and_both_slow_paths(self):
         """Every normal draw equals numpy's. `normal` takes each attempt's
-        word from `_word` and the slow paths' uniforms from `random`, so a
-        recording subclass sees which layer and path each attempt took."""
+        word from `_word` and the slow paths' uniforms from `random`, which
+        takes its own word from `_word`; so a recording subclass that skips
+        the words `random` takes sees which layer and path each attempt took."""
 
         class Recording(Stream):
-            __slots__ = ("layers", "layer", "tail", "wedge")
+            __slots__ = ("layers", "layer", "tail", "wedge", "in_random")
 
             def _word(self):
                 word = super()._word()
-                self.layer = word & 0xFF
-                self.layers.add(self.layer)
+                if not self.in_random:
+                    self.layer = word & 0xFF
+                    self.layers.add(self.layer)
                 return word
 
             def random(self):
@@ -98,10 +93,13 @@ class TestStreamEqualsGenerator:
                     self.tail += 1
                 else:
                     self.wedge += 1
-                return super().random()
+                self.in_random = True
+                u = super().random()
+                self.in_random = False
+                return u
 
         ours = Recording(np.random.Philox(20))
-        ours.layers, ours.layer, ours.tail, ours.wedge = set(), None, 0, 0
+        ours.layers, ours.layer, ours.tail, ours.wedge, ours.in_random = set(), None, 0, 0, False
         numpys = np.random.Generator(np.random.Philox(20))
         n = 50_000
         assert [ours.normal(0.25, 2.0) for _ in range(n)] == numpys.normal(0.25, 2.0, size=n).tolist()
@@ -135,7 +133,8 @@ class TestPinnedSubstreams:
         assert s.permutation(24) == [
             22, 11, 4, 5, 15, 7, 8, 1, 18, 0, 23, 17, 10, 20, 3, 14, 21, 2, 13, 9, 19, 12, 6, 16
         ]
-        assert samples_without_replacement(s, [(24, 3), (24, 3)]) == [[12, 9, 4], [21, 23, 8]]
+        assert s.sample(24, 3) == [12, 9, 4]
+        assert s.sample(24, 3) == [21, 23, 8]
         assert s.random() == 0.05215928936491765
 
 
@@ -145,20 +144,20 @@ class TestSamplesWithoutReplacement:
     def test_the_branch_boundary(self, n, k):
         ours, numpys = pair("philox", 3)
         want = [numpys.choice(n, k, replace=False).tolist() for _ in range(2)]
-        assert samples_without_replacement(ours, [(n, k)] * 2) == want
+        assert [ours.sample(n, k) for _ in range(2)] == want
         assert ours.random() == numpys.random()
 
     @pytest.mark.parametrize("shapes", [[], [(0, 0)], [(1, 1)], [(1, 1), (5, 0), (1, 1)]])
     def test_no_draw_without_a_nonzero_bound(self, shapes):
         ours, untouched = substream(1, "edge"), substream(1, "edge")
-        assert samples_without_replacement(ours, shapes) == [list(range(k)) for _, k in shapes]
+        assert [ours.sample(n, k) for n, k in shapes] == [list(range(k)) for _, k in shapes]
         assert ours.random() == untouched.random()
 
     def test_a_larger_sample_than_the_population_is_refused(self):
         for shape in [(2, 3), (0, 1)]:
             with pytest.raises(ValueError):
-                samples_without_replacement(substream(1, "edge"), [shape])
+                substream(1, "edge").sample(*shape)
 
     def test_a_population_beyond_32_bits_is_refused(self):
         with pytest.raises(ValueError):
-            samples_without_replacement(substream(1, "edge"), [(2 ** 32 + 1, 1)])
+            substream(1, "edge").sample(2 ** 32 + 1, 1)
