@@ -12,7 +12,7 @@ import json
 import math
 import os
 import re
-from dataclasses import asdict, dataclass, fields, replace
+from dataclasses import Field, asdict, dataclass, field, fields, replace
 from functools import cache
 from pathlib import Path
 from typing import AbstractSet, Any, Callable, Mapping, Optional, TextIO
@@ -39,6 +39,10 @@ METRICS_HEADER = ",".join(f.name for f in fields(GenerationRow))
 _ROW_FORMATS = {f.name: ".6f" if f.type == "float" else "" for f in fields(GenerationRow)}
 CHECKPOINT_FORMAT = "sosage-checkpoint-v3"
 OUTPUT_DIR_ENV = "SOSAGE_OUTPUT_DIR"
+# caps on products of settings (config_from_dict forms them): the structures
+# build_state makes, and the env steps one generation may take
+MAX_INITIAL_STRUCTURES = 10**4
+MAX_GENERATION_STEPS = 10**6
 
 
 # ---------------------------------------------------------------------------
@@ -50,13 +54,13 @@ class RunConfig:
     problem: ProblemSpec
     env: EnvSpec
     evolution: EvolutionConfig
-    roster_size: int = 24
-    population_limit: int  # twice roster_size when the config leaves it out
-    max_order: int = DEFAULT_MAX_ORDER
+    roster_size: int = field(default=24, metadata={"low": 1, "high": 500})
+    population_limit: int = field(metadata={"low": 1, "high": 1000})  # default: twice roster_size
+    max_order: int = field(default=DEFAULT_MAX_ORDER, metadata={"low": 1, "high": 10**4})
     breaks_enabled: bool = True
     reverse_enabled: bool = True
     output_dir: str = "runs"
-    checkpoint_every: int = 0
+    checkpoint_every: int = field(default=0, metadata={"low": 0, "high": 10**6})
 
     @property
     def seed(self) -> int:
@@ -98,13 +102,6 @@ def _as_int(raw: Any, field: str) -> int:
     return raw
 
 
-def _as_seed(raw: Any) -> int:
-    seed = _as_int(raw, "seed")
-    if not 0 <= seed < 2 ** 64:
-        raise ValidationError("seed", "must be an unsigned 64-bit integer")
-    return seed
-
-
 def _as_bool(raw: Any, field: str) -> bool:
     if not isinstance(raw, bool):
         raise ValidationError(field, "must be true or false")
@@ -124,17 +121,37 @@ def _as_text(raw: Any, field: str) -> str:
 _READERS = {"int": _as_int, "float": finite_float, "bool": _as_bool, "str": _as_text}
 
 
+def bounds_text(bounds: Mapping[str, Any]) -> str:
+    """The interval a numeric field's metadata allows, as [1, 500] or (0, inf)."""
+    low = f"[{bounds['low']}" if "low" in bounds else f"({bounds['above']}"
+    return f"{low}, {bounds['high']}]" if "high" in bounds else f"{low}, {bounds.get('below', math.inf)})"
+
+
+@cache
+def _scalar_fields(cls: type) -> tuple[tuple[Field, float, float, float, float], ...]:
+    """Each field of `cls` a config sets as a plain value, with the bounds in
+    its metadata: closed "low" and "high", open "above" and "below", or infinite."""
+    ends = (("low", -math.inf), ("high", math.inf), ("above", -math.inf), ("below", math.inf))
+    return tuple((f, *(f.metadata.get(end, unset) for end, unset in ends))
+                 for f in fields(cls) if f.type in _READERS)
+
+
 def _read_fields(cls: type, doc: Mapping[str, Any], prefix: str) -> dict[str, Any]:
-    """The scalar fields of `cls` that `doc` sets, each read by its annotation."""
-    return {
-        f.name: _READERS[f.type](doc[f.name], prefix + f.name)
-        for f in fields(cls) if f.type in _READERS and f.name in doc
-    }
+    """The scalar fields of `cls` that `doc` sets, each read by its annotation
+    and held to its bounds; a "rule" in the metadata words the error."""
+    settings = {}
+    for f, low, high, above, below in _scalar_fields(cls):
+        if f.name in doc:
+            value = settings[f.name] = _READERS[f.type](doc[f.name], prefix + f.name)
+            if f.metadata and not (low <= value <= high and above < value < below):
+                rule = f.metadata.get("rule", "lie in " + bounds_text(f.metadata))
+                raise ValidationError(prefix + f.name, "must " + rule)
+    return settings
 
 
 def config_from_dict(doc: Mapping[str, Any]) -> RunConfig:
     """Validate a raw config mapping and fill every default. The dataclasses
-    are the schema: a key that names no field of theirs is refused."""
+    are the schema: a key naming no field, or a value outside its field's bounds, is refused."""
     if not isinstance(doc, Mapping):
         raise ValidationError("config", "top level must be an object")
     _reject_unknown(doc, _names(RunConfig) | {"seed"}, "")
@@ -152,32 +169,30 @@ def config_from_dict(doc: Mapping[str, Any]) -> RunConfig:
     problem_doc = _section(doc, "problem")
     _reject_unknown(problem_doc, _names(ProblemSpec), "problem")
     problem = ProblemSpec(**_read_fields(ProblemSpec, problem_doc, "problem."))
-    if problem.problem_order_x < 1:
-        raise ValidationError("problem.problem_order_x", "must be >= 1")
-    if problem.base_solver_order_r < 1:
-        raise ValidationError("problem.base_solver_order_r", "must be >= 1")
 
     evo_doc = _section(doc, "evolution")
-    # seed is configured at the top level only
+    # seed is set at the top level only, the one key there that names a field of EvolutionConfig
     _reject_unknown(evo_doc, _names(EvolutionConfig) - {"seed"}, "evolution")
     evolution = EvolutionConfig(**_read_fields(EvolutionConfig, evo_doc, "evolution."),
-                                seed=_as_seed(doc.get("seed", EvolutionConfig.seed)))
-    evolution.validate()
+                                **_read_fields(EvolutionConfig, doc, ""))
 
     settings = _read_fields(RunConfig, doc, "")
-    settings.setdefault("population_limit", 2 * settings.get("roster_size", RunConfig.roster_size))
+    if "population_limit" not in settings:  # twice roster_size, read as a set value is
+        roster = settings.get("roster_size", RunConfig.roster_size)
+        settings |= _read_fields(RunConfig, {"population_limit": 2 * roster}, "")
     config = RunConfig(problem=problem, env=env.spec, evolution=evolution, **settings)
 
-    if config.roster_size < 1:
-        raise ValidationError("roster_size", "must be >= 1")
     if config.roster_size > config.population_limit:
         raise ValidationError("roster_size", "must not exceed population_limit")
     if evolution.network_size > config.roster_size:
         raise ValidationError("evolution.network_size", "must not exceed roster_size")
     if config.max_order < problem.base_solver_order_r:
         raise ValidationError("max_order", "must be >= problem.base_solver_order_r")
-    if config.checkpoint_every < 0:
-        raise ValidationError("checkpoint_every", "must be >= 0")
+    if config.roster_size * problem.base_solver_order_r > MAX_INITIAL_STRUCTURES:
+        raise ValidationError("roster_size", f"times base_solver_order_r exceeds {MAX_INITIAL_STRUCTURES}")
+    if evolution.assemblies_per_generation * env.eval_episodes * env.max_steps > MAX_GENERATION_STEPS:
+        raise ValidationError("evolution.assemblies_per_generation",
+                              f"times the env's episodes and max_steps exceeds {MAX_GENERATION_STEPS}")
     return config
 
 
@@ -191,8 +206,8 @@ def _read_json(path: str | Path, what: str) -> Any:
         return json.loads(text)
     except json.JSONDecodeError as e:
         raise ParseError(f"{path}: line {e.lineno} column {e.colno}: {e.msg}") from e
-    except ValueError as e:  # an integer literal beyond the int-digit limit
-        raise ParseError(f"{path}: {e}") from e
+    except ValueError as e:  # an integer literal beyond Python's int-digit limit
+        raise ParseError(f"{path}: an integer has more than 4300 digits") from e
     except RecursionError as e:
         raise ParseError(f"{path}: nested too deeply") from e
 
@@ -226,7 +241,8 @@ def config_digest(config: RunConfig) -> str:
 
 def with_seed(config: RunConfig, seed: int) -> RunConfig:
     """The config with its seed replaced; a seed outside 64 bits is refused."""
-    return replace(config, evolution=replace(config.evolution, seed=_as_seed(seed)))
+    evolution = replace(config.evolution, **_read_fields(EvolutionConfig, {"seed": seed}, ""))
+    return replace(config, evolution=evolution)
 
 
 def resolve_output_dir(config: RunConfig) -> Path:

@@ -32,8 +32,8 @@ class ProblemSpec:
     and the goal predicate compares them to the population's reached order.
     """
 
-    problem_order_x: int = 1
-    base_solver_order_r: int = 1
+    problem_order_x: int = field(default=1, metadata={"low": 1, "high": 10**4})
+    base_solver_order_r: int = field(default=1, metadata={"low": 1, "high": 10**4})
 
 
 @dataclass

@@ -24,7 +24,6 @@ from .errors import (
     NoScores,
     RosterTooSmall,
     UnevaluatedAssembly,
-    ValidationError,
 )
 from .hyperstruct import StructureId, Universe
 from .population import (
@@ -330,41 +329,25 @@ class FitnessLedger:
 
 @dataclass(frozen=True)
 class EvolutionConfig:
-    network_size: int = 3
-    assemblies_per_generation: int = 30
-    elite_fraction: float = 0.25
-    mutation_rate: float = 0.3
-    mutation_sigma: float = 0.5
-    crossover_rate: float = 0.7
-    top_m: int = 5
-    dependency_delta: float = 0.25
-    min_cooccur_samples: int = 6
-    window_G: int = 8
-    min_improvement: float = 0.01
-    break_warmup: int = 0
-    max_generations: int = 200
-    seed: int = 0
-    w_max: float = 5.0
+    """Each numeric field's metadata holds its bounds, which harness applies."""
 
-    def validate(self) -> None:
-        def check(cond: bool, name: str, rule: str) -> None:
-            if not cond:
-                raise ValidationError(f"evolution.{name}", rule)
-
-        check(self.network_size >= 1, "network_size", "must be >= 1")
-        check(self.assemblies_per_generation >= 1, "assemblies_per_generation", "must be >= 1")
-        check(0.0 < self.elite_fraction < 1.0, "elite_fraction", "must lie in (0, 1)")
-        check(0.0 <= self.mutation_rate <= 1.0, "mutation_rate", "must lie in [0, 1]")
-        check(self.mutation_sigma > 0.0, "mutation_sigma", "must be > 0")
-        check(0.0 <= self.crossover_rate <= 1.0, "crossover_rate", "must lie in [0, 1]")
-        check(self.top_m >= 1, "top_m", "must be >= 1")
-        check(self.dependency_delta > 0.0, "dependency_delta", "must be > 0")
-        check(self.min_cooccur_samples >= 1, "min_cooccur_samples", "must be >= 1")
-        check(self.window_G >= 1, "window_G", "must be >= 1")
-        check(self.min_improvement >= 0.0, "min_improvement", "must be >= 0")
-        check(self.break_warmup >= 0, "break_warmup", "must be >= 0")
-        check(self.max_generations >= 0, "max_generations", "must be >= 0")
-        check(self.w_max > 0.0, "w_max", "must be > 0")
+    network_size: int = field(default=3, metadata={"low": 1, "high": 500})
+    assemblies_per_generation: int = field(default=30, metadata={"low": 1, "high": 10**6})
+    elite_fraction: float = field(default=0.25, metadata={"above": 0, "below": 1})
+    mutation_rate: float = field(default=0.3, metadata={"low": 0, "high": 1})
+    mutation_sigma: float = field(default=0.5, metadata={"above": 0})
+    crossover_rate: float = field(default=0.7, metadata={"low": 0, "high": 1})
+    top_m: int = field(default=5, metadata={"low": 1, "high": 1000})
+    dependency_delta: float = field(default=0.25, metadata={"above": 0})
+    min_cooccur_samples: int = field(default=6, metadata={"low": 1, "high": 10**6})
+    window_G: int = field(default=8, metadata={"low": 1, "high": 10**6})
+    min_improvement: float = field(default=0.01, metadata={"low": 0})
+    break_warmup: int = field(default=0, metadata={"low": 0, "high": 10**6})
+    max_generations: int = field(default=200, metadata={"low": 0, "high": 10**6})
+    seed: int = field(
+        default=0, metadata={"low": 0, "high": 2**64 - 1, "rule": "be an unsigned 64-bit integer"}
+    )
+    w_max: float = field(default=5.0, metadata={"above": 0})
 
 
 # ---------------------------------------------------------------------------

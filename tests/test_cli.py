@@ -83,9 +83,15 @@ class TestRunCommand:
         json.dumps({"env": {"name": "xor"}, "output_dir": "\ud800x"}),
         json.dumps({"env": {"name": "gridnav", "params": {"size": 10 ** 400}}}),
         json.dumps({"env": {"name": "gridnav", "params": {"subgoal_reward": 0.9}}}),
-    ], ids=["long-seed", "nul-dir", "surrogate-dir", "huge-grid", "plain-subgoal-reward"])
+        '{"env": {"name": "xor"}, "roster_size": ' + "9" * 4300 + "}",
+        json.dumps({"env": {"name": "xor"}, "evolution": {"assemblies_per_generation": 10**9}}),
+        json.dumps({"env": {"name": "xor"}, "max_order": 10**15}),
+    ], ids=["long-seed", "nul-dir", "surrogate-dir", "huge-grid", "plain-subgoal-reward",
+            "4300-digit-roster", "billion-assemblies", "huge-max-order"])
     def test_a_config_no_run_can_use_is_usage_error(self, capsys, tmp_path, monkeypatch, text):
-        # each of these once loaded, or escaped as a traceback with exit 1
+        # each of these once loaded, or escaped as a traceback with exit 1;
+        # the last three loaded: a roster no digest can echo and no state can
+        # hold, four billion env steps a generation, an order cap of 10**15
         monkeypatch.chdir(tmp_path)  # where the default output_dir would be made
         path = tmp_path / "bad.json"
         path.write_text(text)
@@ -93,6 +99,13 @@ class TestRunCommand:
         assert code == EXIT_USAGE
         assert out == "" and err.startswith("error: ") and len(err.splitlines()) == 1
         assert [p.name for p in tmp_path.iterdir()] == ["bad.json"]
+
+    def test_an_integer_beyond_the_digit_limit_names_the_limit(self, capsys, tmp_path):
+        path = tmp_path / "long.json"
+        path.write_text('{"env": {"name": "xor"}, "seed": ' + "1" * 5000 + "}")
+        code, out, err = run_cli(capsys, "run", str(path))
+        assert code == EXIT_USAGE
+        assert out == "" and err == f"error: {path}: an integer has more than 4300 digits\n"
 
     def test_usage_error_without_command(self, capsys):
         assert main([]) == EXIT_USAGE
@@ -288,7 +301,7 @@ class TestVerifyCommand:
         before = sorted(p.name for p in out_dir.iterdir())
         code, out, err = run_cli(capsys, command, str(path))
         assert code == EXIT_USAGE
-        assert out == "" and err.startswith(f"error: {path}: ") and len(err.splitlines()) == 1
+        assert out == "" and err == f"error: {path}: an integer has more than 4300 digits\n"
         assert sorted(p.name for p in out_dir.iterdir()) == before
 
     @pytest.mark.parametrize("command", ["verify", "inspect", "resume"])

@@ -6,10 +6,12 @@ from __future__ import annotations
 import dataclasses
 import functools
 import io
+import itertools
 import json
 import math
 import re
 import tempfile
+import tracemalloc
 from pathlib import Path
 
 import pytest
@@ -25,6 +27,8 @@ from sosage.harness import (
     OUTPUT_DIR_ENV,
     SWEEP_HEADER,
     Checkpoint,
+    RunConfig,
+    bounds_text,
     build_state,
     checkpoint_from_json_dict,
     checkpoint_to_json_dict,
@@ -45,12 +49,13 @@ from sosage.harness import (
     write_metrics_header,
     write_metrics_row,
 )
-from sosage.population import BreakEvent
+from sosage.population import BreakEvent, ProblemSpec
 from sosage.symbio import CooccurCell, EvolutionConfig, GenerationRow, NeuronGene, run_symbiosis
 
 from support import edge_graph, has_cycle
 
-CONFIG_DIR = Path(__file__).resolve().parent.parent / "configs"
+ROOT = Path(__file__).resolve().parent.parent
+CONFIG_DIR = ROOT / "configs"
 
 INVARIANT_NAMES = [
     "construction-order",
@@ -174,6 +179,25 @@ class TestConfigParsing:
         with pytest.raises(ValidationError, match=label):
             config_from_dict(doc)
 
+    @pytest.mark.parametrize("env,at_cap,past_cap,message", [
+        # the structures build_state makes: roster_size * base_solver_order_r
+        ({"name": "xor"}, {"roster_size": 100, "problem": {"base_solver_order_r": 100}},
+         {"roster_size": 100, "problem": {"base_solver_order_r": 101}},
+         "roster_size: times base_solver_order_r exceeds 10000"),
+        # the env steps of a generation: assemblies * episodes * max_steps
+        ({"name": "xor"}, {"evolution": {"assemblies_per_generation": 250_000}},
+         {"evolution": {"assemblies_per_generation": 250_001}},
+         "evolution.assemblies_per_generation: times the env's episodes and max_steps exceeds 1000000"),
+        ({"name": "gridnav", "params": {"size": 100, "max_steps": 2000}},
+         {"evolution": {"assemblies_per_generation": 500}},
+         {"evolution": {"assemblies_per_generation": 501}},
+         "evolution.assemblies_per_generation: times the env's episodes and max_steps exceeds 1000000"),
+    ])
+    def test_products_that_size_a_run_are_capped(self, env, at_cap, past_cap, message):
+        assert_runnable(config_from_dict({"env": env, "max_order": 200, **at_cap}))
+        with pytest.raises(ValidationError, match=f"^{re.escape(message)}$"):
+            config_from_dict({"env": env, "max_order": 200, **past_cap})
+
     @pytest.mark.parametrize(
         "roster,limit,message",
         [
@@ -249,7 +273,75 @@ class TestConfigParsing:
             config_from_dict({"env": {"name": "xor"}, "output_dir": output_dir})
 
 
-NUMBERS = st.integers() | st.floats() | st.sampled_from([10**400, -(2**64), 2**64])
+# every setting by its config label; seed is a field of EvolutionConfig set at the top level
+SETTINGS = {
+    "seed" if f.name == "seed" else prefix + f.name: f
+    for cls, prefix in ((RunConfig, ""), (ProblemSpec, "problem."), (EvolutionConfig, "evolution."))
+    for f in dataclasses.fields(cls) if f.type in ("int", "float", "bool", "str")
+}
+LONGEST = int("9" * 4300)  # the longest integer literal a file can hold
+MEMORY_BUDGET = 64 * 2**20  # bytes build_state may allocate for any config that loads
+
+
+def edges(f):
+    """(value, inside) for each end of a field's bounds and for the value
+    one step past it: the next integer, or the next float."""
+    def step(end, way):
+        return end + way if f.type == "int" else math.nextafter(end, way * math.inf)
+
+    found = []
+    # key, the way out of the bounds from its end, whether the end is inside
+    for key, out, closed in (("low", -1, True), ("above", -1, False), ("high", 1, True), ("below", 1, False)):
+        if key in f.metadata:
+            end = f.metadata[key]
+            # past a closed end lies outside; one step in from an open end, inside
+            found += [(end, closed), (step(end, out if closed else -out), not closed)]
+    return found
+
+
+EDGE_CASES = [
+    (label, value, inside)
+    for label, f in SETTINGS.items() if f.metadata
+    for value, inside in edges(f) + ([(LONGEST, False), (-LONGEST, False)] if f.type == "int" else [])
+]
+
+
+def edge_id(case):
+    label, value, _ = case
+    return f"{label}={'-' * (value < 0)}4300-digits" if abs(value) == LONGEST else f"{label}={value!r}"
+
+
+def setting_doc(label, value):
+    """A config that sets one setting and leaves room for every value inside
+    its bounds: a one-member roster, one-step episodes and the top order cap,
+    or for network_size the largest roster."""
+    doc = {
+        "env": {"name": "gridnav", "params": {"max_steps": 1}},
+        "roster_size": 1,
+        "evolution": {"network_size": 1},
+        "max_order": SETTINGS["max_order"].metadata["high"],
+    }
+    if label == "evolution.network_size":
+        doc["roster_size"] = SETTINGS["roster_size"].metadata["high"]
+    *section, name = label.split(".")
+    (doc.setdefault(section[0], {}) if section else doc)[name] = value
+    return doc
+
+
+def assert_runnable(config):
+    """A config that loads has a digest, and the state a run starts from
+    fits the memory budget."""
+    assert re.fullmatch("[0-9a-f]{64}", config_digest(config))
+    tracemalloc.start()
+    try:
+        build_state(config)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < MEMORY_BUDGET
+
+
+NUMBERS = st.integers() | st.floats() | st.sampled_from([10**400, -(2**64), 2**64, LONGEST, -LONGEST])
 ANY_VALUE = NUMBERS | st.booleans() | st.none() | st.text(max_size=4) | st.lists(NUMBERS, max_size=2)
 
 
@@ -260,9 +352,10 @@ def mostly(likely, other, odds=15):
     return st.integers(0, odds).flatmap(lambda k: likely if k else other)
 
 
-def field_values(default):
+def field_values(default, f=None):
     """Mostly values of the default's type that its field's own rule
-    accepts, now and then any value."""
+    accepts, now and then an end of the field's bounds or one step past it,
+    or any value."""
     if isinstance(default, bool):
         typed = st.booleans()
     elif isinstance(default, int):
@@ -274,15 +367,18 @@ def field_values(default):
         typed = st.text(min_size=1, max_size=4) | st.text(
             st.sampled_from("a/\0\ud800\udfff"), min_size=1, max_size=4
         )
+    if f is not None and f.metadata:
+        return mostly(typed, mostly(st.sampled_from([value for value, _ in edges(f)]), ANY_VALUE, odds=1))
     return mostly(typed, ANY_VALUE)
 
 
-def config_section(defaults):
+def config_section(defaults, prefix=None):
     """Some of a section's fields, or now and then a non-object or a section
-    with an unknown key."""
-    fields = st.fixed_dictionaries(
-        {}, optional={key: field_values(value) for key, value in defaults.items()}
-    )
+    with an unknown key. Given the section's `prefix`, each field also draws
+    the ends of its bounds from SETTINGS."""
+    fields = st.fixed_dictionaries({}, optional={
+        key: field_values(value, SETTINGS.get(f"{prefix}.{key}")) for key, value in defaults.items()
+    })
     return mostly(fields, mostly(fields.map(lambda doc: {**doc, "bogus": 1}), ANY_VALUE, odds=1))
 
 
@@ -302,10 +398,10 @@ CONFIG_DOCS = st.fixed_dictionaries(
     {"env": mostly(ENV_SECTIONS, mostly(
         env_section(ANY_VALUE, ENV_PARAMS["gridnav-compositional"]), ANY_VALUE, odds=1))},
     optional={
-        **{key: field_values(value) for key, value in DEFAULT_ECHO.items()
+        **{key: field_values(value, SETTINGS[key]) for key, value in DEFAULT_ECHO.items()
            if key not in ("env", "problem", "evolution")},
-        "problem": config_section(DEFAULT_ECHO["problem"]),
-        "evolution": config_section(DEFAULT_ECHO["evolution"]),
+        "problem": config_section(DEFAULT_ECHO["problem"], "problem"),
+        "evolution": config_section(DEFAULT_ECHO["evolution"], "evolution"),
     },
 )
 
@@ -326,6 +422,39 @@ class TestConfigProperty:
             for name in config.output_dir.split("/"):
                 if name not in ("", ".", ".."):
                     (Path(tmp) / name).mkdir(exist_ok=True)
+        assert_runnable(config)
+
+    @pytest.mark.parametrize("label,value,inside", EDGE_CASES, ids=map(edge_id, EDGE_CASES))
+    def test_each_bound_and_one_step_past_it(self, label, value, inside):
+        doc = setting_doc(label, value)
+        if not inside:
+            with pytest.raises(ValidationError) as refused:
+                config_from_dict(doc)
+            assert refused.value.field == label
+            return
+        config = config_from_dict(doc)
+        assert resolve(config_to_json_dict(config), label.split(".")) == value
+        assert_runnable(config)
+
+
+class TestSettingsTable:
+    def test_the_readme_table_matches_the_fields(self):
+        """The Configuration table of README.md gives every setting, its
+        default and, for a number, the range its field's metadata allows."""
+        lines = (ROOT / "README.md").read_text(encoding="utf-8").splitlines()
+        start = lines.index("| Setting | Default | Range |") + 2
+        rows = {}
+        for line in itertools.takewhile(lambda line: line.startswith("|"), lines[start:]):
+            label, default, bounds = (cell.strip() for cell in line.strip("|").split("|"))
+            rows[label.strip("`")] = (default, bounds)
+        assert rows.keys() == SETTINGS.keys()
+        for label, f in SETTINGS.items():
+            default, bounds = rows[label]
+            assert default == (
+                "twice `roster_size`" if f.default is dataclasses.MISSING else json.dumps(f.default)
+            ), label
+            if f.metadata:
+                assert bounds == bounds_text(f.metadata), label
 
 
 class TestDigest:
