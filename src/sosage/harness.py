@@ -19,7 +19,7 @@ from typing import AbstractSet, Any, Callable, Mapping, Optional, TextIO
 
 from .envs import EnvSpec, finite_float, make_env
 from .errors import DigestMismatch, ParseError, ValidationError
-from .hyperstruct import DEFAULT_MAX_ORDER, Structure, Universe
+from .hyperstruct import DEFAULT_MAX_ORDER, Structure, Universe, emergent
 from .population import BreakEvent, Population, ProblemSpec, StallDetector
 from .symbio import (
     SAMPLE_RING_FACTOR,
@@ -776,14 +776,10 @@ def verify(ckpt: Checkpoint) -> VerifyReport:
     bad = []
     for event in pop.break_log:
         levels = ledger.pending_levels(event.dependent, event.dependee)
-        if event.level_observed not in levels:
+        if not emergent(levels, event.level_observed):
             bad.append(
-                f"break at gen {event.generation}: level {event.level_observed} not in "
-                f"the pending record"
-            )
-        if event.level_observed - 1 in levels:
-            bad.append(
-                f"break at gen {event.generation}: pair already pending one level down"
+                f"break at gen {event.generation}: level {event.level_observed} is not "
+                f"emergent in the pending levels {sorted(levels)}"
             )
     record("break-log-emergence", bad)
 

@@ -8,13 +8,14 @@ dependency edges, each tagged with the observation level that recorded it.
 Direct dependency edges must span exactly one order. Per-level observer
 functions supply observable properties; a property of a composite is emergent
 when it is observable at the composite's level but at the level below on none
-of its constituents.
+of its constituents. `emergent` is that rule over a set of levels, and the
+population's break gate asks it of the ledger's pending levels.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Any, Callable, Iterable
+from typing import Any, Callable, Container, Iterable
 
 from .errors import (
     EmptyConstituents,
@@ -54,23 +55,15 @@ class ObsRecord:
 
 
 # Observer: pure function (structure, universe) -> iterable of ObsRecord,
-# registered for one level and required to emit records at that level only.
+# filed under one level in Universe.observers and required to emit records at
+# that level only.
 Observer = Callable[[Structure, "Universe"], Iterable[ObsRecord]]
 
 
-class ObserverRegistry:
-    """Per-level lists of pure observer functions."""
-
-    def __init__(self) -> None:
-        self._by_level: dict[int, list[Observer]] = {}
-
-    def register(self, level: int, observer: Observer) -> None:
-        if level < 1:
-            raise ValueError("observer level must be >= 1")
-        self._by_level.setdefault(level, []).append(observer)
-
-    def at_level(self, level: int) -> list[Observer]:
-        return list(self._by_level.get(level, ()))
+def emergent(levels: Container[int], level: int) -> bool:
+    """The one rule of emergence: observed at `level` and not at the level
+    below. The break gate, verify and `Universe.is_emergent` all ask it."""
+    return level in levels and (level - 1) not in levels
 
 
 class InteractionGraph:
@@ -138,7 +131,7 @@ class Universe:
     max_order: int = DEFAULT_MAX_ORDER
     structures: dict[StructureId, Structure] = field(default_factory=dict)
     graph: InteractionGraph = field(default_factory=InteractionGraph)
-    observers: ObserverRegistry = field(default_factory=ObserverRegistry)
+    observers: dict[int, list[Observer]] = field(default_factory=dict)
     next_id: StructureId = 0  # the id the next structure gets; checkpoints store it
 
     # --- store primitives ---
@@ -244,7 +237,7 @@ class Universe:
         if level < 1:
             raise ValueError("observation level must be >= 1")
         records: set[ObsRecord] = set()
-        for obs in self.observers.at_level(level):
+        for obs in self.observers.get(level, ()):
             for rec in obs(s, self):
                 if rec.level != level:
                     raise ValueError(
@@ -259,11 +252,12 @@ class Universe:
         s = self.get(structure_id)
         if s.order < 2:
             raise NotComposite(f"structure {structure_id} has order 1; emergence needs order >= 2")
-        here = {r.property for r in self.observe(structure_id, s.order)}
-        if property_name not in here:
-            return False
-        below = s.order - 1
-        for c in sorted(s.constituents):
-            if property_name in {r.property for r in self.observe(c, below)}:
-                return False
-        return True
+        levels = set()
+        if property_name in {r.property for r in self.observe(structure_id, s.order)}:
+            levels.add(s.order)
+            if any(
+                property_name in {r.property for r in self.observe(c, s.order - 1)}
+                for c in sorted(s.constituents)
+            ):
+                levels.add(s.order - 1)
+        return emergent(levels, s.order)

@@ -1,12 +1,13 @@
 """Population roster and the breaking operator.
 
 The roster starts homogeneous at the base order and raises its own order by
-"breaking": when two top-stratum members of equal order show an emergent
-dependency, they are aggregated into a one-order-higher composite, lifting the
-population order by exactly one. Breaking has a reverse that dissolves a
-composite back into its constituents when the higher order is no longer
-earning its keep. Equal-order dependency evidence is pending (ledger-only)
-until a break re-houses it as two legal direct edges from the new composite.
+"breaking": when two top-stratum members of equal order show a dependency
+that `hyperstruct.emergent` finds emergent at the population order, they are
+aggregated into a one-order-higher composite, lifting the population order by
+exactly one. Breaking has a reverse that dissolves a composite back into its
+constituents when the higher order is no longer earning its keep. Equal-order
+dependency evidence is pending (ledger-only) until a break re-houses it as two
+legal direct edges from the new composite.
 """
 
 from __future__ import annotations
@@ -21,7 +22,7 @@ from .errors import (
     NotAComposite,
     PreconditionViolated,
 )
-from .hyperstruct import StructureId, Universe
+from .hyperstruct import StructureId, Universe, emergent
 
 
 @dataclass(frozen=True)
@@ -51,7 +52,8 @@ class PendingDependency:
     """Equal-order dependency evidence awaiting a break.
 
     `levels` holds every population order at which the observation was
-    recorded; the pair is emergent at level n when n is present and n-1 is not.
+    recorded, the set `hyperstruct.emergent` is asked about. The loop records
+    a pair only while both members are top-stratum, so that is one level.
     """
 
     dependent: StructureId
@@ -146,11 +148,11 @@ def can_break(
 ) -> Optional[tuple[StructureId, StructureId]]:
     """Select the breakable pair, if any.
 
-    A pair qualifies when both members sit in the top stratum, the dependency
-    observation is emergent at the current population order (present at level
-    n, absent at level n-1), and the composite would not exceed the universe's
-    order cap. Absence is a normal outcome: a full roster, an order cap, or no
-    emergent pair all yield None. Ties break on lowest (dependent, dependee).
+    A pair qualifies when both members sit in the top stratum, its pending
+    levels are emergent at the current population order
+    (`hyperstruct.emergent`), and the composite would not exceed the
+    universe's order cap. Absence is a normal outcome: a full roster, an
+    order cap, or no emergent pair all yield None. Ties break on lowest (dependent, dependee).
     """
     if len(pop.members) == pop.population_limit:
         return None
@@ -166,7 +168,7 @@ def can_break(
             continue
         if universe.structural_order(x) != top or universe.structural_order(y) != top:
             continue
-        if n not in cand.levels or (n - 1) in cand.levels:
+        if not emergent(cand.levels, n):
             continue
         if best is None or (x, y) < best:
             best = (x, y)

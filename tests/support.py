@@ -24,6 +24,64 @@ def stream(seed: int) -> Stream:
     return Stream(np.random.PCG64(seed))
 
 
+M32, M64 = 2**32 - 1, 2**64 - 1
+
+
+def seed_sequence_state(entropy: list[int], n_words: int) -> list[int]:
+    """numpy's SeedSequence(entropy).generate_state(n_words, np.uint64),
+    written out from numpy/random/bit_generator.pyx: each integer of the
+    entropy becomes its 32-bit words (0 is one word), the words are hashed
+    into a pool of four, and the pool is hashed out again."""
+    words = []
+    for v in entropy:
+        words += [(v >> s) & M32 for s in range(0, v.bit_length(), 32)] or [0]
+    const = 0x43B0D7E5
+
+    def hashmix(value):
+        nonlocal const
+        value ^= const
+        const = (const * 0x931E8875) & M32
+        value = (value * const) & M32
+        return value ^ (value >> 16)
+
+    def mix(x, y):
+        r = (0xCA01F9DD * x - 0x4973F715 * y) & M32
+        return r ^ (r >> 16)
+
+    pool = [hashmix(words[i] if i < len(words) else 0) for i in range(4)]
+    for src in range(4):
+        for dst in range(4):
+            if src != dst:
+                pool[dst] = mix(pool[dst], hashmix(pool[src]))
+    for w in words[4:]:
+        for dst in range(4):
+            pool[dst] = mix(pool[dst], hashmix(w))
+    out, const = [], 0x8B51F9DD
+    for i in range(2 * n_words):
+        value = pool[i % 4] ^ const
+        const = (const * 0x58F38DED) & M32
+        value = (value * const) & M32
+        out.append(value ^ (value >> 16))
+    return [out[2 * i] | out[2 * i + 1] << 32 for i in range(n_words)]
+
+
+def philox_words(key: list[int], n: int) -> list[int]:
+    """The first n words of numpy's Philox with this two-word key, as
+    random_raw gives them: Philox4x64-10 over the counters 1, 2, 3, ...,
+    four words per counter."""
+    out, counter = [], 0
+    while len(out) < n:
+        counter += 1
+        c = [(counter >> s) & M64 for s in (0, 64, 128, 192)]
+        k0, k1 = key
+        for _ in range(10):
+            p0, p1 = 0xD2E7470EE14C6C93 * c[0], 0xCA5A826395121157 * c[2]
+            c = [(p1 >> 64) ^ c[1] ^ k0, p1 & M64, (p0 >> 64) ^ c[3] ^ k1, p0 & M64]
+            k0, k1 = (k0 + 0x9E3779B97F4A7C15) & M64, (k1 + 0xBB67AE8584CAA73B) & M64
+        out += c
+    return out[:n]
+
+
 def fold(values) -> float:
     """Left-to-right float total, the way sosage adds. The builtin sum()
     compensates its rounding from Python 3.12 on, so it is no oracle."""
@@ -128,7 +186,7 @@ def build_layered(universe: Universe, r: int) -> int:
 
 
 def table_observers(universe: Universe, table: dict[tuple[int, int], set[str]]) -> None:
-    """Register observers that report exactly the properties listed in
+    """File observers that report exactly the properties listed in
     `table[(structure_id, level)]`."""
     levels = {level for (_sid, level) in table}
     for level in levels:
@@ -137,7 +195,7 @@ def table_observers(universe: Universe, table: dict[tuple[int, int], set[str]]) 
                 ObsRecord(property=p, value=True, level=_level)
                 for p in sorted(table.get((s.id, _level), set()))
             ]
-        universe.observers.register(level, obs)
+        universe.observers.setdefault(level, []).append(obs)
 
 
 def emergence_oracle(

@@ -19,6 +19,7 @@ from hypothesis import event, given, settings
 from hypothesis import strategies as st
 
 from sosage import harness
+from sosage.cli import EXIT_VERIFY_FAILED, main
 from sosage.envs import ENV_NAMES, make_env
 from sosage.errors import DigestMismatch, ParseError, SosageError, ValidationError
 from sosage.harness import (
@@ -880,6 +881,23 @@ class TestVerify:
         result = self.corrupt(finished_run, mutate)
         names = {r.name for r in result.failures()}
         assert "break-log" in names and "break-log-emergence" in names
+
+    @pytest.mark.parametrize("corruption", ["break-level-removed", "level-below-added"])
+    def test_a_break_pair_not_emergent_in_its_pending_record_fails(self, tmp_path, capsys, corruption):
+        doc = valid_checkpoint_doc()
+        event = doc["population"]["break_log"][0]
+        key, level = f"{event['dependent']},{event['dependee']}", event["level_observed"]
+        assert doc["ledger"]["pending"][key] == [level]
+        levels = [] if corruption == "break-level-removed" else [level - 1, level]
+        doc["ledger"]["pending"][key] = levels
+        path = tmp_path / "corrupted.json"
+        path.write_text(json.dumps(doc))
+        assert main(["verify", str(path)]) == EXIT_VERIFY_FAILED
+        failed = [line for line in capsys.readouterr().out.splitlines() if not line.startswith("pass  ")]
+        assert failed == [
+            f"FAIL  break-log-emergence  (break at gen {event['generation']}: level {level} "
+            f"is not emergent in the pending levels {levels})"
+        ]
 
 
 class TestInspect:

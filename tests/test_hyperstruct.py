@@ -14,7 +14,7 @@ from sosage.errors import (
     OrderGapViolation,
     UnknownStructure,
 )
-from sosage.hyperstruct import ObsRecord, Universe
+from sosage.hyperstruct import ObsRecord, Universe, emergent
 
 from support import (
     build_layered,
@@ -195,19 +195,21 @@ class TestDependency:
 class TestObservation:
     def test_observe_unions_all_observers_at_level(self, universe):
         a = universe.add_primitive("a")
-        universe.observers.register(1, lambda s, u: [ObsRecord("p", 1, 1)])
-        universe.observers.register(1, lambda s, u: [ObsRecord("q", 2, 1)])
+        universe.observers[1] = [
+            lambda s, u: [ObsRecord("p", 1, 1)],
+            lambda s, u: [ObsRecord("q", 2, 1)],
+        ]
         assert {r.property for r in universe.observe(a, 1)} == {"p", "q"}
 
     def test_observe_level_routing(self, universe):
         a = universe.add_primitive("a")
-        universe.observers.register(2, lambda s, u: [ObsRecord("deep", 0, 2)])
+        universe.observers[2] = [lambda s, u: [ObsRecord("deep", 0, 2)]]
         assert universe.observe(a, 1) == frozenset()
         assert {r.property for r in universe.observe(a, 2)} == {"deep"}
 
     def test_observer_emitting_wrong_level_rejected(self, universe):
         a = universe.add_primitive("a")
-        universe.observers.register(1, lambda s, u: [ObsRecord("p", 0, 3)])
+        universe.observers[1] = [lambda s, u: [ObsRecord("p", 0, 3)]]
         with pytest.raises(ValueError):
             universe.observe(a, 1)
 
@@ -218,6 +220,13 @@ class TestObservation:
 
 
 class TestEmergence:
+    @pytest.mark.parametrize(
+        "levels,want",
+        [({2}, True), ({2, 3}, True), ({1, 2}, False), ({1}, False), ({3}, False), (set(), False)],
+    )
+    def test_the_rule_over_levels(self, levels, want):
+        assert emergent(frozenset(levels), 2) is want
+
     def build(self, universe, table):
         a = universe.add_primitive("a")
         b = universe.add_primitive("b")

@@ -2,12 +2,16 @@
 
 from __future__ import annotations
 
+import zlib
+
 import numpy as np
 import pytest
 from hypothesis import event, given, settings
 from hypothesis import strategies as st
 
 from sosage.rng import Stream, substream
+
+from support import philox_words, seed_sequence_state
 
 
 def pair(kind, key):
@@ -115,6 +119,25 @@ class TestStreamEqualsGenerator:
     def test_a_high_outside_32_bits_is_refused(self, high):
         with pytest.raises(ValueError):
             substream(1, "edge").integers(high)
+
+
+class TestNumpyBitsMatchTheOracle:
+    """The digests rest on two things of numpy's alone: SeedSequence, which
+    turns a substream key into a Philox key, and Philox4x64-10's words. A
+    pure-Python copy of each names the layer a numpy release moved."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        seed=st.integers(0, 2 ** 64 - 1),
+        phase=st.sampled_from(["init", "assemble", "evolve"]),
+        generation=st.one_of(st.integers(0, 10 ** 6), st.integers(0, 2 ** 64 - 1)),
+    )
+    def test_substream_keys(self, seed, phase, generation):
+        key = [seed, zlib.crc32(phase.encode("utf-8")), generation, 0]
+        state = seed_sequence_state(key, 2)
+        assert state == np.random.SeedSequence(key).generate_state(2, np.uint64).tolist()
+        words = np.random.Philox(np.random.SeedSequence(key)).random_raw(70).tolist()
+        assert philox_words(state, 70) == words
 
 
 class TestPinnedSubstreams:

@@ -12,13 +12,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from sosage.envs import GridNavEnv, XorEnv
+from sosage.envs import GridNavEnv, XorEnv, make_env
 from sosage.errors import (
     DimensionMismatch,
     NoScores,
     RosterTooSmall,
     UnevaluatedAssembly,
 )
+from sosage.harness import build_state, load_config, with_seed
 from sosage.hyperstruct import Universe
 from sosage.population import ProblemSpec, StallDetector, apply_break, init_population
 from sosage.symbio import (
@@ -48,6 +49,7 @@ from sosage.symbio import (
 )
 
 from support import constant_one_gene, fold, stream, xor_solver_genes
+from test_digests import CONFIG_DIR, REVERSING
 
 PROPERTY_SETTINGS = settings(max_examples=120, deadline=None)
 
@@ -900,3 +902,36 @@ class TestLoop:
             on_checkpoint=lambda g, s: seen.append(g), checkpoint_every=2,
         )
         assert seen == [2, 4]
+
+
+class TestWhatTheLoopFeedsTheRule:
+    """The loop records a pair only while both members sit in the top
+    stratum, so each pending entry holds one level: the members' order less
+    the base order plus one, the population order at the time. Since
+    structures never change order, no second level is ever added, and
+    `hyperstruct.emergent` cannot refuse a pair the loop recorded."""
+
+    @pytest.mark.parametrize(
+        "seed,changes", [(7, {}), (1, {**REVERSING, "max_generations": 120})], ids=["xor-7", "xor-1-reversing"]
+    )
+    def test_each_pending_entry_is_one_level_set_by_its_order(self, seed, changes):
+        base = with_seed(load_config(CONFIG_DIR / "xor.json"), seed)
+        config = dataclasses.replace(base, evolution=dataclasses.replace(base.evolution, **changes))
+        state = build_state(config)
+        entries = []
+
+        def check(generation, now):
+            order = now.universe.structural_order
+            for (x, y), levels in now.ledger.pending.items():
+                assert order(x) == order(y), (generation, x, y)
+                assert levels == {order(x) - now.pop.base_order_r + 1}, (generation, x, y, levels)
+            entries.append(len(now.ledger.pending))
+
+        outcome = run_symbiosis(
+            make_env(config.env.name, config.env.params), config.evolution, state,
+            breaks_enabled=config.breaks_enabled, reverse_enabled=config.reverse_enabled,
+            on_checkpoint=check, checkpoint_every=1,
+        )
+        check(outcome.next_generation, state)
+        assert len(entries) == outcome.next_generation and sum(entries) > 0
+        assert state.pop.break_log
