@@ -5,6 +5,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 from dataclasses import replace
 from typing import Optional, Sequence
@@ -16,6 +17,7 @@ EXIT_OK = 0
 EXIT_UNSOLVED = 1
 EXIT_USAGE = 2
 EXIT_VERIFY_FAILED = 3
+EXIT_BROKEN_PIPE = 141  # 128 + SIGPIPE, what a shell reports for a tool killed by it
 
 
 def _progress(line: str) -> None:
@@ -75,12 +77,9 @@ def _cmd_run(args: argparse.Namespace) -> int:
 
 
 def _print_results(results, file=None) -> None:
-    for result in results:
-        mark = "pass" if result.passed else "FAIL"
-        line = f"{mark}  {result.name}"
-        if result.detail:
-            line += f"  ({result.detail})"
-        print(line, file=file)
+    for r in results:
+        detail = f"  ({r.detail})" if r.detail else ""
+        print(f"{'pass' if r.passed else 'FAIL'}  {r.name}{detail}", file=file)
 
 
 def _load_verified(path: str) -> Optional[harness.Checkpoint]:
@@ -151,7 +150,13 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         # argparse exits 2 on usage errors and 0 on --help; keep both
         return int(e.code or 0)
     try:
-        return _COMMANDS[args.command](args)
+        code = _COMMANDS[args.command](args)
+        sys.stdout.flush()  # a reader that left shows here, not at exit
+        return code
+    except BrokenPipeError:
+        # stop quietly, with stdout on devnull so no flush can raise again
+        sys.stdout = open(os.devnull, "w")
+        return EXIT_BROKEN_PIPE
     except (SosageError, OSError) as e:
         print(f"error: {e}", file=sys.stderr)
         return EXIT_USAGE

@@ -37,7 +37,7 @@ from .symbio import (
 METRICS_HEADER = ",".join(f.name for f in fields(GenerationRow))
 # field name -> format spec of its column; floats keep six decimals
 _ROW_FORMATS = {f.name: ".6f" if f.type == "float" else "" for f in fields(GenerationRow)}
-CHECKPOINT_FORMAT = "sosage-checkpoint-v3"
+CHECKPOINT_FORMAT = "sosage-checkpoint-v4"
 OUTPUT_DIR_ENV = "SOSAGE_OUTPUT_DIR"
 # caps on products of settings (config_from_dict forms them): the structures
 # build_state makes, and the env steps one generation may take
@@ -282,7 +282,7 @@ def _fmt_weight(x: float) -> str:
 
 
 def checkpoint_to_json_dict(ckpt: Checkpoint) -> dict:
-    """The whole v3 document. Floats are `"%.17g"` strings; settings live
+    """The whole v4 document. Floats are `"%.17g"` strings; settings live
     only in the embedded config; save_checkpoint sorts every object's keys."""
     u, pop, ledger = ckpt.state.universe, ckpt.state.pop, ckpt.state.ledger
     structures = []
@@ -320,12 +320,9 @@ def checkpoint_to_json_dict(ckpt: Checkpoint) -> dict:
                 str(m): [_fmt_weight(v) for v in samples]
                 for m, samples in ledger.per_member.items()
             },
-            "cooccur": {
-                f"{x},{y}": {
-                    "with_both": [cell.both_count, _fmt_weight(cell.both_total)],
-                    "with_x_only": [cell.solo_count, _fmt_weight(cell.solo_total)],
-                }
-                for (x, y), cell in ledger.cooccur.items()
+            "cooccur": {  # one flat array per cell, in CooccurCell's field order
+                f"{x},{y}": [c.both_count, _fmt_weight(c.both_total), c.solo_count, _fmt_weight(c.solo_total)]
+                for (x, y), c in ledger.cooccur.items()
             },
             "pending": {f"{x},{y}": sorted(levels) for (x, y), levels in ledger.pending.items()},
         },
@@ -497,9 +494,7 @@ def _ledger_from_json(doc: Mapping[str, Any], top_m: int) -> FitnessLedger:
     for key, samples in doc["per_member"].items():
         ledger.per_member[_id_key(key, "per_member")] = _floats(samples, "per_member samples")
     for key, row in doc["cooccur"].items():
-        _reject_unknown(row, {"with_both", "with_x_only"}, "cooccur", _malformed)
-        bc, bt = _list(row["with_both"], "with_both")
-        sc, st = _list(row["with_x_only"], "with_x_only")
+        bc, bt, sc, st = _list(row, "cooccur")
         ledger.cooccur[_pair_key(key, "cooccur")] = CooccurCell(
             _of(int, bc, "a count"), _float(bt, "a total"), _of(int, sc, "a count"), _float(st, "a total")
         )

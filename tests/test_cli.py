@@ -4,12 +4,14 @@ from __future__ import annotations
 
 import hashlib
 import json
+import os
 import re
+import sys
 from pathlib import Path
 
 import pytest
 
-from sosage.cli import EXIT_OK, EXIT_UNSOLVED, EXIT_USAGE, EXIT_VERIFY_FAILED, main
+from sosage.cli import EXIT_BROKEN_PIPE, EXIT_OK, EXIT_UNSOLVED, EXIT_USAGE, EXIT_VERIFY_FAILED, main
 from sosage.harness import CHECKPOINT_FORMAT, OUTPUT_DIR_ENV, load_checkpoint, save_checkpoint
 
 
@@ -185,6 +187,24 @@ class TestVerifyCommand:
         assert len(lines) == 11
         assert all(line.startswith("pass") for line in lines)
 
+    @pytest.mark.parametrize("command", ["verify", "inspect"])
+    def test_a_reader_that_left_ends_the_command_quietly(self, config_path, capsys, tmp_path, monkeypatch, command):
+        # `sosage verify ckpt | true`: the pipe's reader is gone before the first write
+        run_cli(capsys, "run", str(config_path))
+        ckpt = str(tmp_path / "runs" / "checkpoint-0-final.json")
+
+        def gone(text):
+            raise BrokenPipeError(32, "Broken pipe")
+
+        captured = sys.stdout
+        monkeypatch.setattr(sys, "stdout", captured)  # put back after main points it at devnull
+        monkeypatch.setattr(captured, "write", gone)
+        code = main([command, ckpt])
+        assert code == EXIT_BROKEN_PIPE == 141
+        assert capsys.readouterr().err == ""
+        assert sys.stdout is not captured and sys.stdout.name == os.devnull
+        sys.stdout.close()
+
     def test_corrupted_checkpoint_fails(self, config_path, capsys, tmp_path):
         run_cli(capsys, "run", str(config_path))
         path = tmp_path / "runs" / "checkpoint-0-final.json"
@@ -262,15 +282,23 @@ class TestVerifyCommand:
     def test_version_2_checkpoint_is_usage_error(self, config_path, capsys, tmp_path, command):
         run_cli(capsys, "run", str(config_path))
         path = tmp_path / "runs" / "checkpoint-0-final.json"
-        doc = json.loads(path.read_text())
+        v4 = json.loads(path.read_text())
+        # a v3 file wrote each co-occurrence cell as an object
+        v3 = json.loads(json.dumps(v4))
+        v3["format"] = "sosage-checkpoint-v3"
+        v3["ledger"]["cooccur"] = {
+            key: {"with_both": cell[:2], "with_x_only": cell[2:]} for key, cell in v4["ledger"]["cooccur"].items()
+        }
         # a v2 file also carried the settings that v3 reads from the config
-        doc["format"] = "sosage-checkpoint-v2"
-        doc["ledger"]["top_m"] = doc["config"]["evolution"]["top_m"]
-        doc["population"]["population_limit"] = doc["config"]["population_limit"]
-        path.write_text(json.dumps(doc))
-        code, out, err = run_cli(capsys, command, str(path))
-        assert code == EXIT_USAGE
-        assert out == "" and err == "error: not a sosage-checkpoint-v3 document\n"
+        v2 = json.loads(json.dumps(v3))
+        v2["format"] = "sosage-checkpoint-v2"
+        v2["ledger"]["top_m"] = v2["config"]["evolution"]["top_m"]
+        v2["population"]["population_limit"] = v2["config"]["population_limit"]
+        for doc in (v2, v3):
+            path.write_text(json.dumps(doc))
+            code, out, err = run_cli(capsys, command, str(path))
+            assert code == EXIT_USAGE
+            assert out == "" and err == "error: not a sosage-checkpoint-v4 document\n"
 
     @pytest.mark.parametrize("command", ["verify", "inspect", "resume"])
     def test_settings_beside_the_config_are_usage_error(self, config_path, capsys, tmp_path, command):

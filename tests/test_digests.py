@@ -68,12 +68,12 @@ GRIDNAV_COMP = {
 # (config, seed, evolution changes) -> final checkpoint digest
 REVERSING = {"dependency_delta": 0.05, "window_G": 2, "min_cooccur_samples": 2, "break_warmup": 0}
 CHECKPOINTS = [
-    ("xor.json", 7, {}, "f2e7745b0df3d8866b33331059736149f00bd8e9fbd4b0ecb7194f3fbfc9030d"),
+    ("xor.json", 7, {}, "2c7291ec39fa6931bf4aa5a8ef6247bbdbe010fa192e6ec6a07680d467e23fe7"),
     ("gridnav_comp.json", 9, {"max_generations": 150},
-     "219c76a0edda4661f503e440bb02be2b5986611c3b518233ff4322ef6b37c31c"),
+     "38c44d5eb6abcec365e940683dba18965ac4ccd371685b2128fa907cff5a8cd6"),
     ("xor.json", 1, {**REVERSING, "max_generations": 120},
-     "4edc185b2029d32e1b74bea2bb5d7327f8b257e6ec0c78060426536416d3cafe"),
-    ("xor.json", 13, {}, "832788d1f027547a4adf659cbbe25e7b87c4885c240804bb2646817137d1ae12"),
+     "af7e58f14caa9f9aaaa4346865af56e65e85dcca269cb2ac1b42e3c1aab3f15b"),
+    ("xor.json", 13, {}, "cdc453345b4c09410f6835ceb8816b1cb7f8ff1331c71c764bd6300b49fcc21d"),
 ]
 
 

@@ -608,7 +608,7 @@ class TestResume:
         assert final_resumed == final_full
 
     def test_indented_file_from_earlier_builds_resumes_the_same(self, finished_run):
-        # v3 files were once written with indent=1; only whitespace differs
+        # no build writes v4 indented, but such a file differs only in whitespace
         _, report, out = finished_run
         compact = out / "checkpoint-0-gen2.json"
         doc = json.loads(compact.read_text())
@@ -1185,7 +1185,7 @@ class TestMalformedCheckpoints:
             (("universe", "interacts", 0), "123"),
             (("universe", "depends", 0), "123"),
             (("ledger", "per_member", ANY), "12"),
-            (("ledger", "cooccur", ANY, "with_both"), "12"),
+            (("ledger", "cooccur", ANY), "1234"),
             (("ledger", "pending", ANY), "1"),
             (("population", "members"), "12"),
             (("loop", "stall_history"), "12"),
@@ -1201,6 +1201,15 @@ class TestMalformedCheckpoints:
             (("population", "break_log", 0, "reversed_at"), 2.5),
             (("ledger", "per_member"), {"+3": ["1.5"]}),
             (("ledger", "per_member"), {"03": ["1.5"]}),
+            # a co-occurrence cell is [both_count, both_total, solo_count,
+            # solo_total], the totals decimal strings; a v3 object cell is refused
+            (("ledger", "cooccur", ANY), [1, "1.0", 0]),
+            (("ledger", "cooccur", ANY), [1, "1.0", 0, "0", 0]),
+            (("ledger", "cooccur", ANY), {"with_both": [1, "1.0"], "with_x_only": [0, "0"]}),
+            (("ledger", "cooccur", ANY, 0), True),
+            (("ledger", "cooccur", ANY, 2), 1.0),
+            (("ledger", "cooccur", ANY, 1), 1.5),
+            (("ledger", "cooccur", ANY, 3), "nan"),
             # every key the writer writes is required
             (("loop", "solved_at"), KeyError),
             (("population", "break_log", 0, "reversed_at"), KeyError),
@@ -1213,7 +1222,6 @@ class TestMalformedCheckpoints:
             (("population", "population_limit"), 3),
             (("universe", "structures", 0, "extra"), 1),
             (("universe", "structures", 0, "payload", "extra"), 1),
-            (("ledger", "cooccur", ANY, "extra"), 1),
             (("population", "break_log", 0, "extra"), 1),
             (("universe", "extra"), 1),
             (("loop", "extra"), 1),
@@ -1304,7 +1312,7 @@ def corrupted_checkpoint_docs(draw):
             if table == "per_member":
                 ledger["per_member"][str(x)] = ["1.0"]
             elif table == "cooccur":
-                ledger["cooccur"][f"{x},{y}"] = {"with_both": [1, "1.0"], "with_x_only": [0, "0"]}
+                ledger["cooccur"][f"{x},{y}"] = [1, "1.0", 0, "0"]
             else:
                 ledger["pending"][f"{x},{y}"] = [draw(level)]
         else:
