@@ -2,23 +2,10 @@
 structures driving symbiotic neuro-evolution, with a breaking operator that
 raises population order when progress stalls."""
 
+from .checkpoint import Checkpoint, load_checkpoint, save_checkpoint
+from .config import RunConfig, config_from_dict, load_config, with_seed
 from .envs import EnvSpec, GridNavEnv, XorEnv, make_env
-from .harness import (
-    Checkpoint,
-    RunConfig,
-    RunReport,
-    VerifyReport,
-    config_from_dict,
-    load_checkpoint,
-    load_config,
-    resume,
-    run,
-    save_checkpoint,
-    summarize_checkpoint,
-    sweep,
-    verify,
-    with_seed,
-)
+from .harness import RunReport, resume, run, summarize_checkpoint, sweep
 from .hyperstruct import ObsRecord, Structure, Universe
 from .population import (
     BreakEvent,
@@ -46,6 +33,7 @@ from .symbio import (
     net_forward,
     run_symbiosis,
 )
+from .verify import VerifyReport, verify
 
 __version__ = "0.1.0"
 

@@ -11,7 +11,10 @@ from dataclasses import replace
 from typing import Optional, Sequence
 
 from . import harness
+from .checkpoint import Checkpoint, load_checkpoint
+from .config import RunConfig, load_config, with_seed
 from .errors import SosageError
+from .verify import verify
 
 EXIT_OK = 0
 EXIT_UNSOLVED = 1
@@ -55,10 +58,10 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _load_run_config(args: argparse.Namespace) -> harness.RunConfig:
-    config = harness.load_config(args.config)
+def _load_run_config(args: argparse.Namespace) -> RunConfig:
+    config = load_config(args.config)
     if getattr(args, "seed", None) is not None:
-        config = harness.with_seed(config, args.seed)
+        config = with_seed(config, args.seed)
     if getattr(args, "no_breaks", False):
         config = replace(config, breaks_enabled=False)
     if getattr(args, "no_reverse", False):
@@ -82,11 +85,11 @@ def _print_results(results, file=None) -> None:
         print(f"{'pass' if r.passed else 'FAIL'}  {r.name}{detail}", file=file)
 
 
-def _load_verified(path: str) -> Optional[harness.Checkpoint]:
+def _load_verified(path: str) -> Optional[Checkpoint]:
     """The checkpoint at `path`, or None once its verify failures are on
     stderr: broken state would make what reads it crash or mislead."""
-    ckpt = harness.load_checkpoint(path)
-    failures = harness.verify(ckpt).failures()
+    ckpt = load_checkpoint(path)
+    failures = verify(ckpt).failures()
     if failures:
         _print_results(failures, file=sys.stderr)
         return None
@@ -118,8 +121,8 @@ def _cmd_inspect(args: argparse.Namespace) -> int:
 
 
 def _cmd_verify(args: argparse.Namespace) -> int:
-    ckpt = harness.load_checkpoint(args.checkpoint)
-    report = harness.verify(ckpt)
+    ckpt = load_checkpoint(args.checkpoint)
+    report = verify(ckpt)
     _print_results(report.results)
     return EXIT_OK if report.passed else EXIT_VERIFY_FAILED
 

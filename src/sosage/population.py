@@ -75,13 +75,6 @@ class Population:
     def top_order(self) -> int:
         return self.base_order_r + self.pop_order_n - 1
 
-    def strata(self, universe: Universe) -> dict[int, list[StructureId]]:
-        """Roster members grouped by structural order, roster order preserved."""
-        out: dict[int, list[StructureId]] = {}
-        for m in self.members:
-            out.setdefault(universe.structural_order(m), []).append(m)
-        return out
-
 
 @dataclass
 class StallDetector:
@@ -118,8 +111,9 @@ def init_population(
     genomes: Sequence[Any],
     limit: int,
 ) -> Population:
-    """Wrap each genome as an order-1 primitive (chained up to order r when the
-    base solver order is above 1) and declare all-pairs interaction at level 1."""
+    """Wrap each genome as an order-1 primitive, chained up to order r when the
+    base solver order is above 1. No interaction is declared: nothing reads one
+    between roster members."""
     if not genomes:
         raise EmptyPopulation("at least one genome is required")
     if len(genomes) > limit:
@@ -130,9 +124,6 @@ def init_population(
         for _ in range(problem.base_solver_order_r - 1):
             i = universe.construct({i}, tag=f"g{k}-wrap")
         members.append(i)
-    for a_idx in range(len(members)):
-        for b_idx in range(a_idx + 1, len(members)):
-            universe.declare_interaction(members[a_idx], members[b_idx], level=1)
     return Population(
         members=members,
         base_order_r=problem.base_solver_order_r,

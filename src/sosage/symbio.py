@@ -577,14 +577,6 @@ class GenerationRow:
     breaks_so_far: int
 
 
-@dataclass
-class LoopOutcome:
-    solved: bool
-    generations_to_solve: Optional[int]
-    final_pop_order: int
-    next_generation: int
-
-
 def new_loop_state(
     problem: ProblemSpec,
     env,
@@ -645,8 +637,9 @@ def run_symbiosis(
     on_row: Optional[Callable[[GenerationRow], None]] = None,
     on_checkpoint: Optional[Callable[[int, LoopState], None]] = None,
     checkpoint_every: int = 0,
-) -> LoopOutcome:
-    """Drive generations until the goal is reached or the budget runs out.
+) -> int:
+    """Drive generations until the goal is reached or the budget runs out,
+    and return the generation a resume would start from.
 
     Each generation: assemble, evaluate, distribute fitness, then (stall
     permitting) detect dependencies and apply at most one break, then the
@@ -718,12 +711,7 @@ def run_symbiosis(
         # in the loop, not at save time, so a resumed run holds the same state
         compact(state)
 
-    return LoopOutcome(
-        solved=state.solved_at is not None,
-        generations_to_solve=state.solved_at,
-        final_pop_order=pop.pop_order_n,
-        next_generation=generation,
-    )
+    return generation
 
 
 def _maybe_reverse(state: LoopState, config: EvolutionConfig, generation: int) -> None:

@@ -1,0 +1,191 @@
+"""The structural verifier: 11 invariants over a checkpoint's state."""
+
+from __future__ import annotations
+
+import re
+from dataclasses import dataclass
+
+from .checkpoint import Checkpoint
+from .envs import make_env
+from .hyperstruct import emergent
+from .symbio import SAMPLE_RING_FACTOR, NeuronGene, live_structures
+
+
+@dataclass
+class InvariantResult:
+    name: str
+    passed: bool
+    detail: str = ""
+
+
+@dataclass
+class VerifyReport:
+    results: list[InvariantResult]
+
+    @property
+    def passed(self) -> bool:
+        return all(r.passed for r in self.results)
+
+    def failures(self) -> list[InvariantResult]:
+        return [r for r in self.results if not r.passed]
+
+
+_OFFSPRING_TAG = re.compile(r"^o\d+:(\d+)(?:x(\d+))?$")
+_CLONE_TAG = re.compile(r"^c\d+:(\d+)$")
+
+
+def verify(ckpt: Checkpoint) -> VerifyReport:
+    """Run every structural invariant against the snapshot; failures carry the
+    offending ids instead of raising. No check looks for cycles: orders fall
+    strictly along every constituent and every dependency edge that passes
+    construction-order and dependency-order-gap, so a cycle fails one of them."""
+    u = ckpt.state.universe
+    pop = ckpt.state.pop
+    ledger = ckpt.state.ledger
+    env = make_env(ckpt.config.env.name, ckpt.config.env.params)
+    w_max = ckpt.config.evolution.w_max
+    results: list[InvariantResult] = []
+
+    def record(name: str, bad: list[str]) -> None:
+        results.append(InvariantResult(name, not bad, "; ".join(bad[:5])))
+
+    bad = []
+    for i, s in u.structures.items():
+        if s.order < 1 or s.order > u.max_order:
+            bad.append(f"structure {i} order {s.order} outside 1..{u.max_order}")
+        if s.order == 1 and s.constituents:
+            bad.append(f"primitive {i} has constituents")
+        if s.order > 1:
+            if not s.constituents:
+                bad.append(f"composite {i} has no constituents")
+            elif any(c not in u for c in s.constituents):
+                bad.append(f"composite {i} references unknown constituents")
+            elif s.order != 1 + max(u.structures[c].order for c in s.constituents):
+                bad.append(f"composite {i} violates the order law")
+    record("construction-order", bad)
+
+    bad = []
+    for a, b, level in u.graph.interaction_edges():
+        if a not in u or b not in u:
+            bad.append(f"interaction ({a},{b}) references unknown structure")
+        if level < 1:
+            bad.append(f"interaction ({a},{b}) at level {level} < 1")
+    record("interaction-symmetry", bad)
+
+    bad = []
+    for d, e, _ in u.graph.dependency_edges():
+        if d not in u or e not in u:
+            bad.append(f"dependency ({d},{e}) references unknown structure")
+        elif (gap := u.structures[d].order - u.structures[e].order) != 1:
+            bad.append(f"dependency ({d},{e}) spans order gap {gap}")
+    record("dependency-order-gap", bad)
+
+    bad = []
+    seen_members: set[int] = set()
+    for m in pop.members:
+        if m not in u:
+            bad.append(f"member {m} not in universe")
+        if m in seen_members:
+            bad.append(f"member {m} listed twice")
+        seen_members.add(m)
+    if len(pop.members) > pop.population_limit:
+        bad.append(f"roster {len(pop.members)} exceeds limit {pop.population_limit}")
+    record("roster-membership", bad)
+
+    bad = []
+    if pop.pop_order_n < 1:
+        bad.append(f"pop_order {pop.pop_order_n} < 1")
+    orders = [u.get(m).order for m in pop.members if m in u]
+    if orders:
+        if max(orders) != pop.top_order:
+            bad.append(f"max member order {max(orders)} != top order {pop.top_order}")
+        if min(orders) < pop.base_order_r:
+            bad.append(f"member order {min(orders)} below base order {pop.base_order_r}")
+    record("population-order", bad)
+
+    bad = []
+    for event in pop.break_log:
+        if event.composite not in u:
+            bad.append(f"break composite {event.composite} missing")
+            continue
+        z = u.get(event.composite)
+        if z.constituents != frozenset((event.dependent, event.dependee)):
+            bad.append(f"break composite {event.composite} constituents differ from the event pair")
+        expected_level = event.level_observed + 1
+        for part in (event.dependent, event.dependee):
+            if expected_level not in u.graph.dependency_levels(event.composite, part):
+                bad.append(
+                    f"break composite {event.composite} lacks the level-{expected_level} "
+                    f"dependency on {part}"
+                )
+        if z.order != pop.base_order_r + event.level_observed:
+            bad.append(f"break composite {event.composite} order {z.order} off its level")
+    record("break-log", bad)
+
+    bad = []
+    for event in pop.break_log:
+        levels = ledger.pending_levels(event.dependent, event.dependee)
+        if not emergent(levels, event.level_observed):
+            bad.append(
+                f"break at gen {event.generation}: level {event.level_observed} is not "
+                f"emergent in the pending levels {sorted(levels)}"
+            )
+    record("break-log-emergence", bad)
+
+    # a key naming an unknown id is never live: state-compact reports it
+    bad = []
+    cap = SAMPLE_RING_FACTOR * ledger.top_m
+    for m, samples in ledger.per_member.items():
+        if len(samples) > cap:
+            bad.append(f"ledger member {m} holds {len(samples)} samples, cap {cap}")
+    bad += [f"cooccurrence pair ({x},{y}) is reflexive" for x, y in ledger.cooccur if x == y]
+    record("ledger-references", bad)
+
+    bad = []
+    for i, s in u.structures.items():
+        if s.order != 1:
+            continue
+        g = s.payload
+        if not isinstance(g, NeuronGene):
+            bad.append(f"primitive {i} payload is not a genome")
+            continue
+        if len(g.in_weights) != env.input_dim + 1:
+            bad.append(f"genome {i} has {len(g.in_weights)} input weights, want {env.input_dim + 1}")
+        if any(not 0 <= slot < env.output_dim for slot, _ in g.out_targets):
+            bad.append(f"genome {i} targets an output slot outside 0..{env.output_dim - 1}")
+        if g.activation not in ("tanh", "step"):
+            bad.append(f"genome {i} activation {g.activation!r}")
+        weights = list(g.in_weights) + [w for _, w in g.out_targets]
+        if any(not abs(w) <= w_max for w in weights):  # NaN fails too
+            bad.append(f"genome {i} weight exceeds {w_max}")
+    record("genome-shape", bad)
+
+    bad = []
+    for i, s in u.structures.items():
+        m = _OFFSPRING_TAG.match(s.tag)
+        if m is not None:
+            parents = [int(p) for p in m.groups() if p is not None]
+            for p in parents:
+                if p in u and u.get(p).order != s.order:
+                    bad.append(f"offspring {i} (order {s.order}) from parent {p} of other order")
+            continue
+        m = _CLONE_TAG.match(s.tag)
+        if m is not None:
+            orig = int(m.group(1))
+            if orig in u and u.get(orig).order != s.order:
+                bad.append(f"clone {i} (order {s.order}) from original {orig} of other order")
+    record("lineage-strata", bad)
+
+    # every checkpoint follows a compaction, or a solving generation that
+    # adds nothing outside the live set
+    live = live_structures(u, pop)
+    bad = [f"structure {i} is not live" for i in sorted(u.structures) if i not in live]
+    bad += [f"ledger member {m} is not live" for m in sorted(ledger.per_member) if m not in live]
+    for table, label in ((ledger.cooccur, "cooccurrence"), (ledger.pending, "pending")):
+        bad += [
+            f"{label} pair ({x},{y}) is not live"
+            for x, y in sorted(table) if x not in live or y not in live
+        ]
+    record("state-compact", bad)
+
+    return VerifyReport(results)

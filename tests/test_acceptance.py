@@ -21,16 +21,11 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from sosage.checkpoint import load_checkpoint
+from sosage.config import load_config, with_seed
 from sosage.envs import XorEnv
 from sosage.errors import LimitExceeded, NotComposite
-from sosage.harness import (
-    OUTPUT_DIR_ENV,
-    load_checkpoint,
-    load_config,
-    resume,
-    run,
-    with_seed,
-)
+from sosage.harness import OUTPUT_DIR_ENV, resume, run
 from sosage.hyperstruct import Universe
 from sosage.population import (
     PendingDependency,

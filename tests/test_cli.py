@@ -11,8 +11,9 @@ from pathlib import Path
 
 import pytest
 
+from sosage.checkpoint import CHECKPOINT_FORMAT, load_checkpoint, save_checkpoint
 from sosage.cli import EXIT_BROKEN_PIPE, EXIT_OK, EXIT_UNSOLVED, EXIT_USAGE, EXIT_VERIFY_FAILED, main
-from sosage.harness import CHECKPOINT_FORMAT, OUTPUT_DIR_ENV, load_checkpoint, save_checkpoint
+from sosage.harness import OUTPUT_DIR_ENV
 
 
 @pytest.fixture(autouse=True)

@@ -10,10 +10,13 @@ from pathlib import Path
 import pytest
 
 from sosage import symbio
-from sosage.harness import OUTPUT_DIR_ENV, load_checkpoint, load_config, resume, run, verify, with_seed
+from sosage.checkpoint import load_checkpoint
+from sosage.config import load_config, with_seed
+from sosage.harness import OUTPUT_DIR_ENV, resume, run
 from sosage.hyperstruct import Universe
 from sosage.population import BreakEvent, Population
 from sosage.symbio import FitnessLedger, live_structures
+from sosage.verify import verify
 
 CONFIG_DIR = Path(__file__).resolve().parent.parent / "configs"
 

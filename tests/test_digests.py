@@ -31,17 +31,16 @@ from pathlib import Path
 
 import pytest
 
-from sosage.envs import EnvSpec
-from sosage.harness import (
-    OUTPUT_DIR_ENV,
+from sosage.config import (
     RunConfig,
     config_digest,
     config_from_dict,
     config_to_json_dict,
     load_config,
-    run,
     with_seed,
 )
+from sosage.envs import EnvSpec
+from sosage.harness import OUTPUT_DIR_ENV, run
 from sosage.population import ProblemSpec
 from sosage.symbio import EvolutionConfig
 
@@ -68,12 +67,12 @@ GRIDNAV_COMP = {
 # (config, seed, evolution changes) -> final checkpoint digest
 REVERSING = {"dependency_delta": 0.05, "window_G": 2, "min_cooccur_samples": 2, "break_warmup": 0}
 CHECKPOINTS = [
-    ("xor.json", 7, {}, "2c7291ec39fa6931bf4aa5a8ef6247bbdbe010fa192e6ec6a07680d467e23fe7"),
+    ("xor.json", 7, {}, "d714db3b6b0bb57c270946a79eb291f65b3df595496ffe6c6712c52e61ac73a0"),
     ("gridnav_comp.json", 9, {"max_generations": 150},
      "38c44d5eb6abcec365e940683dba18965ac4ccd371685b2128fa907cff5a8cd6"),
     ("xor.json", 1, {**REVERSING, "max_generations": 120},
-     "af7e58f14caa9f9aaaa4346865af56e65e85dcca269cb2ac1b42e3c1aab3f15b"),
-    ("xor.json", 13, {}, "cdc453345b4c09410f6835ceb8816b1cb7f8ff1331c71c764bd6300b49fcc21d"),
+     "91011fcf25888abcdeef536222b13cc28f13706b51e2be86c1a4c63edef44f78"),
+    ("xor.json", 13, {}, "b3f7c27991720b12cb0dce986016c0a3a6d2ab16cb638d092a2b3986d760fd9c"),
 ]
 
 

@@ -20,7 +20,8 @@ from dataclasses import replace
 import pytest
 
 import sosage
-from sosage.harness import OUTPUT_DIR_ENV, load_config, run, with_seed
+from sosage.config import load_config, with_seed
+from sosage.harness import OUTPUT_DIR_ENV, run
 
 from test_acceptance import (
     COMP_FROZEN_DISABLED_MEDIAN,

@@ -18,40 +18,44 @@ import pytest
 from hypothesis import event, given, settings
 from hypothesis import strategies as st
 
-from sosage import harness
-from sosage.cli import EXIT_VERIFY_FAILED, main
-from sosage.envs import ENV_NAMES, make_env
-from sosage.errors import DigestMismatch, ParseError, SosageError, ValidationError
-from sosage.harness import (
+from sosage import checkpoint
+from sosage.checkpoint import (
     CHECKPOINT_FORMAT,
-    METRICS_HEADER,
-    OUTPUT_DIR_ENV,
-    SWEEP_HEADER,
     Checkpoint,
-    RunConfig,
-    bounds_text,
-    build_state,
     checkpoint_from_json_dict,
     checkpoint_to_json_dict,
+    load_checkpoint,
+    save_checkpoint,
+)
+from sosage.cli import EXIT_VERIFY_FAILED, main
+from sosage.config import (
+    RunConfig,
+    bounds_text,
     config_digest,
     config_from_dict,
     config_to_json_dict,
-    format_summary_text,
-    load_checkpoint,
     load_config,
+    with_seed,
+)
+from sosage.envs import ENV_NAMES, make_env
+from sosage.errors import DigestMismatch, ParseError, SosageError, ValidationError
+from sosage.harness import (
+    METRICS_HEADER,
+    OUTPUT_DIR_ENV,
+    SWEEP_HEADER,
+    build_state,
+    format_summary_text,
     resolve_output_dir,
     resume,
     run,
-    save_checkpoint,
     summarize_checkpoint,
     sweep,
-    verify,
-    with_seed,
     write_metrics_header,
     write_metrics_row,
 )
 from sosage.population import BreakEvent, ProblemSpec
 from sosage.symbio import CooccurCell, EvolutionConfig, GenerationRow, NeuronGene, run_symbiosis
+from sosage.verify import verify
 
 from support import edge_graph, has_cycle
 
@@ -521,7 +525,7 @@ class TestRunArtifacts:
         names = sorted(p.name for p in out.iterdir())
         ckpt = load_checkpoint(path)
         ckpt.generation += 1
-        encode = harness.checkpoint_to_json_dict
+        encode = checkpoint.checkpoint_to_json_dict
 
         def not_json(c):
             doc = encode(c)
@@ -541,11 +545,11 @@ class TestRunArtifacts:
             raise OSError(18, "Invalid cross-device link")
 
         if stage == "encode":
-            monkeypatch.setattr(harness, "checkpoint_to_json_dict", not_json)
+            monkeypatch.setattr(checkpoint, "checkpoint_to_json_dict", not_json)
         elif stage == "write":
-            monkeypatch.setattr(harness, "open", half_open, raising=False)
+            monkeypatch.setattr(checkpoint, "open", half_open, raising=False)
         else:
-            monkeypatch.setattr(harness.os, "replace", no_rename)
+            monkeypatch.setattr(checkpoint.os, "replace", no_rename)
         with pytest.raises(TypeError if stage == "encode" else OSError):
             save_checkpoint(path, ckpt)
         assert path.read_bytes() == before
@@ -716,9 +720,12 @@ class TestValidConfigsEndToEnd:
             if not periodic:
                 return
             ckpt = load_checkpoint(data.draw(st.sampled_from(periodic), label="resume from"))
+            before = [path.read_bytes() for path in periodic]
             resumed = resume(ckpt)
             assert read_rows(resumed.metrics_path) == read_rows(report.metrics_path)[ckpt.generation:]
             assert Path(resumed.checkpoint_path).read_bytes() == final.read_bytes()
+            # the resume writes the later periodic files again under their own names
+            assert [path.read_bytes() for path in periodic] == before
 
 
 class TestSweep:
@@ -958,9 +965,9 @@ def _checkpoint_text() -> str:
     )
     config = dataclasses.replace(base, evolution=evolution, roster_size=4, population_limit=8)
     state = build_state(config)
-    outcome = run_symbiosis(make_env(config.env.name, config.env.params), config.evolution, state)
+    generation = run_symbiosis(make_env(config.env.name, config.env.params), config.evolution, state)
     assert state.pop.break_log
-    ckpt = Checkpoint(config=config, generation=outcome.next_generation, state=state)
+    ckpt = Checkpoint(config=config, generation=generation, state=state)
     return json.dumps(checkpoint_to_json_dict(ckpt))
 
 

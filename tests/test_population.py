@@ -50,11 +50,9 @@ class TestInitPopulation:
         assert all(universe.structural_order(m) == 1 for m in pop.members)
         assert pop.pop_order_n == 1
 
-    def test_all_pairs_interact_at_level_one(self, universe):
-        pop = make_pop(universe, n=4)
-        for i, a in enumerate(pop.members):
-            for b in pop.members[i + 1:]:
-                assert universe.graph.interacts(a, b)
+    def test_a_fresh_roster_has_no_interaction_edge(self, universe):
+        make_pop(universe, n=4)
+        assert universe.graph.interaction_edges() == []
 
     def test_empty_genomes_rejected(self, universe):
         with pytest.raises(EmptyPopulation):

@@ -12,6 +12,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from sosage.config import load_config, with_seed
 from sosage.envs import GridNavEnv, XorEnv, make_env
 from sosage.errors import (
     DimensionMismatch,
@@ -19,7 +20,7 @@ from sosage.errors import (
     RosterTooSmall,
     UnevaluatedAssembly,
 )
-from sosage.harness import build_state, load_config, with_seed
+from sosage.harness import build_state
 from sosage.hyperstruct import Universe
 from sosage.population import ProblemSpec, StallDetector, apply_break, init_population
 from sosage.symbio import (
@@ -847,19 +848,19 @@ class TestLoop:
 
     def test_zero_budget_returns_empty_outcome(self):
         config = EvolutionConfig(max_generations=0, network_size=3, assemblies_per_generation=2)
+        state = self.solver_state(config)
         rows = []
-        outcome = run_symbiosis(XorEnv(), config, self.solver_state(config), on_row=rows.append)
-        assert (outcome.solved, rows, outcome.next_generation) == (False, [], 0)
+        next_generation = run_symbiosis(XorEnv(), config, state, on_row=rows.append)
+        assert (state.solved_at, rows, next_generation) == (None, [], 0)
 
     def test_planted_solver_finishes_at_generation_zero(self):
         config = EvolutionConfig(max_generations=5, network_size=3, assemblies_per_generation=2)
         state = self.solver_state(config)
         rows = []
-        outcome = run_symbiosis(XorEnv(), config, state, on_row=rows.append)
-        assert outcome.solved and outcome.generations_to_solve == 0
+        next_generation = run_symbiosis(XorEnv(), config, state, on_row=rows.append)
+        assert (state.solved_at, next_generation) == (0, 1)
         assert len(rows) == 1
         assert rows[0].best_fitness == 4.0
-        assert state.solved_at == 0
 
     def test_unsolved_run_fills_the_budget(self):
         problem = ProblemSpec(problem_order_x=2, base_solver_order_r=1)
@@ -868,14 +869,14 @@ class TestLoop:
         )
         state = new_loop_state(problem, XorEnv(), config, roster_size=4, population_limit=8, max_order=8)
         rows = []
-        outcome = run_symbiosis(
+        next_generation = run_symbiosis(
             XorEnv(), config, state, breaks_enabled=False, on_row=rows.append
         )
-        assert not outcome.solved and outcome.generations_to_solve is None
+        assert state.solved_at is None
         assert [r.generation for r in rows] == [0, 1, 2, 3]
         assert all(r.breaks_so_far == 0 for r in rows)
         assert all(r.roster_size == 4 and r.pop_order == 1 for r in rows)
-        assert outcome.next_generation == 4
+        assert (next_generation, state.pop.pop_order_n) == (4, 1)
 
     def test_rows_are_reproducible(self):
         problem = ProblemSpec(problem_order_x=2, base_solver_order_r=1)
@@ -927,11 +928,11 @@ class TestWhatTheLoopFeedsTheRule:
                 assert levels == {order(x) - now.pop.base_order_r + 1}, (generation, x, y, levels)
             entries.append(len(now.ledger.pending))
 
-        outcome = run_symbiosis(
+        next_generation = run_symbiosis(
             make_env(config.env.name, config.env.params), config.evolution, state,
             breaks_enabled=config.breaks_enabled, reverse_enabled=config.reverse_enabled,
             on_checkpoint=check, checkpoint_every=1,
         )
-        check(outcome.next_generation, state)
-        assert len(entries) == outcome.next_generation and sum(entries) > 0
+        check(next_generation, state)
+        assert len(entries) == next_generation and sum(entries) > 0
         assert state.pop.break_log
