@@ -33,7 +33,7 @@ from .symbio import (
     net_forward,
     run_symbiosis,
 )
-from .verify import VerifyReport, verify
+from .invariants import VerifyReport, verify
 
 __version__ = "0.1.0"
 

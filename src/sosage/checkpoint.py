@@ -1,4 +1,4 @@
-"""The checkpoint file format, `sosage-checkpoint-v4`. No other module knows
+"""The checkpoint file format, `sosage-checkpoint-v5`. No other module knows
 it: one writer encodes the config, generation and loop state, and one reader
 takes each value only in the form the writer gives it."""
 
@@ -21,12 +21,12 @@ from .config import (
     config_from_dict,
     config_to_json_dict,
 )
-from .errors import DigestMismatch, ParseError
+from .errors import DigestMismatch, ParseError, SosageError
 from .hyperstruct import Structure, Universe
 from .population import BreakEvent, Population, StallDetector
 from .symbio import CooccurCell, FitnessLedger, LoopState, NeuronGene
 
-CHECKPOINT_FORMAT = "sosage-checkpoint-v4"
+CHECKPOINT_FORMAT = "sosage-checkpoint-v5"
 
 
 @dataclass
@@ -42,9 +42,11 @@ def _fmt_weight(x: float) -> str:
 
 
 def checkpoint_to_json_dict(ckpt: Checkpoint) -> dict:
-    """The whole v4 document. Floats are `"%.17g"` strings; settings live
+    """The whole v5 document. Floats are `"%.17g"` strings; settings live
     only in the embedded config; save_checkpoint sorts every object's keys."""
     u, pop, ledger = ckpt.state.universe, ckpt.state.pop, ckpt.state.ledger
+    if declared := u.graph.declared_interactions():  # the file derives every other interaction edge
+        raise SosageError(f"declared interaction edge {declared[0]} has no place in a checkpoint")
     structures = []
     for i in sorted(u.structures):
         s = u.structures[i]
@@ -66,7 +68,6 @@ def checkpoint_to_json_dict(ckpt: Checkpoint) -> dict:
         "generation": ckpt.generation,
         "universe": {
             "structures": structures,
-            "interacts": [list(e) for e in u.graph.interaction_edges()],
             "depends": [list(e) for e in u.graph.dependency_edges()],
             "next_id": u.next_id,
         },
@@ -200,7 +201,7 @@ def _payload_from_json(raw: Any) -> Any:
 
 def _universe_from_json(doc: Mapping[str, Any], max_order: int) -> Universe:
     u = Universe(max_order=max_order)
-    _reject_unknown(doc, {"structures", "interacts", "depends", "next_id"}, "universe", _malformed)
+    _reject_unknown(doc, {"structures", "depends", "next_id"}, "universe", _malformed)
     for row in _list(doc["structures"], "structures"):
         s = Structure(
             id=_of(int, row["id"], "a structure id"),
@@ -219,13 +220,10 @@ def _universe_from_json(doc: Mapping[str, Any], max_order: int) -> Universe:
     u.next_id = _of(int, doc["next_id"], "next_id")
     if u.next_id <= max(u.structures, default=-1):
         raise ValueError(f"next_id {u.next_id} does not exceed every structure id")
-    for key, add_edge in (("interacts", u.graph.add_interaction), ("depends", u.graph.add_dependency)):
-        edges = _list(doc[key], key, list)
-        _list([v for edge in edges for v in edge], key, int)
-        for a, b, level in edges:
-            if key == "interacts" and a > b:  # the writer puts the lower id first
-                raise ValueError(f"interaction ({a},{b}) is not written low id first")
-            add_edge(a, b, level)
+    edges = _list(doc["depends"], "depends", list)
+    _list([v for edge in edges for v in edge], "depends", int)
+    for d, e, level in edges:
+        u.graph.add_dependency(d, e, level)
     return u
 
 

@@ -14,7 +14,7 @@ from . import harness
 from .checkpoint import Checkpoint, load_checkpoint
 from .config import RunConfig, load_config, with_seed
 from .errors import SosageError
-from .verify import verify
+from .invariants import verify
 
 EXIT_OK = 0
 EXIT_UNSOLVED = 1

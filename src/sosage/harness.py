@@ -19,7 +19,7 @@ from .errors import ValidationError
 from .symbio import GenerationRow, LoopState, new_loop_state, run_symbiosis
 
 # perfbench calls and rebinds these three as harness attributes; nothing here uses them
-from .checkpoint import load_checkpoint; from .config import load_config; from .verify import verify
+from .checkpoint import load_checkpoint; from .config import load_config; from .invariants import verify
 
 METRICS_HEADER = ",".join(f.name for f in fields(GenerationRow))
 # field name -> format spec of its column; floats keep six decimals

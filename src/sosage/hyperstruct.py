@@ -2,10 +2,10 @@
 
 A universe holds immutable structures arranged in a cumulative hierarchy:
 order-1 primitives carry opaque payloads, higher orders aggregate lower ones
-(overlap allowed, constituents may span several lower orders). Two relations
-are tracked between structures: symmetric interaction edges and directed
-dependency edges, each tagged with the observation level that recorded it.
-Direct dependency edges must span exactly one order. Per-level observer
+(overlap allowed, constituents may span several lower orders). Two level-tagged
+relations join structures: directed dependency edges, whose direct edges span
+exactly one order, and symmetric interaction edges, which construction and
+dependency imply and a caller may also declare. Per-level observer
 functions supply observable properties; a property of a composite is emergent
 when it is observable at the composite's level but at the level below on none
 of its constituents. `emergent` is that rule over a set of levels, and the
@@ -15,7 +15,7 @@ population's break gate asks it of the ledger's pending levels.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Any, Callable, Container, Iterable
+from typing import Any, Callable, Container, Iterable, Mapping
 
 from .errors import (
     EmptyConstituents,
@@ -69,13 +69,15 @@ def emergent(levels: Container[int], level: int) -> bool:
 class InteractionGraph:
     """Interaction (symmetric) and dependency (directed) edges, level-tagged.
 
-    Interaction pairs are stored normalized (low id first); reflexivity is a
-    query-level guarantee, never storage. Every dependency edge implies the
-    matching interaction edge.
+    Only dependency and declared interaction edges are stored. A composite in
+    the structure map interacts with each constituent at its own order, and a
+    dependency edge implies the interaction edge at its level; interaction
+    pairs come low id first, and reflexivity is a query-level guarantee.
     """
 
-    def __init__(self) -> None:
-        self._interacts: dict[tuple[StructureId, StructureId], set[int]] = {}
+    def __init__(self, structures: Mapping[StructureId, Structure]) -> None:
+        self._structures = structures
+        self._declared: dict[tuple[StructureId, StructureId], set[int]] = {}
         self._depends: dict[tuple[StructureId, StructureId], set[int]] = {}
 
     @staticmethod
@@ -83,16 +85,17 @@ class InteractionGraph:
         return (a, b) if a <= b else (b, a)
 
     def add_interaction(self, a: StructureId, b: StructureId, level: int) -> None:
-        self._interacts.setdefault(self._norm(a, b), set()).add(level)
+        self._declared.setdefault(self._norm(a, b), set()).add(level)
 
     def add_dependency(self, dependent: StructureId, dependee: StructureId, level: int) -> None:
         self._depends.setdefault((dependent, dependee), set()).add(level)
-        self.add_interaction(dependent, dependee, level)
 
     def interacts(self, a: StructureId, b: StructureId) -> bool:
-        if a == b:
-            return True
-        return self._norm(a, b) in self._interacts
+        return a == b or any(
+            (x, y) in self._declared or (x, y) in self._depends
+            or (x in self._structures and y in self._structures[x].constituents)
+            for x, y in ((a, b), (b, a))
+        )
 
     def direct_dependees(self, dependent: StructureId) -> frozenset[StructureId]:
         return frozenset(e for d, e in self._depends if d == dependent)
@@ -100,10 +103,13 @@ class InteractionGraph:
     def dependency_levels(self, dependent: StructureId, dependee: StructureId) -> frozenset[int]:
         return frozenset(self._depends.get((dependent, dependee), ()))
 
+    def declared_interactions(self) -> list[tuple[StructureId, StructureId, int]]:
+        return sorted((a, b, lv) for (a, b), levels in self._declared.items() for lv in levels)
+
     def interaction_edges(self) -> list[tuple[StructureId, StructureId, int]]:
-        return sorted(
-            (a, b, lv) for (a, b), levels in self._interacts.items() for lv in levels
-        )
+        edges = {(*self._norm(i, c), s.order) for i, s in self._structures.items() for c in s.constituents}
+        edges.update((*self._norm(d, e), lv) for d, e, lv in self.dependency_edges())
+        return sorted(edges.union(self.declared_interactions()))
 
     def dependency_edges(self) -> list[tuple[StructureId, StructureId, int]]:
         return sorted(
@@ -111,11 +117,11 @@ class InteractionGraph:
         )
 
     def retain(self, keep: set[StructureId]) -> None:
-        """Drop every edge with an end outside `keep`."""
+        """Drop every stored edge with an end outside `keep`."""
         def kept(edges):
             return {(a, b): lv for (a, b), lv in edges.items() if a in keep and b in keep}
 
-        self._interacts = kept(self._interacts)
+        self._declared = kept(self._declared)
         self._depends = kept(self._depends)
 
 
@@ -130,9 +136,12 @@ class Universe:
 
     max_order: int = DEFAULT_MAX_ORDER
     structures: dict[StructureId, Structure] = field(default_factory=dict)
-    graph: InteractionGraph = field(default_factory=InteractionGraph)
+    graph: InteractionGraph = field(init=False)  # reads `structures`, which is never rebound
     observers: dict[int, list[Observer]] = field(default_factory=dict)
     next_id: StructureId = 0  # the id the next structure gets; checkpoints store it
+
+    def __post_init__(self) -> None:
+        self.graph = InteractionGraph(self.structures)
 
     # --- store primitives ---
 
@@ -154,7 +163,8 @@ class Universe:
         """Drop every structure outside `keep` and every edge with an end
         outside it. `keep` must be closed under constituents; the id counter
         is untouched, so dropped ids are never handed out again."""
-        self.structures = {i: s for i, s in self.structures.items() if i in keep}
+        for i in self.structures.keys() - keep:
+            del self.structures[i]
         self.graph.retain(keep)
 
     # --- construction ---
@@ -170,7 +180,7 @@ class Universe:
 
         The new order is 1 + max(constituent orders); constituents may span
         multiple lower orders and may already belong to other composites.
-        Interaction edges to each constituent are recorded at the new level.
+        The new structure interacts with each constituent at the new level.
         """
         members = frozenset(constituents)
         if not members:
@@ -183,8 +193,6 @@ class Universe:
             )
         i = self._fresh_id()
         self.structures[i] = Structure(id=i, order=order, constituents=members, tag=tag)
-        for c in sorted(members):
-            self.graph.add_interaction(i, c, order)
         return i
 
     # --- queries ---
@@ -219,9 +227,7 @@ class Universe:
 
     def declare_dependency(self, dependent: StructureId, dependee: StructureId, level: int) -> None:
         """Record a direct dependency edge; the order gap must be exactly 1.
-
-        The implied interaction edge is added when absent.
-        """
+        The edge implies the interaction edge at its level."""
         gap = self.get(dependent).order - self.get(dependee).order
         if level < 1:
             raise ValueError("dependency level must be >= 1")

@@ -1,4 +1,4 @@
-"""The structural verifier: 11 invariants over a checkpoint's state."""
+"""The structural verifier: 10 invariants over a checkpoint's state."""
 
 from __future__ import annotations
 
@@ -65,15 +65,9 @@ def verify(ckpt: Checkpoint) -> VerifyReport:
     record("construction-order", bad)
 
     bad = []
-    for a, b, level in u.graph.interaction_edges():
-        if a not in u or b not in u:
-            bad.append(f"interaction ({a},{b}) references unknown structure")
+    for d, e, level in u.graph.dependency_edges():
         if level < 1:
-            bad.append(f"interaction ({a},{b}) at level {level} < 1")
-    record("interaction-symmetry", bad)
-
-    bad = []
-    for d, e, _ in u.graph.dependency_edges():
+            bad.append(f"dependency ({d},{e}) at level {level} < 1")
         if d not in u or e not in u:
             bad.append(f"dependency ({d},{e}) references unknown structure")
         elif (gap := u.structures[d].order - u.structures[e].order) != 1:

@@ -141,6 +141,17 @@ def reachability_oracle(universe: Universe) -> set[tuple[int, int]]:
     return closure
 
 
+def interacts_disagreements(universe: Universe) -> list[tuple[int, int]]:
+    """Every pair of ids, one past the last included, on which
+    `graph.interacts` differs from membership in `interaction_edges()`."""
+    linked = {(a, b) for a, b, _level in universe.graph.interaction_edges()}
+    ids = sorted(universe.structures) + [universe.next_id]
+    return [
+        (a, b) for a in ids for b in ids
+        if universe.graph.interacts(a, b) != (a == b or (min(a, b), max(a, b)) in linked)
+    ]
+
+
 def has_cycle(successors: Mapping[int, Iterable[int]]) -> bool:
     """Whether a directed graph, given as each node's successors, holds a
     cycle (a self-loop included); the stdlib topological sorter decides."""

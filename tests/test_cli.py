@@ -185,7 +185,7 @@ class TestVerifyCommand:
         code, out, _ = run_cli(capsys, "verify", ckpt)
         assert code == EXIT_OK
         lines = out.splitlines()
-        assert len(lines) == 11
+        assert len(lines) == 10
         assert all(line.startswith("pass") for line in lines)
 
     @pytest.mark.parametrize("command", ["verify", "inspect"])
@@ -283,7 +283,10 @@ class TestVerifyCommand:
     def test_version_2_checkpoint_is_usage_error(self, config_path, capsys, tmp_path, command):
         run_cli(capsys, "run", str(config_path))
         path = tmp_path / "runs" / "checkpoint-0-final.json"
+        # a v4 file also listed every interaction edge, low id first
         v4 = json.loads(path.read_text())
+        v4["format"] = "sosage-checkpoint-v4"
+        v4["universe"]["interacts"] = [list(e) for e in load_checkpoint(path).state.universe.graph.interaction_edges()]
         # a v3 file wrote each co-occurrence cell as an object
         v3 = json.loads(json.dumps(v4))
         v3["format"] = "sosage-checkpoint-v3"
@@ -295,11 +298,27 @@ class TestVerifyCommand:
         v2["format"] = "sosage-checkpoint-v2"
         v2["ledger"]["top_m"] = v2["config"]["evolution"]["top_m"]
         v2["population"]["population_limit"] = v2["config"]["population_limit"]
-        for doc in (v2, v3):
+        for doc in (v2, v3, v4):
             path.write_text(json.dumps(doc))
             code, out, err = run_cli(capsys, command, str(path))
             assert code == EXIT_USAGE
-            assert out == "" and err == "error: not a sosage-checkpoint-v4 document\n"
+            assert out == "" and err == "error: not a sosage-checkpoint-v5 document\n"
+
+    @pytest.mark.parametrize("command", ["verify", "inspect", "resume"])
+    def test_interaction_edges_beside_the_structures_are_usage_error(self, config_path, capsys, tmp_path, command):
+        # v4's universe.interacts under the v5 marker: the relation is derived, never read
+        run_cli(capsys, "run", str(config_path))
+        out_dir = tmp_path / "runs"
+        path = out_dir / "checkpoint-0-gen2.json"
+        doc = json.loads(path.read_text())
+        doc["universe"]["interacts"] = [list(e) for e in load_checkpoint(path).state.universe.graph.interaction_edges()]
+        edited = tmp_path / "edited.json"
+        edited.write_text(json.dumps(doc))
+        before = sorted(p.name for p in out_dir.iterdir())
+        code, out, err = run_cli(capsys, command, str(edited))
+        assert code == EXIT_USAGE
+        assert out == "" and err == "error: malformed checkpoint: ValueError: universe.interacts: unknown key\n"
+        assert sorted(p.name for p in out_dir.iterdir()) == before
 
     @pytest.mark.parametrize("command", ["verify", "inspect", "resume"])
     def test_settings_beside_the_config_are_usage_error(self, config_path, capsys, tmp_path, command):

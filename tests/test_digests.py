@@ -67,12 +67,12 @@ GRIDNAV_COMP = {
 # (config, seed, evolution changes) -> final checkpoint digest
 REVERSING = {"dependency_delta": 0.05, "window_G": 2, "min_cooccur_samples": 2, "break_warmup": 0}
 CHECKPOINTS = [
-    ("xor.json", 7, {}, "d714db3b6b0bb57c270946a79eb291f65b3df595496ffe6c6712c52e61ac73a0"),
+    ("xor.json", 7, {}, "7a79d67560fe3e10d2d37911b66b91fa4ba0f0beb30cd698cf5efcebcf49ce29"),
     ("gridnav_comp.json", 9, {"max_generations": 150},
-     "38c44d5eb6abcec365e940683dba18965ac4ccd371685b2128fa907cff5a8cd6"),
+     "733cb4e0a29caae3f5ed8310673bd5fba4df5f93facd806d48d3ccdc744a39f7"),
     ("xor.json", 1, {**REVERSING, "max_generations": 120},
-     "91011fcf25888abcdeef536222b13cc28f13706b51e2be86c1a4c63edef44f78"),
-    ("xor.json", 13, {}, "b3f7c27991720b12cb0dce986016c0a3a6d2ab16cb638d092a2b3986d760fd9c"),
+     "474171e8dd4abf1b586589a756e05e92cfa5f864c85eead5e8008cc45f7600bf"),
+    ("xor.json", 13, {}, "4d005d1c25a28082c68fdfba6787b88134789cf7d035d858b11c2099c937b4df"),
 ]
 
 

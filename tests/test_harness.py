@@ -53,9 +53,9 @@ from sosage.harness import (
     write_metrics_header,
     write_metrics_row,
 )
+from sosage.invariants import verify
 from sosage.population import BreakEvent, ProblemSpec
 from sosage.symbio import CooccurCell, EvolutionConfig, GenerationRow, NeuronGene, run_symbiosis
-from sosage.verify import verify
 
 from support import edge_graph, has_cycle
 
@@ -64,7 +64,6 @@ CONFIG_DIR = ROOT / "configs"
 
 INVARIANT_NAMES = [
     "construction-order",
-    "interaction-symmetry",
     "dependency-order-gap",
     "roster-membership",
     "population-order",
@@ -612,7 +611,7 @@ class TestResume:
         assert final_resumed == final_full
 
     def test_indented_file_from_earlier_builds_resumes_the_same(self, finished_run):
-        # no build writes v4 indented, but such a file differs only in whitespace
+        # no build writes v5 indented, but such a file differs only in whitespace
         _, report, out = finished_run
         compact = out / "checkpoint-0-gen2.json"
         doc = json.loads(compact.read_text())
@@ -849,6 +848,16 @@ class TestVerify:
             "dependency-order-gap":
                 f"dependency ({a},{b}) spans order gap 0; dependency ({b},{a}) spans order gap 0"
         }
+
+    def test_a_dependency_edge_below_level_one_is_reported(self):
+        # a second, level-0 edge beside the break composite's own: the break
+        # log reads only the level-2 one, so the gap check alone must see it
+        doc = valid_checkpoint_doc()
+        z, part, level = doc["universe"]["depends"][0]
+        assert level == 2
+        doc["universe"]["depends"].append([z, part, 0])
+        failures = {r.name: r.detail for r in verify(checkpoint_from_json_dict(doc)).failures()}
+        assert failures == {"dependency-order-gap": f"dependency ({z},{part}) at level 0 < 1"}
 
     def test_dependency_on_an_unknown_id_is_reported_not_raised(self, finished_run):
         _, report, _ = finished_run
@@ -1087,6 +1096,17 @@ def round_trip(ckpt: Checkpoint) -> Checkpoint:
 
 
 class TestCheckpointCodec:
+    def test_departures_that_change_no_fact_load_as_the_written_document(self):
+        doc = valid_checkpoint_doc()
+        edited = json.loads(json.dumps(doc))
+        universe = edited["universe"]
+        universe["structures"].reverse()
+        for row in universe["structures"]:
+            row["constituents"] = row["constituents"][::-1] * 2
+        universe["depends"] = universe["depends"][::-1] * 2
+        assert edited != doc
+        assert checkpoint_to_json_dict(checkpoint_from_json_dict(edited)) == doc
+
     def test_awkward_floats_round_trip_exactly(self):
         ckpt = checkpoint_from_json_dict(valid_checkpoint_doc())
         u, ledger = ckpt.state.universe, ckpt.state.ledger
@@ -1151,6 +1171,16 @@ class TestCheckpointCodec:
         assert round_trip(ckpt).state.pop.break_log == log
         assert summarize_checkpoint(ckpt)["breaks"][0]["reversed_at"] == reversed_at
 
+    def test_a_declared_interaction_is_refused_not_dropped(self, tmp_path):
+        # the file has no place for it, so writing the rest would break an exact resume
+        ckpt = checkpoint_from_json_dict(valid_checkpoint_doc())
+        a, b = sorted(ckpt.state.pop.members[:2])
+        ckpt.state.universe.declare_interaction(b, a, level=3)
+        path = tmp_path / "checkpoint.json"
+        with pytest.raises(SosageError, match=rf"^declared interaction edge \({a}, {b}, 3\) "):
+            save_checkpoint(path, ckpt)
+        assert list(tmp_path.iterdir()) == []
+
 
 class TestMalformedCheckpoints:
     def test_valid_document_loads(self):
@@ -1189,7 +1219,6 @@ class TestMalformedCheckpoints:
             (("universe", "structures", 0, "payload", "in_weights"), "12345"),
             (("universe", "structures", 0, "payload", "out_targets", 0), "12"),
             (("universe", "structures", 0, "constituents"), "12"),
-            (("universe", "interacts", 0), "123"),
             (("universe", "depends", 0), "123"),
             (("ledger", "per_member", ANY), "12"),
             (("ledger", "cooccur", ANY), "1234"),
@@ -1221,8 +1250,9 @@ class TestMalformedCheckpoints:
             (("loop", "solved_at"), KeyError),
             (("population", "break_log", 0, "reversed_at"), KeyError),
             (("universe", "structures", 0, "tag"), KeyError),
-            (("universe", "interacts"), KeyError),
-            (("universe", "interacts", 0), [19, 8, 2]),  # the first edge, high id first
+            # a dependency edge is exactly [dependent, dependee, level]
+            (("universe", "depends", 0), [19, 8]),
+            (("universe", "depends", 0, 2), "2"),
             # no key the writer does not write: not the settings a v2 file
             # held, not an extra key on any object
             (("ledger", "top_m"), 1),
@@ -1231,6 +1261,7 @@ class TestMalformedCheckpoints:
             (("universe", "structures", 0, "payload", "extra"), 1),
             (("population", "break_log", 0, "extra"), 1),
             (("universe", "extra"), 1),
+            (("universe", "interacts"), []),  # a v4 key: interaction edges are derived
             (("loop", "extra"), 1),
             (("extra",), 1),
             (("universe", "structures", 2, "payload"), None),  # row 2 is the break composite
@@ -1295,13 +1326,11 @@ def corrupted_checkpoint_docs(draw):
     payload = next(row["payload"] for row in rows.values() if row["order"] == 1)
     for _ in range(draw(st.integers(1, 4), label="corruptions")):
         kind = draw(st.sampled_from([
-            "depends", "interacts", "dependency cycle", "constituent cycle",
+            "depends", "dependency cycle", "constituent cycle",
             "constituent", "member", "ledger key", "order",
         ]), label="kind")
         if kind == "depends":
             universe["depends"].append([draw(any_id), draw(any_id), draw(level)])
-        elif kind == "interacts":
-            universe["interacts"].append(sorted((draw(any_id), draw(any_id))) + [draw(level)])
         elif kind in ("dependency cycle", "constituent cycle"):
             ring = draw(st.lists(known, min_size=1, max_size=3), label="ring")
             for a, b in zip(ring, ring[1:] + ring[:1]):

@@ -22,6 +22,7 @@ from support import (
     edge_graph,
     emergence_oracle,
     has_cycle,
+    interacts_disagreements,
     random_universe,
     reachability_oracle,
     table_observers,
@@ -129,6 +130,14 @@ class TestInteraction:
         ab = universe.construct({a, b})
         assert universe.graph.interacts(ab, a)
         assert universe.graph.interacts(ab, b)
+        assert not universe.graph.interacts(a, b)
+        assert universe.graph.interaction_edges() == [(a, ab, 2), (b, ab, 2)]
+
+    @PROPERTY_SETTINGS
+    @given(seed=st.integers(0, 2**32 - 1))
+    def test_interacts_agrees_with_the_edge_list(self, seed):
+        u = random_universe(np.random.default_rng(seed))
+        assert interacts_disagreements(u) == []
 
 
 class TestDependency:

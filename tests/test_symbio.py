@@ -49,7 +49,7 @@ from sosage.symbio import (
     run_symbiosis,
 )
 
-from support import constant_one_gene, fold, stream, xor_solver_genes
+from support import constant_one_gene, fold, interacts_disagreements, stream, xor_solver_genes
 from test_digests import CONFIG_DIR, REVERSING
 
 PROPERTY_SETTINGS = settings(max_examples=120, deadline=None)
@@ -903,6 +903,28 @@ class TestLoop:
             on_checkpoint=lambda g, s: seen.append(g), checkpoint_every=2,
         )
         assert seen == [2, 4]
+
+    @pytest.mark.parametrize("r", [1, 2])
+    def test_interacts_agrees_with_the_edge_list_at_every_generation(self, r):
+        base = with_seed(load_config(CONFIG_DIR / "xor.json"), 1)
+        config = dataclasses.replace(
+            base,
+            problem=ProblemSpec(problem_order_x=r, base_solver_order_r=r),
+            evolution=dataclasses.replace(base.evolution, **REVERSING, max_generations=40),
+        )
+        state = build_state(config)
+        edges = []
+
+        def check(generation, now):
+            assert interacts_disagreements(now.universe) == [], generation
+            edges.append(len(now.universe.graph.interaction_edges()))
+
+        next_generation = run_symbiosis(
+            make_env(config.env.name, config.env.params), config.evolution, state,
+            on_checkpoint=check, checkpoint_every=1,
+        )
+        check(next_generation, state)
+        assert len(edges) == next_generation and max(edges) > 0
 
 
 class TestWhatTheLoopFeedsTheRule:
