@@ -1,4 +1,4 @@
-"""The checkpoint file format, `sosage-checkpoint-v5`. No other module knows
+"""The checkpoint file format, `sosage-checkpoint-v6`. No other module knows
 it: one writer encodes the config, generation and loop state, and one reader
 takes each value only in the form the writer gives it."""
 
@@ -20,13 +20,14 @@ from .config import (
     config_digest,
     config_from_dict,
     config_to_json_dict,
+    echo_digest,
 )
 from .errors import DigestMismatch, ParseError, SosageError
 from .hyperstruct import Structure, Universe
 from .population import BreakEvent, Population, StallDetector
 from .symbio import CooccurCell, FitnessLedger, LoopState, NeuronGene
 
-CHECKPOINT_FORMAT = "sosage-checkpoint-v5"
+CHECKPOINT_FORMAT = "sosage-checkpoint-v6"
 
 
 @dataclass
@@ -36,35 +37,29 @@ class Checkpoint:
     state: LoopState
 
 
-def _fmt_weight(x: float) -> str:
-    """Decimal string with 17 significant digits; round-trips float64 exactly."""
-    return "%.17g" % x
-
-
 def checkpoint_to_json_dict(ckpt: Checkpoint) -> dict:
-    """The whole v5 document. Floats are `"%.17g"` strings; settings live
-    only in the embedded config; save_checkpoint sorts every object's keys."""
+    """The whole v6 document. Structure rows and co-occurrence cells are flat
+    arrays; every float is a JSON number, an int weight or total written as
+    its float; settings live only in the embedded config; save_checkpoint
+    sorts every object's keys."""
     u, pop, ledger = ckpt.state.universe, ckpt.state.pop, ckpt.state.ledger
     if declared := u.graph.declared_interactions():  # the file derives every other interaction edge
         raise SosageError(f"declared interaction edge {declared[0]} has no place in a checkpoint")
     structures = []
     for i in sorted(u.structures):
         s = u.structures[i]
-        row: dict[str, Any] = {
-            "id": s.id, "order": s.order, "constituents": sorted(s.constituents), "tag": s.tag,
-        }
-        if s.order == 1:  # a payload that is no genome is written as it is, for verify to report
+        row: list[Any] = [s.id, s.order, sorted(s.constituents), s.tag]
+        if s.order == 1:  # a payload that is no genome is one item, written as it is for verify to report
             g = s.payload
-            row["payload"] = g if not isinstance(g, NeuronGene) else {
-                "in_weights": [_fmt_weight(w) for w in g.in_weights],
-                "out_targets": [[slot, _fmt_weight(w)] for slot, w in g.out_targets],
-                "activation": g.activation,
-            }
+            row += [g] if not isinstance(g, NeuronGene) else [
+                list(map(float, g.in_weights)), [[slot, float(w)] for slot, w in g.out_targets], g.activation,
+            ]
         structures.append(row)
+    echo = config_to_json_dict(ckpt.config)
     return {
         "format": CHECKPOINT_FORMAT,
-        "config": config_to_json_dict(ckpt.config),
-        "config_digest": config_digest(ckpt.config),
+        "config": echo,
+        "config_digest": echo_digest(echo),
         "generation": ckpt.generation,
         "universe": {
             "structures": structures,
@@ -77,18 +72,15 @@ def checkpoint_to_json_dict(ckpt: Checkpoint) -> dict:
             "break_log": [asdict(e) for e in pop.break_log],
         },
         "ledger": {
-            "per_member": {
-                str(m): [_fmt_weight(v) for v in samples]
-                for m, samples in ledger.per_member.items()
-            },
+            "per_member": {str(m): list(map(float, samples)) for m, samples in ledger.per_member.items()},
             "cooccur": {  # one flat array per cell, in CooccurCell's field order
-                f"{x},{y}": [c.both_count, _fmt_weight(c.both_total), c.solo_count, _fmt_weight(c.solo_total)]
+                f"{x},{y}": [c.both_count, float(c.both_total), c.solo_count, float(c.solo_total)]
                 for (x, y), c in ledger.cooccur.items()
             },
             "pending": {f"{x},{y}": sorted(levels) for (x, y), levels in ledger.pending.items()},
         },
         "loop": {
-            "stall_history": [_fmt_weight(v) for v in ckpt.state.detector.history],
+            "stall_history": list(map(float, ckpt.state.detector.history)),
             "reverse_counters": {str(k): v for k, v in ckpt.state.reverse_counters.items()},
             "solved_at": ckpt.state.solved_at,
         },
@@ -102,7 +94,11 @@ def save_checkpoint(path: str | Path, ckpt: Checkpoint) -> None:
     and removes the temp file. The temp name starts with a dot and ends in
     .tmp, so it never matches checkpoint-*.json."""
     path = Path(path)
-    text = json.dumps(checkpoint_to_json_dict(ckpt), sort_keys=True, separators=(",", ":")) + "\n"
+    try:  # a non-finite float is refused here, before any file is opened
+        doc = checkpoint_to_json_dict(ckpt)
+        text = json.dumps(doc, sort_keys=True, separators=(",", ":"), allow_nan=False) + "\n"
+    except ValueError as e:
+        raise SosageError(f"cannot encode checkpoint: {e}") from e
     tmp = path.with_name(f".{path.name}.tmp")
     try:
         with open(tmp, "w", encoding="utf-8", newline="\n") as sink:
@@ -145,21 +141,18 @@ def _list(raw: Any, what: str, of: Optional[type] = None) -> list:
 
 
 def _floats(raw: Any, what: str) -> list[float]:
-    """Finite floats, each written as a decimal string."""
-    values = list(map(float, _list(raw, what, str)))
-    if not all(map(math.isfinite, values)):
+    """Finite floats, each written as a JSON number with a decimal point or
+    exponent, so an int is no float."""
+    if not all(map(math.isfinite, _list(raw, what, float))):
         raise ValueError(f"{what} must hold finite numbers only")
-    return values
+    return list(raw)
 
 
 def _float(raw: Any, what: str) -> float:
-    """One finite float, written as a decimal string."""
-    if type(raw) is not str:
-        raise TypeError(f"{what} must be a decimal string, got {type(raw).__name__}")
-    value = float(raw)
-    if not math.isfinite(value):
+    """One finite float, written as a JSON number."""
+    if not math.isfinite(_of(float, raw, what)):
         raise ValueError(f"{what} must be finite, got {raw!r}")
-    return value
+    return raw
 
 
 def _malformed(label: str, rule: str) -> ValueError:
@@ -183,36 +176,38 @@ def _pair_key(key: str, what: str) -> tuple[int, int]:
     return int(m[1]), int(m[2])
 
 
-def _payload_from_json(raw: Any) -> Any:
-    """A genome from its object; any other payload stays as it is, for
-    verify's genome-shape check to report."""
-    if not (isinstance(raw, dict) and {"in_weights", "out_targets"} <= raw.keys()):
-        return raw
-    _reject_unknown(raw, {"in_weights", "out_targets", "activation"}, "payload", _malformed)
+def _payload_from_row(rest: list) -> Any:
+    """A genome from its three items, `[in_weights, out_targets, activation]`;
+    a payload that is no genome is one item, kept as it is for verify's
+    genome-shape check to report."""
+    if len(rest) == 1:
+        return rest[0]
+    in_weights, out_targets, activation = rest
     return NeuronGene(
-        in_weights=tuple(_floats(raw["in_weights"], "in_weights")),
+        in_weights=tuple(_floats(in_weights, "in_weights")),
         out_targets=tuple(
             (_of(int, slot, "an output slot"), _float(w, "an output weight"))
-            for slot, w in _list(raw["out_targets"], "out_targets", list)
+            for slot, w in _list(out_targets, "out_targets", list)
         ),
-        activation=_of(str, raw["activation"], "activation"),
+        activation=_of(str, activation, "activation"),
     )
 
 
 def _universe_from_json(doc: Mapping[str, Any], max_order: int) -> Universe:
     u = Universe(max_order=max_order)
     _reject_unknown(doc, {"structures", "depends", "next_id"}, "universe", _malformed)
-    for row in _list(doc["structures"], "structures"):
-        s = Structure(
-            id=_of(int, row["id"], "a structure id"),
-            order=_of(int, row["order"], "a structure order"),
-            constituents=frozenset(_list(row["constituents"], "constituents", int)),
-            payload=_payload_from_json(row["payload"]) if row["order"] == 1 else None,
-            tag=_of(str, row["tag"], "a structure tag"),
-        )
+    for row in _list(doc["structures"], "structures", list):
+        sid, order, constituents, tag, *rest = row
         # only a primitive carries a payload, and it always does
-        keys = {"id", "order", "constituents", "tag"} | ({"payload"} if s.order == 1 else set())
-        _reject_unknown(row, keys, "structures", _malformed)
+        if len(rest) not in ((1, 3) if _of(int, order, "a structure order") == 1 else (0,)):
+            raise ValueError(f"a structure row of order {order} has {len(row)} items")
+        s = Structure(
+            id=_of(int, sid, "a structure id"),
+            order=order,
+            constituents=frozenset(_list(constituents, "constituents", int)),
+            payload=_payload_from_row(rest) if rest else None,
+            tag=_of(str, tag, "a structure tag"),
+        )
         if s.id in u.structures:
             raise ValueError(f"structure {s.id} is listed twice")
         u.structures[s.id] = s

@@ -200,7 +200,12 @@ def config_to_json_dict(config: RunConfig) -> dict:
 
 
 def config_digest(config: RunConfig) -> str:
-    canonical = json.dumps(config_to_json_dict(config), sort_keys=True, separators=(",", ":"))
+    return echo_digest(config_to_json_dict(config))
+
+
+def echo_digest(echo: Mapping[str, Any]) -> str:
+    """The sha256 of a config echo as compact JSON with sorted keys."""
+    canonical = json.dumps(echo, sort_keys=True, separators=(",", ":"))
     return hashlib.sha256(canonical.encode("utf-8")).hexdigest()
 
 

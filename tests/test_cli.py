@@ -139,8 +139,8 @@ class TestResumeCommand:
         path = out / "checkpoint-0-gen2.json"
         doc = json.loads(path.read_text())
         member = doc["population"]["members"][0]
-        row = next(r for r in doc["universe"]["structures"] if r["id"] == member)
-        row["payload"] = "x"
+        row = next(r for r in doc["universe"]["structures"] if r[0] == member)
+        row[4:] = ["x"]  # a payload that is no genome
         path.write_text(json.dumps(doc))
         before = sorted(p.name for p in out.iterdir())
         code, stdout, err = run_cli(capsys, "resume", str(path))
@@ -240,10 +240,11 @@ class TestVerifyCommand:
 
     @pytest.mark.parametrize("command", ["verify", "inspect", "resume"])
     def test_checkpoint_with_a_loose_scalar_is_usage_error(self, config_path, capsys, tmp_path, command):
-        # each of these once loaded and passed every invariant
+        # each of these once loaded and passed every invariant, or is the v5
+        # spelling of a float
         def first_weight(doc, value):
-            row = next(r for r in doc["universe"]["structures"] if "payload" in r)
-            row["payload"]["in_weights"][0] = value
+            row = next(r for r in doc["universe"]["structures"] if r[1] == 1)
+            row[4][0] = value
 
         def first_sample(doc, value):
             doc["ledger"]["per_member"][min(doc["ledger"]["per_member"])][0] = value
@@ -255,10 +256,14 @@ class TestVerifyCommand:
                 doc[path[-1]] = value
             return edit
 
+        overflow = "OVERFLOW"  # written as the JSON number 1e400, which reads as inf
         edits = [
-            (first_weight, "nan"),
-            (first_sample, "inf"),
-            (set_key("loop", "stall_history"), ["1e999"]),
+            (first_weight, float("nan")),
+            (first_sample, float("inf")),
+            (set_key("loop", "stall_history"), [overflow]),
+            (first_weight, "0.5"),
+            (first_sample, "-0.5"),
+            (first_sample, 0),
             (set_key("generation"), "7"),
             (set_key("generation"), 7.9),
             (set_key("generation"), True),
@@ -272,7 +277,7 @@ class TestVerifyCommand:
         for edit, value in edits:
             doc = json.loads(json.dumps(source))
             edit(doc, value)
-            path.write_text(json.dumps(doc))
+            path.write_text(json.dumps(doc).replace(f'"{overflow}"', "1e400"))
             before = sorted(p.name for p in out_dir.iterdir())
             code, out, err = run_cli(capsys, command, str(path))
             assert code == EXIT_USAGE, (edit, value)
@@ -283,8 +288,28 @@ class TestVerifyCommand:
     def test_version_2_checkpoint_is_usage_error(self, config_path, capsys, tmp_path, command):
         run_cli(capsys, "run", str(config_path))
         path = tmp_path / "runs" / "checkpoint-0-final.json"
+        # a v5 file wrote each structure row as an object and each float as a
+        # "%.17g" string
+        v5 = json.loads(path.read_text())
+        v5["format"] = "sosage-checkpoint-v5"
+        rows = v5["universe"]["structures"]
+        for i, (sid, order, constituents, tag, *genome) in enumerate(rows):
+            rows[i] = {"id": sid, "order": order, "constituents": constituents, "tag": tag}
+            if genome:
+                in_weights, out_targets, activation = genome
+                rows[i]["payload"] = {
+                    "in_weights": ["%.17g" % w for w in in_weights],
+                    "out_targets": [[slot, "%.17g" % w] for slot, w in out_targets],
+                    "activation": activation,
+                }
+        ledger = v5["ledger"]
+        ledger["per_member"] = {k: ["%.17g" % v for v in samples] for k, samples in ledger["per_member"].items()}
+        ledger["cooccur"] = {
+            k: [bc, "%.17g" % bt, sc, "%.17g" % st] for k, (bc, bt, sc, st) in ledger["cooccur"].items()
+        }
+        v5["loop"]["stall_history"] = ["%.17g" % v for v in v5["loop"]["stall_history"]]
         # a v4 file also listed every interaction edge, low id first
-        v4 = json.loads(path.read_text())
+        v4 = json.loads(json.dumps(v5))
         v4["format"] = "sosage-checkpoint-v4"
         v4["universe"]["interacts"] = [list(e) for e in load_checkpoint(path).state.universe.graph.interaction_edges()]
         # a v3 file wrote each co-occurrence cell as an object
@@ -298,15 +323,15 @@ class TestVerifyCommand:
         v2["format"] = "sosage-checkpoint-v2"
         v2["ledger"]["top_m"] = v2["config"]["evolution"]["top_m"]
         v2["population"]["population_limit"] = v2["config"]["population_limit"]
-        for doc in (v2, v3, v4):
+        for doc in (v2, v3, v4, v5):
             path.write_text(json.dumps(doc))
             code, out, err = run_cli(capsys, command, str(path))
             assert code == EXIT_USAGE
-            assert out == "" and err == "error: not a sosage-checkpoint-v5 document\n"
+            assert out == "" and err == "error: not a sosage-checkpoint-v6 document\n"
 
     @pytest.mark.parametrize("command", ["verify", "inspect", "resume"])
     def test_interaction_edges_beside_the_structures_are_usage_error(self, config_path, capsys, tmp_path, command):
-        # v4's universe.interacts under the v5 marker: the relation is derived, never read
+        # v4's universe.interacts under the v6 marker: the relation is derived, never read
         run_cli(capsys, "run", str(config_path))
         out_dir = tmp_path / "runs"
         path = out_dir / "checkpoint-0-gen2.json"

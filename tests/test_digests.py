@@ -67,12 +67,12 @@ GRIDNAV_COMP = {
 # (config, seed, evolution changes) -> final checkpoint digest
 REVERSING = {"dependency_delta": 0.05, "window_G": 2, "min_cooccur_samples": 2, "break_warmup": 0}
 CHECKPOINTS = [
-    ("xor.json", 7, {}, "7a79d67560fe3e10d2d37911b66b91fa4ba0f0beb30cd698cf5efcebcf49ce29"),
+    ("xor.json", 7, {}, "aa30cef2a3c1436bfcec13bb0ba77c5ea434585433e0544acfcbfc74a56ee680"),
     ("gridnav_comp.json", 9, {"max_generations": 150},
-     "733cb4e0a29caae3f5ed8310673bd5fba4df5f93facd806d48d3ccdc744a39f7"),
+     "2942f06f753648af21627d8e81128ae7d479cd4bf49e5c5bd9762dab475fa7ff"),
     ("xor.json", 1, {**REVERSING, "max_generations": 120},
-     "474171e8dd4abf1b586589a756e05e92cfa5f864c85eead5e8008cc45f7600bf"),
-    ("xor.json", 13, {}, "4d005d1c25a28082c68fdfba6787b88134789cf7d035d858b11c2099c937b4df"),
+     "1daf7d922d184f5a0fff2b8bd93d276225eeba9009dc4fe9490b71931364389e"),
+    ("xor.json", 13, {}, "a23eb81ac3f40b1172b97fc8b4f872c1c2ff9bf07a6197412eeebcc1658fb24e"),
 ]
 
 

@@ -15,7 +15,7 @@ import tracemalloc
 from pathlib import Path
 
 import pytest
-from hypothesis import event, given, settings
+from hypothesis import event, example, given, settings
 from hypothesis import strategies as st
 
 from sosage import checkpoint
@@ -611,7 +611,7 @@ class TestResume:
         assert final_resumed == final_full
 
     def test_indented_file_from_earlier_builds_resumes_the_same(self, finished_run):
-        # no build writes v5 indented, but such a file differs only in whitespace
+        # no build writes v6 indented, but such a file differs only in whitespace
         _, report, out = finished_run
         compact = out / "checkpoint-0-gen2.json"
         doc = json.loads(compact.read_text())
@@ -643,9 +643,7 @@ class TestResume:
         for slot in (0, 1):
             below = pop["members"][slot]
             for order in range(2, links + 2):
-                universe["structures"].append(
-                    {"id": universe["next_id"], "order": order, "constituents": [below], "tag": "chain"}
-                )
+                universe["structures"].append([universe["next_id"], order, [below], "chain"])
                 below = universe["next_id"]
                 universe["next_id"] += 1
             pop["members"][slot] = below
@@ -877,9 +875,7 @@ class TestVerify:
         start, links = universe["next_id"], 3000
         ids = list(range(start, start + links)) + [doc["population"]["members"][0]]
         for i, nxt in zip(ids, ids[1:]):
-            universe["structures"].append(
-                {"id": i, "order": 2, "constituents": [nxt], "tag": "chain"}
-            )
+            universe["structures"].append([i, 2, [nxt], "chain"])
             universe["depends"].append([i, nxt, 1])
         universe["next_id"] = start + links
         doc["population"]["members"].append(start)
@@ -1102,7 +1098,7 @@ class TestCheckpointCodec:
         universe = edited["universe"]
         universe["structures"].reverse()
         for row in universe["structures"]:
-            row["constituents"] = row["constituents"][::-1] * 2
+            row[2] = row[2][::-1] * 2
         universe["depends"] = universe["depends"][::-1] * 2
         assert edited != doc
         assert checkpoint_to_json_dict(checkpoint_from_json_dict(edited)) == doc
@@ -1139,7 +1135,7 @@ class TestCheckpointCodec:
 
     def test_next_id_is_required_and_above_every_id(self):
         doc = valid_checkpoint_doc()
-        doc["universe"]["next_id"] = max(row["id"] for row in doc["universe"]["structures"])
+        doc["universe"]["next_id"] = max(row[0] for row in doc["universe"]["structures"])
         with pytest.raises(ParseError, match="next_id"):
             checkpoint_from_json_dict(doc)
         del doc["universe"]["next_id"]
@@ -1147,10 +1143,12 @@ class TestCheckpointCodec:
             checkpoint_from_json_dict(doc)
 
     def test_only_primitives_carry_a_payload(self):
+        # [id, order, constituents, tag], and a primitive's genome after it:
+        # [in_weights, out_targets, activation]
         rows = valid_checkpoint_doc()["universe"]["structures"]
-        assert {row["order"] > 1 for row in rows} == {True, False}
+        assert {row[1] > 1 for row in rows} == {True, False}
         for row in rows:
-            assert ("payload" in row) == (row["order"] == 1)
+            assert len(row) == (7 if row[1] == 1 else 4)
 
     def test_ledger_cells_round_trip(self):
         ckpt = checkpoint_from_json_dict(valid_checkpoint_doc())
@@ -1181,6 +1179,108 @@ class TestCheckpointCodec:
             save_checkpoint(path, ckpt)
         assert list(tmp_path.iterdir()) == []
 
+    @pytest.mark.parametrize("where", ["sample", "weight", "total", "history"])
+    def test_a_non_finite_float_is_refused_before_any_file_is_opened(self, tmp_path, where):
+        ckpt = checkpoint_from_json_dict(valid_checkpoint_doc())
+        path = tmp_path / "checkpoint.json"
+        save_checkpoint(path, ckpt)
+        before = path.read_bytes()
+        u, ledger = ckpt.state.universe, ckpt.state.ledger
+        if where == "sample":
+            ledger.per_member[min(ledger.per_member)].append(math.nan)
+        elif where == "weight":
+            s = u.get(min(u.structures))
+            u.structures[s.id] = dataclasses.replace(s, payload=NeuronGene((math.inf,), (), "tanh"))
+        elif where == "total":
+            ledger.cooccur[min(ledger.cooccur)].both_total = math.nan
+        else:
+            ckpt.state.detector.history.append(-math.inf)
+        with pytest.raises(SosageError, match="^cannot encode checkpoint: Out of range float values"):
+            save_checkpoint(path, ckpt)
+        assert list(tmp_path.iterdir()) == [path] and path.read_bytes() == before
+
+    def test_int_weights_and_totals_are_written_as_floats_that_load(self, tmp_path):
+        ckpt = checkpoint_from_json_dict(valid_checkpoint_doc())
+        u, ledger = ckpt.state.universe, ckpt.state.ledger
+        first = min(u.structures)
+        u.structures[first] = dataclasses.replace(
+            u.get(first), payload=NeuronGene(in_weights=(1, 0, -2), out_targets=((0, 3),), activation="tanh")
+        )
+        pair = min(ledger.cooccur)
+        ledger.cooccur[pair] = CooccurCell(2, 1, 0, 0)
+        path = tmp_path / "checkpoint.json"
+        save_checkpoint(path, ckpt)
+        back = load_checkpoint(path).state
+        gene = back.universe.get(first).payload
+        assert gene == NeuronGene(in_weights=(1.0, 0.0, -2.0), out_targets=((0, 3.0),), activation="tanh")
+        assert {type(w) for w in gene.in_weights + (gene.out_targets[0][1],)} == {float}
+        assert back.ledger.cooccur[pair] == CooccurCell(2, 1.0, 0, 0.0)
+        assert type(back.ledger.cooccur[pair].both_total) is float
+
+    def test_the_config_echo_is_built_once_per_save(self, tmp_path, monkeypatch):
+        ckpt = checkpoint_from_json_dict(valid_checkpoint_doc())
+        built = []
+
+        def counted(c):
+            built.append(c)
+            return config_to_json_dict(c)
+
+        for module in ("checkpoint", "config"):  # config_digest builds one through its own module
+            monkeypatch.setattr(f"sosage.{module}.config_to_json_dict", counted)
+        save_checkpoint(tmp_path / "checkpoint.json", ckpt)
+        assert built == [ckpt.config]
+        doc = json.loads((tmp_path / "checkpoint.json").read_text())
+        assert doc["config_digest"] == config_digest(ckpt.config)
+
+
+# the extremes of float64: signed zero, the least subnormal, the largest finite
+EXTREME_FLOATS = (-0.0, 0.0, 5e-324, -5e-324, 1.7976931348623157e308, -1.7976931348623157e308)
+FINITE_FLOATS = st.sampled_from(EXTREME_FLOATS) | st.floats(allow_nan=False, allow_infinity=False)
+
+
+def same_floats(back, sent) -> bool:
+    """Equal value by value, with the same sign bit, so -0.0 is no 0.0."""
+    return len(back) == len(sent) and all(
+        x == y and math.copysign(1.0, x) == math.copysign(1.0, y) for x, y in zip(back, sent)
+    )
+
+
+class TestFloatsAtTheFileBoundary:
+    @settings(max_examples=100, deadline=None)
+    @given(
+        in_weights=st.lists(FINITE_FLOATS, min_size=1, max_size=6),
+        out_weights=st.lists(FINITE_FLOATS, max_size=4),
+        samples=st.lists(FINITE_FLOATS, min_size=1, max_size=8),
+        totals=st.tuples(FINITE_FLOATS, FINITE_FLOATS),
+        history=st.lists(FINITE_FLOATS, max_size=6),
+    )
+    @example(
+        in_weights=list(EXTREME_FLOATS), out_weights=list(EXTREME_FLOATS), samples=list(EXTREME_FLOATS),
+        totals=EXTREME_FLOATS[4:], history=list(EXTREME_FLOATS),
+    )
+    def test_save_load_save_keeps_every_float_and_its_sign(self, in_weights, out_weights, samples, totals, history):
+        ckpt = checkpoint_from_json_dict(valid_checkpoint_doc())
+        u, ledger = ckpt.state.universe, ckpt.state.ledger
+        first, member, pair = min(u.structures), min(ledger.per_member), min(ledger.cooccur)
+        gene = NeuronGene(tuple(in_weights), tuple(enumerate(out_weights)), "tanh")
+        u.structures[first] = dataclasses.replace(u.get(first), payload=gene)
+        ledger.per_member[member] = list(samples)
+        ledger.cooccur[pair] = CooccurCell(3, totals[0], 1, totals[1])
+        ckpt.state.detector.history[:] = history
+        with tempfile.TemporaryDirectory() as out:
+            saved, again = Path(out) / "saved.json", Path(out) / "again.json"
+            save_checkpoint(saved, ckpt)
+            back = load_checkpoint(saved)
+            save_checkpoint(again, back)
+            assert saved.read_bytes() == again.read_bytes()
+        back_gene = back.state.universe.get(first).payload
+        cell = back.state.ledger.cooccur[pair]
+        assert same_floats(back_gene.in_weights, in_weights)
+        assert same_floats([w for _, w in back_gene.out_targets], out_weights)
+        assert same_floats(back.state.ledger.per_member[member], samples)
+        assert same_floats((cell.both_total, cell.solo_total), totals)
+        assert same_floats(back.state.detector.history, history)
+
 
 class TestMalformedCheckpoints:
     def test_valid_document_loads(self):
@@ -1205,8 +1305,10 @@ class TestMalformedCheckpoints:
             (("universe", "next_id"), 0),
             (("population", "members"), 5),
             (("population", "break_log", 0, "composite"), None),
-            (("universe", "structures", 0, "tag"), 3),
-            (("universe", "structures", 0, "payload", "in_weights"), ["x"]),
+            # a structure row is [id, order, constituents, tag], then on a
+            # primitive [in_weights, out_targets, activation]
+            (("universe", "structures", 0, 3), 3),
+            (("universe", "structures", 0, 4), ["x"]),
             (("universe", "depends"), {"abc": 1}),
             (("ledger", "cooccur"), [1, 2]),
             (("ledger", "pending"), {"1,2,3": [1]}),
@@ -1216,40 +1318,49 @@ class TestMalformedCheckpoints:
             (("loop", "solved_at"), 1e400),
             # a string where a list is iterated is refused, never read
             # character by character
-            (("universe", "structures", 0, "payload", "in_weights"), "12345"),
-            (("universe", "structures", 0, "payload", "out_targets", 0), "12"),
-            (("universe", "structures", 0, "constituents"), "12"),
+            (("universe", "structures", 0, 4), "12345"),
+            (("universe", "structures", 0, 5, 0), "12"),
+            (("universe", "structures", 0, 2), "12"),
+            (("universe", "structures", 0), "1234567"),
             (("universe", "depends", 0), "123"),
             (("ledger", "per_member", ANY), "12"),
             (("ledger", "cooccur", ANY), "1234"),
             (("ledger", "pending", ANY), "1"),
             (("population", "members"), "12"),
             (("loop", "stall_history"), "12"),
-            # a scalar is read only in the form the writer gives it
-            (("universe", "structures", 0, "payload", "in_weights", 0), "nan"),
-            (("ledger", "per_member", ANY, 0), "inf"),
-            (("loop", "stall_history"), ["1e999"]),
+            # a scalar is read only in the form the writer gives it: a float
+            # is a finite JSON number, never a string or an int
+            (("universe", "structures", 0, 4, 0), math.nan),
+            (("universe", "structures", 0, 4, 0), "0.5"),
+            (("universe", "structures", 0, 4, 0), 1),
+            (("universe", "structures", 0, 5, 0, 1), "0.5"),
+            (("universe", "structures", 0, 5, 0, 1), math.inf),
+            (("ledger", "per_member", ANY, 0), math.inf),
+            (("ledger", "per_member", ANY, 0), "0.5"),
+            (("loop", "stall_history"), [1e400]),
+            (("loop", "stall_history"), [0]),
             (("generation",), "7"),
             (("generation",), 7.9),
             (("generation",), True),
             (("population", "pop_order_n"), 1.5),
             (("population", "members", 0), "21"),
             (("population", "break_log", 0, "reversed_at"), 2.5),
-            (("ledger", "per_member"), {"+3": ["1.5"]}),
-            (("ledger", "per_member"), {"03": ["1.5"]}),
+            (("ledger", "per_member"), {"+3": [1.5]}),
+            (("ledger", "per_member"), {"03": [1.5]}),
             # a co-occurrence cell is [both_count, both_total, solo_count,
-            # solo_total], the totals decimal strings; a v3 object cell is refused
-            (("ledger", "cooccur", ANY), [1, "1.0", 0]),
-            (("ledger", "cooccur", ANY), [1, "1.0", 0, "0", 0]),
-            (("ledger", "cooccur", ANY), {"with_both": [1, "1.0"], "with_x_only": [0, "0"]}),
+            # solo_total], the totals floats; a v3 object cell is refused
+            (("ledger", "cooccur", ANY), [1, 1.0, 0]),
+            (("ledger", "cooccur", ANY), [1, 1.0, 0, 0.0, 0]),
+            (("ledger", "cooccur", ANY), {"with_both": [1, 1.0], "with_x_only": [0, 0.0]}),
             (("ledger", "cooccur", ANY, 0), True),
             (("ledger", "cooccur", ANY, 2), 1.0),
-            (("ledger", "cooccur", ANY, 1), 1.5),
-            (("ledger", "cooccur", ANY, 3), "nan"),
+            (("ledger", "cooccur", ANY, 1), "1.5"),
+            (("ledger", "cooccur", ANY, 1), 0),
+            (("ledger", "cooccur", ANY, 3), math.nan),
             # every key the writer writes is required
             (("loop", "solved_at"), KeyError),
             (("population", "break_log", 0, "reversed_at"), KeyError),
-            (("universe", "structures", 0, "tag"), KeyError),
+            (("universe", "structures", 0, 3), KeyError),
             # a dependency edge is exactly [dependent, dependee, level]
             (("universe", "depends", 0), [19, 8]),
             (("universe", "depends", 0, 2), "2"),
@@ -1257,15 +1368,11 @@ class TestMalformedCheckpoints:
             # held, not an extra key on any object
             (("ledger", "top_m"), 1),
             (("population", "population_limit"), 3),
-            (("universe", "structures", 0, "extra"), 1),
-            (("universe", "structures", 0, "payload", "extra"), 1),
             (("population", "break_log", 0, "extra"), 1),
             (("universe", "extra"), 1),
             (("universe", "interacts"), []),  # a v4 key: interaction edges are derived
             (("loop", "extra"), 1),
             (("extra",), 1),
-            (("universe", "structures", 2, "payload"), None),  # row 2 is the break composite
-            (("universe", "structures", 0, "payload"), KeyError),  # a primitive always has one
         ],
     )
     def test_missing_keys_and_wrong_types_are_parse_errors(self, path, value):
@@ -1281,11 +1388,39 @@ class TestMalformedCheckpoints:
         with pytest.raises(ParseError, match="malformed checkpoint"):
             checkpoint_from_json_dict(doc)
 
+    @pytest.mark.parametrize(
+        "index,edit",
+        [
+            (0, lambda row: row + [1]),  # a genome with a fourth item
+            (0, lambda row: row[:6]),  # a genome without its activation
+            (0, lambda row: row[:4]),  # a primitive always has a payload
+            (2, lambda row: row + [None]),  # row 2 is the break composite, which has none
+            (0, lambda row: row[:3]),
+            (0, lambda row: dict(zip(["id", "order", "constituents", "tag"], row))),  # a v5 object row
+        ],
+    )
+    def test_structure_rows_of_another_shape_are_parse_errors(self, index, edit):
+        doc = valid_checkpoint_doc()
+        rows = doc["universe"]["structures"]
+        rows[index] = edit(rows[index])
+        with pytest.raises(ParseError, match="malformed checkpoint"):
+            checkpoint_from_json_dict(doc)
+
+    @pytest.mark.parametrize("literal", ["NaN", "Infinity", "-Infinity", "1e400", "-1e400"])
+    def test_a_non_finite_json_number_is_a_parse_error(self, tmp_path, literal):
+        # json reads each of these as a float, so the finite check must refuse it
+        doc = valid_checkpoint_doc()
+        doc["ledger"]["cooccur"][min(doc["ledger"]["cooccur"])][1] = "TOTAL"
+        edited = tmp_path / "edited.json"
+        edited.write_text(json.dumps(doc).replace('"TOTAL"', literal))
+        with pytest.raises(ParseError, match="malformed checkpoint: ValueError: a total must be finite"):
+            load_checkpoint(edited)
+
     def test_structure_listed_twice_is_a_parse_error(self):
         doc = valid_checkpoint_doc()
         rows = doc["universe"]["structures"]
-        rows.append({**rows[0], "tag": "impostor"})
-        with pytest.raises(ParseError, match=f"structure {rows[0]['id']} is listed twice"):
+        rows.append(rows[0][:3] + ["impostor"] + rows[0][4:])
+        with pytest.raises(ParseError, match=f"structure {rows[0][0]} is listed twice"):
             checkpoint_from_json_dict(doc)
 
     @settings(max_examples=100, deadline=None)
@@ -1318,12 +1453,12 @@ def corrupted_checkpoint_docs(draw):
     members and ledger keys, and wrong orders."""
     doc = valid_checkpoint_doc()
     universe, ledger = doc["universe"], doc["ledger"]
-    rows = {row["id"]: row for row in universe["structures"]}
+    rows = {row[0]: row for row in universe["structures"]}
     known = st.sampled_from(sorted(rows))
     dropped = [i for i in range(universe["next_id"]) if i not in rows]
     any_id = st.sampled_from(sorted(rows) + dropped + [universe["next_id"], 99999])
     level = st.integers(0, 3)
-    payload = next(row["payload"] for row in rows.values() if row["order"] == 1)
+    genome = next(row[4:] for row in rows.values() if row[1] == 1)
     for _ in range(draw(st.integers(1, 4), label="corruptions")):
         kind = draw(st.sampled_from([
             "depends", "dependency cycle", "constituent cycle",
@@ -1337,28 +1472,25 @@ def corrupted_checkpoint_docs(draw):
                 if kind == "dependency cycle":
                     universe["depends"].append([a, b, draw(level)])
                 else:
-                    rows[a]["constituents"].append(b)
+                    rows[a][2].append(b)
         elif kind == "constituent":
-            rows[draw(known)]["constituents"].append(draw(any_id))
+            rows[draw(known)][2].append(draw(any_id))
         elif kind == "member":
             doc["population"]["members"].append(draw(any_id))
         elif kind == "ledger key":
             x, y = draw(any_id), draw(any_id)
             table = draw(st.sampled_from(["per_member", "cooccur", "pending"]))
             if table == "per_member":
-                ledger["per_member"][str(x)] = ["1.0"]
+                ledger["per_member"][str(x)] = [1.0]
             elif table == "cooccur":
-                ledger["cooccur"][f"{x},{y}"] = [1, "1.0", 0, "0"]
+                ledger["cooccur"][f"{x},{y}"] = [1, 1.0, 0, 0.0]
             else:
                 ledger["pending"][f"{x},{y}"] = [draw(level)]
         else:
-            # the row keeps the shape the reader wants: a payload on order 1 only
+            # the row keeps the shape the reader wants: a genome on order 1 only
             row = rows[draw(known)]
-            row["order"] = draw(st.integers(0, doc["config"]["max_order"] + 1), label="order")
-            if row["order"] == 1:
-                row.setdefault("payload", payload)
-            else:
-                row.pop("payload", None)
+            row[1] = draw(st.integers(0, doc["config"]["max_order"] + 1), label="order")
+            row[4:] = (row[4:] or genome) if row[1] == 1 else []
     return doc
 
 
@@ -1373,7 +1505,7 @@ class TestCorruptedCheckpoints:
             return
         report = verify(ckpt)
         universe = doc["universe"]
-        constituents = {row["id"]: row["constituents"] for row in universe["structures"]}
+        constituents = {row[0]: row[2] for row in universe["structures"]}
         cyclic = has_cycle(constituents) or has_cycle(edge_graph(universe["depends"]))
         event(f"loaded, cycle={cyclic}, passed={report.passed}")
         if cyclic:
