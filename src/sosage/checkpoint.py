@@ -43,7 +43,7 @@ def checkpoint_to_json_dict(ckpt: Checkpoint) -> dict:
     its float; settings live only in the embedded config; save_checkpoint
     sorts every object's keys."""
     u, pop, ledger = ckpt.state.universe, ckpt.state.pop, ckpt.state.ledger
-    if declared := u.graph.declared_interactions():  # the file derives every other interaction edge
+    if declared := u.declared_interactions():  # the file derives every other interaction edge
         raise SosageError(f"declared interaction edge {declared[0]} has no place in a checkpoint")
     structures = []
     for i in sorted(u.structures):
@@ -63,7 +63,7 @@ def checkpoint_to_json_dict(ckpt: Checkpoint) -> dict:
         "generation": ckpt.generation,
         "universe": {
             "structures": structures,
-            "depends": [list(e) for e in u.graph.dependency_edges()],
+            "depends": [list(e) for e in u.dependency_edges()],
             "next_id": u.next_id,
         },
         "population": {
@@ -94,10 +94,10 @@ def save_checkpoint(path: str | Path, ckpt: Checkpoint) -> None:
     and removes the temp file. The temp name starts with a dot and ends in
     .tmp, so it never matches checkpoint-*.json."""
     path = Path(path)
-    try:  # a non-finite float is refused here, before any file is opened
+    try:  # a non-finite float or an unencodable payload is refused here, before any file is opened
         doc = checkpoint_to_json_dict(ckpt)
         text = json.dumps(doc, sort_keys=True, separators=(",", ":"), allow_nan=False) + "\n"
-    except ValueError as e:
+    except (TypeError, ValueError) as e:
         raise SosageError(f"cannot encode checkpoint: {e}") from e
     tmp = path.with_name(f".{path.name}.tmp")
     try:
@@ -217,8 +217,8 @@ def _universe_from_json(doc: Mapping[str, Any], max_order: int) -> Universe:
         raise ValueError(f"next_id {u.next_id} does not exceed every structure id")
     edges = _list(doc["depends"], "depends", list)
     _list([v for edge in edges for v in edge], "depends", int)
-    for d, e, level in edges:
-        u.graph.add_dependency(d, e, level)
+    for d, e, level in edges:  # stored as read, unchecked: verify reports a bad edge
+        u.depends.setdefault((d, e), set()).add(level)
     return u
 
 
@@ -268,6 +268,9 @@ def _checkpoint_from_doc(doc: Mapping[str, Any]) -> Checkpoint:
     loop = doc["loop"]
     _reject_unknown(loop, {"stall_history", "reverse_counters", "solved_at"}, "loop", _malformed)
     solved_at = loop["solved_at"]
+    generation = _of(int, doc["generation"], "generation")
+    if generation < 0:
+        raise ValueError(f"generation {generation} is negative")
     state = LoopState(
         universe=_universe_from_json(doc["universe"], config.max_order),
         problem=config.problem,
@@ -286,7 +289,7 @@ def _checkpoint_from_doc(doc: Mapping[str, Any]) -> Checkpoint:
         },
         solved_at=None if solved_at is None else _of(int, solved_at, "solved_at"),
     )
-    return Checkpoint(config=config, generation=_of(int, doc["generation"], "generation"), state=state)
+    return Checkpoint(config=config, generation=generation, state=state)
 
 
 def load_checkpoint(path: str | Path) -> Checkpoint:

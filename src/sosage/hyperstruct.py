@@ -5,7 +5,9 @@ order-1 primitives carry opaque payloads, higher orders aggregate lower ones
 (overlap allowed, constituents may span several lower orders). Two level-tagged
 relations join structures: directed dependency edges, whose direct edges span
 exactly one order, and symmetric interaction edges, which construction and
-dependency imply and a caller may also declare. Per-level observer
+dependency imply and a caller may also declare. `Universe` stores the
+structures, the dependency levels and the declared interactions, and derives
+every other interaction edge. Per-level observer
 functions supply observable properties; a property of a composite is emergent
 when it is observable at the composite's level but at the level below on none
 of its constituents. `emergent` is that rule over a set of levels, and the
@@ -15,7 +17,7 @@ population's break gate asks it of the ledger's pending levels.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Any, Callable, Container, Iterable, Mapping
+from typing import Any, Callable, Container, Iterable
 
 from .errors import (
     EmptyConstituents,
@@ -66,82 +68,29 @@ def emergent(levels: Container[int], level: int) -> bool:
     return level in levels and (level - 1) not in levels
 
 
-class InteractionGraph:
-    """Interaction (symmetric) and dependency (directed) edges, level-tagged.
-
-    Only dependency and declared interaction edges are stored. A composite in
-    the structure map interacts with each constituent at its own order, and a
-    dependency edge implies the interaction edge at its level; interaction
-    pairs come low id first, and reflexivity is a query-level guarantee.
-    """
-
-    def __init__(self, structures: Mapping[StructureId, Structure]) -> None:
-        self._structures = structures
-        self._declared: dict[tuple[StructureId, StructureId], set[int]] = {}
-        self._depends: dict[tuple[StructureId, StructureId], set[int]] = {}
-
-    @staticmethod
-    def _norm(a: StructureId, b: StructureId) -> tuple[StructureId, StructureId]:
-        return (a, b) if a <= b else (b, a)
-
-    def add_interaction(self, a: StructureId, b: StructureId, level: int) -> None:
-        self._declared.setdefault(self._norm(a, b), set()).add(level)
-
-    def add_dependency(self, dependent: StructureId, dependee: StructureId, level: int) -> None:
-        self._depends.setdefault((dependent, dependee), set()).add(level)
-
-    def interacts(self, a: StructureId, b: StructureId) -> bool:
-        return a == b or any(
-            (x, y) in self._declared or (x, y) in self._depends
-            or (x in self._structures and y in self._structures[x].constituents)
-            for x, y in ((a, b), (b, a))
-        )
-
-    def direct_dependees(self, dependent: StructureId) -> frozenset[StructureId]:
-        return frozenset(e for d, e in self._depends if d == dependent)
-
-    def dependency_levels(self, dependent: StructureId, dependee: StructureId) -> frozenset[int]:
-        return frozenset(self._depends.get((dependent, dependee), ()))
-
-    def declared_interactions(self) -> list[tuple[StructureId, StructureId, int]]:
-        return sorted((a, b, lv) for (a, b), levels in self._declared.items() for lv in levels)
-
-    def interaction_edges(self) -> list[tuple[StructureId, StructureId, int]]:
-        edges = {(*self._norm(i, c), s.order) for i, s in self._structures.items() for c in s.constituents}
-        edges.update((*self._norm(d, e), lv) for d, e, lv in self.dependency_edges())
-        return sorted(edges.union(self.declared_interactions()))
-
-    def dependency_edges(self) -> list[tuple[StructureId, StructureId, int]]:
-        return sorted(
-            (d, e, lv) for (d, e), levels in self._depends.items() for lv in levels
-        )
-
-    def retain(self, keep: set[StructureId]) -> None:
-        """Drop every stored edge with an end outside `keep`."""
-        def kept(edges):
-            return {(a, b): lv for (a, b), lv in edges.items() if a in keep and b in keep}
-
-        self._declared = kept(self._declared)
-        self._depends = kept(self._depends)
-
-
 @dataclass
 class Universe:
-    """Id-indexed structure store plus its interaction graph and observers.
+    """Id-indexed structure store, its two relations and its observers.
+
+    Only dependency edges and declared interaction edges are stored, each
+    pair mapped to its set of levels; `depends` keys are (dependent,
+    dependee) and `declared` keys come low id first. Every other interaction
+    edge is read off the structures: a composite interacts with each
+    constituent at its own order, and a dependency edge implies the
+    interaction edge at its level. Reflexivity is a query-level guarantee.
 
     Mutation is single-writer; queries are pure. Structure ids are assigned
     sequentially and never reused, even after a structure leaves every active
-    roster or is dropped by `retain`.
+    roster or is dropped by `retain`. Two universes are equal when every
+    field is.
     """
 
     max_order: int = DEFAULT_MAX_ORDER
     structures: dict[StructureId, Structure] = field(default_factory=dict)
-    graph: InteractionGraph = field(init=False)  # reads `structures`, which is never rebound
+    depends: dict[tuple[StructureId, StructureId], set[int]] = field(default_factory=dict)
+    declared: dict[tuple[StructureId, StructureId], set[int]] = field(default_factory=dict)
     observers: dict[int, list[Observer]] = field(default_factory=dict)
     next_id: StructureId = 0  # the id the next structure gets; checkpoints store it
-
-    def __post_init__(self) -> None:
-        self.graph = InteractionGraph(self.structures)
 
     # --- store primitives ---
 
@@ -165,7 +114,9 @@ class Universe:
         is untouched, so dropped ids are never handed out again."""
         for i in self.structures.keys() - keep:
             del self.structures[i]
-        self.graph.retain(keep)
+        for edges in (self.depends, self.declared):
+            for pair in [p for p in edges if not keep.issuperset(p)]:
+                del edges[pair]
 
     # --- construction ---
 
@@ -208,13 +159,32 @@ class Universe:
         frontier = [a]
         while frontier:
             cur = frontier.pop()
-            for dep in self.graph.direct_dependees(cur):
-                if dep == b:
-                    return True
-                if dep not in seen:
-                    seen.add(dep)
-                    frontier.append(dep)
-        return False
+            for d, e in self.depends:
+                if d == cur and e not in seen:
+                    seen.add(e)
+                    frontier.append(e)
+        return b in seen
+
+    def interacts(self, a: StructureId, b: StructureId) -> bool:
+        return a == b or any(
+            (x, y) in self.declared or (x, y) in self.depends
+            or (x in self.structures and y in self.structures[x].constituents)
+            for x, y in ((a, b), (b, a))
+        )
+
+    def dependency_levels(self, dependent: StructureId, dependee: StructureId) -> frozenset[int]:
+        return frozenset(self.depends.get((dependent, dependee), ()))
+
+    def dependency_edges(self) -> list[tuple[StructureId, StructureId, int]]:
+        return sorted((d, e, lv) for (d, e), levels in self.depends.items() for lv in levels)
+
+    def declared_interactions(self) -> list[tuple[StructureId, StructureId, int]]:
+        return sorted((a, b, lv) for (a, b), levels in self.declared.items() for lv in levels)
+
+    def interaction_edges(self) -> list[tuple[StructureId, StructureId, int]]:
+        edges = {(min(i, c), max(i, c), s.order) for i, s in self.structures.items() for c in s.constituents}
+        edges.update((min(d, e), max(d, e), lv) for d, e, lv in self.dependency_edges())
+        return sorted(edges.union(self.declared_interactions()))
 
     # --- relations ---
 
@@ -223,7 +193,7 @@ class Universe:
         self.get(b)
         if level < 1:
             raise ValueError("interaction level must be >= 1")
-        self.graph.add_interaction(a, b, level)
+        self.declared.setdefault((min(a, b), max(a, b)), set()).add(level)
 
     def declare_dependency(self, dependent: StructureId, dependee: StructureId, level: int) -> None:
         """Record a direct dependency edge; the order gap must be exactly 1.
@@ -233,7 +203,7 @@ class Universe:
             raise ValueError("dependency level must be >= 1")
         if gap != 1:
             raise OrderGapViolation(dependent, dependee, gap)
-        self.graph.add_dependency(dependent, dependee, level)
+        self.depends.setdefault((dependent, dependee), set()).add(level)
 
     # --- observation & emergence ---
 

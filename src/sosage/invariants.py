@@ -65,7 +65,7 @@ def verify(ckpt: Checkpoint) -> VerifyReport:
     record("construction-order", bad)
 
     bad = []
-    for d, e, level in u.graph.dependency_edges():
+    for d, e, level in u.dependency_edges():
         if level < 1:
             bad.append(f"dependency ({d},{e}) at level {level} < 1")
         if d not in u or e not in u:
@@ -107,7 +107,7 @@ def verify(ckpt: Checkpoint) -> VerifyReport:
             bad.append(f"break composite {event.composite} constituents differ from the event pair")
         expected_level = event.level_observed + 1
         for part in (event.dependent, event.dependee):
-            if expected_level not in u.graph.dependency_levels(event.composite, part):
+            if expected_level not in u.dependency_levels(event.composite, part):
                 bad.append(
                     f"break composite {event.composite} lacks the level-{expected_level} "
                     f"dependency on {part}"

@@ -492,7 +492,7 @@ def _clone_composite(
             stack.pop()
             new_id = universe.construct(set(clones.values()), tag=f"c{generation}:{i}")
             for c, c_clone in clones.items():
-                for level in universe.graph.dependency_levels(i, c):
+                for level in universe.dependency_levels(i, c):
                     universe.declare_dependency(new_id, c_clone, level)
             if stack:
                 stack[-1][2][i] = new_id

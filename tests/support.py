@@ -125,7 +125,7 @@ def reachability_oracle(universe: Universe) -> set[tuple[int, int]]:
     """Transitive closure of the dependency relation, recomputed from the raw
     edge list by breadth-first search."""
     adjacency: dict[int, set[int]] = {}
-    for d, e, _level in universe.graph.dependency_edges():
+    for d, e, _level in universe.dependency_edges():
         adjacency.setdefault(d, set()).add(e)
     closure: set[tuple[int, int]] = set()
     for start in universe.structures:
@@ -144,11 +144,11 @@ def reachability_oracle(universe: Universe) -> set[tuple[int, int]]:
 def interacts_disagreements(universe: Universe) -> list[tuple[int, int]]:
     """Every pair of ids, one past the last included, on which
     `graph.interacts` differs from membership in `interaction_edges()`."""
-    linked = {(a, b) for a, b, _level in universe.graph.interaction_edges()}
+    linked = {(a, b) for a, b, _level in universe.interaction_edges()}
     ids = sorted(universe.structures) + [universe.next_id]
     return [
         (a, b) for a in ids for b in ids
-        if universe.graph.interacts(a, b) != (a == b or (min(a, b), max(a, b)) in linked)
+        if universe.interacts(a, b) != (a == b or (min(a, b), max(a, b)) in linked)
     ]
 
 

@@ -92,14 +92,14 @@ def test_criterion_1_operator_laws(verdict):
     for seed in range(200):
         u = random_universe(np.random.default_rng(seed), max_structures=12)
         ids = sorted(u.structures)
-        interactions = set(u.graph.interaction_edges())
+        interactions = set(u.interaction_edges())
         for a in ids:
-            if not u.graph.interacts(a, a):
+            if not u.interacts(a, a):
                 violations += 1
             for b in ids:
-                if u.graph.interacts(a, b) != u.graph.interacts(b, a):
+                if u.interacts(a, b) != u.interacts(b, a):
                     violations += 1
-        for d, e, level in u.graph.dependency_edges():
+        for d, e, level in u.dependency_edges():
             if (min(d, e), max(d, e), level) not in interactions:
                 violations += 1
             if u.structural_order(d) - u.structural_order(e) != 1:
@@ -248,7 +248,7 @@ def test_criterion_4_break_laws(verdict):
             if ev.level_observed not in levels or (ev.level_observed - 1) in levels:
                 violations.append(f"seed {seed}: break not emergent at its level")
             for part in (ev.dependent, ev.dependee):
-                if ev.level_observed + 1 not in u.graph.dependency_levels(ev.composite, part):
+                if ev.level_observed + 1 not in u.dependency_levels(ev.composite, part):
                     violations.append(f"seed {seed}: composite lost a dependency edge")
     elapsed = time.perf_counter() - start
     ok = not violations

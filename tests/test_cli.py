@@ -267,6 +267,7 @@ class TestVerifyCommand:
             (set_key("generation"), "7"),
             (set_key("generation"), 7.9),
             (set_key("generation"), True),
+            (set_key("generation"), -3),
             (set_key("population", "pop_order_n"), 1.5),
             (set_key("population", "members", 0), "21"),
         ]
@@ -311,7 +312,7 @@ class TestVerifyCommand:
         # a v4 file also listed every interaction edge, low id first
         v4 = json.loads(json.dumps(v5))
         v4["format"] = "sosage-checkpoint-v4"
-        v4["universe"]["interacts"] = [list(e) for e in load_checkpoint(path).state.universe.graph.interaction_edges()]
+        v4["universe"]["interacts"] = [list(e) for e in load_checkpoint(path).state.universe.interaction_edges()]
         # a v3 file wrote each co-occurrence cell as an object
         v3 = json.loads(json.dumps(v4))
         v3["format"] = "sosage-checkpoint-v3"
@@ -336,7 +337,7 @@ class TestVerifyCommand:
         out_dir = tmp_path / "runs"
         path = out_dir / "checkpoint-0-gen2.json"
         doc = json.loads(path.read_text())
-        doc["universe"]["interacts"] = [list(e) for e in load_checkpoint(path).state.universe.graph.interaction_edges()]
+        doc["universe"]["interacts"] = [list(e) for e in load_checkpoint(path).state.universe.interaction_edges()]
         edited = tmp_path / "edited.json"
         edited.write_text(json.dumps(doc))
         before = sorted(p.name for p in out_dir.iterdir())

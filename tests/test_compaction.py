@@ -55,12 +55,12 @@ class TestRetain:
         u.declare_dependency(ab, b, level=2)
         u.retain({a, b, ab})
         assert sorted(u.structures) == [a, b, ab]
-        assert u.graph.interaction_edges() == [(a, ab, 2), (b, ab, 2)]
-        assert u.graph.dependency_edges() == [(ab, a, 2), (ab, b, 2)]
+        assert u.interaction_edges() == [(a, ab, 2), (b, ab, 2)]
+        assert u.dependency_edges() == [(ab, a, 2), (ab, b, 2)]
         u.retain({a})
         assert sorted(u.structures) == [a]
-        assert u.graph.interaction_edges() == [] and u.graph.dependency_edges() == []
-        assert u.graph.direct_dependees(ab) == frozenset()
+        assert u.interaction_edges() == [] and u.dependency_edges() == []
+        assert not any(d == ab for d, _ in u.depends)
 
     def test_ledger_drops_members_and_pairs(self):
         ledger = FitnessLedger(top_m=2)

@@ -512,6 +512,14 @@ class TestRunArtifacts:
         save_checkpoint(copy, ckpt)
         assert copy.read_bytes() == Path(report.checkpoint_path).read_bytes()
 
+    def test_two_loads_of_a_final_checkpoint_hold_equal_universes(self, finished_run):
+        _, report, _ = finished_run
+        first, second = (load_checkpoint(report.checkpoint_path).state.universe for _ in range(2))
+        assert first == second
+        doc = valid_checkpoint_doc()  # just after a break, so it holds dependency edges
+        first, second = (checkpoint_from_json_dict(doc).state.universe for _ in range(2))
+        assert first.depends and first == second
+
     def test_no_temp_file_left_by_a_run(self, finished_run):
         _, _, out = finished_run
         assert all(p.name.startswith(("metrics-", "checkpoint-")) for p in out.iterdir())
@@ -549,7 +557,7 @@ class TestRunArtifacts:
             monkeypatch.setattr(checkpoint, "open", half_open, raising=False)
         else:
             monkeypatch.setattr(checkpoint.os, "replace", no_rename)
-        with pytest.raises(TypeError if stage == "encode" else OSError):
+        with pytest.raises(SosageError if stage == "encode" else OSError):
             save_checkpoint(path, ckpt)
         assert path.read_bytes() == before
         assert sorted(p.name for p in out.iterdir()) == names
@@ -838,8 +846,8 @@ class TestVerify:
         def mutate(c):
             nonlocal a, b
             a, b = sorted(c.state.pop.members[:2])
-            c.state.universe.graph.add_dependency(b, a, 1)
-            c.state.universe.graph.add_dependency(a, b, 1)
+            c.state.universe.depends.setdefault((b, a), set()).add(1)
+            c.state.universe.depends.setdefault((a, b), set()).add(1)
         result = self.corrupt(finished_run, mutate)
         failures = {r.name: r.detail for r in result.failures()}
         assert failures == {
@@ -1199,6 +1207,16 @@ class TestCheckpointCodec:
             save_checkpoint(path, ckpt)
         assert list(tmp_path.iterdir()) == [path] and path.read_bytes() == before
 
+    def test_a_payload_json_cannot_encode_is_refused_before_any_file_is_opened(self, tmp_path):
+        ckpt = checkpoint_from_json_dict(valid_checkpoint_doc())
+        path = tmp_path / "checkpoint.json"
+        save_checkpoint(path, ckpt)
+        before = path.read_bytes()
+        ckpt.state.universe.add_primitive({1, 2})
+        with pytest.raises(SosageError, match="^cannot encode checkpoint: Object of type set is not JSON serializable"):
+            save_checkpoint(path, ckpt)
+        assert list(tmp_path.iterdir()) == [path] and path.read_bytes() == before
+
     def test_int_weights_and_totals_are_written_as_floats_that_load(self, tmp_path):
         ckpt = checkpoint_from_json_dict(valid_checkpoint_doc())
         u, ledger = ckpt.state.universe, ckpt.state.ledger
@@ -1342,6 +1360,7 @@ class TestMalformedCheckpoints:
             (("generation",), "7"),
             (("generation",), 7.9),
             (("generation",), True),
+            (("generation",), -3),  # the writer never writes a negative generation
             (("population", "pop_order_n"), 1.5),
             (("population", "members", 0), "21"),
             (("population", "break_log", 0, "reversed_at"), 2.5),

@@ -97,21 +97,21 @@ class TestConstruction:
 class TestInteraction:
     def test_reflexive_without_storage(self, universe):
         a = universe.add_primitive("a")
-        assert universe.graph.interacts(a, a)
-        assert universe.graph.interaction_edges() == []
+        assert universe.interacts(a, a)
+        assert universe.interaction_edges() == []
 
     def test_symmetric_query(self, universe):
         a = universe.add_primitive("a")
         b = universe.add_primitive("b")
         universe.declare_interaction(a, b, level=2)
-        assert universe.graph.interacts(a, b)
-        assert universe.graph.interacts(b, a)
+        assert universe.interacts(a, b)
+        assert universe.interacts(b, a)
 
     def test_edges_stored_normalized_low_id_first(self, universe):
         a = universe.add_primitive("a")
         b = universe.add_primitive("b")
         universe.declare_interaction(b, a, level=1)
-        assert universe.graph.interaction_edges() == [(a, b, 1)]
+        assert universe.interaction_edges() == [(a, b, 1)]
 
     def test_level_must_be_positive(self, universe):
         a = universe.add_primitive("a")
@@ -128,10 +128,10 @@ class TestInteraction:
         a = universe.add_primitive("a")
         b = universe.add_primitive("b")
         ab = universe.construct({a, b})
-        assert universe.graph.interacts(ab, a)
-        assert universe.graph.interacts(ab, b)
-        assert not universe.graph.interacts(a, b)
-        assert universe.graph.interaction_edges() == [(a, ab, 2), (b, ab, 2)]
+        assert universe.interacts(ab, a)
+        assert universe.interacts(ab, b)
+        assert not universe.interacts(a, b)
+        assert universe.interaction_edges() == [(a, ab, 2), (b, ab, 2)]
 
     @PROPERTY_SETTINGS
     @given(seed=st.integers(0, 2**32 - 1))
@@ -158,15 +158,15 @@ class TestDependency:
         a = universe.add_primitive("a")
         ab = universe.construct({a})
         universe.declare_dependency(ab, a, level=3)
-        assert universe.graph.interacts(ab, a)
+        assert universe.interacts(ab, a)
 
     def test_dependency_levels_accumulate(self, universe):
         a = universe.add_primitive("a")
         ab = universe.construct({a})
         universe.declare_dependency(ab, a, level=1)
         universe.declare_dependency(ab, a, level=2)
-        assert universe.graph.dependency_levels(ab, a) == {1, 2}
-        assert universe.graph.dependency_levels(a, ab) == frozenset()
+        assert universe.dependency_levels(ab, a) == {1, 2}
+        assert universe.dependency_levels(a, ab) == frozenset()
 
     def test_depends_on_follows_chains(self, universe):
         a = universe.add_primitive("a")
@@ -196,9 +196,45 @@ class TestDependency:
     @given(seed=st.integers(0, 2**32 - 1))
     def test_every_dependency_edge_implies_interaction_and_gap_one(self, seed):
         u = random_universe(np.random.default_rng(seed))
-        for d, e, _level in u.graph.dependency_edges():
-            assert u.graph.interacts(d, e)
+        for d, e, _level in u.dependency_edges():
+            assert u.interacts(d, e)
             assert u.structural_order(d) - u.structural_order(e) == 1
+
+
+class TestEquality:
+    """A universe compares by what it holds, so two loads of one checkpoint
+    are equal."""
+
+    @staticmethod
+    def build():
+        u = Universe()
+        a, b = u.add_primitive("a"), u.add_primitive("b")
+        ab = u.construct({a, b})
+        u.declare_dependency(ab, a, level=2)
+        return u, (a, b, ab)
+
+    def test_universes_built_by_the_same_calls_are_equal(self):
+        assert Universe() == Universe()
+        assert self.build()[0] == self.build()[0]
+
+    @PROPERTY_SETTINGS
+    @given(seed=st.integers(0, 2**32 - 1))
+    def test_random_universes_drawn_alike_are_equal(self, seed):
+        assert random_universe(np.random.default_rng(seed)) == random_universe(np.random.default_rng(seed))
+
+    @pytest.mark.parametrize(
+        "more",
+        [
+            lambda u, a, b, ab: u.declare_dependency(ab, b, level=2),
+            lambda u, a, b, ab: u.declare_dependency(ab, a, level=3),
+            lambda u, a, b, ab: u.declare_interaction(a, b, level=1),
+        ],
+        ids=["dependency-edge", "dependency-level", "declared-interaction"],
+    )
+    def test_one_more_edge_or_level_makes_them_differ(self, more):
+        (u, ids), (same, _) = self.build(), self.build()
+        more(u, *ids)
+        assert u != same
 
 
 class TestObservation:
@@ -298,10 +334,10 @@ class TestIntegrity:
     def test_random_universes_are_acyclic(self, seed):
         u = random_universe(np.random.default_rng(seed))
         assert not has_cycle(constituent_graph(u))
-        assert not has_cycle(edge_graph(u.graph.dependency_edges()))
+        assert not has_cycle(edge_graph(u.dependency_edges()))
         # orders fall strictly along both relations, which is why they hold no cycle
         assert all(u.structures[c].order < s.order for s in u.structures.values() for c in s.constituents)
-        assert all(u.structures[d].order > u.structures[e].order for d, e, _ in u.graph.dependency_edges())
+        assert all(u.structures[d].order > u.structures[e].order for d, e, _ in u.dependency_edges())
 
     def test_chains_deeper_than_the_recursion_limit(self):
         universe = Universe(max_order=5001)

@@ -52,7 +52,7 @@ class TestInitPopulation:
 
     def test_a_fresh_roster_has_no_interaction_edge(self, universe):
         make_pop(universe, n=4)
-        assert universe.graph.interaction_edges() == []
+        assert universe.interaction_edges() == []
 
     def test_empty_genomes_rejected(self, universe):
         with pytest.raises(EmptyPopulation):
@@ -176,8 +176,8 @@ class TestApplyBreak:
         z = pop.members[-1]
         assert universe.structural_order(z) == 2
         assert universe.get(z).constituents == {a, b}
-        assert universe.graph.dependency_levels(z, a) == {2}
-        assert universe.graph.dependency_levels(z, b) == {2}
+        assert universe.dependency_levels(z, a) == {2}
+        assert universe.dependency_levels(z, b) == {2}
         assert a not in pop.members and b in pop.members
         assert len(pop.members) == len(before)
 

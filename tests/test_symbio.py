@@ -612,7 +612,7 @@ class TestCloneComposite:
         kids = sorted(universe.get(clone).constituents)
         assert all(k not in (a, b) for k in kids)
         for k in kids:
-            assert universe.graph.dependency_levels(clone, k) == {2}
+            assert universe.dependency_levels(clone, k) == {2}
         # an identity mutation copies each leaf genome unchanged
         leaves = {universe.get(k).payload for k in kids}
         assert leaves == {universe.get(a).payload, universe.get(b).payload}
@@ -674,7 +674,7 @@ def recursive_clone(universe, original, mutate, generation):
     clones = {c: recursive_clone(universe, c, mutate, generation) for c in sorted(s.constituents)}
     new_id = universe.construct(set(clones.values()), tag=tag)
     for c, c_clone in clones.items():
-        for level in universe.graph.dependency_levels(original, c):
+        for level in universe.dependency_levels(original, c):
             universe.declare_dependency(new_id, c_clone, level)
     return new_id
 
@@ -741,8 +741,8 @@ class TestTraversalsMatchTheRecursiveOracles:
         assert got == want
         assert calls == oracle_calls
         assert mine.structures == theirs.structures and mine.next_id == theirs.next_id
-        assert mine.graph.interaction_edges() == theirs.graph.interaction_edges()
-        assert mine.graph.dependency_edges() == theirs.graph.dependency_edges()
+        assert mine.interaction_edges() == theirs.interaction_edges()
+        assert mine.dependency_edges() == theirs.dependency_edges()
 
     def chain(self, depth):
         """A primitive under `depth` single-constituent composites, each
@@ -765,7 +765,7 @@ class TestTraversalsMatchTheRecursiveOracles:
         node = clone
         for _ in range(3000):
             (below,) = u.get(node).constituents
-            assert u.graph.dependency_levels(node, below) == {1}
+            assert u.dependency_levels(node, below) == {1}
             node = below
         assert u.get(node).payload.in_weights == (0.5, 1.0)
 
@@ -917,7 +917,7 @@ class TestLoop:
 
         def check(generation, now):
             assert interacts_disagreements(now.universe) == [], generation
-            edges.append(len(now.universe.graph.interaction_edges()))
+            edges.append(len(now.universe.interaction_edges()))
 
         next_generation = run_symbiosis(
             make_env(config.env.name, config.env.params), config.evolution, state,
