@@ -1,6 +1,8 @@
-"""The checkpoint file format, `sosage-checkpoint-v6`. No other module knows
+"""The checkpoint file format, `sosage-checkpoint-v7`. No other module knows
 it: one writer encodes the config, generation and loop state, and one reader
-takes each value only in the form the writer gives it."""
+takes each value only in the form the writer gives it. Every float of the
+state is written once, in the document's `floats` table, and each slot that
+holds it holds its index."""
 
 from __future__ import annotations
 
@@ -27,7 +29,7 @@ from .hyperstruct import Structure, Universe
 from .population import BreakEvent, Population, StallDetector
 from .symbio import CooccurCell, FitnessLedger, LoopState, NeuronGene
 
-CHECKPOINT_FORMAT = "sosage-checkpoint-v6"
+CHECKPOINT_FORMAT = "sosage-checkpoint-v7"
 
 
 @dataclass
@@ -38,11 +40,18 @@ class Checkpoint:
 
 
 def checkpoint_to_json_dict(ckpt: Checkpoint) -> dict:
-    """The whole v6 document. Structure rows and co-occurrence cells are flat
-    arrays; every float is a JSON number, an int weight or total written as
-    its float; settings live only in the embedded config; save_checkpoint
-    sorts every object's keys."""
+    """The whole v7 document. Structure rows and co-occurrence cells are flat
+    arrays. Each float slot holds an index into `floats`, which lists each
+    distinct value once (an int weight or total as its float) in order of
+    first use: structures by id, per_member by id, cooccur by pair, then
+    stall_history. Settings live only in the embedded config;
+    save_checkpoint sorts every object's keys."""
     u, pop, ledger = ckpt.state.universe, ckpt.state.pop, ckpt.state.ledger
+    table: dict[Any, int] = {}
+
+    def at(value: Any) -> int:
+        return table.setdefault(_float_key(float(value)), len(table))
+
     if declared := u.declared_interactions():  # the file derives every other interaction edge
         raise SosageError(f"declared interaction edge {declared[0]} has no place in a checkpoint")
     structures = []
@@ -52,11 +61,11 @@ def checkpoint_to_json_dict(ckpt: Checkpoint) -> dict:
         if s.order == 1:  # a payload that is no genome is one item, written as it is for verify to report
             g = s.payload
             row += [g] if not isinstance(g, NeuronGene) else [
-                list(map(float, g.in_weights)), [[slot, float(w)] for slot, w in g.out_targets], g.activation,
+                list(map(at, g.in_weights)), [[slot, at(w)] for slot, w in g.out_targets], g.activation,
             ]
         structures.append(row)
     echo = config_to_json_dict(ckpt.config)
-    return {
+    return {  # built in this order, so the table follows first use
         "format": CHECKPOINT_FORMAT,
         "config": echo,
         "config_digest": echo_digest(echo),
@@ -72,18 +81,19 @@ def checkpoint_to_json_dict(ckpt: Checkpoint) -> dict:
             "break_log": [asdict(e) for e in pop.break_log],
         },
         "ledger": {
-            "per_member": {str(m): list(map(float, samples)) for m, samples in ledger.per_member.items()},
+            "per_member": {str(m): list(map(at, samples)) for m, samples in sorted(ledger.per_member.items())},
             "cooccur": {  # one flat array per cell, in CooccurCell's field order
-                f"{x},{y}": [c.both_count, float(c.both_total), c.solo_count, float(c.solo_total)]
-                for (x, y), c in ledger.cooccur.items()
+                f"{x},{y}": [c.both_count, at(c.both_total), c.solo_count, at(c.solo_total)]
+                for (x, y), c in sorted(ledger.cooccur.items())
             },
             "pending": {f"{x},{y}": sorted(levels) for (x, y), levels in ledger.pending.items()},
         },
         "loop": {
-            "stall_history": list(map(float, ckpt.state.detector.history)),
+            "stall_history": list(map(at, ckpt.state.detector.history)),
             "reverse_counters": {str(k): v for k, v in ckpt.state.reverse_counters.items()},
             "solved_at": ckpt.state.solved_at,
         },
+        "floats": list(map(float, table)),
     }
 
 
@@ -140,19 +150,43 @@ def _list(raw: Any, what: str, of: Optional[type] = None) -> list:
     return raw
 
 
-def _floats(raw: Any, what: str) -> list[float]:
-    """Finite floats, each written as a JSON number with a decimal point or
-    exponent, so an int is no float."""
-    if not all(map(math.isfinite, _list(raw, what, float))):
-        raise ValueError(f"{what} must hold finite numbers only")
-    return list(raw)
+def _float_key(value: float) -> Any:
+    """`value` itself, or a zero by its text, so 0.0 and -0.0 are two entries
+    and `float` of the key is the value."""
+    return value if value else str(value)
 
 
-def _float(raw: Any, what: str) -> float:
-    """One finite float, written as a JSON number."""
-    if not math.isfinite(_of(float, raw, what)):
-        raise ValueError(f"{what} must be finite, got {raw!r}")
-    return raw
+class _FloatTable:
+    """The document's `floats`: finite floats, each written as a JSON number
+    with a decimal point or exponent, so an int is no float, and no two with
+    the same bits. Reading a slot marks the entries it names, so `unused`
+    ends up holding the entries no slot names."""
+
+    def __init__(self, raw: Any):
+        self.values = _list(raw, "floats", float)
+        if not all(map(math.isfinite, self.values)):
+            raise ValueError("floats must hold finite numbers only")
+        # distinct values have distinct bits; only 0.0 == -0.0 needs the keys
+        n = len(self.values)
+        if len(set(self.values)) < n and len(set(map(_float_key, self.values))) < n:
+            raise ValueError("floats holds one value twice")
+        self.unused = set(range(n))
+
+    def at(self, raw: Any, what: str) -> float:
+        """The float an index names: an int, no bool, inside the table (a
+        negative index would count from its end)."""
+        if type(raw) is not int or not 0 <= raw < len(self.values):
+            raise ValueError(f"{what} {raw!r} is no index into the floats table")
+        self.unused.discard(raw)
+        return self.values[raw]
+
+    def each(self, raw: Any, what: str) -> list[float]:
+        """The floats a list of indices names, each index as `at` takes it."""
+        indices = _list(raw, what, int)
+        if indices and (min(indices) < 0 or max(indices) >= len(self.values)):
+            raise ValueError(f"{what} names an index outside the floats table")
+        self.unused.difference_update(indices)
+        return list(map(self.values.__getitem__, indices))
 
 
 def _malformed(label: str, rule: str) -> ValueError:
@@ -176,7 +210,7 @@ def _pair_key(key: str, what: str) -> tuple[int, int]:
     return int(m[1]), int(m[2])
 
 
-def _payload_from_row(rest: list) -> Any:
+def _payload_from_row(rest: list, floats: _FloatTable) -> Any:
     """A genome from its three items, `[in_weights, out_targets, activation]`;
     a payload that is no genome is one item, kept as it is for verify's
     genome-shape check to report."""
@@ -184,16 +218,16 @@ def _payload_from_row(rest: list) -> Any:
         return rest[0]
     in_weights, out_targets, activation = rest
     return NeuronGene(
-        in_weights=tuple(_floats(in_weights, "in_weights")),
+        in_weights=tuple(floats.each(in_weights, "in_weights")),
         out_targets=tuple(
-            (_of(int, slot, "an output slot"), _float(w, "an output weight"))
+            (_of(int, slot, "an output slot"), floats.at(w, "an output weight"))
             for slot, w in _list(out_targets, "out_targets", list)
         ),
         activation=_of(str, activation, "activation"),
     )
 
 
-def _universe_from_json(doc: Mapping[str, Any], max_order: int) -> Universe:
+def _universe_from_json(doc: Mapping[str, Any], max_order: int, floats: _FloatTable) -> Universe:
     u = Universe(max_order=max_order)
     _reject_unknown(doc, {"structures", "depends", "next_id"}, "universe", _malformed)
     for row in _list(doc["structures"], "structures", list):
@@ -205,7 +239,7 @@ def _universe_from_json(doc: Mapping[str, Any], max_order: int) -> Universe:
             id=_of(int, sid, "a structure id"),
             order=order,
             constituents=frozenset(_list(constituents, "constituents", int)),
-            payload=_payload_from_row(rest) if rest else None,
+            payload=_payload_from_row(rest, floats) if rest else None,
             tag=_of(str, tag, "a structure tag"),
         )
         if s.id in u.structures:
@@ -241,15 +275,15 @@ def _population_from_json(doc: Mapping[str, Any], base_order_r: int, population_
     )
 
 
-def _ledger_from_json(doc: Mapping[str, Any], top_m: int) -> FitnessLedger:
+def _ledger_from_json(doc: Mapping[str, Any], top_m: int, floats: _FloatTable) -> FitnessLedger:
     ledger = FitnessLedger(top_m)
     _reject_unknown(doc, {"per_member", "cooccur", "pending"}, "ledger", _malformed)
     for key, samples in doc["per_member"].items():
-        ledger.per_member[_id_key(key, "per_member")] = _floats(samples, "per_member samples")
+        ledger.per_member[_id_key(key, "per_member")] = floats.each(samples, "per_member samples")
     for key, row in doc["cooccur"].items():
         bc, bt, sc, st = _list(row, "cooccur")
         ledger.cooccur[_pair_key(key, "cooccur")] = CooccurCell(
-            _of(int, bc, "a count"), _float(bt, "a total"), _of(int, sc, "a count"), _float(st, "a total")
+            _of(int, bc, "a count"), floats.at(bt, "a total"), _of(int, sc, "a count"), floats.at(st, "a total")
         )
     for key, levels in doc["pending"].items():
         ledger.pending[_pair_key(key, "pending")] = set(_list(levels, "pending levels", int))
@@ -257,7 +291,7 @@ def _ledger_from_json(doc: Mapping[str, Any], top_m: int) -> FitnessLedger:
 
 
 def _checkpoint_from_doc(doc: Mapping[str, Any]) -> Checkpoint:
-    keys = {"format", "config", "config_digest", "generation", "universe", "population", "ledger", "loop"}
+    keys = {"format", "config", "config_digest", "generation", "universe", "population", "ledger", "loop", "floats"}
     _reject_unknown(doc, keys, "checkpoint", _malformed)
     config = config_from_dict(doc["config"])
     stored = doc.get("config_digest", "")
@@ -271,24 +305,30 @@ def _checkpoint_from_doc(doc: Mapping[str, Any]) -> Checkpoint:
     generation = _of(int, doc["generation"], "generation")
     if generation < 0:
         raise ValueError(f"generation {generation} is negative")
+    # a periodic checkpoint comes before the solve, a final one after it
+    if solved_at is not None and not 0 <= _of(int, solved_at, "solved_at") < generation:
+        raise ValueError(f"solved_at {solved_at} is not a generation before {generation}")
+    floats = _FloatTable(doc["floats"])
     state = LoopState(
-        universe=_universe_from_json(doc["universe"], config.max_order),
+        universe=_universe_from_json(doc["universe"], config.max_order, floats),
         problem=config.problem,
         pop=_population_from_json(
             doc["population"], config.problem.base_solver_order_r, config.population_limit
         ),
-        ledger=_ledger_from_json(doc["ledger"], evo.top_m),
+        ledger=_ledger_from_json(doc["ledger"], evo.top_m, floats),
         detector=StallDetector(
             window_G=evo.window_G,
             min_improvement=evo.min_improvement,
-            history=_floats(loop["stall_history"], "stall_history"),
+            history=floats.each(loop["stall_history"], "stall_history"),
         ),
         reverse_counters={
             _id_key(k, "reverse_counters"): _of(int, v, "a reverse counter")
             for k, v in loop["reverse_counters"].items()
         },
-        solved_at=None if solved_at is None else _of(int, solved_at, "solved_at"),
+        solved_at=solved_at,
     )
+    if floats.unused:
+        raise ValueError(f"floats entry {min(floats.unused)} is named by no slot")
     return Checkpoint(config=config, generation=generation, state=state)
 
 

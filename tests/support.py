@@ -7,6 +7,8 @@ traversal, and the XOR nets are written out by hand.
 
 from __future__ import annotations
 
+import copy
+import struct
 from functools import reduce
 from graphlib import CycleError, TopologicalSorter
 from operator import add
@@ -240,6 +242,47 @@ def constant_one_gene() -> NeuronGene:
     patterns right."""
     return NeuronGene(in_weights=(0.0, 0.0, 1.0),
                       out_targets=((0, 5.0),), activation="step")
+
+
+def float_slots(doc: dict) -> list[tuple[list, int]]:
+    """Every float slot of a checkpoint document, as (list, index), in order
+    of first use: structure rows by id (each genome's in_weights, then its
+    out_targets weights), per_member by id, cooccur by pair (both_total,
+    then solo_total), then stall_history."""
+    slots = []
+    for row in sorted(doc["universe"]["structures"], key=lambda row: row[0]):
+        if row[1] == 1 and len(row) == 7:  # a genome; any other payload is one item, no float slot
+            slots += [(row[4], i) for i in range(len(row[4]))] + [(pair, 1) for pair in row[5]]
+    ledger = doc["ledger"]
+    for key in sorted(ledger["per_member"], key=int):
+        slots += [(ledger["per_member"][key], i) for i in range(len(ledger["per_member"][key]))]
+    for key in sorted(ledger["cooccur"], key=lambda key: tuple(map(int, key.split(",")))):
+        slots += [(ledger["cooccur"][key], 1), (ledger["cooccur"][key], 3)]
+    history = doc["loop"]["stall_history"]
+    return slots + [(history, i) for i in range(len(history))]
+
+
+def v6_to_v7(doc: dict) -> dict:
+    """The v6 to v7 transform: each float slot takes the index of its value's
+    bits in a new top-level `floats` table, whose entries follow first use in
+    `float_slots` order; the format marker changes and nothing else does."""
+    doc = copy.deepcopy(doc)
+    table: dict[bytes, int] = {}
+    for node, i in float_slots(doc):
+        node[i] = table.setdefault(struct.pack("<d", node[i]), len(table))
+    doc["floats"] = [struct.unpack("<d", bits)[0] for bits in table]
+    doc["format"] = "sosage-checkpoint-v7"
+    return doc
+
+
+def v7_to_v6(doc: dict) -> dict:
+    """The inverse of `v6_to_v7`: each index replaced by the float it names."""
+    doc = copy.deepcopy(doc)
+    floats = doc.pop("floats")
+    for node, i in float_slots(doc):
+        node[i] = floats[node[i]]
+    doc["format"] = "sosage-checkpoint-v6"
+    return doc
 
 
 def grid_shortest_steps(size: int, start: tuple[int, int], stops: list[tuple[int, int]]) -> int:

@@ -15,6 +15,8 @@ from sosage.checkpoint import CHECKPOINT_FORMAT, load_checkpoint, save_checkpoin
 from sosage.cli import EXIT_BROKEN_PIPE, EXIT_OK, EXIT_UNSOLVED, EXIT_USAGE, EXIT_VERIFY_FAILED, main
 from sosage.harness import OUTPUT_DIR_ENV
 
+from support import v6_to_v7, v7_to_v6
+
 
 @pytest.fixture(autouse=True)
 def isolated_output(monkeypatch):
@@ -137,11 +139,11 @@ class TestResumeCommand:
         run_cli(capsys, "run", str(config_path))
         out = tmp_path / "runs"
         path = out / "checkpoint-0-gen2.json"
-        doc = json.loads(path.read_text())
+        doc = v7_to_v6(json.loads(path.read_text()))  # each float in its slot, so the genome can go
         member = doc["population"]["members"][0]
         row = next(r for r in doc["universe"]["structures"] if r[0] == member)
         row[4:] = ["x"]  # a payload that is no genome
-        path.write_text(json.dumps(doc))
+        path.write_text(json.dumps(v6_to_v7(doc)))
         before = sorted(p.name for p in out.iterdir())
         code, stdout, err = run_cli(capsys, "resume", str(path))
         assert code == EXIT_VERIFY_FAILED
@@ -241,13 +243,14 @@ class TestVerifyCommand:
     @pytest.mark.parametrize("command", ["verify", "inspect", "resume"])
     def test_checkpoint_with_a_loose_scalar_is_usage_error(self, config_path, capsys, tmp_path, command):
         # each of these once loaded and passed every invariant, or is the v5
-        # spelling of a float
+        # spelling of a float; a float is edited in the floats table, at the
+        # entry its slot names
         def first_weight(doc, value):
             row = next(r for r in doc["universe"]["structures"] if r[1] == 1)
-            row[4][0] = value
+            doc["floats"][row[4][0]] = value
 
         def first_sample(doc, value):
-            doc["ledger"]["per_member"][min(doc["ledger"]["per_member"])][0] = value
+            doc["floats"][doc["ledger"]["per_member"][min(doc["ledger"]["per_member"])][0]] = value
 
         def set_key(*path):
             def edit(doc, value):
@@ -260,7 +263,7 @@ class TestVerifyCommand:
         edits = [
             (first_weight, float("nan")),
             (first_sample, float("inf")),
-            (set_key("loop", "stall_history"), [overflow]),
+            (set_key("floats", -1), overflow),
             (first_weight, "0.5"),
             (first_sample, "-0.5"),
             (first_sample, 0),
@@ -268,6 +271,8 @@ class TestVerifyCommand:
             (set_key("generation"), 7.9),
             (set_key("generation"), True),
             (set_key("generation"), -3),
+            (set_key("loop", "solved_at"), -5),
+            (set_key("loop", "solved_at"), 500),
             (set_key("population", "pop_order_n"), 1.5),
             (set_key("population", "members", 0), "21"),
         ]
@@ -289,9 +294,11 @@ class TestVerifyCommand:
     def test_version_2_checkpoint_is_usage_error(self, config_path, capsys, tmp_path, command):
         run_cli(capsys, "run", str(config_path))
         path = tmp_path / "runs" / "checkpoint-0-final.json"
+        # a v6 file wrote each float in its slot
+        v6 = v7_to_v6(json.loads(path.read_text()))
         # a v5 file wrote each structure row as an object and each float as a
         # "%.17g" string
-        v5 = json.loads(path.read_text())
+        v5 = json.loads(json.dumps(v6))
         v5["format"] = "sosage-checkpoint-v5"
         rows = v5["universe"]["structures"]
         for i, (sid, order, constituents, tag, *genome) in enumerate(rows):
@@ -324,15 +331,15 @@ class TestVerifyCommand:
         v2["format"] = "sosage-checkpoint-v2"
         v2["ledger"]["top_m"] = v2["config"]["evolution"]["top_m"]
         v2["population"]["population_limit"] = v2["config"]["population_limit"]
-        for doc in (v2, v3, v4, v5):
+        for doc in (v2, v3, v4, v5, v6):
             path.write_text(json.dumps(doc))
             code, out, err = run_cli(capsys, command, str(path))
             assert code == EXIT_USAGE
-            assert out == "" and err == "error: not a sosage-checkpoint-v6 document\n"
+            assert out == "" and err == "error: not a sosage-checkpoint-v7 document\n"
 
     @pytest.mark.parametrize("command", ["verify", "inspect", "resume"])
     def test_interaction_edges_beside_the_structures_are_usage_error(self, config_path, capsys, tmp_path, command):
-        # v4's universe.interacts under the v6 marker: the relation is derived, never read
+        # v4's universe.interacts under the v7 marker: the relation is derived, never read
         run_cli(capsys, "run", str(config_path))
         out_dir = tmp_path / "runs"
         path = out_dir / "checkpoint-0-gen2.json"

@@ -10,7 +10,9 @@ The final checkpoints of four runs are pinned the same way: the XOR
 reference run, an unsolved gridnav_comp run, an XOR run whose loose break
 settings make it break and reverse, and XOR seed 13. Their configs keep
 `output_dir: "runs"`, since the embedded config is part of the bytes; the
-files go to a temporary directory through SOSAGE_OUTPUT_DIR instead.
+files go to a temporary directory through SOSAGE_OUTPUT_DIR instead. A new
+checkpoint format re-pins them by a stated rule: the v7 pins are the v6
+files passed through `support.v6_to_v7`.
 
 XOR seed 13 solves at generation 1 at order 1, so nothing compacts its
 ledger after the second whole-roster tally: its final checkpoint holds all
@@ -67,12 +69,12 @@ GRIDNAV_COMP = {
 # (config, seed, evolution changes) -> final checkpoint digest
 REVERSING = {"dependency_delta": 0.05, "window_G": 2, "min_cooccur_samples": 2, "break_warmup": 0}
 CHECKPOINTS = [
-    ("xor.json", 7, {}, "aa30cef2a3c1436bfcec13bb0ba77c5ea434585433e0544acfcbfc74a56ee680"),
+    ("xor.json", 7, {}, "f09b1a557d4379394b1a0ddbd0322a2e19cc5a5d14e4ad638afb4a10d7c7bd8f"),
     ("gridnav_comp.json", 9, {"max_generations": 150},
-     "2942f06f753648af21627d8e81128ae7d479cd4bf49e5c5bd9762dab475fa7ff"),
+     "98d0bc54a6403fc83021cdd7aa39fdb588253fa5e7ce28494f1109c9fd861e44"),
     ("xor.json", 1, {**REVERSING, "max_generations": 120},
-     "1daf7d922d184f5a0fff2b8bd93d276225eeba9009dc4fe9490b71931364389e"),
-    ("xor.json", 13, {}, "a23eb81ac3f40b1172b97fc8b4f872c1c2ff9bf07a6197412eeebcc1658fb24e"),
+     "9ef91f80a36a85cb8117343a0e3f7e87d4ea181b00a390a9c4967a0c4baed038"),
+    ("xor.json", 13, {}, "8552877d741645726a4b61aa84a9cc872ced259eaae4c35b4417dd8f482990cf"),
 ]
 
 

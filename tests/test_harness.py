@@ -57,7 +57,7 @@ from sosage.invariants import verify
 from sosage.population import BreakEvent, ProblemSpec
 from sosage.symbio import CooccurCell, EvolutionConfig, GenerationRow, NeuronGene, run_symbiosis
 
-from support import edge_graph, has_cycle
+from support import edge_graph, float_slots, has_cycle, v6_to_v7, v7_to_v6
 
 ROOT = Path(__file__).resolve().parent.parent
 CONFIG_DIR = ROOT / "configs"
@@ -619,7 +619,7 @@ class TestResume:
         assert final_resumed == final_full
 
     def test_indented_file_from_earlier_builds_resumes_the_same(self, finished_run):
-        # no build writes v6 indented, but such a file differs only in whitespace
+        # no build writes v7 indented, but such a file differs only in whitespace
         _, report, out = finished_run
         compact = out / "checkpoint-0-gen2.json"
         doc = json.loads(compact.read_text())
@@ -996,6 +996,7 @@ JSON_VALUES = st.recursive(
 
 
 ANY = "*"  # a list index, or a key of a dict keyed by ids ("12", "3,4")
+ENTRY = "@"  # the floats table entry that the float slot before it names
 
 
 def schema_paths(node, prefix=()) -> set:
@@ -1026,6 +1027,23 @@ def checkpoint_schema() -> list:
 
 def resolve(doc, path):
     return functools.reduce(lambda node, key: node[key], path, doc)
+
+
+def edit(doc, path, value) -> None:
+    """Set the field at `path`, or delete it when `value` is KeyError. ANY
+    picks the row with the lowest key; ENTRY moves to the floats table
+    entry that the slot before it names."""
+    concrete = ()
+    for key in path:
+        if key == ENTRY:
+            concrete = ("floats", resolve(doc, concrete))
+        else:
+            concrete += (min(resolve(doc, concrete)) if key == ANY else key,)
+    parent = resolve(doc, concrete[:-1])
+    if value is KeyError:
+        del parent[concrete[-1]]
+    else:
+        parent[concrete[-1]] = value
 
 
 def draw_path(data, doc) -> tuple:
@@ -1131,6 +1149,56 @@ class TestCheckpointCodec:
         assert back.state.ledger.per_member[member] == list(AWKWARD)
         assert back.state.ledger.cooccur[pair] == CooccurCell(3, AWKWARD[0], 4, AWKWARD[7])
         assert back.state.detector.history == list(AWKWARD[1:4])
+
+    def test_the_table_follows_ids_not_insertion_order(self, tmp_path):
+        # a loaded ledger holds its dicts in the file's key order, so a table
+        # in insertion order would change the bytes a resume writes
+        texts = []
+        for reverse in (False, True):
+            ckpt = checkpoint_from_json_dict(valid_checkpoint_doc())
+            ledger = ckpt.state.ledger
+            # each entry first uses a value of its own
+            samples = {m: [m + 0.25] for m in ledger.per_member}
+            cells = {(x, y): CooccurCell(1, x + y / 1000, 1, y + x / 1000) for x, y in ledger.cooccur}
+            for table, items in ((ledger.per_member, samples), (ledger.cooccur, cells)):
+                table.clear()
+                table.update(sorted(items.items(), reverse=reverse))
+            assert len(ledger.per_member) > 1 and len(ledger.cooccur) > 1
+            save_checkpoint(tmp_path / "checkpoint.json", ckpt)
+            texts.append((tmp_path / "checkpoint.json").read_bytes())
+        assert texts[0] == texts[1]
+
+    def test_zeros_a_subnormal_and_an_int_total_keep_their_bits(self, tmp_path):
+        ckpt = checkpoint_from_json_dict(valid_checkpoint_doc())
+        u, ledger = ckpt.state.universe, ckpt.state.ledger
+        first, member, pair = min(u.structures), min(ledger.per_member), min(ledger.cooccur)
+        weights = (0.0, -0.0, 5e-324, 1e308, -0.0)
+        gene = NeuronGene(in_weights=weights, out_targets=((0, -0.0), (1, 1e308)), activation="tanh")
+        u.structures[first] = dataclasses.replace(u.get(first), payload=gene)
+        ledger.per_member[member] = [-0.0, 0.0, 5e-324]
+        ledger.cooccur[pair] = CooccurCell(2, 3, 1, -0.0)
+        ckpt.state.detector.history[:] = [1e308, 0.0, -0.0]
+        path = tmp_path / "checkpoint.json"
+        save_checkpoint(path, ckpt)
+        floats = json.loads(path.read_text())["floats"]
+        assert [x.hex() for x in floats if x == 0.0] == [(0.0).hex(), (-0.0).hex()]
+        assert len(set(map(float.hex, floats))) == len(floats)
+        assert 3.0 in floats
+        back = load_checkpoint(path).state
+        back_gene = back.universe.get(first).payload
+        assert same_floats(back_gene.in_weights, weights)
+        assert same_floats([w for _, w in back_gene.out_targets], [-0.0, 1e308])
+        assert same_floats(back.ledger.per_member[member], [-0.0, 0.0, 5e-324])
+        cell = back.ledger.cooccur[pair]
+        assert (cell.both_count, cell.solo_count) == (2, 1)
+        assert type(cell.both_total) is float and same_floats([cell.both_total, cell.solo_total], [3.0, -0.0])
+        assert same_floats(back.detector.history, [1e308, 0.0, -0.0])
+
+    def test_the_file_is_its_v6_layout_through_the_stated_transform(self):
+        doc = valid_checkpoint_doc()
+        v6 = v7_to_v6(doc)
+        assert {type(node[i]) for node, i in float_slots(v6)} == {float}
+        assert v6_to_v7(v6) == doc
 
     def test_next_id_survives_dropping_the_highest_id(self):
         ckpt = checkpoint_from_json_dict(valid_checkpoint_doc())
@@ -1334,6 +1402,10 @@ class TestMalformedCheckpoints:
             (("loop", "reverse_counters"), {"a": 1}),
             (("loop", "stall_history"), [[]]),
             (("loop", "solved_at"), 1e400),
+            # a periodic checkpoint comes before the solve, a final one after it
+            (("loop", "solved_at"), -5),
+            (("loop", "solved_at"), 500),
+            (("loop", "solved_at"), 6),  # the document's own generation
             # a string where a list is iterated is refused, never read
             # character by character
             (("universe", "structures", 0, 4), "12345"),
@@ -1347,16 +1419,27 @@ class TestMalformedCheckpoints:
             (("population", "members"), "12"),
             (("loop", "stall_history"), "12"),
             # a scalar is read only in the form the writer gives it: a float
-            # is a finite JSON number, never a string or an int
-            (("universe", "structures", 0, 4, 0), math.nan),
-            (("universe", "structures", 0, 4, 0), "0.5"),
-            (("universe", "structures", 0, 4, 0), 1),
-            (("universe", "structures", 0, 5, 0, 1), "0.5"),
-            (("universe", "structures", 0, 5, 0, 1), math.inf),
-            (("ledger", "per_member", ANY, 0), math.inf),
-            (("ledger", "per_member", ANY, 0), "0.5"),
-            (("loop", "stall_history"), [1e400]),
-            (("loop", "stall_history"), [0]),
+            # is a finite JSON number in the floats table, never a string or
+            # an int (ENTRY: the entry the slot before it names)
+            (("universe", "structures", 0, 4, 0, ENTRY), math.nan),
+            (("universe", "structures", 0, 4, 0, ENTRY), "0.5"),
+            (("universe", "structures", 0, 4, 0, ENTRY), 1),
+            (("universe", "structures", 0, 5, 0, 1, ENTRY), "0.5"),
+            (("universe", "structures", 0, 5, 0, 1, ENTRY), math.inf),
+            (("ledger", "per_member", ANY, 0, ENTRY), math.inf),
+            (("ledger", "per_member", ANY, 0, ENTRY), "0.5"),
+            (("floats", -1), 1e400),
+            (("floats", -1), 0),
+            # each float slot is an index: an int, no bool, inside the table
+            (("universe", "structures", 0, 4, 0), True),
+            (("ledger", "cooccur", ANY, 3), False),
+            (("ledger", "per_member", ANY, 0), 0.0),
+            (("universe", "structures", 0, 5, 0, 1), 1.0),
+            (("universe", "structures", 0, 4, 0), -1),
+            (("loop", "stall_history"), [-1]),
+            (("ledger", "cooccur", ANY, 1), 10**6),
+            (("ledger", "per_member", ANY, 0), "0"),
+            (("floats",), {"0": 0.5}),
             (("generation",), "7"),
             (("generation",), 7.9),
             (("generation",), True),
@@ -1364,20 +1447,22 @@ class TestMalformedCheckpoints:
             (("population", "pop_order_n"), 1.5),
             (("population", "members", 0), "21"),
             (("population", "break_log", 0, "reversed_at"), 2.5),
-            (("ledger", "per_member"), {"+3": [1.5]}),
-            (("ledger", "per_member"), {"03": [1.5]}),
+            (("ledger", "per_member"), {"+3": [0]}),
+            (("ledger", "per_member"), {"03": [0]}),
             # a co-occurrence cell is [both_count, both_total, solo_count,
-            # solo_total], the totals floats; a v3 object cell is refused
-            (("ledger", "cooccur", ANY), [1, 1.0, 0]),
-            (("ledger", "cooccur", ANY), [1, 1.0, 0, 0.0, 0]),
+            # solo_total], the totals indices of floats; a v3 object cell is
+            # refused
+            (("ledger", "cooccur", ANY), [1, 0, 0]),
+            (("ledger", "cooccur", ANY), [1, 0, 0, 0, 0]),
             (("ledger", "cooccur", ANY), {"with_both": [1, 1.0], "with_x_only": [0, 0.0]}),
             (("ledger", "cooccur", ANY, 0), True),
             (("ledger", "cooccur", ANY, 2), 1.0),
-            (("ledger", "cooccur", ANY, 1), "1.5"),
-            (("ledger", "cooccur", ANY, 1), 0),
-            (("ledger", "cooccur", ANY, 3), math.nan),
+            (("ledger", "cooccur", ANY, 1, ENTRY), "1.5"),
+            (("ledger", "cooccur", ANY, 1, ENTRY), 0),
+            (("ledger", "cooccur", ANY, 3, ENTRY), math.nan),
             # every key the writer writes is required
             (("loop", "solved_at"), KeyError),
+            (("floats",), KeyError),
             (("population", "break_log", 0, "reversed_at"), KeyError),
             (("universe", "structures", 0, 3), KeyError),
             # a dependency edge is exactly [dependent, dependee, level]
@@ -1396,14 +1481,7 @@ class TestMalformedCheckpoints:
     )
     def test_missing_keys_and_wrong_types_are_parse_errors(self, path, value):
         doc = valid_checkpoint_doc()
-        concrete = ()
-        for key in path:  # ANY picks the row with the lowest key
-            concrete += (min(resolve(doc, concrete)) if key == ANY else key,)
-        parent = resolve(doc, concrete[:-1])
-        if value is KeyError:
-            del parent[concrete[-1]]
-        else:
-            parent[concrete[-1]] = value
+        edit(doc, path, value)
         with pytest.raises(ParseError, match="malformed checkpoint"):
             checkpoint_from_json_dict(doc)
 
@@ -1429,11 +1507,43 @@ class TestMalformedCheckpoints:
     def test_a_non_finite_json_number_is_a_parse_error(self, tmp_path, literal):
         # json reads each of these as a float, so the finite check must refuse it
         doc = valid_checkpoint_doc()
-        doc["ledger"]["cooccur"][min(doc["ledger"]["cooccur"])][1] = "TOTAL"
+        doc["floats"][doc["ledger"]["cooccur"][min(doc["ledger"]["cooccur"])][1]] = "TOTAL"
         edited = tmp_path / "edited.json"
         edited.write_text(json.dumps(doc).replace('"TOTAL"', literal))
-        with pytest.raises(ParseError, match="malformed checkpoint: ValueError: a total must be finite"):
+        with pytest.raises(ParseError, match="malformed checkpoint: ValueError: floats must hold finite numbers only"):
             load_checkpoint(edited)
+
+    @pytest.mark.parametrize("slot", [
+        ("universe", "structures", 0, 4, 0), ("universe", "structures", 0, 5, 0, 1), ("ledger", "cooccur", ANY, 3),
+    ])
+    @pytest.mark.parametrize("index", [lambda n: -1, lambda n: -n, lambda n: n, lambda n: n + 1, lambda n: True])
+    def test_an_index_must_name_an_entry_of_the_table(self, slot, index):
+        # Python would take a negative index from the end of the table, and
+        # true as 1; the refusal names the index, not an entry left unused
+        doc = valid_checkpoint_doc()
+        edit(doc, slot, index(len(doc["floats"])))
+        with pytest.raises(ParseError, match="(is no index into|names an index outside) the floats table|of int$"):
+            checkpoint_from_json_dict(doc)
+
+    def test_an_entry_no_slot_names_is_a_parse_error(self):
+        doc = valid_checkpoint_doc()
+        assert 0.125 not in doc["floats"]
+        doc["floats"].append(0.125)
+        with pytest.raises(ParseError, match=f"floats entry {len(doc['floats']) - 1} is named by no slot"):
+            checkpoint_from_json_dict(doc)
+
+    @pytest.mark.parametrize("value", [0.125, -0.0, 5e-324])
+    def test_an_entry_written_twice_is_a_parse_error(self, value):
+        doc = valid_checkpoint_doc()
+        assert value.hex() not in map(float.hex, doc["floats"])
+        n = len(doc["floats"])
+        doc["floats"].append(value)
+        doc["loop"]["stall_history"] = [n]
+        checkpoint_from_json_dict(doc)  # every entry named once and no two alike: it loads
+        doc["floats"].append(value)
+        doc["loop"]["stall_history"] = [n, n + 1]
+        with pytest.raises(ParseError, match="floats holds one value twice"):
+            checkpoint_from_json_dict(doc)
 
     def test_structure_listed_twice_is_a_parse_error(self):
         doc = valid_checkpoint_doc()
@@ -1441,6 +1551,16 @@ class TestMalformedCheckpoints:
         rows.append(rows[0][:3] + ["impostor"] + rows[0][4:])
         with pytest.raises(ParseError, match=f"structure {rows[0][0]} is listed twice"):
             checkpoint_from_json_dict(doc)
+
+    @settings(max_examples=200, deadline=None)
+    @given(data=st.data())
+    def test_an_index_or_table_entry_replaced_loads_or_fails_as_sosage_error(self, data):
+        doc = valid_checkpoint_doc()
+        n = len(doc["floats"])
+        slots = float_slots(doc) + [(doc["floats"], i) for i in range(n)]
+        node, i = slots[data.draw(st.integers(0, len(slots) - 1), label="slot")]
+        node[i] = data.draw(st.integers(-2, n + 1) | JSON_VALUES, label="value")
+        load_or_sosage_error(json.loads(json.dumps(doc)))  # as a file would hold it
 
     @settings(max_examples=100, deadline=None)
     @given(doc=st.dictionaries(st.text(max_size=8), JSON_VALUES, max_size=6), marked=st.booleans())
@@ -1470,7 +1590,7 @@ def corrupted_checkpoint_docs(draw):
     """A real gridnav_comp checkpoint with 1-4 corruptions: edges to unknown
     or dropped ids, cycles in either relation, extra constituents, ghost
     members and ledger keys, and wrong orders."""
-    doc = valid_checkpoint_doc()
+    doc = v7_to_v6(valid_checkpoint_doc())  # each float in its slot, so a row can drop its genome
     universe, ledger = doc["universe"], doc["ledger"]
     rows = {row[0]: row for row in universe["structures"]}
     known = st.sampled_from(sorted(rows))
@@ -1510,7 +1630,7 @@ def corrupted_checkpoint_docs(draw):
             row = rows[draw(known)]
             row[1] = draw(st.integers(0, doc["config"]["max_order"] + 1), label="order")
             row[4:] = (row[4:] or genome) if row[1] == 1 else []
-    return doc
+    return v6_to_v7(doc)
 
 
 class TestCorruptedCheckpoints:
