@@ -9,7 +9,6 @@ from .harness import RunReport, resume, run, summarize_checkpoint, sweep
 from .hyperstruct import ObsRecord, Structure, Universe
 from .population import (
     BreakEvent,
-    PendingDependency,
     Population,
     ProblemSpec,
     StallDetector,
@@ -47,7 +46,6 @@ __all__ = [
     "GridNavEnv",
     "NeuronGene",
     "ObsRecord",
-    "PendingDependency",
     "Population",
     "ProblemSpec",
     "RunConfig",

@@ -1,4 +1,4 @@
-"""The checkpoint file format, `sosage-checkpoint-v7`. No other module knows
+"""The checkpoint file format, `sosage-checkpoint-v8`. No other module knows
 it: one writer encodes the config, generation and loop state, and one reader
 takes each value only in the form the writer gives it. Every float of the
 state is written once, in the document's `floats` table, and each slot that
@@ -29,7 +29,7 @@ from .hyperstruct import Structure, Universe
 from .population import BreakEvent, Population, StallDetector
 from .symbio import CooccurCell, FitnessLedger, LoopState, NeuronGene
 
-CHECKPOINT_FORMAT = "sosage-checkpoint-v7"
+CHECKPOINT_FORMAT = "sosage-checkpoint-v8"
 
 
 @dataclass
@@ -40,7 +40,7 @@ class Checkpoint:
 
 
 def checkpoint_to_json_dict(ckpt: Checkpoint) -> dict:
-    """The whole v7 document. Structure rows and co-occurrence cells are flat
+    """The whole v8 document. Structure rows and co-occurrence cells are flat
     arrays. Each float slot holds an index into `floats`, which lists each
     distinct value once (an int weight or total as its float) in order of
     first use: structures by id, per_member by id, cooccur by pair, then
@@ -86,7 +86,6 @@ def checkpoint_to_json_dict(ckpt: Checkpoint) -> dict:
                 f"{x},{y}": [c.both_count, at(c.both_total), c.solo_count, at(c.solo_total)]
                 for (x, y), c in sorted(ledger.cooccur.items())
             },
-            "pending": {f"{x},{y}": sorted(levels) for (x, y), levels in ledger.pending.items()},
         },
         "loop": {
             "stall_history": list(map(at, ckpt.state.detector.history)),
@@ -277,7 +276,7 @@ def _population_from_json(doc: Mapping[str, Any], base_order_r: int, population_
 
 def _ledger_from_json(doc: Mapping[str, Any], top_m: int, floats: _FloatTable) -> FitnessLedger:
     ledger = FitnessLedger(top_m)
-    _reject_unknown(doc, {"per_member", "cooccur", "pending"}, "ledger", _malformed)
+    _reject_unknown(doc, {"per_member", "cooccur"}, "ledger", _malformed)
     for key, samples in doc["per_member"].items():
         ledger.per_member[_id_key(key, "per_member")] = floats.each(samples, "per_member samples")
     for key, row in doc["cooccur"].items():
@@ -285,8 +284,6 @@ def _ledger_from_json(doc: Mapping[str, Any], top_m: int, floats: _FloatTable) -
         ledger.cooccur[_pair_key(key, "cooccur")] = CooccurCell(
             _of(int, bc, "a count"), floats.at(bt, "a total"), _of(int, sc, "a count"), floats.at(st, "a total")
         )
-    for key, levels in doc["pending"].items():
-        ledger.pending[_pair_key(key, "pending")] = set(_list(levels, "pending levels", int))
     return ledger
 
 
@@ -308,6 +305,15 @@ def _checkpoint_from_doc(doc: Mapping[str, Any]) -> Checkpoint:
     # a periodic checkpoint comes before the solve, a final one after it
     if solved_at is not None and not 0 <= _of(int, solved_at, "solved_at") < generation:
         raise ValueError(f"solved_at {solved_at} is not a generation before {generation}")
+    # the loop keeps at most window_G of history, and a reverse counter starts at 1 and only grows
+    history = _list(loop["stall_history"], "stall_history")
+    if len(history) > evo.window_G:
+        raise ValueError(f"stall_history holds {len(history)} entries, more than window_G {evo.window_G}")
+    counters = {
+        _id_key(k, "reverse_counters"): _of(int, v, "a reverse counter") for k, v in loop["reverse_counters"].items()
+    }
+    if counters and min(counters.values()) < 1:
+        raise ValueError(f"reverse counter {min(counters.values())} is below 1")
     floats = _FloatTable(doc["floats"])
     state = LoopState(
         universe=_universe_from_json(doc["universe"], config.max_order, floats),
@@ -319,12 +325,9 @@ def _checkpoint_from_doc(doc: Mapping[str, Any]) -> Checkpoint:
         detector=StallDetector(
             window_G=evo.window_G,
             min_improvement=evo.min_improvement,
-            history=floats.each(loop["stall_history"], "stall_history"),
+            history=floats.each(history, "stall_history"),
         ),
-        reverse_counters={
-            _id_key(k, "reverse_counters"): _of(int, v, "a reverse counter")
-            for k, v in loop["reverse_counters"].items()
-        },
+        reverse_counters=counters,
         solved_at=solved_at,
     )
     if floats.unused:

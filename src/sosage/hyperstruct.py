@@ -10,8 +10,9 @@ structures, the dependency levels and the declared interactions, and derives
 every other interaction edge. Per-level observer
 functions supply observable properties; a property of a composite is emergent
 when it is observable at the composite's level but at the level below on none
-of its constituents. `emergent` is that rule over a set of levels, and the
-population's break gate asks it of the ledger's pending levels.
+of its constituents. `emergent` is that rule over a set of levels, and
+`Universe.is_emergent` asks it. The evolution loop tests no emergence: a gate
+that could refuse a break needs an observable that differs between levels.
 """
 
 from __future__ import annotations
@@ -64,7 +65,7 @@ Observer = Callable[[Structure, "Universe"], Iterable[ObsRecord]]
 
 def emergent(levels: Container[int], level: int) -> bool:
     """The one rule of emergence: observed at `level` and not at the level
-    below. The break gate, verify and `Universe.is_emergent` all ask it."""
+    below. `Universe.is_emergent` asks it."""
     return level in levels and (level - 1) not in levels
 
 

@@ -1,4 +1,4 @@
-"""The structural verifier: 10 invariants over a checkpoint's state."""
+"""The structural verifier: 9 invariants over a checkpoint's state."""
 
 from __future__ import annotations
 
@@ -7,7 +7,6 @@ from dataclasses import dataclass
 
 from .checkpoint import Checkpoint
 from .envs import make_env
-from .hyperstruct import emergent
 from .symbio import SAMPLE_RING_FACTOR, NeuronGene, live_structures
 
 
@@ -114,17 +113,13 @@ def verify(ckpt: Checkpoint) -> VerifyReport:
                 )
         if z.order != pop.base_order_r + event.level_observed:
             bad.append(f"break composite {event.composite} order {z.order} off its level")
+    # the reverse safeguard counts only composites whose break still stands
+    standing = {e.composite for e in pop.break_log if e.reversed_at is None}
+    bad += [
+        f"reverse counter on {c}, no composite of an un-reversed break"
+        for c in sorted(ckpt.state.reverse_counters) if c not in standing
+    ]
     record("break-log", bad)
-
-    bad = []
-    for event in pop.break_log:
-        levels = ledger.pending_levels(event.dependent, event.dependee)
-        if not emergent(levels, event.level_observed):
-            bad.append(
-                f"break at gen {event.generation}: level {event.level_observed} is not "
-                f"emergent in the pending levels {sorted(levels)}"
-            )
-    record("break-log-emergence", bad)
 
     # a key naming an unknown id is never live: state-compact reports it
     bad = []
@@ -175,11 +170,10 @@ def verify(ckpt: Checkpoint) -> VerifyReport:
     live = live_structures(u, pop)
     bad = [f"structure {i} is not live" for i in sorted(u.structures) if i not in live]
     bad += [f"ledger member {m} is not live" for m in sorted(ledger.per_member) if m not in live]
-    for table, label in ((ledger.cooccur, "cooccurrence"), (ledger.pending, "pending")):
-        bad += [
-            f"{label} pair ({x},{y}) is not live"
-            for x, y in sorted(table) if x not in live or y not in live
-        ]
+    bad += [
+        f"cooccurrence pair ({x},{y}) is not live"
+        for x, y in sorted(ledger.cooccur) if x not in live or y not in live
+    ]
     record("state-compact", bad)
 
     return VerifyReport(results)

@@ -1,13 +1,12 @@
 """Population roster and the breaking operator.
 
 The roster starts homogeneous at the base order and raises its own order by
-"breaking": when two top-stratum members of equal order show a dependency
-that `hyperstruct.emergent` finds emergent at the population order, they are
-aggregated into a one-order-higher composite, lifting the population order by
-exactly one. Breaking has a reverse that dissolves a composite back into its
-constituents when the higher order is no longer earning its keep. Equal-order
-dependency evidence is pending (ledger-only) until a break re-houses it as two
-legal direct edges from the new composite.
+"breaking": when two top-stratum members of equal order show a dependency,
+they are aggregated into a one-order-higher composite, lifting the population
+order by exactly one. Breaking has a reverse that dissolves a composite back
+into its constituents when the higher order is no longer earning its keep.
+An equal-order dependency is no legal edge, so the loop keeps none: a break
+houses the observed dependency as two direct edges from the new composite.
 """
 
 from __future__ import annotations
@@ -22,7 +21,7 @@ from .errors import (
     NotAComposite,
     PreconditionViolated,
 )
-from .hyperstruct import StructureId, Universe, emergent
+from .hyperstruct import StructureId, Universe
 
 
 @dataclass(frozen=True)
@@ -45,20 +44,6 @@ class BreakEvent:
     composite: StructureId
     level_observed: int
     reversed_at: Optional[int] = None
-
-
-@dataclass(frozen=True)
-class PendingDependency:
-    """Equal-order dependency evidence awaiting a break.
-
-    `levels` holds every population order at which the observation was
-    recorded, the set `hyperstruct.emergent` is asked about. The loop records
-    a pair only while both members are top-stratum, so that is one level.
-    """
-
-    dependent: StructureId
-    dependee: StructureId
-    levels: frozenset[int]
 
 
 @dataclass
@@ -135,31 +120,26 @@ def init_population(
 def can_break(
     universe: Universe,
     pop: Population,
-    candidate_pairs: Iterable[PendingDependency],
+    candidate_pairs: Iterable[tuple[StructureId, StructureId]],
 ) -> Optional[tuple[StructureId, StructureId]]:
-    """Select the breakable pair, if any.
+    """Select the breakable (dependent, dependee) pair, if any.
 
-    A pair qualifies when both members sit in the top stratum, its pending
-    levels are emergent at the current population order
-    (`hyperstruct.emergent`), and the composite would not exceed the
-    universe's order cap. Absence is a normal outcome: a full roster, an
-    order cap, or no emergent pair all yield None. Ties break on lowest (dependent, dependee).
+    A pair qualifies when both members sit in the top stratum and the
+    composite would not exceed the universe's order cap. Absence is a normal
+    outcome: a full roster, an order cap, or no qualifying pair all yield
+    None. Ties break on lowest (dependent, dependee).
     """
     if len(pop.members) == pop.population_limit:
         return None
     top = pop.top_order
     if top + 1 > universe.max_order:
         return None
-    n = pop.pop_order_n
     active = set(pop.members)
     best: Optional[tuple[StructureId, StructureId]] = None
-    for cand in candidate_pairs:
-        x, y = cand.dependent, cand.dependee
+    for x, y in candidate_pairs:
         if x == y or x not in active or y not in active:
             continue
         if universe.structural_order(x) != top or universe.structural_order(y) != top:
-            continue
-        if not emergent(cand.levels, n):
             continue
         if best is None or (x, y) < best:
             best = (x, y)
@@ -178,8 +158,8 @@ def apply_break(
     The dependent leaves the active roster (subsumed by the composite), the
     dependee stays (overlap allowed: others may still lean on it), and the
     population order rises by exactly one. Both dependency edges from the
-    composite span exactly one order, so the pending equal-order observation
-    becomes two legal direct edges.
+    composite span exactly one order, so the equal-order observation that
+    selected the pair becomes two legal direct edges.
     """
     top = pop.top_order
     if (

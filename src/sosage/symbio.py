@@ -27,7 +27,6 @@ from .errors import (
 )
 from .hyperstruct import StructureId, Universe
 from .population import (
-    PendingDependency,
     Population,
     ProblemSpec,
     StallDetector,
@@ -217,8 +216,7 @@ class CooccurCell:
 
 
 class FitnessLedger:
-    """Per-member fitness statistics, co-occurrence tallies, and pending
-    equal-order dependency observations."""
+    """Per-member fitness statistics and co-occurrence tallies."""
 
     def __init__(self, top_m: int) -> None:
         if top_m < 1:
@@ -227,7 +225,6 @@ class FitnessLedger:
         # each member's most recent fitness samples, oldest first
         self.per_member: dict[StructureId, list[float]] = {}
         self.cooccur: dict[tuple[StructureId, StructureId], CooccurCell] = {}
-        self.pending: dict[tuple[StructureId, StructureId], set[int]] = {}
 
     # --- member credit ---
 
@@ -305,22 +302,12 @@ class FitnessLedger:
                     cell.solo_count += n
                     cell.solo_total = reduce(add, fitnesses, cell.solo_total)
 
-    # --- pending dependency observations ---
-
-    def record_pending(self, dependent: StructureId, dependee: StructureId, level: int) -> None:
-        self.pending.setdefault((dependent, dependee), set()).add(level)
-
-    def pending_levels(self, dependent: StructureId, dependee: StructureId) -> frozenset[int]:
-        return frozenset(self.pending.get((dependent, dependee), ()))
+    # --- compaction ---
 
     def retain(self, keep: set[StructureId]) -> None:
         """Drop every member and every pair with an end outside `keep`."""
-        def kept(pairs):
-            return {(x, y): v for (x, y), v in pairs.items() if x in keep and y in keep}
-
         self.per_member = {m: samples for m, samples in self.per_member.items() if m in keep}
-        self.cooccur = kept(self.cooccur)
-        self.pending = kept(self.pending)
+        self.cooccur = {(x, y): c for (x, y), c in self.cooccur.items() if x in keep and y in keep}
 
 
 # ---------------------------------------------------------------------------
@@ -618,9 +605,9 @@ def compact(state: LoopState) -> None:
     Exact: a structure re-enters the roster only through a reverse break,
     which restores the direct constituents of a break-log composite (every
     other entry gets a fresh id), and every read the loop makes (scores of
-    roster members, co-occurrence cells and pending levels of roster pairs,
-    the descendants of roster composites) stays inside the live set, as do
-    the break-log structures, edges and pending levels that verify checks.
+    roster members, co-occurrence cells of roster pairs, the descendants of
+    roster composites) stays inside the live set, as do the break-log
+    structures and edges that verify checks.
     """
     live = live_structures(state.universe, state.pop)
     state.universe.retain(live)
@@ -681,13 +668,7 @@ def run_symbiosis(
             # selection sweeps has not failed, it just has not started
             if breaks_enabled and generation >= config.break_warmup and detector.stalled():
                 pairs = detect_dependency(universe, ledger, pop, config)
-                n = pop.pop_order_n
-                for x, y in pairs:
-                    ledger.record_pending(x, y, n)
-                candidates = [
-                    PendingDependency(x, y, ledger.pending_levels(x, y)) for x, y in pairs
-                ]
-                selected = can_break(universe, pop, candidates)
+                selected = can_break(universe, pop, pairs)
                 if selected is not None:
                     apply_break(universe, pop, selected[0], selected[1], generation)
                     detector.reset()

@@ -262,26 +262,36 @@ def float_slots(doc: dict) -> list[tuple[list, int]]:
     return slots + [(history, i) for i in range(len(history))]
 
 
-def v6_to_v7(doc: dict) -> dict:
-    """The v6 to v7 transform: each float slot takes the index of its value's
-    bits in a new top-level `floats` table, whose entries follow first use in
-    `float_slots` order; the format marker changes and nothing else does."""
+def table_floats(doc: dict) -> dict:
+    """A document with each float in its slot, as v6 and earlier wrote it,
+    put in the table layout that v7 and later write: each float slot takes
+    the index of its value's bits in a new top-level `floats` table, whose
+    entries follow first use in `float_slots` order. The format marker is
+    left as it is."""
     doc = copy.deepcopy(doc)
     table: dict[bytes, int] = {}
     for node, i in float_slots(doc):
         node[i] = table.setdefault(struct.pack("<d", node[i]), len(table))
     doc["floats"] = [struct.unpack("<d", bits)[0] for bits in table]
-    doc["format"] = "sosage-checkpoint-v7"
     return doc
 
 
-def v7_to_v6(doc: dict) -> dict:
-    """The inverse of `v6_to_v7`: each index replaced by the float it names."""
+def inline_floats(doc: dict) -> dict:
+    """The inverse of `table_floats`: each index replaced by the float it
+    names, and the table dropped."""
     doc = copy.deepcopy(doc)
     floats = doc.pop("floats")
     for node, i in float_slots(doc):
         node[i] = floats[node[i]]
-    doc["format"] = "sosage-checkpoint-v6"
+    return doc
+
+
+def v7_to_v8(doc: dict) -> dict:
+    """The v7 to v8 transform: `ledger.pending` is deleted and the format
+    marker changes; nothing else does."""
+    doc = copy.deepcopy(doc)
+    del doc["ledger"]["pending"]
+    doc["format"] = "sosage-checkpoint-v8"
     return doc
 
 

@@ -28,7 +28,6 @@ from sosage.errors import LimitExceeded, NotComposite
 from sosage.harness import OUTPUT_DIR_ENV, resume, run
 from sosage.hyperstruct import Universe
 from sosage.population import (
-    PendingDependency,
     ProblemSpec,
     apply_break,
     apply_reverse_break,
@@ -199,33 +198,20 @@ def test_criterion_4_break_laws(verdict):
             top = pop.top_order
             stratum = [m for m in pop.members if u.structural_order(m) == top]
             if roll < 0.55 and len(stratum) >= 2:
-                n_ord = pop.pop_order_n
-                level_menu = (
-                    frozenset({n_ord}),                 # emergent: break allowed
-                    frozenset({n_ord, n_ord - 1}),      # present one level down too
-                    frozenset({n_ord + 1}),             # not present at n
-                )
-                pendings = []
-                used = set()
+                pairs = []
                 for _ in range(3):
                     i, j = rng.choice(len(stratum), size=2, replace=False)
                     pair = (stratum[int(i)], stratum[int(j)])
-                    if pair in used:
-                        continue
-                    used.add(pair)
-                    levels = level_menu[int(rng.integers(len(level_menu)))]
-                    pendings.append(PendingDependency(pair[0], pair[1], levels))
-                selected = can_break(u, pop, pendings)
+                    if pair not in pairs:
+                        pairs.append(pair)
+                selected = can_break(u, pop, pairs)
                 if selected is not None:
                     x, y = selected
-                    levels = next(
-                        p.levels for p in pendings if (p.dependent, p.dependee) == (x, y)
-                    )
                     before = (set(pop.members), pop.pop_order_n)
                     apply_break(u, pop, x, y, generation=step)
                     if pop.pop_order_n != before[1] + 1:
                         violations.append(f"seed {seed}: order rose by != 1")
-                    records.append((pop.break_log[-1], levels))
+                    records.append((pop.break_log[-1], before[1]))
                     if rng.random() < 0.4:
                         ev = pop.break_log[-1]
                         apply_reverse_break(u, pop, ev.composite, generation=step)
@@ -242,11 +228,11 @@ def test_criterion_4_break_laws(verdict):
                         pass
             if len(pop.members) > pop.population_limit:
                 violations.append(f"seed {seed}: roster above the limit")
-        for ev, levels in records:
+        for ev, order_before in records:
             if ev.reversed_at is not None:
                 continue
-            if ev.level_observed not in levels or (ev.level_observed - 1) in levels:
-                violations.append(f"seed {seed}: break not emergent at its level")
+            if ev.level_observed != order_before:
+                violations.append(f"seed {seed}: break observed at level {ev.level_observed}, not {order_before}")
             for part in (ev.dependent, ev.dependee):
                 if ev.level_observed + 1 not in u.dependency_levels(ev.composite, part):
                     violations.append(f"seed {seed}: composite lost a dependency edge")

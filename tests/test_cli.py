@@ -15,7 +15,7 @@ from sosage.checkpoint import CHECKPOINT_FORMAT, load_checkpoint, save_checkpoin
 from sosage.cli import EXIT_BROKEN_PIPE, EXIT_OK, EXIT_UNSOLVED, EXIT_USAGE, EXIT_VERIFY_FAILED, main
 from sosage.harness import OUTPUT_DIR_ENV
 
-from support import v6_to_v7, v7_to_v6
+from support import inline_floats, table_floats
 
 
 @pytest.fixture(autouse=True)
@@ -139,11 +139,11 @@ class TestResumeCommand:
         run_cli(capsys, "run", str(config_path))
         out = tmp_path / "runs"
         path = out / "checkpoint-0-gen2.json"
-        doc = v7_to_v6(json.loads(path.read_text()))  # each float in its slot, so the genome can go
+        doc = inline_floats(json.loads(path.read_text()))  # each float in its slot, so the genome can go
         member = doc["population"]["members"][0]
         row = next(r for r in doc["universe"]["structures"] if r[0] == member)
         row[4:] = ["x"]  # a payload that is no genome
-        path.write_text(json.dumps(v6_to_v7(doc)))
+        path.write_text(json.dumps(table_floats(doc)))
         before = sorted(p.name for p in out.iterdir())
         code, stdout, err = run_cli(capsys, "resume", str(path))
         assert code == EXIT_VERIFY_FAILED
@@ -187,7 +187,7 @@ class TestVerifyCommand:
         code, out, _ = run_cli(capsys, "verify", ckpt)
         assert code == EXIT_OK
         lines = out.splitlines()
-        assert len(lines) == 10
+        assert len(lines) == 9
         assert all(line.startswith("pass") for line in lines)
 
     @pytest.mark.parametrize("command", ["verify", "inspect"])
@@ -252,6 +252,9 @@ class TestVerifyCommand:
         def first_sample(doc, value):
             doc["floats"][doc["ledger"]["per_member"][min(doc["ledger"]["per_member"])][0]] = value
 
+        def long_history(doc, value):
+            doc["loop"]["stall_history"] = [value] * (doc["config"]["evolution"]["window_G"] + 1)
+
         def set_key(*path):
             def edit(doc, value):
                 for key in path[:-1]:
@@ -275,6 +278,10 @@ class TestVerifyCommand:
             (set_key("loop", "solved_at"), 500),
             (set_key("population", "pop_order_n"), 1.5),
             (set_key("population", "members", 0), "21"),
+            (set_key("ledger", "pending"), {}),
+            (long_history, 0),
+            (set_key("loop", "reverse_counters"), {"999999": -5}),
+            (set_key("loop", "reverse_counters"), {"1": 0}),
         ]
         run_cli(capsys, "run", str(config_path))
         out_dir = tmp_path / "runs"
@@ -287,15 +294,20 @@ class TestVerifyCommand:
             before = sorted(p.name for p in out_dir.iterdir())
             code, out, err = run_cli(capsys, command, str(path))
             assert code == EXIT_USAGE, (edit, value)
-            assert out == "" and err.startswith("error: malformed checkpoint")
+            assert out == "" and err.startswith("error: malformed checkpoint") and err.count("\n") == 1
             assert sorted(p.name for p in out_dir.iterdir()) == before
 
     @pytest.mark.parametrize("command", ["verify", "inspect", "resume"])
     def test_version_2_checkpoint_is_usage_error(self, config_path, capsys, tmp_path, command):
         run_cli(capsys, "run", str(config_path))
         path = tmp_path / "runs" / "checkpoint-0-final.json"
+        # a v7 file also kept a pending-levels table in the ledger
+        v7 = json.loads(path.read_text())
+        v7["format"] = "sosage-checkpoint-v7"
+        v7["ledger"]["pending"] = {}
         # a v6 file wrote each float in its slot
-        v6 = v7_to_v6(json.loads(path.read_text()))
+        v6 = inline_floats(v7)
+        v6["format"] = "sosage-checkpoint-v6"
         # a v5 file wrote each structure row as an object and each float as a
         # "%.17g" string
         v5 = json.loads(json.dumps(v6))
@@ -331,15 +343,15 @@ class TestVerifyCommand:
         v2["format"] = "sosage-checkpoint-v2"
         v2["ledger"]["top_m"] = v2["config"]["evolution"]["top_m"]
         v2["population"]["population_limit"] = v2["config"]["population_limit"]
-        for doc in (v2, v3, v4, v5, v6):
+        for doc in (v2, v3, v4, v5, v6, v7):
             path.write_text(json.dumps(doc))
             code, out, err = run_cli(capsys, command, str(path))
             assert code == EXIT_USAGE
-            assert out == "" and err == "error: not a sosage-checkpoint-v7 document\n"
+            assert out == "" and err == "error: not a sosage-checkpoint-v8 document\n"
 
     @pytest.mark.parametrize("command", ["verify", "inspect", "resume"])
     def test_interaction_edges_beside_the_structures_are_usage_error(self, config_path, capsys, tmp_path, command):
-        # v4's universe.interacts under the v7 marker: the relation is derived, never read
+        # v4's universe.interacts under the v8 marker: the relation is derived, never read
         run_cli(capsys, "run", str(config_path))
         out_dir = tmp_path / "runs"
         path = out_dir / "checkpoint-0-gen2.json"

@@ -67,12 +67,9 @@ class TestRetain:
         for m in (1, 2, 3):
             ledger.credit(m, float(m))
         ledger.tally_cooccurrence([({1, 2}, 1.0)], [1, 2, 3])
-        ledger.record_pending(1, 2, 1)
-        ledger.record_pending(1, 3, 1)
         ledger.retain({1, 2})
         assert sorted(ledger.per_member) == [1, 2]
         assert sorted(ledger.cooccur) == [(1, 2), (2, 1)]
-        assert sorted(ledger.pending) == [(1, 2)]
         assert ledger.score(1) == 1.0
 
 

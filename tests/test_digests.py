@@ -11,8 +11,9 @@ reference run, an unsolved gridnav_comp run, an XOR run whose loose break
 settings make it break and reverse, and XOR seed 13. Their configs keep
 `output_dir: "runs"`, since the embedded config is part of the bytes; the
 files go to a temporary directory through SOSAGE_OUTPUT_DIR instead. A new
-checkpoint format re-pins them by a stated rule: the v7 pins are the v6
-files passed through `support.v6_to_v7`.
+checkpoint format re-pins them by a stated rule: the v8 pins are the v7
+files passed through `support.v7_to_v8` (delete `ledger.pending`, set the
+format to v8) and re-encoded as the writer encodes.
 
 XOR seed 13 solves at generation 1 at order 1, so nothing compacts its
 ledger after the second whole-roster tally: its final checkpoint holds all
@@ -69,12 +70,12 @@ GRIDNAV_COMP = {
 # (config, seed, evolution changes) -> final checkpoint digest
 REVERSING = {"dependency_delta": 0.05, "window_G": 2, "min_cooccur_samples": 2, "break_warmup": 0}
 CHECKPOINTS = [
-    ("xor.json", 7, {}, "f09b1a557d4379394b1a0ddbd0322a2e19cc5a5d14e4ad638afb4a10d7c7bd8f"),
+    ("xor.json", 7, {}, "1efe13cfed94e9dd47796be6182b788832a128162e46ea4726561a66f1143c14"),
     ("gridnav_comp.json", 9, {"max_generations": 150},
-     "98d0bc54a6403fc83021cdd7aa39fdb588253fa5e7ce28494f1109c9fd861e44"),
+     "e24cc03617c6198986cd7e83e7752f0828cb7d1f07e076917e0e610686e9fbce"),
     ("xor.json", 1, {**REVERSING, "max_generations": 120},
-     "9ef91f80a36a85cb8117343a0e3f7e87d4ea181b00a390a9c4967a0c4baed038"),
-    ("xor.json", 13, {}, "8552877d741645726a4b61aa84a9cc872ced259eaae4c35b4417dd8f482990cf"),
+     "e8e4c5a05126bf549a34fcdc690f02ac93ded4c69f3cb7b775659c423652b723"),
+    ("xor.json", 13, {}, "693dca717051f1f1ed4ded29fb430a3d408784113c54dd96f904466828bd43f5"),
 ]
 
 

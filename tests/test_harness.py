@@ -57,7 +57,7 @@ from sosage.invariants import verify
 from sosage.population import BreakEvent, ProblemSpec
 from sosage.symbio import CooccurCell, EvolutionConfig, GenerationRow, NeuronGene, run_symbiosis
 
-from support import edge_graph, float_slots, has_cycle, v6_to_v7, v7_to_v6
+from support import edge_graph, float_slots, has_cycle, inline_floats, table_floats
 
 ROOT = Path(__file__).resolve().parent.parent
 CONFIG_DIR = ROOT / "configs"
@@ -68,7 +68,6 @@ INVARIANT_NAMES = [
     "roster-membership",
     "population-order",
     "break-log",
-    "break-log-emergence",
     "ledger-references",
     "genome-shape",
     "lineage-strata",
@@ -899,25 +898,37 @@ class TestVerify:
                            composite=12345, level_observed=1)
             )
         result = self.corrupt(finished_run, mutate)
-        names = {r.name for r in result.failures()}
-        assert "break-log" in names and "break-log-emergence" in names
+        failures = {r.name: r.detail for r in result.failures()}
+        assert failures == {"break-log": "break composite 12345 missing"}
 
-    @pytest.mark.parametrize("corruption", ["break-level-removed", "level-below-added"])
-    def test_a_break_pair_not_emergent_in_its_pending_record_fails(self, tmp_path, capsys, corruption):
+    @pytest.mark.parametrize("shift", [1, -1])
+    def test_a_break_event_off_its_level_fails_break_log_alone(self, tmp_path, capsys, shift):
         doc = valid_checkpoint_doc()
         event = doc["population"]["break_log"][0]
-        key, level = f"{event['dependent']},{event['dependee']}", event["level_observed"]
-        assert doc["ledger"]["pending"][key] == [level]
-        levels = [] if corruption == "break-level-removed" else [level - 1, level]
-        doc["ledger"]["pending"][key] = levels
+        z, x, y = event["composite"], event["dependent"], event["dependee"]
+        order = next(row[1] for row in doc["universe"]["structures"] if row[0] == z)
+        event["level_observed"] += shift
         path = tmp_path / "corrupted.json"
         path.write_text(json.dumps(doc))
         assert main(["verify", str(path)]) == EXIT_VERIFY_FAILED
         failed = [line for line in capsys.readouterr().out.splitlines() if not line.startswith("pass  ")]
+        level = event["level_observed"] + 1
         assert failed == [
-            f"FAIL  break-log-emergence  (break at gen {event['generation']}: level {level} "
-            f"is not emergent in the pending levels {levels})"
+            f"FAIL  break-log  (break composite {z} lacks the level-{level} dependency on {x}; "
+            f"break composite {z} lacks the level-{level} dependency on {y}; "
+            f"break composite {z} order {order} off its level)"
         ]
+
+    def test_a_reverse_counter_off_a_standing_break_composite_fails_break_log_alone(self):
+        doc = valid_checkpoint_doc()
+        event = doc["population"]["break_log"][0]
+        assert event["reversed_at"] is None
+        doc["loop"]["reverse_counters"] = {str(event["composite"]): 3}
+        assert verify(checkpoint_from_json_dict(doc)).passed
+        for stray in (event["dependent"], 99999):
+            doc["loop"]["reverse_counters"] = {str(event["composite"]): 3, str(stray): 1}
+            failures = {r.name: r.detail for r in verify(checkpoint_from_json_dict(doc)).failures()}
+            assert failures == {"break-log": f"reverse counter on {stray}, no composite of an un-reversed break"}
 
 
 class TestInspect:
@@ -971,7 +982,7 @@ class TestMaxOrder:
 @functools.lru_cache(maxsize=None)
 def _checkpoint_text() -> str:
     """A small gridnav checkpoint just after a break at generation 5: it holds
-    a composite, a break log, pending levels and co-occurrence cells."""
+    a composite, a break log and co-occurrence cells."""
     base = with_seed(load_config(CONFIG_DIR / "gridnav_comp.json"), 5)
     evolution = dataclasses.replace(
         base.evolution, break_warmup=0, max_generations=6, assemblies_per_generation=8
@@ -1196,9 +1207,9 @@ class TestCheckpointCodec:
 
     def test_the_file_is_its_v6_layout_through_the_stated_transform(self):
         doc = valid_checkpoint_doc()
-        v6 = v7_to_v6(doc)
+        v6 = inline_floats(doc)
         assert {type(node[i]) for node, i in float_slots(v6)} == {float}
-        assert v6_to_v7(v6) == doc
+        assert table_floats(v6) == doc
 
     def test_next_id_survives_dropping_the_highest_id(self):
         ckpt = checkpoint_from_json_dict(valid_checkpoint_doc())
@@ -1229,12 +1240,11 @@ class TestCheckpointCodec:
     def test_ledger_cells_round_trip(self):
         ckpt = checkpoint_from_json_dict(valid_checkpoint_doc())
         ledger = ckpt.state.ledger
-        assert ledger.cooccur and ledger.pending
+        assert ledger.cooccur
         back = round_trip(ckpt).state.ledger
         assert back.top_m == ledger.top_m
         assert back.per_member == ledger.per_member
         assert back.cooccur == ledger.cooccur
-        assert back.pending == ledger.pending
 
     @pytest.mark.parametrize("reversed_at", [None, 11])
     def test_break_events_round_trip(self, reversed_at):
@@ -1352,6 +1362,9 @@ class TestFloatsAtTheFileBoundary:
         u.structures[first] = dataclasses.replace(u.get(first), payload=gene)
         ledger.per_member[member] = list(samples)
         ledger.cooccur[pair] = CooccurCell(3, totals[0], 1, totals[1])
+        # a loop keeps at most window_G of history, so the window is widened to hold six
+        evolution = dataclasses.replace(ckpt.config.evolution, window_G=len(EXTREME_FLOATS))
+        ckpt.config = dataclasses.replace(ckpt.config, evolution=evolution)
         ckpt.state.detector.history[:] = history
         with tempfile.TemporaryDirectory() as out:
             saved, again = Path(out) / "saved.json", Path(out) / "again.json"
@@ -1397,7 +1410,7 @@ class TestMalformedCheckpoints:
             (("universe", "structures", 0, 4), ["x"]),
             (("universe", "depends"), {"abc": 1}),
             (("ledger", "cooccur"), [1, 2]),
-            (("ledger", "pending"), {"1,2,3": [1]}),
+            (("ledger", "cooccur"), {"1,2,3": [1, 0, 0, 0]}),
             (("ledger", "per_member"), {"1": ["x"]}),
             (("loop", "reverse_counters"), {"a": 1}),
             (("loop", "stall_history"), [[]]),
@@ -1406,6 +1419,10 @@ class TestMalformedCheckpoints:
             (("loop", "solved_at"), -5),
             (("loop", "solved_at"), 500),
             (("loop", "solved_at"), 6),  # the document's own generation
+            # the loop keeps at most window_G (4) of history and no counter below 1
+            (("loop", "stall_history"), [0] * 5),
+            (("loop", "reverse_counters"), {"1": 0}),
+            (("loop", "reverse_counters"), {"999999": -5}),
             # a string where a list is iterated is refused, never read
             # character by character
             (("universe", "structures", 0, 4), "12345"),
@@ -1415,7 +1432,6 @@ class TestMalformedCheckpoints:
             (("universe", "depends", 0), "123"),
             (("ledger", "per_member", ANY), "12"),
             (("ledger", "cooccur", ANY), "1234"),
-            (("ledger", "pending", ANY), "1"),
             (("population", "members"), "12"),
             (("loop", "stall_history"), "12"),
             # a scalar is read only in the form the writer gives it: a float
@@ -1475,6 +1491,7 @@ class TestMalformedCheckpoints:
             (("population", "break_log", 0, "extra"), 1),
             (("universe", "extra"), 1),
             (("universe", "interacts"), []),  # a v4 key: interaction edges are derived
+            (("ledger", "pending"), {}),  # a v7 key: the loop keeps no pending levels
             (("loop", "extra"), 1),
             (("extra",), 1),
         ],
@@ -1589,8 +1606,8 @@ class TestMalformedCheckpoints:
 def corrupted_checkpoint_docs(draw):
     """A real gridnav_comp checkpoint with 1-4 corruptions: edges to unknown
     or dropped ids, cycles in either relation, extra constituents, ghost
-    members and ledger keys, and wrong orders."""
-    doc = v7_to_v6(valid_checkpoint_doc())  # each float in its slot, so a row can drop its genome
+    members, ledger keys and reverse counters, and wrong orders."""
+    doc = inline_floats(valid_checkpoint_doc())  # each float in its slot, so a row can drop its genome
     universe, ledger = doc["universe"], doc["ledger"]
     rows = {row[0]: row for row in universe["structures"]}
     known = st.sampled_from(sorted(rows))
@@ -1601,7 +1618,7 @@ def corrupted_checkpoint_docs(draw):
     for _ in range(draw(st.integers(1, 4), label="corruptions")):
         kind = draw(st.sampled_from([
             "depends", "dependency cycle", "constituent cycle",
-            "constituent", "member", "ledger key", "order",
+            "constituent", "member", "ledger key", "reverse counter", "order",
         ]), label="kind")
         if kind == "depends":
             universe["depends"].append([draw(any_id), draw(any_id), draw(level)])
@@ -1618,19 +1635,18 @@ def corrupted_checkpoint_docs(draw):
             doc["population"]["members"].append(draw(any_id))
         elif kind == "ledger key":
             x, y = draw(any_id), draw(any_id)
-            table = draw(st.sampled_from(["per_member", "cooccur", "pending"]))
-            if table == "per_member":
+            if draw(st.sampled_from(["per_member", "cooccur"])) == "per_member":
                 ledger["per_member"][str(x)] = [1.0]
-            elif table == "cooccur":
-                ledger["cooccur"][f"{x},{y}"] = [1, 1.0, 0, 0.0]
             else:
-                ledger["pending"][f"{x},{y}"] = [draw(level)]
+                ledger["cooccur"][f"{x},{y}"] = [1, 1.0, 0, 0.0]
+        elif kind == "reverse counter":
+            doc["loop"]["reverse_counters"][str(draw(any_id))] = draw(st.integers(1, 3))
         else:
             # the row keeps the shape the reader wants: a genome on order 1 only
             row = rows[draw(known)]
             row[1] = draw(st.integers(0, doc["config"]["max_order"] + 1), label="order")
             row[4:] = (row[4:] or genome) if row[1] == 1 else []
-    return v6_to_v7(doc)
+    return table_floats(doc)
 
 
 class TestCorruptedCheckpoints:

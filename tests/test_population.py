@@ -16,7 +16,6 @@ from sosage.errors import (
 )
 from sosage.hyperstruct import Universe
 from sosage.population import (
-    PendingDependency,
     ProblemSpec,
     StallDetector,
     apply_break,
@@ -33,10 +32,6 @@ PROPERTY_SETTINGS = settings(max_examples=120, deadline=None)
 def make_pop(universe, n=4, limit=8, r=1):
     problem = ProblemSpec(problem_order_x=1, base_solver_order_r=r)
     return init_population(universe, problem, [f"g{k}" for k in range(n)], limit)
-
-
-def pending(x, y, levels):
-    return PendingDependency(dependent=x, dependee=y, levels=frozenset(levels))
 
 
 class TestInitPopulation:
@@ -126,45 +121,39 @@ class TestGoal:
 
 
 class TestCanBreak:
-    def test_selects_emergent_top_stratum_pair(self, universe):
+    def test_selects_top_stratum_pair(self, universe):
         pop = make_pop(universe)
         a, b = pop.members[0], pop.members[1]
-        assert can_break(universe, pop, [pending(a, b, {1})]) == (a, b)
-
-    def test_pending_must_be_emergent_at_current_order(self, universe):
-        pop = make_pop(universe)
-        a, b = pop.members[0], pop.members[1]
-        assert can_break(universe, pop, [pending(a, b, {2})]) is None  # n absent
-        assert can_break(universe, pop, [pending(a, b, {0, 1})]) is None  # n-1 present
+        assert can_break(universe, pop, [(a, b)]) == (a, b)
 
     def test_full_roster_blocks(self, universe):
         pop = make_pop(universe, n=4, limit=4)
         a, b = pop.members[0], pop.members[1]
-        assert can_break(universe, pop, [pending(a, b, {1})]) is None
+        assert can_break(universe, pop, [(a, b)]) is None
 
     def test_order_cap_blocks(self):
         u = Universe(max_order=1)
         pop = make_pop(u)
         a, b = pop.members[0], pop.members[1]
-        assert can_break(u, pop, [pending(a, b, {1})]) is None
+        assert can_break(u, pop, [(a, b)]) is None
 
     def test_non_roster_and_self_pairs_skipped(self, universe):
         pop = make_pop(universe)
         a, b = pop.members[0], pop.members[1]
         ghost = universe.add_primitive("ghost")
-        assert can_break(universe, pop, [pending(a, a, {1}), pending(ghost, b, {1})]) is None
+        assert can_break(universe, pop, [(a, a), (ghost, b)]) is None
 
     def test_ties_break_on_lowest_pair(self, universe):
         pop = make_pop(universe)
         a, b, c = pop.members[:3]
-        got = can_break(universe, pop, [pending(b, c, {1}), pending(a, c, {1}), pending(a, b, {1})])
+        got = can_break(universe, pop, [(b, c), (a, c), (a, b)])
         assert got == (a, b)
 
     def test_lower_stratum_members_skipped(self, universe):
         pop = make_pop(universe)
         a, b, c, d = pop.members
         apply_break(universe, pop, a, b, generation=0)
-        assert can_break(universe, pop, [pending(c, d, {2})]) is None
+        assert can_break(universe, pop, [(c, d)]) is None
 
 
 class TestApplyBreak:

@@ -436,13 +436,6 @@ class TestLedger:
         assert ledger.cooccur[(2, 1)] == CooccurCell(1, 1e16, 2, 2.0)
         assert (3, 2) in ledger.cooccur and (9, 2) not in ledger.cooccur and (2, 9) not in ledger.cooccur
 
-    def test_pending_levels_accumulate(self):
-        ledger = FitnessLedger(top_m=3)
-        assert ledger.pending_levels(1, 2) == frozenset()
-        ledger.record_pending(1, 2, 1)
-        ledger.record_pending(1, 2, 2)
-        assert ledger.pending_levels(1, 2) == frozenset({1, 2})
-
     def test_ranked_orders_by_score_then_id_and_scores_each_member_once(self, monkeypatch):
         ledger = FitnessLedger(top_m=2)
         for member, fitness in ((5, 1.0), (3, 2.0), (4, 1.0), (9, -1.0)):
@@ -925,36 +918,3 @@ class TestLoop:
         )
         check(next_generation, state)
         assert len(edges) == next_generation and max(edges) > 0
-
-
-class TestWhatTheLoopFeedsTheRule:
-    """The loop records a pair only while both members sit in the top
-    stratum, so each pending entry holds one level: the members' order less
-    the base order plus one, the population order at the time. Since
-    structures never change order, no second level is ever added, and
-    `hyperstruct.emergent` cannot refuse a pair the loop recorded."""
-
-    @pytest.mark.parametrize(
-        "seed,changes", [(7, {}), (1, {**REVERSING, "max_generations": 120})], ids=["xor-7", "xor-1-reversing"]
-    )
-    def test_each_pending_entry_is_one_level_set_by_its_order(self, seed, changes):
-        base = with_seed(load_config(CONFIG_DIR / "xor.json"), seed)
-        config = dataclasses.replace(base, evolution=dataclasses.replace(base.evolution, **changes))
-        state = build_state(config)
-        entries = []
-
-        def check(generation, now):
-            order = now.universe.structural_order
-            for (x, y), levels in now.ledger.pending.items():
-                assert order(x) == order(y), (generation, x, y)
-                assert levels == {order(x) - now.pop.base_order_r + 1}, (generation, x, y, levels)
-            entries.append(len(now.ledger.pending))
-
-        next_generation = run_symbiosis(
-            make_env(config.env.name, config.env.params), config.evolution, state,
-            breaks_enabled=config.breaks_enabled, reverse_enabled=config.reverse_enabled,
-            on_checkpoint=check, checkpoint_every=1,
-        )
-        check(next_generation, state)
-        assert len(entries) == next_generation and sum(entries) > 0
-        assert state.pop.break_log
