@@ -17,7 +17,6 @@ from .population import (
     can_break,
     goal_reached,
     init_population,
-    should_break,
 )
 from .symbio import (
     Assembly,
@@ -74,7 +73,6 @@ __all__ = [
     "run",
     "run_symbiosis",
     "save_checkpoint",
-    "should_break",
     "summarize_checkpoint",
     "sweep",
     "verify",

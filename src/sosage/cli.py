@@ -7,12 +7,11 @@ import argparse
 import json
 import os
 import sys
-from dataclasses import replace
 from typing import Optional, Sequence
 
 from . import harness
 from .checkpoint import Checkpoint, load_checkpoint
-from .config import RunConfig, load_config, with_seed
+from .config import load_config, with_seed
 from .errors import SosageError
 from .invariants import verify
 
@@ -34,8 +33,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p_run = sub.add_parser("run", help="run an experiment from a config file")
     p_run.add_argument("config")
     p_run.add_argument("--seed", type=int, default=None, help="override the config seed")
-    p_run.add_argument("--no-breaks", action="store_true", help="disable the breaking operator")
-    p_run.add_argument("--no-reverse", action="store_true", help="disable reverse breaks")
     p_run.add_argument(
         "--require-solve", action="store_true", help="exit 1 when the run does not solve"
     )
@@ -58,19 +55,10 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _load_run_config(args: argparse.Namespace) -> RunConfig:
-    config = load_config(args.config)
-    if getattr(args, "seed", None) is not None:
-        config = with_seed(config, args.seed)
-    if getattr(args, "no_breaks", False):
-        config = replace(config, breaks_enabled=False)
-    if getattr(args, "no_reverse", False):
-        config = replace(config, reverse_enabled=False)
-    return config
-
-
 def _cmd_run(args: argparse.Namespace) -> int:
-    config = _load_run_config(args)
+    config = load_config(args.config)
+    if args.seed is not None:
+        config = with_seed(config, args.seed)
     report = harness.run(config, progress=_progress)
     print(report.metrics_path)
     print(report.checkpoint_path)
@@ -128,7 +116,7 @@ def _cmd_verify(args: argparse.Namespace) -> int:
 
 
 def _cmd_sweep(args: argparse.Namespace) -> int:
-    config = _load_run_config(args)
+    config = load_config(args.config)
     reports, summary_path = harness.sweep(config, args.seeds, progress=_progress)
     print(summary_path)
     if args.require_solve and not all(r.solved for r in reports):

@@ -7,7 +7,7 @@ from dataclasses import dataclass
 
 from .checkpoint import Checkpoint
 from .envs import make_env
-from .symbio import SAMPLE_RING_FACTOR, NeuronGene, live_structures
+from .symbio import SAMPLE_RING_FACTOR, NeuronGene, genome_shape_fault, live_structures
 
 
 @dataclass
@@ -138,10 +138,9 @@ def verify(ckpt: Checkpoint) -> VerifyReport:
         if not isinstance(g, NeuronGene):
             bad.append(f"primitive {i} payload is not a genome")
             continue
-        if len(g.in_weights) != env.input_dim + 1:
-            bad.append(f"genome {i} has {len(g.in_weights)} input weights, want {env.input_dim + 1}")
-        if any(not 0 <= slot < env.output_dim for slot, _ in g.out_targets):
-            bad.append(f"genome {i} targets an output slot outside 0..{env.output_dim - 1}")
+        fault = genome_shape_fault(g, env.input_dim, env.output_dim)
+        if fault is not None:
+            bad.append(f"genome {i} {fault}")
         if g.activation not in ("tanh", "step"):
             bad.append(f"genome {i} activation {g.activation!r}")
         weights = list(g.in_weights) + [w for _, w in g.out_targets]

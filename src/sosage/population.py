@@ -63,7 +63,8 @@ class Population:
 
 @dataclass
 class StallDetector:
-    """Fires when the best-fitness window shows too little improvement."""
+    """Fires when the best-fitness window shows too little improvement.
+    `history` keeps the last window_G best fitnesses, oldest first."""
 
     window_G: int
     min_improvement: float
@@ -78,16 +79,12 @@ class StallDetector:
         self.history.clear()
 
     def stalled(self) -> bool:
-        return should_break(self, self.history)
-
-
-def should_break(detector: StallDetector, best_fitness_series: Sequence[float]) -> bool:
-    """True iff the last window_G generations improved by less than
-    min_improvement. Pure; insufficient history never fires."""
-    w = detector.window_G
-    if len(best_fitness_series) < w:
-        return False
-    return (best_fitness_series[-1] - best_fitness_series[-w]) < detector.min_improvement
+        """True iff the last window_G generations improved by less than
+        min_improvement; a history shorter than the window never fires."""
+        w = self.window_G
+        if len(self.history) < w:
+            return False
+        return (self.history[-1] - self.history[-w]) < self.min_improvement
 
 
 def init_population(

@@ -92,77 +92,55 @@ def crossover_genomes(a: NeuronGene, b: NeuronGene, rng: Stream) -> NeuronGene:
     return NeuronGene(in_weights, out_targets, a.activation)
 
 
-def _forward_neuron(gene: NeuronGene, obs: Sequence[float], out: list[float]) -> None:
-    """Add one hidden neuron's output to `out` through the general loops:
-    the bias is the last weight, zip pairs the others with the observation
-    and drops what is left of the longer one, and "step" is any activation
-    other than "tanh"."""
-    pre = gene.in_weights[-1]
-    for w, v in zip(gene.in_weights, obs):
-        pre += w * v
-    h = math.tanh(pre) if gene.activation == "tanh" else (1.0 if pre >= 0.0 else -1.0)
-    for slot, w in gene.out_targets:
-        out[slot] += w * h
-
-
-def _general_forward(wiring: Sequence[NeuronGene], obs: Sequence[float], output_dim: int) -> list[float]:
-    out = [0.0] * output_dim
-    for gene in wiring:
-        _forward_neuron(gene, obs, out)
-    return out
-
-
-# widest observation or output a forward kernel is generated for
-FORWARD_KERNEL_CAP = 16
+def genome_shape_fault(gene: NeuronGene, input_dim: int, output_dim: int) -> Optional[str]:
+    """Why `gene` is not of the one shape the loop writes, or None when it
+    is: `input_dim` input weights and a bias, and one output target on each
+    slot 0..output_dim-1, in order."""
+    if len(gene.in_weights) != input_dim + 1:
+        return f"has {len(gene.in_weights)} input weights, want {input_dim + 1}"
+    if len(gene.out_targets) != output_dim:
+        return f"has {len(gene.out_targets)} output targets, want {output_dim}"
+    for k, (slot, _) in enumerate(gene.out_targets):
+        if slot != k:
+            return f"output target {k} is on slot {slot}, want {k}"
+    return None
 
 
 def _kernel_source(n_in: int, n_out: int) -> str:
-    """A forward pass unrolled for `n_in` observations and `n_out` outputs.
-    A neuron of that shape makes the general loops' float operations in
-    their order: `b + w0 * o0 + w1 * o1 + ...` is the same left-to-right
-    fold as `pre += w * v`, and the targets are added one by one. Any other
-    neuron goes through `_forward_neuron`."""
-    obs = [f"o{i}" for i in range(n_in)]
-    targets = [f"(s{k}, u{k})" for k in range(n_out)]
-    lines = ["def forward(wiring, obs, output_dim):"]
-    if obs:
-        lines.append(f"    {', '.join(obs)}, = obs")
-    lines += [
+    """A forward pass unrolled for `n_in` observations and `n_out` outputs,
+    over neurons of the shape `genome_shape_fault` passes. The float
+    operations run in a fixed order: `b + w0 * o0 + w1 * o1 + ...` folds
+    left to right, from the bias, and each neuron adds its targets one by
+    one. "step" is any activation other than "tanh"."""
+    lines = [
+        "def forward(wiring, obs):",
+        f"    ({''.join(f'o{i}, ' for i in range(n_in))}) = obs",
         f"    out = [{', '.join(['0.0'] * n_out)}]",
         "    for gene in wiring:",
-        "        ins, outs = gene.in_weights, gene.out_targets",
-        f"        if len(ins) != {n_in + 1} or len(outs) != {n_out}:",
-        "            forward_neuron(gene, obs, out)",
-        "            continue",
-        f"        {''.join(f'w{i}, ' for i in range(n_in))}b, = ins",
+        f"        ({''.join(f'w{i}, ' for i in range(n_in))}b, ) = gene.in_weights",
         f"        pre = b{''.join(f' + w{i} * o{i}' for i in range(n_in))}",
         '        h = tanh(pre) if gene.activation == "tanh" else (1.0 if pre >= 0.0 else -1.0)',
+        f"        ({''.join(f'(s{k}, u{k}), ' for k in range(n_out))}) = gene.out_targets",
     ]
-    if targets:
-        lines.append(f"        {', '.join(targets)}, = outs")
     lines += [f"        out[s{k}] += u{k} * h" for k in range(n_out)]
     lines.append("    return out")
     return "\n".join(lines) + "\n"
 
 
-@lru_cache(maxsize=64, typed=True)
-def _forward_kernel(n_in: int, output_dim: int) -> Callable[..., list[float]]:
-    """The forward function for one shape: a generated kernel up to
-    FORWARD_KERNEL_CAP, the general loops beyond it or for an output_dim
-    that is not a plain non-negative int (typed, so 4.0 and True are their
-    own keys and keep the general loops' result or error)."""
-    if type(output_dim) is not int or not (0 <= output_dim <= FORWARD_KERNEL_CAP) \
-            or n_in > FORWARD_KERNEL_CAP:
-        return _general_forward
-    namespace = {"tanh": math.tanh, "forward_neuron": _forward_neuron}
-    exec(compile(_kernel_source(n_in, output_dim), f"<forward {n_in}x{output_dim}>", "exec"), namespace)
+@lru_cache(maxsize=64)
+def _forward_kernel(n_in: int, n_out: int) -> Callable[..., list[float]]:
+    """The generated forward function of one shape, compiled at first use."""
+    namespace = {"tanh": math.tanh}
+    exec(compile(_kernel_source(n_in, n_out), f"<forward {n_in}x{n_out}>", "exec"), namespace)
     return namespace["forward"]
 
 
 def net_forward(wiring: Sequence[NeuronGene], obs: Sequence[float], output_dim: int) -> list[float]:
     """The outputs of the network wired from `wiring` on one observation.
-    Runs the kernel of this shape, which is generated at its first use."""
-    return _forward_kernel(len(obs), output_dim)(wiring, obs, output_dim)
+    Every neuron must have the shape `genome_shape_fault` passes for
+    len(obs) inputs and `output_dim` outputs; the kernel's unpacking raises
+    ValueError on another length."""
+    return _forward_kernel(len(obs), output_dim)(wiring, obs)
 
 
 # ---------------------------------------------------------------------------
@@ -373,15 +351,12 @@ def assemble(
 def evaluate(assembly: Assembly, env, episodes: int) -> float:
     """Roll out the assembly's network and record its fitness: the summed
     episodic return over the evaluation batch. The assembly is solved when
-    every episode succeeds."""
+    every episode succeeds. A gene that `genome_shape_fault` faults raises
+    DimensionMismatch before any episode runs."""
     for gene in assembly.wiring:
-        if len(gene.in_weights) != env.input_dim + 1:
-            raise DimensionMismatch(
-                f"genome expects {len(gene.in_weights) - 1} inputs, env has {env.input_dim}"
-            )
-        for slot, _ in gene.out_targets:
-            if not 0 <= slot < env.output_dim:
-                raise DimensionMismatch(f"output slot {slot} outside env outputs {env.output_dim}")
+        fault = genome_shape_fault(gene, env.input_dim, env.output_dim)
+        if fault is not None:
+            raise DimensionMismatch(f"genome {fault}")
     wiring, output_dim = assembly.wiring, env.output_dim
     # bound once per assembly, at call time, so a rebound name is still used
     forward, select_action, rollout = net_forward, env.select_action, env.rollout

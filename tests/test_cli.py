@@ -16,6 +16,7 @@ from sosage.cli import EXIT_BROKEN_PIPE, EXIT_OK, EXIT_UNSOLVED, EXIT_USAGE, EXI
 from sosage.harness import OUTPUT_DIR_ENV
 
 from support import inline_floats, table_floats
+from test_digests import CONFIG_DIR
 
 
 @pytest.fixture(autouse=True)
@@ -151,6 +152,42 @@ class TestResumeCommand:
         assert "FAIL  genome-shape" in err.splitlines()[0]
         assert all(line.startswith("FAIL") for line in err.splitlines())
         assert sorted(p.name for p in out.iterdir()) == before
+
+
+SLOT_RULE_BREAKS = {
+    "swapped": (lambda targets: [[1, targets[0][1]], [0, targets[1][1]], *targets[2:]],
+                "output target 0 is on slot 1, want 0"),
+    "duplicate": (lambda targets: [[0, targets[0][1]], [0, targets[1][1]], *targets[2:]],
+                  "output target 1 is on slot 0, want 1"),
+    "dropped": (lambda targets: targets[:-1], "has 3 output targets, want 4"),
+}
+
+
+@pytest.mark.parametrize("form", sorted(SLOT_RULE_BREAKS))
+def test_a_genome_off_the_slot_rule_fails_genome_shape_alone(capsys, tmp_path, form):
+    doc = json.loads((CONFIG_DIR / "gridnav_comp.json").read_text())
+    doc.update(seed=9, checkpoint_every=5, output_dir=str(tmp_path / "runs"))
+    doc["evolution"]["max_generations"] = 10
+    config = tmp_path / "gridnav.json"
+    config.write_text(json.dumps(doc))
+    run_cli(capsys, "run", str(config))
+    out = tmp_path / "runs"
+    path = out / "checkpoint-9-gen5.json"
+    ckpt = inline_floats(json.loads(path.read_text()))
+    member = ckpt["population"]["members"][0]
+    row = next(r for r in ckpt["universe"]["structures"] if r[0] == member)
+    assert row[1] == 1 and [slot for slot, _ in row[5]] == [0, 1, 2, 3]
+    edit, fault = SLOT_RULE_BREAKS[form]
+    row[5] = edit(row[5])
+    path.write_text(json.dumps(table_floats(ckpt)))
+    fail_line = f"FAIL  genome-shape  (genome {member} {fault})"
+    code, stdout, _ = run_cli(capsys, "verify", str(path))
+    assert code == EXIT_VERIFY_FAILED
+    assert [line for line in stdout.splitlines() if not line.startswith("pass  ")] == [fail_line]
+    before = sorted(p.name for p in out.iterdir())
+    code, stdout, err = run_cli(capsys, "resume", str(path))
+    assert (code, stdout, err.splitlines()) == (EXIT_VERIFY_FAILED, "", [fail_line])
+    assert sorted(p.name for p in out.iterdir()) == before
 
 
 class TestInspectCommand:

@@ -23,7 +23,6 @@ from sosage.population import (
     can_break,
     goal_reached,
     init_population,
-    should_break,
 )
 
 PROPERTY_SETTINGS = settings(max_examples=120, deadline=None)
@@ -93,21 +92,22 @@ class TestStallDetector:
             det.update(float(v))
         assert len(det.history) == 3
 
-    def test_should_break_is_pure_on_series(self):
-        det = StallDetector(window_G=4, min_improvement=0.5)
-        series = [1.0, 1.1, 1.2, 1.3]
-        assert should_break(det, series)  # 0.3 < 0.5
-        assert not should_break(det, [0.0, 0.2, 0.4, 1.0])
+    def test_stalled_reads_its_history_alone(self):
+        def stalled(series):
+            return StallDetector(window_G=4, min_improvement=0.5, history=list(series)).stalled()
+
+        assert stalled([1.0, 1.1, 1.2, 1.3])  # 0.3 < 0.5
+        assert not stalled([0.0, 0.2, 0.4, 1.0])
 
     @PROPERTY_SETTINGS
     @given(
         series=st.lists(st.floats(-10, 10, allow_nan=False), min_size=1, max_size=20),
         window=st.integers(1, 8),
     )
-    def test_should_break_matches_window_difference(self, series, window):
-        det = StallDetector(window_G=window, min_improvement=0.01)
+    def test_stalled_matches_window_difference(self, series, window):
+        det = StallDetector(window_G=window, min_improvement=0.01, history=list(series))
         expected = len(series) >= window and (series[-1] - series[-window]) < 0.01
-        assert should_break(det, series) == expected
+        assert det.stalled() == expected
 
 
 class TestGoal:

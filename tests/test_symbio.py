@@ -24,7 +24,6 @@ from sosage.harness import build_state
 from sosage.hyperstruct import Universe
 from sosage.population import ProblemSpec, StallDetector, apply_break, init_population
 from sosage.symbio import (
-    FORWARD_KERNEL_CAP,
     SAMPLE_RING_FACTOR,
     Assembly,
     CooccurCell,
@@ -34,7 +33,6 @@ from sosage.symbio import (
     NeuronGene,
     _clone_composite,
     _forward_kernel,
-    _general_forward,
     assemble,
     crossover_genomes,
     detect_dependency,
@@ -42,6 +40,7 @@ from sosage.symbio import (
     evaluate,
     evolve_generation,
     flatten_to_genes,
+    genome_shape_fault,
     mutate_genome,
     net_forward,
     new_loop_state,
@@ -118,8 +117,8 @@ class TestGenomeOps:
 
 
 def loop_forward(wiring, obs, output_dim):
-    """net_forward as the general loops wrote it before the shape kernels;
-    the oracle for every shape."""
+    """net_forward as plain loops over the weights and the targets; the
+    oracle for every shape."""
     def activate(kind, x):
         if kind == "tanh":
             return math.tanh(x)
@@ -136,12 +135,9 @@ def loop_forward(wiring, obs, output_dim):
     return out
 
 
-def outcome(fn, *args):
-    """The result as hex floats, bit for bit, or the error's type and message."""
-    try:
-        return [v.hex() for v in fn(*args)]
-    except Exception as e:  # the oracle's error is the expected one
-        return type(e), str(e)
+def bits(values):
+    """The floats as hex, bit for bit."""
+    return [v.hex() for v in values]
 
 
 # floats that use every mantissa bit, so that another order of the same
@@ -149,49 +145,38 @@ def outcome(fn, *args):
 # subnormal, a size that swamps 1.0 in a sum, and infinities
 FULL_MANTISSA = st.integers(0, 2 ** 32 - 1).map(lambda seed: random.Random(seed).uniform(-1.0, 1.0))
 AWKWARD = st.sampled_from([0.0, -0.0, 5e-324, -5e-324, 1e16, -1e16, 1.0, -1.0, math.inf, -math.inf])
+WIDE = 17  # wider than any shipped environment
 
 
 @st.composite
 def forward_cases(draw):
-    """(wiring, obs, output_dim): shapes of 0-6 inputs and outputs and one
-    above the kernel cap; most neurons fit the shape, others have another
-    weight or target count, duplicate, out-of-order or out-of-range slots."""
-    widths = st.sampled_from([*range(7), FORWARD_KERNEL_CAP + 1])
+    """(wiring, obs, output_dim): 0-6 inputs and outputs, or 17, and
+    neurons of the one shape the loop writes."""
+    widths = st.sampled_from([*range(7), WIDE])
     n_in, output_dim = draw(widths, label="inputs"), draw(widths, label="outputs")
     # an awkward value saturates tanh, so half the cases have none
     floats = draw(st.sampled_from([FULL_MANTISSA, FULL_MANTISSA | AWKWARD]), label="floats")
     obs = tuple(draw(st.lists(floats, min_size=n_in, max_size=n_in), label="obs"))
-    slots = st.integers(0, output_dim - 1) if output_dim else st.nothing()
-
-    def count(fit, low, high, label):
-        """`fit` three times in four, else any count in [low, high]."""
-        return fit if draw(st.integers(0, 3), label=label) else draw(st.integers(low, high), label=label)
-
-    wiring = []
-    for _ in range(draw(st.integers(0, 5), label="neurons")):
-        n_weights = count(n_in + 1, 0, n_in + 3, "weights")
-        n_targets = count(output_dim, 0, output_dim + 2, "targets")
-        if draw(st.integers(0, 19), label="bad slot") == 0:
-            slots_here = slots | st.sampled_from([-1, output_dim, output_dim + 1])
-        else:
-            slots_here = slots if output_dim else st.sampled_from([-1, 0])
-        wiring.append(NeuronGene(
-            tuple(draw(st.lists(floats, min_size=n_weights, max_size=n_weights))),
-            tuple((draw(slots_here), draw(floats)) for _ in range(n_targets)),
+    wiring = tuple(
+        NeuronGene(
+            tuple(draw(st.lists(floats, min_size=n_in + 1, max_size=n_in + 1))),
+            tuple((k, draw(floats)) for k in range(output_dim)),
             draw(st.sampled_from(["tanh", "tanh", "step", "relu"]), label="activation"),
-        ))
-    return tuple(wiring), obs, output_dim
+        )
+        for _ in range(draw(st.integers(0, 5), label="neurons"))
+    )
+    return wiring, obs, output_dim
 
 
 class TestForward:
     def test_single_tanh_neuron_exact(self):
-        gene = NeuronGene((1.0, -1.0, 0.5), ((0, 2.0), (1, -1.0)))
+        gene = NeuronGene((1.0, -1.0, 0.5), ((0, 2.0), (1, -1.0), (2, 0.0)))
         out = net_forward([gene], (2.0, 3.0), output_dim=3)
         pre = 0.5
         pre += 1.0 * 2.0
         pre += -1.0 * 3.0
         h = math.tanh(pre)
-        assert out == [0.0 + 2.0 * h, 0.0 + -1.0 * h, 0.0]
+        assert out == [0.0 + 2.0 * h, 0.0 + -1.0 * h, 0.0 + 0.0 * h]
 
     def test_additions_keep_their_order(self):
         # 1e16 + 1.0 rounds to 1e16, so another order of these sums differs
@@ -199,29 +184,32 @@ class TestForward:
         pre = ((1.0 + 1e16) + -1e16) + 1.0
         assert pre == 1.0
         assert net_forward([weights], (1.0, 1.0, 1.0), 1) == [0.0 + 1.0 * math.tanh(pre)]
-        targets = NeuronGene((1.0, 1.0, 1.0, 1.0), ((0, 1.0), (0, 1e16), (0, -1e16)), activation="step")
-        assert net_forward([targets], (1.0, 1.0, 1.0), 3) == [((0.0 + 1.0) + 1e16) + -1e16, 0.0, 0.0] \
-            == [0.0, 0.0, 0.0]
+        # neurons add into an output in wiring order
+        targets = [NeuronGene((1.0, 1.0, 1.0, 1.0), ((0, w),), activation="step") for w in (1.0, 1e16, -1e16)]
+        assert net_forward(targets, (1.0, 1.0, 1.0), 1) == [((0.0 + 1.0) + 1e16) + -1e16] == [0.0]
 
     @settings(max_examples=300, deadline=None)
     @given(case=forward_cases())
-    def test_kernels_equal_the_general_loops(self, case):
+    def test_kernels_equal_the_plain_loops(self, case):
         wiring, obs, output_dim = case
-        assert outcome(net_forward, wiring, obs, output_dim) == outcome(loop_forward, wiring, obs, output_dim)
+        assert bits(net_forward(wiring, obs, output_dim)) == bits(loop_forward(wiring, obs, output_dim))
 
-    @pytest.mark.parametrize("n_in, output_dim", [(0, 0), (0, 3), (2, 0), (4, 4), (FORWARD_KERNEL_CAP, 1)])
-    def test_shapes_up_to_the_cap_get_a_kernel(self, n_in, output_dim):
-        assert _forward_kernel(n_in, output_dim) is not _general_forward
+    @pytest.mark.parametrize("n_in, output_dim", [(0, 0), (0, 3), (2, 0), (4, 4), (16, 1), (WIDE, WIDE)])
+    def test_every_shape_gets_a_kernel(self, n_in, output_dim):
+        kernel = _forward_kernel(n_in, output_dim)
+        assert kernel.__code__.co_filename == f"<forward {n_in}x{output_dim}>"
         gene = NeuronGene((0.5,) * (n_in + 1), tuple((k, 2.0) for k in range(output_dim)))
         assert net_forward([gene], (1.0,) * n_in, output_dim) == loop_forward([gene], (1.0,) * n_in, output_dim)
 
-    @pytest.mark.parametrize("n_in, output_dim", [(FORWARD_KERNEL_CAP + 1, 1), (2, FORWARD_KERNEL_CAP + 1),
-                                                  (2, -1), (2, True), (2, 4.0)])
-    def test_other_shapes_take_the_general_loops(self, n_in, output_dim):
-        assert _forward_kernel(n_in, output_dim) is _general_forward
-        gene = NeuronGene((0.5,) * (n_in + 1), ((0, 2.0),))
-        obs = (1.0,) * n_in
-        assert outcome(net_forward, [gene], obs, output_dim) == outcome(loop_forward, [gene], obs, output_dim)
+    @pytest.mark.parametrize("gene", [
+        NeuronGene((0.5,), ((0, 1.0),)),
+        NeuronGene((0.5, 0.5, 0.5), ((0, 1.0),)),
+        NeuronGene((0.5, 0.5), ()),
+        NeuronGene((0.5, 0.5), ((0, 1.0), (1, 1.0))),
+    ], ids=["few weights", "many weights", "few targets", "many targets"])
+    def test_a_neuron_of_another_shape_is_a_caller_error(self, gene):
+        with pytest.raises(ValueError):
+            net_forward([gene], (1.0,), 1)
 
     def test_step_activation_signs(self):
         gene = NeuronGene((1.0, 0.0), ((0, 1.0),), activation="step")
@@ -380,6 +368,21 @@ class TestEvaluate:
         assembly = self.wire(universe, (bad,))
         with pytest.raises(DimensionMismatch):
             evaluate(assembly, XorEnv(), 4)
+
+    @pytest.mark.parametrize("slots, fault", [
+        ((1, 0, 2, 3), "output target 0 is on slot 1, want 0"),
+        ((0, 0, 2, 3), "output target 1 is on slot 0, want 1"),
+        ((0, 1, 2), "has 3 output targets, want 4"),
+        ((0, 1, 2, 3, 3), "has 5 output targets, want 4"),
+    ], ids=["swapped", "duplicate", "missing", "extra"])
+    def test_targets_off_the_slot_rule_rejected(self, universe, rng, slots, fault):
+        env = GridNavEnv()
+        good = random_genome(env.input_dim, env.output_dim, rng)
+        bad = dataclasses.replace(good, out_targets=tuple((slot, 0.5) for slot in slots))
+        assert genome_shape_fault(good, env.input_dim, env.output_dim) is None
+        assert genome_shape_fault(bad, env.input_dim, env.output_dim) == fault
+        with pytest.raises(DimensionMismatch, match=f"^genome {fault}$"):
+            evaluate(self.wire(universe, (good, bad)), env, 1)
 
     def test_distribute_requires_evaluated_assemblies(self, universe):
         assembly = self.wire(universe, (constant_one_gene(),))
