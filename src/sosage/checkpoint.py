@@ -52,8 +52,6 @@ def checkpoint_to_json_dict(ckpt: Checkpoint) -> dict:
     def at(value: Any) -> int:
         return table.setdefault(_float_key(float(value)), len(table))
 
-    if declared := u.declared_interactions():  # the file derives every other interaction edge
-        raise SosageError(f"declared interaction edge {declared[0]} has no place in a checkpoint")
     structures = []
     for i in sorted(u.structures):
         s = u.structures[i]

@@ -14,10 +14,6 @@ class SosageError(Exception):
 class UnknownStructure(SosageError):
     """A structure id does not resolve in the universe."""
 
-    def __init__(self, structure_id):
-        super().__init__(f"unknown structure id {structure_id}")
-        self.structure_id = structure_id
-
 
 class EmptyConstituents(SosageError):
     """construct() called with no constituents."""
@@ -25,15 +21,6 @@ class EmptyConstituents(SosageError):
 
 class OrderGapViolation(SosageError):
     """A direct dependency edge would span an order gap other than 1."""
-
-    def __init__(self, dependent, dependee, gap):
-        super().__init__(
-            f"direct dependency {dependent} <- {dependee} spans order gap {gap}; "
-            "direct edges must span exactly 1"
-        )
-        self.dependent = dependent
-        self.dependee = dependee
-        self.gap = gap
 
 
 class NotComposite(SosageError):

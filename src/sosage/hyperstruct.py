@@ -5,20 +5,19 @@ order-1 primitives carry opaque payloads, higher orders aggregate lower ones
 (overlap allowed, constituents may span several lower orders). Two level-tagged
 relations join structures: directed dependency edges, whose direct edges span
 exactly one order, and symmetric interaction edges, which construction and
-dependency imply and a caller may also declare. `Universe` stores the
-structures, the dependency levels and the declared interactions, and derives
-every other interaction edge. Per-level observer
-functions supply observable properties; a property of a composite is emergent
-when it is observable at the composite's level but at the level below on none
-of its constituents. `emergent` is that rule over a set of levels, and
-`Universe.is_emergent` asks it. The evolution loop tests no emergence: a gate
-that could refuse a break needs an observable that differs between levels.
+dependency imply. `Universe` stores the structures and the dependency levels,
+and derives every interaction edge from them. Per-level observer functions
+supply observable properties; a property of a composite is emergent when it is
+observable at the composite's level but at the level below on none of its
+constituents, which `Universe.is_emergent` asks. The evolution loop tests no
+emergence: a gate that could refuse a break needs an observable that differs
+between levels.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Any, Callable, Container, Iterable
+from typing import Any, Callable, Iterable
 
 from .errors import (
     EmptyConstituents,
@@ -63,22 +62,15 @@ class ObsRecord:
 Observer = Callable[[Structure, "Universe"], Iterable[ObsRecord]]
 
 
-def emergent(levels: Container[int], level: int) -> bool:
-    """The one rule of emergence: observed at `level` and not at the level
-    below. `Universe.is_emergent` asks it."""
-    return level in levels and (level - 1) not in levels
-
-
 @dataclass
 class Universe:
     """Id-indexed structure store, its two relations and its observers.
 
-    Only dependency edges and declared interaction edges are stored, each
-    pair mapped to its set of levels; `depends` keys are (dependent,
-    dependee) and `declared` keys come low id first. Every other interaction
-    edge is read off the structures: a composite interacts with each
-    constituent at its own order, and a dependency edge implies the
-    interaction edge at its level. Reflexivity is a query-level guarantee.
+    Only dependency edges are stored, each (dependent, dependee) pair mapped
+    to its set of levels. Every interaction edge is read off the structures
+    and those edges: a composite interacts with each constituent at its own
+    order, and a dependency edge implies the interaction edge at its level.
+    Reflexivity is a query-level guarantee.
 
     Mutation is single-writer; queries are pure. Structure ids are assigned
     sequentially and never reused, even after a structure leaves every active
@@ -89,7 +81,6 @@ class Universe:
     max_order: int = DEFAULT_MAX_ORDER
     structures: dict[StructureId, Structure] = field(default_factory=dict)
     depends: dict[tuple[StructureId, StructureId], set[int]] = field(default_factory=dict)
-    declared: dict[tuple[StructureId, StructureId], set[int]] = field(default_factory=dict)
     observers: dict[int, list[Observer]] = field(default_factory=dict)
     next_id: StructureId = 0  # the id the next structure gets; checkpoints store it
 
@@ -102,7 +93,7 @@ class Universe:
         try:
             return self.structures[structure_id]
         except KeyError:
-            raise UnknownStructure(structure_id) from None
+            raise UnknownStructure(f"unknown structure id {structure_id}") from None
 
     def _fresh_id(self) -> StructureId:
         i = self.next_id
@@ -115,9 +106,8 @@ class Universe:
         is untouched, so dropped ids are never handed out again."""
         for i in self.structures.keys() - keep:
             del self.structures[i]
-        for edges in (self.depends, self.declared):
-            for pair in [p for p in edges if not keep.issuperset(p)]:
-                del edges[pair]
+        for pair in [p for p in self.depends if not keep.issuperset(p)]:
+            del self.depends[pair]
 
     # --- construction ---
 
@@ -168,8 +158,7 @@ class Universe:
 
     def interacts(self, a: StructureId, b: StructureId) -> bool:
         return a == b or any(
-            (x, y) in self.declared or (x, y) in self.depends
-            or (x in self.structures and y in self.structures[x].constituents)
+            (x, y) in self.depends or (x in self.structures and y in self.structures[x].constituents)
             for x, y in ((a, b), (b, a))
         )
 
@@ -179,22 +168,12 @@ class Universe:
     def dependency_edges(self) -> list[tuple[StructureId, StructureId, int]]:
         return sorted((d, e, lv) for (d, e), levels in self.depends.items() for lv in levels)
 
-    def declared_interactions(self) -> list[tuple[StructureId, StructureId, int]]:
-        return sorted((a, b, lv) for (a, b), levels in self.declared.items() for lv in levels)
-
     def interaction_edges(self) -> list[tuple[StructureId, StructureId, int]]:
         edges = {(min(i, c), max(i, c), s.order) for i, s in self.structures.items() for c in s.constituents}
         edges.update((min(d, e), max(d, e), lv) for d, e, lv in self.dependency_edges())
-        return sorted(edges.union(self.declared_interactions()))
+        return sorted(edges)
 
     # --- relations ---
-
-    def declare_interaction(self, a: StructureId, b: StructureId, level: int) -> None:
-        self.get(a)
-        self.get(b)
-        if level < 1:
-            raise ValueError("interaction level must be >= 1")
-        self.declared.setdefault((min(a, b), max(a, b)), set()).add(level)
 
     def declare_dependency(self, dependent: StructureId, dependee: StructureId, level: int) -> None:
         """Record a direct dependency edge; the order gap must be exactly 1.
@@ -203,7 +182,10 @@ class Universe:
         if level < 1:
             raise ValueError("dependency level must be >= 1")
         if gap != 1:
-            raise OrderGapViolation(dependent, dependee, gap)
+            raise OrderGapViolation(
+                f"direct dependency {dependent} <- {dependee} spans order gap {gap}; "
+                "direct edges must span exactly 1"
+            )
         self.depends.setdefault((dependent, dependee), set()).add(level)
 
     # --- observation & emergence ---
@@ -229,12 +211,7 @@ class Universe:
         s = self.get(structure_id)
         if s.order < 2:
             raise NotComposite(f"structure {structure_id} has order 1; emergence needs order >= 2")
-        levels = set()
-        if property_name in {r.property for r in self.observe(structure_id, s.order)}:
-            levels.add(s.order)
-            if any(
-                property_name in {r.property for r in self.observe(c, s.order - 1)}
-                for c in sorted(s.constituents)
-            ):
-                levels.add(s.order - 1)
-        return emergent(levels, s.order)
+        def shows(i: StructureId, level: int) -> bool:
+            return any(r.property == property_name for r in self.observe(i, level))
+
+        return shows(structure_id, s.order) and not any(shows(c, s.order - 1) for c in sorted(s.constituents))

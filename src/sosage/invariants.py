@@ -83,6 +83,9 @@ def verify(ckpt: Checkpoint) -> VerifyReport:
         seen_members.add(m)
     if len(pop.members) > pop.population_limit:
         bad.append(f"roster {len(pop.members)} exceeds limit {pop.population_limit}")
+    # a break swaps one member for one and a reverse restores at least one
+    if len(pop.members) < ckpt.config.roster_size:
+        bad.append(f"roster {len(pop.members)} is below roster_size {ckpt.config.roster_size}")
     record("roster-membership", bad)
 
     bad = []
@@ -96,8 +99,19 @@ def verify(ckpt: Checkpoint) -> VerifyReport:
             bad.append(f"member order {min(orders)} below base order {pop.base_order_r}")
     record("population-order", bad)
 
+    # a generation makes at most one break, and a reverse may come in its
+    # break's own generation; every one happened before the checkpoint
     bad = []
+    previous = -1
     for event in pop.break_log:
+        if not previous < event.generation < ckpt.generation:
+            bad.append(f"break at generation {event.generation} outside {previous + 1}..{ckpt.generation - 1}")
+        previous = event.generation
+        if event.reversed_at is not None and not event.generation <= event.reversed_at < ckpt.generation:
+            bad.append(
+                f"break at generation {event.generation} reversed at {event.reversed_at}, "
+                f"outside {event.generation}..{ckpt.generation - 1}"
+            )
         if event.composite not in u:
             bad.append(f"break composite {event.composite} missing")
             continue

@@ -94,8 +94,7 @@ def init_population(
     limit: int,
 ) -> Population:
     """Wrap each genome as an order-1 primitive, chained up to order r when the
-    base solver order is above 1. No interaction is declared: nothing reads one
-    between roster members."""
+    base solver order is above 1."""
     if not genomes:
         raise EmptyPopulation("at least one genome is required")
     if len(genomes) > limit:

@@ -102,18 +102,14 @@ class Stream:
 
     def sample(self, n: int, k: int) -> list[int]:
         """k distinct ints from range(n), as numpy's `choice(n, k,
-        replace=False)` draws them, for n up to 2**32."""
+        replace=False)` draws them, for n up to 2**32. Only numpy's Floyd
+        branch is replayed: numpy shuffles range(n) instead when n > 10000
+        and k > n // 50, and such a sample is refused."""
         if not 0 <= k <= n <= 1 << 32:
             raise ValueError(f"cannot take {k} distinct items from {n}")
-        bounded = self._bounded
         if n > 10000 and k > n // 50:
-            # numpy shuffles the tail of range(n) for a large sample of a
-            # large population
-            pool = list(range(n))
-            for i in range(n - 1, max(n - k, 1) - 1, -1):
-                j = bounded(i)
-                pool[i], pool[j] = pool[j], pool[i]
-            return pool[n - k:]
+            raise ValueError(f"{k} of {n} items lies in numpy's shuffle region, which is not replayed")
+        bounded = self._bounded
         # Floyd's algorithm: a repeated draw takes the bound j, which no
         # earlier step can have taken; then the sample is shuffled
         sample: list[int] = []

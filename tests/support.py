@@ -91,8 +91,8 @@ def fold(values) -> float:
 
 
 def random_universe(rng: np.random.Generator, max_structures: int = 12) -> Universe:
-    """A random legal universe: primitives, overlapping composites, extra
-    interactions, and dependencies on random order-gap-1 pairs."""
+    """A random legal universe: primitives, overlapping composites, and
+    dependencies on random order-gap-1 pairs."""
     u = Universe(max_order=8)
     n_total = int(rng.integers(2, max_structures + 1))
     n_prim = int(rng.integers(1, max(2, n_total // 2) + 1))
@@ -107,9 +107,6 @@ def random_universe(rng: np.random.Generator, max_structures: int = 12) -> Unive
             continue
         u.construct(members, tag=f"c{len(u.structures)}")
     ids = sorted(u.structures)
-    for _ in range(int(rng.integers(0, 2 * len(ids)))):
-        a, b = (ids[int(i)] for i in rng.choice(len(ids), size=2, replace=False))
-        u.declare_interaction(a, b, level=int(rng.integers(1, 4)))
     gap_one = [
         (d, e)
         for d in ids

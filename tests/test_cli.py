@@ -190,6 +190,65 @@ def test_a_genome_off_the_slot_rule_fails_genome_shape_alone(capsys, tmp_path, f
     assert sorted(p.name for p in out.iterdir()) == before
 
 
+def set_break(i, **fields):
+    return lambda doc: doc["population"]["break_log"][i].update(fields)
+
+
+def swap_breaks(doc):
+    log = doc["population"]["break_log"]
+    log[0], log[1] = log[1], log[0]
+
+
+def empty_roster(doc):
+    doc["universe"].update(structures=[], depends=[])
+    doc["population"].update(members=[], break_log=[])
+    doc["ledger"].update(per_member={}, cooccur={})
+    doc["loop"].update(stall_history=[], reverse_counters={}, solved_at=None)
+
+
+# the xor seed 7 run breaks at generation 10 and ends at 46; the reversing
+# xor seed 1 run breaks at 1 (reversed at 88) and at 90, and ends at 120
+UNREACHABLE_STATES = {
+    "break-at-the-end": (7, set_break(0, generation=46), "break-log",
+                         "break at generation 46 outside 0..45"),
+    "reversed-before-the-break": (7, set_break(0, reversed_at=5), "break-log",
+                                  "break at generation 10 reversed at 5, outside 10..45"),
+    "reversed-at-the-end": (7, set_break(0, reversed_at=46), "break-log",
+                            "break at generation 10 reversed at 46, outside 10..45"),
+    "breaks-swapped": (1, swap_breaks, "break-log", "break at generation 1 outside 91..119"),
+    "break-far-ahead": (1, set_break(1, generation=10**6), "break-log",
+                        "break at generation 1000000 outside 2..119"),
+    "roster-emptied": (7, empty_roster, "roster-membership", "roster 0 is below roster_size 24"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(UNREACHABLE_STATES))
+def test_a_state_the_loop_cannot_reach_fails_one_invariant(capsys, tmp_path, case):
+    seed, edit, invariant, fault = UNREACHABLE_STATES[case]
+    doc = json.loads((CONFIG_DIR / "xor.json").read_text())
+    doc.update(seed=seed, output_dir=str(tmp_path / "runs"))
+    if seed == 1:  # the reversing settings
+        doc["evolution"].update(
+            dependency_delta=0.05, window_G=2, min_cooccur_samples=2, break_warmup=0, max_generations=120
+        )
+    config = tmp_path / "xor.json"
+    config.write_text(json.dumps(doc))
+    run_cli(capsys, "run", str(config))
+    out = tmp_path / "runs"
+    path = out / f"checkpoint-{seed}-final.json"
+    ckpt = inline_floats(json.loads(path.read_text()))
+    edit(ckpt)
+    path.write_text(json.dumps(table_floats(ckpt)))
+    fail_line = f"FAIL  {invariant}  ({fault})"
+    code, stdout, _ = run_cli(capsys, "verify", str(path))
+    assert code == EXIT_VERIFY_FAILED
+    assert [line for line in stdout.splitlines() if not line.startswith("pass  ")] == [fail_line]
+    before = sorted(p.name for p in out.iterdir())
+    code, stdout, err = run_cli(capsys, "resume", str(path))
+    assert (code, stdout, err.splitlines()) == (EXIT_VERIFY_FAILED, "", [fail_line])
+    assert sorted(p.name for p in out.iterdir()) == before
+
+
 class TestInspectCommand:
     def test_text_and_json_formats(self, config_path, capsys, tmp_path):
         run_cli(capsys, "run", str(config_path))

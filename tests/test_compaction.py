@@ -49,8 +49,6 @@ class TestRetain:
         u = Universe()
         a, b, c = (u.add_primitive(k) for k in "abc")
         ab = u.construct({a, b})
-        u.declare_interaction(a, c, level=1)
-        u.declare_interaction(ab, c, level=2)
         u.declare_dependency(ab, a, level=2)
         u.declare_dependency(ab, b, level=2)
         u.retain({a, b, ab})

@@ -1255,16 +1255,6 @@ class TestCheckpointCodec:
         assert round_trip(ckpt).state.pop.break_log == log
         assert summarize_checkpoint(ckpt)["breaks"][0]["reversed_at"] == reversed_at
 
-    def test_a_declared_interaction_is_refused_not_dropped(self, tmp_path):
-        # the file has no place for it, so writing the rest would break an exact resume
-        ckpt = checkpoint_from_json_dict(valid_checkpoint_doc())
-        a, b = sorted(ckpt.state.pop.members[:2])
-        ckpt.state.universe.declare_interaction(b, a, level=3)
-        path = tmp_path / "checkpoint.json"
-        with pytest.raises(SosageError, match=rf"^declared interaction edge \({a}, {b}, 3\) "):
-            save_checkpoint(path, ckpt)
-        assert list(tmp_path.iterdir()) == []
-
     @pytest.mark.parametrize("where", ["sample", "weight", "total", "history"])
     def test_a_non_finite_float_is_refused_before_any_file_is_opened(self, tmp_path, where):
         ckpt = checkpoint_from_json_dict(valid_checkpoint_doc())

@@ -14,7 +14,7 @@ from sosage.errors import (
     OrderGapViolation,
     UnknownStructure,
 )
-from sosage.hyperstruct import ObsRecord, Universe, emergent
+from sosage.hyperstruct import ObsRecord, Universe
 
 from support import (
     build_layered,
@@ -102,27 +102,18 @@ class TestInteraction:
 
     def test_symmetric_query(self, universe):
         a = universe.add_primitive("a")
-        b = universe.add_primitive("b")
-        universe.declare_interaction(a, b, level=2)
-        assert universe.interacts(a, b)
-        assert universe.interacts(b, a)
+        c = universe.add_primitive("c")
+        z = universe.construct({a})
+        universe.declare_dependency(z, c, level=3)
+        assert universe.interacts(z, c)
+        assert universe.interacts(c, z)
 
     def test_edges_stored_normalized_low_id_first(self, universe):
         a = universe.add_primitive("a")
         b = universe.add_primitive("b")
-        universe.declare_interaction(b, a, level=1)
-        assert universe.interaction_edges() == [(a, b, 1)]
-
-    def test_level_must_be_positive(self, universe):
-        a = universe.add_primitive("a")
-        b = universe.add_primitive("b")
-        with pytest.raises(ValueError):
-            universe.declare_interaction(a, b, level=0)
-
-    def test_unknown_endpoint_rejected(self, universe):
-        a = universe.add_primitive("a")
-        with pytest.raises(UnknownStructure):
-            universe.declare_interaction(a, 99, level=1)
+        ab = universe.construct({b})
+        universe.declare_dependency(ab, a, level=3)
+        assert universe.interaction_edges() == [(a, ab, 3), (b, ab, 2)]
 
     def test_construct_records_interaction_with_each_constituent(self, universe):
         a = universe.add_primitive("a")
@@ -227,9 +218,8 @@ class TestEquality:
         [
             lambda u, a, b, ab: u.declare_dependency(ab, b, level=2),
             lambda u, a, b, ab: u.declare_dependency(ab, a, level=3),
-            lambda u, a, b, ab: u.declare_interaction(a, b, level=1),
         ],
-        ids=["dependency-edge", "dependency-level", "declared-interaction"],
+        ids=["dependency-edge", "dependency-level"],
     )
     def test_one_more_edge_or_level_makes_them_differ(self, more):
         (u, ids), (same, _) = self.build(), self.build()
@@ -269,8 +259,9 @@ class TestEmergence:
         "levels,want",
         [({2}, True), ({2, 3}, True), ({1, 2}, False), ({1}, False), ({3}, False), (set(), False)],
     )
-    def test_the_rule_over_levels(self, levels, want):
-        assert emergent(frozenset(levels), 2) is want
+    def test_the_rule_over_levels(self, universe, levels, want):
+        a, b, ab = self.build(universe, {(i, level): {"p"} for i in (0, 1, 2) for level in levels})
+        assert universe.is_emergent("p", ab) is want
 
     def build(self, universe, table):
         a = universe.add_primitive("a")
