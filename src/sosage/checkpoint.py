@@ -1,8 +1,10 @@
-"""The checkpoint file format, `sosage-checkpoint-v8`. No other module knows
+"""The checkpoint file format, `sosage-checkpoint-v9`. No other module knows
 it: one writer encodes the config, generation and loop state, and one reader
 takes each value only in the form the writer gives it. Every float of the
 state is written once, in the document's `floats` table, and each slot that
-holds it holds its index."""
+holds it holds its index. A genome is its two weight lists: the position of
+an output weight is its output, so no slot number or activation is
+written."""
 
 from __future__ import annotations
 
@@ -29,7 +31,7 @@ from .hyperstruct import Structure, Universe
 from .population import BreakEvent, Population, StallDetector
 from .symbio import CooccurCell, FitnessLedger, LoopState, NeuronGene
 
-CHECKPOINT_FORMAT = "sosage-checkpoint-v8"
+CHECKPOINT_FORMAT = "sosage-checkpoint-v9"
 
 
 @dataclass
@@ -40,8 +42,9 @@ class Checkpoint:
 
 
 def checkpoint_to_json_dict(ckpt: Checkpoint) -> dict:
-    """The whole v8 document. Structure rows and co-occurrence cells are flat
-    arrays. Each float slot holds an index into `floats`, which lists each
+    """The whole v9 document. Structure rows and co-occurrence cells are flat
+    arrays; a primitive's row is `[id, 1, [], tag, in_weights, out_weights]`.
+    Each float slot holds an index into `floats`, which lists each
     distinct value once (an int weight or total as its float) in order of
     first use: structures by id, per_member by id, cooccur by pair, then
     stall_history. Settings live only in the embedded config;
@@ -58,9 +61,7 @@ def checkpoint_to_json_dict(ckpt: Checkpoint) -> dict:
         row: list[Any] = [s.id, s.order, sorted(s.constituents), s.tag]
         if s.order == 1:  # a payload that is no genome is one item, written as it is for verify to report
             g = s.payload
-            row += [g] if not isinstance(g, NeuronGene) else [
-                list(map(at, g.in_weights)), [[slot, at(w)] for slot, w in g.out_targets], g.activation,
-            ]
+            row += [g] if not isinstance(g, NeuronGene) else [list(map(at, g.in_weights)), list(map(at, g.out_weights))]
         structures.append(row)
     echo = config_to_json_dict(ckpt.config)
     return {  # built in this order, so the table follows first use
@@ -208,20 +209,13 @@ def _pair_key(key: str, what: str) -> tuple[int, int]:
 
 
 def _payload_from_row(rest: list, floats: _FloatTable) -> Any:
-    """A genome from its three items, `[in_weights, out_targets, activation]`;
-    a payload that is no genome is one item, kept as it is for verify's
-    genome-shape check to report."""
+    """A genome from its two items, `[in_weights, out_weights]`, each a list
+    of indices into the floats table; a payload that is no genome is one
+    item, kept as it is for verify's genome-shape check to report."""
     if len(rest) == 1:
         return rest[0]
-    in_weights, out_targets, activation = rest
-    return NeuronGene(
-        in_weights=tuple(floats.each(in_weights, "in_weights")),
-        out_targets=tuple(
-            (_of(int, slot, "an output slot"), floats.at(w, "an output weight"))
-            for slot, w in _list(out_targets, "out_targets", list)
-        ),
-        activation=_of(str, activation, "activation"),
-    )
+    in_weights, out_weights = rest
+    return NeuronGene(tuple(floats.each(in_weights, "in_weights")), tuple(floats.each(out_weights, "out_weights")))
 
 
 def _universe_from_json(doc: Mapping[str, Any], max_order: int, floats: _FloatTable) -> Universe:
@@ -230,7 +224,7 @@ def _universe_from_json(doc: Mapping[str, Any], max_order: int, floats: _FloatTa
     for row in _list(doc["structures"], "structures", list):
         sid, order, constituents, tag, *rest = row
         # only a primitive carries a payload, and it always does
-        if len(rest) not in ((1, 3) if _of(int, order, "a structure order") == 1 else (0,)):
+        if len(rest) not in ((1, 2) if _of(int, order, "a structure order") == 1 else (0,)):
             raise ValueError(f"a structure row of order {order} has {len(row)} items")
         s = Structure(
             id=_of(int, sid, "a structure id"),

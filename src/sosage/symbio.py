@@ -50,17 +50,19 @@ NEG_INF = float("-inf")
 
 @dataclass(frozen=True)
 class NeuronGene:
-    """One hidden neuron: input weights (bias last) and output connections."""
+    """One tanh hidden neuron: its input weights (bias last), and one weight
+    per output, in output order."""
 
     in_weights: tuple[float, ...]
-    out_targets: tuple[tuple[int, float], ...]
-    activation: str = "tanh"  # "tanh" | "step"
+    out_weights: tuple[float, ...]
 
 
 def random_genome(input_dim: int, output_dim: int, rng: Stream) -> NeuronGene:
+    """A neuron of the one shape the loop writes, its input weights drawn
+    first, each uniform in [-1, 1)."""
     in_weights = tuple(rng.uniform(-1.0, 1.0) for _ in range(input_dim + 1))
-    out_targets = tuple((k, rng.uniform(-1.0, 1.0)) for k in range(output_dim))
-    return NeuronGene(in_weights=in_weights, out_targets=out_targets)
+    out_weights = tuple(rng.uniform(-1.0, 1.0) for _ in range(output_dim))
+    return NeuronGene(in_weights, out_weights)
 
 
 def _clamp(w: float, w_max: float) -> float:
@@ -75,34 +77,26 @@ def mutate_genome(
             return _clamp(w + rng.normal(0.0, sigma), w_max)
         return w
 
-    return NeuronGene(
-        tuple(jiggle(w) for w in gene.in_weights),
-        tuple((slot, jiggle(w)) for slot, w in gene.out_targets),
-        gene.activation,
-    )
+    return NeuronGene(tuple(map(jiggle, gene.in_weights)), tuple(map(jiggle, gene.out_weights)))
 
 
 def crossover_genomes(a: NeuronGene, b: NeuronGene, rng: Stream) -> NeuronGene:
-    """Uniform crossover position-by-position; topology slots are shared.
-    One coin per position, input weights first."""
-    in_weights = tuple(aw if rng.random() < 0.5 else bw for aw, bw in zip(a.in_weights, b.in_weights))
-    out_targets = tuple(
-        (sa, wa if rng.random() < 0.5 else wb) for (sa, wa), (_, wb) in zip(a.out_targets, b.out_targets)
-    )
-    return NeuronGene(in_weights, out_targets, a.activation)
+    """Uniform crossover position by position: one coin per weight, input
+    weights first, so output k of the child is output k of a parent."""
+    def pick(xs: tuple[float, ...], ys: tuple[float, ...]) -> tuple[float, ...]:
+        return tuple(x if rng.random() < 0.5 else y for x, y in zip(xs, ys))
+
+    return NeuronGene(pick(a.in_weights, b.in_weights), pick(a.out_weights, b.out_weights))
 
 
 def genome_shape_fault(gene: NeuronGene, input_dim: int, output_dim: int) -> Optional[str]:
     """Why `gene` is not of the one shape the loop writes, or None when it
-    is: `input_dim` input weights and a bias, and one output target on each
-    slot 0..output_dim-1, in order."""
+    is: `input_dim` input weights and a bias, and `output_dim` output
+    weights."""
     if len(gene.in_weights) != input_dim + 1:
         return f"has {len(gene.in_weights)} input weights, want {input_dim + 1}"
-    if len(gene.out_targets) != output_dim:
-        return f"has {len(gene.out_targets)} output targets, want {output_dim}"
-    for k, (slot, _) in enumerate(gene.out_targets):
-        if slot != k:
-            return f"output target {k} is on slot {slot}, want {k}"
+    if len(gene.out_weights) != output_dim:
+        return f"has {len(gene.out_weights)} output weights, want {output_dim}"
     return None
 
 
@@ -110,19 +104,18 @@ def _kernel_source(n_in: int, n_out: int) -> str:
     """A forward pass unrolled for `n_in` observations and `n_out` outputs,
     over neurons of the shape `genome_shape_fault` passes. The float
     operations run in a fixed order: `b + w0 * o0 + w1 * o1 + ...` folds
-    left to right, from the bias, and each neuron adds its targets one by
-    one. "step" is any activation other than "tanh"."""
+    left to right, from the bias, and each neuron then adds `u_k * h` to
+    output k, for k = 0, 1, ..."""
     lines = [
         "def forward(wiring, obs):",
         f"    ({''.join(f'o{i}, ' for i in range(n_in))}) = obs",
         f"    out = [{', '.join(['0.0'] * n_out)}]",
         "    for gene in wiring:",
         f"        ({''.join(f'w{i}, ' for i in range(n_in))}b, ) = gene.in_weights",
-        f"        pre = b{''.join(f' + w{i} * o{i}' for i in range(n_in))}",
-        '        h = tanh(pre) if gene.activation == "tanh" else (1.0 if pre >= 0.0 else -1.0)',
-        f"        ({''.join(f'(s{k}, u{k}), ' for k in range(n_out))}) = gene.out_targets",
+        f"        h = tanh(b{''.join(f' + w{i} * o{i}' for i in range(n_in))})",
+        f"        ({''.join(f'u{k}, ' for k in range(n_out))}) = gene.out_weights",
     ]
-    lines += [f"        out[s{k}] += u{k} * h" for k in range(n_out)]
+    lines += [f"        out[{k}] += u{k} * h" for k in range(n_out)]
     lines.append("    return out")
     return "\n".join(lines) + "\n"
 
@@ -136,10 +129,11 @@ def _forward_kernel(n_in: int, n_out: int) -> Callable[..., list[float]]:
 
 
 def net_forward(wiring: Sequence[NeuronGene], obs: Sequence[float], output_dim: int) -> list[float]:
-    """The outputs of the network wired from `wiring` on one observation.
-    Every neuron must have the shape `genome_shape_fault` passes for
-    len(obs) inputs and `output_dim` outputs; the kernel's unpacking raises
-    ValueError on another length."""
+    """The outputs of the network wired from `wiring` on one observation:
+    output k sums each neuron's k-th output weight times its activation.
+    Every neuron must have len(obs) + 1 input weights and `output_dim`
+    output weights; the kernel's unpacking raises ValueError on another
+    length."""
     return _forward_kernel(len(obs), output_dim)(wiring, obs)
 
 
@@ -351,8 +345,9 @@ def assemble(
 def evaluate(assembly: Assembly, env, episodes: int) -> float:
     """Roll out the assembly's network and record its fitness: the summed
     episodic return over the evaluation batch. The assembly is solved when
-    every episode succeeds. A gene that `genome_shape_fault` faults raises
-    DimensionMismatch before any episode runs."""
+    every episode succeeds. A gene with the wrong number of input or output
+    weights, as `genome_shape_fault` counts them, raises DimensionMismatch
+    before any episode runs."""
     for gene in assembly.wiring:
         fault = genome_shape_fault(gene, env.input_dim, env.output_dim)
         if fault is not None:

@@ -222,34 +222,31 @@ def emergence_oracle(
 
 
 def xor_solver_genes() -> tuple[NeuronGene, ...]:
-    """Hand-built exact XOR net: two difference detectors and a bias unit,
-    step activations, output positive exactly when the inputs differ."""
+    """Hand-built exact XOR net: two difference detectors and a bias unit.
+    The output is 5 * (tanh(1) - tanh(3) + tanh(1)), about +2.64, when the
+    inputs differ, and 5 * -tanh(1), about -3.81, when they agree."""
     return (
-        NeuronGene(in_weights=(1.0, -1.0, -1.0),
-                   out_targets=((0, 5.0),), activation="step"),
-        NeuronGene(in_weights=(-1.0, 1.0, -1.0),
-                   out_targets=((0, 5.0),), activation="step"),
-        NeuronGene(in_weights=(0.0, 0.0, 1.0),
-                   out_targets=((0, 5.0),), activation="step"),
+        NeuronGene(in_weights=(1.0, -1.0, -1.0), out_weights=(5.0,)),
+        NeuronGene(in_weights=(-1.0, 1.0, -1.0), out_weights=(5.0,)),
+        NeuronGene(in_weights=(0.0, 0.0, 1.0), out_weights=(5.0,)),
     )
 
 
 def constant_one_gene() -> NeuronGene:
     """Pushes the XOR output positive regardless of input: two of the four
     patterns right."""
-    return NeuronGene(in_weights=(0.0, 0.0, 1.0),
-                      out_targets=((0, 5.0),), activation="step")
+    return NeuronGene(in_weights=(0.0, 0.0, 1.0), out_weights=(5.0,))
 
 
 def float_slots(doc: dict) -> list[tuple[list, int]]:
     """Every float slot of a checkpoint document, as (list, index), in order
     of first use: structure rows by id (each genome's in_weights, then its
-    out_targets weights), per_member by id, cooccur by pair (both_total,
-    then solo_total), then stall_history."""
+    out_weights), per_member by id, cooccur by pair (both_total, then
+    solo_total), then stall_history."""
     slots = []
     for row in sorted(doc["universe"]["structures"], key=lambda row: row[0]):
-        if row[1] == 1 and len(row) == 7:  # a genome; any other payload is one item, no float slot
-            slots += [(row[4], i) for i in range(len(row[4]))] + [(pair, 1) for pair in row[5]]
+        if row[1] == 1 and len(row) == 6:  # a genome; any other payload is one item, no float slot
+            slots += [(row[w], i) for w in (4, 5) for i in range(len(row[w]))]
     ledger = doc["ledger"]
     for key in sorted(ledger["per_member"], key=int):
         slots += [(ledger["per_member"][key], i) for i in range(len(ledger["per_member"][key]))]
@@ -283,12 +280,17 @@ def inline_floats(doc: dict) -> dict:
     return doc
 
 
-def v7_to_v8(doc: dict) -> dict:
-    """The v7 to v8 transform: `ledger.pending` is deleted and the format
-    marker changes; nothing else does."""
+def v8_to_v9(doc: dict) -> dict:
+    """The v8 to v9 transform: the format marker changes, and each genome
+    row `[id, 1, [], tag, in_weights, [[0, i0], [1, i1], ...], activation]`
+    becomes `[id, 1, [], tag, in_weights, [i0, i1, ...]]`; nothing else does,
+    the floats table included."""
     doc = copy.deepcopy(doc)
-    del doc["ledger"]["pending"]
-    doc["format"] = "sosage-checkpoint-v8"
+    doc["format"] = "sosage-checkpoint-v9"
+    for row in doc["universe"]["structures"]:
+        if row[1] == 1 and len(row) == 7:
+            assert [slot for slot, _ in row[5]] == list(range(len(row[5]))) and row[6] == "tanh"
+            row[5:] = [[index for _, index in row[5]]]
     return doc
 
 

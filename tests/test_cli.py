@@ -154,17 +154,14 @@ class TestResumeCommand:
         assert sorted(p.name for p in out.iterdir()) == before
 
 
-SLOT_RULE_BREAKS = {
-    "swapped": (lambda targets: [[1, targets[0][1]], [0, targets[1][1]], *targets[2:]],
-                "output target 0 is on slot 1, want 0"),
-    "duplicate": (lambda targets: [[0, targets[0][1]], [0, targets[1][1]], *targets[2:]],
-                  "output target 1 is on slot 0, want 1"),
-    "dropped": (lambda targets: targets[:-1], "has 3 output targets, want 4"),
+OUTPUT_COUNT_BREAKS = {
+    "dropped": (lambda weights: weights[:-1], "has 3 output weights, want 4"),
+    "extra": (lambda weights: weights + weights[:1], "has 5 output weights, want 4"),
 }
 
 
-@pytest.mark.parametrize("form", sorted(SLOT_RULE_BREAKS))
-def test_a_genome_off_the_slot_rule_fails_genome_shape_alone(capsys, tmp_path, form):
+@pytest.mark.parametrize("form", sorted(OUTPUT_COUNT_BREAKS))
+def test_a_genome_of_another_output_count_fails_genome_shape_alone(capsys, tmp_path, form):
     doc = json.loads((CONFIG_DIR / "gridnav_comp.json").read_text())
     doc.update(seed=9, checkpoint_every=5, output_dir=str(tmp_path / "runs"))
     doc["evolution"]["max_generations"] = 10
@@ -176,8 +173,8 @@ def test_a_genome_off_the_slot_rule_fails_genome_shape_alone(capsys, tmp_path, f
     ckpt = inline_floats(json.loads(path.read_text()))
     member = ckpt["population"]["members"][0]
     row = next(r for r in ckpt["universe"]["structures"] if r[0] == member)
-    assert row[1] == 1 and [slot for slot, _ in row[5]] == [0, 1, 2, 3]
-    edit, fault = SLOT_RULE_BREAKS[form]
+    assert row[1] == 1 and len(row[5]) == 4
+    edit, fault = OUTPUT_COUNT_BREAKS[form]
     row[5] = edit(row[5])
     path.write_text(json.dumps(table_floats(ckpt)))
     fail_line = f"FAIL  genome-shape  (genome {member} {fault})"
@@ -396,9 +393,16 @@ class TestVerifyCommand:
     @pytest.mark.parametrize("command", ["verify", "inspect", "resume"])
     def test_version_2_checkpoint_is_usage_error(self, config_path, capsys, tmp_path, command):
         run_cli(capsys, "run", str(config_path))
-        path = tmp_path / "runs" / "checkpoint-0-final.json"
+        out_dir = tmp_path / "runs"
+        path = out_dir / "checkpoint-0-final.json"
+        # a v8 file wrote each output weight beside its slot, and the activation
+        v8 = json.loads(path.read_text())
+        v8["format"] = "sosage-checkpoint-v8"
+        for row in v8["universe"]["structures"]:
+            if row[1] == 1:
+                row[5:] = [list(map(list, enumerate(row[5]))), "tanh"]
         # a v7 file also kept a pending-levels table in the ledger
-        v7 = json.loads(path.read_text())
+        v7 = json.loads(json.dumps(v8))
         v7["format"] = "sosage-checkpoint-v7"
         v7["ledger"]["pending"] = {}
         # a v6 file wrote each float in its slot
@@ -439,15 +443,17 @@ class TestVerifyCommand:
         v2["format"] = "sosage-checkpoint-v2"
         v2["ledger"]["top_m"] = v2["config"]["evolution"]["top_m"]
         v2["population"]["population_limit"] = v2["config"]["population_limit"]
-        for doc in (v2, v3, v4, v5, v6, v7):
+        for doc in (v2, v3, v4, v5, v6, v7, v8):
             path.write_text(json.dumps(doc))
+            before = sorted(p.name for p in out_dir.iterdir())
             code, out, err = run_cli(capsys, command, str(path))
             assert code == EXIT_USAGE
-            assert out == "" and err == "error: not a sosage-checkpoint-v8 document\n"
+            assert out == "" and err == "error: not a sosage-checkpoint-v9 document\n"
+            assert sorted(p.name for p in out_dir.iterdir()) == before
 
     @pytest.mark.parametrize("command", ["verify", "inspect", "resume"])
     def test_interaction_edges_beside_the_structures_are_usage_error(self, config_path, capsys, tmp_path, command):
-        # v4's universe.interacts under the v8 marker: the relation is derived, never read
+        # v4's universe.interacts under the v9 marker: the relation is derived, never read
         run_cli(capsys, "run", str(config_path))
         out_dir = tmp_path / "runs"
         path = out_dir / "checkpoint-0-gen2.json"

@@ -11,9 +11,10 @@ reference run, an unsolved gridnav_comp run, an XOR run whose loose break
 settings make it break and reverse, and XOR seed 13. Their configs keep
 `output_dir: "runs"`, since the embedded config is part of the bytes; the
 files go to a temporary directory through SOSAGE_OUTPUT_DIR instead. A new
-checkpoint format re-pins them by a stated rule: the v8 pins are the v7
-files passed through `support.v7_to_v8` (delete `ledger.pending`, set the
-format to v8) and re-encoded as the writer encodes.
+checkpoint format re-pins them by a stated rule: the v9 pins are the v8
+files passed through `support.v8_to_v9` (set the format to v9, write each
+genome's output weights as a plain list of indices, drop its activation)
+and re-encoded as the writer encodes.
 
 XOR seed 13 solves at generation 1 at order 1, so nothing compacts its
 ledger after the second whole-roster tally: its final checkpoint holds all
@@ -70,12 +71,12 @@ GRIDNAV_COMP = {
 # (config, seed, evolution changes) -> final checkpoint digest
 REVERSING = {"dependency_delta": 0.05, "window_G": 2, "min_cooccur_samples": 2, "break_warmup": 0}
 CHECKPOINTS = [
-    ("xor.json", 7, {}, "1efe13cfed94e9dd47796be6182b788832a128162e46ea4726561a66f1143c14"),
+    ("xor.json", 7, {}, "700abac53f0db6c77fcbc5694f998b270f4b40546af2ba7cda82684b33bf3a52"),
     ("gridnav_comp.json", 9, {"max_generations": 150},
-     "e24cc03617c6198986cd7e83e7752f0828cb7d1f07e076917e0e610686e9fbce"),
+     "750f478ce3ff6904e395fe2ab61144b8dde1faa046b8f8a37ac627138faf54f0"),
     ("xor.json", 1, {**REVERSING, "max_generations": 120},
-     "e8e4c5a05126bf549a34fcdc690f02ac93ded4c69f3cb7b775659c423652b723"),
-    ("xor.json", 13, {}, "693dca717051f1f1ed4ded29fb430a3d408784113c54dd96f904466828bd43f5"),
+     "0867fa6c259c9035938ad757f59b3ad31f3615ae142cddfeb00e3bf72a5011de"),
+    ("xor.json", 13, {}, "b1e5d57303ab8ad712622d7178f3a8c456eb3a70b6c1ffb51e04dfd7addd8a7b"),
 ]
 
 

@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-import dataclasses
 import math
 import tracemalloc
 
@@ -260,10 +259,7 @@ class TestCompositionalGating:
         rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1), label="seed"))
         if data.draw(st.booleans(), label="network"):
             wiring = tuple(
-                dataclasses.replace(
-                    random_genome(env.input_dim, env.output_dim, rng),
-                    activation=data.draw(st.sampled_from(("tanh", "step")), label="activation"),
-                )
+                random_genome(env.input_dim, env.output_dim, rng)
                 for _ in range(data.draw(st.integers(1, 4), label="neurons"))
             )
 

@@ -57,7 +57,7 @@ from sosage.invariants import verify
 from sosage.population import BreakEvent, ProblemSpec
 from sosage.symbio import CooccurCell, EvolutionConfig, GenerationRow, NeuronGene, run_symbiosis
 
-from support import edge_graph, float_slots, has_cycle, inline_floats, table_floats
+from support import edge_graph, float_slots, has_cycle, inline_floats, table_floats, v8_to_v9
 
 ROOT = Path(__file__).resolve().parent.parent
 CONFIG_DIR = ROOT / "configs"
@@ -1144,9 +1144,7 @@ class TestCheckpointCodec:
         ckpt = checkpoint_from_json_dict(valid_checkpoint_doc())
         u, ledger = ckpt.state.universe, ckpt.state.ledger
         first = min(u.structures)
-        gene = NeuronGene(
-            in_weights=AWKWARD[:5], out_targets=((0, AWKWARD[5]), (2, AWKWARD[6])), activation="step"
-        )
+        gene = NeuronGene(in_weights=AWKWARD[:5], out_weights=AWKWARD[5:7])
         u.structures[first] = dataclasses.replace(u.structures[first], payload=gene)
         member = min(ledger.per_member)
         ledger.per_member[member] = list(AWKWARD)
@@ -1184,7 +1182,7 @@ class TestCheckpointCodec:
         u, ledger = ckpt.state.universe, ckpt.state.ledger
         first, member, pair = min(u.structures), min(ledger.per_member), min(ledger.cooccur)
         weights = (0.0, -0.0, 5e-324, 1e308, -0.0)
-        gene = NeuronGene(in_weights=weights, out_targets=((0, -0.0), (1, 1e308)), activation="tanh")
+        gene = NeuronGene(in_weights=weights, out_weights=(-0.0, 1e308))
         u.structures[first] = dataclasses.replace(u.get(first), payload=gene)
         ledger.per_member[member] = [-0.0, 0.0, 5e-324]
         ledger.cooccur[pair] = CooccurCell(2, 3, 1, -0.0)
@@ -1198,7 +1196,7 @@ class TestCheckpointCodec:
         back = load_checkpoint(path).state
         back_gene = back.universe.get(first).payload
         assert same_floats(back_gene.in_weights, weights)
-        assert same_floats([w for _, w in back_gene.out_targets], [-0.0, 1e308])
+        assert same_floats(back_gene.out_weights, [-0.0, 1e308])
         assert same_floats(back.ledger.per_member[member], [-0.0, 0.0, 5e-324])
         cell = back.ledger.cooccur[pair]
         assert (cell.both_count, cell.solo_count) == (2, 1)
@@ -1210,6 +1208,17 @@ class TestCheckpointCodec:
         v6 = inline_floats(doc)
         assert {type(node[i]) for node, i in float_slots(v6)} == {float}
         assert table_floats(v6) == doc
+
+    def test_the_file_is_its_v8_layout_through_the_stated_transform(self):
+        # v8 wrote each output weight as a [slot, index] pair on the slot of
+        # its position, and the activation after them
+        doc = valid_checkpoint_doc()
+        v8 = json.loads(json.dumps(doc))
+        v8["format"] = "sosage-checkpoint-v8"
+        for row in v8["universe"]["structures"]:
+            if row[1] == 1:
+                row[5:] = [[[k, index] for k, index in enumerate(row[5])], "tanh"]
+        assert v8_to_v9(v8) == doc
 
     def test_next_id_survives_dropping_the_highest_id(self):
         ckpt = checkpoint_from_json_dict(valid_checkpoint_doc())
@@ -1231,11 +1240,11 @@ class TestCheckpointCodec:
 
     def test_only_primitives_carry_a_payload(self):
         # [id, order, constituents, tag], and a primitive's genome after it:
-        # [in_weights, out_targets, activation]
+        # [in_weights, out_weights]
         rows = valid_checkpoint_doc()["universe"]["structures"]
         assert {row[1] > 1 for row in rows} == {True, False}
         for row in rows:
-            assert len(row) == (7 if row[1] == 1 else 4)
+            assert len(row) == (6 if row[1] == 1 else 4)
 
     def test_ledger_cells_round_trip(self):
         ckpt = checkpoint_from_json_dict(valid_checkpoint_doc())
@@ -1266,7 +1275,7 @@ class TestCheckpointCodec:
             ledger.per_member[min(ledger.per_member)].append(math.nan)
         elif where == "weight":
             s = u.get(min(u.structures))
-            u.structures[s.id] = dataclasses.replace(s, payload=NeuronGene((math.inf,), (), "tanh"))
+            u.structures[s.id] = dataclasses.replace(s, payload=NeuronGene((math.inf,), ()))
         elif where == "total":
             ledger.cooccur[min(ledger.cooccur)].both_total = math.nan
         else:
@@ -1290,7 +1299,7 @@ class TestCheckpointCodec:
         u, ledger = ckpt.state.universe, ckpt.state.ledger
         first = min(u.structures)
         u.structures[first] = dataclasses.replace(
-            u.get(first), payload=NeuronGene(in_weights=(1, 0, -2), out_targets=((0, 3),), activation="tanh")
+            u.get(first), payload=NeuronGene(in_weights=(1, 0, -2), out_weights=(3,))
         )
         pair = min(ledger.cooccur)
         ledger.cooccur[pair] = CooccurCell(2, 1, 0, 0)
@@ -1298,8 +1307,8 @@ class TestCheckpointCodec:
         save_checkpoint(path, ckpt)
         back = load_checkpoint(path).state
         gene = back.universe.get(first).payload
-        assert gene == NeuronGene(in_weights=(1.0, 0.0, -2.0), out_targets=((0, 3.0),), activation="tanh")
-        assert {type(w) for w in gene.in_weights + (gene.out_targets[0][1],)} == {float}
+        assert gene == NeuronGene(in_weights=(1.0, 0.0, -2.0), out_weights=(3.0,))
+        assert {type(w) for w in gene.in_weights + gene.out_weights} == {float}
         assert back.ledger.cooccur[pair] == CooccurCell(2, 1.0, 0, 0.0)
         assert type(back.ledger.cooccur[pair].both_total) is float
 
@@ -1348,7 +1357,7 @@ class TestFloatsAtTheFileBoundary:
         ckpt = checkpoint_from_json_dict(valid_checkpoint_doc())
         u, ledger = ckpt.state.universe, ckpt.state.ledger
         first, member, pair = min(u.structures), min(ledger.per_member), min(ledger.cooccur)
-        gene = NeuronGene(tuple(in_weights), tuple(enumerate(out_weights)), "tanh")
+        gene = NeuronGene(tuple(in_weights), tuple(out_weights))
         u.structures[first] = dataclasses.replace(u.get(first), payload=gene)
         ledger.per_member[member] = list(samples)
         ledger.cooccur[pair] = CooccurCell(3, totals[0], 1, totals[1])
@@ -1365,7 +1374,7 @@ class TestFloatsAtTheFileBoundary:
         back_gene = back.state.universe.get(first).payload
         cell = back.state.ledger.cooccur[pair]
         assert same_floats(back_gene.in_weights, in_weights)
-        assert same_floats([w for _, w in back_gene.out_targets], out_weights)
+        assert same_floats(back_gene.out_weights, out_weights)
         assert same_floats(back.state.ledger.per_member[member], samples)
         assert same_floats((cell.both_total, cell.solo_total), totals)
         assert same_floats(back.state.detector.history, history)
@@ -1395,7 +1404,7 @@ class TestMalformedCheckpoints:
             (("population", "members"), 5),
             (("population", "break_log", 0, "composite"), None),
             # a structure row is [id, order, constituents, tag], then on a
-            # primitive [in_weights, out_targets, activation]
+            # primitive [in_weights, out_weights]
             (("universe", "structures", 0, 3), 3),
             (("universe", "structures", 0, 4), ["x"]),
             (("universe", "depends"), {"abc": 1}),
@@ -1416,9 +1425,9 @@ class TestMalformedCheckpoints:
             # a string where a list is iterated is refused, never read
             # character by character
             (("universe", "structures", 0, 4), "12345"),
-            (("universe", "structures", 0, 5, 0), "12"),
+            (("universe", "structures", 0, 5), "12"),
             (("universe", "structures", 0, 2), "12"),
-            (("universe", "structures", 0), "1234567"),
+            (("universe", "structures", 0), "123456"),
             (("universe", "depends", 0), "123"),
             (("ledger", "per_member", ANY), "12"),
             (("ledger", "cooccur", ANY), "1234"),
@@ -1430,8 +1439,8 @@ class TestMalformedCheckpoints:
             (("universe", "structures", 0, 4, 0, ENTRY), math.nan),
             (("universe", "structures", 0, 4, 0, ENTRY), "0.5"),
             (("universe", "structures", 0, 4, 0, ENTRY), 1),
-            (("universe", "structures", 0, 5, 0, 1, ENTRY), "0.5"),
-            (("universe", "structures", 0, 5, 0, 1, ENTRY), math.inf),
+            (("universe", "structures", 0, 5, 0, ENTRY), "0.5"),
+            (("universe", "structures", 0, 5, 0, ENTRY), math.inf),
             (("ledger", "per_member", ANY, 0, ENTRY), math.inf),
             (("ledger", "per_member", ANY, 0, ENTRY), "0.5"),
             (("floats", -1), 1e400),
@@ -1440,7 +1449,7 @@ class TestMalformedCheckpoints:
             (("universe", "structures", 0, 4, 0), True),
             (("ledger", "cooccur", ANY, 3), False),
             (("ledger", "per_member", ANY, 0), 0.0),
-            (("universe", "structures", 0, 5, 0, 1), 1.0),
+            (("universe", "structures", 0, 5, 0), 1.0),
             (("universe", "structures", 0, 4, 0), -1),
             (("loop", "stall_history"), [-1]),
             (("ledger", "cooccur", ANY, 1), 10**6),
@@ -1495,8 +1504,10 @@ class TestMalformedCheckpoints:
     @pytest.mark.parametrize(
         "index,edit",
         [
-            (0, lambda row: row + [1]),  # a genome with a fourth item
-            (0, lambda row: row[:6]),  # a genome without its activation
+            (0, lambda row: row + ["tanh"]),  # a genome with a third item, as v8 wrote its activation
+            (0, lambda row: row[:5]),  # a genome without its output weights
+            (0, lambda row: row[:5] + [list(map(list, enumerate(row[5])))]),  # v8's [slot, index] pairs
+            (0, lambda row: row[:5] + [list(map(list, enumerate(row[5]))), "tanh"]),  # a whole v8 genome row
             (0, lambda row: row[:4]),  # a primitive always has a payload
             (2, lambda row: row + [None]),  # row 2 is the break composite, which has none
             (0, lambda row: row[:3]),
@@ -1521,7 +1532,7 @@ class TestMalformedCheckpoints:
             load_checkpoint(edited)
 
     @pytest.mark.parametrize("slot", [
-        ("universe", "structures", 0, 4, 0), ("universe", "structures", 0, 5, 0, 1), ("ledger", "cooccur", ANY, 3),
+        ("universe", "structures", 0, 4, 0), ("universe", "structures", 0, 5, 0), ("ledger", "cooccur", ANY, 3),
     ])
     @pytest.mark.parametrize("index", [lambda n: -1, lambda n: -n, lambda n: n, lambda n: n + 1, lambda n: True])
     def test_an_index_must_name_an_entry_of_the_table(self, slot, index):

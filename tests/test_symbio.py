@@ -67,10 +67,8 @@ class TestGenomeOps:
     def test_random_genome_shape_and_bounds(self, rng):
         gene = random_genome(input_dim=4, output_dim=3, rng=rng)
         assert len(gene.in_weights) == 5
-        assert [slot for slot, _ in gene.out_targets] == [0, 1, 2]
-        weights = list(gene.in_weights) + [w for _, w in gene.out_targets]
-        assert all(-1.0 <= w <= 1.0 for w in weights)
-        assert gene.activation == "tanh"
+        assert len(gene.out_weights) == 3
+        assert all(-1.0 <= w <= 1.0 for w in gene.in_weights + gene.out_weights)
 
     def test_random_genome_deterministic(self):
         a = random_genome(3, 2, stream(42))
@@ -85,13 +83,13 @@ class TestGenomeOps:
         gene = fresh_gene(stream(1), input_dim=3, output_dim=2)
         out = mutate_genome(gene, stream(2), rate=1.0, sigma=0.5, w_max=5.0)
         assert all(a != b for a, b in zip(gene.in_weights, out.in_weights))
-        assert all(wa != wb for (_, wa), (_, wb) in zip(gene.out_targets, out.out_targets))
-        assert [s for s, _ in out.out_targets] == [s for s, _ in gene.out_targets]
+        assert all(wa != wb for wa, wb in zip(gene.out_weights, out.out_weights))
+        assert len(out.out_weights) == len(gene.out_weights)
 
     def test_mutate_clamps_to_w_max(self):
         gene = fresh_gene(stream(1))
         out = mutate_genome(gene, stream(3), rate=1.0, sigma=50.0, w_max=5.0)
-        weights = list(out.in_weights) + [w for _, w in out.out_targets]
+        weights = out.in_weights + out.out_weights
         assert all(-5.0 <= w <= 5.0 for w in weights)
         assert any(abs(w) == 5.0 for w in weights)  # sigma 50 saturates something
 
@@ -102,14 +100,13 @@ class TestGenomeOps:
         assert a == b
 
     def test_crossover_picks_each_position_from_a_parent(self):
-        a = NeuronGene((1.0, 2.0, 3.0), ((0, 4.0),), activation="step")
-        b = NeuronGene((-1.0, -2.0, -3.0), ((0, -4.0),))
+        a = NeuronGene((1.0, 2.0, 3.0), (4.0, 5.0))
+        b = NeuronGene((-1.0, -2.0, -3.0), (-4.0, -5.0))
         child = crossover_genomes(a, b, stream(5))
         for k, w in enumerate(child.in_weights):
             assert w in (a.in_weights[k], b.in_weights[k])
-        assert child.out_targets[0][1] in (4.0, -4.0)
-        assert child.out_targets[0][0] == 0
-        assert child.activation == a.activation
+        assert child.out_weights[0] in (4.0, -4.0)
+        assert child.out_weights[1] in (5.0, -5.0)
 
     def test_crossover_of_identical_parents_is_identity(self, rng):
         a = fresh_gene(stream(1))
@@ -117,21 +114,16 @@ class TestGenomeOps:
 
 
 def loop_forward(wiring, obs, output_dim):
-    """net_forward as plain loops over the weights and the targets; the
-    oracle for every shape."""
-    def activate(kind, x):
-        if kind == "tanh":
-            return math.tanh(x)
-        return 1.0 if x >= 0.0 else -1.0  # "step"
-
+    """net_forward as plain loops over the weights, each output weight
+    adding into the output its position names; the oracle for every shape."""
     out = [0.0] * output_dim
     for gene in wiring:
         pre = gene.in_weights[-1]
         for w, v in zip(gene.in_weights, obs):
             pre += w * v
-        h = activate(gene.activation, pre)
-        for slot, w in gene.out_targets:
-            out[slot] += w * h
+        h = math.tanh(pre)
+        for k, w in enumerate(gene.out_weights):
+            out[k] += w * h
     return out
 
 
@@ -150,7 +142,7 @@ WIDE = 17  # wider than any shipped environment
 
 @st.composite
 def forward_cases(draw):
-    """(wiring, obs, output_dim): 0-6 inputs and outputs, or 17, and
+    """(wiring, obs, output_dim): 0-6 inputs and outputs, or 17, and tanh
     neurons of the one shape the loop writes."""
     widths = st.sampled_from([*range(7), WIDE])
     n_in, output_dim = draw(widths, label="inputs"), draw(widths, label="outputs")
@@ -160,8 +152,7 @@ def forward_cases(draw):
     wiring = tuple(
         NeuronGene(
             tuple(draw(st.lists(floats, min_size=n_in + 1, max_size=n_in + 1))),
-            tuple((k, draw(floats)) for k in range(output_dim)),
-            draw(st.sampled_from(["tanh", "tanh", "step", "relu"]), label="activation"),
+            tuple(draw(st.lists(floats, min_size=output_dim, max_size=output_dim))),
         )
         for _ in range(draw(st.integers(0, 5), label="neurons"))
     )
@@ -170,7 +161,7 @@ def forward_cases(draw):
 
 class TestForward:
     def test_single_tanh_neuron_exact(self):
-        gene = NeuronGene((1.0, -1.0, 0.5), ((0, 2.0), (1, -1.0), (2, 0.0)))
+        gene = NeuronGene((1.0, -1.0, 0.5), (2.0, -1.0, 0.0))
         out = net_forward([gene], (2.0, 3.0), output_dim=3)
         pre = 0.5
         pre += 1.0 * 2.0
@@ -180,12 +171,13 @@ class TestForward:
 
     def test_additions_keep_their_order(self):
         # 1e16 + 1.0 rounds to 1e16, so another order of these sums differs
-        weights = NeuronGene((1e16, -1e16, 1.0, 1.0), ((0, 1.0),))
+        weights = NeuronGene((1e16, -1e16, 1.0, 1.0), (1.0,))
         pre = ((1.0 + 1e16) + -1e16) + 1.0
         assert pre == 1.0
         assert net_forward([weights], (1.0, 1.0, 1.0), 1) == [0.0 + 1.0 * math.tanh(pre)]
-        # neurons add into an output in wiring order
-        targets = [NeuronGene((1.0, 1.0, 1.0, 1.0), ((0, w),), activation="step") for w in (1.0, 1e16, -1e16)]
+        # neurons add into an output in wiring order; tanh(20.0) is exactly 1.0
+        targets = [NeuronGene((5.0, 5.0, 5.0, 5.0), (w,)) for w in (1.0, 1e16, -1e16)]
+        assert math.tanh(20.0) == 1.0
         assert net_forward(targets, (1.0, 1.0, 1.0), 1) == [((0.0 + 1.0) + 1e16) + -1e16] == [0.0]
 
     @settings(max_examples=300, deadline=None)
@@ -198,30 +190,22 @@ class TestForward:
     def test_every_shape_gets_a_kernel(self, n_in, output_dim):
         kernel = _forward_kernel(n_in, output_dim)
         assert kernel.__code__.co_filename == f"<forward {n_in}x{output_dim}>"
-        gene = NeuronGene((0.5,) * (n_in + 1), tuple((k, 2.0) for k in range(output_dim)))
+        gene = NeuronGene((0.5,) * (n_in + 1), tuple(2.0 + k for k in range(output_dim)))
         assert net_forward([gene], (1.0,) * n_in, output_dim) == loop_forward([gene], (1.0,) * n_in, output_dim)
 
     @pytest.mark.parametrize("gene", [
-        NeuronGene((0.5,), ((0, 1.0),)),
-        NeuronGene((0.5, 0.5, 0.5), ((0, 1.0),)),
+        NeuronGene((0.5,), (1.0,)),
+        NeuronGene((0.5, 0.5, 0.5), (1.0,)),
         NeuronGene((0.5, 0.5), ()),
-        NeuronGene((0.5, 0.5), ((0, 1.0), (1, 1.0))),
-    ], ids=["few weights", "many weights", "few targets", "many targets"])
+        NeuronGene((0.5, 0.5), (1.0, 1.0)),
+    ], ids=["few weights", "many weights", "few outputs", "many outputs"])
     def test_a_neuron_of_another_shape_is_a_caller_error(self, gene):
         with pytest.raises(ValueError):
             net_forward([gene], (1.0,), 1)
 
-    def test_step_activation_signs(self):
-        gene = NeuronGene((1.0, 0.0), ((0, 1.0),), activation="step")
-        assert net_forward([gene], (0.5,), 1) == [1.0]
-        assert net_forward([gene], (-0.5,), 1) == [-1.0]
-
     def test_outputs_accumulate_across_neurons(self):
-        shared = ((0, 1.0),)
-        genes = [
-            NeuronGene((0.0, 1.0), shared, activation="step"),
-            NeuronGene((0.0, 1.0), shared, activation="step"),
-        ]
+        # pre is 20.0 and -20.0, where tanh is exactly 1.0 and -1.0
+        genes = [NeuronGene((0.0, 20.0), (1.0,)), NeuronGene((0.0, -20.0), (-1.0,))]
         assert net_forward(genes, (0.0,), 1) == [2.0]
 
 
@@ -250,19 +234,16 @@ def per_weight_crossover(a, b, rng):
     """One coin per weight from a numpy Generator: the oracle for
     crossover_genomes' children and for where it leaves the stream."""
     in_weights = tuple(aw if rng.random() < 0.5 else bw for aw, bw in zip(a.in_weights, b.in_weights))
-    out_targets = tuple(
-        (sa, wa if rng.random() < 0.5 else wb) for (sa, wa), (_, wb) in zip(a.out_targets, b.out_targets)
-    )
-    return dataclasses.replace(a, in_weights=in_weights, out_targets=out_targets)
+    out_weights = tuple(aw if rng.random() < 0.5 else bw for aw, bw in zip(a.out_weights, b.out_weights))
+    return NeuronGene(in_weights, out_weights)
 
 
 class TestCrossoverMatchesThePerWeightOracle:
     @PROPERTY_SETTINGS
-    @given(seed=st.integers(0, 2 ** 32 - 1), input_dim=st.integers(0, 6), output_dim=st.integers(1, 4),
-           activation=st.sampled_from(["tanh", "step"]))
-    def test_children_and_later_draws_are_equal(self, seed, input_dim, output_dim, activation):
+    @given(seed=st.integers(0, 2 ** 32 - 1), input_dim=st.integers(0, 6), output_dim=st.integers(1, 4))
+    def test_children_and_later_draws_are_equal(self, seed, input_dim, output_dim):
         genes = stream(seed)
-        a = dataclasses.replace(fresh_gene(genes, input_dim, output_dim), activation=activation)
+        a = fresh_gene(genes, input_dim, output_dim)
         b = fresh_gene(genes, input_dim, output_dim)
         ours, oracle = stream(seed + 1), np.random.default_rng(seed + 1)
         assert crossover_genomes(a, b, ours) == per_weight_crossover(a, b, oracle)
@@ -363,22 +344,14 @@ class TestEvaluate:
         with pytest.raises(DimensionMismatch):
             evaluate(assembly, GridNavEnv(), 1)
 
-    def test_output_slot_mismatch_rejected(self, universe):
-        bad = NeuronGene((0.0, 0.0, 1.0), ((3, 5.0),), activation="step")
-        assembly = self.wire(universe, (bad,))
-        with pytest.raises(DimensionMismatch):
-            evaluate(assembly, XorEnv(), 4)
-
-    @pytest.mark.parametrize("slots, fault", [
-        ((1, 0, 2, 3), "output target 0 is on slot 1, want 0"),
-        ((0, 0, 2, 3), "output target 1 is on slot 0, want 1"),
-        ((0, 1, 2), "has 3 output targets, want 4"),
-        ((0, 1, 2, 3, 3), "has 5 output targets, want 4"),
-    ], ids=["swapped", "duplicate", "missing", "extra"])
-    def test_targets_off_the_slot_rule_rejected(self, universe, rng, slots, fault):
+    @pytest.mark.parametrize("n_out, fault", [
+        (3, "has 3 output weights, want 4"),
+        (5, "has 5 output weights, want 4"),
+    ], ids=["missing", "extra"])
+    def test_a_wrong_output_count_is_rejected(self, universe, rng, n_out, fault):
         env = GridNavEnv()
         good = random_genome(env.input_dim, env.output_dim, rng)
-        bad = dataclasses.replace(good, out_targets=tuple((slot, 0.5) for slot in slots))
+        bad = dataclasses.replace(good, out_weights=(0.5,) * n_out)
         assert genome_shape_fault(good, env.input_dim, env.output_dim) is None
         assert genome_shape_fault(bad, env.input_dim, env.output_dim) == fault
         with pytest.raises(DimensionMismatch, match=f"^genome {fault}$"):
@@ -694,7 +667,7 @@ def build_shared(recipe):
     n_prim, groups, deps, _ = recipe
     u = Universe(max_order=64)
     for k in range(n_prim):
-        u.add_primitive(NeuronGene(in_weights=(float(k), 0.0), out_targets=((0, 1.0),)), tag=f"p{k}")
+        u.add_primitive(NeuronGene(in_weights=(float(k), 0.0), out_weights=(1.0,)), tag=f"p{k}")
     for members in groups:
         u.construct(members)
     for d, e, level in deps:
@@ -744,7 +717,7 @@ class TestTraversalsMatchTheRecursiveOracles:
         """A primitive under `depth` single-constituent composites, each
         depending on the next one down."""
         u = Universe(max_order=depth + 1)
-        top = u.add_primitive(NeuronGene(in_weights=(0.5, 0.0), out_targets=((0, 1.0),)))
+        top = u.add_primitive(NeuronGene(in_weights=(0.5, 0.0), out_weights=(1.0,)))
         for _ in range(depth):
             below, top = top, u.construct({top})
             u.declare_dependency(top, below, 1)
