@@ -160,8 +160,10 @@ OUTPUT_COUNT_BREAKS = {
 }
 
 
-@pytest.mark.parametrize("form", sorted(OUTPUT_COUNT_BREAKS))
-def test_a_genome_of_another_output_count_fails_genome_shape_alone(capsys, tmp_path, form):
+def assert_genome_edit_fails_genome_shape_alone(capsys, tmp_path, item, edit, fault):
+    """Run gridnav_comp to a checkpoint, apply `edit` to item `item` of a
+    member genome's row (4: input weights, 5: output weights), and check
+    that verify and resume fail on genome-shape alone, writing no file."""
     doc = json.loads((CONFIG_DIR / "gridnav_comp.json").read_text())
     doc.update(seed=9, checkpoint_every=5, output_dir=str(tmp_path / "runs"))
     doc["evolution"]["max_generations"] = 10
@@ -173,9 +175,8 @@ def test_a_genome_of_another_output_count_fails_genome_shape_alone(capsys, tmp_p
     ckpt = inline_floats(json.loads(path.read_text()))
     member = ckpt["population"]["members"][0]
     row = next(r for r in ckpt["universe"]["structures"] if r[0] == member)
-    assert row[1] == 1 and len(row[5]) == 4
-    edit, fault = OUTPUT_COUNT_BREAKS[form]
-    row[5] = edit(row[5])
+    assert row[1] == 1 and len(row[4]) == 5 and len(row[5]) == 4
+    row[item] = edit(row[item])
     path.write_text(json.dumps(table_floats(ckpt)))
     fail_line = f"FAIL  genome-shape  (genome {member} {fault})"
     code, stdout, _ = run_cli(capsys, "verify", str(path))
@@ -185,6 +186,17 @@ def test_a_genome_of_another_output_count_fails_genome_shape_alone(capsys, tmp_p
     code, stdout, err = run_cli(capsys, "resume", str(path))
     assert (code, stdout, err.splitlines()) == (EXIT_VERIFY_FAILED, "", [fail_line])
     assert sorted(p.name for p in out.iterdir()) == before
+
+
+@pytest.mark.parametrize("form", sorted(OUTPUT_COUNT_BREAKS))
+def test_a_genome_of_another_output_count_fails_genome_shape_alone(capsys, tmp_path, form):
+    edit, fault = OUTPUT_COUNT_BREAKS[form]
+    assert_genome_edit_fails_genome_shape_alone(capsys, tmp_path, 5, edit, fault)
+
+
+def test_a_genome_without_its_bias_fails_genome_shape_alone(capsys, tmp_path):
+    assert_genome_edit_fails_genome_shape_alone(
+        capsys, tmp_path, 4, lambda weights: weights[:-1], "has 4 input weights, want 5")
 
 
 def set_break(i, **fields):

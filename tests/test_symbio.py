@@ -344,6 +344,19 @@ class TestEvaluate:
         with pytest.raises(DimensionMismatch):
             evaluate(assembly, GridNavEnv(), 1)
 
+    @pytest.mark.parametrize("n_in, fault", [
+        (4, "has 4 input weights, want 5"),
+        (6, "has 6 input weights, want 5"),
+    ], ids=["missing", "extra"])
+    def test_a_wrong_input_count_is_rejected(self, universe, rng, n_in, fault):
+        env = GridNavEnv()
+        good = random_genome(env.input_dim, env.output_dim, rng)
+        bad = dataclasses.replace(good, in_weights=(0.5,) * n_in)
+        assert genome_shape_fault(good, env.input_dim, env.output_dim) is None
+        assert genome_shape_fault(bad, env.input_dim, env.output_dim) == fault
+        with pytest.raises(DimensionMismatch, match=f"^genome {fault}$"):
+            evaluate(self.wire(universe, (good, bad)), env, 1)
+
     @pytest.mark.parametrize("n_out, fault", [
         (3, "has 3 output weights, want 4"),
         (5, "has 5 output weights, want 4"),
