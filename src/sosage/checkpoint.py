@@ -1,24 +1,25 @@
-"""The checkpoint file format, `sosage-checkpoint-v9`. No other module knows
-it: one writer encodes the config, generation and loop state, and one reader
-takes each value only in the form the writer gives it. Every float of the
-state is written once, in the document's `floats` table, and each slot that
-holds it holds its index. A genome is its two weight lists: the position of
-an output weight is its output, so no slot number or activation is
-written."""
+"""The checkpoint file format, `sosage-checkpoint-v10`. No other module
+knows it: one writer encodes the config, generation and loop state, and one
+reader takes each value only in the form the writer gives it. Every float of
+the state is written once, in the document's `floats` table, and each slot
+that holds it holds its index. A genome is its two weight lists: the
+position of an output weight is its output, so no slot number or activation
+is written. Every table is an array of positional rows, each id a JSON
+integer."""
 
 from __future__ import annotations
 
 import json
 import math
 import os
-import re
-from dataclasses import asdict, dataclass, fields
+from collections import Counter
+from dataclasses import dataclass, fields
+from operator import itemgetter
 from pathlib import Path
-from typing import Any, Mapping, Optional
+from typing import Any, Callable, Mapping, Optional
 
 from .config import (
     RunConfig,
-    _names,
     _read_json,
     _reject_unknown,
     config_digest,
@@ -31,7 +32,7 @@ from .hyperstruct import Structure, Universe
 from .population import BreakEvent, Population, StallDetector
 from .symbio import CooccurCell, FitnessLedger, LoopState, NeuronGene
 
-CHECKPOINT_FORMAT = "sosage-checkpoint-v9"
+CHECKPOINT_FORMAT = "sosage-checkpoint-v10"
 
 
 @dataclass
@@ -42,13 +43,16 @@ class Checkpoint:
 
 
 def checkpoint_to_json_dict(ckpt: Checkpoint) -> dict:
-    """The whole v9 document. Structure rows and co-occurrence cells are flat
-    arrays; a primitive's row is `[id, 1, [], tag, in_weights, out_weights]`.
-    Each float slot holds an index into `floats`, which lists each
-    distinct value once (an int weight or total as its float) in order of
-    first use: structures by id, per_member by id, cooccur by pair, then
-    stall_history. Settings live only in the embedded config;
-    save_checkpoint sorts every object's keys."""
+    """The whole v10 document. Every table is an array of flat rows, the
+    id-keyed ones sorted by id: a primitive's structure row is `[id, 1, [],
+    tag, in_weights, out_weights]`, a per_member row `[id, samples]`, a
+    cooccur row `[x, y, both_count, both_total, solo_count, solo_total]`, a
+    reverse counter `[id, count]`, and a break log row BreakEvent's fields,
+    one row per break in order. Each float slot holds an index into
+    `floats`, which lists each distinct value once (an int weight or total as
+    its float) in order of first use: structures by id, per_member by id,
+    cooccur by pair, then stall_history. Settings live only in the embedded
+    config; save_checkpoint sorts every object's keys."""
     u, pop, ledger = ckpt.state.universe, ckpt.state.pop, ckpt.state.ledger
     table: dict[Any, int] = {}
 
@@ -77,18 +81,18 @@ def checkpoint_to_json_dict(ckpt: Checkpoint) -> dict:
         "population": {
             "members": list(pop.members),
             "pop_order_n": pop.pop_order_n,
-            "break_log": [asdict(e) for e in pop.break_log],
+            "break_log": [list(vars(e).values()) for e in pop.break_log],
         },
         "ledger": {
-            "per_member": {str(m): list(map(at, samples)) for m, samples in sorted(ledger.per_member.items())},
-            "cooccur": {  # one flat array per cell, in CooccurCell's field order
-                f"{x},{y}": [c.both_count, at(c.both_total), c.solo_count, at(c.solo_total)]
+            "per_member": [[m, list(map(at, samples))] for m, samples in sorted(ledger.per_member.items())],
+            "cooccur": [  # the pair, then CooccurCell's fields
+                [x, y, c.both_count, at(c.both_total), c.solo_count, at(c.solo_total)]
                 for (x, y), c in sorted(ledger.cooccur.items())
-            },
+            ],
         },
         "loop": {
             "stall_history": list(map(at, ckpt.state.detector.history)),
-            "reverse_counters": {str(k): v for k, v in ckpt.state.reverse_counters.items()},
+            "reverse_counters": [list(item) for item in sorted(ckpt.state.reverse_counters.items())],
             "solved_at": ckpt.state.solved_at,
         },
         "floats": list(map(float, table)),
@@ -170,16 +174,9 @@ class _FloatTable:
             raise ValueError("floats holds one value twice")
         self.unused = set(range(n))
 
-    def at(self, raw: Any, what: str) -> float:
-        """The float an index names: an int, no bool, inside the table (a
-        negative index would count from its end)."""
-        if type(raw) is not int or not 0 <= raw < len(self.values):
-            raise ValueError(f"{what} {raw!r} is no index into the floats table")
-        self.unused.discard(raw)
-        return self.values[raw]
-
     def each(self, raw: Any, what: str) -> list[float]:
-        """The floats a list of indices names, each index as `at` takes it."""
+        """The floats a list of indices names: each index an int, no bool,
+        inside the table (a negative index would count from its end)."""
         indices = _list(raw, what, int)
         if indices and (min(indices) < 0 or max(indices) >= len(self.values)):
             raise ValueError(f"{what} names an index outside the floats table")
@@ -191,21 +188,25 @@ def _malformed(label: str, rule: str) -> ValueError:
     return ValueError(f"{label}: {rule}")
 
 
-_ID = "(0|[1-9][0-9]*)"  # an id in canonical decimal
-_ID_KEY, _PAIR_KEY = re.compile(_ID), re.compile(f"{_ID},{_ID}")
+_ID, _PAIR = itemgetter(0), itemgetter(0, 1)
 
 
-def _id_key(key: str, what: str) -> int:
-    if not _ID_KEY.fullmatch(key):
-        raise ValueError(f"{what} key {key!r} is not an id in canonical decimal")
-    return int(key)
-
-
-def _pair_key(key: str, what: str) -> tuple[int, int]:
-    m = _PAIR_KEY.fullmatch(key)
-    if m is None:
-        raise ValueError(f"{what} key {key!r} is not two ids in canonical decimal")
-    return int(m[1]), int(m[2])
+def _rows(raw: Any, what: str, width: int, ints: int, key: Optional[Callable[[list], Any]] = None) -> list[list]:
+    """`raw` when it is a list of rows of `width` items whose first `ints`
+    items are ints (checked whole, to keep loading cheap), and with a `key`
+    (`_ID` or `_PAIR`), no two rows with one key. The writer sorts such a
+    table by key, but the loop reads it in no order: rows in another order
+    load the same."""
+    rows = _list(raw, what, list)
+    if widths := set(map(len, rows)) - {width}:
+        raise ValueError(f"a {what} row has {min(widths)} items, not {width}")
+    if not {int}.issuperset(kinds := {type(v) for row in rows for v in row[:ints]}):
+        kind = min(k.__name__ for k in kinds - {int})
+        raise TypeError(f"a {what} row holds a {kind} where the writer writes an int")
+    if key is not None and len(set(map(key, rows))) < len(rows):
+        twice = min(k for k, n in Counter(map(key, rows)).items() if n > 1)
+        raise ValueError(f"{what} lists {'id' if key is _ID else 'pair'} {twice} twice")
+    return rows
 
 
 def _payload_from_row(rest: list, floats: _FloatTable) -> Any:
@@ -240,42 +241,36 @@ def _universe_from_json(doc: Mapping[str, Any], max_order: int, floats: _FloatTa
     u.next_id = _of(int, doc["next_id"], "next_id")
     if u.next_id <= max(u.structures, default=-1):
         raise ValueError(f"next_id {u.next_id} does not exceed every structure id")
-    edges = _list(doc["depends"], "depends", list)
-    _list([v for edge in edges for v in edge], "depends", int)
-    for d, e, level in edges:  # stored as read, unchecked: verify reports a bad edge
+    # stored as read, unchecked: verify reports a bad edge
+    for d, e, level in _rows(doc["depends"], "depends", 3, 3):
         u.depends.setdefault((d, e), set()).add(level)
     return u
 
 
 def _population_from_json(doc: Mapping[str, Any], base_order_r: int, population_limit: int) -> Population:
-    def event(row: Mapping[str, Any]) -> BreakEvent:
-        _reject_unknown(row, _names(BreakEvent), "break_log", _malformed)
-        # every field is required; reversed_at is null until a reverse
-        return BreakEvent(**{
-            f.name: _of(int, row[f.name], f.name) for f in fields(BreakEvent)
-            if f.name != "reversed_at" or row[f.name] is not None
-        })
-
     _reject_unknown(doc, {"members", "pop_order_n", "break_log"}, "population", _malformed)
+    # a row holds BreakEvent's fields in order; reversed_at is null until a reverse
+    width = len(fields(BreakEvent))
+    events = _rows(doc["break_log"], "break_log", width, width - 1)
+    if any(r is not None and type(r) is not int for *_, r in events):
+        raise TypeError("a break_log reversed_at must be int or null")
     return Population(
         members=list(_list(doc["members"], "members", int)),
         base_order_r=base_order_r,
         pop_order_n=_of(int, doc["pop_order_n"], "pop_order_n"),
         population_limit=population_limit,
-        break_log=[event(row) for row in _list(doc["break_log"], "break_log")],
+        break_log=[BreakEvent(*row) for row in events],
     )
 
 
 def _ledger_from_json(doc: Mapping[str, Any], top_m: int, floats: _FloatTable) -> FitnessLedger:
     ledger = FitnessLedger(top_m)
     _reject_unknown(doc, {"per_member", "cooccur"}, "ledger", _malformed)
-    for key, samples in doc["per_member"].items():
-        ledger.per_member[_id_key(key, "per_member")] = floats.each(samples, "per_member samples")
-    for key, row in doc["cooccur"].items():
-        bc, bt, sc, st = _list(row, "cooccur")
-        ledger.cooccur[_pair_key(key, "cooccur")] = CooccurCell(
-            _of(int, bc, "a count"), floats.at(bt, "a total"), _of(int, sc, "a count"), floats.at(st, "a total")
-        )
+    rows = _rows(doc["per_member"], "per_member", 2, 1, _ID)
+    ledger.per_member = {m: floats.each(samples, "per_member samples") for m, samples in rows}
+    rows = _rows(doc["cooccur"], "cooccur", 6, 6, _PAIR)  # every item an int, the totals' indices too
+    totals = iter(floats.each([i for row in rows for i in row[3::2]], "cooccur totals"))  # both, then solo
+    ledger.cooccur = {(x, y): CooccurCell(bc, next(totals), sc, next(totals)) for x, y, bc, _, sc, _ in rows}
     return ledger
 
 
@@ -292,18 +287,17 @@ def _checkpoint_from_doc(doc: Mapping[str, Any]) -> Checkpoint:
     _reject_unknown(loop, {"stall_history", "reverse_counters", "solved_at"}, "loop", _malformed)
     solved_at = loop["solved_at"]
     generation = _of(int, doc["generation"], "generation")
-    if generation < 0:
-        raise ValueError(f"generation {generation} is negative")
-    # a periodic checkpoint comes before the solve, a final one after it
+    # a periodic checkpoint comes before the budget and the solve, a final
+    # one after the solve and at the budget at most
+    if not 0 <= generation <= evo.max_generations:
+        raise ValueError(f"generation {generation} is outside 0..max_generations {evo.max_generations}")
     if solved_at is not None and not 0 <= _of(int, solved_at, "solved_at") < generation:
         raise ValueError(f"solved_at {solved_at} is not a generation before {generation}")
     # the loop keeps at most window_G of history, and a reverse counter starts at 1 and only grows
     history = _list(loop["stall_history"], "stall_history")
     if len(history) > evo.window_G:
         raise ValueError(f"stall_history holds {len(history)} entries, more than window_G {evo.window_G}")
-    counters = {
-        _id_key(k, "reverse_counters"): _of(int, v, "a reverse counter") for k, v in loop["reverse_counters"].items()
-    }
+    counters = dict(_rows(loop["reverse_counters"], "reverse_counters", 2, 2, _ID))
     if counters and min(counters.values()) < 1:
         raise ValueError(f"reverse counter {min(counters.values())} is below 1")
     floats = _FloatTable(doc["floats"])

@@ -7,6 +7,7 @@ from __future__ import annotations
 import hashlib
 import json
 import math
+from collections import Counter
 from dataclasses import Field, dataclass, field, fields, replace
 from functools import cache
 from pathlib import Path
@@ -161,6 +162,18 @@ def config_from_dict(doc: Mapping[str, Any]) -> RunConfig:
     return config
 
 
+def _one_of_each(pairs: list[tuple[str, Any]]) -> dict:
+    """A JSON object's dict, refused when it lists one key twice (json alone
+    keeps the last value)."""
+    if len(doc := dict(pairs)) < len(pairs):
+        key = Counter(k for k, _ in pairs).most_common(1)[0][0]
+        raise ParseError(f"key {key!r} appears twice in one object")
+    return doc
+
+
+_DECODER = json.JSONDecoder(object_pairs_hook=_one_of_each)  # built once: json.loads with a hook builds one per call
+
+
 def _read_json(path: str | Path, what: str) -> Any:
     """Parse a JSON file; every way it can fail is a ParseError."""
     try:
@@ -168,7 +181,9 @@ def _read_json(path: str | Path, what: str) -> Any:
     except (OSError, UnicodeDecodeError) as e:
         raise ParseError(f"cannot read {what} {path}: {e}") from e
     try:
-        return json.loads(text)
+        return _DECODER.decode(text)
+    except ParseError as e:  # a key written twice
+        raise ParseError(f"{path}: {e}") from None
     except json.JSONDecodeError as e:
         raise ParseError(f"{path}: line {e.lineno} column {e.colno}: {e.msg}") from e
     except ValueError as e:  # an integer literal beyond Python's int-digit limit

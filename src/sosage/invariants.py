@@ -118,15 +118,14 @@ def verify(ckpt: Checkpoint) -> VerifyReport:
         z = u.get(event.composite)
         if z.constituents != frozenset((event.dependent, event.dependee)):
             bad.append(f"break composite {event.composite} constituents differ from the event pair")
-        expected_level = event.level_observed + 1
+        # a break at population order n builds a composite of order base + n, its edges at level n + 1
+        expected_level = z.order - pop.base_order_r + 1
         for part in (event.dependent, event.dependee):
             if expected_level not in u.dependency_levels(event.composite, part):
                 bad.append(
                     f"break composite {event.composite} lacks the level-{expected_level} "
                     f"dependency on {part}"
                 )
-        if z.order != pop.base_order_r + event.level_observed:
-            bad.append(f"break composite {event.composite} order {z.order} off its level")
     # the reverse safeguard counts only composites whose break still stands
     standing = {e.composite for e in pop.break_log if e.reversed_at is None}
     bad += [

@@ -42,7 +42,6 @@ class BreakEvent:
     dependent: StructureId
     dependee: StructureId
     composite: StructureId
-    level_observed: int
     reversed_at: Optional[int] = None
 
 
@@ -175,15 +174,7 @@ def apply_break(
     pop.members.remove(x)
     pop.members.append(z)
     pop.pop_order_n = n + 1
-    pop.break_log.append(
-        BreakEvent(
-            generation=generation,
-            dependent=x,
-            dependee=y,
-            composite=z,
-            level_observed=n,
-        )
-    )
+    pop.break_log.append(BreakEvent(generation=generation, dependent=x, dependee=y, composite=z))
     return pop
 
 

@@ -241,17 +241,17 @@ def constant_one_gene() -> NeuronGene:
 def float_slots(doc: dict) -> list[tuple[list, int]]:
     """Every float slot of a checkpoint document, as (list, index), in order
     of first use: structure rows by id (each genome's in_weights, then its
-    out_weights), per_member by id, cooccur by pair (both_total, then
-    solo_total), then stall_history."""
+    out_weights), per_member rows by id, cooccur rows by pair (both_total,
+    then solo_total), then stall_history."""
     slots = []
     for row in sorted(doc["universe"]["structures"], key=lambda row: row[0]):
         if row[1] == 1 and len(row) == 6:  # a genome; any other payload is one item, no float slot
             slots += [(row[w], i) for w in (4, 5) for i in range(len(row[w]))]
     ledger = doc["ledger"]
-    for key in sorted(ledger["per_member"], key=int):
-        slots += [(ledger["per_member"][key], i) for i in range(len(ledger["per_member"][key]))]
-    for key in sorted(ledger["cooccur"], key=lambda key: tuple(map(int, key.split(",")))):
-        slots += [(ledger["cooccur"][key], 1), (ledger["cooccur"][key], 3)]
+    for _, samples in sorted(ledger["per_member"], key=lambda row: row[0]):
+        slots += [(samples, i) for i in range(len(samples))]
+    for cell in sorted(ledger["cooccur"], key=lambda row: row[:2]):
+        slots += [(cell, 3), (cell, 5)]
     history = doc["loop"]["stall_history"]
     return slots + [(history, i) for i in range(len(history))]
 
@@ -280,17 +280,42 @@ def inline_floats(doc: dict) -> dict:
     return doc
 
 
-def v8_to_v9(doc: dict) -> dict:
-    """The v8 to v9 transform: the format marker changes, and each genome
-    row `[id, 1, [], tag, in_weights, [[0, i0], [1, i1], ...], activation]`
-    becomes `[id, 1, [], tag, in_weights, [i0, i1, ...]]`; nothing else does,
-    the floats table included."""
+def v9_to_v10(doc: dict) -> dict:
+    """The v9 to v10 transform: the format marker changes; `per_member`,
+    `cooccur` and `reverse_counters`, objects keyed by decimal ids in v9,
+    become arrays of rows sorted by id (`[id, samples]`, `[x, y, both_count,
+    both_total, solo_count, solo_total]`, `[id, count]`); and each break
+    event becomes the row of its fields in order, without `level_observed`.
+    Nothing else changes, the floats table included."""
+    doc = copy.deepcopy(doc)
+    doc["format"] = "sosage-checkpoint-v10"
+    ledger, loop = doc["ledger"], doc["loop"]
+    ledger["per_member"] = sorted([int(key), samples] for key, samples in ledger["per_member"].items())
+    ledger["cooccur"] = sorted([*map(int, key.split(",")), *cell] for key, cell in ledger["cooccur"].items())
+    loop["reverse_counters"] = sorted([int(key), count] for key, count in loop["reverse_counters"].items())
+    doc["population"]["break_log"] = [
+        [e["generation"], e["dependent"], e["dependee"], e["composite"], e["reversed_at"]]
+        for e in doc["population"]["break_log"]
+    ]
+    return doc
+
+
+def v10_to_v9(doc: dict) -> dict:
+    """The inverse of `v9_to_v10`: a break event's `level_observed` is its
+    composite's order less the base order, as `apply_break` logged it."""
     doc = copy.deepcopy(doc)
     doc["format"] = "sosage-checkpoint-v9"
-    for row in doc["universe"]["structures"]:
-        if row[1] == 1 and len(row) == 7:
-            assert [slot for slot, _ in row[5]] == list(range(len(row[5]))) and row[6] == "tanh"
-            row[5:] = [[index for _, index in row[5]]]
+    ledger, loop = doc["ledger"], doc["loop"]
+    ledger["per_member"] = {str(m): samples for m, samples in ledger["per_member"]}
+    ledger["cooccur"] = {f"{x},{y}": cell for x, y, *cell in ledger["cooccur"]}
+    loop["reverse_counters"] = {str(m): count for m, count in loop["reverse_counters"]}
+    orders = {row[0]: row[1] for row in doc["universe"]["structures"]}
+    base = doc["config"]["problem"]["base_solver_order_r"]
+    doc["population"]["break_log"] = [
+        {"generation": g, "dependent": x, "dependee": y, "composite": z, "level_observed": orders[z] - base,
+         "reversed_at": reversed_at}
+        for g, x, y, z, reversed_at in doc["population"]["break_log"]
+    ]
     return doc
 
 

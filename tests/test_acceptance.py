@@ -231,10 +231,13 @@ def test_criterion_4_break_laws(verdict):
         for ev, order_before in records:
             if ev.reversed_at is not None:
                 continue
-            if ev.level_observed != order_before:
-                violations.append(f"seed {seed}: break observed at level {ev.level_observed}, not {order_before}")
+            # a break at population order n builds a composite of order
+            # base + n, whose edges lie at level n + 1
+            level = u.structural_order(ev.composite) - pop.base_order_r
+            if level != order_before:
+                violations.append(f"seed {seed}: break composite at level {level}, not {order_before}")
             for part in (ev.dependent, ev.dependee):
-                if ev.level_observed + 1 not in u.dependency_levels(ev.composite, part):
+                if level + 1 not in u.dependency_levels(ev.composite, part):
                     violations.append(f"seed {seed}: composite lost a dependency edge")
     elapsed = time.perf_counter() - start
     ok = not violations

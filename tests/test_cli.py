@@ -7,15 +7,18 @@ import json
 import os
 import re
 import sys
+from dataclasses import fields
 from pathlib import Path
 
 import pytest
 
-from sosage.checkpoint import CHECKPOINT_FORMAT, load_checkpoint, save_checkpoint
+from sosage.checkpoint import CHECKPOINT_FORMAT, checkpoint_from_json_dict, load_checkpoint, save_checkpoint
 from sosage.cli import EXIT_BROKEN_PIPE, EXIT_OK, EXIT_UNSOLVED, EXIT_USAGE, EXIT_VERIFY_FAILED, main
 from sosage.harness import OUTPUT_DIR_ENV
+from sosage.invariants import verify
+from sosage.population import BreakEvent
 
-from support import inline_floats, table_floats
+from support import inline_floats, table_floats, v10_to_v9
 from test_digests import CONFIG_DIR
 
 
@@ -105,6 +108,20 @@ class TestRunCommand:
         assert code == EXIT_USAGE
         assert out == "" and err.startswith("error: ") and len(err.splitlines()) == 1
         assert [p.name for p in tmp_path.iterdir()] == ["bad.json"]
+
+    @pytest.mark.parametrize("text,key", [
+        ('{"env": {"name": "xor"}, "roster_size": 20, "roster_size": 30}', "roster_size"),
+        ('{"env": {"name": "xor", "name": "gridnav"}}', "name"),
+    ], ids=["top-level", "nested"])
+    def test_a_key_written_twice_is_usage_error(self, capsys, tmp_path, monkeypatch, text, key):
+        # json alone keeps the last value: the first config once ran with a roster of 30
+        monkeypatch.chdir(tmp_path)
+        path = tmp_path / "twice.json"
+        path.write_text(text)
+        code, out, err = run_cli(capsys, "run", str(path))
+        assert code == EXIT_USAGE
+        assert out == "" and err == f"error: {path}: key '{key}' appears twice in one object\n"
+        assert [p.name for p in tmp_path.iterdir()] == ["twice.json"]
 
     def test_an_integer_beyond_the_digit_limit_names_the_limit(self, capsys, tmp_path):
         path = tmp_path / "long.json"
@@ -199,8 +216,13 @@ def test_a_genome_without_its_bias_fails_genome_shape_alone(capsys, tmp_path):
         capsys, tmp_path, 4, lambda weights: weights[:-1], "has 4 input weights, want 5")
 
 
-def set_break(i, **fields):
-    return lambda doc: doc["population"]["break_log"][i].update(fields)
+def set_break(i, **changes):
+    """Set fields of break event `i`, a row of BreakEvent's fields in order."""
+    def edit(doc):
+        row = doc["population"]["break_log"][i]
+        for k, f in enumerate(fields(BreakEvent)):
+            row[k] = changes.get(f.name, row[k])
+    return edit
 
 
 def swap_breaks(doc):
@@ -211,8 +233,8 @@ def swap_breaks(doc):
 def empty_roster(doc):
     doc["universe"].update(structures=[], depends=[])
     doc["population"].update(members=[], break_log=[])
-    doc["ledger"].update(per_member={}, cooccur={})
-    doc["loop"].update(stall_history=[], reverse_counters={}, solved_at=None)
+    doc["ledger"].update(per_member=[], cooccur=[])
+    doc["loop"].update(stall_history=[], reverse_counters=[], solved_at=None)
 
 
 # the xor seed 7 run breaks at generation 10 and ends at 46; the reversing
@@ -355,7 +377,7 @@ class TestVerifyCommand:
             doc["floats"][row[4][0]] = value
 
         def first_sample(doc, value):
-            doc["floats"][doc["ledger"]["per_member"][min(doc["ledger"]["per_member"])][0]] = value
+            doc["floats"][doc["ledger"]["per_member"][0][1][0]] = value
 
         def long_history(doc, value):
             doc["loop"]["stall_history"] = [value] * (doc["config"]["evolution"]["window_G"] + 1)
@@ -385,8 +407,8 @@ class TestVerifyCommand:
             (set_key("population", "members", 0), "21"),
             (set_key("ledger", "pending"), {}),
             (long_history, 0),
-            (set_key("loop", "reverse_counters"), {"999999": -5}),
-            (set_key("loop", "reverse_counters"), {"1": 0}),
+            (set_key("loop", "reverse_counters"), [[999999, -5]]),
+            (set_key("loop", "reverse_counters"), [[1, 0]]),
         ]
         run_cli(capsys, "run", str(config_path))
         out_dir = tmp_path / "runs"
@@ -407,19 +429,30 @@ class TestVerifyCommand:
         run_cli(capsys, "run", str(config_path))
         out_dir = tmp_path / "runs"
         path = out_dir / "checkpoint-0-final.json"
-        # a v8 file wrote each output weight beside its slot, and the activation
-        v8 = json.loads(path.read_text())
+        text = path.read_text()
+
+        def v8_layout(doc):
+            # a v9 file keyed the ledger tables and the reverse counters by
+            # decimal ids, and wrote each break event as an object with its
+            # level; a v8 file also wrote each output weight beside its slot,
+            # and the activation
+            doc = v10_to_v9(doc)
+            for row in doc["universe"]["structures"]:
+                if row[1] == 1:
+                    row[5:] = [list(map(list, enumerate(row[5]))), "tanh"]
+            return doc
+
+        v9 = v10_to_v9(json.loads(text))
+        v8 = v8_layout(json.loads(text))
         v8["format"] = "sosage-checkpoint-v8"
-        for row in v8["universe"]["structures"]:
-            if row[1] == 1:
-                row[5:] = [list(map(list, enumerate(row[5]))), "tanh"]
         # a v7 file also kept a pending-levels table in the ledger
         v7 = json.loads(json.dumps(v8))
         v7["format"] = "sosage-checkpoint-v7"
         v7["ledger"]["pending"] = {}
         # a v6 file wrote each float in its slot
-        v6 = inline_floats(v7)
+        v6 = v8_layout(inline_floats(json.loads(text)))
         v6["format"] = "sosage-checkpoint-v6"
+        v6["ledger"]["pending"] = {}
         # a v5 file wrote each structure row as an object and each float as a
         # "%.17g" string
         v5 = json.loads(json.dumps(v6))
@@ -455,17 +488,17 @@ class TestVerifyCommand:
         v2["format"] = "sosage-checkpoint-v2"
         v2["ledger"]["top_m"] = v2["config"]["evolution"]["top_m"]
         v2["population"]["population_limit"] = v2["config"]["population_limit"]
-        for doc in (v2, v3, v4, v5, v6, v7, v8):
+        for doc in (v2, v3, v4, v5, v6, v7, v8, v9):
             path.write_text(json.dumps(doc))
             before = sorted(p.name for p in out_dir.iterdir())
             code, out, err = run_cli(capsys, command, str(path))
             assert code == EXIT_USAGE
-            assert out == "" and err == "error: not a sosage-checkpoint-v9 document\n"
+            assert out == "" and err == "error: not a sosage-checkpoint-v10 document\n"
             assert sorted(p.name for p in out_dir.iterdir()) == before
 
     @pytest.mark.parametrize("command", ["verify", "inspect", "resume"])
     def test_interaction_edges_beside_the_structures_are_usage_error(self, config_path, capsys, tmp_path, command):
-        # v4's universe.interacts under the v9 marker: the relation is derived, never read
+        # v4's universe.interacts under the v10 marker: the relation is derived, never read
         run_cli(capsys, "run", str(config_path))
         out_dir = tmp_path / "runs"
         path = out_dir / "checkpoint-0-gen2.json"
@@ -509,6 +542,42 @@ class TestVerifyCommand:
         code, out, err = run_cli(capsys, command, str(path))
         assert code == EXIT_USAGE
         assert out == "" and err == f"error: {path}: an integer has more than 4300 digits\n"
+        assert sorted(p.name for p in out_dir.iterdir()) == before
+
+    @pytest.mark.parametrize("command", ["verify", "inspect", "resume"])
+    def test_a_key_written_twice_is_usage_error(self, config_path, capsys, tmp_path, command):
+        # json alone keeps the last value, and the file would load and verify
+        run_cli(capsys, "run", str(config_path))
+        out_dir = tmp_path / "runs"
+        text, edits = re.subn(r'"generation":2\b', '"generation":3,"generation":2',
+                              (out_dir / "checkpoint-0-gen2.json").read_text())
+        assert edits == 1
+        assert verify(checkpoint_from_json_dict(json.loads(text))).passed
+        path = tmp_path / "edited.json"
+        path.write_text(text)
+        before = sorted(p.name for p in out_dir.iterdir())
+        code, out, err = run_cli(capsys, command, str(path))
+        assert code == EXIT_USAGE
+        assert out == "" and err == f"error: {path}: key 'generation' appears twice in one object\n"
+        assert sorted(p.name for p in out_dir.iterdir()) == before
+
+    @pytest.mark.parametrize("command", ["verify", "inspect", "resume"])
+    def test_a_generation_past_the_budget_is_usage_error(self, config_path, capsys, tmp_path, command):
+        # a final checkpoint is written at the budget at most; this one once
+        # verified, and resume wrote checkpoint-0-from1000000-final.json
+        run_cli(capsys, "run", str(config_path))
+        out_dir = tmp_path / "runs"
+        doc = json.loads((out_dir / "checkpoint-0-final.json").read_text())
+        assert doc["generation"] == doc["config"]["evolution"]["max_generations"] == 4
+        doc["generation"] = 10**6
+        path = tmp_path / "edited.json"
+        path.write_text(json.dumps(doc))
+        before = sorted(p.name for p in out_dir.iterdir())
+        code, out, err = run_cli(capsys, command, str(path))
+        assert code == EXIT_USAGE
+        assert out == "" and err == (
+            "error: malformed checkpoint: ValueError: generation 1000000 is outside 0..max_generations 4\n"
+        )
         assert sorted(p.name for p in out_dir.iterdir()) == before
 
     @pytest.mark.parametrize("command", ["verify", "inspect", "resume"])

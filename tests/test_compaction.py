@@ -79,8 +79,7 @@ def test_live_set_is_roster_and_break_log_closed_under_constituents():
     cd = u.construct({c, d})
     pop = Population(members=[top, e], base_order_r=1, pop_order_n=3, population_limit=8)
     assert live_structures(u, pop) == {top, ab, a, b, c, e}
-    pop.break_log.append(BreakEvent(generation=0, dependent=c, dependee=d, composite=cd,
-                                    level_observed=1, reversed_at=1))
+    pop.break_log.append(BreakEvent(generation=0, dependent=c, dependee=d, composite=cd, reversed_at=1))
     assert live_structures(u, pop) == {top, ab, a, b, c, e, cd, d}
 
 

@@ -11,10 +11,11 @@ reference run, an unsolved gridnav_comp run, an XOR run whose loose break
 settings make it break and reverse, and XOR seed 13. Their configs keep
 `output_dir: "runs"`, since the embedded config is part of the bytes; the
 files go to a temporary directory through SOSAGE_OUTPUT_DIR instead. A new
-checkpoint format re-pins them by a stated rule: the v9 pins are the v8
-files passed through `support.v8_to_v9` (set the format to v9, write each
-genome's output weights as a plain list of indices, drop its activation)
-and re-encoded as the writer encodes.
+checkpoint format re-pins them by a stated rule: the v10 pins are the v9
+files passed through `support.v9_to_v10` (set the format to v10, write the
+per_member, cooccur and reverse_counters objects as rows sorted by integer
+id, and each break event as a row without its level) and re-encoded as the
+writer encodes.
 
 XOR seed 13 solves at generation 1 at order 1, so nothing compacts its
 ledger after the second whole-roster tally: its final checkpoint holds all
@@ -71,12 +72,12 @@ GRIDNAV_COMP = {
 # (config, seed, evolution changes) -> final checkpoint digest
 REVERSING = {"dependency_delta": 0.05, "window_G": 2, "min_cooccur_samples": 2, "break_warmup": 0}
 CHECKPOINTS = [
-    ("xor.json", 7, {}, "700abac53f0db6c77fcbc5694f998b270f4b40546af2ba7cda82684b33bf3a52"),
+    ("xor.json", 7, {}, "72cd4a59a81afe333735c04cb48f7ae6defca29a1012a2722b87d4eef121e171"),
     ("gridnav_comp.json", 9, {"max_generations": 150},
-     "750f478ce3ff6904e395fe2ab61144b8dde1faa046b8f8a37ac627138faf54f0"),
+     "5b8442e6b07464804505343e4d9facd12276c800c2ed8a8dd74a5fe7057a4ae4"),
     ("xor.json", 1, {**REVERSING, "max_generations": 120},
-     "0867fa6c259c9035938ad757f59b3ad31f3615ae142cddfeb00e3bf72a5011de"),
-    ("xor.json", 13, {}, "b1e5d57303ab8ad712622d7178f3a8c456eb3a70b6c1ffb51e04dfd7addd8a7b"),
+     "de3db01fb3cc45a976f1f4dd8d77a2b124934322bf99499a6a6fc82a52353744"),
+    ("xor.json", 13, {}, "51ab4eb22744dc833475f7bf9034a7bf7f29cb314e9772240a5dd8f42f6560bf"),
 ]
 
 

@@ -57,7 +57,7 @@ from sosage.invariants import verify
 from sosage.population import BreakEvent, ProblemSpec
 from sosage.symbio import CooccurCell, EvolutionConfig, GenerationRow, NeuronGene, run_symbiosis
 
-from support import edge_graph, float_slots, has_cycle, inline_floats, table_floats, v8_to_v9
+from support import edge_graph, float_slots, has_cycle, inline_floats, table_floats, v9_to_v10, v10_to_v9
 
 ROOT = Path(__file__).resolve().parent.parent
 CONFIG_DIR = ROOT / "configs"
@@ -894,39 +894,41 @@ class TestVerify:
     def test_fabricated_break_event_detected(self, finished_run):
         def mutate(c):
             c.state.pop.break_log.append(
-                BreakEvent(generation=0, dependent=0, dependee=1,
-                           composite=12345, level_observed=1)
+                BreakEvent(generation=0, dependent=0, dependee=1, composite=12345)
             )
         result = self.corrupt(finished_run, mutate)
         failures = {r.name: r.detail for r in result.failures()}
         assert failures == {"break-log": "break composite 12345 missing"}
 
     @pytest.mark.parametrize("shift", [1, -1])
-    def test_a_break_event_off_its_level_fails_break_log_alone(self, tmp_path, capsys, shift):
+    def test_a_break_composite_off_its_edge_level_fails_break_log_alone(self, tmp_path, capsys, shift):
+        # the edges of a break at population order n lie at level n + 1, and
+        # its composite has order base + n: the level follows from the order
         doc = valid_checkpoint_doc()
-        event = doc["population"]["break_log"][0]
-        z, x, y = event["composite"], event["dependent"], event["dependee"]
+        _, x, y, z, _ = doc["population"]["break_log"][0]
         order = next(row[1] for row in doc["universe"]["structures"] if row[0] == z)
-        event["level_observed"] += shift
+        level = order - doc["config"]["problem"]["base_solver_order_r"] + 1
+        edges = [edge for edge in doc["universe"]["depends"] if edge[0] == z]
+        assert sorted(edges) == [[z, x, level], [z, y, level]]
+        for edge in edges:
+            edge[2] += shift
         path = tmp_path / "corrupted.json"
         path.write_text(json.dumps(doc))
         assert main(["verify", str(path)]) == EXIT_VERIFY_FAILED
         failed = [line for line in capsys.readouterr().out.splitlines() if not line.startswith("pass  ")]
-        level = event["level_observed"] + 1
         assert failed == [
             f"FAIL  break-log  (break composite {z} lacks the level-{level} dependency on {x}; "
-            f"break composite {z} lacks the level-{level} dependency on {y}; "
-            f"break composite {z} order {order} off its level)"
+            f"break composite {z} lacks the level-{level} dependency on {y})"
         ]
 
     def test_a_reverse_counter_off_a_standing_break_composite_fails_break_log_alone(self):
         doc = valid_checkpoint_doc()
-        event = doc["population"]["break_log"][0]
-        assert event["reversed_at"] is None
-        doc["loop"]["reverse_counters"] = {str(event["composite"]): 3}
+        _, dependent, _, composite, reversed_at = doc["population"]["break_log"][0]
+        assert reversed_at is None
+        doc["loop"]["reverse_counters"] = [[composite, 3]]
         assert verify(checkpoint_from_json_dict(doc)).passed
-        for stray in (event["dependent"], 99999):
-            doc["loop"]["reverse_counters"] = {str(event["composite"]): 3, str(stray): 1}
+        for stray in (dependent, 99999):
+            doc["loop"]["reverse_counters"] = [[composite, 3], [stray, 1]]
             failures = {r.name: r.detail for r in verify(checkpoint_from_json_dict(doc)).failures()}
             assert failures == {"break-log": f"reverse counter on {stray}, no composite of an un-reversed break"}
 
@@ -1006,17 +1008,16 @@ JSON_VALUES = st.recursive(
 )
 
 
-ANY = "*"  # a list index, or a key of a dict keyed by ids ("12", "3,4")
+ANY = "*"  # a list index
 ENTRY = "@"  # the floats table entry that the float slot before it names
 
 
 def schema_paths(node, prefix=()) -> set:
-    """Every path into the document with list indices and id keys written
-    as ANY, so each field of the format is one path however many rows
-    the document has."""
+    """Every path into the document with list indices written as ANY, so
+    each field of the format is one path however many rows the document
+    has."""
     if isinstance(node, dict):
-        by_id = bool(node) and all(re.fullmatch(r"[\d,]+", k) for k in node)
-        children = [(ANY if by_id else k, v) for k, v in node.items()]
+        children = list(node.items())
     elif isinstance(node, list):
         children = [(ANY, v) for v in node]
     else:
@@ -1041,15 +1042,11 @@ def resolve(doc, path):
 
 
 def edit(doc, path, value) -> None:
-    """Set the field at `path`, or delete it when `value` is KeyError. ANY
-    picks the row with the lowest key; ENTRY moves to the floats table
-    entry that the slot before it names."""
+    """Set the field at `path`, or delete it when `value` is KeyError. ENTRY
+    moves to the floats table entry that the slot before it names."""
     concrete = ()
     for key in path:
-        if key == ENTRY:
-            concrete = ("floats", resolve(doc, concrete))
-        else:
-            concrete += (min(resolve(doc, concrete)) if key == ANY else key,)
+        concrete = ("floats", resolve(doc, concrete)) if key == ENTRY else concrete + (key,)
     parent = resolve(doc, concrete[:-1])
     if value is KeyError:
         del parent[concrete[-1]]
@@ -1131,12 +1128,18 @@ def round_trip(ckpt: Checkpoint) -> Checkpoint:
 class TestCheckpointCodec:
     def test_departures_that_change_no_fact_load_as_the_written_document(self):
         doc = valid_checkpoint_doc()
+        first, second = sorted(doc["population"]["members"])[:2]
+        doc["loop"]["reverse_counters"] = [[first, 1], [second, 2]]
         edited = json.loads(json.dumps(doc))
         universe = edited["universe"]
         universe["structures"].reverse()
         for row in universe["structures"]:
             row[2] = row[2][::-1] * 2
         universe["depends"] = universe["depends"][::-1] * 2
+        # the id-sorted tables load the same in any row order
+        for table in (edited["ledger"]["per_member"], edited["ledger"]["cooccur"], edited["loop"]["reverse_counters"]):
+            assert len(table) > 1
+            table.reverse()
         assert edited != doc
         assert checkpoint_to_json_dict(checkpoint_from_json_dict(edited)) == doc
 
@@ -1209,16 +1212,15 @@ class TestCheckpointCodec:
         assert {type(node[i]) for node, i in float_slots(v6)} == {float}
         assert table_floats(v6) == doc
 
-    def test_the_file_is_its_v8_layout_through_the_stated_transform(self):
-        # v8 wrote each output weight as a [slot, index] pair on the slot of
-        # its position, and the activation after them
+    def test_the_file_is_its_v9_layout_through_the_stated_transform(self):
+        # v9 keyed the ledger tables and the reverse counters by decimal ids,
+        # and wrote each break event as an object with the population order
+        # it was observed at
         doc = valid_checkpoint_doc()
-        v8 = json.loads(json.dumps(doc))
-        v8["format"] = "sosage-checkpoint-v8"
-        for row in v8["universe"]["structures"]:
-            if row[1] == 1:
-                row[5:] = [[[k, index] for k, index in enumerate(row[5])], "tanh"]
-        assert v8_to_v9(v8) == doc
+        doc["loop"]["reverse_counters"] = [[doc["population"]["break_log"][0][3], 2]]
+        v9 = v10_to_v9(doc)
+        assert v9["population"]["break_log"][0]["level_observed"] == 1
+        assert v9_to_v10(v9) == doc
 
     def test_next_id_survives_dropping_the_highest_id(self):
         ckpt = checkpoint_from_json_dict(valid_checkpoint_doc())
@@ -1402,16 +1404,18 @@ class TestMalformedCheckpoints:
             (("universe", "next_id"), KeyError),
             (("universe", "next_id"), 0),
             (("population", "members"), 5),
-            (("population", "break_log", 0, "composite"), None),
+            # a break event is [generation, dependent, dependee, composite, reversed_at]
+            (("population", "break_log", 0, 3), None),
             # a structure row is [id, order, constituents, tag], then on a
             # primitive [in_weights, out_weights]
             (("universe", "structures", 0, 3), 3),
             (("universe", "structures", 0, 4), ["x"]),
             (("universe", "depends"), {"abc": 1}),
             (("ledger", "cooccur"), [1, 2]),
-            (("ledger", "cooccur"), {"1,2,3": [1, 0, 0, 0]}),
-            (("ledger", "per_member"), {"1": ["x"]}),
-            (("loop", "reverse_counters"), {"a": 1}),
+            # v9 keyed these tables by decimal ids
+            (("ledger", "cooccur"), {"1,2": [1, 0, 0, 0]}),
+            (("ledger", "per_member"), {"1": [0]}),
+            (("loop", "reverse_counters"), {"1": 1}),
             (("loop", "stall_history"), [[]]),
             (("loop", "solved_at"), 1e400),
             # a periodic checkpoint comes before the solve, a final one after it
@@ -1420,8 +1424,8 @@ class TestMalformedCheckpoints:
             (("loop", "solved_at"), 6),  # the document's own generation
             # the loop keeps at most window_G (4) of history and no counter below 1
             (("loop", "stall_history"), [0] * 5),
-            (("loop", "reverse_counters"), {"1": 0}),
-            (("loop", "reverse_counters"), {"999999": -5}),
+            (("loop", "reverse_counters"), [[1, 0]]),
+            (("loop", "reverse_counters"), [[999999, -5]]),
             # a string where a list is iterated is refused, never read
             # character by character
             (("universe", "structures", 0, 4), "12345"),
@@ -1429,8 +1433,11 @@ class TestMalformedCheckpoints:
             (("universe", "structures", 0, 2), "12"),
             (("universe", "structures", 0), "123456"),
             (("universe", "depends", 0), "123"),
-            (("ledger", "per_member", ANY), "12"),
-            (("ledger", "cooccur", ANY), "1234"),
+            (("ledger", "per_member", 0), "12"),
+            (("ledger", "per_member", 0, 1), "12"),
+            (("ledger", "cooccur", 0), "123456"),
+            (("loop", "reverse_counters"), ["12"]),
+            (("population", "break_log", 0), "12345"),
             (("population", "members"), "12"),
             (("loop", "stall_history"), "12"),
             # a scalar is read only in the form the writer gives it: a float
@@ -1441,19 +1448,19 @@ class TestMalformedCheckpoints:
             (("universe", "structures", 0, 4, 0, ENTRY), 1),
             (("universe", "structures", 0, 5, 0, ENTRY), "0.5"),
             (("universe", "structures", 0, 5, 0, ENTRY), math.inf),
-            (("ledger", "per_member", ANY, 0, ENTRY), math.inf),
-            (("ledger", "per_member", ANY, 0, ENTRY), "0.5"),
+            (("ledger", "per_member", 0, 1, 0, ENTRY), math.inf),
+            (("ledger", "per_member", 0, 1, 0, ENTRY), "0.5"),
             (("floats", -1), 1e400),
             (("floats", -1), 0),
             # each float slot is an index: an int, no bool, inside the table
             (("universe", "structures", 0, 4, 0), True),
-            (("ledger", "cooccur", ANY, 3), False),
-            (("ledger", "per_member", ANY, 0), 0.0),
+            (("ledger", "cooccur", 0, 5), False),
+            (("ledger", "per_member", 0, 1, 0), 0.0),
             (("universe", "structures", 0, 5, 0), 1.0),
             (("universe", "structures", 0, 4, 0), -1),
             (("loop", "stall_history"), [-1]),
-            (("ledger", "cooccur", ANY, 1), 10**6),
-            (("ledger", "per_member", ANY, 0), "0"),
+            (("ledger", "cooccur", 0, 3), 10**6),
+            (("ledger", "per_member", 0, 1, 0), "0"),
             (("floats",), {"0": 0.5}),
             (("generation",), "7"),
             (("generation",), 7.9),
@@ -1461,24 +1468,23 @@ class TestMalformedCheckpoints:
             (("generation",), -3),  # the writer never writes a negative generation
             (("population", "pop_order_n"), 1.5),
             (("population", "members", 0), "21"),
-            (("population", "break_log", 0, "reversed_at"), 2.5),
-            (("ledger", "per_member"), {"+3": [0]}),
-            (("ledger", "per_member"), {"03": [0]}),
-            # a co-occurrence cell is [both_count, both_total, solo_count,
-            # solo_total], the totals indices of floats; a v3 object cell is
-            # refused
-            (("ledger", "cooccur", ANY), [1, 0, 0]),
-            (("ledger", "cooccur", ANY), [1, 0, 0, 0, 0]),
-            (("ledger", "cooccur", ANY), {"with_both": [1, 1.0], "with_x_only": [0, 0.0]}),
-            (("ledger", "cooccur", ANY, 0), True),
-            (("ledger", "cooccur", ANY, 2), 1.0),
-            (("ledger", "cooccur", ANY, 1, ENTRY), "1.5"),
-            (("ledger", "cooccur", ANY, 1, ENTRY), 0),
-            (("ledger", "cooccur", ANY, 3, ENTRY), math.nan),
+            (("population", "break_log", 0, 4), 2.5),
+            (("population", "break_log", 0, 0), True),
+            (("loop", "reverse_counters"), [[1, 1.0]]),
+            # a co-occurrence row is [x, y, both_count, both_total,
+            # solo_count, solo_total], the totals indices of floats; a v9
+            # cell without its pair and a v3 object cell are refused
+            (("ledger", "cooccur", 0), [1, 0, 0, 0]),
+            (("ledger", "cooccur", 0), {"with_both": [1, 1.0], "with_x_only": [0, 0.0]}),
+            (("ledger", "cooccur", 0, 2), True),
+            (("ledger", "cooccur", 0, 4), 1.0),
+            (("ledger", "cooccur", 0, 3, ENTRY), "1.5"),
+            (("ledger", "cooccur", 0, 3, ENTRY), 0),
+            (("ledger", "cooccur", 0, 5, ENTRY), math.nan),
             # every key the writer writes is required
             (("loop", "solved_at"), KeyError),
             (("floats",), KeyError),
-            (("population", "break_log", 0, "reversed_at"), KeyError),
+            (("population", "break_log", 0, 4), KeyError),
             (("universe", "structures", 0, 3), KeyError),
             # a dependency edge is exactly [dependent, dependee, level]
             (("universe", "depends", 0), [19, 8]),
@@ -1487,7 +1493,7 @@ class TestMalformedCheckpoints:
             # held, not an extra key on any object
             (("ledger", "top_m"), 1),
             (("population", "population_limit"), 3),
-            (("population", "break_log", 0, "extra"), 1),
+            (("population", "break_log", 0), {"generation": 5}),  # a v9 event object
             (("universe", "extra"), 1),
             (("universe", "interacts"), []),  # a v4 key: interaction edges are derived
             (("ledger", "pending"), {}),  # a v7 key: the loop keeps no pending levels
@@ -1525,14 +1531,14 @@ class TestMalformedCheckpoints:
     def test_a_non_finite_json_number_is_a_parse_error(self, tmp_path, literal):
         # json reads each of these as a float, so the finite check must refuse it
         doc = valid_checkpoint_doc()
-        doc["floats"][doc["ledger"]["cooccur"][min(doc["ledger"]["cooccur"])][1]] = "TOTAL"
+        doc["floats"][doc["ledger"]["cooccur"][0][3]] = "TOTAL"
         edited = tmp_path / "edited.json"
         edited.write_text(json.dumps(doc).replace('"TOTAL"', literal))
         with pytest.raises(ParseError, match="malformed checkpoint: ValueError: floats must hold finite numbers only"):
             load_checkpoint(edited)
 
     @pytest.mark.parametrize("slot", [
-        ("universe", "structures", 0, 4, 0), ("universe", "structures", 0, 5, 0), ("ledger", "cooccur", ANY, 3),
+        ("universe", "structures", 0, 4, 0), ("universe", "structures", 0, 5, 0), ("ledger", "cooccur", 0, 5),
     ])
     @pytest.mark.parametrize("index", [lambda n: -1, lambda n: -n, lambda n: n, lambda n: n + 1, lambda n: True])
     def test_an_index_must_name_an_entry_of_the_table(self, slot, index):
@@ -1540,7 +1546,7 @@ class TestMalformedCheckpoints:
         # true as 1; the refusal names the index, not an entry left unused
         doc = valid_checkpoint_doc()
         edit(doc, slot, index(len(doc["floats"])))
-        with pytest.raises(ParseError, match="(is no index into|names an index outside) the floats table|of int$"):
+        with pytest.raises(ParseError, match="names an index outside the floats table|of int$|writes an int$"):
             checkpoint_from_json_dict(doc)
 
     def test_an_entry_no_slot_names_is_a_parse_error(self):
@@ -1569,6 +1575,68 @@ class TestMalformedCheckpoints:
         rows.append(rows[0][:3] + ["impostor"] + rows[0][4:])
         with pytest.raises(ParseError, match=f"structure {rows[0][0]} is listed twice"):
             checkpoint_from_json_dict(doc)
+
+    @staticmethod
+    def table_doc() -> tuple[dict, dict]:
+        """The valid document with a reverse counter on its break composite,
+        and its four row tables by name."""
+        doc = valid_checkpoint_doc()
+        doc["loop"]["reverse_counters"] = [[doc["population"]["break_log"][0][3], 2]]
+        tables = {"per_member": doc["ledger"]["per_member"], "cooccur": doc["ledger"]["cooccur"],
+                  "reverse_counters": doc["loop"]["reverse_counters"], "break_log": doc["population"]["break_log"]}
+        assert verify(checkpoint_from_json_dict(doc)).passed
+        return doc, tables
+
+    @staticmethod
+    def refusal(doc: dict) -> str:
+        with pytest.raises(ParseError) as refused:
+            checkpoint_from_json_dict(doc)
+        return str(refused.value)
+
+    @pytest.mark.parametrize("table", ["per_member", "cooccur", "reverse_counters"])
+    @pytest.mark.parametrize("value", ["3", 3.0, True], ids=["str", "float", "bool"])
+    def test_an_id_that_is_no_json_integer_is_a_parse_error(self, table, value):
+        doc, tables = self.table_doc()
+        tables[table][0][0] = value
+        kind = type(value).__name__
+        assert self.refusal(doc) == (
+            f"malformed checkpoint: TypeError: a {table} row holds a {kind} where the writer writes an int"
+        )
+
+    @pytest.mark.parametrize(
+        "table,width", [("per_member", 2), ("cooccur", 6), ("reverse_counters", 2), ("break_log", 5)]
+    )
+    @pytest.mark.parametrize("change", [-1, 1], ids=["short", "long"])
+    def test_a_row_of_the_wrong_length_is_a_parse_error(self, table, width, change):
+        # a long break_log row is a v9 event with its level observed
+        doc, tables = self.table_doc()
+        row = tables[table][0]
+        tables[table][0] = row[:-1] if change < 0 else row[:-1] + [1, row[-1]]
+        assert self.refusal(doc) == (
+            f"malformed checkpoint: ValueError: a {table} row has {width + change} items, not {width}"
+        )
+
+    @pytest.mark.parametrize("table,key", [("per_member", "id"), ("cooccur", "pair"), ("reverse_counters", "id")])
+    def test_an_id_listed_twice_is_a_parse_error(self, table, key):
+        # json keeps the last of two equal keys, so v9 could not see this;
+        # the second row holds other values, so neither row may win
+        doc, tables = self.table_doc()
+        rows = tables[table]
+        keyed = 2 if key == "pair" else 1
+        twice = rows[0][:keyed]
+        rows.append(twice + (rows[1][keyed:] if len(rows) > 1 else [3]))
+        shown = tuple(twice) if key == "pair" else twice[0]
+        assert self.refusal(doc) == f"malformed checkpoint: ValueError: {table} lists {key} {shown} twice"
+
+    def test_a_generation_past_the_budget_is_a_parse_error(self):
+        doc = valid_checkpoint_doc()
+        budget = doc["config"]["evolution"]["max_generations"]
+        doc["generation"] = budget
+        checkpoint_from_json_dict(doc)  # a final checkpoint is written at the budget at most
+        doc["generation"] = budget + 1
+        assert self.refusal(doc) == (
+            f"malformed checkpoint: ValueError: generation {budget + 1} is outside 0..max_generations {budget}"
+        )
 
     @settings(max_examples=200, deadline=None)
     @given(data=st.data())
@@ -1635,13 +1703,15 @@ def corrupted_checkpoint_docs(draw):
         elif kind == "member":
             doc["population"]["members"].append(draw(any_id))
         elif kind == "ledger key":
+            # a row for a key the table holds already takes that row's place
             x, y = draw(any_id), draw(any_id)
             if draw(st.sampled_from(["per_member", "cooccur"])) == "per_member":
-                ledger["per_member"][str(x)] = [1.0]
+                ledger["per_member"] = [row for row in ledger["per_member"] if row[0] != x] + [[x, [1.0]]]
             else:
-                ledger["cooccur"][f"{x},{y}"] = [1, 1.0, 0, 0.0]
+                ledger["cooccur"] = [row for row in ledger["cooccur"] if row[:2] != [x, y]] + [[x, y, 1, 1.0, 0, 0.0]]
         elif kind == "reverse counter":
-            doc["loop"]["reverse_counters"][str(draw(any_id))] = draw(st.integers(1, 3))
+            x, counters = draw(any_id), doc["loop"]["reverse_counters"]
+            doc["loop"]["reverse_counters"] = [row for row in counters if row[0] != x] + [[x, draw(st.integers(1, 3))]]
         else:
             # the row keeps the shape the reader wants: a genome on order 1 only
             row = rows[draw(known)]

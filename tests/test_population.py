@@ -181,13 +181,14 @@ class TestApplyBreak:
         with pytest.raises(PreconditionViolated):
             apply_break(universe, pop, c, z, generation=1)
 
-    def test_event_logged_with_level_observed(self, universe):
+    def test_event_logged_with_its_pair_and_composite(self, universe):
         pop = make_pop(universe)
         a, b = pop.members[0], pop.members[1]
         apply_break(universe, pop, a, b, generation=7)
         ev = pop.break_log[-1]
-        assert (ev.generation, ev.dependent, ev.dependee) == (7, a, b)
-        assert ev.level_observed == 1
+        assert (ev.generation, ev.dependent, ev.dependee, ev.composite) == (7, a, b, pop.members[-1])
+        # the level is no field of the event: the composite's order gives it
+        assert universe.structural_order(ev.composite) == pop.base_order_r + 1
         assert ev.reversed_at is None
 
     def test_non_roster_pair_rejected(self, universe):
