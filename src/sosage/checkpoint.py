@@ -27,7 +27,7 @@ from .config import (
     config_to_json_dict,
     echo_digest,
 )
-from .errors import DigestMismatch, ParseError, SosageError
+from .errors import ParseError, SosageError
 from .hyperstruct import Structure, Universe
 from .population import BreakEvent, Population, StallDetector
 from .symbio import CooccurCell, FitnessLedger, LoopState, NeuronGene
@@ -280,7 +280,7 @@ def _checkpoint_from_doc(doc: Mapping[str, Any]) -> Checkpoint:
     config = config_from_dict(doc["config"])
     stored = doc.get("config_digest", "")
     if config_digest(config) != stored:
-        raise DigestMismatch("embedded config does not match its stored digest")
+        raise SosageError("embedded config does not match its stored digest")
     # settings come from the digested config only
     evo = config.evolution
     loop = doc["loop"]

@@ -30,7 +30,7 @@ from itertools import repeat
 from operator import add
 from typing import Callable, Mapping, Sequence
 
-from .errors import InvalidAction, ValidationError
+from .errors import SosageError, ValidationError
 
 ENV_NAMES = ("xor", "gridnav", "gridnav-compositional")
 
@@ -87,7 +87,7 @@ class XorEnv:
 
     def step(self, state, action: int):
         if action not in (0, 1):
-            raise InvalidAction(f"xor action must be 0 or 1, got {action}")
+            raise SosageError(f"xor action must be 0 or 1, got {action}")
         target = 1 if (state[0] > 0.0) != (state[1] > 0.0) else 0
         return state, (1.0 if action == target else 0.0), True
 
@@ -222,7 +222,7 @@ class GridNavEnv:
     def step(self, state, action: int):
         """One move, read from the move table."""
         if not 0 <= action < 4:
-            raise InvalidAction(f"gridnav action must be in 0..3, got {action}")
+            raise SosageError(f"gridnav action must be in 0..3, got {action}")
         x, y, steps, subgoal_done = state
         nx, ny, subgoal_done, reward, on_goal = self._moves[x, y, subgoal_done][action]
         steps += 1

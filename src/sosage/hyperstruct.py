@@ -19,13 +19,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Any, Callable, Iterable
 
-from .errors import (
-    EmptyConstituents,
-    NotComposite,
-    OrderCapExceeded,
-    OrderGapViolation,
-    UnknownStructure,
-)
+from .errors import SosageError
 
 StructureId = int
 
@@ -93,7 +87,7 @@ class Universe:
         try:
             return self.structures[structure_id]
         except KeyError:
-            raise UnknownStructure(f"unknown structure id {structure_id}") from None
+            raise SosageError(f"unknown structure id {structure_id}") from None
 
     def _fresh_id(self) -> StructureId:
         i = self.next_id
@@ -126,11 +120,11 @@ class Universe:
         """
         members = frozenset(constituents)
         if not members:
-            raise EmptyConstituents("construct() requires at least one constituent")
+            raise SosageError("construct() requires at least one constituent")
         orders = [self.get(c).order for c in sorted(members)]
         order = 1 + max(orders)
         if order > self.max_order:
-            raise OrderCapExceeded(
+            raise SosageError(
                 f"constructing order {order} exceeds max_order {self.max_order}"
             )
         i = self._fresh_id()
@@ -182,7 +176,7 @@ class Universe:
         if level < 1:
             raise ValueError("dependency level must be >= 1")
         if gap != 1:
-            raise OrderGapViolation(
+            raise SosageError(
                 f"direct dependency {dependent} <- {dependee} spans order gap {gap}; "
                 "direct edges must span exactly 1"
             )
@@ -210,7 +204,7 @@ class Universe:
         below on none of its constituents."""
         s = self.get(structure_id)
         if s.order < 2:
-            raise NotComposite(f"structure {structure_id} has order 1; emergence needs order >= 2")
+            raise SosageError(f"structure {structure_id} has order 1; emergence needs order >= 2")
         def shows(i: StructureId, level: int) -> bool:
             return any(r.property == property_name for r in self.observe(i, level))
 

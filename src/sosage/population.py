@@ -14,13 +14,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Any, Iterable, Optional, Sequence
 
-from .errors import (
-    AlreadyReversed,
-    EmptyPopulation,
-    LimitExceeded,
-    NotAComposite,
-    PreconditionViolated,
-)
+from .errors import LimitExceeded, SosageError
 from .hyperstruct import StructureId, Universe
 
 
@@ -95,7 +89,7 @@ def init_population(
     """Wrap each genome as an order-1 primitive, chained up to order r when the
     base solver order is above 1."""
     if not genomes:
-        raise EmptyPopulation("at least one genome is required")
+        raise SosageError("at least one genome is required")
     if len(genomes) > limit:
         raise LimitExceeded(f"{len(genomes)} genomes exceed population limit {limit}")
     members: list[StructureId] = []
@@ -164,7 +158,7 @@ def apply_break(
         or universe.structural_order(x) != top
         or universe.structural_order(y) != top
     ):
-        raise PreconditionViolated(
+        raise SosageError(
             f"apply_break({x}, {y}) without a qualifying pair at order {top}"
         )
     n = pop.pop_order_n
@@ -196,9 +190,9 @@ def apply_reverse_break(
             event = e
             break
     if event is None or composite not in pop.members:
-        raise NotAComposite(f"structure {composite} is not an active break composite")
+        raise SosageError(f"structure {composite} is not an active break composite")
     if event.reversed_at is not None:
-        raise AlreadyReversed(f"composite {composite} was reversed at generation {event.reversed_at}")
+        raise SosageError(f"composite {composite} was reversed at generation {event.reversed_at}")
     restored = [c for c in sorted(universe.get(composite).constituents) if c not in pop.members]
     new_size = len(pop.members) - 1 + len(restored)
     if new_size > pop.population_limit:

@@ -18,13 +18,7 @@ from functools import lru_cache, reduce
 from operator import add
 from typing import Callable, Collection, Iterable, Optional, Sequence
 
-from .errors import (
-    DimensionMismatch,
-    LimitExceeded,
-    NoScores,
-    RosterTooSmall,
-    UnevaluatedAssembly,
-)
+from .errors import LimitExceeded, SosageError
 from .hyperstruct import StructureId, Universe
 from .population import (
     Population,
@@ -306,7 +300,7 @@ class EvolutionConfig:
     seed: int = field(
         default=0, metadata={"low": 0, "high": 2**64 - 1, "rule": "be an unsigned 64-bit integer"}
     )
-    w_max: float = field(default=5.0, metadata={"above": 0})
+    w_max: float = field(default=5.0, metadata={"low": 1})  # random_genome draws in [-1, 1), unclamped
 
 
 # ---------------------------------------------------------------------------
@@ -329,7 +323,7 @@ def assemble(
     roster = list(pop.members)
     k = config.network_size
     if len(roster) < k:
-        raise RosterTooSmall(f"roster of {len(roster)} cannot fill networks of size {k}")
+        raise SosageError(f"roster of {len(roster)} cannot fill networks of size {k}")
     order = [roster[i] for i in rng.permutation(len(roster))]
     cover = min(-(-len(roster) // k), config.assemblies_per_generation)  # ceil
     chunks = [order[a * k: (a + 1) * k] for a in range(cover)]
@@ -346,12 +340,12 @@ def evaluate(assembly: Assembly, env, episodes: int) -> float:
     """Roll out the assembly's network and record its fitness: the summed
     episodic return over the evaluation batch. The assembly is solved when
     every episode succeeds. A gene with the wrong number of input or output
-    weights, as `genome_shape_fault` counts them, raises DimensionMismatch
-    before any episode runs."""
+    weights, as `genome_shape_fault` counts them, raises SosageError
+    ("genome " and the fault) before any episode runs."""
     for gene in assembly.wiring:
         fault = genome_shape_fault(gene, env.input_dim, env.output_dim)
         if fault is not None:
-            raise DimensionMismatch(f"genome {fault}")
+            raise SosageError(f"genome {fault}")
     wiring, output_dim = assembly.wiring, env.output_dim
     # bound once per assembly, at call time, so a rebound name is still used
     forward, select_action, rollout = net_forward, env.select_action, env.rollout
@@ -383,7 +377,7 @@ def distribute_fitness(
     """
     for assembly in assemblies:
         if assembly.fitness is None:
-            raise UnevaluatedAssembly(f"assembly {assembly.participants} has no fitness")
+            raise SosageError(f"assembly {assembly.participants} has no fitness")
     for assembly in assemblies:
         for member in assembly.participants:
             ledger.credit(member, assembly.fitness)
@@ -474,7 +468,7 @@ def evolve_generation(
     """
     ranking = ledger.ranked(pop.members)
     if all(s is None for _, s in ranking):
-        raise NoScores("no roster member has a fitness score; distribute fitness first")
+        raise SosageError("no roster member has a fitness score; distribute fitness first")
     # a stratum's ranking is the roster ranking restricted to it
     strata: dict[int, list[StructureId]] = {}
     for m, _ in ranking:

@@ -8,6 +8,7 @@ traversal, and the XOR nets are written out by hand.
 from __future__ import annotations
 
 import copy
+import re
 import struct
 from functools import reduce
 from graphlib import CycleError, TopologicalSorter
@@ -19,6 +20,11 @@ import numpy as np
 from sosage.hyperstruct import ObsRecord, Universe
 from sosage.rng import Stream
 from sosage.symbio import NeuronGene
+
+
+def exactly(message: str) -> str:
+    """A `pytest.raises` match pattern that accepts this message and no other."""
+    return f"^{re.escape(message)}$"
 
 
 def stream(seed: int) -> Stream:

@@ -24,7 +24,7 @@ import pytest
 from sosage.checkpoint import load_checkpoint
 from sosage.config import load_config, with_seed
 from sosage.envs import XorEnv
-from sosage.errors import LimitExceeded, NotComposite
+from sosage.errors import LimitExceeded
 from sosage.harness import OUTPUT_DIR_ENV, resume, run
 from sosage.hyperstruct import Universe
 from sosage.population import (

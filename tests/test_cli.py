@@ -95,12 +95,15 @@ class TestRunCommand:
         '{"env": {"name": "xor"}, "roster_size": ' + "9" * 4300 + "}",
         json.dumps({"env": {"name": "xor"}, "evolution": {"assemblies_per_generation": 10**9}}),
         json.dumps({"env": {"name": "xor"}, "max_order": 10**15}),
+        json.dumps({"env": {"name": "xor"}, "evolution": {"w_max": 0.5}}),
     ], ids=["long-seed", "nul-dir", "surrogate-dir", "huge-grid", "plain-subgoal-reward",
-            "4300-digit-roster", "billion-assemblies", "huge-max-order"])
+            "4300-digit-roster", "billion-assemblies", "huge-max-order", "w-max-below-initial-weights"])
     def test_a_config_no_run_can_use_is_usage_error(self, capsys, tmp_path, monkeypatch, text):
         # each of these once loaded, or escaped as a traceback with exit 1;
-        # the last three loaded: a roster no digest can echo and no state can
-        # hold, four billion env steps a generation, an order cap of 10**15
+        # the last four loaded: a roster no digest can echo and no state can
+        # hold, four billion env steps a generation, an order cap of 10**15,
+        # and a weight bound below the initial weights, which only mutation
+        # clamps, so that run wrote checkpoints its own verify failed
         monkeypatch.chdir(tmp_path)  # where the default output_dir would be made
         path = tmp_path / "bad.json"
         path.write_text(text)
@@ -122,6 +125,20 @@ class TestRunCommand:
         assert code == EXIT_USAGE
         assert out == "" and err == f"error: {path}: key '{key}' appears twice in one object\n"
         assert [p.name for p in tmp_path.iterdir()] == ["twice.json"]
+
+    def test_the_lowest_weight_bound_verifies_and_resumes(self, config_path, capsys, tmp_path):
+        doc = json.loads(config_path.read_text())
+        doc["evolution"]["w_max"] = 1.0
+        doc["checkpoint_every"] = 1
+        config_path.write_text(json.dumps(doc))
+        assert run_cli(capsys, "run", str(config_path))[0] == EXIT_OK
+        runs = tmp_path / "runs"
+        checkpoints = sorted(runs.glob("checkpoint-0-*.json"))
+        assert len(checkpoints) == 4
+        for path in checkpoints:
+            assert run_cli(capsys, "verify", str(path))[0] == EXIT_OK, path.name
+        assert run_cli(capsys, "resume", str(runs / "checkpoint-0-gen1.json"))[0] == EXIT_OK
+        assert (runs / "checkpoint-0-from1-final.json").read_bytes() == (runs / "checkpoint-0-final.json").read_bytes()
 
     def test_an_integer_beyond_the_digit_limit_names_the_limit(self, capsys, tmp_path):
         path = tmp_path / "long.json"

@@ -11,10 +11,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from sosage.envs import GridNavEnv, XorEnv, make_env
-from sosage.errors import InvalidAction, ValidationError
+from sosage.errors import SosageError, ValidationError
 from sosage.symbio import net_forward, random_genome
 
-from support import fold, grid_shortest_steps
+from support import exactly, fold, grid_shortest_steps
 
 PROPERTY_SETTINGS = settings(max_examples=120, deadline=None)
 
@@ -80,7 +80,7 @@ class TestXor:
         assert (hit, miss, terminal) == (1.0, 0.0, True)
 
     def test_invalid_action_rejected(self):
-        with pytest.raises(InvalidAction):
+        with pytest.raises(SosageError, match=exactly("xor action must be 0 or 1, got 2")):
             XorEnv().step((-1.0, -1.0), 2)
 
     def test_succeeded_reads_final_reward(self):
@@ -168,7 +168,7 @@ class TestGridKinematics:
         assert env.select_action([0.0, 2.0, 2.0, 0.0]) == 1
 
     def test_invalid_action_rejected(self):
-        with pytest.raises(InvalidAction):
+        with pytest.raises(SosageError, match=exactly("gridnav action must be in 0..3, got 4")):
             GridNavEnv().step((0, 0, 0, False), 4)
 
 
@@ -285,7 +285,7 @@ def formula_observation(env, state):
 def formula_step(env, state, action):
     """GridNavEnv.step before its table, clamping each move: the oracle."""
     if not 0 <= action < 4:
-        raise InvalidAction(f"gridnav action must be in 0..3, got {action}")
+        raise SosageError(f"gridnav action must be in 0..3, got {action}")
     x, y, steps, subgoal_done = state
     dx, dy = env.MOVES[action]
     nx = min(env.size - 1, max(0, x + dx))

@@ -38,7 +38,7 @@ from sosage.config import (
     with_seed,
 )
 from sosage.envs import ENV_NAMES, make_env
-from sosage.errors import DigestMismatch, ParseError, SosageError, ValidationError
+from sosage.errors import ParseError, SosageError, ValidationError
 from sosage.harness import (
     METRICS_HEADER,
     OUTPUT_DIR_ENV,
@@ -57,7 +57,7 @@ from sosage.invariants import verify
 from sosage.population import BreakEvent, ProblemSpec
 from sosage.symbio import CooccurCell, EvolutionConfig, GenerationRow, NeuronGene, run_symbiosis
 
-from support import edge_graph, float_slots, has_cycle, inline_floats, table_floats, v9_to_v10, v10_to_v9
+from support import edge_graph, exactly, float_slots, has_cycle, inline_floats, table_floats, v9_to_v10, v10_to_v9
 
 ROOT = Path(__file__).resolve().parent.parent
 CONFIG_DIR = ROOT / "configs"
@@ -170,6 +170,7 @@ class TestConfigParsing:
             ({"output_dir": ""}, "output_dir"),
             ({"evolution": {"elite_fraction": 1.5}}, "evolution.elite_fraction"),
             ({"problem": {"problem_order_x": 0}}, "problem.problem_order_x"),
+            ({"evolution": {"w_max": 0.5}}, "evolution.w_max"),
         ],
     )
     def test_cross_field_rules(self, tmp_path, over, label):
@@ -198,7 +199,7 @@ class TestConfigParsing:
     ])
     def test_products_that_size_a_run_are_capped(self, env, at_cap, past_cap, message):
         assert_runnable(config_from_dict({"env": env, "max_order": 200, **at_cap}))
-        with pytest.raises(ValidationError, match=f"^{re.escape(message)}$"):
+        with pytest.raises(ValidationError, match=exactly(message)):
             config_from_dict({"env": env, "max_order": 200, **past_cap})
 
     @pytest.mark.parametrize(
@@ -215,7 +216,7 @@ class TestConfigParsing:
         network_size by population_limit; one of those two rules fires."""
         doc = base_doc(tmp_path, roster_size=roster, population_limit=limit,
                        evolution={"network_size": 5})
-        with pytest.raises(ValidationError, match=f"^{re.escape(message)}$"):
+        with pytest.raises(ValidationError, match=exactly(message)):
             config_from_dict(doc)
 
     def test_echo_round_trips_exactly(self, tmp_path):
@@ -574,7 +575,7 @@ class TestRunArtifacts:
         doc["config"]["roster_size"] = 6
         tampered = tmp_path / "tampered.json"
         tampered.write_text(json.dumps(doc))
-        with pytest.raises(DigestMismatch):
+        with pytest.raises(SosageError, match=exactly("embedded config does not match its stored digest")):
             load_checkpoint(tampered)
 
     def test_tampered_seed_rejected(self, finished_run, tmp_path):
@@ -583,7 +584,7 @@ class TestRunArtifacts:
         doc["config"]["seed"] = 5
         tampered = tmp_path / "tampered.json"
         tampered.write_text(json.dumps(doc))
-        with pytest.raises(DigestMismatch):
+        with pytest.raises(SosageError, match=exactly("embedded config does not match its stored digest")):
             load_checkpoint(tampered)
 
     def test_wrong_format_marker_rejected(self, finished_run, tmp_path):
@@ -697,6 +698,7 @@ def valid_run_docs(draw):
             "window_G": draw(st.integers(1, 3 - room)),
             "break_warmup": draw(st.integers(0, 2)),
             "max_generations": draw(st.integers(2, 16)),
+            "w_max": draw(st.floats(1, 10)),
         },
         "roster_size": roster,
         "population_limit": draw(st.integers(roster + room, 2 * roster)),
@@ -1039,6 +1041,14 @@ def checkpoint_schema() -> list:
 
 def resolve(doc, path):
     return functools.reduce(lambda node, key: node[key], path, doc)
+
+
+def edit_id(arg) -> str:
+    """A test id part for an edit: a path as its keys joined by dots, a
+    value as the JSON written there, or "deleted" for KeyError."""
+    if isinstance(arg, tuple):
+        return ".".join(map(str, arg))
+    return "deleted" if arg is KeyError else json.dumps(arg, separators=(",", ":"))
 
 
 def edit(doc, path, value) -> None:
@@ -1500,6 +1510,7 @@ class TestMalformedCheckpoints:
             (("loop", "extra"), 1),
             (("extra",), 1),
         ],
+        ids=edit_id,
     )
     def test_missing_keys_and_wrong_types_are_parse_errors(self, path, value):
         doc = valid_checkpoint_doc()
@@ -1510,14 +1521,18 @@ class TestMalformedCheckpoints:
     @pytest.mark.parametrize(
         "index,edit",
         [
-            (0, lambda row: row + ["tanh"]),  # a genome with a third item, as v8 wrote its activation
-            (0, lambda row: row[:5]),  # a genome without its output weights
-            (0, lambda row: row[:5] + [list(map(list, enumerate(row[5])))]),  # v8's [slot, index] pairs
-            (0, lambda row: row[:5] + [list(map(list, enumerate(row[5]))), "tanh"]),  # a whole v8 genome row
-            (0, lambda row: row[:4]),  # a primitive always has a payload
-            (2, lambda row: row + [None]),  # row 2 is the break composite, which has none
-            (0, lambda row: row[:3]),
-            (0, lambda row: dict(zip(["id", "order", "constituents", "tag"], row))),  # a v5 object row
+            # a genome with a third item, as v8 wrote its activation
+            pytest.param(0, lambda row: row + ["tanh"], id="0-activation-appended"),
+            pytest.param(0, lambda row: row[:5], id="0-out-weights-dropped"),
+            # v8's [slot, index] pairs
+            pytest.param(0, lambda row: row[:5] + [list(map(list, enumerate(row[5])))], id="0-out-weights-as-slot-pairs"),
+            pytest.param(0, lambda row: row[:5] + [list(map(list, enumerate(row[5]))), "tanh"], id="0-v8-genome"),
+            # a primitive always has a payload
+            pytest.param(0, lambda row: row[:4], id="0-payload-dropped"),
+            # row 2 is the break composite, which has none
+            pytest.param(2, lambda row: row + [None], id="2-payload-appended"),
+            pytest.param(0, lambda row: row[:3], id="0-tag-and-payload-dropped"),
+            pytest.param(0, lambda row: dict(zip(["id", "order", "constituents", "tag"], row)), id="0-v5-object-row"),
         ],
     )
     def test_structure_rows_of_another_shape_are_parse_errors(self, index, edit):

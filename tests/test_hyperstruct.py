@@ -7,13 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from sosage.errors import (
-    EmptyConstituents,
-    NotComposite,
-    OrderCapExceeded,
-    OrderGapViolation,
-    UnknownStructure,
-)
+from sosage.errors import SosageError
 from sosage.hyperstruct import ObsRecord, Universe
 
 from support import (
@@ -21,6 +15,7 @@ from support import (
     constituent_graph,
     edge_graph,
     emergence_oracle,
+    exactly,
     has_cycle,
     interacts_disagreements,
     random_universe,
@@ -63,14 +58,14 @@ class TestConstruction:
         assert universe.structural_order(left) == universe.structural_order(right) == 2
 
     def test_empty_constituents_rejected(self, universe):
-        with pytest.raises(EmptyConstituents):
+        with pytest.raises(SosageError, match=exactly("construct() requires at least one constituent")):
             universe.construct(set())
 
     def test_order_cap_enforced(self):
         u = Universe(max_order=2)
         a = u.add_primitive("a")
         ab = u.construct({a})
-        with pytest.raises(OrderCapExceeded):
+        with pytest.raises(SosageError, match=exactly("constructing order 3 exceeds max_order 2")):
             u.construct({ab})
 
     def test_ids_are_sequential_and_never_reused(self, universe):
@@ -138,12 +133,16 @@ class TestDependency:
         ab = universe.construct({a, b})
         top = universe.construct({ab})
         universe.declare_dependency(ab, a, level=1)
-        with pytest.raises(OrderGapViolation):
-            universe.declare_dependency(a, b, level=1)  # gap 0
-        with pytest.raises(OrderGapViolation):
-            universe.declare_dependency(top, a, level=1)  # gap 2
-        with pytest.raises(OrderGapViolation):
-            universe.declare_dependency(a, ab, level=1)  # gap -1
+        def refusal(dependent, dependee, gap):
+            return exactly(f"direct dependency {dependent} <- {dependee} spans order gap {gap}; "
+                           "direct edges must span exactly 1")
+
+        with pytest.raises(SosageError, match=refusal(a, b, 0)):
+            universe.declare_dependency(a, b, level=1)
+        with pytest.raises(SosageError, match=refusal(top, a, 2)):
+            universe.declare_dependency(top, a, level=1)
+        with pytest.raises(SosageError, match=refusal(a, ab, -1)):
+            universe.declare_dependency(a, ab, level=1)
 
     def test_dependency_implies_interaction(self, universe):
         a = universe.add_primitive("a")
@@ -170,7 +169,7 @@ class TestDependency:
 
     def test_depends_on_unknown_id_rejected(self, universe):
         a = universe.add_primitive("a")
-        with pytest.raises(UnknownStructure):
+        with pytest.raises(SosageError, match=exactly("unknown structure id 42")):
             universe.depends_on(a, 42)
 
     @PROPERTY_SETTINGS
@@ -284,7 +283,7 @@ class TestEmergence:
 
     def test_order_one_has_no_emergence(self, universe):
         a = universe.add_primitive("a")
-        with pytest.raises(NotComposite):
+        with pytest.raises(SosageError, match=exactly(f"structure {a} has order 1; emergence needs order >= 2")):
             universe.is_emergent("p", a)
 
     @PROPERTY_SETTINGS

@@ -7,13 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from sosage.errors import (
-    AlreadyReversed,
-    EmptyPopulation,
-    LimitExceeded,
-    NotAComposite,
-    PreconditionViolated,
-)
+from sosage.errors import LimitExceeded, SosageError
 from sosage.hyperstruct import Universe
 from sosage.population import (
     ProblemSpec,
@@ -24,6 +18,8 @@ from sosage.population import (
     goal_reached,
     init_population,
 )
+
+from support import exactly
 
 PROPERTY_SETTINGS = settings(max_examples=120, deadline=None)
 
@@ -49,7 +45,7 @@ class TestInitPopulation:
         assert universe.interaction_edges() == []
 
     def test_empty_genomes_rejected(self, universe):
-        with pytest.raises(EmptyPopulation):
+        with pytest.raises(SosageError, match=exactly("at least one genome is required")):
             init_population(universe, ProblemSpec(), [], 8)
 
     def test_limit_enforced(self, universe):
@@ -178,7 +174,7 @@ class TestApplyBreak:
         z = pop.members[-1]
         c = pop.members[0]
         # no second break from mismatched strata
-        with pytest.raises(PreconditionViolated):
+        with pytest.raises(SosageError, match=exactly(f"apply_break({c}, {z}) without a qualifying pair at order 2")):
             apply_break(universe, pop, c, z, generation=1)
 
     def test_event_logged_with_its_pair_and_composite(self, universe):
@@ -195,7 +191,7 @@ class TestApplyBreak:
         pop = make_pop(universe)
         a = pop.members[0]
         ghost = universe.add_primitive("ghost")
-        with pytest.raises(PreconditionViolated):
+        with pytest.raises(SosageError, match=exactly(f"apply_break({a}, {ghost}) without a qualifying pair at order 1")):
             apply_break(universe, pop, a, ghost, generation=0)
 
 
@@ -228,13 +224,14 @@ class TestReverseBreak:
         apply_break(universe, pop, a, b, generation=0)
         z = pop.members[-1]
         apply_reverse_break(universe, pop, z, generation=1)
-        with pytest.raises(NotAComposite):
+        with pytest.raises(SosageError, match=exactly(f"structure {z} is not an active break composite")):
             apply_reverse_break(universe, pop, z, generation=2)
 
     def test_reverse_of_unlogged_structure_rejected(self, universe):
         pop = make_pop(universe)
-        with pytest.raises(NotAComposite):
-            apply_reverse_break(universe, pop, pop.members[0], generation=0)
+        m = pop.members[0]
+        with pytest.raises(SosageError, match=exactly(f"structure {m} is not an active break composite")):
+            apply_reverse_break(universe, pop, m, generation=0)
 
     def test_reverse_blocked_when_limit_would_overflow(self, universe):
         pop = make_pop(universe, n=4, limit=5)
@@ -259,7 +256,7 @@ class TestReverseBreak:
         z = pop.members[-1]
         apply_reverse_break(universe, pop, z, generation=1)
         pop.members.append(z)  # simulate corruption: composite back on roster
-        with pytest.raises(AlreadyReversed):
+        with pytest.raises(SosageError, match=exactly(f"composite {z} was reversed at generation 1")):
             apply_reverse_break(universe, pop, z, generation=2)
 
 

@@ -14,12 +14,7 @@ from hypothesis import strategies as st
 
 from sosage.config import load_config, with_seed
 from sosage.envs import GridNavEnv, XorEnv, make_env
-from sosage.errors import (
-    DimensionMismatch,
-    NoScores,
-    RosterTooSmall,
-    UnevaluatedAssembly,
-)
+from sosage.errors import SosageError
 from sosage.harness import build_state
 from sosage.hyperstruct import Universe
 from sosage.population import ProblemSpec, StallDetector, apply_break, init_population
@@ -48,7 +43,7 @@ from sosage.symbio import (
     run_symbiosis,
 )
 
-from support import constant_one_gene, fold, interacts_disagreements, stream, xor_solver_genes
+from support import constant_one_gene, exactly, fold, interacts_disagreements, stream, xor_solver_genes
 from test_digests import CONFIG_DIR, REVERSING
 
 PROPERTY_SETTINGS = settings(max_examples=120, deadline=None)
@@ -312,7 +307,7 @@ class TestAssemble:
 
     def test_small_roster_rejected(self):
         universe, pop, config, rng = self.make(n=2, k=3, apg=2)
-        with pytest.raises(RosterTooSmall):
+        with pytest.raises(SosageError, match=exactly("roster of 2 cannot fill networks of size 3")):
             assemble(universe, pop, config, rng)
 
 
@@ -341,7 +336,7 @@ class TestEvaluate:
 
     def test_input_width_mismatch_rejected(self, universe):
         assembly = self.wire(universe, xor_solver_genes())
-        with pytest.raises(DimensionMismatch):
+        with pytest.raises(SosageError, match=exactly("genome has 3 input weights, want 5")):
             evaluate(assembly, GridNavEnv(), 1)
 
     @pytest.mark.parametrize("n_in, fault", [
@@ -354,7 +349,7 @@ class TestEvaluate:
         bad = dataclasses.replace(good, in_weights=(0.5,) * n_in)
         assert genome_shape_fault(good, env.input_dim, env.output_dim) is None
         assert genome_shape_fault(bad, env.input_dim, env.output_dim) == fault
-        with pytest.raises(DimensionMismatch, match=f"^genome {fault}$"):
+        with pytest.raises(SosageError, match=exactly(f"genome {fault}")):
             evaluate(self.wire(universe, (good, bad)), env, 1)
 
     @pytest.mark.parametrize("n_out, fault", [
@@ -367,12 +362,12 @@ class TestEvaluate:
         bad = dataclasses.replace(good, out_weights=(0.5,) * n_out)
         assert genome_shape_fault(good, env.input_dim, env.output_dim) is None
         assert genome_shape_fault(bad, env.input_dim, env.output_dim) == fault
-        with pytest.raises(DimensionMismatch, match=f"^genome {fault}$"):
+        with pytest.raises(SosageError, match=exactly(f"genome {fault}")):
             evaluate(self.wire(universe, (good, bad)), env, 1)
 
     def test_distribute_requires_evaluated_assemblies(self, universe):
         assembly = self.wire(universe, (constant_one_gene(),))
-        with pytest.raises(UnevaluatedAssembly):
+        with pytest.raises(SosageError, match=exactly(f"assembly {assembly.participants} has no fitness")):
             distribute_fitness(FitnessLedger(top_m=3), [assembly])
 
 
@@ -563,7 +558,8 @@ class TestEvolve:
 
     def test_no_scores_at_all_rejected(self):
         universe, pop, ledger = self.scored_pop(4, [None] * 4)
-        with pytest.raises(NoScores):
+        message = "no roster member has a fitness score; distribute fitness first"
+        with pytest.raises(SosageError, match=exactly(message)):
             evolve_generation(universe, pop, ledger, EvolutionConfig(), stream(0))
 
     def test_deterministic(self):
