@@ -3,8 +3,8 @@ structures driving symbiotic neuro-evolution, with a breaking operator that
 raises population order when progress stalls."""
 
 from .checkpoint import Checkpoint, load_checkpoint, save_checkpoint
-from .config import RunConfig, config_from_dict, load_config, with_seed
-from .envs import EnvSpec, GridNavEnv, XorEnv, make_env
+from .config import RunConfig, config_from_dict, load_config, make_env, with_seed
+from .envs import CompositionalGridNavEnv, EnvSpec, GridNavEnv, XorEnv
 from .harness import RunReport, resume, run, summarize_checkpoint, sweep
 from .hyperstruct import ObsRecord, Structure, Universe
 from .population import (
@@ -39,6 +39,7 @@ __all__ = [
     "Assembly",
     "BreakEvent",
     "Checkpoint",
+    "CompositionalGridNavEnv",
     "EnvSpec",
     "EvolutionConfig",
     "FitnessLedger",

@@ -7,22 +7,24 @@ from __future__ import annotations
 import hashlib
 import json
 import math
+import sys
 from collections import Counter
 from dataclasses import Field, dataclass, field, fields, replace
 from functools import cache
 from pathlib import Path
 from typing import AbstractSet, Any, Callable, Mapping
 
-from .envs import EnvSpec, finite_float, make_env
+from .envs import ENVS, EnvSpec
 from .errors import ParseError, ValidationError
 from .hyperstruct import DEFAULT_MAX_ORDER
 from .population import ProblemSpec
 from .symbio import EvolutionConfig
 
 # caps on products of settings (config_from_dict forms them): the structures
-# build_state makes, and the env steps one generation may take
+# build_state makes, the env steps of one generation, and any total of returns
 MAX_INITIAL_STRUCTURES = 10**4
 MAX_GENERATION_STEPS = 10**6
+MAX_RETURN_TOTAL = sys.float_info.max / 4
 
 
 @dataclass(frozen=True, kw_only=True)
@@ -68,6 +70,16 @@ def _as_int(raw: Any, field: str) -> int:
     return raw
 
 
+def finite_float(raw: Any, field: str) -> float:
+    """A config number as a float. Bools, non-numbers, infinities, nan and
+    ints beyond the float range raise ValidationError naming `field`."""
+    # the bound check is exact for big ints and false for nan
+    if isinstance(raw, bool) or not isinstance(raw, (int, float)) \
+            or not abs(raw) <= sys.float_info.max:
+        raise ValidationError(field, "must be a finite number")
+    return float(raw)
+
+
 def _as_bool(raw: Any, field: str) -> bool:
     if not isinstance(raw, bool):
         raise ValidationError(field, "must be true or false")
@@ -83,8 +95,9 @@ def _as_text(raw: Any, field: str) -> str:
     return raw
 
 
-# annotation -> reader of a config value of that type
-_READERS = {"int": _as_int, "float": finite_float, "bool": _as_bool, "str": _as_text}
+# annotation -> reader of a config value of that type; an `int | None` field
+# is None only until its class fills in a default, and no file sets it None
+_READERS = {"int": _as_int, "int | None": _as_int, "float": finite_float, "bool": _as_bool, "str": _as_text}
 
 
 def bounds_text(bounds: Mapping[str, Any]) -> str:
@@ -115,6 +128,23 @@ def _read_fields(cls: type, doc: Mapping[str, Any], prefix: str) -> dict[str, An
     return settings
 
 
+def make_env(name: Any, params: Any):
+    """Build an environment from its config name and raw params map. The env
+    class's fields are the schema: each param is read as every other setting
+    is, and a "size_cap" in its metadata is checked once size is known."""
+    if not isinstance(name, str) or name not in ENVS:
+        raise ValidationError("env.name", f"must be one of {tuple(ENVS)}, got {name!r}")
+    if not isinstance(params, Mapping):
+        raise ValidationError("env.params", "must be an object")
+    cls = ENVS[name]
+    _reject_unknown(params, _names(cls), "env.params")
+    env = cls(**_read_fields(cls, params, "env.params."))
+    for f in fields(env):
+        if "size_cap" in f.metadata and getattr(env, f.name) > (cap := f.metadata["size_cap"](env.size)):
+            raise ValidationError(f"env.params.{f.name}", f"must {f.metadata['rule']} = [{f.metadata['low']}, {cap}]")
+    return env
+
+
 def config_from_dict(doc: Mapping[str, Any]) -> RunConfig:
     """Validate a raw config mapping and fill every default. The dataclasses
     are the schema: a key naming no field, or a value outside its field's bounds, is refused."""
@@ -126,11 +156,7 @@ def config_from_dict(doc: Mapping[str, Any]) -> RunConfig:
     _reject_unknown(env_doc, _names(EnvSpec), "env")
     if "name" not in env_doc:
         raise ValidationError("env.name", "is required")
-    env_params = env_doc.get("params", {})
-    if not isinstance(env_params, Mapping):
-        raise ValidationError("env.params", "must be an object")
-    # building the env validates name and params and fills param defaults
-    env = make_env(env_doc["name"], env_params)
+    env = make_env(env_doc["name"], env_doc.get("params", {}))
 
     problem_doc = _section(doc, "problem")
     _reject_unknown(problem_doc, _names(ProblemSpec), "problem")
@@ -146,7 +172,8 @@ def config_from_dict(doc: Mapping[str, Any]) -> RunConfig:
     if "population_limit" not in settings:  # twice roster_size, read as a set value is
         roster = settings.get("roster_size", RunConfig.roster_size)
         settings |= _read_fields(RunConfig, {"population_limit": 2 * roster}, "")
-    config = RunConfig(problem=problem, env=env.spec, evolution=evolution, **settings)
+    params = {f.name: getattr(env, f.name) for f in fields(env)}  # asdict() costs 6x
+    config = RunConfig(problem=problem, env=EnvSpec(env.name, params), evolution=evolution, **settings)
 
     if config.roster_size > config.population_limit:
         raise ValidationError("roster_size", "must not exceed population_limit")
@@ -159,6 +186,15 @@ def config_from_dict(doc: Mapping[str, Any]) -> RunConfig:
     if evolution.assemblies_per_generation * env.eval_episodes * env.max_steps > MAX_GENERATION_STEPS:
         raise ValidationError("evolution.assemblies_per_generation",
                               f"times the env's episodes and max_steps exceeds {MAX_GENERATION_STEPS}")
+    # A ledger total folds up to max_generations * assemblies_per_generation fitnesses,
+    # each eval_episodes returns of at most return_bound in size (a grid's max_steps *
+    # |step_penalty| + |goal_reward| + |subgoal_reward|). detect_dependency and the
+    # stall check take differences of totals, means or bests, up to twice that product,
+    # and a factor 2 more covers rounding: hence float max / 4, past which one is inf.
+    returns = evolution.max_generations * evolution.assemblies_per_generation * env.eval_episodes
+    if returns * env.return_bound > MAX_RETURN_TOTAL:
+        raise ValidationError("env.params", f"rewards let an episode return {env.return_bound:g} in size, "
+                              f"and {returns} such returns in a run can total more than {MAX_RETURN_TOTAL:g}")
     return config
 
 

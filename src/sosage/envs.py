@@ -23,16 +23,13 @@ out at max_steps without reaching the goal.
 
 from __future__ import annotations
 
-import sys
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import cached_property, reduce
 from itertools import repeat
 from operator import add
-from typing import Callable, Mapping, Sequence
+from typing import Callable, Sequence
 
-from .errors import SosageError, ValidationError
-
-ENV_NAMES = ("xor", "gridnav", "gridnav-compositional")
+from .errors import SosageError
 
 Policy = Callable[[tuple[float, ...]], int]
 
@@ -58,23 +55,23 @@ class _CellTable(dict):
         return value
 
 
+@dataclass
 class XorEnv:
     """Single-step XOR classification over the four +-1 input patterns.
 
     Episodes cycle the patterns in a fixed order; the action is the thresholded
     class of the network's single output and earns 1.0 when it matches the
-    pattern's parity.
+    pattern's parity. It has no fields, so it takes no params.
     """
 
     PATTERNS = ((-1.0, -1.0), (-1.0, 1.0), (1.0, -1.0), (1.0, 1.0))
 
+    name = "xor"
     input_dim = 2
     output_dim = 1
     max_steps = 1
     eval_episodes = 4
-
-    def __init__(self) -> None:
-        self.spec = EnvSpec("xor", {})
+    return_bound = 1.0  # an episode pays 0.0 or 1.0
 
     def reset(self, episode_index: int):
         return self.PATTERNS[episode_index % 4]
@@ -98,66 +95,46 @@ class XorEnv:
         return reward, reward == 1.0
 
 
+# a cell coordinate; config checks the top end, size -> cap, once size is known
+CELL = {"low": 0, "size_cap": lambda size: size - 1, "rule": "lie in [0, size-1]"}
+
+
+@dataclass
 class GridNavEnv:
     """Grid navigation from a fixed start toward a goal, four move actions.
 
     The observation is (agent x, agent y, goal dx, goal dy), each mapped
-    through v -> 2v/(size-1) - 1. The compositional variant keeps the same
-    observation but pays the goal only after the subgoal has been visited, so
-    following the goal delta is not enough: the policy has to route through
-    the subgoal from position information alone.
+    through v -> 2v/(size-1) - 1. Its fields are its params, each with its
+    bounds in its metadata; a field left None takes its default from size.
     """
 
     # action -> (dx, dy); ties in select_action resolve to the lowest index
     MOVES = ((0, 1), (1, 0), (0, -1), (-1, 0))  # N, E, S, W
 
+    name = "gridnav"
+    input_dim = 4
+    output_dim = 4
     eval_episodes = 1
+    subgoal = None
 
-    def __init__(
-        self,
-        size: int = 5,
-        goal: tuple[int, int] = (4, 4),
-        subgoal: tuple[int, int] | None = None,
-        step_penalty: float = 0.01,
-        goal_reward: float = 1.0,
-        subgoal_reward: float = 0.5,
-        max_steps: int | None = None,
-    ) -> None:
-        # up to 2**53 every cell coordinate and goal delta is exact in float64
-        if not 2 <= size <= 2 ** 53:
-            raise ValidationError("env.params.size", "grid size must be in 2..2**53")
-        if max_steps is None:
-            max_steps = min(50, 4 * size * size)
-        if max_steps < 1:
-            raise ValidationError("env.params.max_steps", "must be >= 1")
-        if max_steps > 4 * size * size:
-            raise ValidationError(
-                "env.params.max_steps", f"must be <= 4*size^2 = {4 * size * size}"
-            )
-        for label, (px, py) in (("goal", goal),) + ((("subgoal", subgoal),) if subgoal else ()):
-            if not (0 <= px < size and 0 <= py < size):
-                raise ValidationError(f"env.params.{label}", "must lie inside the grid")
-        self.size = size
-        self.goal = goal
-        self.subgoal = subgoal
-        self.step_penalty = step_penalty
-        self.goal_reward = goal_reward
-        self.subgoal_reward = subgoal_reward
-        self.max_steps = max_steps
-        self.input_dim = 4
-        self.output_dim = 4
-        name = "gridnav-compositional" if subgoal else "gridnav"
-        params = {
-            "size": size,
-            "goal_x": goal[0],
-            "goal_y": goal[1],
-            "step_penalty": step_penalty,
-            "goal_reward": goal_reward,
-            "max_steps": max_steps,
-        }
-        if subgoal:
-            params.update(subgoal_x=subgoal[0], subgoal_y=subgoal[1], subgoal_reward=subgoal_reward)
-        self.spec = EnvSpec(name, params)
+    # up to 2**53 every cell coordinate and goal delta is exact in float64
+    size: int = field(default=5, metadata={"low": 2, "high": 2**53, "rule": "lie in [2, 2**53]"})
+    goal_x: int | None = field(default=None, metadata=CELL)  # default size-1
+    goal_y: int | None = field(default=None, metadata=CELL)  # default size-1
+    step_penalty: float = 0.01
+    goal_reward: float = 1.0
+    max_steps: int | None = field(default=None, metadata={  # default min(50, 4*size^2)
+        "low": 1, "size_cap": lambda size: 4 * size * size, "rule": "lie in [1, 4*size^2]"})
+
+    def __post_init__(self) -> None:
+        self.goal_x = self.size - 1 if self.goal_x is None else self.goal_x
+        self.goal_y = self.size - 1 if self.goal_y is None else self.goal_y
+        self.max_steps = min(50, 4 * self.size * self.size) if self.max_steps is None else self.max_steps
+        self.goal = (self.goal_x, self.goal_y)
+
+    @property
+    def return_bound(self) -> float:  # no episode's return is larger in size
+        return self.max_steps * abs(self.step_penalty) + abs(self.goal_reward)
 
     def reset(self, episode_index: int):
         # (x, y, steps taken, subgoal visited)
@@ -168,8 +145,8 @@ class GridNavEnv:
 
     # The tables are made at the first step and filled cell by cell as
     # episodes reach them: a whole table takes O(size^2) memory (95 KB at
-    # size 9, 11.6 MB at size 100), and an env is also made to read or verify
-    # a checkpoint, where it never steps.
+    # size 9, 11.6 MB at size 100), and an env is also made to read a
+    # checkpoint, where it never steps.
 
     @cached_property
     def _observations(self) -> _CellTable:
@@ -252,44 +229,29 @@ class GridNavEnv:
         return total, armed and (x, y) == self.goal
 
 
-def finite_float(raw: object, field: str) -> float:
-    """A config number as a float. Bools, non-numbers, infinities, nan and
-    ints beyond the float range raise ValidationError naming `field`."""
-    # the bound check is exact for big ints and false for nan
-    if isinstance(raw, bool) or not isinstance(raw, (int, float)) \
-            or not abs(raw) <= sys.float_info.max:
-        raise ValidationError(field, "must be a finite number")
-    return float(raw)
+@dataclass
+class CompositionalGridNavEnv(GridNavEnv):
+    """Grid navigation whose goal pays only after the subgoal has been
+    visited. The observation is plain gridnav's, so following the goal delta
+    is not enough: the policy has to route through the subgoal from position
+    information alone."""
+
+    name = "gridnav-compositional"
+
+    subgoal_x: int = field(default=0, metadata=CELL)
+    subgoal_y: int | None = field(default=None, metadata=CELL)  # default size-1
+    subgoal_reward: float = 0.5
+
+    def __post_init__(self) -> None:
+        super().__post_init__()
+        self.subgoal_y = self.size - 1 if self.subgoal_y is None else self.subgoal_y
+        self.subgoal = (self.subgoal_x, self.subgoal_y)
+
+    @property
+    def return_bound(self) -> float:
+        return super().return_bound + abs(self.subgoal_reward)
 
 
-def make_env(name: str, params: Mapping[str, object] | None = None):
-    """Build an environment from its config-facing name and flat params map.
-    Grid params must be integers and reward params finite numbers; nothing
-    is coerced."""
-    params = dict(params or {})
-    if name == "xor":
-        if params:
-            raise ValidationError("env.params", f"xor takes no params, got {sorted(params)}")
-        return XorEnv()
-    if name in ("gridnav", "gridnav-compositional"):
-        for key in ("size", "goal_x", "goal_y", "subgoal_x", "subgoal_y", "max_steps"):
-            raw = params.get(key, 0)
-            if isinstance(raw, bool) or not isinstance(raw, int):
-                raise ValidationError(f"env.params.{key}", "must be an integer")
-        size = params.pop("size", 5)
-        goal = (params.pop("goal_x", size - 1), params.pop("goal_y", size - 1))
-        subgoal = None
-        rewards = ["step_penalty", "goal_reward"]
-        if name == "gridnav-compositional":
-            subgoal = (params.pop("subgoal_x", 0), params.pop("subgoal_y", size - 1))
-            rewards.append("subgoal_reward")
-        kwargs = {}
-        for key in rewards:
-            if key in params:
-                kwargs[key] = finite_float(params.pop(key), f"env.params.{key}")
-        if "max_steps" in params:
-            kwargs["max_steps"] = params.pop("max_steps")
-        if params:
-            raise ValidationError("env.params", f"unknown keys {sorted(params)}")
-        return GridNavEnv(size=size, goal=goal, subgoal=subgoal, **kwargs)
-    raise ValidationError("env.name", f"must be one of {ENV_NAMES}, got {name!r}")
+# config name -> env class; a class's fields are the params its config takes
+ENVS = {env.name: env for env in (XorEnv, GridNavEnv, CompositionalGridNavEnv)}
+

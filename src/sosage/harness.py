@@ -13,8 +13,7 @@ from pathlib import Path
 from typing import Any, Callable, Mapping, Optional, TextIO
 
 from .checkpoint import Checkpoint, save_checkpoint
-from .config import RunConfig, with_seed
-from .envs import make_env
+from .config import RunConfig, make_env, with_seed
 from .errors import ValidationError
 from .symbio import GenerationRow, LoopState, new_loop_state, run_symbiosis
 

@@ -6,7 +6,7 @@ import re
 from dataclasses import dataclass
 
 from .checkpoint import Checkpoint
-from .envs import make_env
+from .envs import ENVS
 from .symbio import SAMPLE_RING_FACTOR, NeuronGene, genome_shape_fault, live_structures
 
 
@@ -41,7 +41,7 @@ def verify(ckpt: Checkpoint) -> VerifyReport:
     u = ckpt.state.universe
     pop = ckpt.state.pop
     ledger = ckpt.state.ledger
-    env = make_env(ckpt.config.env.name, ckpt.config.env.params)
+    env = ENVS[ckpt.config.env.name]  # its class holds the dimensions genome-shape checks
     w_max = ckpt.config.evolution.w_max
     results: list[InvariantResult] = []
 

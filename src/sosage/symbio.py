@@ -162,7 +162,7 @@ def flatten_to_genes(universe: Universe, participants: Sequence[StructureId]) ->
         s = universe.get(i)
         if s.order == 1:
             if not isinstance(s.payload, NeuronGene):
-                raise TypeError(f"structure {i} payload is not a neuron genome")
+                raise SosageError(f"structure {i} payload is not a neuron genome")
             genes.append(s.payload)
         else:
             stack += sorted(s.constituents, reverse=True)

@@ -20,6 +20,7 @@ from sosage.population import BreakEvent
 
 from support import inline_floats, table_floats, v10_to_v9
 from test_digests import CONFIG_DIR
+from test_envs import REFUSALS, env_config
 
 
 @pytest.fixture(autouse=True)
@@ -110,6 +111,29 @@ class TestRunCommand:
         code, out, err = run_cli(capsys, "run", str(path))
         assert code == EXIT_USAGE
         assert out == "" and err.startswith("error: ") and len(err.splitlines()) == 1
+        assert [p.name for p in tmp_path.iterdir()] == ["bad.json"]
+
+    @pytest.mark.parametrize("name,params,message", REFUSALS.values(), ids=REFUSALS)
+    def test_each_env_refusal_is_one_error_line_and_no_file(self, capsys, tmp_path, monkeypatch,
+                                                             name, params, message):
+        monkeypatch.chdir(tmp_path)  # where the default output_dir would be made
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps(env_config(name, params)))
+        assert run_cli(capsys, "run", str(path)) == (EXIT_USAGE, "", f"error: {message}\n")
+        assert [p.name for p in tmp_path.iterdir()] == ["bad.json"]
+
+    def test_rewards_whose_totals_can_overflow_are_refused_before_any_file(self, capsys, tmp_path, monkeypatch):
+        # this config once wrote two metrics rows of -inf, then failed to
+        # encode its checkpoint and left the metrics file behind
+        doc = json.loads((CONFIG_DIR / "gridnav_comp.json").read_text())
+        doc["env"]["params"]["step_penalty"] = 1e308
+        doc["evolution"]["max_generations"] = 2
+        monkeypatch.chdir(tmp_path)
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps(doc))
+        assert run_cli(capsys, "run", str(path)) == (EXIT_USAGE, "", (
+            "error: env.params: rewards let an episode return inf in size, "
+            "and 40 such returns in a run can total more than 4.49423e+307\n"))
         assert [p.name for p in tmp_path.iterdir()] == ["bad.json"]
 
     @pytest.mark.parametrize("text,key", [

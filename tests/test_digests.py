@@ -23,9 +23,10 @@ ledger after the second whole-roster tally: its final checkpoint holds all
 a wrong starting value for a new co-occurrence cell would show. Its metrics
 CSV is pinned too.
 
-Both shipped configs leave most settings at their defaults, so one more
-pin covers the echo itself: the config digest of a document that sets
-every setting to a value other than its default.
+Both shipped configs leave most settings at their defaults, so two more
+pins cover the echo itself: the config digests of a document that sets
+every setting to a value other than its default, and of a plain gridnav
+document that sets each of its six env params off its default.
 """
 
 from __future__ import annotations
@@ -167,3 +168,20 @@ def test_every_setting_reaches_the_echo_and_digest():
     assert set(echo["env"]["params"]) == set(default["env"]["params"])
     assert all(echo["env"]["params"][k] != v for k, v in default["env"]["params"].items())
     assert all(echo[k] != v for k, v in default.items() if k not in ("env", "problem", "evolution"))
+
+
+# plain gridnav, each env param off its default; goal_reward is a float param given as an int
+PLAIN_GRIDNAV = {"env": {"name": "gridnav", "params": {
+    "size": 7, "goal_x": 2, "goal_y": 5, "max_steps": 90, "step_penalty": 0.05, "goal_reward": 3,
+}}}
+PLAIN_GRIDNAV_DIGEST = "4dd047e76ab1d28807cf9b11cfaa76088e8e085be0ae97880abf2354aa117f83"
+
+
+def test_plain_gridnav_params_reach_the_echo_and_digest():
+    config = config_from_dict(PLAIN_GRIDNAV)
+    assert config_digest(config) == PLAIN_GRIDNAV_DIGEST
+    params = config_to_json_dict(config)["env"]["params"]
+    assert repr(params["goal_reward"]) == "3.0"
+    default = config_to_json_dict(config_from_dict({"env": {"name": "gridnav"}}))["env"]["params"]
+    assert set(params) == set(default) == set(PLAIN_GRIDNAV["env"]["params"])
+    assert all(params[k] != v for k, v in default.items())

@@ -29,15 +29,17 @@ from sosage.checkpoint import (
 )
 from sosage.cli import EXIT_VERIFY_FAILED, main
 from sosage.config import (
+    MAX_RETURN_TOTAL,
     RunConfig,
     bounds_text,
     config_digest,
     config_from_dict,
     config_to_json_dict,
     load_config,
+    make_env,
     with_seed,
 )
-from sosage.envs import ENV_NAMES, make_env
+from sosage.envs import ENVS
 from sosage.errors import ParseError, SosageError, ValidationError
 from sosage.harness import (
     METRICS_HEADER,
@@ -389,7 +391,7 @@ def config_section(defaults, prefix=None):
 DEFAULT_ECHO = config_to_json_dict(config_from_dict({"env": {"name": "xor"}}))
 ENV_PARAMS = {
     name: config_to_json_dict(config_from_dict({"env": {"name": name}}))["env"]["params"]
-    for name in ENV_NAMES
+    for name in ENVS
 }
 
 
@@ -397,7 +399,7 @@ def env_section(name, params):
     return st.fixed_dictionaries({"name": name}, optional={"params": config_section(params)})
 
 
-ENV_SECTIONS = st.sampled_from(ENV_NAMES).flatmap(lambda name: env_section(st.just(name), ENV_PARAMS[name]))
+ENV_SECTIONS = st.sampled_from(list(ENVS)).flatmap(lambda name: env_section(st.just(name), ENV_PARAMS[name]))
 CONFIG_DOCS = st.fixed_dictionaries(
     {"env": mostly(ENV_SECTIONS, mostly(
         env_section(ANY_VALUE, ENV_PARAMS["gridnav-compositional"]), ANY_VALUE, odds=1))},
@@ -459,6 +461,22 @@ class TestSettingsTable:
             ), label
             if f.metadata:
                 assert bounds == bounds_text(f.metadata), label
+
+
+    def test_the_readme_grid_table_matches_the_env_fields(self):
+        """The grid params table of README.md gives every field of the
+        compositional grid env in order, its default unless size sets it,
+        and its metadata's range."""
+        lines = (ROOT / "README.md").read_text(encoding="utf-8").splitlines()
+        start = lines.index("| Param | Default | Range |") + 2
+        rows = [[cell.strip() for cell in line.strip("|").split("|")]
+                for line in itertools.takewhile(lambda line: line.startswith("|"), lines[start:])]
+        env_fields = dataclasses.fields(ENVS["gridnav-compositional"])
+        assert [label.strip("`") for label, _, _ in rows] == [f.name for f in env_fields]
+        for (label, default, bounds), f in zip(rows, env_fields):
+            if f.default is not None:
+                assert default == json.dumps(f.default), label
+            assert bounds == (f.metadata["rule"].removeprefix("lie in ") if f.metadata else "any finite number"), label
 
 
 class TestDigest:
@@ -618,6 +636,21 @@ class TestResume:
         final_resumed = json.loads(Path(resumed.checkpoint_path).read_text())
         assert final_resumed == final_full
 
+    def test_a_payload_that_is_no_genome_fails_verify_and_resume_as_sosage_errors(self, finished_run):
+        # resume trusts its caller to verify first, as the CLI does; if it
+        # is not verified, assembling the bad primitive fails as a SosageError
+        _, _, out = finished_run
+        path = out / "checkpoint-0-gen2.json"
+        doc = inline_floats(json.loads(path.read_text()))
+        for row in doc["universe"]["structures"]:
+            if row[1] == 1:
+                row[4:] = ["not a genome"]
+        path.write_text(json.dumps(table_floats(doc)))
+        ckpt = load_checkpoint(path)
+        assert "genome-shape" in {r.name for r in verify(ckpt).failures()}
+        with pytest.raises(SosageError, match=r"^structure \d+ payload is not a neuron genome$"):
+            resume(ckpt)
+
     def test_indented_file_from_earlier_builds_resumes_the_same(self, finished_run):
         # no build writes v7 indented, but such a file differs only in whitespace
         _, report, out = finished_run
@@ -677,12 +710,25 @@ def valid_run_docs(draw):
     """A small valid config for any env. Most draws leave room to break (a
     roster below its limit, networks smaller than the roster, an order cap
     above the base order) and set loose break settings, so many runs break
-    and some reverse."""
-    env = draw(st.sampled_from(ENV_NAMES))
+    and some reverse. A grid draws its goal and subgoal cells, and rewards
+    that are now and then as large as the reward rule lets them be at once."""
+    generations, assemblies = draw(st.integers(2, 16)), draw(st.integers(3, 10))
+    env = draw(st.sampled_from(list(ENVS)))
     params = {}
     if env != "xor":
         size = draw(st.integers(2, 5))
-        params = {"size": size, "max_steps": draw(st.integers(1, min(50, 4 * size * size)))}
+        cell = st.integers(0, size - 1)
+        params = {"size": size, "max_steps": draw(st.integers(1, min(50, 4 * size * size))),
+                  "goal_x": draw(cell), "goal_y": draw(cell)}
+        rewards = ["step_penalty", "goal_reward"]
+        if env == "gridnav-compositional":
+            params |= {"subgoal_x": draw(cell), "subgoal_y": draw(cell)}
+            rewards.append("subgoal_reward")
+        # an episode's return is at most max_steps step penalties and one of each other reward
+        largest = MAX_RETURN_TOTAL / (generations * assemblies * (params["max_steps"] + len(rewards) - 1))
+        largest *= 1 - 2**-20  # room for the rounding of that quotient
+        for key in rewards:
+            params[key] = draw(st.floats(-2, 2) | st.sampled_from([1e7, -1e7, largest, -largest]))
     r = draw(st.integers(1, 3))
     room = draw(st.integers(0, 3).map(bool))
     roster = draw(st.integers(2 + room, 6))
@@ -692,12 +738,12 @@ def valid_run_docs(draw):
         "problem": {"problem_order_x": draw(st.integers(1, r + 1)), "base_solver_order_r": r},
         "evolution": {
             "network_size": draw(st.integers(1 + room, min(3, roster - room))),
-            "assemblies_per_generation": draw(st.integers(3, 10)),
+            "assemblies_per_generation": assemblies,
             "dependency_delta": draw(st.sampled_from([0.001, 0.01, 0.05])),
             "min_cooccur_samples": draw(st.integers(1, 3 - room)),
             "window_G": draw(st.integers(1, 3 - room)),
             "break_warmup": draw(st.integers(0, 2)),
-            "max_generations": draw(st.integers(2, 16)),
+            "max_generations": generations,
             "w_max": draw(st.floats(1, 10)),
         },
         "roster_size": roster,

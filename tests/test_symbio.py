@@ -12,8 +12,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from sosage.config import load_config, with_seed
-from sosage.envs import GridNavEnv, XorEnv, make_env
+from sosage.config import load_config, make_env, with_seed
+from sosage.envs import GridNavEnv, XorEnv
 from sosage.errors import SosageError
 from sosage.harness import build_state
 from sosage.hyperstruct import Universe
@@ -221,7 +221,7 @@ class TestFlatten:
 
     def test_non_genome_payload_rejected(self, universe):
         s = universe.add_primitive("just a label")
-        with pytest.raises(TypeError):
+        with pytest.raises(SosageError, match=exactly(f"structure {s} payload is not a neuron genome")):
             flatten_to_genes(universe, [s])
 
 
