@@ -32,6 +32,7 @@ class RunConfig:
     problem: ProblemSpec
     env: EnvSpec
     evolution: EvolutionConfig
+    seed: int = field(default=0, metadata={"low": 0, "high": 2**64 - 1, "rule": "be an unsigned 64-bit integer"})
     roster_size: int = field(default=24, metadata={"low": 1, "high": 500})
     population_limit: int = field(metadata={"low": 1, "high": 1000})  # default: twice roster_size
     max_order: int = field(default=DEFAULT_MAX_ORDER, metadata={"low": 1, "high": 10**4})
@@ -39,10 +40,6 @@ class RunConfig:
     reverse_enabled: bool = True
     output_dir: str = "runs"
     checkpoint_every: int = field(default=0, metadata={"low": 0, "high": 10**6})
-
-    @property
-    def seed(self) -> int:
-        return self.evolution.seed
 
 
 @cache
@@ -150,7 +147,7 @@ def config_from_dict(doc: Mapping[str, Any]) -> RunConfig:
     are the schema: a key naming no field, or a value outside its field's bounds, is refused."""
     if not isinstance(doc, Mapping):
         raise ValidationError("config", "top level must be an object")
-    _reject_unknown(doc, _names(RunConfig) | {"seed"}, "")
+    _reject_unknown(doc, _names(RunConfig), "")
 
     env_doc = _section(doc, "env")
     _reject_unknown(env_doc, _names(EnvSpec), "env")
@@ -163,10 +160,8 @@ def config_from_dict(doc: Mapping[str, Any]) -> RunConfig:
     problem = ProblemSpec(**_read_fields(ProblemSpec, problem_doc, "problem."))
 
     evo_doc = _section(doc, "evolution")
-    # seed is set at the top level only, the one key there that names a field of EvolutionConfig
-    _reject_unknown(evo_doc, _names(EvolutionConfig) - {"seed"}, "evolution")
-    evolution = EvolutionConfig(**_read_fields(EvolutionConfig, evo_doc, "evolution."),
-                                **_read_fields(EvolutionConfig, doc, ""))
+    _reject_unknown(evo_doc, _names(EvolutionConfig), "evolution")
+    evolution = EvolutionConfig(**_read_fields(EvolutionConfig, evo_doc, "evolution."))
 
     settings = _read_fields(RunConfig, doc, "")
     if "population_limit" not in settings:  # twice roster_size, read as a set value is
@@ -244,10 +239,8 @@ def _echo(value: Any) -> Any:
 
 
 def config_to_json_dict(config: RunConfig) -> dict:
-    """Every field of the config in file schema form, seed at the top level."""
-    doc = _echo(config)
-    doc["seed"] = doc["evolution"].pop("seed")
-    return doc
+    """Every field of the config in file schema form."""
+    return _echo(config)
 
 
 def config_digest(config: RunConfig) -> str:
@@ -262,5 +255,4 @@ def echo_digest(echo: Mapping[str, Any]) -> str:
 
 def with_seed(config: RunConfig, seed: int) -> RunConfig:
     """The config with its seed replaced; a seed outside 64 bits is refused."""
-    evolution = replace(config.evolution, **_read_fields(EvolutionConfig, {"seed": seed}, ""))
-    return replace(config, evolution=evolution)
+    return replace(config, **_read_fields(RunConfig, {"seed": seed}, ""))

@@ -60,6 +60,7 @@ def build_state(config: RunConfig) -> LoopState:
         roster_size=config.roster_size,
         population_limit=config.population_limit,
         max_order=config.max_order,
+        seed=config.seed,
     )
 
 
@@ -74,7 +75,7 @@ def _drive(
     and final checkpoint named by the seed and `suffix`."""
     out_dir = resolve_output_dir(config)
     env = make_env(config.env.name, config.env.params)
-    seed = config.evolution.seed
+    seed = config.seed
     metrics_path = out_dir / f"metrics-{seed}{suffix}.csv"
     final_path = out_dir / f"checkpoint-{seed}{suffix}-final.json"
 
@@ -99,6 +100,7 @@ def _drive(
             env,
             config.evolution,
             state,
+            seed,
             breaks_enabled=config.breaks_enabled,
             reverse_enabled=config.reverse_enabled,
             start_generation=start_generation,
@@ -141,7 +143,7 @@ def sweep(
     one-row-per-seed summary CSV."""
     if n_seeds < 1:
         raise ValidationError("seeds", "must be >= 1")
-    base = config.evolution.seed
+    base = config.seed
     with_seed(config, base + n_seeds - 1)  # the largest seed, refused before any file is written
     out_dir = resolve_output_dir(config)
     reports: list[RunReport] = []

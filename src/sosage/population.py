@@ -111,28 +111,18 @@ def can_break(
     pop: Population,
     candidate_pairs: Iterable[tuple[StructureId, StructureId]],
 ) -> Optional[tuple[StructureId, StructureId]]:
-    """Select the breakable (dependent, dependee) pair, if any.
+    """Select the breakable (dependent, dependee) pair: the lowest candidate,
+    or None when the roster is full, the composite would pass the order cap,
+    or there is no candidate.
 
-    A pair qualifies when both members sit in the top stratum and the
-    composite would not exceed the universe's order cap. Absence is a normal
-    outcome: a full roster, an order cap, or no qualifying pair all yield
-    None. Ties break on lowest (dependent, dependee).
+    Each break gate is checked in one place: the warmup and the stall in
+    run_symbiosis; the top stratum, the sample floor and dependency_delta in
+    detect_dependency, which yields the candidates; a full roster and the
+    order cap here; apply_break refuses any other pair.
     """
-    if len(pop.members) == pop.population_limit:
+    if len(pop.members) == pop.population_limit or pop.top_order + 1 > universe.max_order:
         return None
-    top = pop.top_order
-    if top + 1 > universe.max_order:
-        return None
-    active = set(pop.members)
-    best: Optional[tuple[StructureId, StructureId]] = None
-    for x, y in candidate_pairs:
-        if x == y or x not in active or y not in active:
-            continue
-        if universe.structural_order(x) != top or universe.structural_order(y) != top:
-            continue
-        if best is None or (x, y) < best:
-            best = (x, y)
-    return best
+    return min(candidate_pairs, default=None)
 
 
 def apply_break(

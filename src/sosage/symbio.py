@@ -282,7 +282,7 @@ class FitnessLedger:
 
 @dataclass(frozen=True)
 class EvolutionConfig:
-    """Each numeric field's metadata holds its bounds, which harness applies."""
+    """Each numeric field's metadata holds its bounds, which config._read_fields applies."""
 
     network_size: int = field(default=3, metadata={"low": 1, "high": 500})
     assemblies_per_generation: int = field(default=30, metadata={"low": 1, "high": 10**6})
@@ -297,9 +297,6 @@ class EvolutionConfig:
     min_improvement: float = field(default=0.01, metadata={"low": 0})
     break_warmup: int = field(default=0, metadata={"low": 0, "high": 10**6})
     max_generations: int = field(default=200, metadata={"low": 0, "high": 10**6})
-    seed: int = field(
-        default=0, metadata={"low": 0, "high": 2**64 - 1, "rule": "be an unsigned 64-bit integer"}
-    )
     w_max: float = field(default=5.0, metadata={"low": 1})  # random_genome draws in [-1, 1), unclamped
 
 
@@ -535,10 +532,11 @@ def new_loop_state(
     roster_size: int,
     population_limit: int,
     max_order: int,
+    seed: int,
 ) -> LoopState:
     """Fresh universe + homogeneous initial population of random genomes."""
     universe = Universe(max_order=max_order)
-    rng = substream(config.seed, "init")
+    rng = substream(seed, "init")
     genomes = [random_genome(env.input_dim, env.output_dim, rng) for _ in range(roster_size)]
     pop = init_population(universe, problem, genomes, population_limit)
     ledger = FitnessLedger(top_m=config.top_m)
@@ -582,6 +580,7 @@ def run_symbiosis(
     env,
     config: EvolutionConfig,
     state: LoopState,
+    seed: int,
     breaks_enabled: bool = True,
     reverse_enabled: bool = True,
     start_generation: int = 0,
@@ -608,7 +607,7 @@ def run_symbiosis(
                 and (generation % checkpoint_every) == 0:
             on_checkpoint(generation, state)
 
-        assemblies = assemble(universe, pop, config, substream(config.seed, "assemble", generation))
+        assemblies = assemble(universe, pop, config, substream(seed, "assemble", generation))
         for assembly in assemblies:
             evaluate(assembly, env, env.eval_episodes)
         top = pop.top_order
@@ -624,7 +623,7 @@ def run_symbiosis(
         detector.update(max(best, prior))
         solved_now = any(a.solved for a in assemblies)
         done = goal_reached(state.problem, pop, solved_now)
-        if done and state.solved_at is None:
+        if done:
             state.solved_at = generation
 
         if not done:
@@ -652,7 +651,7 @@ def run_symbiosis(
         generation += 1
         if done:
             break
-        evolve_generation(universe, pop, ledger, config, substream(config.seed, "evolve", row.generation), row.generation)
+        evolve_generation(universe, pop, ledger, config, substream(seed, "evolve", row.generation), row.generation)
         # in the loop, not at save time, so a resumed run holds the same state
         compact(state)
 

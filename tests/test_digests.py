@@ -156,10 +156,10 @@ def test_every_setting_reaches_the_echo_and_digest():
     config = config_from_dict(EVERY_SETTING)
     assert config_digest(config) == EVERY_SETTING_DIGEST
     echo = config_to_json_dict(config)
-    assert set(echo) == names(RunConfig) | {"seed"}
+    assert set(echo) == names(RunConfig)
     assert set(echo["env"]) == names(EnvSpec)
     assert set(echo["problem"]) == names(ProblemSpec)
-    assert set(echo["evolution"]) == names(EvolutionConfig) - {"seed"}
+    assert set(echo["evolution"]) == names(EvolutionConfig)
     assert repr(echo["evolution"]["mutation_rate"]) == "1.0"
     # the document really moves every setting: no echoed value is its default
     default = config_to_json_dict(config_from_dict({"env": {"name": EVERY_SETTING["env"]["name"]}}))

@@ -279,9 +279,9 @@ class TestConfigParsing:
             config_from_dict({"env": {"name": "xor"}, "output_dir": output_dir})
 
 
-# every setting by its config label; seed is a field of EvolutionConfig set at the top level
+# every setting by its config label
 SETTINGS = {
-    "seed" if f.name == "seed" else prefix + f.name: f
+    prefix + f.name: f
     for cls, prefix in ((RunConfig, ""), (ProblemSpec, "problem."), (EvolutionConfig, "evolution."))
     for f in dataclasses.fields(cls) if f.type in ("int", "float", "bool", "str")
 }
@@ -488,10 +488,8 @@ class TestDigest:
     def test_digest_tracks_content(self, tmp_path):
         config = config_from_dict(base_doc(tmp_path))
         reseeded = with_seed(config, 99)
-        assert reseeded.evolution.seed == 99
-        assert dataclasses.replace(
-            reseeded, evolution=dataclasses.replace(reseeded.evolution, seed=0)
-        ) == config
+        assert reseeded.seed == 99
+        assert dataclasses.replace(reseeded, seed=0) == config
         assert config_digest(config) != config_digest(reseeded)
 
 
@@ -1039,7 +1037,7 @@ def _checkpoint_text() -> str:
     )
     config = dataclasses.replace(base, evolution=evolution, roster_size=4, population_limit=8)
     state = build_state(config)
-    generation = run_symbiosis(make_env(config.env.name, config.env.params), config.evolution, state)
+    generation = run_symbiosis(make_env(config.env.name, config.env.params), config.evolution, state, config.seed)
     assert state.pop.break_log
     ckpt = Checkpoint(config=config, generation=generation, state=state)
     return json.dumps(checkpoint_to_json_dict(ckpt))

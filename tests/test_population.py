@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import copy
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -133,23 +135,11 @@ class TestCanBreak:
         a, b = pop.members[0], pop.members[1]
         assert can_break(u, pop, [(a, b)]) is None
 
-    def test_non_roster_and_self_pairs_skipped(self, universe):
-        pop = make_pop(universe)
-        a, b = pop.members[0], pop.members[1]
-        ghost = universe.add_primitive("ghost")
-        assert can_break(universe, pop, [(a, a), (ghost, b)]) is None
-
     def test_ties_break_on_lowest_pair(self, universe):
         pop = make_pop(universe)
         a, b, c = pop.members[:3]
         got = can_break(universe, pop, [(b, c), (a, c), (a, b)])
         assert got == (a, b)
-
-    def test_lower_stratum_members_skipped(self, universe):
-        pop = make_pop(universe)
-        a, b, c, d = pop.members
-        apply_break(universe, pop, a, b, generation=0)
-        assert can_break(universe, pop, [(c, d)]) is None
 
 
 class TestApplyBreak:
@@ -193,6 +183,21 @@ class TestApplyBreak:
         ghost = universe.add_primitive("ghost")
         with pytest.raises(SosageError, match=exactly(f"apply_break({a}, {ghost}) without a qualifying pair at order 1")):
             apply_break(universe, pop, a, ghost, generation=0)
+
+    def test_self_pair_rejected_and_nothing_changes(self, universe):
+        pop = make_pop(universe)
+        a = pop.members[0]
+        before = (copy.deepcopy(universe), copy.deepcopy(pop))
+        with pytest.raises(SosageError, match=exactly(f"apply_break({a}, {a}) without a qualifying pair at order 1")):
+            apply_break(universe, pop, a, a, generation=0)
+        assert (universe, pop) == before
+
+    def test_lower_stratum_pair_rejected(self, universe):
+        pop = make_pop(universe)
+        a, b, c, d = pop.members
+        apply_break(universe, pop, a, b, generation=0)
+        with pytest.raises(SosageError, match=exactly(f"apply_break({c}, {d}) without a qualifying pair at order 2")):
+            apply_break(universe, pop, c, d, generation=1)
 
 
 class TestReverseBreak:

@@ -828,27 +828,25 @@ class TestLoop:
         config = EvolutionConfig(max_generations=0, network_size=3, assemblies_per_generation=2)
         state = self.solver_state(config)
         rows = []
-        next_generation = run_symbiosis(XorEnv(), config, state, on_row=rows.append)
+        next_generation = run_symbiosis(XorEnv(), config, state, seed=0, on_row=rows.append)
         assert (state.solved_at, rows, next_generation) == (None, [], 0)
 
     def test_planted_solver_finishes_at_generation_zero(self):
         config = EvolutionConfig(max_generations=5, network_size=3, assemblies_per_generation=2)
         state = self.solver_state(config)
         rows = []
-        next_generation = run_symbiosis(XorEnv(), config, state, on_row=rows.append)
+        next_generation = run_symbiosis(XorEnv(), config, state, seed=0, on_row=rows.append)
         assert (state.solved_at, next_generation) == (0, 1)
         assert len(rows) == 1
         assert rows[0].best_fitness == 4.0
 
     def test_unsolved_run_fills_the_budget(self):
         problem = ProblemSpec(problem_order_x=2, base_solver_order_r=1)
-        config = EvolutionConfig(
-            max_generations=4, network_size=2, assemblies_per_generation=3, seed=5
-        )
-        state = new_loop_state(problem, XorEnv(), config, roster_size=4, population_limit=8, max_order=8)
+        config = EvolutionConfig(max_generations=4, network_size=2, assemblies_per_generation=3)
+        state = new_loop_state(problem, XorEnv(), config, roster_size=4, population_limit=8, max_order=8, seed=5)
         rows = []
         next_generation = run_symbiosis(
-            XorEnv(), config, state, breaks_enabled=False, on_row=rows.append
+            XorEnv(), config, state, seed=5, breaks_enabled=False, on_row=rows.append
         )
         assert state.solved_at is None
         assert [r.generation for r in rows] == [0, 1, 2, 3]
@@ -858,26 +856,22 @@ class TestLoop:
 
     def test_rows_are_reproducible(self):
         problem = ProblemSpec(problem_order_x=2, base_solver_order_r=1)
-        config = EvolutionConfig(
-            max_generations=6, network_size=2, assemblies_per_generation=4, seed=12
-        )
+        config = EvolutionConfig(max_generations=6, network_size=2, assemblies_per_generation=4)
         runs = []
         for _ in range(2):
-            state = new_loop_state(problem, XorEnv(), config, 5, 10, 8)
+            state = new_loop_state(problem, XorEnv(), config, 5, 10, 8, seed=12)
             rows = []
-            run_symbiosis(XorEnv(), config, state, on_row=rows.append)
+            run_symbiosis(XorEnv(), config, state, seed=12, on_row=rows.append)
             runs.append(rows)
         assert runs[0] == runs[1]
 
     def test_checkpoint_hook_fires_on_schedule(self):
         problem = ProblemSpec(problem_order_x=2, base_solver_order_r=1)
-        config = EvolutionConfig(
-            max_generations=5, network_size=2, assemblies_per_generation=3, seed=3
-        )
-        state = new_loop_state(problem, XorEnv(), config, 4, 8, 8)
+        config = EvolutionConfig(max_generations=5, network_size=2, assemblies_per_generation=3)
+        state = new_loop_state(problem, XorEnv(), config, 4, 8, 8, seed=3)
         seen = []
         run_symbiosis(
-            XorEnv(), config, state,
+            XorEnv(), config, state, seed=3,
             on_checkpoint=lambda g, s: seen.append(g), checkpoint_every=2,
         )
         assert seen == [2, 4]
@@ -898,7 +892,7 @@ class TestLoop:
             edges.append(len(now.universe.interaction_edges()))
 
         next_generation = run_symbiosis(
-            make_env(config.env.name, config.env.params), config.evolution, state,
+            make_env(config.env.name, config.env.params), config.evolution, state, seed=config.seed,
             on_checkpoint=check, checkpoint_every=1,
         )
         check(next_generation, state)
