@@ -303,7 +303,6 @@ def _checkpoint_from_doc(doc: Mapping[str, Any]) -> Checkpoint:
     floats = _FloatTable(doc["floats"])
     state = LoopState(
         universe=_universe_from_json(doc["universe"], config.max_order, floats),
-        problem=config.problem,
         pop=_population_from_json(
             doc["population"], config.problem.base_solver_order_r, config.population_limit
         ),

@@ -1,6 +1,7 @@
-"""Run configs. The dataclasses are the schema: each numeric field carries
-its bounds in its metadata, and `_read_fields` applies them as it reads the
-value, so a config that loads can run."""
+"""The run config reader. The dataclasses are the schema (`RunConfig` and
+`EvolutionConfig` live in symbio, beside the loop that reads them): each
+numeric field carries its bounds in its metadata, and `_read_fields` applies
+them as it reads the value, so a config that loads can run."""
 
 from __future__ import annotations
 
@@ -9,37 +10,21 @@ import json
 import math
 import sys
 from collections import Counter
-from dataclasses import Field, dataclass, field, fields, replace
+from dataclasses import Field, fields, replace
 from functools import cache
 from pathlib import Path
 from typing import AbstractSet, Any, Callable, Mapping
 
 from .envs import ENVS, EnvSpec
 from .errors import ParseError, ValidationError
-from .hyperstruct import DEFAULT_MAX_ORDER
 from .population import ProblemSpec
-from .symbio import EvolutionConfig
+from .symbio import EvolutionConfig, RunConfig
 
 # caps on products of settings (config_from_dict forms them): the structures
 # build_state makes, the env steps of one generation, and any total of returns
 MAX_INITIAL_STRUCTURES = 10**4
 MAX_GENERATION_STEPS = 10**6
 MAX_RETURN_TOTAL = sys.float_info.max / 4
-
-
-@dataclass(frozen=True, kw_only=True)
-class RunConfig:
-    problem: ProblemSpec
-    env: EnvSpec
-    evolution: EvolutionConfig
-    seed: int = field(default=0, metadata={"low": 0, "high": 2**64 - 1, "rule": "be an unsigned 64-bit integer"})
-    roster_size: int = field(default=24, metadata={"low": 1, "high": 500})
-    population_limit: int = field(metadata={"low": 1, "high": 1000})  # default: twice roster_size
-    max_order: int = field(default=DEFAULT_MAX_ORDER, metadata={"low": 1, "high": 10**4})
-    breaks_enabled: bool = True
-    reverse_enabled: bool = True
-    output_dir: str = "runs"
-    checkpoint_every: int = field(default=0, metadata={"low": 0, "high": 10**6})
 
 
 @cache

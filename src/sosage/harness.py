@@ -1,8 +1,8 @@
 """Running experiments: runs, resumes and sweeps, metrics files, the inspect summary.
 
-Everything here is deterministic plumbing around the symbiosis loop. A config
-plus its seed fully determines the metrics CSV and checkpoint bytes; resuming
-a checkpoint replays the exact continuation of the original run.
+Everything here is deterministic plumbing around the symbiosis loop. A config,
+seed included, fully determines the metrics CSV and checkpoint bytes;
+resuming a checkpoint replays the exact continuation of the original run.
 """
 
 from __future__ import annotations
@@ -53,15 +53,7 @@ def write_metrics_row(sink: TextIO, row: GenerationRow) -> None:
 
 
 def build_state(config: RunConfig) -> LoopState:
-    return new_loop_state(
-        problem=config.problem,
-        env=make_env(config.env.name, config.env.params),
-        config=config.evolution,
-        roster_size=config.roster_size,
-        population_limit=config.population_limit,
-        max_order=config.max_order,
-        seed=config.seed,
-    )
+    return new_loop_state(make_env(config.env.name, config.env.params), config)
 
 
 def _drive(
@@ -96,18 +88,7 @@ def _drive(
 
     with open(metrics_path, "w", encoding="utf-8", newline="") as sink:
         write_metrics_header(sink)
-        next_generation = run_symbiosis(
-            env,
-            config.evolution,
-            state,
-            seed,
-            breaks_enabled=config.breaks_enabled,
-            reverse_enabled=config.reverse_enabled,
-            start_generation=start_generation,
-            on_row=on_row,
-            on_checkpoint=on_checkpoint,
-            checkpoint_every=config.checkpoint_every,
-        )
+        next_generation = run_symbiosis(env, config, state, start_generation, on_row, on_checkpoint)
     save_checkpoint(final_path, Checkpoint(config=config, generation=next_generation, state=state))
     return RunReport(
         solved=state.solved_at is not None,

@@ -18,8 +18,9 @@ from functools import lru_cache, reduce
 from operator import add
 from typing import Callable, Collection, Iterable, Optional, Sequence
 
+from .envs import EnvSpec
 from .errors import LimitExceeded, SosageError
-from .hyperstruct import StructureId, Universe
+from .hyperstruct import DEFAULT_MAX_ORDER, StructureId, Universe
 from .population import (
     Population,
     ProblemSpec,
@@ -277,7 +278,7 @@ class FitnessLedger:
 
 
 # ---------------------------------------------------------------------------
-# evolution configuration
+# run configuration
 # ---------------------------------------------------------------------------
 
 @dataclass(frozen=True)
@@ -298,6 +299,21 @@ class EvolutionConfig:
     break_warmup: int = field(default=0, metadata={"low": 0, "high": 10**6})
     max_generations: int = field(default=200, metadata={"low": 0, "high": 10**6})
     w_max: float = field(default=5.0, metadata={"low": 1})  # random_genome draws in [-1, 1), unclamped
+
+
+@dataclass(frozen=True, kw_only=True)
+class RunConfig:
+    problem: ProblemSpec
+    env: EnvSpec
+    evolution: EvolutionConfig
+    seed: int = field(default=0, metadata={"low": 0, "high": 2**64 - 1, "rule": "be an unsigned 64-bit integer"})
+    roster_size: int = field(default=24, metadata={"low": 1, "high": 500})
+    population_limit: int = field(metadata={"low": 1, "high": 1000})  # default: twice roster_size
+    max_order: int = field(default=DEFAULT_MAX_ORDER, metadata={"low": 1, "high": 10**4})
+    breaks_enabled: bool = True
+    reverse_enabled: bool = True
+    output_dir: str = "runs"
+    checkpoint_every: int = field(default=0, metadata={"low": 0, "high": 10**6})
 
 
 # ---------------------------------------------------------------------------
@@ -507,7 +523,6 @@ class LoopState:
     """Everything the loop mutates; checkpoints snapshot exactly this."""
 
     universe: Universe
-    problem: ProblemSpec
     pop: Population
     ledger: FitnessLedger
     detector: StallDetector
@@ -525,23 +540,18 @@ class GenerationRow:
     breaks_so_far: int
 
 
-def new_loop_state(
-    problem: ProblemSpec,
-    env,
-    config: EvolutionConfig,
-    roster_size: int,
-    population_limit: int,
-    max_order: int,
-    seed: int,
-) -> LoopState:
-    """Fresh universe + homogeneous initial population of random genomes."""
-    universe = Universe(max_order=max_order)
-    rng = substream(seed, "init")
-    genomes = [random_genome(env.input_dim, env.output_dim, rng) for _ in range(roster_size)]
-    pop = init_population(universe, problem, genomes, population_limit)
-    ledger = FitnessLedger(top_m=config.top_m)
-    detector = StallDetector(window_G=config.window_G, min_improvement=config.min_improvement)
-    return LoopState(universe=universe, problem=problem, pop=pop, ledger=ledger, detector=detector)
+def new_loop_state(env, config: RunConfig) -> LoopState:
+    """Fresh universe + homogeneous initial population of random genomes,
+    from the config's seed, problem, roster_size, population_limit and
+    max_order, and its evolution's top_m, window_G and min_improvement."""
+    evo = config.evolution
+    universe = Universe(max_order=config.max_order)
+    rng = substream(config.seed, "init")
+    genomes = [random_genome(env.input_dim, env.output_dim, rng) for _ in range(config.roster_size)]
+    pop = init_population(universe, config.problem, genomes, config.population_limit)
+    ledger = FitnessLedger(top_m=evo.top_m)
+    detector = StallDetector(window_G=evo.window_G, min_improvement=evo.min_improvement)
+    return LoopState(universe=universe, pop=pop, ledger=ledger, detector=detector)
 
 
 def live_structures(universe: Universe, pop: Population) -> set[StructureId]:
@@ -578,18 +588,15 @@ def compact(state: LoopState) -> None:
 
 def run_symbiosis(
     env,
-    config: EvolutionConfig,
+    config: RunConfig,
     state: LoopState,
-    seed: int,
-    breaks_enabled: bool = True,
-    reverse_enabled: bool = True,
     start_generation: int = 0,
     on_row: Optional[Callable[[GenerationRow], None]] = None,
     on_checkpoint: Optional[Callable[[int, LoopState], None]] = None,
-    checkpoint_every: int = 0,
 ) -> int:
     """Drive generations until the goal is reached or the budget runs out,
-    and return the generation a resume would start from.
+    and return the generation a resume would start from. A finished state
+    runs no generation.
 
     Each generation: assemble, evaluate, distribute fitness, then (stall
     permitting) detect dependencies and apply at most one break, then the
@@ -597,17 +604,19 @@ def run_symbiosis(
     solving generation stops before evolution; it only credits roster
     members and their cells, so its state is as compact. The checkpoint hook
     fires at the start of a generation so a resumed run replays it exactly.
+
+    The config's seed, problem, breaks_enabled, reverse_enabled and
+    checkpoint_every are read here; its evolution section goes to each phase.
     """
     universe, pop, ledger, detector = state.universe, state.pop, state.ledger, state.detector
+    evo = config.evolution
     generation = start_generation
-    while generation < config.max_generations:
-        if state.solved_at is not None:
-            break  # resumed a finished run
-        if on_checkpoint is not None and checkpoint_every > 0 and generation > start_generation \
-                and (generation % checkpoint_every) == 0:
+    while generation < evo.max_generations and state.solved_at is None:
+        if on_checkpoint is not None and config.checkpoint_every > 0 and generation > start_generation \
+                and (generation % config.checkpoint_every) == 0:
             on_checkpoint(generation, state)
 
-        assemblies = assemble(universe, pop, config, substream(seed, "assemble", generation))
+        assemblies = assemble(universe, pop, evo, substream(config.seed, "assemble", generation))
         for assembly in assemblies:
             evaluate(assembly, env, env.eval_episodes)
         top = pop.top_order
@@ -622,21 +631,21 @@ def run_symbiosis(
         prior = detector.history[-1] if detector.history else NEG_INF
         detector.update(max(best, prior))
         solved_now = any(a.solved for a in assemblies)
-        done = goal_reached(state.problem, pop, solved_now)
+        done = goal_reached(config.problem, pop, solved_now)
         if done:
             state.solved_at = generation
 
         if not done:
             # breaks wait out the warmup: a population still in its first
             # selection sweeps has not failed, it just has not started
-            if breaks_enabled and generation >= config.break_warmup and detector.stalled():
-                pairs = detect_dependency(universe, ledger, pop, config)
+            if config.breaks_enabled and generation >= evo.break_warmup and detector.stalled():
+                pairs = detect_dependency(universe, ledger, pop, evo)
                 selected = can_break(universe, pop, pairs)
                 if selected is not None:
                     apply_break(universe, pop, selected[0], selected[1], generation)
                     detector.reset()
-            if reverse_enabled:
-                _maybe_reverse(state, config, generation)
+            if config.reverse_enabled:
+                _maybe_reverse(state, evo, generation)
 
         row = GenerationRow(
             generation=generation,
@@ -651,7 +660,7 @@ def run_symbiosis(
         generation += 1
         if done:
             break
-        evolve_generation(universe, pop, ledger, config, substream(seed, "evolve", row.generation), row.generation)
+        evolve_generation(universe, pop, ledger, evo, substream(config.seed, "evolve", row.generation), row.generation)
         # in the loop, not at save time, so a resumed run holds the same state
         compact(state)
 

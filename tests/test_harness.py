@@ -1037,7 +1037,7 @@ def _checkpoint_text() -> str:
     )
     config = dataclasses.replace(base, evolution=evolution, roster_size=4, population_limit=8)
     state = build_state(config)
-    generation = run_symbiosis(make_env(config.env.name, config.env.params), config.evolution, state, config.seed)
+    generation = run_symbiosis(make_env(config.env.name, config.env.params), config, state)
     assert state.pop.break_log
     ckpt = Checkpoint(config=config, generation=generation, state=state)
     return json.dumps(checkpoint_to_json_dict(ckpt))

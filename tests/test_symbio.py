@@ -13,7 +13,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from sosage.config import load_config, make_env, with_seed
-from sosage.envs import GridNavEnv, XorEnv
+from sosage.envs import EnvSpec, GridNavEnv, XorEnv
 from sosage.errors import SosageError
 from sosage.harness import build_state
 from sosage.hyperstruct import Universe
@@ -26,6 +26,7 @@ from sosage.symbio import (
     FitnessLedger,
     LoopState,
     NeuronGene,
+    RunConfig,
     _clone_composite,
     _forward_kernel,
     assemble,
@@ -815,39 +816,45 @@ class TestTallyMatchesThePerAssemblyOracle:
         assert cell_bits(ledger) == cell_bits(oracle)
 
 
+def loop_config(problem_order_x: int, evolution: dict, **settings) -> RunConfig:
+    """An xor run config of base solver order 1 and max_order 8."""
+    problem = ProblemSpec(problem_order_x=problem_order_x, base_solver_order_r=1)
+    return RunConfig(problem=problem, env=EnvSpec("xor", {}), evolution=EvolutionConfig(**evolution),
+                     max_order=8, **settings)
+
+
 class TestLoop:
     def solver_state(self, config):
-        universe = Universe(max_order=8)
-        problem = ProblemSpec(problem_order_x=1, base_solver_order_r=1)
-        pop = init_population(universe, problem, list(xor_solver_genes()), 8)
-        ledger = FitnessLedger(top_m=config.top_m)
-        detector = StallDetector(config.window_G, config.min_improvement)
-        return LoopState(universe=universe, problem=problem, pop=pop, ledger=ledger, detector=detector)
+        universe = Universe(max_order=config.max_order)
+        pop = init_population(universe, config.problem, list(xor_solver_genes()), config.population_limit)
+        ledger = FitnessLedger(top_m=config.evolution.top_m)
+        detector = StallDetector(config.evolution.window_G, config.evolution.min_improvement)
+        return LoopState(universe=universe, pop=pop, ledger=ledger, detector=detector)
 
     def test_zero_budget_returns_empty_outcome(self):
-        config = EvolutionConfig(max_generations=0, network_size=3, assemblies_per_generation=2)
+        config = loop_config(1, dict(max_generations=0, network_size=3, assemblies_per_generation=2),
+                             seed=0, roster_size=3, population_limit=8)
         state = self.solver_state(config)
         rows = []
-        next_generation = run_symbiosis(XorEnv(), config, state, seed=0, on_row=rows.append)
+        next_generation = run_symbiosis(XorEnv(), config, state, on_row=rows.append)
         assert (state.solved_at, rows, next_generation) == (None, [], 0)
 
     def test_planted_solver_finishes_at_generation_zero(self):
-        config = EvolutionConfig(max_generations=5, network_size=3, assemblies_per_generation=2)
+        config = loop_config(1, dict(max_generations=5, network_size=3, assemblies_per_generation=2),
+                             seed=0, roster_size=3, population_limit=8)
         state = self.solver_state(config)
         rows = []
-        next_generation = run_symbiosis(XorEnv(), config, state, seed=0, on_row=rows.append)
+        next_generation = run_symbiosis(XorEnv(), config, state, on_row=rows.append)
         assert (state.solved_at, next_generation) == (0, 1)
         assert len(rows) == 1
         assert rows[0].best_fitness == 4.0
 
     def test_unsolved_run_fills_the_budget(self):
-        problem = ProblemSpec(problem_order_x=2, base_solver_order_r=1)
-        config = EvolutionConfig(max_generations=4, network_size=2, assemblies_per_generation=3)
-        state = new_loop_state(problem, XorEnv(), config, roster_size=4, population_limit=8, max_order=8, seed=5)
+        config = loop_config(2, dict(max_generations=4, network_size=2, assemblies_per_generation=3),
+                             seed=5, roster_size=4, population_limit=8, breaks_enabled=False)
+        state = new_loop_state(XorEnv(), config)
         rows = []
-        next_generation = run_symbiosis(
-            XorEnv(), config, state, seed=5, breaks_enabled=False, on_row=rows.append
-        )
+        next_generation = run_symbiosis(XorEnv(), config, state, on_row=rows.append)
         assert state.solved_at is None
         assert [r.generation for r in rows] == [0, 1, 2, 3]
         assert all(r.breaks_so_far == 0 for r in rows)
@@ -855,26 +862,38 @@ class TestLoop:
         assert (next_generation, state.pop.pop_order_n) == (4, 1)
 
     def test_rows_are_reproducible(self):
-        problem = ProblemSpec(problem_order_x=2, base_solver_order_r=1)
-        config = EvolutionConfig(max_generations=6, network_size=2, assemblies_per_generation=4)
+        config = loop_config(2, dict(max_generations=6, network_size=2, assemblies_per_generation=4),
+                             seed=12, roster_size=5, population_limit=10)
         runs = []
         for _ in range(2):
-            state = new_loop_state(problem, XorEnv(), config, 5, 10, 8, seed=12)
+            state = new_loop_state(XorEnv(), config)
             rows = []
-            run_symbiosis(XorEnv(), config, state, seed=12, on_row=rows.append)
+            run_symbiosis(XorEnv(), config, state, on_row=rows.append)
             runs.append(rows)
         assert runs[0] == runs[1]
 
     def test_checkpoint_hook_fires_on_schedule(self):
-        problem = ProblemSpec(problem_order_x=2, base_solver_order_r=1)
-        config = EvolutionConfig(max_generations=5, network_size=2, assemblies_per_generation=3)
-        state = new_loop_state(problem, XorEnv(), config, 4, 8, 8, seed=3)
+        config = loop_config(2, dict(max_generations=5, network_size=2, assemblies_per_generation=3),
+                             seed=3, roster_size=4, population_limit=8, checkpoint_every=2)
+        state = new_loop_state(XorEnv(), config)
         seen = []
-        run_symbiosis(
-            XorEnv(), config, state, seed=3,
-            on_checkpoint=lambda g, s: seen.append(g), checkpoint_every=2,
-        )
+        run_symbiosis(XorEnv(), config, state, on_checkpoint=lambda g, s: seen.append(g))
         assert seen == [2, 4]
+
+    def test_run_switches_reach_the_loop_from_the_config(self):
+        base = with_seed(load_config(CONFIG_DIR / "xor.json"), 3)
+        base = dataclasses.replace(base, evolution=dataclasses.replace(base.evolution, **REVERSING, max_generations=120))
+
+        def break_log(**switches):
+            config = dataclasses.replace(base, **switches)
+            state = build_state(config)
+            run_symbiosis(make_env(config.env.name, config.env.params), config, state)
+            return state.pop.break_log
+
+        assert break_log(reverse_enabled=True)[0].reversed_at == 2
+        kept = break_log(reverse_enabled=False)
+        assert kept and all(e.reversed_at is None for e in kept)
+        assert break_log(breaks_enabled=False) == []
 
     @pytest.mark.parametrize("r", [1, 2])
     def test_interacts_agrees_with_the_edge_list_at_every_generation(self, r):
@@ -883,6 +902,7 @@ class TestLoop:
             base,
             problem=ProblemSpec(problem_order_x=r, base_solver_order_r=r),
             evolution=dataclasses.replace(base.evolution, **REVERSING, max_generations=40),
+            checkpoint_every=1,
         )
         state = build_state(config)
         edges = []
@@ -891,9 +911,7 @@ class TestLoop:
             assert interacts_disagreements(now.universe) == [], generation
             edges.append(len(now.universe.interaction_edges()))
 
-        next_generation = run_symbiosis(
-            make_env(config.env.name, config.env.params), config.evolution, state, seed=config.seed,
-            on_checkpoint=check, checkpoint_every=1,
-        )
+        next_generation = run_symbiosis(make_env(config.env.name, config.env.params), config, state,
+                                        on_checkpoint=check)
         check(next_generation, state)
         assert len(edges) == next_generation and max(edges) > 0
