@@ -11,7 +11,6 @@ from .population import (
     BreakEvent,
     Population,
     ProblemSpec,
-    StallDetector,
     apply_break,
     apply_reverse_break,
     can_break,
@@ -50,7 +49,6 @@ __all__ = [
     "ProblemSpec",
     "RunConfig",
     "RunReport",
-    "StallDetector",
     "Structure",
     "Universe",
     "VerifyReport",

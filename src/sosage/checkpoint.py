@@ -29,7 +29,7 @@ from .config import (
 )
 from .errors import ParseError, SosageError
 from .hyperstruct import Structure, Universe
-from .population import BreakEvent, Population, StallDetector
+from .population import BreakEvent, Population
 from .symbio import CooccurCell, FitnessLedger, LoopState, NeuronGene
 
 CHECKPOINT_FORMAT = "sosage-checkpoint-v10"
@@ -91,7 +91,7 @@ def checkpoint_to_json_dict(ckpt: Checkpoint) -> dict:
             ],
         },
         "loop": {
-            "stall_history": list(map(at, ckpt.state.detector.history)),
+            "stall_history": list(map(at, ckpt.state.stall_history)),
             "reverse_counters": [list(item) for item in sorted(ckpt.state.reverse_counters.items())],
             "solved_at": ckpt.state.solved_at,
         },
@@ -307,11 +307,7 @@ def _checkpoint_from_doc(doc: Mapping[str, Any]) -> Checkpoint:
             doc["population"], config.problem.base_solver_order_r, config.population_limit
         ),
         ledger=_ledger_from_json(doc["ledger"], evo.top_m, floats),
-        detector=StallDetector(
-            window_G=evo.window_G,
-            min_improvement=evo.min_improvement,
-            history=floats.each(history, "stall_history"),
-        ),
+        stall_history=floats.each(history, "stall_history"),
         reverse_counters=counters,
         solved_at=solved_at,
     )

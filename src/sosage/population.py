@@ -54,32 +54,6 @@ class Population:
         return self.base_order_r + self.pop_order_n - 1
 
 
-@dataclass
-class StallDetector:
-    """Fires when the best-fitness window shows too little improvement.
-    `history` keeps the last window_G best fitnesses, oldest first."""
-
-    window_G: int
-    min_improvement: float
-    history: list[float] = field(default_factory=list)
-
-    def update(self, best_fitness: float) -> None:
-        self.history.append(best_fitness)
-        if len(self.history) > self.window_G:
-            del self.history[0]
-
-    def reset(self) -> None:
-        self.history.clear()
-
-    def stalled(self) -> bool:
-        """True iff the last window_G generations improved by less than
-        min_improvement; a history shorter than the window never fires."""
-        w = self.window_G
-        if len(self.history) < w:
-            return False
-        return (self.history[-1] - self.history[-w]) < self.min_improvement
-
-
 def init_population(
     universe: Universe,
     problem: ProblemSpec,

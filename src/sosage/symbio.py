@@ -24,7 +24,6 @@ from .hyperstruct import DEFAULT_MAX_ORDER, StructureId, Universe
 from .population import (
     Population,
     ProblemSpec,
-    StallDetector,
     apply_break,
     apply_reverse_break,
     can_break,
@@ -520,12 +519,15 @@ def evolve_generation(
 
 @dataclass
 class LoopState:
-    """Everything the loop mutates; checkpoints snapshot exactly this."""
+    """Everything the loop mutates; checkpoints snapshot exactly this. The
+    fields are the checkpoint's sections: universe, population and ledger,
+    then the loop's three plain values. stall_history holds the last window_G
+    running bests, oldest first."""
 
     universe: Universe
     pop: Population
     ledger: FitnessLedger
-    detector: StallDetector
+    stall_history: list[float] = field(default_factory=list)
     reverse_counters: dict[StructureId, int] = field(default_factory=dict)
     solved_at: Optional[int] = None
 
@@ -543,15 +545,19 @@ class GenerationRow:
 def new_loop_state(env, config: RunConfig) -> LoopState:
     """Fresh universe + homogeneous initial population of random genomes,
     from the config's seed, problem, roster_size, population_limit and
-    max_order, and its evolution's top_m, window_G and min_improvement."""
-    evo = config.evolution
+    max_order, and its evolution's top_m."""
     universe = Universe(max_order=config.max_order)
     rng = substream(config.seed, "init")
     genomes = [random_genome(env.input_dim, env.output_dim, rng) for _ in range(config.roster_size)]
     pop = init_population(universe, config.problem, genomes, config.population_limit)
-    ledger = FitnessLedger(top_m=evo.top_m)
-    detector = StallDetector(window_G=evo.window_G, min_improvement=evo.min_improvement)
-    return LoopState(universe=universe, pop=pop, ledger=ledger, detector=detector)
+    return LoopState(universe=universe, pop=pop, ledger=FitnessLedger(top_m=config.evolution.top_m))
+
+
+def stalled(history: Sequence[float], config: EvolutionConfig) -> bool:
+    """True iff the last window_G running bests improved by less than
+    min_improvement; a history shorter than the window never stalls."""
+    w = config.window_G
+    return len(history) >= w and (history[-1] - history[-w]) < config.min_improvement
 
 
 def live_structures(universe: Universe, pop: Population) -> set[StructureId]:
@@ -607,8 +613,10 @@ def run_symbiosis(
 
     The config's seed, problem, breaks_enabled, reverse_enabled and
     checkpoint_every are read here; its evolution section goes to each phase.
+    The loop keeps the stall history itself, trimmed to evo.window_G here,
+    and a break or a reverse clears it.
     """
-    universe, pop, ledger, detector = state.universe, state.pop, state.ledger, state.detector
+    universe, pop, ledger, history = state.universe, state.pop, state.ledger, state.stall_history
     evo = config.evolution
     generation = start_generation
     while generation < evo.max_generations and state.solved_at is None:
@@ -626,10 +634,11 @@ def run_symbiosis(
         fitnesses = [a.fitness for a in assemblies]
         best = max(fitnesses)
         mean = reduce(add, fitnesses, 0.0) / len(fitnesses)
-        # the detector watches the running best so sampling noise in a single
-        # generation's best cannot mask a stall; resets restart the reference
-        prior = detector.history[-1] if detector.history else NEG_INF
-        detector.update(max(best, prior))
+        # the stall history holds the running best so sampling noise in a
+        # single generation's best cannot mask a stall; clearing it restarts
+        # the reference
+        history.append(max(best, history[-1]) if history else best)
+        del history[:-evo.window_G]
         solved_now = any(a.solved for a in assemblies)
         done = goal_reached(config.problem, pop, solved_now)
         if done:
@@ -638,12 +647,12 @@ def run_symbiosis(
         if not done:
             # breaks wait out the warmup: a population still in its first
             # selection sweeps has not failed, it just has not started
-            if config.breaks_enabled and generation >= evo.break_warmup and detector.stalled():
+            if config.breaks_enabled and generation >= evo.break_warmup and stalled(history, evo):
                 pairs = detect_dependency(universe, ledger, pop, evo)
                 selected = can_break(universe, pop, pairs)
                 if selected is not None:
                     apply_break(universe, pop, selected[0], selected[1], generation)
-                    detector.reset()
+                    history.clear()
             if config.reverse_enabled:
                 _maybe_reverse(state, evo, generation)
 
@@ -702,5 +711,5 @@ def _maybe_reverse(state: LoopState, config: EvolutionConfig, generation: int) -
         except LimitExceeded:
             continue  # roster limit blocks restoration; retry next generation
         del counters[composite]
-        state.detector.reset()
+        state.stall_history.clear()
         break

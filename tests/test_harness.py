@@ -766,7 +766,12 @@ class TestValidConfigsEndToEnd:
             event(f"reversals: {min(reversed_, 1)}")
             periodic = sorted(Path(out).glob(f"checkpoint-{doc['seed']}-gen*.json"))
             for path in periodic + [final]:
-                assert verify(load_checkpoint(path)).passed, path.name
+                ckpt = load_checkpoint(path)
+                assert verify(ckpt).passed, path.name
+                # the stall history is a trimmed running best
+                history = ckpt.state.stall_history
+                assert len(history) <= doc["evolution"]["window_G"], path.name
+                assert all(a <= b for a, b in zip(history, history[1:])), path.name
             if not periodic:
                 return
             ckpt = load_checkpoint(data.draw(st.sampled_from(periodic), label="resume from"))
@@ -1207,14 +1212,14 @@ class TestCheckpointCodec:
         ledger.per_member[member] = list(AWKWARD)
         pair = min(ledger.cooccur)
         ledger.cooccur[pair] = CooccurCell(3, AWKWARD[0], 4, AWKWARD[7])
-        ckpt.state.detector.history[:] = AWKWARD[1:4]
+        ckpt.state.stall_history[:] = AWKWARD[1:4]
         back = round_trip(ckpt)
         assert back.state.universe.get(first).payload == gene
         assert [math.copysign(1.0, w) for w in back.state.universe.get(first).payload.in_weights] \
             == [math.copysign(1.0, w) for w in AWKWARD[:5]]
         assert back.state.ledger.per_member[member] == list(AWKWARD)
         assert back.state.ledger.cooccur[pair] == CooccurCell(3, AWKWARD[0], 4, AWKWARD[7])
-        assert back.state.detector.history == list(AWKWARD[1:4])
+        assert back.state.stall_history == list(AWKWARD[1:4])
 
     def test_the_table_follows_ids_not_insertion_order(self, tmp_path):
         # a loaded ledger holds its dicts in the file's key order, so a table
@@ -1243,7 +1248,7 @@ class TestCheckpointCodec:
         u.structures[first] = dataclasses.replace(u.get(first), payload=gene)
         ledger.per_member[member] = [-0.0, 0.0, 5e-324]
         ledger.cooccur[pair] = CooccurCell(2, 3, 1, -0.0)
-        ckpt.state.detector.history[:] = [1e308, 0.0, -0.0]
+        ckpt.state.stall_history[:] = [1e308, 0.0, -0.0]
         path = tmp_path / "checkpoint.json"
         save_checkpoint(path, ckpt)
         floats = json.loads(path.read_text())["floats"]
@@ -1258,7 +1263,7 @@ class TestCheckpointCodec:
         cell = back.ledger.cooccur[pair]
         assert (cell.both_count, cell.solo_count) == (2, 1)
         assert type(cell.both_total) is float and same_floats([cell.both_total, cell.solo_total], [3.0, -0.0])
-        assert same_floats(back.detector.history, [1e308, 0.0, -0.0])
+        assert same_floats(back.stall_history, [1e308, 0.0, -0.0])
 
     def test_the_file_is_its_v6_layout_through_the_stated_transform(self):
         doc = valid_checkpoint_doc()
@@ -1335,7 +1340,7 @@ class TestCheckpointCodec:
         elif where == "total":
             ledger.cooccur[min(ledger.cooccur)].both_total = math.nan
         else:
-            ckpt.state.detector.history.append(-math.inf)
+            ckpt.state.stall_history.append(-math.inf)
         with pytest.raises(SosageError, match="^cannot encode checkpoint: Out of range float values"):
             save_checkpoint(path, ckpt)
         assert list(tmp_path.iterdir()) == [path] and path.read_bytes() == before
@@ -1420,7 +1425,7 @@ class TestFloatsAtTheFileBoundary:
         # a loop keeps at most window_G of history, so the window is widened to hold six
         evolution = dataclasses.replace(ckpt.config.evolution, window_G=len(EXTREME_FLOATS))
         ckpt.config = dataclasses.replace(ckpt.config, evolution=evolution)
-        ckpt.state.detector.history[:] = history
+        ckpt.state.stall_history[:] = history
         with tempfile.TemporaryDirectory() as out:
             saved, again = Path(out) / "saved.json", Path(out) / "again.json"
             save_checkpoint(saved, ckpt)
@@ -1433,7 +1438,7 @@ class TestFloatsAtTheFileBoundary:
         assert same_floats(back_gene.out_weights, out_weights)
         assert same_floats(back.state.ledger.per_member[member], samples)
         assert same_floats((cell.both_total, cell.solo_total), totals)
-        assert same_floats(back.state.detector.history, history)
+        assert same_floats(back.state.stall_history, history)
 
 
 class TestMalformedCheckpoints:

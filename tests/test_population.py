@@ -1,4 +1,4 @@
-"""Roster lifecycle: init, stall detection, breaking and its reverse."""
+"""Roster lifecycle: init, breaking and its reverse."""
 
 from __future__ import annotations
 
@@ -13,7 +13,6 @@ from sosage.errors import LimitExceeded, SosageError
 from sosage.hyperstruct import Universe
 from sosage.population import (
     ProblemSpec,
-    StallDetector,
     apply_break,
     apply_reverse_break,
     can_break,
@@ -53,59 +52,6 @@ class TestInitPopulation:
     def test_limit_enforced(self, universe):
         with pytest.raises(LimitExceeded):
             init_population(universe, ProblemSpec(), ["a", "b", "c"], 2)
-
-
-class TestStallDetector:
-    def test_insufficient_history_never_fires(self):
-        det = StallDetector(window_G=3, min_improvement=0.1)
-        det.update(1.0)
-        det.update(1.0)
-        assert not det.stalled()
-
-    def test_flat_window_fires(self):
-        det = StallDetector(window_G=3, min_improvement=0.1)
-        for v in (1.0, 1.0, 1.0):
-            det.update(v)
-        assert det.stalled()
-
-    def test_improving_window_does_not_fire(self):
-        det = StallDetector(window_G=3, min_improvement=0.1)
-        for v in (1.0, 1.2, 1.4):
-            det.update(v)
-        assert not det.stalled()
-
-    def test_reset_clears_reference(self):
-        det = StallDetector(window_G=2, min_improvement=0.1)
-        det.update(1.0)
-        det.update(1.0)
-        assert det.stalled()
-        det.reset()
-        assert not det.stalled()
-        det.update(1.0)
-        assert not det.stalled()
-
-    def test_history_ring_never_exceeds_window(self):
-        det = StallDetector(window_G=3, min_improvement=0.1)
-        for v in range(10):
-            det.update(float(v))
-        assert len(det.history) == 3
-
-    def test_stalled_reads_its_history_alone(self):
-        def stalled(series):
-            return StallDetector(window_G=4, min_improvement=0.5, history=list(series)).stalled()
-
-        assert stalled([1.0, 1.1, 1.2, 1.3])  # 0.3 < 0.5
-        assert not stalled([0.0, 0.2, 0.4, 1.0])
-
-    @PROPERTY_SETTINGS
-    @given(
-        series=st.lists(st.floats(-10, 10, allow_nan=False), min_size=1, max_size=20),
-        window=st.integers(1, 8),
-    )
-    def test_stalled_matches_window_difference(self, series, window):
-        det = StallDetector(window_G=window, min_improvement=0.01, history=list(series))
-        expected = len(series) >= window and (series[-1] - series[-window]) < 0.01
-        assert det.stalled() == expected
 
 
 class TestGoal:

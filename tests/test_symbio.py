@@ -17,7 +17,7 @@ from sosage.envs import EnvSpec, GridNavEnv, XorEnv
 from sosage.errors import SosageError
 from sosage.harness import build_state
 from sosage.hyperstruct import Universe
-from sosage.population import ProblemSpec, StallDetector, apply_break, init_population
+from sosage.population import ProblemSpec, apply_break, init_population
 from sosage.symbio import (
     SAMPLE_RING_FACTOR,
     Assembly,
@@ -42,6 +42,7 @@ from sosage.symbio import (
     new_loop_state,
     random_genome,
     run_symbiosis,
+    stalled,
 )
 
 from support import constant_one_gene, exactly, fold, interacts_disagreements, stream, xor_solver_genes
@@ -816,6 +817,36 @@ class TestTallyMatchesThePerAssemblyOracle:
         assert cell_bits(ledger) == cell_bits(oracle)
 
 
+def stall_rule(window_G, min_improvement):
+    return EvolutionConfig(window_G=window_G, min_improvement=min_improvement)
+
+
+class TestStalled:
+    def test_insufficient_history_never_stalls(self):
+        assert not stalled([1.0, 1.0], stall_rule(3, 0.1))
+        assert not stalled([], stall_rule(1, 0.1))
+
+    def test_flat_window_stalls(self):
+        assert stalled([1.0, 1.0, 1.0], stall_rule(3, 0.1))
+
+    def test_improving_window_does_not_stall(self):
+        assert not stalled([1.0, 1.2, 1.4], stall_rule(3, 0.1))
+
+    def test_stalled_reads_its_history_alone(self):
+        rule = stall_rule(4, 0.5)
+        assert stalled([1.0, 1.1, 1.2, 1.3], rule)  # 0.3 < 0.5
+        assert not stalled([0.0, 0.2, 0.4, 1.0], rule)
+
+    @PROPERTY_SETTINGS
+    @given(
+        series=st.lists(st.floats(-10, 10, allow_nan=False), min_size=1, max_size=20),
+        window=st.integers(1, 8),
+    )
+    def test_stalled_matches_window_difference(self, series, window):
+        expected = len(series) >= window and (series[-1] - series[-window]) < 0.01
+        assert stalled(series, stall_rule(window, 0.01)) == expected
+
+
 def loop_config(problem_order_x: int, evolution: dict, **settings) -> RunConfig:
     """An xor run config of base solver order 1 and max_order 8."""
     problem = ProblemSpec(problem_order_x=problem_order_x, base_solver_order_r=1)
@@ -827,9 +858,7 @@ class TestLoop:
     def solver_state(self, config):
         universe = Universe(max_order=config.max_order)
         pop = init_population(universe, config.problem, list(xor_solver_genes()), config.population_limit)
-        ledger = FitnessLedger(top_m=config.evolution.top_m)
-        detector = StallDetector(config.evolution.window_G, config.evolution.min_improvement)
-        return LoopState(universe=universe, pop=pop, ledger=ledger, detector=detector)
+        return LoopState(universe=universe, pop=pop, ledger=FitnessLedger(top_m=config.evolution.top_m))
 
     def test_zero_budget_returns_empty_outcome(self):
         config = loop_config(1, dict(max_generations=0, network_size=3, assemblies_per_generation=2),
@@ -894,6 +923,43 @@ class TestLoop:
         kept = break_log(reverse_enabled=False)
         assert kept and all(e.reversed_at is None for e in kept)
         assert break_log(breaks_enabled=False) == []
+
+    @pytest.mark.parametrize("name, seed, evolution, shows", [
+        ("xor.json", 1, {**REVERSING, "max_generations": 120}, "reverse"),
+        ("gridnav_comp.json", 9, {"max_generations": 60}, "drop"),
+    ])
+    def test_stall_history_is_the_trimmed_running_best_cleared_by_breaks_and_reverses(
+            self, name, seed, evolution, shows):
+        base = with_seed(load_config(CONFIG_DIR / name), seed)
+        config = dataclasses.replace(
+            base, evolution=dataclasses.replace(base.evolution, **evolution), checkpoint_every=1
+        )
+        window = config.evolution.window_G
+        state = build_state(config)
+        rows, histories = [], []
+        next_generation = run_symbiosis(make_env(config.env.name, config.env.params), config, state,
+                                        on_row=rows.append,
+                                        on_checkpoint=lambda g, s: histories.append(list(s.stall_history)))
+        histories.append(list(state.stall_history))
+        assert len(histories) == len(rows) == next_generation
+
+        log = state.pop.break_log
+        clears = {e.generation for e in log} | {e.reversed_at for e in log if e.reversed_at is not None}
+        # each run shows the part of the rule its name says: a reverse, or a
+        # generation whose best falls below the running best it extends
+        reversed_ = any(e.reversed_at is not None for e in log)
+        dropped = any(h and row.best_fitness < h[-1] for row, h in zip(rows[1:], histories))
+        assert {"reverse": reversed_, "drop": dropped}[shows]
+        history, expected = [], []
+        for row in rows:
+            history = (history + [max(row.best_fitness, history[-1]) if history else row.best_fitness])[-window:]
+            if row.generation in clears:
+                history = []
+            expected.append(history)
+        assert histories == expected
+        # the window was full when a clear came, and a cleared history does not stall
+        assert any(len(histories[g - 1]) == window and histories[g] == [] for g in clears)
+        assert all(not stalled(histories[g], config.evolution) for g in clears)
 
     @pytest.mark.parametrize("r", [1, 2])
     def test_interacts_agrees_with_the_edge_list_at_every_generation(self, r):
