@@ -5,48 +5,46 @@ Every random draw in a run comes from a counter-based generator keyed by
 stateless across generations, so resuming a run at any generation derives
 exactly the streams the uninterrupted run would have used.
 
-numpy supplies only the raw words: Philox4x64-10 keyed by a SeedSequence.
-A `Stream` turns them into draws with the arithmetic of numpy's own draw
-methods, so each draw equals numpy's on the same bit generator, without
-paying for a numpy call per draw.
+The generator is numpy's: Philox4x64-10 keyed by a SeedSequence. sosage
+computes both itself, so numpy is not imported at run time; the test suite
+checks the keys and words against numpy's. A `Stream` turns the words into
+draws with the arithmetic of numpy's own draw methods, so each draw equals
+numpy's on the same words.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 import struct
 import zlib
 from binascii import a2b_base64
-from typing import Optional
-
-import numpy as np
+from typing import Callable, Optional
 
 MASK32 = (1 << 32) - 1
 MASK64 = (1 << 64) - 1
 
-# words taken from the bit generator at a time
-BLOCK = 64
-
 
 class Stream:
-    """Draws from a numpy bit generator's raw 64-bit words, equal to the
-    draws numpy's methods of the same names make on it.
+    """Draws from a source of raw 64-bit words, equal to the draws numpy's
+    methods of the same names make on a bit generator of those words.
 
-    A 32-bit draw takes the low half of a fresh word and keeps the high half
+    `blocks` returns the next words, in order, each time it is called. A
+    32-bit draw takes the low half of a fresh word and keeps the high half
     for the next 32-bit draw, as numpy does; draws of whole words leave that
-    half alone. The bit generator must not be used by anything else.
+    half alone. The source must not be used by anything else.
     """
 
-    __slots__ = ("_raw", "_words", "_half")
+    __slots__ = ("_blocks", "_words", "_half")
 
-    def __init__(self, bit_generator: np.random.BitGenerator) -> None:
-        self._raw = bit_generator.random_raw
+    def __init__(self, blocks: Callable[[], list[int]]) -> None:
+        self._blocks = blocks
         self._words: list[int] = []  # the words not yet drawn, the next one last
         self._half: Optional[int] = None
 
     def _word(self) -> int:
         if not self._words:
-            self._words = self._raw(BLOCK)[::-1].tolist()
+            self._words = self._blocks()[::-1]
         return self._words.pop()
 
     def _uint32(self) -> int:
@@ -149,12 +147,118 @@ class Stream:
                 return loc + scale * x
 
 
+# ---------------------------------------------------------------------------
+# numpy's SeedSequence and Philox4x64-10
+# ---------------------------------------------------------------------------
+
+
+@functools.lru_cache(maxsize=16)
+def _hash_constants(first: int, multiplier: int, count: int) -> tuple[int, ...]:
+    """`first`, then each constant times `multiplier`, `count` + 1 in all:
+    SeedSequence's hash n xors its value with constant n and multiplies it
+    by constant n + 1."""
+    constants = [first]
+    for _ in range(count):
+        constants.append((constants[-1] * multiplier) & MASK32)
+    return tuple(constants)
+
+
+# each word of the pool mixes into the other three
+_POOL_FEEDS = [(src, dst) for src in range(4) for dst in range(4) if src != dst]
+
+
+def seed_sequence_key(entropy: list[int]) -> tuple[int, int]:
+    """numpy's `SeedSequence(entropy).generate_state(2, np.uint64)`, for
+    entropy of non-negative ints, as numpy/random/bit_generator.pyx computes
+    it: each int becomes its 32-bit words (0 is one word), the words are
+    hashed into a pool of four, and the pool is hashed out again."""
+    words = []
+    for value in entropy:
+        words += [(value >> shift) & MASK32 for shift in range(0, value.bit_length(), 32)] or [0]
+    words += [0] * (4 - len(words))
+    # the pool, then the words past its four, which each mix into all four
+    feeds = _POOL_FEEDS + [(src, dst) for src in range(4, len(words)) for dst in range(4)]
+    const = _hash_constants(0x43B0D7E5, 0x931E8875, 4 + len(feeds))
+    pool = []
+    for i in range(4):
+        value = ((words[i] ^ const[i]) * const[i + 1]) & MASK32
+        pool.append(value ^ (value >> 16))
+    pool += words[4:]
+    for i, (src, dst) in enumerate(feeds, 4):
+        value = ((pool[src] ^ const[i]) * const[i + 1]) & MASK32
+        mixed = (0xCA01F9DD * pool[dst] - 0x4973F715 * (value ^ (value >> 16))) & MASK32
+        pool[dst] = mixed ^ (mixed >> 16)
+    const = _hash_constants(0x8B51F9DD, 0x58F38DED, 4)
+    out = []
+    for i in range(4):
+        value = ((pool[i] ^ const[i]) * const[i + 1]) & MASK32
+        out.append(value ^ (value >> 16))
+    return out[0] | out[1] << 32, out[2] | out[3] << 32
+
+
+# Philox4x64-10's multipliers and key bumps
+PHILOX_M0, PHILOX_M1 = 0xD2E7470EE14C6C93, 0xCA5A826395121157
+PHILOX_W0, PHILOX_W1 = 0x9E3779B97F4A7C15, 0xBB67AE8584CAA73B
+
+# counters computed at a time, 4 words each. A stream draws some 50-200
+# words in a generation; more lanes cost more per block and waste more words.
+LANES = 16
+# Each lane holds one counter's state word in 128 bits of an int, so a
+# 64x64-bit product stays in its own lane
+_ONES = sum(1 << (128 * lane) for lane in range(LANES))
+_LOW = MASK64 * _ONES
+_FIRST = sum((lane + 1) << (128 * lane) for lane in range(LANES))
+# the bumps of rounds 0-9's keys, in every lane
+_KEY_BUMPS = [(((r * PHILOX_W0) & MASK64) * _ONES, ((r * PHILOX_W1) & MASK64) * _ONES) for r in range(10)]
+# an int's lanes, two words each: the low word, then the high word
+_LANE_WORDS = struct.Struct(f"<{2 * LANES}Q").unpack
+
+
+class Philox:
+    """numpy's Philox4x64-10 bit generator with this two-word key, as a
+    `Stream` block source: each call returns the next 4 * LANES of the
+    words `random_raw` gives, from the counters 1, 2, 3, ..., four words
+    per counter.
+
+    A block runs its LANES counters through the rounds together: each of
+    the four state words is one int that holds it for every lane. A round
+    masks only the two words it will multiply; the other two keep a
+    product's high half until a masked word takes them in."""
+
+    __slots__ = ("_round_keys", "_counters")
+
+    def __init__(self, key0: int, key1: int) -> None:
+        # a round key is added without reduction: the carry out of a lane's
+        # low half only reaches bits that the round masks off
+        key0, key1 = key0 * _ONES, key1 * _ONES
+        self._round_keys = [(key0 + bump0, key1 + bump1) for bump0, bump1 in _KEY_BUMPS]
+        self._counters = _FIRST
+
+    def __call__(self) -> list[int]:
+        x0 = self._counters
+        self._counters = x0 + LANES * _ONES
+        # the counters stay below 2**64, so the other state words start at 0
+        keys = iter(self._round_keys)
+        k0, k1 = next(keys)
+        p0 = PHILOX_M0 * x0
+        x0, x1, x2, x3 = k0, 0, ((p0 >> 64) ^ k1) & _LOW, p0
+        for k0, k1 in keys:
+            p0, p1 = PHILOX_M0 * x0, PHILOX_M1 * x2
+            x0, x1, x2, x3 = ((p1 >> 64) ^ x1 ^ k0) & _LOW, p1, ((p0 >> 64) ^ x3 ^ k1) & _LOW, p0
+        # two ints whose lanes hold a counter's words 0 and 1, and 2 and 3
+        low = _LANE_WORDS((x0 | (x1 & _LOW) << 64).to_bytes(16 * LANES, "little"))
+        high = _LANE_WORDS((x2 | (x3 & _LOW) << 64).to_bytes(16 * LANES, "little"))
+        words = [0] * (4 * LANES)
+        words[0::4], words[1::4], words[2::4], words[3::4] = low[0::2], low[1::2], high[0::2], high[1::2]
+        return words
+
+
 def substream(seed: int, phase: str, generation: int = 0) -> Stream:
     """The stream of one (phase, generation) cell of the run."""
     # the fourth key word is fixed at 0: the pinned streams are keyed with
     # four words, and a shorter key would change every one of them
     key = [seed & MASK64, zlib.crc32(phase.encode("utf-8")), generation & MASK64, 0]
-    return Stream(np.random.Philox(np.random.SeedSequence(key)))
+    return Stream(Philox(*seed_sequence_key(key)))
 
 
 # ---------------------------------------------------------------------------

@@ -27,56 +27,23 @@ def exactly(message: str) -> str:
     return f"^{re.escape(message)}$"
 
 
+def numpy_blocks(bit_generator: np.random.BitGenerator):
+    """A `Stream` block source over a numpy bit generator's raw words."""
+    return lambda: bit_generator.random_raw(64).tolist()
+
+
 def stream(seed: int) -> Stream:
     """A Stream that draws exactly as np.random.default_rng(seed) does."""
-    return Stream(np.random.PCG64(seed))
+    return Stream(numpy_blocks(np.random.PCG64(seed)))
 
 
-M32, M64 = 2**32 - 1, 2**64 - 1
-
-
-def seed_sequence_state(entropy: list[int], n_words: int) -> list[int]:
-    """numpy's SeedSequence(entropy).generate_state(n_words, np.uint64),
-    written out from numpy/random/bit_generator.pyx: each integer of the
-    entropy becomes its 32-bit words (0 is one word), the words are hashed
-    into a pool of four, and the pool is hashed out again."""
-    words = []
-    for v in entropy:
-        words += [(v >> s) & M32 for s in range(0, v.bit_length(), 32)] or [0]
-    const = 0x43B0D7E5
-
-    def hashmix(value):
-        nonlocal const
-        value ^= const
-        const = (const * 0x931E8875) & M32
-        value = (value * const) & M32
-        return value ^ (value >> 16)
-
-    def mix(x, y):
-        r = (0xCA01F9DD * x - 0x4973F715 * y) & M32
-        return r ^ (r >> 16)
-
-    pool = [hashmix(words[i] if i < len(words) else 0) for i in range(4)]
-    for src in range(4):
-        for dst in range(4):
-            if src != dst:
-                pool[dst] = mix(pool[dst], hashmix(pool[src]))
-    for w in words[4:]:
-        for dst in range(4):
-            pool[dst] = mix(pool[dst], hashmix(w))
-    out, const = [], 0x8B51F9DD
-    for i in range(2 * n_words):
-        value = pool[i % 4] ^ const
-        const = (const * 0x58F38DED) & M32
-        value = (value * const) & M32
-        out.append(value ^ (value >> 16))
-    return [out[2 * i] | out[2 * i + 1] << 32 for i in range(n_words)]
+M64 = 2**64 - 1
 
 
 def philox_words(key: list[int], n: int) -> list[int]:
     """The first n words of numpy's Philox with this two-word key, as
     random_raw gives them: Philox4x64-10 over the counters 1, 2, 3, ...,
-    four words per counter."""
+    four words per counter, one counter at a time."""
     out, counter = [], 0
     while len(out) < n:
         counter += 1

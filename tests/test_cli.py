@@ -6,12 +6,14 @@ import hashlib
 import json
 import os
 import re
+import subprocess
 import sys
 from dataclasses import fields
 from pathlib import Path
 
 import pytest
 
+import sosage
 from sosage.checkpoint import CHECKPOINT_FORMAT, checkpoint_from_json_dict, load_checkpoint, save_checkpoint
 from sosage.cli import EXIT_BROKEN_PIPE, EXIT_OK, EXIT_UNSOLVED, EXIT_USAGE, EXIT_VERIFY_FAILED, main
 from sosage.harness import OUTPUT_DIR_ENV
@@ -174,6 +176,28 @@ class TestRunCommand:
     def test_usage_error_without_command(self, capsys):
         assert main([]) == EXIT_USAGE
         capsys.readouterr()
+
+
+def test_a_run_does_not_import_numpy(tmp_path):
+    """sosage computes its random words itself; numpy is the tests' oracle
+    only, so a run in a fresh interpreter leaves it unimported."""
+    doc = json.loads((CONFIG_DIR / "xor.json").read_text())
+    doc["evolution"]["max_generations"] = 2
+    doc["output_dir"] = str(tmp_path / "runs")
+    config = tmp_path / "xor.json"
+    config.write_text(json.dumps(doc))
+    script = (
+        "import sys\n"
+        "from sosage import cli\n"
+        f"status = cli.main(['run', {str(config)!r}])\n"
+        "print(status, 'numpy' in sys.modules)\n"
+    )
+    src = str(Path(sosage.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    done = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True, text=True, timeout=120)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.splitlines()[-1] == f"{EXIT_OK} False"
+    assert len((tmp_path / "runs" / "metrics-7.csv").read_text().splitlines()) == 3
 
 
 class TestResumeCommand:

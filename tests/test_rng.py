@@ -1,4 +1,5 @@
-"""Stream's draws against numpy's own Generator on the same bit generator."""
+"""sosage's SeedSequence keys and Philox words against numpy's, and Stream's
+draws against numpy's own Generator on the same words."""
 
 from __future__ import annotations
 
@@ -9,15 +10,15 @@ import pytest
 from hypothesis import event, given, settings
 from hypothesis import strategies as st
 
-from sosage.rng import Stream, substream
+from sosage.rng import LANES, Philox, Stream, seed_sequence_key, substream
 
-from support import philox_words, seed_sequence_state
+from support import numpy_blocks, philox_words
 
 
 def pair(kind, key):
     """A Stream and a numpy Generator, each on its own copy of one bit generator."""
     bits = np.random.Philox if kind == "philox" else np.random.PCG64
-    return Stream(bits(key)), np.random.Generator(bits(key))
+    return Stream(numpy_blocks(bits(key))), np.random.Generator(bits(key))
 
 
 # 2**31 + 1 rejects about half its draws; 1 takes no draw; 2**32 takes a
@@ -102,7 +103,7 @@ class TestStreamEqualsGenerator:
                 self.in_random = False
                 return u
 
-        ours = Recording(np.random.Philox(20))
+        ours = Recording(numpy_blocks(np.random.Philox(20)))
         ours.layers, ours.layer, ours.tail, ours.wedge, ours.in_random = set(), None, 0, 0, False
         numpys = np.random.Generator(np.random.Philox(20))
         n = 50_000
@@ -121,23 +122,43 @@ class TestStreamEqualsGenerator:
             substream(1, "edge").integers(high)
 
 
-class TestNumpyBitsMatchTheOracle:
-    """The digests rest on two things of numpy's alone: SeedSequence, which
-    turns a substream key into a Philox key, and Philox4x64-10's words. A
-    pure-Python copy of each names the layer a numpy release moved."""
+# seeds and generations of one 32-bit word and of two: a key of more than
+# four words takes SeedSequence's extra mixing loop
+WORD64 = st.one_of(st.integers(0, 2 ** 32 - 1), st.integers(2 ** 32, 2 ** 64 - 1))
+# three blocks and then some, so the words cross three block boundaries
+WORDS = 3 * 4 * LANES + 5
+
+
+class TestPhiloxEqualsNumpy:
+    """The digests rest on numpy's SeedSequence, which turns a substream key
+    into a Philox key, and on Philox4x64-10's words. sosage computes both
+    itself; numpy and a one-counter-at-a-time copy of Philox are the oracles."""
 
     @settings(max_examples=200, deadline=None)
-    @given(
-        seed=st.integers(0, 2 ** 64 - 1),
-        phase=st.sampled_from(["init", "assemble", "evolve"]),
-        generation=st.one_of(st.integers(0, 10 ** 6), st.integers(0, 2 ** 64 - 1)),
-    )
-    def test_substream_keys(self, seed, phase, generation):
+    @given(seed=WORD64, phase=st.sampled_from(["init", "assemble", "evolve"]), generation=WORD64)
+    def test_substream_keys_and_words(self, seed, phase, generation):
         key = [seed, zlib.crc32(phase.encode("utf-8")), generation, 0]
-        state = seed_sequence_state(key, 2)
-        assert state == np.random.SeedSequence(key).generate_state(2, np.uint64).tolist()
-        words = np.random.Philox(np.random.SeedSequence(key)).random_raw(70).tolist()
-        assert philox_words(state, 70) == words
+        event(f"{(seed >= 2 ** 32) + (generation >= 2 ** 32)} two-word ints")
+        state = seed_sequence_key(key)
+        assert list(state) == np.random.SeedSequence(key).generate_state(2, np.uint64).tolist()
+        want = np.random.Philox(np.random.SeedSequence(key)).random_raw(WORDS).tolist()
+        blocks = Philox(*state)
+        words = [word for _ in range(3) for word in blocks()]
+        assert words == want[: len(words)]
+        assert philox_words(list(state), WORDS) == want
+        ours = substream(seed, phase, generation)
+        assert [ours._word() for _ in range(WORDS)] == want
+
+    @settings(max_examples=200, deadline=None)
+    @given(entropy=st.lists(st.integers(0, 2 ** 160), min_size=1, max_size=6))
+    def test_keys_of_any_entropy(self, entropy):
+        want = np.random.SeedSequence(entropy).generate_state(2, np.uint64).tolist()
+        assert list(seed_sequence_key(entropy)) == want
+
+    @pytest.mark.parametrize("key", [(0, 0), (2 ** 64 - 1, 2 ** 64 - 1)])
+    def test_the_extreme_keys(self, key):
+        blocks = Philox(*key)
+        assert blocks() + blocks() == philox_words(list(key), 8 * LANES)
 
 
 class TestPinnedSubstreams:
