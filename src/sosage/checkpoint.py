@@ -247,7 +247,7 @@ def _universe_from_json(doc: Mapping[str, Any], max_order: int, floats: _FloatTa
     return u
 
 
-def _population_from_json(doc: Mapping[str, Any], base_order_r: int, population_limit: int) -> Population:
+def _population_from_json(doc: Mapping[str, Any], base_order_r: int) -> Population:
     _reject_unknown(doc, {"members", "pop_order_n", "break_log"}, "population", _malformed)
     # a row holds BreakEvent's fields in order; reversed_at is null until a reverse
     width = len(fields(BreakEvent))
@@ -258,20 +258,18 @@ def _population_from_json(doc: Mapping[str, Any], base_order_r: int, population_
         members=list(_list(doc["members"], "members", int)),
         base_order_r=base_order_r,
         pop_order_n=_of(int, doc["pop_order_n"], "pop_order_n"),
-        population_limit=population_limit,
         break_log=[BreakEvent(*row) for row in events],
     )
 
 
-def _ledger_from_json(doc: Mapping[str, Any], top_m: int, floats: _FloatTable) -> FitnessLedger:
-    ledger = FitnessLedger(top_m)
+def _ledger_from_json(doc: Mapping[str, Any], floats: _FloatTable) -> FitnessLedger:
     _reject_unknown(doc, {"per_member", "cooccur"}, "ledger", _malformed)
     rows = _rows(doc["per_member"], "per_member", 2, 1, _ID)
-    ledger.per_member = {m: floats.each(samples, "per_member samples") for m, samples in rows}
+    per_member = {m: floats.each(samples, "per_member samples") for m, samples in rows}
     rows = _rows(doc["cooccur"], "cooccur", 6, 6, _PAIR)  # every item an int, the totals' indices too
     totals = iter(floats.each([i for row in rows for i in row[3::2]], "cooccur totals"))  # both, then solo
-    ledger.cooccur = {(x, y): CooccurCell(bc, next(totals), sc, next(totals)) for x, y, bc, _, sc, _ in rows}
-    return ledger
+    cooccur = {(x, y): CooccurCell(bc, next(totals), sc, next(totals)) for x, y, bc, _, sc, _ in rows}
+    return FitnessLedger(per_member, cooccur)
 
 
 def _checkpoint_from_doc(doc: Mapping[str, Any]) -> Checkpoint:
@@ -281,7 +279,8 @@ def _checkpoint_from_doc(doc: Mapping[str, Any]) -> Checkpoint:
     stored = doc.get("config_digest", "")
     if config_digest(config) != stored:
         raise SosageError("embedded config does not match its stored digest")
-    # settings come from the digested config only
+    # settings come from the digested config only; the state keeps just the
+    # algebra's own two, the order cap and the base order
     evo = config.evolution
     loop = doc["loop"]
     _reject_unknown(loop, {"stall_history", "reverse_counters", "solved_at"}, "loop", _malformed)
@@ -303,10 +302,8 @@ def _checkpoint_from_doc(doc: Mapping[str, Any]) -> Checkpoint:
     floats = _FloatTable(doc["floats"])
     state = LoopState(
         universe=_universe_from_json(doc["universe"], config.max_order, floats),
-        pop=_population_from_json(
-            doc["population"], config.problem.base_solver_order_r, config.population_limit
-        ),
-        ledger=_ledger_from_json(doc["ledger"], evo.top_m, floats),
+        pop=_population_from_json(doc["population"], config.problem.base_solver_order_r),
+        ledger=_ledger_from_json(doc["ledger"], floats),
         stall_history=floats.each(history, "stall_history"),
         reverse_counters=counters,
         solved_at=solved_at,

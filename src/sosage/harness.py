@@ -153,7 +153,7 @@ def summarize_checkpoint(ckpt: Checkpoint) -> dict:
     strata: dict[int, list[int]] = {}
     for m in pop.members:
         strata.setdefault(u.structural_order(m), []).append(m)
-    scored = [[m, s] for m, s in ckpt.state.ledger.ranked(pop.members) if s is not None]
+    scored = [[m, s] for m, s in ckpt.state.ledger.ranked(pop.members, ckpt.config.evolution.top_m) if s is not None]
     return {
         "generation": ckpt.generation,
         "pop_order": pop.pop_order_n,

@@ -6,18 +6,18 @@ order-1 primitives carry opaque payloads, higher orders aggregate lower ones
 relations join structures: directed dependency edges, whose direct edges span
 exactly one order, and symmetric interaction edges, which construction and
 dependency imply. `Universe` stores the structures and the dependency levels,
-and derives every interaction edge from them. Per-level observer functions
-supply observable properties; a property of a composite is emergent when it is
-observable at the composite's level but at the level below on none of its
-constituents, which `Universe.is_emergent` asks. The evolution loop tests no
-emergence: a gate that could refuse a break needs an observable that differs
-between levels.
+and derives every interaction edge from them. Per-level observer functions,
+passed to each query, supply observable properties; a property of a composite
+is emergent when it is observable at the composite's level but at the level
+below on none of its constituents, which `Universe.is_emergent` asks. The
+evolution loop tests no emergence: a gate that could refuse a break needs an
+observable that differs between levels.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Any, Callable, Iterable
+from typing import Any, Callable, Iterable, Mapping
 
 from .errors import SosageError
 
@@ -51,14 +51,15 @@ class ObsRecord:
 
 
 # Observer: pure function (structure, universe) -> iterable of ObsRecord,
-# filed under one level in Universe.observers and required to emit records at
+# filed under one level of an observer dict and required to emit records at
 # that level only.
 Observer = Callable[[Structure, "Universe"], Iterable[ObsRecord]]
+Observers = Mapping[int, Iterable[Observer]]
 
 
 @dataclass
 class Universe:
-    """Id-indexed structure store, its two relations and its observers.
+    """Id-indexed structure store and its two relations.
 
     Only dependency edges are stored, each (dependent, dependee) pair mapped
     to its set of levels. Every interaction edge is read off the structures
@@ -69,13 +70,12 @@ class Universe:
     Mutation is single-writer; queries are pure. Structure ids are assigned
     sequentially and never reused, even after a structure leaves every active
     roster or is dropped by `retain`. Two universes are equal when every
-    field is.
+    field is: the order cap and what the checkpoint writes, no observer.
     """
 
     max_order: int = DEFAULT_MAX_ORDER
     structures: dict[StructureId, Structure] = field(default_factory=dict)
     depends: dict[tuple[StructureId, StructureId], set[int]] = field(default_factory=dict)
-    observers: dict[int, list[Observer]] = field(default_factory=dict)
     next_id: StructureId = 0  # the id the next structure gets; checkpoints store it
 
     # --- store primitives ---
@@ -184,13 +184,13 @@ class Universe:
 
     # --- observation & emergence ---
 
-    def observe(self, structure_id: StructureId, level: int) -> frozenset[ObsRecord]:
-        """Union of all level-`level` observer outputs on the structure."""
+    def observe(self, structure_id: StructureId, level: int, observers: Observers) -> frozenset[ObsRecord]:
+        """Union of the outputs of `observers[level]` on the structure."""
         s = self.get(structure_id)
         if level < 1:
             raise ValueError("observation level must be >= 1")
         records: set[ObsRecord] = set()
-        for obs in self.observers.get(level, ()):
+        for obs in observers.get(level, ()):
             for rec in obs(s, self):
                 if rec.level != level:
                     raise ValueError(
@@ -199,13 +199,13 @@ class Universe:
                 records.add(rec)
         return frozenset(records)
 
-    def is_emergent(self, property_name: str, structure_id: StructureId) -> bool:
-        """True iff the property shows at the composite's level and at the level
-        below on none of its constituents."""
+    def is_emergent(self, property_name: str, structure_id: StructureId, observers: Observers) -> bool:
+        """True iff, under `observers`, the property shows at the composite's
+        level and at the level below on none of its constituents."""
         s = self.get(structure_id)
         if s.order < 2:
             raise SosageError(f"structure {structure_id} has order 1; emergence needs order >= 2")
         def shows(i: StructureId, level: int) -> bool:
-            return any(r.property == property_name for r in self.observe(i, level))
+            return any(r.property == property_name for r in self.observe(i, level, observers))
 
         return shows(structure_id, s.order) and not any(shows(c, s.order - 1) for c in sorted(s.constituents))

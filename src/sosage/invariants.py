@@ -81,8 +81,8 @@ def verify(ckpt: Checkpoint) -> VerifyReport:
         if m in seen_members:
             bad.append(f"member {m} listed twice")
         seen_members.add(m)
-    if len(pop.members) > pop.population_limit:
-        bad.append(f"roster {len(pop.members)} exceeds limit {pop.population_limit}")
+    if len(pop.members) > ckpt.config.population_limit:
+        bad.append(f"roster {len(pop.members)} exceeds limit {ckpt.config.population_limit}")
     # a break swaps one member for one and a reverse restores at least one
     if len(pop.members) < ckpt.config.roster_size:
         bad.append(f"roster {len(pop.members)} is below roster_size {ckpt.config.roster_size}")
@@ -136,7 +136,7 @@ def verify(ckpt: Checkpoint) -> VerifyReport:
 
     # a key naming an unknown id is never live: state-compact reports it
     bad = []
-    cap = SAMPLE_RING_FACTOR * ledger.top_m
+    cap = SAMPLE_RING_FACTOR * ckpt.config.evolution.top_m
     for m, samples in ledger.per_member.items():
         if len(samples) > cap:
             bad.append(f"ledger member {m} holds {len(samples)} samples, cap {cap}")

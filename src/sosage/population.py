@@ -41,12 +41,12 @@ class BreakEvent:
 
 @dataclass
 class Population:
-    """Active roster of mixed-order members with its break history."""
+    """Active roster of mixed-order members with its break history. The
+    roster limit is no field: the operators that grow the roster take it."""
 
     members: list[StructureId]
     base_order_r: int
     pop_order_n: int
-    population_limit: int
     break_log: list[BreakEvent] = field(default_factory=list)
 
     @property
@@ -61,7 +61,7 @@ def init_population(
     limit: int,
 ) -> Population:
     """Wrap each genome as an order-1 primitive, chained up to order r when the
-    base solver order is above 1."""
+    base solver order is above 1; more genomes than `limit` are refused."""
     if not genomes:
         raise SosageError("at least one genome is required")
     if len(genomes) > limit:
@@ -72,29 +72,26 @@ def init_population(
         for _ in range(problem.base_solver_order_r - 1):
             i = universe.construct({i}, tag=f"g{k}-wrap")
         members.append(i)
-    return Population(
-        members=members,
-        base_order_r=problem.base_solver_order_r,
-        pop_order_n=1,
-        population_limit=limit,
-    )
+    return Population(members=members, base_order_r=problem.base_solver_order_r, pop_order_n=1)
 
 
 def can_break(
     universe: Universe,
     pop: Population,
     candidate_pairs: Iterable[tuple[StructureId, StructureId]],
+    limit: int,
 ) -> Optional[tuple[StructureId, StructureId]]:
     """Select the breakable (dependent, dependee) pair: the lowest candidate,
-    or None when the roster is full, the composite would pass the order cap,
-    or there is no candidate.
+    or None when the roster is full (at `limit`, the run's population_limit),
+    the composite would pass the universe's order cap, or there is no
+    candidate.
 
     Each break gate is checked in one place: the warmup and the stall in
     run_symbiosis; the top stratum, the sample floor and dependency_delta in
     detect_dependency, which yields the candidates; a full roster and the
     order cap here; apply_break refuses any other pair.
     """
-    if len(pop.members) == pop.population_limit or pop.top_order + 1 > universe.max_order:
+    if len(pop.members) == limit or pop.top_order + 1 > universe.max_order:
         return None
     return min(candidate_pairs, default=None)
 
@@ -141,12 +138,13 @@ def apply_reverse_break(
     pop: Population,
     composite: StructureId,
     generation: int,
+    limit: int,
 ) -> Population:
     """Dissolve a break-created composite, restoring its direct constituents.
 
     Only composites with a live (un-reversed) break event can be dissolved.
-    Restoration deduplicates against the roster and re-checks the population
-    limit before mutating anything.
+    Restoration deduplicates against the roster and checks the roster
+    against `limit` before mutating anything.
     """
     event = None
     for e in pop.break_log:
@@ -159,10 +157,10 @@ def apply_reverse_break(
         raise SosageError(f"composite {composite} was reversed at generation {event.reversed_at}")
     restored = [c for c in sorted(universe.get(composite).constituents) if c not in pop.members]
     new_size = len(pop.members) - 1 + len(restored)
-    if new_size > pop.population_limit:
+    if new_size > limit:
         raise LimitExceeded(
             f"restoring {len(restored)} constituents would put the roster at "
-            f"{new_size} > limit {pop.population_limit}"
+            f"{new_size} > limit {limit}"
         )
     pop.members.remove(composite)
     pop.members.extend(restored)

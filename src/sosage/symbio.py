@@ -181,36 +181,34 @@ class CooccurCell:
     solo_total: float = 0.0
 
 
+@dataclass
 class FitnessLedger:
-    """Per-member fitness statistics and co-occurrence tallies."""
+    """Per-member fitness samples and co-occurrence tallies. The calls that
+    read top_m, which sizes the sample ring and the score, take it."""
 
-    def __init__(self, top_m: int) -> None:
-        if top_m < 1:
-            raise ValueError("top_m must be >= 1")
-        self.top_m = top_m
-        # each member's most recent fitness samples, oldest first
-        self.per_member: dict[StructureId, list[float]] = {}
-        self.cooccur: dict[tuple[StructureId, StructureId], CooccurCell] = {}
+    # each member's most recent fitness samples, oldest first
+    per_member: dict[StructureId, list[float]] = field(default_factory=dict)
+    cooccur: dict[tuple[StructureId, StructureId], CooccurCell] = field(default_factory=dict)
 
     # --- member credit ---
 
-    def credit(self, member: StructureId, fitness: float) -> None:
+    def credit(self, member: StructureId, fitness: float, top_m: int) -> None:
         samples = self.per_member.setdefault(member, [])
         samples.append(fitness)
-        if len(samples) > SAMPLE_RING_FACTOR * self.top_m:
+        if len(samples) > SAMPLE_RING_FACTOR * top_m:
             del samples[0]
 
-    def score(self, member: StructureId) -> Optional[float]:
+    def score(self, member: StructureId, top_m: int) -> Optional[float]:
         samples = self.per_member.get(member)
         if not samples:
             return None
-        best = sorted(samples, reverse=True)[: self.top_m]
+        best = sorted(samples, reverse=True)[:top_m]
         return reduce(add, best, 0.0) / len(best)
 
-    def ranked(self, members: Iterable[StructureId]) -> list[tuple[StructureId, Optional[float]]]:
+    def ranked(self, members: Iterable[StructureId], top_m: int) -> list[tuple[StructureId, Optional[float]]]:
         """(member, score) pairs, best score first, unscored members last,
         ties to the lowest id. Each member is scored once."""
-        scored = [(m, self.score(m)) for m in members]
+        scored = [(m, self.score(m, top_m)) for m in members]
         scored.sort(key=lambda pair: (-(NEG_INF if pair[1] is None else pair[1]), pair[0]))
         return scored
 
@@ -379,10 +377,12 @@ def evaluate(assembly: Assembly, env, episodes: int) -> float:
 def distribute_fitness(
     ledger: FitnessLedger,
     assemblies: Sequence[Assembly],
+    top_m: int,
     cohort: Sequence[StructureId] = (),
 ) -> None:
-    """Credit every participant with its assemblies' fitnesses and tally
-    co-occurrence over the dependency cohort (the top stratum).
+    """Credit every participant with its assemblies' fitnesses, in a ring of
+    SAMPLE_RING_FACTOR * top_m samples, and tally co-occurrence over the
+    dependency cohort (the top stratum).
 
     Members in no assembly this generation are untouched, so their score is
     exactly what it was before.
@@ -392,7 +392,7 @@ def distribute_fitness(
             raise SosageError(f"assembly {assembly.participants} has no fitness")
     for assembly in assemblies:
         for member in assembly.participants:
-            ledger.credit(member, assembly.fitness)
+            ledger.credit(member, assembly.fitness, top_m)
     ledger.tally_cooccurrence([(a.participants, a.fitness) for a in assemblies], cohort)
 
 
@@ -478,7 +478,7 @@ def evolve_generation(
     with outsiders. Offspring take over the replaced roster slots under fresh
     ids; member counts and orders per stratum are preserved.
     """
-    ranking = ledger.ranked(pop.members)
+    ranking = ledger.ranked(pop.members, config.top_m)
     if all(s is None for _, s in ranking):
         raise SosageError("no roster member has a fitness score; distribute fitness first")
     # a stratum's ranking is the roster ranking restricted to it
@@ -544,13 +544,14 @@ class GenerationRow:
 
 def new_loop_state(env, config: RunConfig) -> LoopState:
     """Fresh universe + homogeneous initial population of random genomes,
-    from the config's seed, problem, roster_size, population_limit and
-    max_order, and its evolution's top_m."""
+    from the config's seed, problem, roster_size and max_order; the roster
+    must fit population_limit. The state keeps no other setting: the loop
+    reads top_m and population_limit from the config it runs under."""
     universe = Universe(max_order=config.max_order)
     rng = substream(config.seed, "init")
     genomes = [random_genome(env.input_dim, env.output_dim, rng) for _ in range(config.roster_size)]
     pop = init_population(universe, config.problem, genomes, config.population_limit)
-    return LoopState(universe=universe, pop=pop, ledger=FitnessLedger(top_m=config.evolution.top_m))
+    return LoopState(universe=universe, pop=pop, ledger=FitnessLedger())
 
 
 def stalled(history: Sequence[float], config: EvolutionConfig) -> bool:
@@ -611,8 +612,11 @@ def run_symbiosis(
     members and their cells, so its state is as compact. The checkpoint hook
     fires at the start of a generation so a resumed run replays it exactly.
 
-    The config's seed, problem, breaks_enabled, reverse_enabled and
-    checkpoint_every are read here; its evolution section goes to each phase.
+    The config's seed, problem, population_limit, breaks_enabled,
+    reverse_enabled and checkpoint_every are read here, and its evolution
+    section, top_m included, goes to each phase. Of the settings, the state
+    keeps only the algebra's own: the universe's max_order and the roster's
+    base order.
     The loop keeps the stall history itself, trimmed to evo.window_G here,
     and a break or a reverse clears it.
     """
@@ -629,7 +633,7 @@ def run_symbiosis(
             evaluate(assembly, env, env.eval_episodes)
         top = pop.top_order
         cohort = [m for m in pop.members if universe.structural_order(m) == top]
-        distribute_fitness(ledger, assemblies, cohort)
+        distribute_fitness(ledger, assemblies, evo.top_m, cohort)
 
         fitnesses = [a.fitness for a in assemblies]
         best = max(fitnesses)
@@ -649,12 +653,12 @@ def run_symbiosis(
             # selection sweeps has not failed, it just has not started
             if config.breaks_enabled and generation >= evo.break_warmup and stalled(history, evo):
                 pairs = detect_dependency(universe, ledger, pop, evo)
-                selected = can_break(universe, pop, pairs)
+                selected = can_break(universe, pop, pairs, config.population_limit)
                 if selected is not None:
                     apply_break(universe, pop, selected[0], selected[1], generation)
                     history.clear()
             if config.reverse_enabled:
-                _maybe_reverse(state, evo, generation)
+                _maybe_reverse(state, config, generation)
 
         row = GenerationRow(
             generation=generation,
@@ -676,7 +680,7 @@ def run_symbiosis(
     return generation
 
 
-def _maybe_reverse(state: LoopState, config: EvolutionConfig, generation: int) -> None:
+def _maybe_reverse(state: LoopState, config: RunConfig, generation: int) -> None:
     """Dissolve at most one composite stuck in the roster's bottom quartile
     for window_G straight generations.
 
@@ -697,17 +701,17 @@ def _maybe_reverse(state: LoopState, config: EvolutionConfig, generation: int) -
         return  # nothing to rank or count, and no counter is left
     size = len(pop.members)
     threshold = -(-3 * size // 4)  # ceil(3s/4); ranks below it are safe
-    for rank, (m, _) in enumerate(ledger.ranked(pop.members)):
+    for rank, (m, _) in enumerate(ledger.ranked(pop.members, config.evolution.top_m)):
         if m not in live:
             continue
         if rank >= threshold:
             counters[m] = counters.get(m, 0) + 1
         else:
             counters.pop(m, None)
-    due = sorted(c for c, n in counters.items() if n >= config.window_G)
+    due = sorted(c for c, n in counters.items() if n >= config.evolution.window_G)
     for composite in due:
         try:
-            apply_reverse_break(universe, pop, composite, generation)
+            apply_reverse_break(universe, pop, composite, generation, config.population_limit)
         except LimitExceeded:
             continue  # roster limit blocks restoration; retry next generation
         del counters[composite]

@@ -17,7 +17,7 @@ from typing import Iterable, Mapping
 
 import numpy as np
 
-from sosage.hyperstruct import ObsRecord, Universe
+from sosage.hyperstruct import ObsRecord, Observer, Universe
 from sosage.rng import Stream
 from sosage.symbio import NeuronGene
 
@@ -168,17 +168,18 @@ def build_layered(universe: Universe, r: int) -> int:
     return universe.construct({mid_a, mid_b}, tag="top")
 
 
-def table_observers(universe: Universe, table: dict[tuple[int, int], set[str]]) -> None:
-    """File observers that report exactly the properties listed in
-    `table[(structure_id, level)]`."""
-    levels = {level for (_sid, level) in table}
-    for level in levels:
+def table_observers(table: dict[tuple[int, int], set[str]]) -> dict[int, list[Observer]]:
+    """The observer dict, one observer per level the table names, that
+    reports exactly the properties listed in `table[(structure_id, level)]`."""
+    observers: dict[int, list[Observer]] = {}
+    for level in {level for (_sid, level) in table}:
         def obs(s, _u, _level=level):
             return [
                 ObsRecord(property=p, value=True, level=_level)
                 for p in sorted(table.get((s.id, _level), set()))
             ]
-        universe.observers.setdefault(level, []).append(obs)
+        observers[level] = [obs]
+    return observers
 
 
 def emergence_oracle(

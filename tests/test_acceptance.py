@@ -166,12 +166,12 @@ def test_criterion_3_emergence_oracle(verdict):
                 chosen = {p for p in props if rng.random() < 0.4}
                 if chosen:
                     table[(sid, level)] = chosen
-        table_observers(u, table)
+        observers = table_observers(table)
         for sid, s in u.structures.items():
             if s.order < 2:
                 continue
             for prop in props:
-                got = u.is_emergent(prop, sid)
+                got = u.is_emergent(prop, sid, observers)
                 want = emergence_oracle(u, table, sid, prop)
                 if got != want:
                     disagreements += 1
@@ -204,7 +204,7 @@ def test_criterion_4_break_laws(verdict):
                     pair = (stratum[int(i)], stratum[int(j)])
                     if pair not in pairs:
                         pairs.append(pair)
-                selected = can_break(u, pop, pairs)
+                selected = can_break(u, pop, pairs, limit)
                 if selected is not None:
                     x, y = selected
                     before = (set(pop.members), pop.pop_order_n)
@@ -214,7 +214,7 @@ def test_criterion_4_break_laws(verdict):
                     records.append((pop.break_log[-1], before[1]))
                     if rng.random() < 0.4:
                         ev = pop.break_log[-1]
-                        apply_reverse_break(u, pop, ev.composite, generation=step)
+                        apply_reverse_break(u, pop, ev.composite, generation=step, limit=limit)
                         after = (set(pop.members), pop.pop_order_n)
                         if after != before:
                             violations.append(f"seed {seed}: reverse did not restore state")
@@ -223,10 +223,10 @@ def test_criterion_4_break_laws(verdict):
                 if live:
                     ev = live[int(rng.integers(len(live)))]
                     try:
-                        apply_reverse_break(u, pop, ev.composite, generation=step)
+                        apply_reverse_break(u, pop, ev.composite, generation=step, limit=limit)
                     except LimitExceeded:
                         pass
-            if len(pop.members) > pop.population_limit:
+            if len(pop.members) > limit:
                 violations.append(f"seed {seed}: roster above the limit")
         for ev, order_before in records:
             if ev.reversed_at is not None:
@@ -258,7 +258,7 @@ def test_criterion_5_dependency_oracle(verdict):
         genomes = [random_genome(env.input_dim, env.output_dim, rng) for _ in range(n)]
         pop = init_population(u, ProblemSpec(1, 1), genomes, 2 * n)
         members = list(pop.members)
-        ledger = FitnessLedger(top_m=64)
+        ledger = FitnessLedger()
         history: list[tuple[set[int], float]] = []
         assemblies = []
         for combo in itertools.combinations(members, k):
@@ -266,7 +266,7 @@ def test_criterion_5_dependency_oracle(verdict):
             evaluate(asm, env, env.eval_episodes)
             assemblies.append(asm)
             history.append((set(combo), asm.fitness))
-        distribute_fitness(ledger, assemblies, cohort=members)
+        distribute_fitness(ledger, assemblies, top_m=64, cohort=members)
         for delta in (0.1, 0.5, 1.0):
             config = EvolutionConfig(
                 network_size=k, dependency_delta=delta, min_cooccur_samples=1

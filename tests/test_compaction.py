@@ -61,14 +61,14 @@ class TestRetain:
         assert not any(d == ab for d, _ in u.depends)
 
     def test_ledger_drops_members_and_pairs(self):
-        ledger = FitnessLedger(top_m=2)
+        ledger = FitnessLedger()
         for m in (1, 2, 3):
-            ledger.credit(m, float(m))
+            ledger.credit(m, float(m), top_m=2)
         ledger.tally_cooccurrence([({1, 2}, 1.0)], [1, 2, 3])
         ledger.retain({1, 2})
         assert sorted(ledger.per_member) == [1, 2]
         assert sorted(ledger.cooccur) == [(1, 2), (2, 1)]
-        assert ledger.score(1) == 1.0
+        assert ledger.score(1, top_m=2) == 1.0
 
 
 def test_live_set_is_roster_and_break_log_closed_under_constituents():
@@ -77,7 +77,7 @@ def test_live_set_is_roster_and_break_log_closed_under_constituents():
     ab = u.construct({a, b})
     top = u.construct({ab, c})
     cd = u.construct({c, d})
-    pop = Population(members=[top, e], base_order_r=1, pop_order_n=3, population_limit=8)
+    pop = Population(members=[top, e], base_order_r=1, pop_order_n=3)
     assert live_structures(u, pop) == {top, ab, a, b, c, e}
     pop.break_log.append(BreakEvent(generation=0, dependent=c, dependee=d, composite=cd, reversed_at=1))
     assert live_structures(u, pop) == {top, ab, a, b, c, e, cd, d}

@@ -56,8 +56,17 @@ from sosage.harness import (
     write_metrics_row,
 )
 from sosage.invariants import verify
-from sosage.population import BreakEvent, ProblemSpec
-from sosage.symbio import CooccurCell, EvolutionConfig, GenerationRow, NeuronGene, run_symbiosis
+from sosage.hyperstruct import Universe
+from sosage.population import BreakEvent, Population, ProblemSpec
+from sosage.symbio import (
+    SAMPLE_RING_FACTOR,
+    CooccurCell,
+    EvolutionConfig,
+    FitnessLedger,
+    GenerationRow,
+    NeuronGene,
+    run_symbiosis,
+)
 
 from support import edge_graph, exactly, float_slots, has_cycle, inline_floats, table_floats, v9_to_v10, v10_to_v9
 
@@ -870,7 +879,7 @@ class TestVerify:
 
     def test_unknown_ledger_member_detected(self, finished_run):
         def mutate(c):
-            c.state.ledger.credit(4242, 1.0)
+            c.state.ledger.credit(4242, 1.0, c.config.evolution.top_m)
         result = self.corrupt(finished_run, mutate)
         failures = {r.name: r.detail for r in result.failures()}
         assert failures == {"state-compact": "ledger member 4242 is not live"}
@@ -1164,16 +1173,74 @@ class TestSettingsLiveInTheConfig:
     def test_loader_takes_settings_from_the_digested_config(self):
         doc = valid_checkpoint_doc()
         cfg = doc["config"]
+        cfg["max_order"] += 1
         cfg["evolution"]["top_m"] += 2
         cfg["population_limit"] += 1
         cfg["problem"]["base_solver_order_r"] += 1
         doc["config_digest"] = config_digest(config_from_dict(cfg))
         ckpt = checkpoint_from_json_dict(doc)
-        assert ckpt.state.ledger.top_m == cfg["evolution"]["top_m"]
-        assert ckpt.state.pop.population_limit == cfg["population_limit"]
+        # the state keeps only the algebra's own two parameters
+        assert ckpt.state.universe.max_order == cfg["max_order"]
         assert ckpt.state.pop.base_order_r == cfg["problem"]["base_solver_order_r"]
-        # the roster was bred at base order 1, so the edited config no longer fits it
-        assert "population-order" in {r.name for r in verify(ckpt).failures()}
+        # the roster was bred at base order 1, so the edited config no longer
+        # fits it; a higher limit and a longer ring still hold it
+        assert {r.name for r in verify(ckpt).failures()} == {"population-order", "break-log"}
+
+    def test_a_state_built_under_other_settings_runs_and_resumes_as_the_configs_own(self):
+        """xor seed 3: a state built under top_m 2 and a full roster runs the
+        config's own rows, and a resume from each of its checkpoints replays
+        them exactly."""
+        base = with_seed(load_config(CONFIG_DIR / "xor.json"), 3)
+        config = dataclasses.replace(
+            base, evolution=dataclasses.replace(base.evolution, max_generations=60), checkpoint_every=1
+        )
+        other = dataclasses.replace(
+            config, evolution=dataclasses.replace(config.evolution, top_m=2), population_limit=config.roster_size
+        )
+        env = make_env(config.env.name, config.env.params)
+
+        def rows_of(state, start=0, saved=None):
+            rows = []
+            def save(g, s):
+                saved[g] = json.dumps(checkpoint_to_json_dict(Checkpoint(config, g, s)))
+            run_symbiosis(env, config, state, start, rows.append, None if saved is None else save)
+            return rows
+
+        own = rows_of(build_state(config))
+        saved = {}
+        assert rows_of(build_state(other), saved=saved) == own
+        assert len(own) < 60 and sorted(saved) == list(range(1, len(own)))  # solved before the budget
+        for g, text in saved.items():
+            ckpt = checkpoint_from_json_dict(json.loads(text))
+            assert verify(ckpt).passed
+            assert rows_of(ckpt.state, g) == own[g:]
+
+    def test_state_types_hold_only_what_the_checkpoint_writes(self):
+        def names(cls):
+            return [f.name for f in dataclasses.fields(cls)]
+
+        # max_order is the cap construct checks and base_order_r the one top_order reads
+        assert names(Universe) == ["max_order", "structures", "depends", "next_id"]
+        assert names(Population) == ["members", "base_order_r", "pop_order_n", "break_log"]
+        assert names(FitnessLedger) == ["per_member", "cooccur"]
+
+    def test_verify_reads_the_limit_and_ring_cap_from_the_config(self):
+        ckpt = checkpoint_from_json_dict(valid_checkpoint_doc())
+        config, state = ckpt.config, ckpt.state
+        assert verify(ckpt).passed
+        longest = max(map(len, state.ledger.per_member.values()))
+        top_m = (longest - 1) // SAMPLE_RING_FACTOR  # the largest top_m whose ring is shorter
+        assert top_m >= 1
+        short_ring = dataclasses.replace(config, evolution=dataclasses.replace(config.evolution, top_m=top_m))
+        report = verify(Checkpoint(short_ring, ckpt.generation, state))
+        assert [r.name for r in report.failures()] == ["ledger-references"]
+        assert f"cap {SAMPLE_RING_FACTOR * top_m}" in report.failures()[0].detail
+        roster = len(state.pop.members)
+        low_limit = dataclasses.replace(config, population_limit=roster - 1)
+        report = verify(Checkpoint(low_limit, ckpt.generation, state))
+        assert [(r.name, r.detail) for r in report.failures()] == [
+            ("roster-membership", f"roster {roster} exceeds limit {roster - 1}")
+        ]
 
 
 AWKWARD = (0.1 + 0.2, 1e-17, -0.0, 2.0 / 3.0, -1.2345678901234567, 5.0, -1e300, 5e-324)
@@ -1311,10 +1378,7 @@ class TestCheckpointCodec:
         ckpt = checkpoint_from_json_dict(valid_checkpoint_doc())
         ledger = ckpt.state.ledger
         assert ledger.cooccur
-        back = round_trip(ckpt).state.ledger
-        assert back.top_m == ledger.top_m
-        assert back.per_member == ledger.per_member
-        assert back.cooccur == ledger.cooccur
+        assert round_trip(ckpt).state.ledger == ledger
 
     @pytest.mark.parametrize("reversed_at", [None, 11])
     def test_break_events_round_trip(self, reversed_at):

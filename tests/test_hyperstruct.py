@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import copy
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -229,28 +231,24 @@ class TestEquality:
 class TestObservation:
     def test_observe_unions_all_observers_at_level(self, universe):
         a = universe.add_primitive("a")
-        universe.observers[1] = [
-            lambda s, u: [ObsRecord("p", 1, 1)],
-            lambda s, u: [ObsRecord("q", 2, 1)],
-        ]
-        assert {r.property for r in universe.observe(a, 1)} == {"p", "q"}
+        observers = {1: [lambda s, u: [ObsRecord("p", 1, 1)], lambda s, u: [ObsRecord("q", 2, 1)]]}
+        assert {r.property for r in universe.observe(a, 1, observers)} == {"p", "q"}
 
     def test_observe_level_routing(self, universe):
         a = universe.add_primitive("a")
-        universe.observers[2] = [lambda s, u: [ObsRecord("deep", 0, 2)]]
-        assert universe.observe(a, 1) == frozenset()
-        assert {r.property for r in universe.observe(a, 2)} == {"deep"}
+        observers = {2: [lambda s, u: [ObsRecord("deep", 0, 2)]]}
+        assert universe.observe(a, 1, observers) == frozenset()
+        assert {r.property for r in universe.observe(a, 2, observers)} == {"deep"}
 
     def test_observer_emitting_wrong_level_rejected(self, universe):
         a = universe.add_primitive("a")
-        universe.observers[1] = [lambda s, u: [ObsRecord("p", 0, 3)]]
         with pytest.raises(ValueError):
-            universe.observe(a, 1)
+            universe.observe(a, 1, {1: [lambda s, u: [ObsRecord("p", 0, 3)]]})
 
     def test_observation_level_must_be_positive(self, universe):
         a = universe.add_primitive("a")
         with pytest.raises(ValueError):
-            universe.observe(a, 0)
+            universe.observe(a, 0, {})
 
 
 class TestEmergence:
@@ -259,32 +257,44 @@ class TestEmergence:
         [({2}, True), ({2, 3}, True), ({1, 2}, False), ({1}, False), ({3}, False), (set(), False)],
     )
     def test_the_rule_over_levels(self, universe, levels, want):
-        a, b, ab = self.build(universe, {(i, level): {"p"} for i in (0, 1, 2) for level in levels})
-        assert universe.is_emergent("p", ab) is want
+        a, b, ab = self.build(universe)
+        observers = table_observers({(i, level): {"p"} for i in (0, 1, 2) for level in levels})
+        assert universe.is_emergent("p", ab, observers) is want
 
-    def build(self, universe, table):
+    def build(self, universe):
         a = universe.add_primitive("a")
         b = universe.add_primitive("b")
         ab = universe.construct({a, b})
-        table_observers(universe, table)
         return a, b, ab
 
     def test_emergent_when_absent_on_all_constituents_below(self, universe):
-        a, b, ab = self.build(universe, {(2, 2): {"whole"}})
-        assert universe.is_emergent("whole", ab)
+        a, b, ab = self.build(universe)
+        assert universe.is_emergent("whole", ab, table_observers({(2, 2): {"whole"}}))
 
     def test_not_emergent_when_any_constituent_shows_it_below(self, universe):
-        a, b, ab = self.build(universe, {(2, 2): {"whole"}, (0, 1): {"whole"}})
-        assert not universe.is_emergent("whole", ab)
+        a, b, ab = self.build(universe)
+        assert not universe.is_emergent("whole", ab, table_observers({(2, 2): {"whole"}, (0, 1): {"whole"}}))
 
     def test_not_emergent_when_absent_at_own_level(self, universe):
-        a, b, ab = self.build(universe, {(0, 1): {"part"}})
-        assert not universe.is_emergent("part", ab)
+        a, b, ab = self.build(universe)
+        assert not universe.is_emergent("part", ab, table_observers({(0, 1): {"part"}}))
 
     def test_order_one_has_no_emergence(self, universe):
         a = universe.add_primitive("a")
         with pytest.raises(SosageError, match=exactly(f"structure {a} has order 1; emergence needs order >= 2")):
-            universe.is_emergent("p", a)
+            universe.is_emergent("p", a, {})
+
+    def test_one_universe_answers_under_each_observer_table_in_turn(self, universe):
+        """The answer follows the observers passed in: the same universe reads
+        emergent under one table, not under another, and again under the
+        first, and no query changes it."""
+        a, b, ab = self.build(universe)
+        before = copy.deepcopy(universe)
+        emergent = table_observers({(ab, 2): {"whole"}})
+        shared = table_observers({(ab, 2): {"whole"}, (a, 1): {"whole"}})
+        answers = [universe.is_emergent("whole", ab, obs) for obs in (emergent, shared, emergent, shared)]
+        assert answers == [True, False, True, False]
+        assert universe == before
 
     @PROPERTY_SETTINGS
     @given(seed=st.integers(0, 2**32 - 1))
@@ -298,12 +308,12 @@ class TestEmergence:
                 chosen = {p for p in props if rng.random() < 0.35}
                 if chosen:
                     table.setdefault((i, level), set()).update(chosen)
-        table_observers(u, table)
+        observers = table_observers(table)
         for i, s in u.structures.items():
             if s.order < 2:
                 continue
             for p in props:
-                assert u.is_emergent(p, i) == emergence_oracle(u, table, i, p)
+                assert u.is_emergent(p, i, observers) == emergence_oracle(u, table, i, p)
 
 
 class TestIntegrity:

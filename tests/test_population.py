@@ -68,23 +68,25 @@ class TestCanBreak:
     def test_selects_top_stratum_pair(self, universe):
         pop = make_pop(universe)
         a, b = pop.members[0], pop.members[1]
-        assert can_break(universe, pop, [(a, b)]) == (a, b)
+        assert can_break(universe, pop, [(a, b)], 8) == (a, b)
 
     def test_full_roster_blocks(self, universe):
         pop = make_pop(universe, n=4, limit=4)
         a, b = pop.members[0], pop.members[1]
-        assert can_break(universe, pop, [(a, b)]) is None
+        assert can_break(universe, pop, [(a, b)], 4) is None
+        # the roster is full against the limit passed in, not one kept in the population
+        assert can_break(universe, pop, [(a, b)], 5) == (a, b)
 
     def test_order_cap_blocks(self):
         u = Universe(max_order=1)
         pop = make_pop(u)
         a, b = pop.members[0], pop.members[1]
-        assert can_break(u, pop, [(a, b)]) is None
+        assert can_break(u, pop, [(a, b)], 8) is None
 
     def test_ties_break_on_lowest_pair(self, universe):
         pop = make_pop(universe)
         a, b, c = pop.members[:3]
-        got = can_break(universe, pop, [(b, c), (a, c), (a, b)])
+        got = can_break(universe, pop, [(b, c), (a, c), (a, b)], 8)
         assert got == (a, b)
 
 
@@ -154,7 +156,7 @@ class TestReverseBreak:
         before_order = pop.pop_order_n
         apply_break(universe, pop, a, b, generation=1)
         z = pop.members[-1]
-        apply_reverse_break(universe, pop, z, generation=3)
+        apply_reverse_break(universe, pop, z, generation=3, limit=8)
         assert set(pop.members) == before_members
         assert pop.pop_order_n == before_order
         assert pop.break_log[-1].reversed_at == 3
@@ -165,7 +167,7 @@ class TestReverseBreak:
         apply_break(universe, pop, a, b, generation=0)
         z = pop.members[-1]
         # b stayed on the roster; only a comes back
-        apply_reverse_break(universe, pop, z, generation=1)
+        apply_reverse_break(universe, pop, z, generation=1, limit=8)
         assert pop.members.count(b) == 1
         assert pop.members.count(a) == 1
 
@@ -174,15 +176,15 @@ class TestReverseBreak:
         a, b = pop.members[0], pop.members[1]
         apply_break(universe, pop, a, b, generation=0)
         z = pop.members[-1]
-        apply_reverse_break(universe, pop, z, generation=1)
+        apply_reverse_break(universe, pop, z, generation=1, limit=8)
         with pytest.raises(SosageError, match=exactly(f"structure {z} is not an active break composite")):
-            apply_reverse_break(universe, pop, z, generation=2)
+            apply_reverse_break(universe, pop, z, generation=2, limit=8)
 
     def test_reverse_of_unlogged_structure_rejected(self, universe):
         pop = make_pop(universe)
         m = pop.members[0]
         with pytest.raises(SosageError, match=exactly(f"structure {m} is not an active break composite")):
-            apply_reverse_break(universe, pop, m, generation=0)
+            apply_reverse_break(universe, pop, m, generation=0, limit=8)
 
     def test_reverse_blocked_when_limit_would_overflow(self, universe):
         pop = make_pop(universe, n=4, limit=5)
@@ -194,21 +196,24 @@ class TestReverseBreak:
         pop.members.remove(b)
         pop.members.append(universe.add_primitive("filler"))
         pop.members.append(universe.add_primitive("filler2"))
-        assert len(pop.members) == pop.population_limit
+        assert len(pop.members) == 5
         with pytest.raises(LimitExceeded):
-            apply_reverse_break(universe, pop, z, generation=1)
+            apply_reverse_break(universe, pop, z, generation=1, limit=5)
         assert pop.break_log[-1].reversed_at is None
         assert z in pop.members
+        # the same roster dissolves z under a limit one higher
+        apply_reverse_break(universe, pop, z, generation=1, limit=6)
+        assert len(pop.members) == 6 and z not in pop.members
 
     def test_already_reversed_before_roster_check(self, universe):
         pop = make_pop(universe)
         a, b = pop.members[0], pop.members[1]
         apply_break(universe, pop, a, b, generation=0)
         z = pop.members[-1]
-        apply_reverse_break(universe, pop, z, generation=1)
+        apply_reverse_break(universe, pop, z, generation=1, limit=8)
         pop.members.append(z)  # simulate corruption: composite back on roster
         with pytest.raises(SosageError, match=exactly(f"composite {z} was reversed at generation 1")):
-            apply_reverse_break(universe, pop, z, generation=2)
+            apply_reverse_break(universe, pop, z, generation=2, limit=8)
 
 
 class TestScriptedSequences:
@@ -224,11 +229,11 @@ class TestScriptedSequences:
             do_reverse = live and rng.random() < 0.4
             if do_reverse:
                 ev = live[int(rng.integers(len(live)))]
-                apply_reverse_break(u, pop, ev.composite, generation=step)
+                apply_reverse_break(u, pop, ev.composite, generation=step, limit=12)
             else:
                 top = pop.top_order
                 stratum = [m for m in pop.members if u.structural_order(m) == top]
-                if len(stratum) < 2 or len(pop.members) == pop.population_limit:
+                if len(stratum) < 2 or len(pop.members) == 12:
                     continue
                 if top + 1 > u.max_order:
                     continue
@@ -237,7 +242,7 @@ class TestScriptedSequences:
                 prev = pop.pop_order_n
                 apply_break(u, pop, x, y, generation=step)
                 assert pop.pop_order_n == prev + 1
-            assert len(pop.members) <= pop.population_limit
+            assert len(pop.members) <= 12
             assert pop.top_order == max(u.structural_order(m) for m in pop.members)
             orders.append(pop.pop_order_n)
         for ev in pop.break_log:

@@ -370,29 +370,31 @@ class TestEvaluate:
     def test_distribute_requires_evaluated_assemblies(self, universe):
         assembly = self.wire(universe, (constant_one_gene(),))
         with pytest.raises(SosageError, match=exactly(f"assembly {assembly.participants} has no fitness")):
-            distribute_fitness(FitnessLedger(top_m=3), [assembly])
+            distribute_fitness(FitnessLedger(), [assembly], top_m=3)
 
 
 class TestLedger:
     def test_score_is_top_m_mean(self):
-        ledger = FitnessLedger(top_m=3)
-        assert ledger.score(1) is None
+        ledger = FitnessLedger()
+        assert ledger.score(1, top_m=3) is None
         for f in (1.0, 5.0, 3.0, 2.0, 4.0):
-            ledger.credit(1, f)
-        assert ledger.score(1) == pytest.approx((5.0 + 4.0 + 3.0) / 3)
+            ledger.credit(1, f, top_m=3)
+        assert ledger.score(1, top_m=3) == pytest.approx((5.0 + 4.0 + 3.0) / 3)
+        # one ledger scores under whichever top_m the caller reads from its config
+        assert ledger.score(1, top_m=2) == pytest.approx((5.0 + 4.0) / 2)
 
     def test_score_with_fewer_samples_than_top_m(self):
-        ledger = FitnessLedger(top_m=5)
-        ledger.credit(1, 2.0)
-        assert ledger.score(1) == 2.0
+        ledger = FitnessLedger()
+        ledger.credit(1, 2.0, top_m=5)
+        assert ledger.score(1, top_m=5) == 2.0
 
     def test_ring_keeps_newest_samples(self):
-        ledger = FitnessLedger(top_m=2)
+        ledger = FitnessLedger()
         cap = SAMPLE_RING_FACTOR * 2
         for f in range(cap + 2):
-            ledger.credit(1, float(f))
+            ledger.credit(1, float(f), top_m=2)
         assert ledger.per_member[1] == [float(v) for v in range(2, cap + 2)]
-        assert ledger.score(1) == pytest.approx((cap + 1 + cap) / 2)
+        assert ledger.score(1, top_m=2) == pytest.approx((cap + 1 + cap) / 2)
 
     @pytest.mark.parametrize(
         "generations",
@@ -400,7 +402,7 @@ class TestLedger:
         ids=["two-generations", "one-generation"],
     )
     def test_cooccurrence_cells_split_by_partner_presence(self, generations):
-        ledger = FitnessLedger(top_m=3)
+        ledger = FitnessLedger()
         cohort = (1, 2, 3)
         for outcomes in generations:
             ledger.tally_cooccurrence(outcomes, cohort)
@@ -412,7 +414,7 @@ class TestLedger:
         assert (2, 3) in ledger.cooccur and (3, 1) not in ledger.cooccur
 
     def test_unpaired_cells_fold_onto_their_own_totals(self):
-        ledger = FitnessLedger(top_m=3)
+        ledger = FitnessLedger()
         ledger.tally_cooccurrence([((1, 2), 1e16), ((1, 3), 1.0)], (1, 2, 3))
         assert ledger.cooccur[(1, 2)] == CooccurCell(1, 1e16, 1, 1.0)
         assert ledger.cooccur[(2, 3)] == CooccurCell(0, 0.0, 1, 1e16)
@@ -423,13 +425,13 @@ class TestLedger:
         assert (3, 2) in ledger.cooccur and (9, 2) not in ledger.cooccur and (2, 9) not in ledger.cooccur
 
     def test_ranked_orders_by_score_then_id_and_scores_each_member_once(self, monkeypatch):
-        ledger = FitnessLedger(top_m=2)
+        ledger = FitnessLedger()
         for member, fitness in ((5, 1.0), (3, 2.0), (4, 1.0), (9, -1.0)):
-            ledger.credit(member, fitness)
+            ledger.credit(member, fitness, top_m=2)
         calls = []
         score = ledger.score
-        monkeypatch.setattr(ledger, "score", lambda m: calls.append(m) or score(m))
-        ranking = ledger.ranked([9, 7, 5, 4, 3])
+        monkeypatch.setattr(ledger, "score", lambda m, top_m: calls.append(m) or score(m, top_m))
+        ranking = ledger.ranked([9, 7, 5, 4, 3], top_m=2)
         assert ranking == [(3, 2.0), (4, 1.0), (5, 1.0), (9, -1.0), (7, None)]
         assert sorted(calls) == [3, 4, 5, 7, 9]
 
@@ -444,7 +446,7 @@ class TestDetection:
         universe, pop = self.detection_pop(3)
         a, b, c = pop.members
         config = EvolutionConfig(dependency_delta=0.5, min_cooccur_samples=2)
-        ledger = FitnessLedger(top_m=3)
+        ledger = FitnessLedger()
         cohort = tuple(pop.members)
         for _ in range(2):
             # a with b: fitness 1.0; a without b: 0.2
@@ -453,7 +455,7 @@ class TestDetection:
         assert (a, b) in got
         assert (a, c) not in got  # gain is negative for c
         # one sample short on the solo side blocks the pair
-        thin = FitnessLedger(top_m=3)
+        thin = FitnessLedger()
         thin.tally_cooccurrence([({a, b}, 1.0), ({a, b}, 1.0), ({a, c}, 0.2)], cohort)
         assert detect_dependency(universe, thin, pop, config) == []
 
@@ -461,7 +463,7 @@ class TestDetection:
         universe, pop = self.detection_pop(4)
         a, b, c, d = pop.members
         config = EvolutionConfig(dependency_delta=0.1, min_cooccur_samples=1)
-        ledger = FitnessLedger(top_m=3)
+        ledger = FitnessLedger()
         cohort = tuple(pop.members)
         ledger.tally_cooccurrence([({a, b}, 1.0), ({a, c}, 0.0)], cohort)
         apply_break(universe, pop, c, d, generation=0)  # top order becomes 2
@@ -480,7 +482,7 @@ class TestDetection:
         universe, pop = self.detection_pop(n)
         members = list(pop.members)
         config = EvolutionConfig(dependency_delta=delta, min_cooccur_samples=min_samples)
-        ledger = FitnessLedger(top_m=3)
+        ledger = FitnessLedger()
         history: list[tuple[set, float]] = []
         for _ in range(int(rng.integers(4, 40))):
             picks = rng.choice(n, size=k, replace=False)
@@ -511,10 +513,10 @@ class TestEvolve:
         universe = Universe(max_order=8)
         rng = stream(seed)
         pop = genome_pop(universe, [fresh_gene(rng) for _ in range(n)])
-        ledger = FitnessLedger(top_m=3)
+        ledger = FitnessLedger()
         for m, s in zip(pop.members, scores):
             if s is not None:
-                ledger.credit(m, s)
+                ledger.credit(m, s, top_m=3)
         return universe, pop, ledger
 
     def test_elite_count_is_floor_of_fraction(self):
@@ -610,9 +612,9 @@ class TestCloneComposite:
         universe.declare_dependency(z2, c, 2)
         universe.declare_dependency(z2, d, 2)
         pop.members[:] = [z1, z2]
-        ledger = FitnessLedger(top_m=3)
-        ledger.credit(z1, 2.0)
-        ledger.credit(z2, 0.5)
+        ledger = FitnessLedger()
+        ledger.credit(z1, 2.0, top_m=3)
+        ledger.credit(z2, 0.5, top_m=3)
         config = EvolutionConfig(elite_fraction=0.25)
         evolve_generation(universe, pop, ledger, config, stream(0), generation=7)
         assert pop.members[0] == z1
@@ -795,7 +797,7 @@ class TestTallyMatchesThePerAssemblyOracle:
     @PROPERTY_SETTINGS
     @given(generations=tally_generations())
     def test_cells_are_bit_identical_after_every_generation(self, generations):
-        ledger, oracle = FitnessLedger(top_m=3), FitnessLedger(top_m=3)
+        ledger, oracle = FitnessLedger(), FitnessLedger()
         for cohort, outcomes in generations:
             ledger.tally_cooccurrence([(tuple(team), f) for team, f in outcomes], cohort)
             for team, f in outcomes:
@@ -806,7 +808,7 @@ class TestTallyMatchesThePerAssemblyOracle:
     def test_a_whole_roster_generation(self):
         rng = np.random.default_rng(5)
         cohort = [int(m) for m in rng.permutation(24)]
-        ledger, oracle = FitnessLedger(top_m=3), FitnessLedger(top_m=3)
+        ledger, oracle = FitnessLedger(), FitnessLedger()
         for _ in range(3):
             teams = [tuple(int(m) for m in rng.choice(24, size=3, replace=False)) for _ in range(30)]
             outcomes = [(team, float(rng.choice(AWKWARD_FITNESS))) for team in teams]
@@ -858,7 +860,7 @@ class TestLoop:
     def solver_state(self, config):
         universe = Universe(max_order=config.max_order)
         pop = init_population(universe, config.problem, list(xor_solver_genes()), config.population_limit)
-        return LoopState(universe=universe, pop=pop, ledger=FitnessLedger(top_m=config.evolution.top_m))
+        return LoopState(universe=universe, pop=pop, ledger=FitnessLedger())
 
     def test_zero_budget_returns_empty_outcome(self):
         config = loop_config(1, dict(max_generations=0, network_size=3, assemblies_per_generation=2),
