@@ -219,8 +219,8 @@ def _payload_from_row(rest: list, floats: _FloatTable) -> Any:
     return NeuronGene(tuple(floats.each(in_weights, "in_weights")), tuple(floats.each(out_weights, "out_weights")))
 
 
-def _universe_from_json(doc: Mapping[str, Any], max_order: int, floats: _FloatTable) -> Universe:
-    u = Universe(max_order=max_order)
+def _universe_from_json(doc: Mapping[str, Any], floats: _FloatTable) -> Universe:
+    u = Universe()
     _reject_unknown(doc, {"structures", "depends", "next_id"}, "universe", _malformed)
     for row in _list(doc["structures"], "structures", list):
         sid, order, constituents, tag, *rest = row
@@ -280,7 +280,7 @@ def _checkpoint_from_doc(doc: Mapping[str, Any]) -> Checkpoint:
     if config_digest(config) != stored:
         raise SosageError("embedded config does not match its stored digest")
     # settings come from the digested config only; the state keeps just the
-    # algebra's own two, the order cap and the base order
+    # base order, which top_order reads
     evo = config.evolution
     loop = doc["loop"]
     _reject_unknown(loop, {"stall_history", "reverse_counters", "solved_at"}, "loop", _malformed)
@@ -301,7 +301,7 @@ def _checkpoint_from_doc(doc: Mapping[str, Any]) -> Checkpoint:
         raise ValueError(f"reverse counter {min(counters.values())} is below 1")
     floats = _FloatTable(doc["floats"])
     state = LoopState(
-        universe=_universe_from_json(doc["universe"], config.max_order, floats),
+        universe=_universe_from_json(doc["universe"], floats),
         pop=_population_from_json(doc["population"], config.problem.base_solver_order_r),
         ledger=_ledger_from_json(doc["ledger"], floats),
         stall_history=floats.each(history, "stall_history"),

@@ -6,12 +6,13 @@ order-1 primitives carry opaque payloads, higher orders aggregate lower ones
 relations join structures: directed dependency edges, whose direct edges span
 exactly one order, and symmetric interaction edges, which construction and
 dependency imply. `Universe` stores the structures and the dependency levels,
-and derives every interaction edge from them. Per-level observer functions,
-passed to each query, supply observable properties; a property of a composite
-is emergent when it is observable at the composite's level but at the level
-below on none of its constituents, which `Universe.is_emergent` asks. The
-evolution loop tests no emergence: a gate that could refuse a break needs an
-observable that differs between levels.
+and derives every interaction edge from them. It bounds no order: a run's
+order cap is a break gate, which `population.can_break` checks. Per-level
+observer functions, passed to each query, supply observable properties; a
+property of a composite is emergent when it is observable at the composite's
+level but at the level below on none of its constituents, which
+`Universe.is_emergent` asks. The evolution loop tests no emergence: a gate
+that could refuse a break needs an observable that differs between levels.
 """
 
 from __future__ import annotations
@@ -22,8 +23,6 @@ from typing import Any, Callable, Iterable, Mapping
 from .errors import SosageError
 
 StructureId = int
-
-DEFAULT_MAX_ORDER = 8
 
 
 @dataclass(frozen=True)
@@ -69,11 +68,11 @@ class Universe:
 
     Mutation is single-writer; queries are pure. Structure ids are assigned
     sequentially and never reused, even after a structure leaves every active
-    roster or is dropped by `retain`. Two universes are equal when every
-    field is: the order cap and what the checkpoint writes, no observer.
+    roster or is dropped by `retain`. The fields are the checkpoint's
+    universe section, so two universes are equal when what the checkpoint
+    writes is; no observer and no setting takes part.
     """
 
-    max_order: int = DEFAULT_MAX_ORDER
     structures: dict[StructureId, Structure] = field(default_factory=dict)
     depends: dict[tuple[StructureId, StructureId], set[int]] = field(default_factory=dict)
     next_id: StructureId = 0  # the id the next structure gets; checkpoints store it
@@ -117,16 +116,13 @@ class Universe:
         The new order is 1 + max(constituent orders); constituents may span
         multiple lower orders and may already belong to other composites.
         The new structure interacts with each constituent at the new level.
+        No order cap is checked here: the run's max_order is a break gate,
+        checked in population.can_break.
         """
         members = frozenset(constituents)
         if not members:
             raise SosageError("construct() requires at least one constituent")
-        orders = [self.get(c).order for c in sorted(members)]
-        order = 1 + max(orders)
-        if order > self.max_order:
-            raise SosageError(
-                f"constructing order {order} exceeds max_order {self.max_order}"
-            )
+        order = 1 + max(self.get(c).order for c in sorted(members))
         i = self._fresh_id()
         self.structures[i] = Structure(id=i, order=order, constituents=members, tag=tag)
         return i

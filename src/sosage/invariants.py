@@ -43,6 +43,7 @@ def verify(ckpt: Checkpoint) -> VerifyReport:
     ledger = ckpt.state.ledger
     env = ENVS[ckpt.config.env.name]  # its class holds the dimensions genome-shape checks
     w_max = ckpt.config.evolution.w_max
+    max_order = ckpt.config.max_order
     results: list[InvariantResult] = []
 
     def record(name: str, bad: list[str]) -> None:
@@ -50,8 +51,8 @@ def verify(ckpt: Checkpoint) -> VerifyReport:
 
     bad = []
     for i, s in u.structures.items():
-        if s.order < 1 or s.order > u.max_order:
-            bad.append(f"structure {i} order {s.order} outside 1..{u.max_order}")
+        if s.order < 1 or s.order > max_order:
+            bad.append(f"structure {i} order {s.order} outside 1..{max_order}")
         if s.order == 1 and s.constituents:
             bad.append(f"primitive {i} has constituents")
         if s.order > 1:

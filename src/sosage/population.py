@@ -76,22 +76,22 @@ def init_population(
 
 
 def can_break(
-    universe: Universe,
     pop: Population,
     candidate_pairs: Iterable[tuple[StructureId, StructureId]],
     limit: int,
+    max_order: int,
 ) -> Optional[tuple[StructureId, StructureId]]:
     """Select the breakable (dependent, dependee) pair: the lowest candidate,
     or None when the roster is full (at `limit`, the run's population_limit),
-    the composite would pass the universe's order cap, or there is no
-    candidate.
+    the composite would pass `max_order` (the run's order cap), or there is
+    no candidate.
 
     Each break gate is checked in one place: the warmup and the stall in
     run_symbiosis; the top stratum, the sample floor and dependency_delta in
     detect_dependency, which yields the candidates; a full roster and the
     order cap here; apply_break refuses any other pair.
     """
-    if len(pop.members) == limit or pop.top_order + 1 > universe.max_order:
+    if len(pop.members) == limit or pop.top_order + 1 > max_order:
         return None
     return min(candidate_pairs, default=None)
 

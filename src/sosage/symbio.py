@@ -20,7 +20,7 @@ from typing import Callable, Collection, Iterable, Optional, Sequence
 
 from .envs import EnvSpec
 from .errors import LimitExceeded, SosageError
-from .hyperstruct import DEFAULT_MAX_ORDER, StructureId, Universe
+from .hyperstruct import StructureId, Universe
 from .population import (
     Population,
     ProblemSpec,
@@ -306,7 +306,7 @@ class RunConfig:
     seed: int = field(default=0, metadata={"low": 0, "high": 2**64 - 1, "rule": "be an unsigned 64-bit integer"})
     roster_size: int = field(default=24, metadata={"low": 1, "high": 500})
     population_limit: int = field(metadata={"low": 1, "high": 1000})  # default: twice roster_size
-    max_order: int = field(default=DEFAULT_MAX_ORDER, metadata={"low": 1, "high": 10**4})
+    max_order: int = field(default=8, metadata={"low": 1, "high": 10**4})
     breaks_enabled: bool = True
     reverse_enabled: bool = True
     output_dir: str = "runs"
@@ -544,10 +544,11 @@ class GenerationRow:
 
 def new_loop_state(env, config: RunConfig) -> LoopState:
     """Fresh universe + homogeneous initial population of random genomes,
-    from the config's seed, problem, roster_size and max_order; the roster
-    must fit population_limit. The state keeps no other setting: the loop
-    reads top_m and population_limit from the config it runs under."""
-    universe = Universe(max_order=config.max_order)
+    from the config's seed, problem and roster_size; the roster must fit
+    population_limit. The state keeps one setting, the roster's base order,
+    which top_order reads: the loop reads top_m, population_limit and
+    max_order from the config it runs under."""
+    universe = Universe()
     rng = substream(config.seed, "init")
     genomes = [random_genome(env.input_dim, env.output_dim, rng) for _ in range(config.roster_size)]
     pop = init_population(universe, config.problem, genomes, config.population_limit)
@@ -612,11 +613,10 @@ def run_symbiosis(
     members and their cells, so its state is as compact. The checkpoint hook
     fires at the start of a generation so a resumed run replays it exactly.
 
-    The config's seed, problem, population_limit, breaks_enabled,
+    The config's seed, problem, population_limit, max_order, breaks_enabled,
     reverse_enabled and checkpoint_every are read here, and its evolution
     section, top_m included, goes to each phase. Of the settings, the state
-    keeps only the algebra's own: the universe's max_order and the roster's
-    base order.
+    keeps only the roster's base order.
     The loop keeps the stall history itself, trimmed to evo.window_G here,
     and a break or a reverse clears it.
     """
@@ -653,7 +653,7 @@ def run_symbiosis(
             # selection sweeps has not failed, it just has not started
             if config.breaks_enabled and generation >= evo.break_warmup and stalled(history, evo):
                 pairs = detect_dependency(universe, ledger, pop, evo)
-                selected = can_break(universe, pop, pairs, config.population_limit)
+                selected = can_break(pop, pairs, config.population_limit, config.max_order)
                 if selected is not None:
                     apply_break(universe, pop, selected[0], selected[1], generation)
                     history.clear()

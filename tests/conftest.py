@@ -12,7 +12,7 @@ from support import stream
 
 @pytest.fixture
 def universe() -> Universe:
-    return Universe(max_order=8)
+    return Universe()
 
 
 @pytest.fixture

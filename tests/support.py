@@ -66,7 +66,7 @@ def fold(values) -> float:
 def random_universe(rng: np.random.Generator, max_structures: int = 12) -> Universe:
     """A random legal universe: primitives, overlapping composites, and
     dependencies on random order-gap-1 pairs."""
-    u = Universe(max_order=8)
+    u = Universe()
     n_total = int(rng.integers(2, max_structures + 1))
     n_prim = int(rng.integers(1, max(2, n_total // 2) + 1))
     for k in range(n_prim):
@@ -76,7 +76,7 @@ def random_universe(rng: np.random.Generator, max_structures: int = 12) -> Unive
         size = int(rng.integers(1, min(4, len(ids)) + 1))
         picks = rng.choice(len(ids), size=size, replace=False)
         members = {ids[int(i)] for i in picks}
-        if 1 + max(u.structures[m].order for m in members) > u.max_order:
+        if 1 + max(u.structures[m].order for m in members) > 8:
             continue
         u.construct(members, tag=f"c{len(u.structures)}")
     ids = sorted(u.structures)

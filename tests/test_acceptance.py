@@ -122,7 +122,7 @@ def test_criterion_2_construction_order(verdict):
     while constructs < 1000:
         rng = np.random.default_rng(seed)
         seed += 1
-        u = Universe(max_order=10)
+        u, max_order = Universe(), 10
         for k in range(int(rng.integers(2, 6))):
             u.add_primitive(payload=k)
         for _ in range(int(rng.integers(2, 10))):
@@ -130,7 +130,7 @@ def test_criterion_2_construction_order(verdict):
             size = int(rng.integers(1, min(4, len(ids)) + 1))
             picks = rng.choice(len(ids), size=size, replace=False)
             members = {ids[int(i)] for i in picks}
-            if 1 + max(u.structural_order(m) for m in members) > u.max_order:
+            if 1 + max(u.structural_order(m) for m in members) > max_order:
                 continue
             sid = u.construct(members)
             expected = 1 + max(traversal_order_oracle(u, m) for m in members)
@@ -141,7 +141,7 @@ def test_criterion_2_construction_order(verdict):
                 break
     layered_ok = True
     for r in (1, 2, 3):
-        u = Universe(max_order=8)
+        u = Universe()
         top = build_layered(u, r)
         if u.structural_order(top) != 2 + r or traversal_order_oracle(u, top) != 2 + r:
             layered_ok = False
@@ -188,7 +188,7 @@ def test_criterion_4_break_laws(verdict):
     violations: list[str] = []
     for seed in range(50):
         rng = np.random.default_rng(seed)
-        u = Universe(max_order=int(rng.integers(3, 9)))
+        u, max_order = Universe(), int(rng.integers(3, 9))
         n = int(rng.integers(4, 9))
         limit = n + int(rng.integers(1, 5))
         pop = init_population(u, ProblemSpec(1, 1), [f"g{k}" for k in range(n)], limit)
@@ -204,7 +204,7 @@ def test_criterion_4_break_laws(verdict):
                     pair = (stratum[int(i)], stratum[int(j)])
                     if pair not in pairs:
                         pairs.append(pair)
-                selected = can_break(u, pop, pairs, limit)
+                selected = can_break(pop, pairs, limit, max_order)
                 if selected is not None:
                     x, y = selected
                     before = (set(pop.members), pop.pop_order_n)
@@ -254,7 +254,7 @@ def test_criterion_5_dependency_oracle(verdict):
         rng = np.random.default_rng(seed)
         n = int(rng.integers(4, 7))      # roster <= 6
         k = int(rng.integers(2, 4))      # network_size <= 3
-        u = Universe(max_order=8)
+        u = Universe()
         genomes = [random_genome(env.input_dim, env.output_dim, rng) for _ in range(n)]
         pop = init_population(u, ProblemSpec(1, 1), genomes, 2 * n)
         members = list(pop.members)

@@ -208,6 +208,14 @@ class TestResumeCommand:
         assert code == EXIT_OK
         assert "metrics-0-from2.csv" in out.splitlines()[0]
 
+    def test_require_solve_flags_an_unsolved_resume(self, config_path, capsys, tmp_path):
+        run_cli(capsys, "run", str(config_path))
+        ckpt = tmp_path / "runs" / "checkpoint-0-gen2.json"
+        code, out, _ = run_cli(capsys, "resume", str(ckpt), "--require-solve")
+        assert code == EXIT_UNSOLVED
+        # the resume ran to its budget and wrote its files all the same
+        assert [Path(p).name for p in out.splitlines()] == ["metrics-0-from2.csv", "checkpoint-0-from2-final.json"]
+
     def test_resume_rejects_tampered_checkpoint(self, config_path, capsys, tmp_path):
         run_cli(capsys, "run", str(config_path))
         path = tmp_path / "runs" / "checkpoint-0-gen2.json"

@@ -57,7 +57,7 @@ from sosage.harness import (
 )
 from sosage.invariants import verify
 from sosage.hyperstruct import Universe
-from sosage.population import BreakEvent, Population, ProblemSpec
+from sosage.population import BreakEvent, Population, ProblemSpec, can_break
 from sosage.symbio import (
     SAMPLE_RING_FACTOR,
     CooccurCell,
@@ -992,6 +992,16 @@ class TestVerify:
             failures = {r.name: r.detail for r in verify(checkpoint_from_json_dict(doc)).failures()}
             assert failures == {"break-log": f"reverse counter on {stray}, no composite of an un-reversed break"}
 
+    def test_a_clone_of_another_order_fails_lineage_strata_alone(self):
+        doc = valid_checkpoint_doc()
+        z = doc["population"]["break_log"][0][3]
+        first, second = [row for row in doc["universe"]["structures"] if row[1] == 1][:2]
+        first[3] = f"c5:{second[0]}"  # a primitive cloned from a primitive keeps its order
+        assert verify(checkpoint_from_json_dict(doc)).passed
+        first[3] = f"c5:{z}"
+        failures = {r.name: r.detail for r in verify(checkpoint_from_json_dict(doc)).failures()}
+        assert failures == {"lineage-strata": f"clone {first[0]} (order 1) from original {z} of other order"}
+
 
 class TestInspect:
     def test_summary_shape_and_text(self, finished_run):
@@ -1017,11 +1027,17 @@ class TestMaxOrder:
         config = config_from_dict(base_doc(tmp_path, max_order=max_order))
         report = run(config)
         ckpt = load_checkpoint(report.checkpoint_path)
-        assert ckpt.config.max_order == max_order
-        assert ckpt.state.universe.max_order == max_order
         copy_path = tmp_path / "copy.json"
         save_checkpoint(copy_path, ckpt)
-        assert load_checkpoint(copy_path).state.universe.max_order == max_order
+        pop = ckpt.state.pop
+        pair = (pop.members[0], pop.members[1])
+        for loaded in (ckpt, load_checkpoint(copy_path)):
+            assert loaded.config.max_order == max_order
+            # the cap reaches the gate from the embedded config: a roster at it breaks no further
+            for n in range(1, max_order + 1):
+                at_n = dataclasses.replace(pop, pop_order_n=n)
+                refused = can_break(at_n, [pair], loaded.config.population_limit, loaded.config.max_order) is None
+                assert refused == (n == max_order)
 
     def test_resumed_run_keeps_the_cap(self, tmp_path):
         # capped at order 1 this run never breaks; a resume that fell back to
@@ -1034,7 +1050,7 @@ class TestMaxOrder:
         full = run(config)
         assert full.break_events == 0 and full.final_pop_order == 1
         ckpt = load_checkpoint(tmp_path / "checkpoint-0-gen5.json")
-        assert ckpt.state.universe.max_order == 1
+        assert ckpt.config.max_order == 1
         resumed = resume(ckpt)
         assert read_rows(resumed.metrics_path) == read_rows(full.metrics_path)[5:]
         assert (resumed.break_events, resumed.final_pop_order) == (0, 1)
@@ -1179,48 +1195,83 @@ class TestSettingsLiveInTheConfig:
         cfg["problem"]["base_solver_order_r"] += 1
         doc["config_digest"] = config_digest(config_from_dict(cfg))
         ckpt = checkpoint_from_json_dict(doc)
-        # the state keeps only the algebra's own two parameters
-        assert ckpt.state.universe.max_order == cfg["max_order"]
+        # the state keeps only the base order, which top_order reads
+        assert ckpt.config.max_order == cfg["max_order"]
         assert ckpt.state.pop.base_order_r == cfg["problem"]["base_solver_order_r"]
         # the roster was bred at base order 1, so the edited config no longer
         # fits it; a higher limit and a longer ring still hold it
         assert {r.name for r in verify(ckpt).failures()} == {"population-order", "break-log"}
 
-    def test_a_state_built_under_other_settings_runs_and_resumes_as_the_configs_own(self):
-        """xor seed 3: a state built under top_m 2 and a full roster runs the
-        config's own rows, and a resume from each of its checkpoints replays
-        them exactly."""
-        base = with_seed(load_config(CONFIG_DIR / "xor.json"), 3)
-        config = dataclasses.replace(
-            base, evolution=dataclasses.replace(base.evolution, max_generations=60), checkpoint_every=1
-        )
-        other = dataclasses.replace(
-            config, evolution=dataclasses.replace(config.evolution, top_m=2), population_limit=config.roster_size
-        )
+    @staticmethod
+    def xor_run(seed, generations):
+        """xor.json under `seed`, `generations` long and checkpointed every generation."""
+        base = with_seed(load_config(CONFIG_DIR / "xor.json"), seed)
+        evolution = dataclasses.replace(base.evolution, max_generations=generations)
+        return dataclasses.replace(base, evolution=evolution, checkpoint_every=1)
+
+    @staticmethod
+    def rows_of(config, state, start=0, saved=None):
+        """The loop's rows on `state` under `config`; into `saved`, if given,
+        each periodic checkpoint's JSON text by generation."""
+        rows = []
+        def save(g, s):
+            saved[g] = json.dumps(checkpoint_to_json_dict(Checkpoint(config, g, s)))
         env = make_env(config.env.name, config.env.params)
+        run_symbiosis(env, config, state, start, rows.append, None if saved is None else save)
+        return rows
 
-        def rows_of(state, start=0, saved=None):
-            rows = []
-            def save(g, s):
-                saved[g] = json.dumps(checkpoint_to_json_dict(Checkpoint(config, g, s)))
-            run_symbiosis(env, config, state, start, rows.append, None if saved is None else save)
-            return rows
-
-        own = rows_of(build_state(config))
+    def assert_runs_and_resumes_as_the_configs_own(self, config, other):
+        """A state built under `other` runs `config`'s own rows, and a resume
+        from each of its checkpoints verifies and replays them exactly."""
+        own = self.rows_of(config, build_state(config))
         saved = {}
-        assert rows_of(build_state(other), saved=saved) == own
-        assert len(own) < 60 and sorted(saved) == list(range(1, len(own)))  # solved before the budget
+        assert self.rows_of(config, build_state(other), saved=saved) == own
+        assert sorted(saved) == list(range(1, len(own)))
         for g, text in saved.items():
             ckpt = checkpoint_from_json_dict(json.loads(text))
             assert verify(ckpt).passed
-            assert rows_of(ckpt.state, g) == own[g:]
+            assert self.rows_of(config, ckpt.state, g) == own[g:]
+        return own
+
+    def test_a_state_built_under_other_settings_runs_and_resumes_as_the_configs_own(self):
+        """xor seed 3: a state built under top_m 2 and a full roster."""
+        config = self.xor_run(3, 60)
+        other = dataclasses.replace(
+            config, evolution=dataclasses.replace(config.evolution, top_m=2), population_limit=config.roster_size
+        )
+        own = self.assert_runs_and_resumes_as_the_configs_own(config, other)
+        assert len(own) < 60  # solved before the budget
+
+    @pytest.mark.parametrize("seed, solved_at", [(1, 32), (7, 45)])
+    def test_a_state_built_under_another_cap_runs_and_resumes_as_the_configs_own(self, seed, solved_at):
+        """xor, 80 generations: a state built under max_order 1, where no break
+        passes the gate, breaks as the config's own does."""
+        config = self.xor_run(seed, 80)
+        own = self.assert_runs_and_resumes_as_the_configs_own(config, dataclasses.replace(config, max_order=1))
+        assert (len(own), own[-1].breaks_so_far, own[-1].pop_order) == (solved_at + 1, 1, 2)
+
+    def test_a_state_built_under_another_base_order_is_refused_on_resume(self, tmp_path, capsys):
+        """xor seed 7, 30 generations: a roster wrapped to base order 2 and run
+        under base order 1 fails population-order at every periodic
+        checkpoint, so resume refuses each one with exit 3."""
+        config = self.xor_run(7, 30)
+        other = dataclasses.replace(config, problem=dataclasses.replace(config.problem, base_solver_order_r=2))
+        saved = {}
+        self.rows_of(config, build_state(other), saved=saved)
+        assert sorted(saved) == list(range(1, 30))
+        for g, text in saved.items():
+            path = tmp_path / f"checkpoint-gen{g}.json"
+            path.write_text(text)
+            assert main(["resume", str(path)]) == EXIT_VERIFY_FAILED
+            out, err = capsys.readouterr()
+            assert out == "" and err.startswith("FAIL  population-order  (max member order ")
 
     def test_state_types_hold_only_what_the_checkpoint_writes(self):
         def names(cls):
             return [f.name for f in dataclasses.fields(cls)]
 
-        # max_order is the cap construct checks and base_order_r the one top_order reads
-        assert names(Universe) == ["max_order", "structures", "depends", "next_id"]
+        # base_order_r is the one setting the state keeps: top_order reads it
+        assert names(Universe) == ["structures", "depends", "next_id"]
         assert names(Population) == ["members", "base_order_r", "pop_order_n", "break_log"]
         assert names(FitnessLedger) == ["per_member", "cooccur"]
 

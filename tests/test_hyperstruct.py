@@ -63,13 +63,6 @@ class TestConstruction:
         with pytest.raises(SosageError, match=exactly("construct() requires at least one constituent")):
             universe.construct(set())
 
-    def test_order_cap_enforced(self):
-        u = Universe(max_order=2)
-        a = u.add_primitive("a")
-        ab = u.construct({a})
-        with pytest.raises(SosageError, match=exactly("constructing order 3 exceeds max_order 2")):
-            u.construct({ab})
-
     def test_ids_are_sequential_and_never_reused(self, universe):
         ids = [universe.add_primitive(k) for k in range(3)]
         assert ids == [0, 1, 2]
@@ -145,6 +138,14 @@ class TestDependency:
             universe.declare_dependency(top, a, level=1)
         with pytest.raises(SosageError, match=refusal(a, ab, -1)):
             universe.declare_dependency(a, ab, level=1)
+
+    @pytest.mark.parametrize("level", [0, -1])
+    def test_a_level_below_one_is_refused(self, universe, level):
+        a = universe.add_primitive("a")
+        ab = universe.construct({a})
+        with pytest.raises(ValueError, match=exactly("dependency level must be >= 1")):
+            universe.declare_dependency(ab, a, level=level)
+        assert universe.depends == {}
 
     def test_dependency_implies_interaction(self, universe):
         a = universe.add_primitive("a")
@@ -340,7 +341,7 @@ class TestIntegrity:
         assert all(u.structures[d].order > u.structures[e].order for d, e, _ in u.dependency_edges())
 
     def test_chains_deeper_than_the_recursion_limit(self):
-        universe = Universe(max_order=5001)
+        universe = Universe()
         top = universe.add_primitive("leaf")
         for _ in range(5000):
             top = universe.construct({top})

@@ -68,25 +68,27 @@ class TestCanBreak:
     def test_selects_top_stratum_pair(self, universe):
         pop = make_pop(universe)
         a, b = pop.members[0], pop.members[1]
-        assert can_break(universe, pop, [(a, b)], 8) == (a, b)
+        assert can_break(pop, [(a, b)], 8, 8) == (a, b)
 
     def test_full_roster_blocks(self, universe):
         pop = make_pop(universe, n=4, limit=4)
         a, b = pop.members[0], pop.members[1]
-        assert can_break(universe, pop, [(a, b)], 4) is None
+        assert can_break(pop, [(a, b)], 4, 8) is None
         # the roster is full against the limit passed in, not one kept in the population
-        assert can_break(universe, pop, [(a, b)], 5) == (a, b)
+        assert can_break(pop, [(a, b)], 5, 8) == (a, b)
 
-    def test_order_cap_blocks(self):
-        u = Universe(max_order=1)
-        pop = make_pop(u)
+    @pytest.mark.parametrize("r", [1, 2, 3])
+    def test_order_cap_enforced(self, universe, r):
+        pop = make_pop(universe, r=r)
         a, b = pop.members[0], pop.members[1]
-        assert can_break(u, pop, [(a, b)], 8) is None
+        # a break builds order top + 1: refused above the cap passed in, allowed at it
+        assert can_break(pop, [(a, b)], 8, r) is None
+        assert can_break(pop, [(a, b)], 8, r + 1) == (a, b)
 
     def test_ties_break_on_lowest_pair(self, universe):
         pop = make_pop(universe)
         a, b, c = pop.members[:3]
-        got = can_break(universe, pop, [(b, c), (a, c), (a, b)], 8)
+        got = can_break(pop, [(b, c), (a, c), (a, b)], 8, 8)
         assert got == (a, b)
 
 
@@ -221,7 +223,7 @@ class TestScriptedSequences:
     @given(seed=st.integers(0, 2**32 - 1))
     def test_break_reverse_scripts_hold_the_laws(self, seed):
         rng = np.random.default_rng(seed)
-        u = Universe(max_order=8)
+        u = Universe()
         pop = make_pop(u, n=6, limit=12)
         orders = [pop.pop_order_n]
         for step in range(int(rng.integers(1, 8))):
@@ -234,8 +236,6 @@ class TestScriptedSequences:
                 top = pop.top_order
                 stratum = [m for m in pop.members if u.structural_order(m) == top]
                 if len(stratum) < 2 or len(pop.members) == 12:
-                    continue
-                if top + 1 > u.max_order:
                     continue
                 picks = rng.choice(len(stratum), size=2, replace=False)
                 x, y = stratum[int(picks[0])], stratum[int(picks[1])]

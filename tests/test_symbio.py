@@ -29,6 +29,7 @@ from sosage.symbio import (
     RunConfig,
     _clone_composite,
     _forward_kernel,
+    _maybe_reverse,
     assemble,
     crossover_genomes,
     detect_dependency,
@@ -278,7 +279,7 @@ class TestAssemble:
         assert ours.random() == oracle.random()
 
     def make(self, n, k, apg, seed=0):
-        universe = Universe(max_order=8)
+        universe = Universe()
         rng = stream(1)
         pop = genome_pop(universe, [fresh_gene(rng) for _ in range(n)])
         config = EvolutionConfig(network_size=k, assemblies_per_generation=apg)
@@ -438,7 +439,7 @@ class TestLedger:
 
 class TestDetection:
     def detection_pop(self, n):
-        universe = Universe(max_order=8)
+        universe = Universe()
         pop = genome_pop(universe, [f"m{k}" for k in range(n)])
         return universe, pop
 
@@ -510,7 +511,7 @@ class TestDetection:
 
 class TestEvolve:
     def scored_pop(self, n, scores, seed=1):
-        universe = Universe(max_order=8)
+        universe = Universe()
         rng = stream(seed)
         pop = genome_pop(universe, [fresh_gene(rng) for _ in range(n)])
         ledger = FitnessLedger()
@@ -578,7 +579,7 @@ class TestEvolve:
 
 class TestCloneComposite:
     def build_composite(self):
-        universe = Universe(max_order=8)
+        universe = Universe()
         rng = stream(2)
         pop = genome_pop(universe, [fresh_gene(rng) for _ in range(4)])
         a, b = pop.members[0], pop.members[1]
@@ -600,7 +601,7 @@ class TestCloneComposite:
         assert leaves == {universe.get(a).payload, universe.get(b).payload}
 
     def test_evolve_replaces_weak_composite_with_clone_of_strong(self):
-        universe = Universe(max_order=8)
+        universe = Universe()
         rng = stream(3)
         genomes = [fresh_gene(rng) for _ in range(4)]
         pop = genome_pop(universe, genomes)
@@ -678,7 +679,7 @@ def shared_composites(draw):
 
 def build_shared(recipe):
     n_prim, groups, deps, _ = recipe
-    u = Universe(max_order=64)
+    u = Universe()
     for k in range(n_prim):
         u.add_primitive(NeuronGene(in_weights=(float(k), 0.0), out_weights=(1.0,)), tag=f"p{k}")
     for members in groups:
@@ -729,7 +730,7 @@ class TestTraversalsMatchTheRecursiveOracles:
     def chain(self, depth):
         """A primitive under `depth` single-constituent composites, each
         depending on the next one down."""
-        u = Universe(max_order=depth + 1)
+        u = Universe()
         top = u.add_primitive(NeuronGene(in_weights=(0.5, 0.0), out_weights=(1.0,)))
         for _ in range(depth):
             below, top = top, u.construct({top})
@@ -856,9 +857,47 @@ def loop_config(problem_order_x: int, evolution: dict, **settings) -> RunConfig:
                      max_order=8, **settings)
 
 
+class TestMaybeReverse:
+    """The reverse safeguard on a hand-built roster: with an empty ledger
+    every member is unscored, so the break composite, the highest id, ranks
+    last, in the bottom quartile."""
+
+    def broken_state(self):
+        universe = Universe()
+        pop = genome_pop(universe, [f"m{k}" for k in range(5)])
+        apply_break(universe, pop, pop.members[0], pop.members[1], generation=0)
+        return LoopState(universe=universe, pop=pop, ledger=FitnessLedger(), stall_history=[1.0])
+
+    @staticmethod
+    def config(limit):
+        return loop_config(1, dict(window_G=3), roster_size=4, population_limit=limit)
+
+    @pytest.mark.parametrize("stale", ["dependent", "plain member"])
+    def test_a_counter_off_a_standing_break_composite_is_dropped(self, stale):
+        state = self.broken_state()
+        event = state.pop.break_log[0]
+        other = event.dependent if stale == "dependent" else state.pop.members[1]
+        state.reverse_counters.update({event.composite: 1, other: 2})
+        _maybe_reverse(state, self.config(10), generation=1)
+        assert state.reverse_counters == {event.composite: 2}
+
+    def test_a_reverse_the_limit_blocks_waits_for_room(self):
+        state = self.broken_state()
+        event = state.pop.break_log[0]
+        # with the dependee gone too, a reverse restores two members for one
+        state.pop.members.remove(event.dependee)
+        state.reverse_counters[event.composite] = 2
+        _maybe_reverse(state, self.config(4), generation=1)
+        assert state.reverse_counters == {event.composite: 3}  # due, but the roster would pass 4
+        assert (event.reversed_at, len(state.pop.members), state.stall_history) == (None, 4, [1.0])
+        _maybe_reverse(state, self.config(5), generation=2)
+        assert (event.reversed_at, len(state.pop.members), state.stall_history) == (2, 5, [])
+        assert state.reverse_counters == {}
+
+
 class TestLoop:
     def solver_state(self, config):
-        universe = Universe(max_order=config.max_order)
+        universe = Universe()
         pop = init_population(universe, config.problem, list(xor_solver_genes()), config.population_limit)
         return LoopState(universe=universe, pop=pop, ledger=FitnessLedger())
 
