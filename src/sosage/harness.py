@@ -13,7 +13,7 @@ from pathlib import Path
 from typing import Any, Callable, Mapping, Optional, TextIO
 
 from .checkpoint import Checkpoint, save_checkpoint
-from .config import RunConfig, make_env, with_seed
+from .config import RunConfig, config_from_dict, config_to_json_dict, make_env, with_seed
 from .errors import ValidationError
 from .symbio import GenerationRow, LoopState, new_loop_state, run_symbiosis
 
@@ -58,13 +58,18 @@ def build_state(config: RunConfig) -> LoopState:
 
 def _drive(
     config: RunConfig,
-    state: LoopState,
+    state: Optional[LoopState],
     start_generation: int,
     suffix: str,
     progress: Optional[Callable[[str], None]],
 ) -> RunReport:
-    """Run the loop on `state` from `start_generation`, into the metrics CSV
-    and final checkpoint named by the seed and `suffix`."""
+    """Run the loop on `state` (a fresh one if None) from `start_generation`,
+    into the metrics CSV and final checkpoint named by the seed and `suffix`.
+    The config is read first as its file form would be: one built in Python
+    gets its env params filled, or is refused before any file is made."""
+    config = config_from_dict(config_to_json_dict(config))
+    if state is None:
+        state = build_state(config)
     out_dir = resolve_output_dir(config)
     env = make_env(config.env.name, config.env.params)
     seed = config.seed
@@ -102,7 +107,7 @@ def _drive(
 
 def run(config: RunConfig, progress: Optional[Callable[[str], None]] = None) -> RunReport:
     """Execute a fresh run: metrics CSV, periodic checkpoints, final checkpoint."""
-    return _drive(config, build_state(config), 0, "", progress)
+    return _drive(config, None, 0, "", progress)
 
 
 def resume(ckpt: Checkpoint, progress: Optional[Callable[[str], None]] = None) -> RunReport:
@@ -124,6 +129,7 @@ def sweep(
     one-row-per-seed summary CSV."""
     if n_seeds < 1:
         raise ValidationError("seeds", "must be >= 1")
+    config = config_from_dict(config_to_json_dict(config))  # read as run reads it, before any file
     base = config.seed
     with_seed(config, base + n_seeds - 1)  # the largest seed, refused before any file is written
     out_dir = resolve_output_dir(config)

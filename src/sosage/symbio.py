@@ -135,14 +135,12 @@ def net_forward(wiring: Sequence[NeuronGene], obs: Sequence[float], output_dim: 
 # assemblies
 # ---------------------------------------------------------------------------
 
-@dataclass
+@dataclass(frozen=True)
 class Assembly:
-    """A complete evaluable network sampled from the roster."""
+    """A complete evaluable network sampled from the roster; `evaluate` returns its result."""
 
     participants: tuple[StructureId, ...]
     wiring: tuple[NeuronGene, ...]
-    fitness: Optional[float] = None
-    solved: bool = False
 
 
 def flatten_to_genes(universe: Universe, participants: Sequence[StructureId]) -> tuple[NeuronGene, ...]:
@@ -346,17 +344,17 @@ def assemble(
     return [Assembly(tuple(chunk), flatten_to_genes(universe, chunk)) for chunk in chunks]
 
 
-def evaluate(assembly: Assembly, env, episodes: int) -> float:
-    """Roll out the assembly's network and record its fitness: the summed
-    episodic return over the evaluation batch. The assembly is solved when
-    every episode succeeds. A gene with the wrong number of input or output
+def evaluate(assembly: Assembly, env) -> tuple[float, bool]:
+    """Roll out the assembly's network over the env's `eval_episodes` and
+    return (fitness, solved): the summed episodic return, and whether every
+    episode succeeded. A gene with the wrong number of input or output
     weights, as `genome_shape_fault` counts them, raises SosageError
     ("genome " and the fault) before any episode runs."""
     for gene in assembly.wiring:
         fault = genome_shape_fault(gene, env.input_dim, env.output_dim)
         if fault is not None:
             raise SosageError(f"genome {fault}")
-    wiring, output_dim = assembly.wiring, env.output_dim
+    wiring, output_dim, episodes = assembly.wiring, env.output_dim, env.eval_episodes
     # bound once per assembly, at call time, so a rebound name is still used
     forward, select_action, rollout = net_forward, env.select_action, env.rollout
 
@@ -369,31 +367,26 @@ def evaluate(assembly: Assembly, env, episodes: int) -> float:
         episode_return, succeeded = rollout(ep_idx, policy)
         total += episode_return
         solved = solved and succeeded
-    assembly.fitness = total
-    assembly.solved = solved
-    return total
+    return total, solved
 
 
 def distribute_fitness(
     ledger: FitnessLedger,
-    assemblies: Sequence[Assembly],
+    outcomes: Sequence[tuple[Collection[StructureId], float]],
     top_m: int,
-    cohort: Sequence[StructureId] = (),
+    cohort: Sequence[StructureId],
 ) -> None:
-    """Credit every participant with its assemblies' fitnesses, in a ring of
-    SAMPLE_RING_FACTOR * top_m samples, and tally co-occurrence over the
-    dependency cohort (the top stratum).
+    """Credit every participant of the generation's (participants, fitness)
+    pairs, in assembly order, in a ring of SAMPLE_RING_FACTOR * top_m
+    samples, and tally the same pairs over the dependency cohort (the top stratum).
 
     Members in no assembly this generation are untouched, so their score is
     exactly what it was before.
     """
-    for assembly in assemblies:
-        if assembly.fitness is None:
-            raise SosageError(f"assembly {assembly.participants} has no fitness")
-    for assembly in assemblies:
-        for member in assembly.participants:
-            ledger.credit(member, assembly.fitness, top_m)
-    ledger.tally_cooccurrence([(a.participants, a.fitness) for a in assemblies], cohort)
+    for participants, fitness in outcomes:
+        for member in participants:
+            ledger.credit(member, fitness, top_m)
+    ledger.tally_cooccurrence(outcomes, cohort)
 
 
 def detect_dependency(
@@ -608,7 +601,8 @@ def run_symbiosis(
 
     Each generation: assemble, evaluate, distribute fitness, then (stall
     permitting) detect dependencies and apply at most one break, then the
-    reverse-break safeguard, then stratified evolution and compaction. A
+    reverse-break safeguard, then stratified evolution and compaction. The
+    row and the solve read the generation's (fitness, solved) results. A
     solving generation stops before evolution; it only credits roster
     members and their cells, so its state is as compact. The checkpoint hook
     fires at the start of a generation so a resumed run replays it exactly.
@@ -629,13 +623,12 @@ def run_symbiosis(
             on_checkpoint(generation, state)
 
         assemblies = assemble(universe, pop, evo, substream(config.seed, "assemble", generation))
-        for assembly in assemblies:
-            evaluate(assembly, env, env.eval_episodes)
+        results = [evaluate(assembly, env) for assembly in assemblies]
+        fitnesses = [fitness for fitness, _ in results]
         top = pop.top_order
         cohort = [m for m in pop.members if universe.structural_order(m) == top]
-        distribute_fitness(ledger, assemblies, evo.top_m, cohort)
+        distribute_fitness(ledger, [(a.participants, f) for a, f in zip(assemblies, fitnesses)], evo.top_m, cohort)
 
-        fitnesses = [a.fitness for a in assemblies]
         best = max(fitnesses)
         mean = reduce(add, fitnesses, 0.0) / len(fitnesses)
         # the stall history holds the running best so sampling noise in a
@@ -643,7 +636,7 @@ def run_symbiosis(
         # the reference
         history.append(max(best, history[-1]) if history else best)
         del history[:-evo.window_G]
-        solved_now = any(a.solved for a in assemblies)
+        solved_now = any(solved for _, solved in results)
         done = goal_reached(config.problem, pop, solved_now)
         if done:
             state.solved_at = generation

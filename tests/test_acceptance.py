@@ -260,13 +260,13 @@ def test_criterion_5_dependency_oracle(verdict):
         members = list(pop.members)
         ledger = FitnessLedger()
         history: list[tuple[set[int], float]] = []
-        assemblies = []
+        outcomes = []
         for combo in itertools.combinations(members, k):
             asm = Assembly(tuple(combo), flatten_to_genes(u, combo))
-            evaluate(asm, env, env.eval_episodes)
-            assemblies.append(asm)
-            history.append((set(combo), asm.fitness))
-        distribute_fitness(ledger, assemblies, top_m=64, cohort=members)
+            fitness, _ = evaluate(asm, env)
+            outcomes.append((asm.participants, fitness))
+            history.append((set(combo), fitness))
+        distribute_fitness(ledger, outcomes, top_m=64, cohort=members)
         for delta in (0.1, 0.5, 1.0):
             config = EvolutionConfig(
                 network_size=k, dependency_delta=delta, min_cooccur_samples=1

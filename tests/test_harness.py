@@ -39,7 +39,7 @@ from sosage.config import (
     make_env,
     with_seed,
 )
-from sosage.envs import ENVS
+from sosage.envs import ENVS, EnvSpec
 from sosage.errors import ParseError, SosageError, ValidationError
 from sosage.harness import (
     METRICS_HEADER,
@@ -818,6 +818,41 @@ class TestSweep:
             sweep(config, 0)
 
 
+class TestConfigBuiltInPython:
+    """run, resume and sweep re-read a config made by the constructor or by
+    dataclasses.replace, which skip the reader: it runs as its file form
+    would, or is refused before any directory or file is made."""
+
+    def grid(self, tmp_path, **over):
+        base = load_config(CONFIG_DIR / "gridnav_comp.json")
+        evolution = dataclasses.replace(base.evolution, max_generations=3)
+        return dataclasses.replace(
+            base, evolution=evolution, output_dir=str(tmp_path / "runs"), checkpoint_every=1, **over
+        )
+
+    def test_unfilled_env_params_run_and_resume_as_the_filled_config(self, tmp_path):
+        config = self.grid(tmp_path, env=EnvSpec("gridnav-compositional", {}))
+        report = run(config)
+        ckpt = load_checkpoint(report.checkpoint_path)
+        assert ckpt.config == config_from_dict(config_to_json_dict(config))
+        assert ckpt.config.env == config_from_dict({"env": {"name": "gridnav-compositional"}}).env
+        assert verify(ckpt).passed
+        resumed = resume(load_checkpoint(tmp_path / "runs" / "checkpoint-0-gen2.json"))
+        assert read_rows(resumed.metrics_path) == read_rows(report.metrics_path)[2:]
+
+    def test_a_seed_outside_64_bits_is_refused_before_any_file(self, tmp_path):
+        with pytest.raises(ValidationError, match="^seed: must be an unsigned 64-bit integer"):
+            run(self.grid(tmp_path, seed=-1))
+        assert not (tmp_path / "runs").exists()
+
+    def test_sweep_refuses_before_its_summary_exists(self, tmp_path):
+        # the largest of the three seeds, 1, is in bounds: the base seed is not
+        with pytest.raises(ValidationError, match="^seed: must be an unsigned 64-bit integer"):
+            sweep(self.grid(tmp_path, seed=-1), 3)
+        assert not (tmp_path / "runs" / "sweep-summary.csv").exists()
+        assert not (tmp_path / "runs").exists()
+
+
 class TestSeed:
     @pytest.mark.parametrize("seed", [-1, 2 ** 64])
     def test_seed_outside_64_bits_names_the_top_level_key(self, tmp_path, seed):
@@ -857,6 +892,16 @@ class TestVerify:
             c.state.pop.pop_order_n = 5
         result = self.corrupt(finished_run, mutate)
         assert "population-order" in {r.name for r in result.failures()}
+
+    def test_a_population_order_below_one_fails_population_order(self, finished_run, tmp_path):
+        _, report, _ = finished_run
+        doc = json.loads(Path(report.checkpoint_path).read_text())
+        doc["population"]["pop_order_n"] = 0
+        failures = {r.name: r.detail for r in verify(checkpoint_from_json_dict(doc)).failures()}
+        assert "pop_order 0 < 1" in failures["population-order"]
+        path = tmp_path / "order-zero.json"
+        path.write_text(json.dumps(doc))
+        assert main(["verify", str(path)]) == EXIT_VERIFY_FAILED
 
     def test_order_law_violation_detected(self, finished_run):
         def mutate(c):

@@ -322,25 +322,24 @@ class TestEvaluate:
     def test_hand_solver_scores_perfect_xor(self, universe):
         assembly = self.wire(universe, xor_solver_genes())
         env = XorEnv()
-        fitness = evaluate(assembly, env, env.eval_episodes)
         assert env.eval_episodes == 4
-        assert fitness == 4.0  # one point per episode: all four ran and won
-        assert assembly.solved
+        # one point per episode: all four ran and won
+        assert evaluate(assembly, env) == (4.0, True)
 
     def test_constant_net_scores_half(self, universe):
         assembly = self.wire(universe, (constant_one_gene(),))
-        fitness = evaluate(assembly, XorEnv(), 4)
-        assert fitness == 2.0
-        assert not assembly.solved
+        assert evaluate(assembly, XorEnv()) == (2.0, False)
 
     def test_fitness_sums_over_episode_batch(self, universe):
         assembly = self.wire(universe, (constant_one_gene(),))
-        assert evaluate(assembly, XorEnv(), 8) == 4.0
+        env = XorEnv()
+        env.eval_episodes = 8
+        assert evaluate(assembly, env) == (4.0, False)
 
     def test_input_width_mismatch_rejected(self, universe):
         assembly = self.wire(universe, xor_solver_genes())
         with pytest.raises(SosageError, match=exactly("genome has 3 input weights, want 5")):
-            evaluate(assembly, GridNavEnv(), 1)
+            evaluate(assembly, GridNavEnv())
 
     @pytest.mark.parametrize("n_in, fault", [
         (4, "has 4 input weights, want 5"),
@@ -353,7 +352,7 @@ class TestEvaluate:
         assert genome_shape_fault(good, env.input_dim, env.output_dim) is None
         assert genome_shape_fault(bad, env.input_dim, env.output_dim) == fault
         with pytest.raises(SosageError, match=exactly(f"genome {fault}")):
-            evaluate(self.wire(universe, (good, bad)), env, 1)
+            evaluate(self.wire(universe, (good, bad)), env)
 
     @pytest.mark.parametrize("n_out, fault", [
         (3, "has 3 output weights, want 4"),
@@ -366,12 +365,21 @@ class TestEvaluate:
         assert genome_shape_fault(good, env.input_dim, env.output_dim) is None
         assert genome_shape_fault(bad, env.input_dim, env.output_dim) == fault
         with pytest.raises(SosageError, match=exactly(f"genome {fault}")):
-            evaluate(self.wire(universe, (good, bad)), env, 1)
+            evaluate(self.wire(universe, (good, bad)), env)
 
-    def test_distribute_requires_evaluated_assemblies(self, universe):
-        assembly = self.wire(universe, (constant_one_gene(),))
-        with pytest.raises(SosageError, match=exactly(f"assembly {assembly.participants} has no fitness")):
-            distribute_fitness(FitnessLedger(), [assembly], top_m=3)
+    def test_an_assembly_is_its_participants_and_wiring(self, universe):
+        assembly = self.wire(universe, xor_solver_genes())
+        assert [f.name for f in dataclasses.fields(Assembly)] == ["participants", "wiring"]
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            assembly.participants = ()
+
+    def test_distribute_credits_each_pair_and_tallies_the_same_list(self):
+        outcomes = [((1, 2), 1.0), ((1,), 0.25), ((2, 3), -0.5)]
+        ledger, tallied = FitnessLedger(), FitnessLedger()
+        distribute_fitness(ledger, outcomes, 3, (1, 2, 3))
+        tallied.tally_cooccurrence(outcomes, (1, 2, 3))
+        assert ledger.per_member == {1: [1.0, 0.25], 2: [1.0, -0.5], 3: [-0.5]}
+        assert ledger.cooccur == tallied.cooccur
 
 
 class TestLedger:
