@@ -10,7 +10,7 @@ import json
 import math
 import sys
 from collections import Counter
-from dataclasses import Field, fields, replace
+from dataclasses import Field, fields, is_dataclass, replace
 from functools import cache
 from pathlib import Path
 from typing import AbstractSet, Any, Callable, Mapping
@@ -214,13 +214,16 @@ def load_config(path: str | Path) -> RunConfig:
 
 
 def _echo(value: Any) -> Any:
-    """A config dataclass as a dict of its fields, recursively, each dict copied.
+    """A config dataclass as a dict of its fields, recursively, each dict copied,
+    and any other value as it is, for config_from_dict to refuse by name.
     Its instance dict holds just its fields: fields() costs 3x, asdict() 10x."""
     if isinstance(value, (int, float, str)):
         return value
     if isinstance(value, dict):
         return dict(value)
-    return {name: _echo(field) for name, field in vars(value).items()}
+    if is_dataclass(value):
+        return {name: _echo(field) for name, field in vars(value).items()}
+    return value
 
 
 def config_to_json_dict(config: RunConfig) -> dict:

@@ -141,7 +141,13 @@ def verify(ckpt: Checkpoint) -> VerifyReport:
     for m, samples in ledger.per_member.items():
         if len(samples) > cap:
             bad.append(f"ledger member {m} holds {len(samples)} samples, cap {cap}")
-    bad += [f"cooccurrence pair ({x},{y}) is reflexive" for x, y in ledger.cooccur if x == y]
+    # the tally adds at most one count to a cell per assembly of a generation
+    tallies = ckpt.generation * ckpt.config.evolution.assemblies_per_generation
+    for (x, y), c in ledger.cooccur.items():
+        if x == y:
+            bad.append(f"cooccurrence pair ({x},{y}) is reflexive")
+        if not (c.both_count >= 0 and c.solo_count >= 0 and c.both_count + c.solo_count <= tallies):
+            bad.append(f"cooccurrence pair ({x},{y}) holds a negative count or more than {tallies} in all")
     record("ledger-references", bad)
 
     bad = []

@@ -90,6 +90,7 @@ class TestRunCommand:
         assert "turbo" in err
 
     @pytest.mark.parametrize("text", [
+        json.dumps({"env": {"name": "xor"}, "roster_size": 501}),
         '{"env": {"name": "xor"}, "seed": ' + "1" * 5000 + "}",
         json.dumps({"env": {"name": "xor"}, "output_dir": "a\0b"}),
         json.dumps({"env": {"name": "xor"}, "output_dir": "\ud800x"}),
@@ -99,14 +100,16 @@ class TestRunCommand:
         json.dumps({"env": {"name": "xor"}, "evolution": {"assemblies_per_generation": 10**9}}),
         json.dumps({"env": {"name": "xor"}, "max_order": 10**15}),
         json.dumps({"env": {"name": "xor"}, "evolution": {"w_max": 0.5}}),
-    ], ids=["long-seed", "nul-dir", "surrogate-dir", "huge-grid", "plain-subgoal-reward",
-            "4300-digit-roster", "billion-assemblies", "huge-max-order", "w-max-below-initial-weights"])
+    ], ids=["roster-past-its-bound", "long-seed", "nul-dir", "surrogate-dir", "huge-grid",
+            "plain-subgoal-reward", "4300-digit-roster", "billion-assemblies", "huge-max-order",
+            "w-max-below-initial-weights"])
     def test_a_config_no_run_can_use_is_usage_error(self, capsys, tmp_path, monkeypatch, text):
-        # each of these once loaded, or escaped as a traceback with exit 1;
-        # the last four loaded: a roster no digest can echo and no state can
-        # hold, four billion env steps a generation, an order cap of 10**15,
-        # and a weight bound below the initial weights, which only mutation
-        # clamps, so that run wrote checkpoints its own verify failed
+        # the first is a plain bound; each of the others once loaded, or
+        # escaped as a traceback with exit 1; the last four loaded: a roster
+        # no digest can echo and no state can hold, four billion env steps a
+        # generation, an order cap of 10**15, and a weight bound below the
+        # initial weights, which only mutation clamps, so that run wrote
+        # checkpoints its own verify failed
         monkeypatch.chdir(tmp_path)  # where the default output_dir would be made
         path = tmp_path / "bad.json"
         path.write_text(text)
@@ -178,6 +181,12 @@ class TestRunCommand:
         capsys.readouterr()
 
 
+def child_env() -> dict:
+    """The environment of a fresh interpreter that imports this sosage."""
+    src = str(Path(sosage.__file__).resolve().parents[1])
+    return {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+
+
 def test_a_run_does_not_import_numpy(tmp_path):
     """sosage computes its random words itself; numpy is the tests' oracle
     only, so a run in a fresh interpreter leaves it unimported."""
@@ -192,9 +201,7 @@ def test_a_run_does_not_import_numpy(tmp_path):
         f"status = cli.main(['run', {str(config)!r}])\n"
         "print(status, 'numpy' in sys.modules)\n"
     )
-    src = str(Path(sosage.__file__).resolve().parents[1])
-    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
-    done = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True, text=True, timeout=120)
+    done = subprocess.run([sys.executable, "-c", script], env=child_env(), capture_output=True, text=True, timeout=120)
     assert done.returncode == 0, done.stderr
     assert done.stdout.splitlines()[-1] == f"{EXIT_OK} False"
     assert len((tmp_path / "runs" / "metrics-7.csv").read_text().splitlines()) == 3
@@ -298,6 +305,15 @@ def set_break(i, **changes):
     return edit
 
 
+def set_counts(both, solo):
+    """Set the two counts of the first co-occurrence row,
+    `[x, y, both_count, both_total, solo_count, solo_total]`."""
+    def edit(doc):
+        row = doc["ledger"]["cooccur"][0]
+        row[2], row[4] = both, solo
+    return edit
+
+
 def swap_breaks(doc):
     log = doc["population"]["break_log"]
     log[0], log[1] = log[1], log[0]
@@ -323,6 +339,9 @@ UNREACHABLE_STATES = {
     "break-far-ahead": (1, set_break(1, generation=10**6), "break-log",
                         "break at generation 1000000 outside 2..119"),
     "roster-emptied": (7, empty_roster, "roster-membership", "roster 0 is below roster_size 24"),
+    # 46 generations of 30 assemblies tally at most 1,380 counts into a cell
+    "counts-past-the-tally": (7, set_counts(10**400, 10**400), "ledger-references",
+                              "cooccurrence pair (4,11) holds a negative count or more than 1380 in all"),
 }
 
 
@@ -407,6 +426,24 @@ class TestVerifyCommand:
         assert capsys.readouterr().err == ""
         assert sys.stdout is not captured and sys.stdout.name == os.devnull
         sys.stdout.close()
+
+    @pytest.mark.parametrize("command", ["verify", "inspect"])
+    def test_a_pipe_closed_before_the_start_ends_the_process_quietly(self, config_path, capsys, tmp_path, command):
+        # the same in a real process, whose stdout to a pipe is buffered as a
+        # shell's is and flushed again at exit: no error line and no
+        # traceback may follow the 141
+        run_cli(capsys, "run", str(config_path))
+        ckpt = str(tmp_path / "runs" / "checkpoint-0-final.json")
+        env = child_env()
+        env.pop("PYTHONUNBUFFERED", None)
+        read_end, write_end = os.pipe()
+        os.close(read_end)
+        try:
+            done = subprocess.run([sys.executable, "-m", "sosage.cli", command, ckpt], stdout=write_end,
+                                  stderr=subprocess.PIPE, env=env, timeout=120)
+        finally:
+            os.close(write_end)
+        assert (done.returncode, done.stderr) == (EXIT_BROKEN_PIPE, b"")
 
     def test_corrupted_checkpoint_fails(self, config_path, capsys, tmp_path):
         run_cli(capsys, "run", str(config_path))

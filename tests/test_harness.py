@@ -710,6 +710,7 @@ class TestResume:
         resumed = resume(ckpt)
         assert read_rows(resumed.metrics_path) == []
         assert resumed.solved is False
+        assert Path(resumed.checkpoint_path).read_bytes() == Path(report.checkpoint_path).read_bytes()
 
 
 @st.composite
@@ -851,6 +852,14 @@ class TestConfigBuiltInPython:
             sweep(self.grid(tmp_path, seed=-1), 3)
         assert not (tmp_path / "runs" / "sweep-summary.csv").exists()
         assert not (tmp_path / "runs").exists()
+
+    @pytest.mark.parametrize("name", [f.name for f in dataclasses.fields(RunConfig)])
+    def test_a_field_set_to_none_is_refused_by_name_before_any_file(self, tmp_path, monkeypatch, name):
+        # each once escaped the config echo as a bare TypeError
+        monkeypatch.chdir(tmp_path)  # where an output_dir of None would resolve
+        with pytest.raises(ValidationError, match=f"^{name}: "):
+            run(dataclasses.replace(self.grid(tmp_path), **{name: None}))
+        assert list(tmp_path.iterdir()) == []
 
 
 class TestSeed:
@@ -1046,6 +1055,20 @@ class TestVerify:
         first[3] = f"c5:{z}"
         failures = {r.name: r.detail for r in verify(checkpoint_from_json_dict(doc)).failures()}
         assert failures == {"lineage-strata": f"clone {first[0]} (order 1) from original {z} of other order"}
+
+    def test_cooccurrence_counts_past_the_tally_fail_ledger_references_alone(self):
+        # a generation adds at most one count to a cell per assembly; past
+        # that, a count too large for a float once passed verify and crashed
+        # the resume's detect_dependency
+        doc = valid_checkpoint_doc()
+        tallies = doc["generation"] * doc["config"]["evolution"]["assemblies_per_generation"]
+        row = doc["ledger"]["cooccur"][0]
+        fault = f"cooccurrence pair ({row[0]},{row[1]}) holds a negative count or more than {tallies} in all"
+        for both, solo, passed in ((tallies, 0, True), (1, tallies - 1, True), (0, tallies + 1, False),
+                                   (10**400, 10**400, False), (-1, 2, False), (2, -1, False)):
+            row[2], row[4] = both, solo
+            failures = {r.name: r.detail for r in verify(checkpoint_from_json_dict(doc)).failures()}
+            assert failures == ({} if passed else {"ledger-references": fault}), (both, solo)
 
 
 class TestInspect:

@@ -1,4 +1,5 @@
-"""Retired names and forms that must not come back into the sources.
+"""Source rules over `src/`: retired names and forms that must not come
+back, and the module layering, which lists the imports a module may not make.
 
 Each check is a list of regular expressions, read as `grep -E` reads them,
 each with the glob of the Python files under `src/` it scans. A check fails
@@ -21,6 +22,8 @@ def word(pattern: str) -> str:
 
 
 ALL = "**/*.py"
+# a line that imports a sosage module, relatively or by the package name
+SOSAGE_IMPORT = r"(from|import)\s+(\.|sosage\b)"
 
 # name -> [(pattern, glob of the files under src/ it scans), ...]
 CHECKS = {
@@ -86,6 +89,23 @@ CHECKS = {
     # refusal of an unevaluated one, nor an episode count passed in may
     # come back into src/
     "generation-results-are-values": [(r"assembly\.(fitness|solved)|has no fitness|episodes: int", ALL)],
+    # module layering: config, checkpoint and invariants sit below harness,
+    # so none of them may import harness or cli
+    "config-checkpoint-invariants-below-harness": [
+        (r"^\s*(from|import)\s.*\b(harness|cli)\b", f"sosage/{name}.py")
+        for name in ("config", "checkpoint", "invariants")
+    ],
+    # config reads and bounds every setting, env params too: the env layer
+    # validates nothing, so ValidationError cannot move back into envs.py
+    "envs-validate-nothing": [(word("ValidationError"), "sosage/envs.py")],
+    # the algebra sits below the roster: hyperstruct imports no sosage
+    # module but errors, and population none but errors and hyperstruct
+    "hyperstruct-imports-only-errors": [
+        (rf"^\s*(?!from\s+(\.|sosage\.)errors\s+import\s){SOSAGE_IMPORT}", "sosage/hyperstruct.py"),
+    ],
+    "population-imports-only-errors-and-hyperstruct": [
+        (rf"^\s*(?!from\s+(\.|sosage\.)(errors|hyperstruct)\s+import\s){SOSAGE_IMPORT}", "sosage/population.py"),
+    ],
 }
 
 
@@ -118,7 +138,34 @@ def test_no_retired_form_in_src(name):
     ("    config = config_from_dict(config_to_json_dict(config))", False),
 ])
 def test_patterns_read_as_grep_reads_them(tmp_path, text, hit):
-    (tmp_path / "sosage").mkdir()
-    (tmp_path / "sosage" / "harness.py").write_text(text + "\n")
-    found = [name for name, check in CHECKS.items() if matches(check, tmp_path)]
+    found = failed_checks(tmp_path, "harness", text)
     assert bool(found) is hit, found
+
+
+LAYERS = "config-checkpoint-invariants-below-harness"
+HYPERSTRUCT = "hyperstruct-imports-only-errors"
+POPULATION = "population-imports-only-errors-and-hyperstruct"
+
+
+@pytest.mark.parametrize("module, text, check", [
+    ("config", "from .harness import run", LAYERS),
+    ("invariants", "import sosage.cli", LAYERS),
+    ("envs", "raise ValidationError(field)", "envs-validate-nothing"),
+    ("hyperstruct", "from .errors import SosageError", None),
+    ("hyperstruct", "from sosage.errors import SosageError", None),
+    ("hyperstruct", "from . import errors", HYPERSTRUCT),
+    ("hyperstruct", "    from .population import Population", HYPERSTRUCT),
+    ("population", "from .hyperstruct import Structure, Universe", None),
+    ("population", "from .symbio import NeuronGene", POPULATION),
+    ("population", "import sosage.errors", POPULATION),
+])
+def test_layering_rules_allow_only_the_imports_they_name(tmp_path, module, text, check):
+    assert failed_checks(tmp_path, module, text) == ([check] if check else [])
+
+
+def failed_checks(tmp_path: Path, module: str, text: str) -> list[str]:
+    """The checks that fail on a tree whose one source file,
+    sosage/<module>.py, holds the line `text`."""
+    (tmp_path / "sosage").mkdir()
+    (tmp_path / "sosage" / f"{module}.py").write_text(text + "\n")
+    return [name for name, check in CHECKS.items() if matches(check, tmp_path)]
