@@ -52,7 +52,8 @@ def checkpoint_to_json_dict(ckpt: Checkpoint) -> dict:
     `floats`, which lists each distinct value once (an int weight or total as
     its float) in order of first use: structures by id, per_member by id,
     cooccur by pair, then stall_history. Settings live only in the embedded
-    config; save_checkpoint sorts every object's keys."""
+    config; save_checkpoint sorts every object's keys. A primitive whose
+    payload is no NeuronGene has no row, and raises TypeError."""
     u, pop, ledger = ckpt.state.universe, ckpt.state.pop, ckpt.state.ledger
     table: dict[Any, int] = {}
 
@@ -63,9 +64,11 @@ def checkpoint_to_json_dict(ckpt: Checkpoint) -> dict:
     for i in sorted(u.structures):
         s = u.structures[i]
         row: list[Any] = [s.id, s.order, sorted(s.constituents), s.tag]
-        if s.order == 1:  # a payload that is no genome is one item, written as it is for verify to report
+        if s.order == 1:
             g = s.payload
-            row += [g] if not isinstance(g, NeuronGene) else [list(map(at, g.in_weights)), list(map(at, g.out_weights))]
+            if not isinstance(g, NeuronGene):
+                raise TypeError(f"primitive {i} payload is not a neuron genome")
+            row += [list(map(at, g.in_weights)), list(map(at, g.out_weights))]
         structures.append(row)
     echo = config_to_json_dict(ckpt.config)
     return {  # built in this order, so the table follows first use
@@ -106,7 +109,7 @@ def save_checkpoint(path: str | Path, ckpt: Checkpoint) -> None:
     and removes the temp file. The temp name starts with a dot and ends in
     .tmp, so it never matches checkpoint-*.json."""
     path = Path(path)
-    try:  # a non-finite float or an unencodable payload is refused here, before any file is opened
+    try:  # a non-finite float or a payload that is no genome is refused here, before any file is opened
         doc = checkpoint_to_json_dict(ckpt)
         text = json.dumps(doc, sort_keys=True, separators=(",", ":"), allow_nan=False) + "\n"
     except (TypeError, ValueError) as e:
@@ -209,29 +212,24 @@ def _rows(raw: Any, what: str, width: int, ints: int, key: Optional[Callable[[li
     return rows
 
 
-def _payload_from_row(rest: list, floats: _FloatTable) -> Any:
-    """A genome from its two items, `[in_weights, out_weights]`, each a list
-    of indices into the floats table; a payload that is no genome is one
-    item, kept as it is for verify's genome-shape check to report."""
-    if len(rest) == 1:
-        return rest[0]
-    in_weights, out_weights = rest
-    return NeuronGene(tuple(floats.each(in_weights, "in_weights")), tuple(floats.each(out_weights, "out_weights")))
-
-
 def _universe_from_json(doc: Mapping[str, Any], floats: _FloatTable) -> Universe:
     u = Universe()
     _reject_unknown(doc, {"structures", "depends", "next_id"}, "universe", _malformed)
     for row in _list(doc["structures"], "structures", list):
-        sid, order, constituents, tag, *rest = row
-        # only a primitive carries a payload, and it always does
-        if len(rest) not in ((1, 2) if _of(int, order, "a structure order") == 1 else (0,)):
+        sid, order, constituents, tag, *genome = row
+        # a primitive is its genome, [in_weights, out_weights], each a list
+        # of indices into the floats table; a composite carries nothing
+        if len(genome) != (2 if _of(int, order, "a structure order") == 1 else 0):
             raise ValueError(f"a structure row of order {order} has {len(row)} items")
+        gene = None
+        if genome:
+            in_weights, out_weights = genome
+            gene = NeuronGene(tuple(floats.each(in_weights, "in_weights")), tuple(floats.each(out_weights, "out_weights")))
         s = Structure(
             id=_of(int, sid, "a structure id"),
             order=order,
             constituents=frozenset(_list(constituents, "constituents", int)),
-            payload=_payload_from_row(rest, floats) if rest else None,
+            payload=gene,
             tag=_of(str, tag, "a structure tag"),
         )
         if s.id in u.structures:

@@ -7,6 +7,7 @@ import argparse
 import json
 import os
 import sys
+import traceback
 from typing import Optional, Sequence
 
 from . import harness
@@ -19,6 +20,7 @@ EXIT_OK = 0
 EXIT_UNSOLVED = 1
 EXIT_USAGE = 2
 EXIT_VERIFY_FAILED = 3
+EXIT_INTERNAL = 4  # a crash, never taken for an unsolved run's 1
 EXIT_BROKEN_PIPE = 141  # 128 + SIGPIPE, what a shell reports for a tool killed by it
 
 
@@ -151,6 +153,9 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     except (SosageError, OSError) as e:
         print(f"error: {e}", file=sys.stderr)
         return EXIT_USAGE
+    except Exception:
+        traceback.print_exc()
+        return EXIT_INTERNAL
 
 
 if __name__ == "__main__":

@@ -219,7 +219,7 @@ def float_slots(doc: dict) -> list[tuple[list, int]]:
     then solo_total), then stall_history."""
     slots = []
     for row in sorted(doc["universe"]["structures"], key=lambda row: row[0]):
-        if row[1] == 1 and len(row) == 6:  # a genome; any other payload is one item, no float slot
+        if row[1] == 1 and len(row) == 6:  # a genome; a row of another width is left for the reader to refuse
             slots += [(row[w], i) for w in (4, 5) for i in range(len(row[w]))]
     ledger = doc["ledger"]
     for _, samples in sorted(ledger["per_member"], key=lambda row: row[0]):

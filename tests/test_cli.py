@@ -14,8 +14,9 @@ from pathlib import Path
 import pytest
 
 import sosage
+from sosage import harness
 from sosage.checkpoint import CHECKPOINT_FORMAT, checkpoint_from_json_dict, load_checkpoint, save_checkpoint
-from sosage.cli import EXIT_BROKEN_PIPE, EXIT_OK, EXIT_UNSOLVED, EXIT_USAGE, EXIT_VERIFY_FAILED, main
+from sosage.cli import EXIT_BROKEN_PIPE, EXIT_INTERNAL, EXIT_OK, EXIT_UNSOLVED, EXIT_USAGE, EXIT_VERIFY_FAILED, main
 from sosage.harness import OUTPUT_DIR_ENV
 from sosage.invariants import verify
 from sosage.population import BreakEvent
@@ -64,6 +65,15 @@ class TestRunCommand:
     def test_require_solve_flags_unsolved(self, config_path, capsys):
         code, _, _ = run_cli(capsys, "run", str(config_path), "--require-solve")
         assert code == EXIT_UNSOLVED
+
+    def test_a_crash_is_no_unsolved_run(self, config_path, capsys, monkeypatch):
+        def crash(*args, **kwargs):
+            raise RuntimeError("boom")
+        monkeypatch.setattr(harness, "run", crash)
+        code, out, err = run_cli(capsys, "run", str(config_path), "--require-solve")
+        assert (code, out) == (EXIT_INTERNAL, "")
+        assert err.startswith("Traceback (most recent call last):\n")
+        assert err.endswith("RuntimeError: boom\n")
 
     def test_seed_override_renames_artifacts(self, config_path, capsys):
         code, out, _ = run_cli(capsys, "run", str(config_path), "--seed", "9")
@@ -237,10 +247,10 @@ class TestResumeCommand:
         run_cli(capsys, "run", str(config_path))
         out = tmp_path / "runs"
         path = out / "checkpoint-0-gen2.json"
-        doc = inline_floats(json.loads(path.read_text()))  # each float in its slot, so the genome can go
+        doc = inline_floats(json.loads(path.read_text()))  # each float in its slot, so a weight can go
         member = doc["population"]["members"][0]
         row = next(r for r in doc["universe"]["structures"] if r[0] == member)
-        row[4:] = ["x"]  # a payload that is no genome
+        row[5] = row[5][:-1]  # a genome with no output weight
         path.write_text(json.dumps(table_floats(doc)))
         before = sorted(p.name for p in out.iterdir())
         code, stdout, err = run_cli(capsys, "resume", str(path))
@@ -479,9 +489,9 @@ class TestVerifyCommand:
 
     @pytest.mark.parametrize("command", ["verify", "inspect", "resume"])
     def test_checkpoint_with_a_loose_scalar_is_usage_error(self, config_path, capsys, tmp_path, command):
-        # each of these once loaded and passed every invariant, or is the v5
-        # spelling of a float; a float is edited in the floats table, at the
-        # entry its slot names
+        # each of these once loaded and passed every invariant (a lone
+        # payload item failed only verify), or is the v5 spelling of a float;
+        # a float is edited in the floats table, at the entry its slot names
         def first_weight(doc, value):
             row = next(r for r in doc["universe"]["structures"] if r[1] == 1)
             doc["floats"][row[4][0]] = value
@@ -491,6 +501,13 @@ class TestVerifyCommand:
 
         def long_history(doc, value):
             doc["loop"]["stall_history"] = [value] * (doc["config"]["evolution"]["window_G"] + 1)
+
+        def payload_item(doc, value):
+            # a primitive row [id, 1, [], tag, value], the genome's entries
+            # dropped from the table
+            inline = inline_floats(doc)
+            next(r for r in inline["universe"]["structures"] if r[1] == 1)[4:] = [value]
+            doc.update(table_floats(inline))
 
         def set_key(*path):
             def edit(doc, value):
@@ -519,6 +536,7 @@ class TestVerifyCommand:
             (long_history, 0),
             (set_key("loop", "reverse_counters"), [[999999, -5]]),
             (set_key("loop", "reverse_counters"), [[1, 0]]),
+            (payload_item, "not a genome"),
         ]
         run_cli(capsys, "run", str(config_path))
         out_dir = tmp_path / "runs"

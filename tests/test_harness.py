@@ -644,16 +644,16 @@ class TestResume:
         assert final_resumed == final_full
 
     def test_a_payload_that_is_no_genome_fails_verify_and_resume_as_sosage_errors(self, finished_run):
-        # resume trusts its caller to verify first, as the CLI does; if it
-        # is not verified, assembling the bad primitive fails as a SosageError
+        # no file holds such a payload, but a state built in Python can;
+        # resume trusts its caller to verify first, as the CLI does, and if
+        # it is not verified, assembling the bad primitive fails as a
+        # SosageError
         _, _, out = finished_run
-        path = out / "checkpoint-0-gen2.json"
-        doc = inline_floats(json.loads(path.read_text()))
-        for row in doc["universe"]["structures"]:
-            if row[1] == 1:
-                row[4:] = ["not a genome"]
-        path.write_text(json.dumps(table_floats(doc)))
-        ckpt = load_checkpoint(path)
+        ckpt = load_checkpoint(out / "checkpoint-0-gen2.json")
+        u = ckpt.state.universe
+        for s in list(u.structures.values()):
+            if s.order == 1:
+                u.structures[s.id] = dataclasses.replace(s, payload="not a genome")
         assert "genome-shape" in {r.name for r in verify(ckpt).failures()}
         with pytest.raises(SosageError, match=r"^structure \d+ payload is not a neuron genome$"):
             resume(ckpt)
@@ -1528,13 +1528,14 @@ class TestCheckpointCodec:
             save_checkpoint(path, ckpt)
         assert list(tmp_path.iterdir()) == [path] and path.read_bytes() == before
 
-    def test_a_payload_json_cannot_encode_is_refused_before_any_file_is_opened(self, tmp_path):
+    @pytest.mark.parametrize("payload", [{1, 2}, "not a genome"], ids=["set", "str"])
+    def test_a_payload_that_is_no_genome_is_refused_before_any_file_is_opened(self, tmp_path, payload):
         ckpt = checkpoint_from_json_dict(valid_checkpoint_doc())
         path = tmp_path / "checkpoint.json"
         save_checkpoint(path, ckpt)
         before = path.read_bytes()
-        ckpt.state.universe.add_primitive({1, 2})
-        with pytest.raises(SosageError, match="^cannot encode checkpoint: Object of type set is not JSON serializable"):
+        top = ckpt.state.universe.add_primitive(payload)
+        with pytest.raises(SosageError, match=f"^cannot encode checkpoint: primitive {top} payload is not a neuron genome$"):
             save_checkpoint(path, ckpt)
         assert list(tmp_path.iterdir()) == [path] and path.read_bytes() == before
 
@@ -1751,27 +1752,33 @@ class TestMalformedCheckpoints:
             checkpoint_from_json_dict(doc)
 
     @pytest.mark.parametrize(
-        "index,edit",
+        "index,edit,fault",
         [
             # a genome with a third item, as v8 wrote its activation
-            pytest.param(0, lambda row: row + ["tanh"], id="0-activation-appended"),
-            pytest.param(0, lambda row: row[:5], id="0-out-weights-dropped"),
+            pytest.param(0, lambda row: row + ["tanh"], "a structure row of order 1 has 7 items", id="0-activation-appended"),
+            pytest.param(0, lambda row: row[:5], "a structure row of order 1 has 5 items", id="0-out-weights-dropped"),
             # v8's [slot, index] pairs
-            pytest.param(0, lambda row: row[:5] + [list(map(list, enumerate(row[5])))], id="0-out-weights-as-slot-pairs"),
-            pytest.param(0, lambda row: row[:5] + [list(map(list, enumerate(row[5]))), "tanh"], id="0-v8-genome"),
-            # a primitive always has a payload
-            pytest.param(0, lambda row: row[:4], id="0-payload-dropped"),
+            pytest.param(0, lambda row: row[:5] + [list(map(list, enumerate(row[5])))],
+                         "TypeError: out_weights must be a list of int", id="0-out-weights-as-slot-pairs"),
+            pytest.param(0, lambda row: row[:5] + [list(map(list, enumerate(row[5]))), "tanh"],
+                         "a structure row of order 1 has 7 items", id="0-v8-genome"),
+            # a primitive always has a payload, and it is a genome
+            pytest.param(0, lambda row: row[:4], "a structure row of order 1 has 4 items", id="0-payload-dropped"),
+            pytest.param(0, lambda row: row[:4] + ["not a genome"], "a structure row of order 1 has 5 items",
+                         id="0-payload-no-genome"),
             # row 2 is the break composite, which has none
-            pytest.param(2, lambda row: row + [None], id="2-payload-appended"),
-            pytest.param(0, lambda row: row[:3], id="0-tag-and-payload-dropped"),
-            pytest.param(0, lambda row: dict(zip(["id", "order", "constituents", "tag"], row)), id="0-v5-object-row"),
+            pytest.param(2, lambda row: row + [None], "a structure row of order 2 has 5 items", id="2-payload-appended"),
+            pytest.param(0, lambda row: row[:3], "not enough values to unpack", id="0-tag-and-payload-dropped"),
+            pytest.param(0, lambda row: dict(zip(["id", "order", "constituents", "tag"], row)),
+                         "TypeError: structures must be a list of list", id="0-v5-object-row"),
         ],
     )
-    def test_structure_rows_of_another_shape_are_parse_errors(self, index, edit):
+    def test_structure_rows_of_another_shape_are_parse_errors(self, index, edit, fault):
+        # each fails on its own shape, not on a floats entry it leaves unnamed
         doc = valid_checkpoint_doc()
         rows = doc["universe"]["structures"]
         rows[index] = edit(rows[index])
-        with pytest.raises(ParseError, match="malformed checkpoint"):
+        with pytest.raises(ParseError, match=f"^malformed checkpoint: .*{re.escape(fault)}"):
             checkpoint_from_json_dict(doc)
 
     @pytest.mark.parametrize("literal", ["NaN", "Infinity", "-Infinity", "1e400", "-1e400"])

@@ -89,6 +89,10 @@ CHECKS = {
     # refusal of an unevaluated one, nor an episode count passed in may
     # come back into src/
     "generation-results-are-values": [(r"assembly\.(fitness|solved)|has no fitness|episodes: int", ALL)],
+    # a primitive row is its genome, [id, 1, [], tag, in_weights,
+    # out_weights]: the writer refuses any other payload, so neither the
+    # reader of a one-item payload nor the writer of one may come back
+    "one-primitive-row-shape": [(r"_payload_from_row|for verify to report", "sosage/checkpoint.py")],
     # module layering: config, checkpoint and invariants sit below harness,
     # so none of them may import harness or cli
     "config-checkpoint-invariants-below-harness": [
@@ -169,3 +173,12 @@ def failed_checks(tmp_path: Path, module: str, text: str) -> list[str]:
     (tmp_path / "sosage").mkdir()
     (tmp_path / "sosage" / f"{module}.py").write_text(text + "\n")
     return [name for name, check in CHECKS.items() if matches(check, tmp_path)]
+
+
+@pytest.mark.parametrize("text", [
+    "def _payload_from_row(rest: list, floats: _FloatTable) -> Any:",
+    "        if s.order == 1:  # a payload that is no genome is one item, written as it is for verify to report",
+])
+@pytest.mark.parametrize("module, checks", [("checkpoint", ["one-primitive-row-shape"]), ("invariants", [])])
+def test_the_one_item_payload_row_is_caught_in_checkpoint_only(tmp_path, text, module, checks):
+    assert failed_checks(tmp_path, module, text) == checks
