@@ -52,8 +52,9 @@ def checkpoint_to_json_dict(ckpt: Checkpoint) -> dict:
     `floats`, which lists each distinct value once (an int weight or total as
     its float) in order of first use: structures by id, per_member by id,
     cooccur by pair, then stall_history. Settings live only in the embedded
-    config; save_checkpoint sorts every object's keys. A primitive whose
-    payload is no NeuronGene has no row, and raises TypeError."""
+    config; save_checkpoint sorts every object's keys. What the reader would
+    refuse raises TypeError or ValueError: a primitive whose payload is no
+    NeuronGene, a composite with one, a generation outside 0..max_generations."""
     u, pop, ledger = ckpt.state.universe, ckpt.state.pop, ckpt.state.ledger
     table: dict[Any, int] = {}
 
@@ -69,13 +70,15 @@ def checkpoint_to_json_dict(ckpt: Checkpoint) -> dict:
             if not isinstance(g, NeuronGene):
                 raise TypeError(f"primitive {i} payload is not a neuron genome")
             row += [list(map(at, g.in_weights)), list(map(at, g.out_weights))]
+        elif s.payload is not None:
+            raise TypeError(f"composite {i} carries a payload")
         structures.append(row)
     echo = config_to_json_dict(ckpt.config)
     return {  # built in this order, so the table follows first use
         "format": CHECKPOINT_FORMAT,
         "config": echo,
         "config_digest": echo_digest(echo),
-        "generation": ckpt.generation,
+        "generation": _generation(ckpt.generation, ckpt.config),
         "universe": {
             "structures": structures,
             "depends": [list(e) for e in u.dependency_edges()],
@@ -109,7 +112,7 @@ def save_checkpoint(path: str | Path, ckpt: Checkpoint) -> None:
     and removes the temp file. The temp name starts with a dot and ends in
     .tmp, so it never matches checkpoint-*.json."""
     path = Path(path)
-    try:  # a non-finite float or a payload that is no genome is refused here, before any file is opened
+    try:  # a non-finite float and all the reader would refuse are refused here, before any file is opened
         doc = checkpoint_to_json_dict(ckpt)
         text = json.dumps(doc, sort_keys=True, separators=(",", ":"), allow_nan=False) + "\n"
     except (TypeError, ValueError) as e:
@@ -187,6 +190,15 @@ class _FloatTable:
         return list(map(self.values.__getitem__, indices))
 
 
+def _generation(raw: Any, config: RunConfig) -> int:
+    """`raw` when it is an int in 0..max_generations, for the writer and the reader
+    alike: a periodic checkpoint comes before the budget, a final one at it at most."""
+    budget = config.evolution.max_generations
+    if not 0 <= _of(int, raw, "generation") <= budget:
+        raise ValueError(f"generation {raw} is outside 0..max_generations {budget}")
+    return raw
+
+
 def _malformed(label: str, rule: str) -> ValueError:
     return ValueError(f"{label}: {rule}")
 
@@ -237,8 +249,6 @@ def _universe_from_json(doc: Mapping[str, Any], floats: _FloatTable) -> Universe
         u.structures[s.id] = s
     # stored, not derived: the highest ids may have been dropped by retain
     u.next_id = _of(int, doc["next_id"], "next_id")
-    if u.next_id <= max(u.structures, default=-1):
-        raise ValueError(f"next_id {u.next_id} does not exceed every structure id")
     # stored as read, unchecked: verify reports a bad edge
     for d, e, level in _rows(doc["depends"], "depends", 3, 3):
         u.depends.setdefault((d, e), set()).add(level)
@@ -271,6 +281,7 @@ def _ledger_from_json(doc: Mapping[str, Any], floats: _FloatTable) -> FitnessLed
 
 
 def _checkpoint_from_doc(doc: Mapping[str, Any]) -> Checkpoint:
+    """Each value in the form the writer gives it; verify judges the state it holds."""
     keys = {"format", "config", "config_digest", "generation", "universe", "population", "ledger", "loop", "floats"}
     _reject_unknown(doc, keys, "checkpoint", _malformed)
     config = config_from_dict(doc["config"])
@@ -279,31 +290,18 @@ def _checkpoint_from_doc(doc: Mapping[str, Any]) -> Checkpoint:
         raise SosageError("embedded config does not match its stored digest")
     # settings come from the digested config only; the state keeps just the
     # base order, which top_order reads
-    evo = config.evolution
+    generation = _generation(doc["generation"], config)
     loop = doc["loop"]
     _reject_unknown(loop, {"stall_history", "reverse_counters", "solved_at"}, "loop", _malformed)
-    solved_at = loop["solved_at"]
-    generation = _of(int, doc["generation"], "generation")
-    # a periodic checkpoint comes before the budget and the solve, a final
-    # one after the solve and at the budget at most
-    if not 0 <= generation <= evo.max_generations:
-        raise ValueError(f"generation {generation} is outside 0..max_generations {evo.max_generations}")
-    if solved_at is not None and not 0 <= _of(int, solved_at, "solved_at") < generation:
-        raise ValueError(f"solved_at {solved_at} is not a generation before {generation}")
-    # the loop keeps at most window_G of history, and a reverse counter starts at 1 and only grows
-    history = _list(loop["stall_history"], "stall_history")
-    if len(history) > evo.window_G:
-        raise ValueError(f"stall_history holds {len(history)} entries, more than window_G {evo.window_G}")
-    counters = dict(_rows(loop["reverse_counters"], "reverse_counters", 2, 2, _ID))
-    if counters and min(counters.values()) < 1:
-        raise ValueError(f"reverse counter {min(counters.values())} is below 1")
+    if (solved_at := loop["solved_at"]) is not None:
+        _of(int, solved_at, "solved_at")
     floats = _FloatTable(doc["floats"])
     state = LoopState(
         universe=_universe_from_json(doc["universe"], floats),
         pop=_population_from_json(doc["population"], config.problem.base_solver_order_r),
         ledger=_ledger_from_json(doc["ledger"], floats),
-        stall_history=floats.each(history, "stall_history"),
-        reverse_counters=counters,
+        stall_history=floats.each(loop["stall_history"], "stall_history"),
+        reverse_counters=dict(_rows(loop["reverse_counters"], "reverse_counters", 2, 2, _ID)),
         solved_at=solved_at,
     )
     if floats.unused:

@@ -35,12 +35,12 @@ _CLONE_TAG = re.compile(r"^c\d+:(\d+)$")
 
 def verify(ckpt: Checkpoint) -> VerifyReport:
     """Run every structural invariant against the snapshot; failures carry the
-    offending ids instead of raising. No check looks for cycles: orders fall
-    strictly along every constituent and every dependency edge that passes
-    construction-order and dependency-order-gap, so a cycle fails one of them."""
-    u = ckpt.state.universe
-    pop = ckpt.state.pop
-    ledger = ckpt.state.ledger
+    offending ids instead of raising. It alone judges a state: the reader
+    refuses only forms the writer never writes. No check looks for cycles:
+    orders fall strictly along every constituent and every dependency edge
+    that passes construction-order and dependency-order-gap, so a cycle
+    fails one of them."""
+    u, pop, ledger = ckpt.state.universe, ckpt.state.pop, ckpt.state.ledger
     env = ENVS[ckpt.config.env.name]  # its class holds the dimensions genome-shape checks
     w_max = ckpt.config.evolution.w_max
     max_order = ckpt.config.max_order
@@ -62,6 +62,8 @@ def verify(ckpt: Checkpoint) -> VerifyReport:
                 bad.append(f"composite {i} references unknown constituents")
             elif s.order != 1 + max(u.structures[c].order for c in s.constituents):
                 bad.append(f"composite {i} violates the order law")
+    if u.structures and u.next_id <= (top := max(u.structures)):
+        bad.append(f"next_id {u.next_id} does not exceed structure id {top}")
     record("construction-order", bad)
 
     bad = []
@@ -100,9 +102,11 @@ def verify(ckpt: Checkpoint) -> VerifyReport:
             bad.append(f"member order {min(orders)} below base order {pop.base_order_r}")
     record("population-order", bad)
 
-    # a generation makes at most one break, and a reverse may come in its
-    # break's own generation; every one happened before the checkpoint
+    # the solve and every break came before the checkpoint: a generation makes
+    # at most one break, and a reverse may come in its break's own generation
     bad = []
+    if (solved_at := ckpt.state.solved_at) is not None and not 0 <= solved_at < ckpt.generation:
+        bad.append(f"solved at generation {solved_at}, outside 0..{ckpt.generation - 1}")
     previous = -1
     for event in pop.break_log:
         if not previous < event.generation < ckpt.generation:
@@ -127,20 +131,23 @@ def verify(ckpt: Checkpoint) -> VerifyReport:
                     f"break composite {event.composite} lacks the level-{expected_level} "
                     f"dependency on {part}"
                 )
-    # the reverse safeguard counts only composites whose break still stands
+    # the reverse safeguard counts only composites whose break still stands,
+    # from 1, and drops a counter rather than lower it
     standing = {e.composite for e in pop.break_log if e.reversed_at is None}
-    bad += [
-        f"reverse counter on {c}, no composite of an un-reversed break"
-        for c in sorted(ckpt.state.reverse_counters) if c not in standing
-    ]
+    counters = sorted(ckpt.state.reverse_counters.items())
+    bad += [f"reverse counter on {c}, no composite of an un-reversed break" for c, _ in counters if c not in standing]
+    bad += [f"reverse counter on {c} at {n}, below 1" for c, n in counters if n < 1]
     record("break-log", bad)
 
-    # a key naming an unknown id is never live: state-compact reports it
+    # a key naming an unknown id is never live: state-compact reports it; the
+    # loop trims its stall history to window_G on every update
     bad = []
     cap = SAMPLE_RING_FACTOR * ckpt.config.evolution.top_m
     for m, samples in ledger.per_member.items():
         if len(samples) > cap:
             bad.append(f"ledger member {m} holds {len(samples)} samples, cap {cap}")
+    if len(ckpt.state.stall_history) > (window := ckpt.config.evolution.window_G):
+        bad.append(f"stall_history holds {len(ckpt.state.stall_history)} entries, window_G {window}")
     # the tally adds at most one count to a cell per assembly of a generation
     tallies = ckpt.generation * ckpt.config.evolution.assemblies_per_generation
     for (x, y), c in ledger.cooccur.items():

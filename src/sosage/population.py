@@ -102,7 +102,7 @@ def apply_break(
     x: StructureId,
     y: StructureId,
     generation: int,
-) -> Population:
+) -> None:
     """Aggregate the qualifying pair into a composite one order up.
 
     The dependent leaves the active roster (subsumed by the composite), the
@@ -130,7 +130,6 @@ def apply_break(
     pop.members.append(z)
     pop.pop_order_n = n + 1
     pop.break_log.append(BreakEvent(generation=generation, dependent=x, dependee=y, composite=z))
-    return pop
 
 
 def apply_reverse_break(
@@ -139,18 +138,14 @@ def apply_reverse_break(
     composite: StructureId,
     generation: int,
     limit: int,
-) -> Population:
+) -> None:
     """Dissolve a break-created composite, restoring its direct constituents.
 
     Only composites with a live (un-reversed) break event can be dissolved.
     Restoration deduplicates against the roster and checks the roster
     against `limit` before mutating anything.
     """
-    event = None
-    for e in pop.break_log:
-        if e.composite == composite:
-            event = e
-            break
+    event = next((e for e in pop.break_log if e.composite == composite), None)
     if event is None or composite not in pop.members:
         raise SosageError(f"structure {composite} is not an active break composite")
     if event.reversed_at is not None:
@@ -166,7 +161,6 @@ def apply_reverse_break(
     pop.members.extend(restored)
     event.reversed_at = generation
     pop.pop_order_n = 1 + max(universe.structural_order(m) for m in pop.members) - pop.base_order_r
-    return pop
 
 
 def goal_reached(problem: ProblemSpec, pop: Population, solved_flag: bool) -> bool:

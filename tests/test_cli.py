@@ -329,6 +329,11 @@ def swap_breaks(doc):
     log[0], log[1] = log[1], log[0]
 
 
+def long_history(doc):
+    history = doc["loop"]["stall_history"]
+    history.append(history[-1])
+
+
 def empty_roster(doc):
     doc["universe"].update(structures=[], depends=[])
     doc["population"].update(members=[], break_log=[])
@@ -352,6 +357,17 @@ UNREACHABLE_STATES = {
     # 46 generations of 30 assemblies tally at most 1,380 counts into a cell
     "counts-past-the-tally": (7, set_counts(10**400, 10**400), "ledger-references",
                               "cooccurrence pair (4,11) holds a negative count or more than 1380 in all"),
+    # the loop trims its stall history to window_G (8), starts a reverse
+    # counter at 1, solves before the checkpoint and never hands out an id
+    # twice; structure 204 is the composite of the standing break, and 834
+    # the highest id
+    "history-past-the-window": (7, long_history, "ledger-references", "stall_history holds 9 entries, window_G 8"),
+    "counter-at-zero": (7, lambda doc: doc["loop"].update(reverse_counters=[[204, 0]]), "break-log",
+                        "reverse counter on 204 at 0, below 1"),
+    "solved-at-the-end": (7, lambda doc: doc["loop"].update(solved_at=46), "break-log",
+                          "solved at generation 46, outside 0..45"),
+    "next-id-at-zero": (7, lambda doc: doc["universe"].update(next_id=0), "construction-order",
+                        "next_id 0 does not exceed structure id 834"),
 }
 
 
@@ -499,9 +515,6 @@ class TestVerifyCommand:
         def first_sample(doc, value):
             doc["floats"][doc["ledger"]["per_member"][0][1][0]] = value
 
-        def long_history(doc, value):
-            doc["loop"]["stall_history"] = [value] * (doc["config"]["evolution"]["window_G"] + 1)
-
         def payload_item(doc, value):
             # a primitive row [id, 1, [], tag, value], the genome's entries
             # dropped from the table
@@ -528,14 +541,10 @@ class TestVerifyCommand:
             (set_key("generation"), 7.9),
             (set_key("generation"), True),
             (set_key("generation"), -3),
-            (set_key("loop", "solved_at"), -5),
-            (set_key("loop", "solved_at"), 500),
+            (set_key("generation"), 10**6),
             (set_key("population", "pop_order_n"), 1.5),
             (set_key("population", "members", 0), "21"),
             (set_key("ledger", "pending"), {}),
-            (long_history, 0),
-            (set_key("loop", "reverse_counters"), [[999999, -5]]),
-            (set_key("loop", "reverse_counters"), [[1, 0]]),
             (payload_item, "not a genome"),
         ]
         run_cli(capsys, "run", str(config_path))

@@ -93,6 +93,12 @@ CHECKS = {
     # out_weights]: the writer refuses any other payload, so neither the
     # reader of a one-item payload nor the writer of one may come back
     "one-primitive-row-shape": [(r"_payload_from_row|for verify to report", "sosage/checkpoint.py")],
+    # the reader decodes and verify judges: the stall window, the reverse
+    # counters' floor, the solve before the checkpoint and next_id above
+    # every id are invariants, so none of them may come back into the reader
+    "reader-decodes-only": [
+        (r"window_G|is below 1|is not a generation before|does not exceed every structure id", "sosage/checkpoint.py"),
+    ],
     # module layering: config, checkpoint and invariants sit below harness,
     # so none of them may import harness or cli
     "config-checkpoint-invariants-below-harness": [
@@ -181,4 +187,15 @@ def failed_checks(tmp_path: Path, module: str, text: str) -> list[str]:
 ])
 @pytest.mark.parametrize("module, checks", [("checkpoint", ["one-primitive-row-shape"]), ("invariants", [])])
 def test_the_one_item_payload_row_is_caught_in_checkpoint_only(tmp_path, text, module, checks):
+    assert failed_checks(tmp_path, module, text) == checks
+
+
+@pytest.mark.parametrize("text", [
+    '        raise ValueError(f"stall_history holds {len(history)} entries, more than window_G {evo.window_G}")',
+    '        raise ValueError(f"reverse counter {min(counters.values())} is below 1")',
+    '        raise ValueError(f"solved_at {solved_at} is not a generation before {generation}")',
+    '        raise ValueError(f"next_id {u.next_id} does not exceed every structure id")',
+])
+@pytest.mark.parametrize("module, checks", [("checkpoint", ["reader-decodes-only"]), ("invariants", [])])
+def test_a_state_rule_is_caught_in_checkpoint_only(tmp_path, text, module, checks):
     assert failed_checks(tmp_path, module, text) == checks
