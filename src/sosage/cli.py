@@ -11,9 +11,9 @@ import traceback
 from typing import Optional, Sequence
 
 from . import harness
-from .checkpoint import Checkpoint, load_checkpoint
+from .checkpoint import load_checkpoint
 from .config import load_config, with_seed
-from .errors import SosageError
+from .errors import SosageError, VerifyFailed
 from .invariants import verify
 
 EXIT_OK = 0
@@ -75,22 +75,8 @@ def _print_results(results, file=None) -> None:
         print(f"{'pass' if r.passed else 'FAIL'}  {r.name}{detail}", file=file)
 
 
-def _load_verified(path: str) -> Optional[Checkpoint]:
-    """The checkpoint at `path`, or None once its verify failures are on
-    stderr: broken state would make what reads it crash or mislead."""
-    ckpt = load_checkpoint(path)
-    failures = verify(ckpt).failures()
-    if failures:
-        _print_results(failures, file=sys.stderr)
-        return None
-    return ckpt
-
-
 def _cmd_resume(args: argparse.Namespace) -> int:
-    ckpt = _load_verified(args.checkpoint)
-    if ckpt is None:
-        return EXIT_VERIFY_FAILED
-    report = harness.resume(ckpt, progress=_progress)
+    report = harness.resume(load_checkpoint(args.checkpoint), progress=_progress)
     print(report.metrics_path)
     print(report.checkpoint_path)
     if args.require_solve and not report.solved:
@@ -99,10 +85,7 @@ def _cmd_resume(args: argparse.Namespace) -> int:
 
 
 def _cmd_inspect(args: argparse.Namespace) -> int:
-    ckpt = _load_verified(args.checkpoint)
-    if ckpt is None:
-        return EXIT_VERIFY_FAILED
-    summary = harness.summarize_checkpoint(ckpt)
+    summary = harness.summarize_checkpoint(load_checkpoint(args.checkpoint))
     if args.format == "json":
         print(json.dumps(summary, indent=2, sort_keys=True))
     else:
@@ -150,6 +133,9 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         # stop quietly, with stdout on devnull so no flush can raise again
         sys.stdout = open(os.devnull, "w")
         return EXIT_BROKEN_PIPE
+    except VerifyFailed as e:
+        _print_results(e.failures, file=sys.stderr)
+        return EXIT_VERIFY_FAILED
     except (SosageError, OSError) as e:
         print(f"error: {e}", file=sys.stderr)
         return EXIT_USAGE

@@ -9,7 +9,9 @@ it by type or reads a field from it:
 - ValidationError: carries `.field`, the config field it names, which the
   tests read;
 - LimitExceeded: `symbio._maybe_reverse` catches it to skip a reverse that
-  would overfill the roster.
+  would overfill the roster;
+- VerifyFailed: carries `.failures`, the invariants a state given to `harness`
+  fails, which the CLI prints as `FAIL` lines before it exits 3.
 """
 
 
@@ -31,3 +33,11 @@ class ValidationError(SosageError):
 
 class LimitExceeded(SosageError):
     """The roster would exceed the population limit."""
+
+
+class VerifyFailed(SosageError):
+    """A state fails verify; carries the failed invariant results."""
+
+    def __init__(self, failures):
+        super().__init__("state fails verify: " + "; ".join(f"{r.name} ({r.detail})" for r in failures))
+        self.failures = failures

@@ -14,11 +14,12 @@ from typing import Any, Callable, Mapping, Optional, TextIO
 
 from .checkpoint import Checkpoint, save_checkpoint
 from .config import RunConfig, config_from_dict, config_to_json_dict, make_env, with_seed
-from .errors import ValidationError
+from .errors import ValidationError, VerifyFailed
+from .invariants import verify
 from .symbio import GenerationRow, LoopState, new_loop_state, run_symbiosis
 
-# perfbench calls and rebinds these three as harness attributes; nothing here uses them
-from .checkpoint import load_checkpoint; from .config import load_config; from .invariants import verify
+# perfbench calls and rebinds these two as harness attributes; nothing here uses them
+from .checkpoint import load_checkpoint; from .config import load_config
 
 METRICS_HEADER = ",".join(f.name for f in fields(GenerationRow))
 # field name -> format spec of its column; floats keep six decimals
@@ -28,12 +29,15 @@ OUTPUT_DIR_ENV = "SOSAGE_OUTPUT_DIR"
 
 @dataclass(frozen=True)
 class RunReport:
-    solved: bool
     generations_to_solve: Optional[int]
     final_pop_order: int
     metrics_path: str
     checkpoint_path: str
     break_events: int
+
+    @property
+    def solved(self) -> bool:
+        return self.generations_to_solve is not None
 
 
 def resolve_output_dir(config: RunConfig) -> Path:
@@ -56,6 +60,11 @@ def build_state(config: RunConfig) -> LoopState:
     return new_loop_state(make_env(config.env.name, config.env.params), config)
 
 
+def _refuse_unverified(ckpt: Checkpoint) -> None:
+    if failures := verify(ckpt).failures():
+        raise VerifyFailed(failures)
+
+
 def _drive(
     config: RunConfig,
     state: Optional[LoopState],
@@ -65,11 +74,13 @@ def _drive(
 ) -> RunReport:
     """Run the loop on `state` (a fresh one if None) from `start_generation`,
     into the metrics CSV and final checkpoint named by the seed and `suffix`.
-    The config is read first as its file form would be: one built in Python
-    gets its env params filled, or is refused before any file is made."""
+    The config is re-read as its file form would be, env params filled, and a
+    given state verified under it; either is refused before any file is made."""
     config = config_from_dict(config_to_json_dict(config))
     if state is None:
         state = build_state(config)
+    else:
+        _refuse_unverified(Checkpoint(config=config, generation=start_generation, state=state))
     out_dir = resolve_output_dir(config)
     env = make_env(config.env.name, config.env.params)
     seed = config.seed
@@ -96,7 +107,6 @@ def _drive(
         next_generation = run_symbiosis(env, config, state, start_generation, on_row, on_checkpoint)
     save_checkpoint(final_path, Checkpoint(config=config, generation=next_generation, state=state))
     return RunReport(
-        solved=state.solved_at is not None,
         generations_to_solve=state.solved_at,
         final_pop_order=state.pop.pop_order_n,
         metrics_path=str(metrics_path),
@@ -111,10 +121,12 @@ def run(config: RunConfig, progress: Optional[Callable[[str], None]] = None) -> 
 
 
 def resume(ckpt: Checkpoint, progress: Optional[Callable[[str], None]] = None) -> RunReport:
-    """Continue a checkpointed run. The metrics CSV and the final checkpoint go
-    to from-generation suffixed files, so the original run's stay intact. The
-    periodic checkpoints keep the original run's names: each one after the
-    resume point is written again, with the same bytes, as the replay is exact."""
+    """Continue a checkpointed run. A state that fails `verify` is refused with
+    VerifyFailed before any directory or file is made. The metrics CSV and the
+    final checkpoint go to from-generation suffixed files, so the original
+    run's stay intact. The periodic checkpoints keep the original run's names:
+    each one after the resume point is written again, with the same bytes, as
+    the replay is exact."""
     g = ckpt.generation
     return _drive(ckpt.config, ckpt.state, g, f"-from{g}", progress)
 
@@ -153,7 +165,9 @@ def sweep(
 
 
 def summarize_checkpoint(ckpt: Checkpoint) -> dict:
-    """The inspect payload: population order, strata, break table, top scores."""
+    """The inspect payload: population order, strata, break table, top scores.
+    A state that fails `verify` is refused with VerifyFailed."""
+    _refuse_unverified(ckpt)
     u = ckpt.state.universe
     pop = ckpt.state.pop
     strata: dict[int, list[int]] = {}

@@ -40,7 +40,7 @@ from sosage.config import (
     with_seed,
 )
 from sosage.envs import ENVS, EnvSpec
-from sosage.errors import ParseError, SosageError, ValidationError
+from sosage.errors import ParseError, SosageError, ValidationError, VerifyFailed
 from sosage.harness import (
     METRICS_HEADER,
     OUTPUT_DIR_ENV,
@@ -69,6 +69,8 @@ from sosage.symbio import (
 )
 
 from support import edge_graph, exactly, float_slots, has_cycle, inline_floats, table_floats, v9_to_v10, v10_to_v9
+from test_cli import OUTPUT_COUNT_BREAKS, UNREACHABLE_STATES
+from test_digests import REVERSING
 
 ROOT = Path(__file__).resolve().parent.parent
 CONFIG_DIR = ROOT / "configs"
@@ -630,6 +632,52 @@ class TestRunArtifacts:
         assert elsewhere.is_dir()
 
 
+def edited_checkpoint(tmp_path: Path, name: str, top: dict, evolution: dict, checkpoint: str, edit) -> Path:
+    """Run configs/`name` with the `top` and `evolution` settings changed
+    into tmp_path/runs, apply `edit` to the document of its checkpoint file
+    `checkpoint`, and write the document back."""
+    doc = json.loads((CONFIG_DIR / name).read_text())
+    doc.update(top, output_dir=str(tmp_path / "runs"))
+    doc["evolution"].update(evolution)
+    run(config_from_dict(doc))
+    path = tmp_path / "runs" / checkpoint
+    ckpt = inline_floats(json.loads(path.read_text()))
+    edit(ckpt)
+    path.write_text(json.dumps(table_floats(ckpt)))
+    return path
+
+
+def unreachable_state(case):
+    seed, edit, invariant, fault = UNREACHABLE_STATES[case]
+    evolution = {**REVERSING, "max_generations": 120} if seed == 1 else {}
+    return lambda tmp_path: (edited_checkpoint(
+        tmp_path, "xor.json", {"seed": seed}, evolution, f"checkpoint-{seed}-final.json", edit), invariant, fault)
+
+
+def misshapen_genome(item, edit_weights, fault):
+    """A gridnav_comp genome whose item `item` (4: input weights, 5: output
+    weights) `edit_weights` changes."""
+    def edit(doc):
+        member = doc["population"]["members"][0]
+        row = next(r for r in doc["universe"]["structures"] if r[0] == member)
+        row[item] = edit_weights(row[item])
+    return lambda tmp_path: (edited_checkpoint(
+        tmp_path, "gridnav_comp.json", {"seed": 9, "checkpoint_every": 5}, {"max_generations": 10},
+        "checkpoint-9-gen5.json", edit), "genome-shape", fault)
+
+
+# the edits test_cli checks `sosage resume` against, each failing one
+# invariant, and xor seed 7's periodic checkpoint of generation 5 with next_id 0
+REFUSED_EDITS = {
+    **{case: unreachable_state(case) for case in UNREACHABLE_STATES},
+    **{f"genome-outputs-{form}": misshapen_genome(5, *OUTPUT_COUNT_BREAKS[form]) for form in OUTPUT_COUNT_BREAKS},
+    "genome-without-bias": misshapen_genome(4, lambda weights: weights[:-1], "has 4 input weights, want 5"),
+    "next-id-at-zero-gen5": lambda tmp_path: (edited_checkpoint(
+        tmp_path, "xor.json", {"seed": 7, "checkpoint_every": 5}, {}, "checkpoint-7-gen5.json",
+        lambda doc: doc["universe"].update(next_id=0)), "construction-order", "next_id 0 does not exceed structure id"),
+}
+
+
 class TestResume:
     def test_resume_replays_row_for_row(self, finished_run, tmp_path):
         config, report, out = finished_run
@@ -644,10 +692,7 @@ class TestResume:
         assert final_resumed == final_full
 
     def test_a_payload_that_is_no_genome_fails_verify_and_resume_as_sosage_errors(self, finished_run):
-        # no file holds such a payload, but a state built in Python can;
-        # resume trusts its caller to verify first, as the CLI does, and if
-        # it is not verified, assembling the bad primitive fails as a
-        # SosageError
+        # no file holds such a payload, but a state built in Python can
         _, _, out = finished_run
         ckpt = load_checkpoint(out / "checkpoint-0-gen2.json")
         u = ckpt.state.universe
@@ -655,8 +700,37 @@ class TestResume:
             if s.order == 1:
                 u.structures[s.id] = dataclasses.replace(s, payload="not a genome")
         assert "genome-shape" in {r.name for r in verify(ckpt).failures()}
-        with pytest.raises(SosageError, match=r"^structure \d+ payload is not a neuron genome$"):
+        with pytest.raises(VerifyFailed) as refused:
             resume(ckpt)
+        assert [r.name for r in refused.value.failures] == ["genome-shape"]
+
+    @pytest.mark.parametrize("case", sorted(REFUSED_EDITS))
+    def test_a_state_that_fails_verify_is_refused_before_any_file(self, tmp_path, monkeypatch, case):
+        # each edit fails one invariant, so resume and the summary refuse it
+        # before the output directory is made; an unverified resume of
+        # next-id-at-zero-gen5 would hand out live ids again and solve at 30, not 45
+        path, invariant, fault = REFUSED_EDITS[case](tmp_path)
+        monkeypatch.setenv(OUTPUT_DIR_ENV, str(tmp_path / "resumed"))
+        before = sorted(tmp_path.rglob("*"))
+        for call in (resume, summarize_checkpoint):
+            with pytest.raises(VerifyFailed) as refused:
+                call(load_checkpoint(path))
+            assert [r.name for r in refused.value.failures] == [invariant]
+            assert fault in refused.value.failures[0].detail
+        assert sorted(tmp_path.rglob("*")) == before
+
+    @pytest.mark.parametrize("field, change", [
+        ("env.name", lambda c: dataclasses.replace(c, env=dataclasses.replace(c.env, name="nope"))),
+        ("evolution.top_m", lambda c: dataclasses.replace(c, evolution=dataclasses.replace(c.evolution, top_m=None))),
+    ])
+    def test_a_setting_built_in_python_is_refused_by_name_before_verify(self, tmp_path, monkeypatch, field, change):
+        # verify reads the env class and the settings, so it runs on the re-read config
+        ckpt = checkpoint_from_json_dict(valid_checkpoint_doc())
+        monkeypatch.setenv(OUTPUT_DIR_ENV, str(tmp_path / "resumed"))
+        with pytest.raises(ValidationError) as refused:
+            resume(dataclasses.replace(ckpt, config=change(ckpt.config)))
+        assert refused.value.field == field
+        assert list(tmp_path.iterdir()) == []
 
     def test_indented_file_from_earlier_builds_resumes_the_same(self, finished_run):
         # no build writes v7 indented, but such a file differs only in whitespace
@@ -1507,12 +1581,16 @@ class TestCheckpointCodec:
         assert ledger.cooccur
         assert round_trip(ckpt).state.ledger == ledger
 
-    @pytest.mark.parametrize("reversed_at", [None, 11])
+    # the break at generation 5 of a checkpoint at 6 can be reversed only at
+    # 5, and then its composite keeps no reverse counter, so the state verifies
+    @pytest.mark.parametrize("reversed_at", [None, 5])
     def test_break_events_round_trip(self, reversed_at):
         ckpt = checkpoint_from_json_dict(valid_checkpoint_doc())
         log = ckpt.state.pop.break_log
         assert log
         log[0].reversed_at = reversed_at
+        if reversed_at is not None:
+            del ckpt.state.reverse_counters[log[0].composite]
         assert round_trip(ckpt).state.pop.break_log == log
         assert summarize_checkpoint(ckpt)["breaks"][0]["reversed_at"] == reversed_at
 

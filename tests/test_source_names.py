@@ -99,6 +99,11 @@ CHECKS = {
     "reader-decodes-only": [
         (r"window_G|is below 1|is not a generation before|does not exceed every structure id", "sosage/checkpoint.py"),
     ],
+    # harness refuses a state that fails verify before it resumes or
+    # summarizes it, and the CLI only prints the VerifyFailed it catches;
+    # neither the CLI's own gate nor a second reading of verify's failures
+    # may come back into cli.py
+    "verify-gate-in-harness": [(r"_load_verified|\.failures\(\)", "sosage/cli.py")],
     # module layering: config, checkpoint and invariants sit below harness,
     # so none of them may import harness or cli
     "config-checkpoint-invariants-below-harness": [
@@ -198,4 +203,13 @@ def test_the_one_item_payload_row_is_caught_in_checkpoint_only(tmp_path, text, m
 ])
 @pytest.mark.parametrize("module, checks", [("checkpoint", ["reader-decodes-only"]), ("invariants", [])])
 def test_a_state_rule_is_caught_in_checkpoint_only(tmp_path, text, module, checks):
+    assert failed_checks(tmp_path, module, text) == checks
+
+
+@pytest.mark.parametrize("text", [
+    "def _load_verified(path: str) -> Optional[Checkpoint]:",
+    "    failures = verify(ckpt).failures()",
+])
+@pytest.mark.parametrize("module, checks", [("cli", ["verify-gate-in-harness"]), ("harness", [])])
+def test_the_verify_gate_is_caught_in_cli_only(tmp_path, text, module, checks):
     assert failed_checks(tmp_path, module, text) == checks
