@@ -78,7 +78,7 @@ def checkpoint_to_json_dict(ckpt: Checkpoint) -> dict:
         "format": CHECKPOINT_FORMAT,
         "config": echo,
         "config_digest": echo_digest(echo),
-        "generation": _generation(ckpt.generation, ckpt.config),
+        "generation": checked_generation(ckpt.generation, ckpt.config),
         "universe": {
             "structures": structures,
             "depends": [list(e) for e in u.dependency_edges()],
@@ -190,9 +190,10 @@ class _FloatTable:
         return list(map(self.values.__getitem__, indices))
 
 
-def _generation(raw: Any, config: RunConfig) -> int:
-    """`raw` when it is an int in 0..max_generations, for the writer and the reader
-    alike: a periodic checkpoint comes before the budget, a final one at it at most."""
+def checked_generation(raw: Any, config: RunConfig) -> int:
+    """`raw` when it is an int in 0..max_generations, for the writer, the reader
+    and harness's gate alike: a periodic checkpoint comes before the budget, a
+    final one at it at most. Else TypeError or ValueError, naming `generation`."""
     budget = config.evolution.max_generations
     if not 0 <= _of(int, raw, "generation") <= budget:
         raise ValueError(f"generation {raw} is outside 0..max_generations {budget}")
@@ -290,7 +291,7 @@ def _checkpoint_from_doc(doc: Mapping[str, Any]) -> Checkpoint:
         raise SosageError("embedded config does not match its stored digest")
     # settings come from the digested config only; the state keeps just the
     # base order, which top_order reads
-    generation = _generation(doc["generation"], config)
+    generation = checked_generation(doc["generation"], config)
     loop = doc["loop"]
     _reject_unknown(loop, {"stall_history", "reverse_counters", "solved_at"}, "loop", _malformed)
     if (solved_at := loop["solved_at"]) is not None:

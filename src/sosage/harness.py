@@ -12,9 +12,9 @@ from dataclasses import asdict, dataclass, fields
 from pathlib import Path
 from typing import Any, Callable, Mapping, Optional, TextIO
 
-from .checkpoint import Checkpoint, save_checkpoint
-from .config import RunConfig, config_from_dict, config_to_json_dict, make_env, with_seed
-from .errors import ValidationError, VerifyFailed
+from .checkpoint import Checkpoint, checked_generation, save_checkpoint
+from .config import RunConfig, _as_int, config_from_dict, config_to_json_dict, make_env, with_seed
+from .errors import SosageError, ValidationError, VerifyFailed
 from .invariants import verify
 from .symbio import GenerationRow, LoopState, new_loop_state, run_symbiosis
 
@@ -60,27 +60,32 @@ def build_state(config: RunConfig) -> LoopState:
     return new_loop_state(make_env(config.env.name, config.env.params), config)
 
 
-def _refuse_unverified(ckpt: Checkpoint) -> None:
+def _as_read(config: RunConfig) -> RunConfig:
+    """`config` as its file form would read: env params filled, a bad setting
+    refused by name with ValidationError."""
+    return config_from_dict(config_to_json_dict(config))
+
+
+def _admit(ckpt: Checkpoint) -> Checkpoint:
+    """`ckpt` held to its file's rules, before any directory or file is made:
+    its config re-read, its generation held to the codec's rule, then its state
+    verified under both, a failure refused with VerifyFailed."""
+    config = _as_read(ckpt.config)
+    try:
+        generation = checked_generation(ckpt.generation, config)
+    except (TypeError, ValueError) as e:
+        raise SosageError(str(e)) from e
+    ckpt = Checkpoint(config=config, generation=generation, state=ckpt.state)
     if failures := verify(ckpt).failures():
         raise VerifyFailed(failures)
+    return ckpt
 
 
-def _drive(
-    config: RunConfig,
-    state: Optional[LoopState],
-    start_generation: int,
-    suffix: str,
-    progress: Optional[Callable[[str], None]],
-) -> RunReport:
-    """Run the loop on `state` (a fresh one if None) from `start_generation`,
-    into the metrics CSV and final checkpoint named by the seed and `suffix`.
-    The config is re-read as its file form would be, env params filled, and a
-    given state verified under it; either is refused before any file is made."""
-    config = config_from_dict(config_to_json_dict(config))
-    if state is None:
-        state = build_state(config)
-    else:
-        _refuse_unverified(Checkpoint(config=config, generation=start_generation, state=state))
+def _drive(ckpt: Checkpoint, suffix: str, progress: Optional[Callable[[str], None]]) -> RunReport:
+    """Run the loop on `ckpt`'s state from its generation, into the metrics CSV
+    and final checkpoint named by the seed and `suffix`. `ckpt` is a fresh one
+    from `run` or one `_admit` let in, so its config reads as its file would."""
+    config, state = ckpt.config, ckpt.state
     out_dir = resolve_output_dir(config)
     env = make_env(config.env.name, config.env.params)
     seed = config.seed
@@ -104,7 +109,7 @@ def _drive(
 
     with open(metrics_path, "w", encoding="utf-8", newline="") as sink:
         write_metrics_header(sink)
-        next_generation = run_symbiosis(env, config, state, start_generation, on_row, on_checkpoint)
+        next_generation = run_symbiosis(env, config, state, ckpt.generation, on_row, on_checkpoint)
     save_checkpoint(final_path, Checkpoint(config=config, generation=next_generation, state=state))
     return RunReport(
         generations_to_solve=state.solved_at,
@@ -116,19 +121,21 @@ def _drive(
 
 
 def run(config: RunConfig, progress: Optional[Callable[[str], None]] = None) -> RunReport:
-    """Execute a fresh run: metrics CSV, periodic checkpoints, final checkpoint."""
-    return _drive(config, None, 0, "", progress)
+    """Execute a fresh run: metrics CSV, periodic checkpoints, final checkpoint.
+    The config is re-read as its file form would be before any file is made."""
+    config = _as_read(config)
+    return _drive(Checkpoint(config=config, generation=0, state=build_state(config)), "", progress)
 
 
 def resume(ckpt: Checkpoint, progress: Optional[Callable[[str], None]] = None) -> RunReport:
-    """Continue a checkpointed run. A state that fails `verify` is refused with
-    VerifyFailed before any directory or file is made. The metrics CSV and the
-    final checkpoint go to from-generation suffixed files, so the original
+    """Continue a checkpointed run. `_admit` refuses a bad setting, generation
+    or state first, before any directory or file is made. The metrics CSV and
+    the final checkpoint go to from-generation suffixed files, so the original
     run's stay intact. The periodic checkpoints keep the original run's names:
     each one after the resume point is written again, with the same bytes, as
     the replay is exact."""
-    g = ckpt.generation
-    return _drive(ckpt.config, ckpt.state, g, f"-from{g}", progress)
+    ckpt = _admit(ckpt)
+    return _drive(ckpt, f"-from{ckpt.generation}", progress)
 
 
 SWEEP_HEADER = "seed,solved,generations_to_solve,final_pop_order,breaks"
@@ -139,9 +146,9 @@ def sweep(
 ) -> tuple[list[RunReport], str]:
     """Run n_seeds consecutive seeds starting at the config seed and write a
     one-row-per-seed summary CSV."""
-    if n_seeds < 1:
+    if _as_int(n_seeds, "seeds") < 1:
         raise ValidationError("seeds", "must be >= 1")
-    config = config_from_dict(config_to_json_dict(config))  # read as run reads it, before any file
+    config = _as_read(config)  # read as run reads it, before any file
     base = config.seed
     with_seed(config, base + n_seeds - 1)  # the largest seed, refused before any file is written
     out_dir = resolve_output_dir(config)
@@ -166,8 +173,8 @@ def sweep(
 
 def summarize_checkpoint(ckpt: Checkpoint) -> dict:
     """The inspect payload: population order, strata, break table, top scores.
-    A state that fails `verify` is refused with VerifyFailed."""
-    _refuse_unverified(ckpt)
+    `_admit` holds `ckpt` to its file's rules first, as `resume` does."""
+    ckpt = _admit(ckpt)
     u = ckpt.state.universe
     pop = ckpt.state.pop
     strata: dict[int, list[int]] = {}

@@ -22,6 +22,7 @@ from sosage import checkpoint
 from sosage.checkpoint import (
     CHECKPOINT_FORMAT,
     Checkpoint,
+    checked_generation,
     checkpoint_from_json_dict,
     checkpoint_to_json_dict,
     load_checkpoint,
@@ -678,6 +679,18 @@ REFUSED_EDITS = {
 }
 
 
+# case -> the generation set on a checkpoint built in Python, from its own
+# generation and budget; the codec refuses each
+GENERATION_EDITS = {
+    "text": lambda g, budget: "10",
+    "null": lambda g, budget: None,
+    "float": lambda g, budget: float(g),
+    "past-the-budget": lambda g, budget: budget + 1,
+    "negative": lambda g, budget: -1,
+    "bool": lambda g, budget: True,
+}
+
+
 class TestResume:
     def test_resume_replays_row_for_row(self, finished_run, tmp_path):
         config, report, out = finished_run
@@ -727,9 +740,26 @@ class TestResume:
         # verify reads the env class and the settings, so it runs on the re-read config
         ckpt = checkpoint_from_json_dict(valid_checkpoint_doc())
         monkeypatch.setenv(OUTPUT_DIR_ENV, str(tmp_path / "resumed"))
-        with pytest.raises(ValidationError) as refused:
-            resume(dataclasses.replace(ckpt, config=change(ckpt.config)))
-        assert refused.value.field == field
+        for call in (resume, summarize_checkpoint):
+            with pytest.raises(ValidationError) as refused:
+                call(dataclasses.replace(ckpt, config=change(ckpt.config)))
+            assert refused.value.field == field
+        assert list(tmp_path.iterdir()) == []
+
+    @pytest.mark.parametrize("call", [resume, summarize_checkpoint])
+    @pytest.mark.parametrize("case", sorted(GENERATION_EDITS))
+    def test_a_generation_the_codec_refuses_is_refused_before_verify(self, tmp_path, monkeypatch, case, call):
+        # verify reads the generation, so the writer's and reader's rule runs
+        # first; a state past the budget would run and fail only at its final save
+        ckpt = checkpoint_from_json_dict(valid_checkpoint_doc())
+        generation = GENERATION_EDITS[case](ckpt.generation, ckpt.config.evolution.max_generations)
+        with pytest.raises((TypeError, ValueError)) as rule:
+            checked_generation(generation, ckpt.config)
+        monkeypatch.setenv(OUTPUT_DIR_ENV, str(tmp_path / "resumed"))
+        with pytest.raises(SosageError) as refused:
+            call(dataclasses.replace(ckpt, generation=generation))
+        assert not isinstance(refused.value, VerifyFailed)
+        assert str(refused.value) == str(rule.value)
         assert list(tmp_path.iterdir()) == []
 
     def test_indented_file_from_earlier_builds_resumes_the_same(self, finished_run):
@@ -887,10 +917,14 @@ class TestSweep:
         for seed in range(3):
             assert (out / f"metrics-{seed}.csv").exists()
 
-    def test_seed_count_validated(self, tmp_path):
+    @pytest.mark.parametrize("n_seeds", [0, -1, "3", None, 2.5, True])
+    def test_seed_count_validated(self, tmp_path, n_seeds):
+        # read as an int setting is, under its own name, before any file
         config = config_from_dict(base_doc(tmp_path))
-        with pytest.raises(ValidationError):
-            sweep(config, 0)
+        with pytest.raises(ValidationError) as refused:
+            sweep(config, n_seeds)
+        assert refused.value.field == "seeds"
+        assert not (tmp_path / "runs").exists()
 
 
 class TestConfigBuiltInPython:

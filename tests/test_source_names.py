@@ -104,6 +104,11 @@ CHECKS = {
     # neither the CLI's own gate nor a second reading of verify's failures
     # may come back into cli.py
     "verify-gate-in-harness": [(r"_load_verified|\.failures\(\)", "sosage/cli.py")],
+    # harness admits a checkpoint built in Python through one gate, which
+    # re-reads its config, holds its generation to the codec's rule and
+    # verifies it, and the loop driver takes one checkpoint; neither the
+    # verify-only gate nor the driver's fresh-or-given fork may come back
+    "one-admission-gate": [(r"_refuse_unverified|start_generation|Optional\[LoopState\]", "sosage/harness.py")],
     # module layering: config, checkpoint and invariants sit below harness,
     # so none of them may import harness or cli
     "config-checkpoint-invariants-below-harness": [
@@ -212,4 +217,14 @@ def test_a_state_rule_is_caught_in_checkpoint_only(tmp_path, text, module, check
 ])
 @pytest.mark.parametrize("module, checks", [("cli", ["verify-gate-in-harness"]), ("harness", [])])
 def test_the_verify_gate_is_caught_in_cli_only(tmp_path, text, module, checks):
+    assert failed_checks(tmp_path, module, text) == checks
+
+
+@pytest.mark.parametrize("text", [
+    "def _refuse_unverified(ckpt: Checkpoint) -> None:",
+    "    state: Optional[LoopState],",
+    "    start_generation: int,",
+])
+@pytest.mark.parametrize("module, checks", [("harness", ["one-admission-gate"]), ("symbio", [])])
+def test_the_admission_gate_is_caught_in_harness_only(tmp_path, text, module, checks):
     assert failed_checks(tmp_path, module, text) == checks
