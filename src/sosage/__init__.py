@@ -22,6 +22,7 @@ from .symbio import (
     EvolutionConfig,
     FitnessLedger,
     NeuronGene,
+    Outcome,
     assemble,
     detect_dependency,
     distribute_fitness,
@@ -45,6 +46,7 @@ __all__ = [
     "GridNavEnv",
     "NeuronGene",
     "ObsRecord",
+    "Outcome",
     "Population",
     "ProblemSpec",
     "RunConfig",

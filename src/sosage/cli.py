@@ -61,12 +61,14 @@ def _cmd_run(args: argparse.Namespace) -> int:
     config = load_config(args.config)
     if args.seed is not None:
         config = with_seed(config, args.seed)
-    report = harness.run(config, progress=_progress)
+    return _report(harness.run(config, progress=_progress), args.require_solve)
+
+
+def _report(report: harness.RunReport, require_solve: bool) -> int:
+    """Print a run's artifact paths; an unsolved run under --require-solve exits 1."""
     print(report.metrics_path)
     print(report.checkpoint_path)
-    if args.require_solve and not report.solved:
-        return EXIT_UNSOLVED
-    return EXIT_OK
+    return EXIT_UNSOLVED if require_solve and not report.solved else EXIT_OK
 
 
 def _print_results(results, file=None) -> None:
@@ -76,12 +78,7 @@ def _print_results(results, file=None) -> None:
 
 
 def _cmd_resume(args: argparse.Namespace) -> int:
-    report = harness.resume(load_checkpoint(args.checkpoint), progress=_progress)
-    print(report.metrics_path)
-    print(report.checkpoint_path)
-    if args.require_solve and not report.solved:
-        return EXIT_UNSOLVED
-    return EXIT_OK
+    return _report(harness.resume(load_checkpoint(args.checkpoint), progress=_progress), args.require_solve)
 
 
 def _cmd_inspect(args: argparse.Namespace) -> int:

@@ -32,6 +32,7 @@ from typing import Callable, Sequence
 from .errors import SosageError
 
 Policy = Callable[[tuple[float, ...]], int]
+Episode = tuple[float, bool]  # what rollout returns: (return, succeeded)
 
 
 @dataclass(frozen=True)
@@ -88,7 +89,7 @@ class XorEnv:
         target = 1 if (state[0] > 0.0) != (state[1] > 0.0) else 0
         return state, (1.0 if action == target else 0.0), True
 
-    def rollout(self, episode_index: int, policy: Policy) -> tuple[float, bool]:
+    def rollout(self, episode_index: int, policy: Policy) -> Episode:
         """One step; success is the right class."""
         state = self.PATTERNS[episode_index % 4]
         _, reward, _ = self.step(state, policy(self.observation(state)))
@@ -205,7 +206,7 @@ class GridNavEnv:
         steps += 1
         return (nx, ny, steps, subgoal_done), reward, on_goal or steps >= self.max_steps
 
-    def rollout(self, episode_index: int, policy: Policy) -> tuple[float, bool]:
+    def rollout(self, episode_index: int, policy: Policy) -> Episode:
         """Play one episode; success is ending on the armed goal. Stops at
         the first repeated (x, y, subgoal visited) state, which is exact for
         a policy that is a pure function of the observation (module

@@ -29,8 +29,9 @@ class VerifyReport:
         return [r for r in self.results if not r.passed]
 
 
-_OFFSPRING_TAG = re.compile(r"^o\d+:(\d+)(?:x(\d+))?$")
-_CLONE_TAG = re.compile(r"^c\d+:(\d+)$")
+# lineage tags as the loop writes them, ASCII digits only: o{gen}:{parent}[x{parent}], c{gen}:{original}
+_LINEAGE_TAG = re.compile(r"o[0-9]+:([0-9]+)(?:x([0-9]+))?|c[0-9]+:([0-9]+)")
+_ID_DIGITS = 4300  # the longest integer a file can hold; a longer run names no structure
 
 
 def verify(ckpt: Checkpoint) -> VerifyReport:
@@ -174,18 +175,12 @@ def verify(ckpt: Checkpoint) -> VerifyReport:
 
     bad = []
     for i, s in u.structures.items():
-        m = _OFFSPRING_TAG.match(s.tag)
-        if m is not None:
-            parents = [int(p) for p in m.groups() if p is not None]
-            for p in parents:
-                if p in u and u.get(p).order != s.order:
-                    bad.append(f"offspring {i} (order {s.order}) from parent {p} of other order")
+        if (m := _LINEAGE_TAG.fullmatch(s.tag)) is None:
             continue
-        m = _CLONE_TAG.match(s.tag)
-        if m is not None:
-            orig = int(m.group(1))
-            if orig in u and u.get(orig).order != s.order:
-                bad.append(f"clone {i} (order {s.order}) from original {orig} of other order")
+        kind, source = ("offspring", "parent") if s.tag[0] == "o" else ("clone", "original")
+        for p in (int(p) for p in m.groups() if p is not None and len(p) <= _ID_DIGITS):
+            if p in u and u.get(p).order != s.order:
+                bad.append(f"{kind} {i} (order {s.order}) from {source} {p} of other order")
     record("lineage-strata", bad)
 
     # every checkpoint follows a compaction, or a solving generation that

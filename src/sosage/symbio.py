@@ -15,10 +15,10 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from functools import lru_cache, reduce
-from operator import add
+from operator import add, itemgetter
 from typing import Callable, Collection, Iterable, Optional, Sequence
 
-from .envs import EnvSpec
+from .envs import EnvSpec, Episode
 from .errors import LimitExceeded, SosageError
 from .hyperstruct import StructureId, Universe
 from .population import (
@@ -36,6 +36,7 @@ from .rng import Stream, substream
 SAMPLE_RING_FACTOR = 4
 
 NEG_INF = float("-inf")
+_SUCCEEDED = itemgetter(1)  # of an episode's (return, succeeded)
 
 
 # ---------------------------------------------------------------------------
@@ -59,16 +60,12 @@ def random_genome(input_dim: int, output_dim: int, rng: Stream) -> NeuronGene:
     return NeuronGene(in_weights, out_weights)
 
 
-def _clamp(w: float, w_max: float) -> float:
-    return max(-w_max, min(w_max, w))
-
-
 def mutate_genome(
     gene: NeuronGene, rng: Stream, rate: float, sigma: float, w_max: float
 ) -> NeuronGene:
     def jiggle(w: float) -> float:
         if rng.random() < rate:
-            return _clamp(w + rng.normal(0.0, sigma), w_max)
+            return max(-w_max, min(w_max, w + rng.normal(0.0, sigma)))
         return w
 
     return NeuronGene(tuple(map(jiggle, gene.in_weights)), tuple(map(jiggle, gene.out_weights)))
@@ -137,10 +134,31 @@ def net_forward(wiring: Sequence[NeuronGene], obs: Sequence[float], output_dim: 
 
 @dataclass(frozen=True)
 class Assembly:
-    """A complete evaluable network sampled from the roster; `evaluate` returns its result."""
+    """A complete evaluable network sampled from the roster; `evaluate` returns its `Outcome`."""
 
     participants: tuple[StructureId, ...]
     wiring: tuple[NeuronGene, ...]
+
+
+@dataclass(frozen=True, slots=True)
+class Outcome:
+    """An assembly's evaluation: each episode's (return, succeeded), in episode
+    order. The fitness and the solve derive from them, so neither can disagree."""
+
+    episodes: tuple[Episode, ...]
+
+    @property
+    def fitness(self) -> float:
+        """The returns folded left to right from 0.0, in a loop, which beats `reduce` here."""
+        total = 0.0
+        for episode_return, _ in self.episodes:
+            total += episode_return
+        return total
+
+    @property
+    def solved(self) -> bool:
+        """True iff there is an episode and every one succeeded."""
+        return bool(self.episodes) and all(map(_SUCCEEDED, self.episodes))
 
 
 def flatten_to_genes(universe: Universe, participants: Sequence[StructureId]) -> tuple[NeuronGene, ...]:
@@ -344,30 +362,23 @@ def assemble(
     return [Assembly(tuple(chunk), flatten_to_genes(universe, chunk)) for chunk in chunks]
 
 
-def evaluate(assembly: Assembly, env) -> tuple[float, bool]:
-    """Roll out the assembly's network over the env's `eval_episodes` and
-    return (fitness, solved): the summed episodic return, and whether every
-    episode succeeded. A gene with the wrong number of input or output
-    weights, as `genome_shape_fault` counts them, raises SosageError
-    ("genome " and the fault) before any episode runs."""
-    for gene in assembly.wiring:
-        fault = genome_shape_fault(gene, env.input_dim, env.output_dim)
-        if fault is not None:
+def evaluate(assembly: Assembly, env) -> Outcome:
+    """Roll out the assembly's network over the env's `eval_episodes`, in
+    order, into the `Outcome` of each episode's (return, succeeded). A gene
+    with the wrong number of input or output weights, as `genome_shape_fault`
+    counts them, raises SosageError ("genome " and the fault) before any
+    episode runs."""
+    wiring, input_dim, output_dim = assembly.wiring, env.input_dim, env.output_dim
+    for gene in wiring:
+        if (fault := genome_shape_fault(gene, input_dim, output_dim)) is not None:
             raise SosageError(f"genome {fault}")
-    wiring, output_dim, episodes = assembly.wiring, env.output_dim, env.eval_episodes
     # bound once per assembly, at call time, so a rebound name is still used
     forward, select_action, rollout = net_forward, env.select_action, env.rollout
 
     def policy(obs: tuple[float, ...]) -> int:
         return select_action(forward(wiring, obs, output_dim))
 
-    total = 0.0
-    solved = episodes > 0
-    for ep_idx in range(episodes):
-        episode_return, succeeded = rollout(ep_idx, policy)
-        total += episode_return
-        solved = solved and succeeded
-    return total, solved
+    return Outcome(tuple([rollout(ep_idx, policy) for ep_idx in range(env.eval_episodes)]))
 
 
 def distribute_fitness(
@@ -602,7 +613,7 @@ def run_symbiosis(
     Each generation: assemble, evaluate, distribute fitness, then (stall
     permitting) detect dependencies and apply at most one break, then the
     reverse-break safeguard, then stratified evolution and compaction. The
-    row and the solve read the generation's (fitness, solved) results. A
+    row and the solve read each assembly's `Outcome` by name. A
     solving generation stops before evolution; it only credits roster
     members and their cells, so its state is as compact. The checkpoint hook
     fires at the start of a generation so a resumed run replays it exactly.
@@ -624,7 +635,7 @@ def run_symbiosis(
 
         assemblies = assemble(universe, pop, evo, substream(config.seed, "assemble", generation))
         results = [evaluate(assembly, env) for assembly in assemblies]
-        fitnesses = [fitness for fitness, _ in results]
+        fitnesses = [r.fitness for r in results]
         top = pop.top_order
         cohort = [m for m in pop.members if universe.structural_order(m) == top]
         distribute_fitness(ledger, [(a.participants, f) for a, f in zip(assemblies, fitnesses)], evo.top_m, cohort)
@@ -636,7 +647,7 @@ def run_symbiosis(
         # the reference
         history.append(max(best, history[-1]) if history else best)
         del history[:-evo.window_G]
-        solved_now = any(solved for _, solved in results)
+        solved_now = any(r.solved for r in results)
         done = goal_reached(config.problem, pop, solved_now)
         if done:
             state.solved_at = generation

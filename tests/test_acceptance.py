@@ -263,7 +263,7 @@ def test_criterion_5_dependency_oracle(verdict):
         outcomes = []
         for combo in itertools.combinations(members, k):
             asm = Assembly(tuple(combo), flatten_to_genes(u, combo))
-            fitness, _ = evaluate(asm, env)
+            fitness = evaluate(asm, env).fitness
             outcomes.append((asm.participants, fitness))
             history.append((set(combo), fitness))
         distribute_fitness(ledger, outcomes, top_m=64, cohort=members)

@@ -435,6 +435,25 @@ class TestVerifyCommand:
         assert len(lines) == 9
         assert all(line.startswith("pass") for line in lines)
 
+    @pytest.mark.parametrize("tag", ["o1:" + "9" * 5000, "c1:" + "9" * 5000], ids=["offspring", "clone"])
+    @pytest.mark.parametrize("command", ["verify", "inspect", "resume"])
+    def test_a_lineage_id_longer_than_any_file_integer_names_no_parent(self, capsys, tmp_path, command, tag):
+        # no file holds an integer of 5,000 digits, so no structure has that
+        # id; reading the run as one once crashed every command in int()
+        doc = json.loads((CONFIG_DIR / "xor.json").read_text())
+        doc.update(seed=7, checkpoint_every=5, output_dir=str(tmp_path / "runs"))
+        doc["evolution"]["max_generations"] = 12
+        config = tmp_path / "xor.json"
+        config.write_text(json.dumps(doc))
+        assert run_cli(capsys, "run", str(config))[0] == EXIT_OK
+        path = tmp_path / "runs" / "checkpoint-7-gen10.json"
+        ckpt = json.loads(path.read_text())
+        next(row for row in ckpt["universe"]["structures"] if row[1] == 1)[3] = tag
+        path.write_text(json.dumps(ckpt))
+        assert "lineage-strata" in [r.name for r in verify(load_checkpoint(path)).results if r.passed]
+        code, _, err = run_cli(capsys, command, str(path))
+        assert (code, "Traceback" in err) == (EXIT_OK, False)
+
     @pytest.mark.parametrize("command", ["verify", "inspect"])
     def test_a_reader_that_left_ends_the_command_quietly(self, config_path, capsys, tmp_path, monkeypatch, command):
         # `sosage verify ckpt | true`: the pipe's reader is gone before the first write

@@ -1164,6 +1164,26 @@ class TestVerify:
         failures = {r.name: r.detail for r in verify(checkpoint_from_json_dict(doc)).failures()}
         assert failures == {"lineage-strata": f"clone {first[0]} (order 1) from original {z} of other order"}
 
+    @pytest.mark.parametrize("kind, noun, source", [("o", "offspring", "parent"), ("c", "clone", "original")])
+    def test_a_lineage_tag_names_its_parent_in_the_loops_digits_only(self, kind, noun, source):
+        # the loop writes a parent id in ASCII digits; another script's
+        # digits, a run longer than any integer a file holds, or a trailing
+        # newline make no lineage tag the loop writes, so none names a parent
+        doc = valid_checkpoint_doc()
+        z = doc["population"]["break_log"][0][3]
+        first = next(row for row in doc["universe"]["structures"] if row[1] == 1)
+        first[3] = f"{kind}5:{z}"
+        failures = {r.name: r.detail for r in verify(checkpoint_from_json_dict(doc)).failures()}
+        assert failures == {"lineage-strata": f"{noun} {first[0]} (order 1) from {source} {z} of other order"}
+        arabic_indic = str.maketrans("0123456789", "\u0660\u0661\u0662\u0663\u0664\u0665\u0666\u0667\u0668\u0669")
+        for tag in (f"{kind}5:{str(z).translate(arabic_indic)}", f"{kind}5:{'9' * 5000}", f"{kind}5:{z}\n"):
+            first[3] = tag
+            assert verify(checkpoint_from_json_dict(doc)).passed, tag
+        # of two parents, the one an id can name is still checked
+        first[3] = f"o5:{'9' * 5000}x{z}"
+        failures = {r.name: r.detail for r in verify(checkpoint_from_json_dict(doc)).failures()}
+        assert failures == {"lineage-strata": f"offspring {first[0]} (order 1) from parent {z} of other order"}
+
     def test_cooccurrence_counts_past_the_tally_fail_ledger_references_alone(self):
         # a generation adds at most one count to a cell per assembly; past
         # that, a count too large for a float once passed verify and crashed

@@ -82,13 +82,18 @@ CHECKS = {
         (r"ledger\.top_m|self\.top_m|pop\.population_limit|population_limit=limit|\.observers\b", ALL),
         (r"universe\.max_order|self\.max_order|u\.max_order|Universe\(max_order", ALL),
     ],
-    # a generation's results are values: evaluate returns (fitness, solved)
-    # and reads the episode count from the env, an assembly holds only its
+    # a generation's results are values: evaluate returns an Outcome and
+    # reads the episode count from the env, an assembly holds only its
     # participants and wiring, and distribute_fitness takes (participants,
     # fitness) pairs; neither results stored on the assembly, nor the
     # refusal of an unevaluated one, nor an episode count passed in may
     # come back into src/
     "generation-results-are-values": [(r"assembly\.(fitness|solved)|has no fitness|episodes: int", ALL)],
+    # evaluate returns an Outcome that stores the episodes and derives the
+    # fitness and the solve, and the loop reads them by name; neither the
+    # (fitness, solved) tuple nor the loop's positional reads of it may come
+    # back into symbio.py
+    "evaluate-returns-an-outcome": [(r"tuple\[float, bool\]|for fitness, _ in|for _, solved in", "sosage/symbio.py")],
     # a primitive row is its genome, [id, 1, [], tag, in_weights,
     # out_weights]: the writer refuses any other payload, so neither the
     # reader of a one-item payload nor the writer of one may come back
@@ -227,4 +232,14 @@ def test_the_verify_gate_is_caught_in_cli_only(tmp_path, text, module, checks):
 ])
 @pytest.mark.parametrize("module, checks", [("harness", ["one-admission-gate"]), ("symbio", [])])
 def test_the_admission_gate_is_caught_in_harness_only(tmp_path, text, module, checks):
+    assert failed_checks(tmp_path, module, text) == checks
+
+
+@pytest.mark.parametrize("text", [
+    "def evaluate(assembly: Assembly, env) -> tuple[float, bool]:",
+    "        fitnesses = [fitness for fitness, _ in results]",
+    "        solved_now = any(solved for _, solved in results)",
+])
+@pytest.mark.parametrize("module, checks", [("symbio", ["evaluate-returns-an-outcome"]), ("envs", [])])
+def test_the_result_tuple_is_caught_in_symbio_only(tmp_path, text, module, checks):
     assert failed_checks(tmp_path, module, text) == checks

@@ -9,7 +9,7 @@ import random
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import event, given, settings
 from hypothesis import strategies as st
 
 from sosage.config import load_config, make_env, with_seed
@@ -26,6 +26,7 @@ from sosage.symbio import (
     FitnessLedger,
     LoopState,
     NeuronGene,
+    Outcome,
     RunConfig,
     _clone_composite,
     _forward_kernel,
@@ -324,17 +325,22 @@ class TestEvaluate:
         env = XorEnv()
         assert env.eval_episodes == 4
         # one point per episode: all four ran and won
-        assert evaluate(assembly, env) == (4.0, True)
+        outcome = evaluate(assembly, env)
+        assert (outcome.fitness, outcome.solved) == (4.0, True)
+        assert outcome.episodes == ((1.0, True),) * 4
 
     def test_constant_net_scores_half(self, universe):
         assembly = self.wire(universe, (constant_one_gene(),))
-        assert evaluate(assembly, XorEnv()) == (2.0, False)
+        outcome = evaluate(assembly, XorEnv())
+        assert (outcome.fitness, outcome.solved) == (2.0, False)
+        assert outcome.episodes == ((0.0, False), (1.0, True), (1.0, True), (0.0, False))
 
     def test_fitness_sums_over_episode_batch(self, universe):
         assembly = self.wire(universe, (constant_one_gene(),))
         env = XorEnv()
         env.eval_episodes = 8
-        assert evaluate(assembly, env) == (4.0, False)
+        outcome = evaluate(assembly, env)
+        assert (outcome.fitness, outcome.solved, len(outcome.episodes)) == (4.0, False, 8)
 
     def test_input_width_mismatch_rejected(self, universe):
         assembly = self.wire(universe, xor_solver_genes())
@@ -366,6 +372,43 @@ class TestEvaluate:
         assert genome_shape_fault(bad, env.input_dim, env.output_dim) == fault
         with pytest.raises(SosageError, match=exactly(f"genome {fault}")):
             evaluate(self.wire(universe, (good, bad)), env)
+
+    @PROPERTY_SETTINGS
+    @given(name=st.sampled_from(["xor", "gridnav_comp"]), data=st.data())
+    def test_an_outcome_is_its_rollouts(self, name, data):
+        config = load_config(CONFIG_DIR / f"{name}.json")
+        env = make_env(config.env.name, config.env.params)
+        weights = st.floats(-5.0, 5.0, allow_nan=False)
+        genes = [
+            NeuronGene(
+                tuple(data.draw(st.lists(weights, min_size=env.input_dim + 1, max_size=env.input_dim + 1))),
+                tuple(data.draw(st.lists(weights, min_size=env.output_dim, max_size=env.output_dim))),
+            )
+            for _ in range(data.draw(st.integers(1, 6), label="neurons"))
+        ]
+        if name == "xor" and data.draw(st.booleans(), label="the exact solver"):
+            genes = xor_solver_genes()  # so the solved side is drawn too
+        assembly = self.wire(Universe(), genes)
+        outcome = evaluate(assembly, env)
+        event(f"{name} solved: {outcome.solved}")
+
+        def policy(obs):
+            return env.select_action(net_forward(assembly.wiring, obs, env.output_dim))
+
+        direct = tuple(env.rollout(e, policy) for e in range(env.eval_episodes))
+        assert outcome.episodes == direct
+        assert outcome.fitness.hex() == fold(r for r, _ in direct).hex()
+        assert outcome.solved is all(succeeded for _, succeeded in direct)
+        env.eval_episodes = 0
+        empty = evaluate(assembly, env)
+        assert (empty.fitness, empty.solved, empty.episodes) == (0.0, False, ())
+        assert math.copysign(1.0, empty.fitness) == 1.0
+
+    def test_an_outcome_stores_only_its_episodes(self, universe):
+        outcome = evaluate(self.wire(universe, xor_solver_genes()), XorEnv())
+        assert [f.name for f in dataclasses.fields(Outcome)] == ["episodes"]
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            outcome.episodes = ()
 
     def test_an_assembly_is_its_participants_and_wiring(self, universe):
         assembly = self.wire(universe, xor_solver_genes())
