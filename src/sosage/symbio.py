@@ -389,7 +389,9 @@ def distribute_fitness(
 ) -> None:
     """Credit every participant of the generation's (participants, fitness)
     pairs, in assembly order, in a ring of SAMPLE_RING_FACTOR * top_m
-    samples, and tally the same pairs over the dependency cohort (the top stratum).
+    samples, and tally the same pairs over the dependency cohort (the top
+    stratum). An empty cohort tallies nothing: run_symbiosis passes that when
+    the generation's cells can wait until after evolution.
 
     Members in no assembly this generation are untouched, so their score is
     exactly what it was before.
@@ -397,7 +399,8 @@ def distribute_fitness(
     for participants, fitness in outcomes:
         for member in participants:
             ledger.credit(member, fitness, top_m)
-    ledger.tally_cooccurrence(outcomes, cohort)
+    if cohort:
+        ledger.tally_cooccurrence(outcomes, cohort)
 
 
 def detect_dependency(
@@ -613,10 +616,13 @@ def run_symbiosis(
     Each generation: assemble, evaluate, distribute fitness, then (stall
     permitting) detect dependencies and apply at most one break, then the
     reverse-break safeguard, then stratified evolution and compaction. The
-    row and the solve read each assembly's `Outcome` by name. A
-    solving generation stops before evolution; it only credits roster
-    members and their cells, so its state is as compact. The checkpoint hook
-    fires at the start of a generation so a resumed run replays it exactly.
+    row and the solve read each assembly's `Outcome` by name. A generation
+    that solves or detects tallies its whole cohort's cells with the credit;
+    any other tallies them after compaction, over the cohort members
+    compaction kept. A solving generation stops before evolution; it only
+    credits roster members and their cells, so its state is as compact. The
+    checkpoint hook fires at the start of a generation so a resumed run
+    replays it exactly.
 
     The config's seed, problem, population_limit, max_order, breaks_enabled,
     reverse_enabled and checkpoint_every are read here, and its evolution
@@ -638,7 +644,7 @@ def run_symbiosis(
         fitnesses = [r.fitness for r in results]
         top = pop.top_order
         cohort = [m for m in pop.members if universe.structural_order(m) == top]
-        distribute_fitness(ledger, [(a.participants, f) for a, f in zip(assemblies, fitnesses)], evo.top_m, cohort)
+        outcomes = [(a.participants, f) for a, f in zip(assemblies, fitnesses)]
 
         best = max(fitnesses)
         mean = reduce(add, fitnesses, 0.0) / len(fitnesses)
@@ -651,11 +657,16 @@ def run_symbiosis(
         done = goal_reached(config.problem, pop, solved_now)
         if done:
             state.solved_at = generation
+        # breaks wait out the warmup: a population still in its first
+        # selection sweeps has not failed, it just has not started
+        detecting = not done and config.breaks_enabled and generation >= evo.break_warmup \
+            and stalled(history, evo)
+        # the checkpoint of a solve and detect_dependency read the whole cohort's
+        # cells now; any other generation tallies after compaction (below)
+        distribute_fitness(ledger, outcomes, evo.top_m, cohort if done or detecting else ())
 
         if not done:
-            # breaks wait out the warmup: a population still in its first
-            # selection sweeps has not failed, it just has not started
-            if config.breaks_enabled and generation >= evo.break_warmup and stalled(history, evo):
+            if detecting:
                 pairs = detect_dependency(universe, ledger, pop, evo)
                 selected = can_break(pop, pairs, config.population_limit, config.max_order)
                 if selected is not None:
@@ -680,6 +691,12 @@ def run_symbiosis(
         evolve_generation(universe, pop, ledger, evo, substream(config.seed, "evolve", row.generation), row.generation)
         # in the loop, not at save time, so a resumed run holds the same state
         compact(state)
+        if not detecting:
+            # nothing since the credit read or wrote a cell, and compaction
+            # kept just the live structures, so tallying the cohort members
+            # still in the universe gives every kept cell what a full tally
+            # would, and makes none that compaction would drop
+            ledger.tally_cooccurrence(outcomes, [m for m in cohort if m in universe])
 
     return generation
 

@@ -3,6 +3,7 @@ generation loop."""
 
 from __future__ import annotations
 
+import copy
 import dataclasses
 import math
 import random
@@ -12,10 +13,12 @@ import pytest
 from hypothesis import event, given, settings
 from hypothesis import strategies as st
 
+from sosage import symbio
+from sosage.checkpoint import load_checkpoint
 from sosage.config import load_config, make_env, with_seed
 from sosage.envs import EnvSpec, GridNavEnv, XorEnv
 from sosage.errors import SosageError
-from sosage.harness import build_state
+from sosage.harness import OUTPUT_DIR_ENV, build_state, run
 from sosage.hyperstruct import Universe
 from sosage.population import ProblemSpec, apply_break, init_population
 from sosage.symbio import (
@@ -871,6 +874,48 @@ class TestTallyMatchesThePerAssemblyOracle:
         assert cell_bits(ledger) == cell_bits(oracle)
 
 
+@st.composite
+def kept_tallies(draw):
+    """(ledger, outcomes, cohort, keep): a ledger whose existing cells have
+    ends drawn from ids 0-11, so some have both in `keep` and some do not,
+    and a generation over ids 0-15 with a cohort and a keep set."""
+    fitness = st.one_of(st.sampled_from(AWKWARD_FITNESS), st.floats(-1e3, 1e3))
+    ids = st.integers(0, 11)
+    pairs = st.tuples(ids, ids).filter(lambda pair: pair[0] != pair[1])
+    cells = draw(st.dictionaries(pairs, st.tuples(st.integers(0, 5), fitness, st.integers(0, 5), fitness),
+                                 max_size=12))
+    ledger = FitnessLedger(cooccur={key: CooccurCell(*cell) for key, cell in cells.items()})
+    outcomes = draw(st.lists(st.tuples(st.lists(st.integers(0, 15), min_size=1, max_size=4, unique=True), fitness),
+                             max_size=10))
+    cohort = draw(st.lists(ids, min_size=1, max_size=8, unique=True))
+    keep = draw(st.sets(st.integers(0, 15)))
+    return ledger, [(tuple(team), f) for team, f in outcomes], cohort, keep
+
+
+class TestTallyOfTheKeptCohort:
+    """The loop tallies a generation that neither solves nor detects after
+    compaction, over the cohort members compaction kept."""
+
+    @PROPERTY_SETTINGS
+    @given(drawn=kept_tallies())
+    def test_it_keeps_the_cells_a_full_tally_keeps(self, drawn):
+        ledger, outcomes, cohort, keep = drawn
+        kept_cohort = [m for m in cohort if m in keep]
+        full, restricted, compacted = (copy.deepcopy(ledger) for _ in range(3))
+        full.tally_cooccurrence(outcomes, cohort)
+        full.retain(keep)
+        restricted.tally_cooccurrence(outcomes, kept_cohort)
+        made = restricted.cooccur.keys() - ledger.cooccur.keys()
+        assert all(x in keep and y in keep for x, y in made)
+        restricted.retain(keep)
+        # the loop's order: compaction, then the kept cohort's tally
+        compacted.retain(keep)
+        compacted.tally_cooccurrence(outcomes, kept_cohort)
+        for other in (restricted, compacted):
+            assert list(other.cooccur) == list(full.cooccur)
+            assert cell_bits(other) == cell_bits(full)
+
+
 def stall_rule(window_G, min_improvement):
     return EvolutionConfig(window_G=window_G, min_improvement=min_improvement)
 
@@ -1015,6 +1060,29 @@ class TestLoop:
         kept = break_log(reverse_enabled=False)
         assert kept and all(e.reversed_at is None for e in kept)
         assert break_log(breaks_enabled=False) == []
+
+    def test_a_generation_that_does_not_detect_makes_only_the_cells_it_keeps(self, monkeypatch):
+        made = []
+
+        class CountedCell(CooccurCell):
+            def __init__(self, *fields):
+                made.append(1)
+                super().__init__(*fields)
+
+        monkeypatch.setattr(symbio, "CooccurCell", CountedCell)
+        config = dataclasses.replace(with_seed(load_config(CONFIG_DIR / "gridnav_comp.json"), 3),
+                                     breaks_enabled=False)
+        state = build_state(config)
+        generations = run_symbiosis(make_env(config.env.name, config.env.params), config, state)
+        assert (generations, state.solved_at) == (150, None)
+        assert len(made) <= 2 * generations
+
+    def test_a_solving_generation_keeps_its_whole_cohorts_cells(self, tmp_path, monkeypatch):
+        monkeypatch.delenv(OUTPUT_DIR_ENV, raising=False)
+        config = dataclasses.replace(with_seed(load_config(CONFIG_DIR / "xor.json"), 13), output_dir=str(tmp_path))
+        final = load_checkpoint(run(config).checkpoint_path).state
+        assert (final.solved_at, final.pop.break_log, len(final.pop.members)) == (1, [], 24)
+        assert len(final.ledger.cooccur) == 24 * 23
 
     @pytest.mark.parametrize("name, seed, evolution, shows", [
         ("xor.json", 1, {**REVERSING, "max_generations": 120}, "reverse"),

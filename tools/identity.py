@@ -52,6 +52,9 @@ MATRIX = (
     Entry("xor-cap1", "xor.json", (7,), 5, top={"max_order": 1}),
     Entry("xor-big", "xor.json", (2**32, 2**40 + 3, 2**64 - 1), 5, evolution={"max_generations": 60}),
     Entry("grid-big", "gridnav_comp.json", (2**32 + 7,), 3, evolution={"max_generations": 40}),
+    # breaks off: the stall gate never opens, so each unsolved generation tallies after compaction
+    Entry("grid-off", "gridnav_comp.json", (3,), 5, top={"breaks_enabled": False}),
+    Entry("xor-off", "xor.json", (7,), 5, top={"breaks_enabled": False}),
 )
 ENTRIES = {e.name: e for e in MATRIX}
 
