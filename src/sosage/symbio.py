@@ -241,12 +241,10 @@ class FitnessLedger:
         its both half when y shared that assembly and to its solo half when
         it did not.
 
-        The tally runs row by row. x's assemblies are gathered once; a partner
-        that shared none of them takes them all on its solo half, so a new
-        cell starts at their count and left-to-right fold and an existing one
-        folds them onto its own total. Only partners that shared one walk the
-        list. Every cell receives its additions one at a time in assembly
-        order, as tallying assembly by assembly would.
+        The tally runs row by row: x's assemblies are gathered once, and each
+        partner's cell walks that row, so every cell receives its additions
+        one at a time in assembly order, as tallying assembly by assembly
+        would.
         """
         in_cohort = set(cohort)
         rows: dict[StructureId, list[tuple[set[StructureId], float]]] = {}
@@ -259,28 +257,19 @@ class FitnessLedger:
             row = rows.get(x)
             if row is None:
                 continue
-            fitnesses = [f for _, f in row]
-            n, total = len(fitnesses), reduce(add, fitnesses, 0.0)
-            partners = {m for team, _ in row for m in team}
             for y in cohort:
                 if y == x:
                     continue
                 cell = cooccur.get((x, y))
-                if y in partners:
-                    if cell is None:
-                        cell = cooccur[x, y] = CooccurCell()
-                    for team, f in row:
-                        if y in team:
-                            cell.both_count += 1
-                            cell.both_total += f
-                        else:
-                            cell.solo_count += 1
-                            cell.solo_total += f
-                elif cell is None:
-                    cooccur[x, y] = CooccurCell(0, 0.0, n, total)
-                else:
-                    cell.solo_count += n
-                    cell.solo_total = reduce(add, fitnesses, cell.solo_total)
+                if cell is None:
+                    cell = cooccur[x, y] = CooccurCell()
+                for team, f in row:
+                    if y in team:
+                        cell.both_count += 1
+                        cell.both_total += f
+                    else:
+                        cell.solo_count += 1
+                        cell.solo_total += f
 
     # --- compaction ---
 
@@ -385,13 +374,10 @@ def distribute_fitness(
     ledger: FitnessLedger,
     outcomes: Sequence[tuple[Collection[StructureId], float]],
     top_m: int,
-    cohort: Sequence[StructureId],
 ) -> None:
     """Credit every participant of the generation's (participants, fitness)
     pairs, in assembly order, in a ring of SAMPLE_RING_FACTOR * top_m
-    samples, and tally the same pairs over the dependency cohort (the top
-    stratum). An empty cohort tallies nothing: run_symbiosis passes that when
-    the generation's cells can wait until after evolution.
+    samples. It makes no co-occurrence cell: run_symbiosis tallies those.
 
     Members in no assembly this generation are untouched, so their score is
     exactly what it was before.
@@ -399,8 +385,6 @@ def distribute_fitness(
     for participants, fitness in outcomes:
         for member in participants:
             ledger.credit(member, fitness, top_m)
-    if cohort:
-        ledger.tally_cooccurrence(outcomes, cohort)
 
 
 def detect_dependency(
@@ -616,13 +600,14 @@ def run_symbiosis(
     Each generation: assemble, evaluate, distribute fitness, then (stall
     permitting) detect dependencies and apply at most one break, then the
     reverse-break safeguard, then stratified evolution and compaction. The
-    row and the solve read each assembly's `Outcome` by name. A generation
-    that solves or detects tallies its whole cohort's cells with the credit;
-    any other tallies them after compaction, over the cohort members
-    compaction kept. A solving generation stops before evolution; it only
-    credits roster members and their cells, so its state is as compact. The
-    checkpoint hook fires at the start of a generation so a resumed run
-    replays it exactly.
+    row and the solve read each assembly's `Outcome` by name. The credit
+    makes no cell; `detecting` alone picks where the loop tallies the
+    cohort: before `detect_dependency` when it detects, else at the
+    generation's end over the cohort members still in the universe. A
+    solving generation neither evolves nor compacts, so that is its whole
+    cohort; it only credits roster members and their cells, so its state is
+    as compact. The checkpoint hook fires at the start of a generation so a
+    resumed run replays it exactly.
 
     The config's seed, problem, population_limit, max_order, breaks_enabled,
     reverse_enabled and checkpoint_every are read here, and its evolution
@@ -661,12 +646,12 @@ def run_symbiosis(
         # selection sweeps has not failed, it just has not started
         detecting = not done and config.breaks_enabled and generation >= evo.break_warmup \
             and stalled(history, evo)
-        # the checkpoint of a solve and detect_dependency read the whole cohort's
-        # cells now; any other generation tallies after compaction (below)
-        distribute_fitness(ledger, outcomes, evo.top_m, cohort if done or detecting else ())
+        distribute_fitness(ledger, outcomes, evo.top_m)
 
         if not done:
             if detecting:
+                # detect_dependency reads the whole cohort's cells now
+                ledger.tally_cooccurrence(outcomes, cohort)
                 pairs = detect_dependency(universe, ledger, pop, evo)
                 selected = can_break(pop, pairs, config.population_limit, config.max_order)
                 if selected is not None:
@@ -686,11 +671,10 @@ def run_symbiosis(
         if on_row is not None:
             on_row(row)
         generation += 1
-        if done:
-            break
-        evolve_generation(universe, pop, ledger, evo, substream(config.seed, "evolve", row.generation), row.generation)
-        # in the loop, not at save time, so a resumed run holds the same state
-        compact(state)
+        if not done:
+            evolve_generation(universe, pop, ledger, evo, substream(config.seed, "evolve", row.generation), row.generation)
+            # in the loop, not at save time, so a resumed run holds the same state
+            compact(state)
         if not detecting:
             # nothing since the credit read or wrote a cell, and compaction
             # kept just the live structures, so tallying the cohort members

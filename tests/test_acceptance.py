@@ -266,7 +266,8 @@ def test_criterion_5_dependency_oracle(verdict):
             fitness = evaluate(asm, env).fitness
             outcomes.append((asm.participants, fitness))
             history.append((set(combo), fitness))
-        distribute_fitness(ledger, outcomes, top_m=64, cohort=members)
+        distribute_fitness(ledger, outcomes, top_m=64)
+        ledger.tally_cooccurrence(outcomes, members)
         for delta in (0.1, 0.5, 1.0):
             config = EvolutionConfig(
                 network_size=k, dependency_delta=delta, min_cooccur_samples=1

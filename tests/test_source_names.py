@@ -94,6 +94,14 @@ CHECKS = {
     # (fitness, solved) tuple nor the loop's positional reads of it may come
     # back into symbio.py
     "evaluate-returns-an-outcome": [(r"tuple\[float, bool\]|for fitness, _ in|for _, solved in", "sosage/symbio.py")],
+    # distribute_fitness only credits and the loop tallies the cohort at
+    # one of two points that `detecting` picks, and a cell walks its row
+    # for every partner; neither the empty-cohort sentinel nor the tally's
+    # bulk-solo branch may come back into symbio.py
+    "one-tally-path": [(
+        r"cohort if done or detecting|if cohort:|partners = \{|CooccurCell\(0, 0\.0|solo_total = reduce",
+        "sosage/symbio.py",
+    )],
     # a primitive row is its genome, [id, 1, [], tag, in_weights,
     # out_weights]: the writer refuses any other payload, so neither the
     # reader of a one-item payload nor the writer of one may come back
@@ -242,4 +250,16 @@ def test_the_admission_gate_is_caught_in_harness_only(tmp_path, text, module, ch
 ])
 @pytest.mark.parametrize("module, checks", [("symbio", ["evaluate-returns-an-outcome"]), ("envs", [])])
 def test_the_result_tuple_is_caught_in_symbio_only(tmp_path, text, module, checks):
+    assert failed_checks(tmp_path, module, text) == checks
+
+
+@pytest.mark.parametrize("text", [
+    "        distribute_fitness(ledger, outcomes, evo.top_m, cohort if done or detecting else ())",
+    "    if cohort:",
+    "            partners = {m for team, _ in row for m in team}",
+    "                    cooccur[x, y] = CooccurCell(0, 0.0, n, total)",
+    "                    cell.solo_total = reduce(add, fitnesses, cell.solo_total)",
+])
+@pytest.mark.parametrize("module, checks", [("symbio", ["one-tally-path"]), ("harness", [])])
+def test_the_second_tally_path_is_caught_in_symbio_only(tmp_path, text, module, checks):
     assert failed_checks(tmp_path, module, text) == checks

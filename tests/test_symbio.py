@@ -419,13 +419,12 @@ class TestEvaluate:
         with pytest.raises(dataclasses.FrozenInstanceError):
             assembly.participants = ()
 
-    def test_distribute_credits_each_pair_and_tallies_the_same_list(self):
+    def test_distribute_credits_each_pair_and_makes_no_cell(self):
         outcomes = [((1, 2), 1.0), ((1,), 0.25), ((2, 3), -0.5)]
-        ledger, tallied = FitnessLedger(), FitnessLedger()
-        distribute_fitness(ledger, outcomes, 3, (1, 2, 3))
-        tallied.tally_cooccurrence(outcomes, (1, 2, 3))
+        ledger = FitnessLedger()
+        distribute_fitness(ledger, outcomes, 3)
         assert ledger.per_member == {1: [1.0, 0.25], 2: [1.0, -0.5], 3: [-0.5]}
-        assert ledger.cooccur == tallied.cooccur
+        assert ledger.cooccur == {}
 
 
 class TestLedger:
