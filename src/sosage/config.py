@@ -39,13 +39,6 @@ def _reject_unknown(doc: Mapping[str, Any], allowed: AbstractSet[str], where: st
         raise error(f"{where}.{first}" if where else first, "unknown key")
 
 
-def _section(doc: Mapping[str, Any], key: str) -> Mapping[str, Any]:
-    raw = doc.get(key, {})
-    if not isinstance(raw, Mapping):
-        raise ValidationError(key, "must be an object")
-    return raw
-
-
 def _as_int(raw: Any, field: str) -> int:
     if isinstance(raw, bool) or not isinstance(raw, int):
         raise ValidationError(field, "must be an integer")
@@ -110,17 +103,22 @@ def _read_fields(cls: type, doc: Mapping[str, Any], prefix: str) -> dict[str, An
     return settings
 
 
+def _read(cls: type, raw: Any, where: str) -> Any:
+    """The section `raw` read as a `cls`: a non-object or a key naming no
+    field of `cls` is refused, and each field is read by `_read_fields`."""
+    if not isinstance(raw, Mapping):
+        raise ValidationError(where, "must be an object")
+    _reject_unknown(raw, _names(cls), where)
+    return cls(**_read_fields(cls, raw, where + "."))
+
+
 def make_env(name: Any, params: Any):
     """Build an environment from its config name and raw params map. The env
     class's fields are the schema: each param is read as every other setting
     is, and a "size_cap" in its metadata is checked once size is known."""
     if not isinstance(name, str) or name not in ENVS:
         raise ValidationError("env.name", f"must be one of {tuple(ENVS)}, got {name!r}")
-    if not isinstance(params, Mapping):
-        raise ValidationError("env.params", "must be an object")
-    cls = ENVS[name]
-    _reject_unknown(params, _names(cls), "env.params")
-    env = cls(**_read_fields(cls, params, "env.params."))
+    env = _read(ENVS[name], params, "env.params")
     for f in fields(env):
         if "size_cap" in f.metadata and getattr(env, f.name) > (cap := f.metadata["size_cap"](env.size)):
             raise ValidationError(f"env.params.{f.name}", f"must {f.metadata['rule']} = [{f.metadata['low']}, {cap}]")
@@ -134,19 +132,15 @@ def config_from_dict(doc: Mapping[str, Any]) -> RunConfig:
         raise ValidationError("config", "top level must be an object")
     _reject_unknown(doc, _names(RunConfig), "")
 
-    env_doc = _section(doc, "env")
+    env_doc = doc.get("env", {})
+    if not isinstance(env_doc, Mapping):
+        raise ValidationError("env", "must be an object")
     _reject_unknown(env_doc, _names(EnvSpec), "env")
     if "name" not in env_doc:
         raise ValidationError("env.name", "is required")
     env = make_env(env_doc["name"], env_doc.get("params", {}))
-
-    problem_doc = _section(doc, "problem")
-    _reject_unknown(problem_doc, _names(ProblemSpec), "problem")
-    problem = ProblemSpec(**_read_fields(ProblemSpec, problem_doc, "problem."))
-
-    evo_doc = _section(doc, "evolution")
-    _reject_unknown(evo_doc, _names(EvolutionConfig), "evolution")
-    evolution = EvolutionConfig(**_read_fields(EvolutionConfig, evo_doc, "evolution."))
+    problem = _read(ProblemSpec, doc.get("problem", {}), "problem")
+    evolution = _read(EvolutionConfig, doc.get("evolution", {}), "evolution")
 
     settings = _read_fields(RunConfig, doc, "")
     if "population_limit" not in settings:  # twice roster_size, read as a set value is

@@ -477,6 +477,10 @@ def evolve_generation(
     for m, _ in ranking:
         strata.setdefault(universe.structural_order(m), []).append(m)
     slot_of = {m: i for i, m in enumerate(pop.members)}
+
+    def mutate(genome: NeuronGene) -> NeuronGene:
+        return mutate_genome(genome, rng, config.mutation_rate, config.mutation_sigma, config.w_max)
+
     for order in sorted(strata):
         ranked = strata[order]
         n_elite = max(1, int(config.elite_fraction * len(ranked)))
@@ -491,16 +495,10 @@ def evolve_generation(
                     pa = elites[rng.integers(len(elites))]
                     child = universe.get(pa).payload
                     tag = f"o{generation}:{pa}"
-                child = mutate_genome(child, rng, config.mutation_rate, config.mutation_sigma, config.w_max)
-                new_id = universe.add_primitive(child, tag=tag)
+                new_id = universe.add_primitive(mutate(child), tag=tag)
             else:
                 pa = elites[rng.integers(len(elites))]
-                new_id = _clone_composite(
-                    universe,
-                    pa,
-                    lambda g: mutate_genome(g, rng, config.mutation_rate, config.mutation_sigma, config.w_max),
-                    generation,
-                )
+                new_id = _clone_composite(universe, pa, mutate, generation)
             pop.members[slot_of[m]] = new_id
 
 
@@ -597,17 +595,19 @@ def run_symbiosis(
     and return the generation a resume would start from. A finished state
     runs no generation.
 
-    Each generation: assemble, evaluate, distribute fitness, then (stall
-    permitting) detect dependencies and apply at most one break, then the
-    reverse-break safeguard, then stratified evolution and compaction. The
-    row and the solve read each assembly's `Outcome` by name. The credit
-    makes no cell; `detecting` alone picks where the loop tallies the
-    cohort: before `detect_dependency` when it detects, else at the
-    generation's end over the cohort members still in the universe. A
-    solving generation neither evolves nor compacts, so that is its whole
-    cohort; it only credits roster members and their cells, so its state is
-    as compact. The checkpoint hook fires at the start of a generation so a
-    resumed run replays it exactly.
+    Each generation runs its phases in order: assemble, evaluate, the stall
+    history, the solve and the credit; then, unless it solves, the detecting
+    tally, detect_dependency and at most one break (stall permitting), the
+    reverse-break safeguard, stratified evolution and compaction; then the
+    tally of a generation that did not detect; and last the row. The row
+    and the solve read each assembly's `Outcome` by name. The credit makes
+    no cell; `detecting` alone picks where the loop tallies the cohort:
+    before `detect_dependency` when it detects, else over the cohort
+    members still in the universe. A solving generation neither evolves nor
+    compacts, so that is its whole cohort; it only credits roster members
+    and their cells, so its state is as compact. `on_row` sees the finished
+    generation, the state the next checkpoint saves; the checkpoint hook
+    fires at the start of a generation so a resumed run replays it exactly.
 
     The config's seed, problem, population_limit, max_order, breaks_enabled,
     reverse_enabled and checkpoint_every are read here, and its evolution
@@ -659,20 +659,7 @@ def run_symbiosis(
                     history.clear()
             if config.reverse_enabled:
                 _maybe_reverse(state, config, generation)
-
-        row = GenerationRow(
-            generation=generation,
-            best_fitness=best,
-            mean_fitness=mean,
-            pop_order=pop.pop_order_n,
-            roster_size=len(pop.members),
-            breaks_so_far=len(pop.break_log),
-        )
-        if on_row is not None:
-            on_row(row)
-        generation += 1
-        if not done:
-            evolve_generation(universe, pop, ledger, evo, substream(config.seed, "evolve", row.generation), row.generation)
+            evolve_generation(universe, pop, ledger, evo, substream(config.seed, "evolve", generation), generation)
             # in the loop, not at save time, so a resumed run holds the same state
             compact(state)
         if not detecting:
@@ -682,6 +669,17 @@ def run_symbiosis(
             # would, and makes none that compaction would drop
             ledger.tally_cooccurrence(outcomes, [m for m in cohort if m in universe])
 
+        if on_row is not None:
+            on_row(GenerationRow(
+                generation=generation,
+                best_fitness=best,
+                mean_fitness=mean,
+                pop_order=pop.pop_order_n,
+                roster_size=len(pop.members),
+                breaks_so_far=len(pop.break_log),
+            ))
+        generation += 1
+
     return generation
 
 
@@ -689,30 +687,23 @@ def _maybe_reverse(state: LoopState, config: RunConfig, generation: int) -> None
     """Dissolve at most one composite stuck in the roster's bottom quartile
     for window_G straight generations.
 
-    The cohort is the whole roster, not the composite's own order stratum: a
+    The counters are rebuilt each generation by one rule: each counter is on
+    the composite of a standing break event that is in the roster and ranks
+    in its bottom quartile, and holds its previous count plus 1. The cohort
+    is the whole roster, not the composite's own order stratum: a
     break-created composite usually sits alone at its order, where a
     within-stratum quartile is vacuous and a useless composite would survive
     forever. Ranking it against every member it competes with for assembly
     slots makes the safeguard selective: composites that pull their weight
-    stay, the rest dissolve. Only break-created composites with a live event
-    qualify; rosters below 4 members have no bottom quartile."""
+    stay, the rest dissolve. Rosters below 4 members have no bottom quartile."""
     universe, pop, ledger = state.universe, state.pop, state.ledger
-    live = {e.composite for e in pop.break_log if e.reversed_at is None}
+    standing = {e.composite for e in pop.break_log if e.reversed_at is None}.intersection(pop.members)
+    threshold = -(-3 * len(pop.members) // 4)  # ceil(3s/4); ranks below it are safe
+    bottom = ledger.ranked(pop.members, config.evolution.top_m)[threshold:] if standing else ()
     counters = state.reverse_counters
-    in_roster = set(pop.members)
-    for stale in [c for c in counters if c not in in_roster or c not in live]:
-        del counters[stale]
-    if live.isdisjoint(in_roster):
-        return  # nothing to rank or count, and no counter is left
-    size = len(pop.members)
-    threshold = -(-3 * size // 4)  # ceil(3s/4); ranks below it are safe
-    for rank, (m, _) in enumerate(ledger.ranked(pop.members, config.evolution.top_m)):
-        if m not in live:
-            continue
-        if rank >= threshold:
-            counters[m] = counters.get(m, 0) + 1
-        else:
-            counters.pop(m, None)
+    counts = {m: counters.get(m, 0) + 1 for m, _ in bottom if m in standing}
+    counters.clear()
+    counters.update(counts)
     due = sorted(c for c, n in counters.items() if n >= config.evolution.window_G)
     for composite in due:
         try:

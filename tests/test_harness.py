@@ -886,6 +886,10 @@ class TestValidConfigsEndToEnd:
                 history = ckpt.state.stall_history
                 assert len(history) <= doc["evolution"]["window_G"], path.name
                 assert all(a <= b for a, b in zip(history, history[1:])), path.name
+                # both halves of a pair fold the same shared assemblies in assembly order
+                cells = ckpt.state.ledger.cooccur
+                assert all((c.both_count, c.both_total.hex()) == (cells[y, x].both_count, cells[y, x].both_total.hex())
+                           for (x, y), c in cells.items() if (y, x) in cells), path.name
             if not periodic:
                 return
             ckpt = load_checkpoint(data.draw(st.sampled_from(periodic), label="resume from"))

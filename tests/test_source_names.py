@@ -102,6 +102,16 @@ CHECKS = {
         r"cohort if done or detecting|if cohort:|partners = \{|CooccurCell\(0, 0\.0|solo_total = reduce",
         "sosage/symbio.py",
     )],
+    # a generation runs in phase order and its row comes last, so evolution
+    # takes the loop's own generation; the reverse counters are rebuilt by
+    # one rule, and the offspring mutation is stated once: neither the row
+    # read back, nor the stale-counter sweep, nor a second mutation call may
+    # come back into symbio.py
+    "generation-in-phase-order": [(r"row\.generation|for stale in|lambda g: mutate_genome", "sosage/symbio.py")],
+    # every config section is read by config._read, which refuses a
+    # non-object and an unknown key before it reads the fields; a second
+    # section reader may not come back into config.py
+    "one-section-reader": [(r"_section\(", "sosage/config.py")],
     # a primitive row is its genome, [id, 1, [], tag, in_weights,
     # out_weights]: the writer refuses any other payload, so neither the
     # reader of a one-item payload nor the writer of one may come back
@@ -262,4 +272,23 @@ def test_the_result_tuple_is_caught_in_symbio_only(tmp_path, text, module, check
 ])
 @pytest.mark.parametrize("module, checks", [("symbio", ["one-tally-path"]), ("harness", [])])
 def test_the_second_tally_path_is_caught_in_symbio_only(tmp_path, text, module, checks):
+    assert failed_checks(tmp_path, module, text) == checks
+
+
+@pytest.mark.parametrize("text", [
+    '            evolve_generation(universe, pop, ledger, evo, substream(config.seed, "evolve", row.generation), row.generation)',
+    "    for stale in [c for c in counters if c not in in_roster or c not in live]:",
+    "                    lambda g: mutate_genome(g, rng, config.mutation_rate, config.mutation_sigma, config.w_max),",
+])
+@pytest.mark.parametrize("module, checks", [("symbio", ["generation-in-phase-order"]), ("harness", [])])
+def test_the_split_generation_is_caught_in_symbio_only(tmp_path, text, module, checks):
+    assert failed_checks(tmp_path, module, text) == checks
+
+
+@pytest.mark.parametrize("text", [
+    '    problem_doc = _section(doc, "problem")',
+    "def _section(doc: Mapping[str, Any], key: str) -> Mapping[str, Any]:",
+])
+@pytest.mark.parametrize("module, checks", [("config", ["one-section-reader"]), ("checkpoint", [])])
+def test_a_second_section_reader_is_caught_in_config_only(tmp_path, text, module, checks):
     assert failed_checks(tmp_path, module, text) == checks

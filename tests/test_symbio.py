@@ -5,6 +5,8 @@ from __future__ import annotations
 
 import copy
 import dataclasses
+import hashlib
+import json
 import math
 import random
 
@@ -14,13 +16,13 @@ from hypothesis import event, given, settings
 from hypothesis import strategies as st
 
 from sosage import symbio
-from sosage.checkpoint import load_checkpoint
+from sosage.checkpoint import Checkpoint, checkpoint_to_json_dict, load_checkpoint
 from sosage.config import load_config, make_env, with_seed
 from sosage.envs import EnvSpec, GridNavEnv, XorEnv
-from sosage.errors import SosageError
+from sosage.errors import LimitExceeded, SosageError
 from sosage.harness import OUTPUT_DIR_ENV, build_state, run
 from sosage.hyperstruct import Universe
-from sosage.population import ProblemSpec, apply_break, init_population
+from sosage.population import BreakEvent, Population, ProblemSpec, apply_break, apply_reverse_break, init_population
 from sosage.symbio import (
     SAMPLE_RING_FACTOR,
     Assembly,
@@ -989,6 +991,92 @@ class TestMaybeReverse:
         assert (event.reversed_at, len(state.pop.members), state.stall_history) == (2, 5, [])
         assert state.reverse_counters == {}
 
+    def test_a_counter_on_a_composite_above_the_bottom_quartile_is_dropped(self):
+        state = self.broken_state()
+        event = state.pop.break_log[0]
+        state.ledger.credit(event.composite, 1.0, top_m=5)  # the one scored member ranks first
+        state.reverse_counters[event.composite] = 2
+        _maybe_reverse(state, self.config(10), generation=1)
+        assert (state.reverse_counters, event.reversed_at, state.stall_history) == ({}, None, [1.0])
+
+    @settings(max_examples=300, deadline=None)
+    @given(data=st.data())
+    def test_the_counters_follow_the_incremental_rule(self, data):
+        state, config = data.draw(reverse_cases())
+        expected = copy.deepcopy(state)
+        incremental_reverse(expected, config, generation=5)
+        before = dict(state.reverse_counters)
+        _maybe_reverse(state, config, generation=5)
+        assert state.reverse_counters == expected.reverse_counters
+        assert [e.reversed_at for e in state.pop.break_log] == [e.reversed_at for e in expected.pop.break_log]
+        assert state.stall_history == expected.stall_history
+        assert (state.pop.members, state.pop.pop_order_n) == (expected.pop.members, expected.pop.pop_order_n)
+        standing = {e.composite for e in state.pop.break_log if e.reversed_at is None} & set(state.pop.members)
+        event(f"counters reset: {any(c in standing and c not in state.reverse_counters for c in before)}")
+        event(f"stale counters: {any(c not in standing for c in before)}")
+        event(f"reversed: {state.stall_history == []}")
+
+
+def incremental_reverse(state, config, generation):
+    """The reverse safeguard as it was written before its counters were
+    rebuilt by one rule: the stale keys swept, then each standing composite
+    in the roster counted up in the bottom quartile and its counter dropped
+    above it, one member at a time."""
+    universe, pop, ledger = state.universe, state.pop, state.ledger
+    live = {e.composite for e in pop.break_log if e.reversed_at is None}
+    counters = state.reverse_counters
+    in_roster = set(pop.members)
+    for stale in [c for c in counters if c not in in_roster or c not in live]:
+        del counters[stale]
+    if live.isdisjoint(in_roster):
+        return
+    threshold = -(-3 * len(pop.members) // 4)
+    for rank, (m, _) in enumerate(ledger.ranked(pop.members, config.evolution.top_m)):
+        if m not in live:
+            continue
+        if rank >= threshold:
+            counters[m] = counters.get(m, 0) + 1
+        else:
+            counters.pop(m, None)
+    due = sorted(c for c, n in counters.items() if n >= config.evolution.window_G)
+    for composite in due:
+        try:
+            apply_reverse_break(universe, pop, composite, generation, config.population_limit)
+        except LimitExceeded:
+            continue
+        del counters[composite]
+        state.stall_history.clear()
+        break
+
+
+@st.composite
+def reverse_cases(draw):
+    """A hand-built roster of primitives and break composites, some of whose
+    events are reversed, with a random ledger (few distinct fitnesses, so
+    ties occur), counters on roster members, on composites outside the
+    roster, on reversed events and on an unknown id, and a roster limit that
+    may block a reverse."""
+    universe = Universe()
+    primitives = [universe.add_primitive(f"m{k}", tag=f"g{k}") for k in range(draw(st.integers(2, 8)))]
+    pairs = st.lists(st.sampled_from(primitives), min_size=2, max_size=2, unique=True)
+    log = []
+    for k, (x, y) in enumerate(draw(st.lists(pairs, max_size=4))):
+        composite = universe.construct({x, y}, tag=f"break-g{k}")
+        log.append(BreakEvent(k, x, y, composite, reversed_at=draw(st.sampled_from([None, None, k]))))
+    ids = primitives + [e.composite for e in log]
+    members = draw(st.lists(st.sampled_from(ids), min_size=1, unique=True))
+    pop = Population(members=members, base_order_r=1, pop_order_n=max(universe.structural_order(m) for m in members),
+                     break_log=log)
+    top_m = draw(st.integers(1, 3))
+    ledger = FitnessLedger()
+    for m in draw(st.lists(st.sampled_from(ids), max_size=12)):
+        ledger.credit(m, draw(st.sampled_from([0.0, 0.5, 1.0])), top_m)
+    counters = draw(st.dictionaries(st.sampled_from(ids + [10**6]), st.integers(1, 4), max_size=5))
+    state = LoopState(universe=universe, pop=pop, ledger=ledger, stall_history=[1.0, 2.0], reverse_counters=counters)
+    limit = draw(st.integers(len(members), len(members) + 2))
+    config = loop_config(1, dict(window_G=draw(st.integers(1, 3)), top_m=top_m), roster_size=1, population_limit=limit)
+    return state, config
+
 
 class TestLoop:
     def solver_state(self, config):
@@ -1119,6 +1207,27 @@ class TestLoop:
         # the window was full when a clear came, and a cleared history does not stall
         assert any(len(histories[g - 1]) == window and histories[g] == [] for g in clears)
         assert all(not stalled(histories[g], config.evolution) for g in clears)
+
+    @pytest.mark.parametrize("name, seed, generations", [
+        ("xor.json", 7, 46), ("gridnav_comp.json", 9, 150), ("xor.json", 13, 2),
+    ])
+    def test_a_row_reports_the_finished_generation(self, name, seed, generations):
+        """Each row sees the state the next checkpoint saves: the periodic one
+        of the next generation, or the final one."""
+        config = dataclasses.replace(with_seed(load_config(CONFIG_DIR / name), seed), checkpoint_every=1)
+        state = build_state(config)
+
+        def digest(generation, now):
+            doc = checkpoint_to_json_dict(Checkpoint(config=config, generation=generation, state=now))
+            return hashlib.sha256(json.dumps(doc).encode()).hexdigest()
+
+        at_rows, saved = [], []
+        next_generation = run_symbiosis(make_env(config.env.name, config.env.params), config, state,
+                                        on_row=lambda row: at_rows.append(digest(row.generation + 1, state)),
+                                        on_checkpoint=lambda g, now: saved.append(digest(g, now)))
+        saved.append(digest(next_generation, state))
+        assert len(at_rows) == next_generation == generations
+        assert [g for g, (a, b) in enumerate(zip(at_rows, saved)) if a != b] == []
 
     @pytest.mark.parametrize("r", [1, 2])
     def test_interacts_agrees_with_the_edge_list_at_every_generation(self, r):
